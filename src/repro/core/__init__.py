@@ -7,52 +7,60 @@
 * :mod:`repro.core.server` — the AdaptiveFL training loop,
 * :mod:`repro.core.fl_base` — shared federated scaffolding reused by the
   baselines.
+
+Exports resolve lazily (PEP 562), as :mod:`repro.engine`'s do: the leaf
+modules here (``serialization``, ``config``, ``client`` …) are imported by
+``repro.engine``, ``repro.sim`` and ``repro.obs``, which ``fl_base`` and
+``server`` import in turn — an eager package init makes ``import
+repro.engine.codecs`` (or ``repro.serve.client``, ``repro.engine.tasks``)
+as the first ``repro`` import circular.
 """
 
-from repro.core.aggregation import ClientUpdate, aggregate_heterogeneous, fedavg_aggregate
-from repro.core.client import ClientRoundResult, SimulatedClient
-from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig, ModelPoolConfig
-from repro.core.fl_base import FederatedAlgorithm
-from repro.core.history import RoundRecord, TrainingHistory
-from repro.core.local_training import LocalTrainingResult, train_local_model
-from repro.core.metrics import communication_waste_rate, evaluate_model, evaluate_state
-from repro.core.model_pool import LEVELS, ModelPool, SubmodelConfig
-from repro.core.pruning import (
-    build_submodel,
-    extract_submodel_state,
-    resource_aware_prune,
-    slice_state_dict,
-    slice_tensor,
-)
-from repro.core.rl_selection import RLClientSelector
-from repro.core.server import AdaptiveFL
+from __future__ import annotations
 
-__all__ = [
-    "AdaptiveFL",
-    "AdaptiveFLConfig",
-    "FederatedConfig",
-    "LocalTrainingConfig",
-    "ModelPoolConfig",
-    "FederatedAlgorithm",
-    "ModelPool",
-    "SubmodelConfig",
-    "LEVELS",
-    "RLClientSelector",
-    "ClientUpdate",
-    "aggregate_heterogeneous",
-    "fedavg_aggregate",
-    "ClientRoundResult",
-    "SimulatedClient",
-    "LocalTrainingResult",
-    "train_local_model",
-    "TrainingHistory",
-    "RoundRecord",
-    "evaluate_model",
-    "evaluate_state",
-    "communication_waste_rate",
-    "slice_tensor",
-    "slice_state_dict",
-    "extract_submodel_state",
-    "build_submodel",
-    "resource_aware_prune",
-]
+import importlib
+from typing import Any
+
+_EXPORTS: dict[str, str] = {
+    "AdaptiveFL": "repro.core.server",
+    "AdaptiveFLConfig": "repro.core.config",
+    "FederatedConfig": "repro.core.config",
+    "LocalTrainingConfig": "repro.core.config",
+    "ModelPoolConfig": "repro.core.config",
+    "FederatedAlgorithm": "repro.core.fl_base",
+    "ModelPool": "repro.core.model_pool",
+    "SubmodelConfig": "repro.core.model_pool",
+    "LEVELS": "repro.core.model_pool",
+    "RLClientSelector": "repro.core.rl_selection",
+    "ClientUpdate": "repro.core.aggregation",
+    "aggregate_heterogeneous": "repro.core.aggregation",
+    "fedavg_aggregate": "repro.core.aggregation",
+    "ClientRoundResult": "repro.core.client",
+    "SimulatedClient": "repro.core.client",
+    "LocalTrainingResult": "repro.core.local_training",
+    "train_local_model": "repro.core.local_training",
+    "TrainingHistory": "repro.core.history",
+    "RoundRecord": "repro.core.history",
+    "evaluate_model": "repro.core.metrics",
+    "evaluate_state": "repro.core.metrics",
+    "communication_waste_rate": "repro.core.metrics",
+    "slice_tensor": "repro.core.pruning",
+    "slice_state_dict": "repro.core.pruning",
+    "extract_submodel_state": "repro.core.pruning",
+    "build_submodel": "repro.core.pruning",
+    "resource_aware_prune": "repro.core.pruning",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module_name = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro.core' has no attribute {name!r}") from None
+    return getattr(importlib.import_module(module_name), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

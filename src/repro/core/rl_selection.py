@@ -186,21 +186,31 @@ class StreamingRLClientSelector:
 
     The dense :class:`RLClientSelector` holds ``(3 + 2p+1) × num_clients``
     tables and walks every client per selection — fine for dozens of
-    devices, infeasible for 10⁶.  This selector keeps a column *only* for
-    clients that have ever been updated (the selected set); every
-    untouched client implicitly holds the all-ones initial column, so its
-    reward is a single shared value per model.  Selection then splits
-    into two tiers: exact per-client rewards over the touched clients,
-    plus ``untouched_count × default_reward`` mass resolved by rank
-    lookup into the availability mask (cohort-sharded, never
-    materialising the population).
+    devices, infeasible for 10⁶.  This selector keeps a row *only* for
+    clients that have ever been updated (the selected set), in one
+    array-backed table in ascending client-id order: ``ids (n,)``,
+    ``curiosity (n, 3)``, ``resource (n, 2p+1)`` and the combined reward
+    per level ``(n, 3)`` — a reward depends on the model only through its
+    level.  Every untouched client implicitly holds the all-ones initial
+    row, so its reward is a single shared value per level.  Selection
+    splits into two tiers: the touched clients' stored rewards, plus
+    ``untouched_count × default_reward`` mass resolved by rank lookup into
+    the availability mask (cohort-sharded, never materialising the
+    population).
 
-    Reward arithmetic is copied operation-for-operation from the dense
-    selector, so for identical update histories the two produce identical
-    probabilities — the equivalence the test suite pins.  The list-based
-    :meth:`select` draws exactly like the dense selector (bit-identical
-    small-N drop-in); :meth:`select_from_mask` is the streaming draw for
-    large fleets and uses its own (equally deterministic) draw scheme.
+    Cost model: :meth:`update` rewrites the one row it touched (three
+    scalar rewards; a first touch also shifts the rows above the insert
+    position), :meth:`select_from_mask` is one vectorised pass over the
+    touched rows plus one over the mask and computes no reward at all,
+    :meth:`load_state_dict` rebuilds every row's rewards once.
+
+    Each stored reward comes from the scalar reward code, which is copied
+    operation-for-operation from the dense selector, so for identical
+    update histories the two produce identical probabilities — the
+    equivalence the test suite pins.  The list-based :meth:`select` draws
+    exactly like the dense selector (bit-identical small-N drop-in);
+    :meth:`select_from_mask` is the streaming draw for large fleets and
+    uses its own (equally deterministic) draw scheme.
     """
 
     def __init__(
@@ -226,125 +236,113 @@ class StreamingRLClientSelector:
         self.resource_reward_cap = resource_reward_cap
         self.cohort_size = cohort_size
         self.models_per_level = pool.config.models_per_level
+        self._level_ranks = [[cfg.rank for cfg in pool if cfg.level == level] for level in LEVELS]
         # Algorithm 1, lines 1-2: every client starts at all-ones; only
-        # clients that get updated ever materialise a column.
-        self._curiosity_columns: dict[int, np.ndarray] = {}
-        self._resource_columns: dict[int, np.ndarray] = {}
+        # clients that get updated ever materialise a row.  Rows
+        # [0, _size) are live; the arrays carry spare capacity behind them.
+        self._size = 0
+        self._ids = np.empty(0, dtype=np.int64)
+        self._curiosity = np.empty((0, len(LEVELS)), dtype=np.float64)
+        self._resource = np.empty((0, len(pool)), dtype=np.float64)
+        self._rewards = np.empty((0, len(LEVELS)), dtype=np.float64)
         self._default_curiosity = np.ones(len(LEVELS), dtype=np.float64)
         self._default_resource = np.ones(len(pool), dtype=np.float64)
-        self._touched_sorted: list[int] | None = []
-        self._level_rank_cache: dict[str, list[int]] = {}
+        self._default_rewards = self._level_rewards(self._default_curiosity, self._default_resource)
 
-    # -- sparse columns --------------------------------------------------------------
+    # -- sparse rows -----------------------------------------------------------------
     @property
     def num_touched(self) -> int:
-        """How many clients hold materialised columns (the selected set)."""
-        return len(self._resource_columns)
+        """How many clients hold materialised rows (the selected set)."""
+        return self._size
 
-    def _touched_ids(self) -> list[int]:
-        """Touched client ids in ascending order (cached until growth)."""
-        if self._touched_sorted is None:
-            self._touched_sorted = sorted(self._resource_columns)
-        return self._touched_sorted
+    def _find(self, client: int) -> tuple[int, bool]:
+        """Where ``client``'s row is (or would be inserted), and whether it exists."""
+        position = int(np.searchsorted(self._ids[: self._size], client))
+        return position, position < self._size and int(self._ids[position]) == client
 
-    def _columns_for(self, client: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (curiosity, resource) columns a client currently holds."""
-        return (
-            self._curiosity_columns.get(client, self._default_curiosity),
-            self._resource_columns.get(client, self._default_resource),
-        )
+    def _rows_for(self, client: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (curiosity, resource) rows a client currently holds."""
+        position, touched = self._find(client)
+        if not touched:
+            return self._default_curiosity, self._default_resource
+        return self._curiosity[position], self._resource[position]
 
-    def _materialise(self, client: int) -> tuple[np.ndarray, np.ndarray]:
-        """Get-or-create writable columns for one client."""
-        curiosity = self._curiosity_columns.get(client)
-        if curiosity is None:
-            curiosity = self._curiosity_columns[client] = self._default_curiosity.copy()
-            self._resource_columns[client] = self._default_resource.copy()
-            self._touched_sorted = None
-        return curiosity, self._resource_columns[client]
+    def _materialise(self, client: int) -> int:
+        """Get-or-create the row of one client; returns its position."""
+        position, touched = self._find(client)
+        if touched:
+            return position
+        size = self._size
+        tables = ("_ids", "_curiosity", "_resource", "_rewards")
+        if size == self._ids.shape[0]:
+            for name in tables:
+                old = getattr(self, name)
+                grown = np.empty((max(64, 2 * size), *old.shape[1:]), dtype=old.dtype)
+                grown[:size] = old
+                setattr(self, name, grown)
+        for name in tables:
+            table = getattr(self, name)
+            table[position + 1 : size + 1] = table[position:size]
+        self._ids[position] = client
+        self._curiosity[position] = self._default_curiosity
+        self._resource[position] = self._default_resource
+        self._rewards[position] = self._default_rewards
+        self._size = size + 1
+        return position
 
     # -- rewards (operation-for-operation the dense selector's math) -----------------
-    def _level_ranks(self, level: str) -> list[int]:
-        """Pool ranks belonging to one size level."""
-        ranks = self._level_rank_cache.get(level)
-        if ranks is None:
-            ranks = self._level_rank_cache[level] = [cfg.rank for cfg in self.pool if cfg.level == level]
-        return ranks
-
-    def _resource_reward_column(self, model: SubmodelConfig, column: np.ndarray) -> float:
-        total = float(column.sum())
+    def _resource_reward_row(self, level_index: int, row: np.ndarray) -> float:
+        total = float(row.sum())
         if total <= 0:
             return 0.0
         numerator = 0.0
-        for rank in self._level_ranks(model.level):
-            numerator += float(column[rank:].sum())
+        for rank in self._level_ranks[level_index]:
+            numerator += float(row[rank:].sum())
         return numerator / (self.models_per_level * total)
 
-    def _curiosity_reward_column(self, model: SubmodelConfig, column: np.ndarray) -> float:
-        level_index = self.pool.level_index(model.level)
-        count = column[level_index]
-        return float(1.0 / np.sqrt(max(count, 1e-12)))
+    def _curiosity_reward_row(self, level_index: int, row: np.ndarray) -> float:
+        return float(1.0 / np.sqrt(max(row[level_index], 1e-12)))
 
-    def resource_reward(self, model: SubmodelConfig, client: int) -> float:
-        """Paper's ``R_s``: success mass of the model's level, cumulated upward."""
-        return self._resource_reward_column(model, self._columns_for(client)[1])
-
-    def curiosity_reward(self, model: SubmodelConfig, client: int) -> float:
-        """Paper's ``R_c``: MBIE-EB bonus ``1/sqrt(T_c[type(m)][c])``."""
-        return self._curiosity_reward_column(model, self._columns_for(client)[0])
-
-    def combined_reward(self, model: SubmodelConfig, client: int) -> float:
-        """Strategy-dependent final reward for one (model, client) pair."""
-        curiosity, resource = self._columns_for(client)
-        return self._combined_reward_columns(model, curiosity, resource)
-
-    def _combined_reward_columns(
-        self, model: SubmodelConfig, curiosity: np.ndarray, resource: np.ndarray
-    ) -> float:
+    def _row_reward(self, level_index: int, curiosity: np.ndarray, resource: np.ndarray) -> float:
+        """The scalar reward every table entry is computed by."""
         if self.strategy == "random":
             return 1.0
         if self.strategy == "rl-c":
-            return self._curiosity_reward_column(model, curiosity)
+            return self._curiosity_reward_row(level_index, curiosity)
         if self.strategy == "rl-s":
-            return self._resource_reward_column(model, resource)
-        capped = min(self.resource_reward_cap, self._resource_reward_column(model, resource))
-        return capped * self._curiosity_reward_column(model, curiosity)
+            return self._resource_reward_row(level_index, resource)
+        capped = min(self.resource_reward_cap, self._resource_reward_row(level_index, resource))
+        return capped * self._curiosity_reward_row(level_index, curiosity)
+
+    def _level_rewards(self, curiosity: np.ndarray, resource: np.ndarray) -> np.ndarray:
+        """One row of the reward table: the combined reward per level."""
+        return np.array(
+            [self._row_reward(index, curiosity, resource) for index in range(len(LEVELS))],
+            dtype=np.float64,
+        )
+
+    def resource_reward(self, model: SubmodelConfig, client: int) -> float:
+        """Paper's ``R_s``: success mass of the model's level, cumulated upward."""
+        return self._resource_reward_row(self.pool.level_index(model.level), self._rows_for(client)[1])
+
+    def curiosity_reward(self, model: SubmodelConfig, client: int) -> float:
+        """Paper's ``R_c``: MBIE-EB bonus ``1/sqrt(T_c[type(m)][c])``."""
+        return self._curiosity_reward_row(self.pool.level_index(model.level), self._rows_for(client)[0])
+
+    def combined_reward(self, model: SubmodelConfig, client: int) -> float:
+        """Strategy-dependent final reward for one (model, client) pair."""
+        return self._row_reward(self.pool.level_index(model.level), *self._rows_for(client))
 
     def default_reward(self, model: SubmodelConfig) -> float:
         """The shared reward every untouched (all-ones) client holds for ``model``."""
-        return self._combined_reward_columns(model, self._default_curiosity, self._default_resource)
-
-    def selection_probabilities(self, model: SubmodelConfig, allowed: list[int]) -> np.ndarray:
-        """Normalised selection probabilities over the ``allowed`` clients."""
-        if not allowed:
-            raise ValueError("no clients available for selection")
-        rewards = np.array([self.combined_reward(model, client) for client in allowed], dtype=np.float64)
-        rewards = np.clip(rewards, 0.0, None)
-        total = rewards.sum()
-        if total <= 0:
-            return np.full(len(allowed), 1.0 / len(allowed))
-        return rewards / total
+        return float(self._default_rewards[self.pool.level_index(model.level)])
 
     # -- selection -------------------------------------------------------------------
-    def select(
-        self,
-        model: SubmodelConfig,
-        rng: np.random.Generator,
-        excluded: set[int] | None = None,
-    ) -> int:
-        """Dense-compatible selection over an explicit allowed list.
-
-        Walks ``range(num_clients)`` like the dense selector and consumes
-        the generator identically, so small-N runs are bit-identical
-        drop-ins.  Large fleets use :meth:`select_from_mask` instead.
-        """
-        excluded = excluded or set()
-        allowed = [client for client in range(self.num_clients) if client not in excluded]
-        if not allowed:
-            raise ValueError("every client is already selected this round")
-        probabilities = self.selection_probabilities(model, allowed)
-        choice = rng.choice(len(allowed), p=probabilities)
-        return int(allowed[choice])
+    # The list-based draw *is* the dense selector's (it only needs
+    # ``num_clients`` and ``combined_reward``), so small-N runs are
+    # bit-identical drop-ins.  Large fleets use :meth:`select_from_mask`.
+    selection_probabilities = RLClientSelector.selection_probabilities
+    select = RLClientSelector.select
 
     def select_from_mask(
         self,
@@ -355,12 +353,15 @@ class StreamingRLClientSelector:
         """Streaming selection: sample one client from a boolean mask.
 
         Two-tier sampling over the same distribution
-        :meth:`selection_probabilities` defines: exact rewards for the
-        touched clients in the mask, one shared default-reward mass for
-        the untouched remainder, resolved to a client id by rank lookup
-        (cohort-sharded).  O(touched · pool) reward work plus one
-        vectorised pass over the mask — never a per-client Python loop
-        over the population.  ``allowed_mask`` is not mutated.
+        :meth:`selection_probabilities` defines: the stored rewards of the
+        touched clients in the mask (walked in ascending id order by a
+        running sum), then one shared default-reward mass for the
+        untouched remainder, resolved to a client id by rank lookup
+        (cohort-sharded).  Computes no reward: one gather of the mask at
+        the touched ids, one column of the reward table, a cumulative sum
+        and a binary search, plus one vectorised pass over the mask — no
+        per-client Python work, however many clients were ever touched.
+        ``allowed_mask`` is not mutated.
         """
         allowed_mask = np.asarray(allowed_mask, dtype=bool)
         if allowed_mask.shape != (self.num_clients,):
@@ -370,28 +371,31 @@ class StreamingRLClientSelector:
         allowed_total = int(allowed_mask.sum())
         if allowed_total == 0:
             raise ValueError("every client is already selected this round")
-        touched = [client for client in self._touched_ids() if allowed_mask[client]]
-        rewards = np.clip(
-            np.array([self.combined_reward(model, client) for client in touched], dtype=np.float64),
-            0.0,
-            None,
-        )
-        untouched_total = allowed_total - len(touched)
+        level_index = self.pool.level_index(model.level)
+        ids = self._ids[: self._size]
+        reachable = allowed_mask[ids]
+        touched = ids[reachable]
+        rewards = np.clip(self._rewards[: self._size, level_index][reachable], 0.0, None)
+        untouched_total = allowed_total - touched.size
         default = max(0.0, self.default_reward(model))
         total_mass = float(rewards.sum()) + untouched_total * default
         if total_mass <= 0:
             # degenerate rewards: uniform over the allowed mask
             return self._nth_allowed(allowed_mask, int(rng.integers(0, allowed_total)))
         threshold = float(rng.random()) * total_mass
-        accumulated = 0.0
-        for client, reward in zip(touched, rewards):
-            accumulated += float(reward)
-            if threshold < accumulated:
-                return client
+        # sequential running sum, stopping at the first client whose
+        # accumulated mass exceeds the threshold
+        accumulated = np.cumsum(rewards)
+        position = int(np.searchsorted(accumulated, threshold, side="right"))
+        if position < touched.size:
+            return int(touched[position])
         if untouched_total == 0 or default <= 0.0:
-            return touched[-1]  # float-edge fallback: the mass ended mid-walk
-        rank = min(int((threshold - accumulated) / default), untouched_total - 1)
-        return self._nth_untouched(allowed_mask, touched, rank)
+            return int(touched[-1])  # float-edge fallback: the mass ended mid-walk
+        walked = float(accumulated[-1]) if touched.size else 0.0
+        rank = min(int((threshold - walked) / default), untouched_total - 1)
+        untouched_mask = allowed_mask.copy()
+        untouched_mask[ids] = False
+        return self._nth_allowed(untouched_mask, rank)
 
     def _nth_allowed(self, mask: np.ndarray, rank: int) -> int:
         """The ``rank``-th set bit of ``mask``, found cohort by cohort."""
@@ -402,13 +406,6 @@ class StreamingRLClientSelector:
         base = cohort * self.cohort_size
         return base + nth_masked_index(mask[base : base + self.cohort_size], rank - before)
 
-    def _nth_untouched(self, allowed_mask: np.ndarray, touched: list[int], rank: int) -> int:
-        """The ``rank``-th allowed client that holds no materialised column."""
-        mask = allowed_mask.copy()
-        if touched:
-            mask[np.asarray(touched, dtype=np.int64)] = False
-        return self._nth_allowed(mask, rank)
-
     # -- table updates ---------------------------------------------------------------
     def update(self, sent: SubmodelConfig, returned: SubmodelConfig, client: int) -> None:
         """Apply Algorithm 1, lines 12-26, after a client's round finishes."""
@@ -416,7 +413,8 @@ class StreamingRLClientSelector:
             raise IndexError(f"client {client} out of range")
         if returned.num_params > sent.num_params:
             raise ValueError("a device cannot return a larger model than it received")
-        curiosity, resource = self._materialise(client)
+        position = self._materialise(client)
+        curiosity, resource = self._curiosity[position], self._resource[position]
 
         # Lines 12-13: curiosity counts for the dispatched and returned levels.
         curiosity[self.pool.level_index(sent.level)] += 1
@@ -438,27 +436,23 @@ class StreamingRLClientSelector:
             for rank in range(returned.rank, max_rank + 1):
                 resource[rank] = max(resource[rank] - penalty, 0.0)
                 penalty += 1.0
+        self._rewards[position] = self._level_rewards(curiosity, resource)
 
     # -- checkpointing ---------------------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:
-        """The touched columns only, keyed for the experiment store.
+        """The touched rows only, keyed for the experiment store.
 
         ``client_ids`` lists the touched clients in ascending order;
-        ``curiosity_columns``/``resource_columns`` stack their columns in
-        that order.  Untouched clients are implicit (all-ones), which is
-        what keeps checkpoints O(selected) at fleet scale.
+        ``curiosity_columns``/``resource_columns`` hold one column per
+        client in that order.  Untouched clients are implicit (all-ones),
+        which is what keeps checkpoints O(selected) at fleet scale; the
+        reward table is derived state and is not stored.
         """
-        ids = self._touched_ids()
-        if ids:
-            curiosity = np.stack([self._curiosity_columns[c] for c in ids], axis=1)
-            resource = np.stack([self._resource_columns[c] for c in ids], axis=1)
-        else:
-            curiosity = np.zeros((len(LEVELS), 0), dtype=np.float64)
-            resource = np.zeros((len(self.pool), 0), dtype=np.float64)
+        size = self._size
         return {
-            "client_ids": np.asarray(ids, dtype=np.int64),
-            "curiosity_columns": curiosity,
-            "resource_columns": resource,
+            "client_ids": self._ids[:size].copy(),
+            "curiosity_columns": self._curiosity[:size].T.copy(),
+            "resource_columns": self._resource[:size].T.copy(),
         }
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
@@ -477,21 +471,26 @@ class StreamingRLClientSelector:
             )
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_clients):
             raise ValueError("selector state references clients outside this fleet")
-        self._curiosity_columns = {int(c): curiosity[:, i].copy() for i, c in enumerate(ids)}
-        self._resource_columns = {int(c): resource[:, i].copy() for i, c in enumerate(ids)}
-        self._touched_sorted = None
+        if np.any(ids[1:] <= ids[:-1]):
+            raise ValueError("selector state client_ids must be strictly ascending")
+        self._size = ids.size
+        self._ids = ids.copy()
+        self._curiosity = curiosity.T.copy()
+        self._resource = resource.T.copy()
+        self._rewards = np.empty((ids.size, len(LEVELS)), dtype=np.float64)
+        for position in range(ids.size):
+            self._rewards[position] = self._level_rewards(self._curiosity[position], self._resource[position])
 
     # -- introspection ---------------------------------------------------------------
     def snapshot(self) -> dict[str, np.ndarray]:
-        """Dense table views rebuilt from the sparse columns (tests, plots).
+        """Dense table views rebuilt from the sparse rows (tests, plots).
 
         Equal to the dense selector's :meth:`RLClientSelector.snapshot`
         after an identical update history; only call at small N.
         """
+        ids = self._ids[: self._size]
         curiosity = np.ones((len(LEVELS), self.num_clients), dtype=np.float64)
         resource = np.ones((len(self.pool), self.num_clients), dtype=np.float64)
-        for client, column in self._curiosity_columns.items():
-            curiosity[:, client] = column
-        for client, column in self._resource_columns.items():
-            resource[:, client] = column
+        curiosity[:, ids] = self._curiosity[: self._size].T
+        resource[:, ids] = self._resource[: self._size].T
         return {"curiosity": curiosity, "resource": resource}

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.rl_selection import RLClientSelector
+from repro.core.rl_selection import RLClientSelector, StreamingRLClientSelector
 
 
 @pytest.fixture
@@ -156,3 +158,111 @@ class TestSelection:
         snap = selector.snapshot()
         snap["curiosity"] += 100
         assert np.allclose(selector.curiosity_table, 1.0)
+
+
+# -- boundedness under adversarial return sequences (both selectors) ---------------------
+
+FLEET = 6
+POOL_SIZE = 7  # tiny_pool: 2p+1 entries with p=3
+
+
+def _adversary(draw_pairs):
+    """Expand one adversary into a list of ⟨sent rank, returned rank⟩ pairs."""
+    kind, length, pairs = draw_pairs
+    if kind == "always-prune-to-smallest":
+        return [(sent, 0) for sent, _ in pairs]
+    if kind == "alternating":
+        return [(POOL_SIZE - 1, POOL_SIZE - 1 if step % 2 else 0) for step in range(length)]
+    if kind == "full-model-only":
+        return [(POOL_SIZE - 1, POOL_SIZE - 1)] * length
+    return pairs  # "arbitrary": any pair the validation lets through
+
+
+_sequences = st.tuples(
+    st.sampled_from(["always-prune-to-smallest", "alternating", "full-model-only", "arbitrary"]),
+    st.integers(1, 120),
+    st.lists(st.tuples(st.integers(0, POOL_SIZE - 1), st.integers(0, POOL_SIZE - 1)), min_size=1, max_size=120),
+).map(_adversary)
+
+
+def replay(selector, configs, sequence, victims):
+    """Feed the pairs to the victims in turn; client ``FLEET - 1`` stays untouched."""
+    assert len(configs) == POOL_SIZE
+    for step, (sent_rank, returned_rank) in enumerate(sequence):
+        sent, returned = configs[sent_rank], configs[returned_rank]
+        if returned.num_params > sent.num_params:
+            sent, returned = returned, sent
+        selector.update(sent, returned, victims[step % len(victims)])
+
+
+def assert_distribution(probabilities):
+    assert np.all(np.isfinite(probabilities))
+    assert np.all(probabilities >= 0.0)
+    assert probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestBoundedRewards:
+    """The boundedness the constrained actor-critic analysis needs: whatever
+    the devices return, rewards stay in [0, 1], the tables stay non-negative
+    and selection stays a valid distribution."""
+
+    @pytest.mark.parametrize("selector_cls", [RLClientSelector, StreamingRLClientSelector])
+    @pytest.mark.parametrize("strategy", ["rl-cs", "rl-c", "rl-s", "random"])
+    @settings(max_examples=40, deadline=None)
+    @given(sequence=_sequences, victims=st.lists(st.integers(0, FLEET - 2), min_size=1, max_size=3))
+    def test_adversarial_returns_keep_rewards_and_probabilities_valid(
+        self, tiny_pool, selector_cls, strategy, sequence, victims
+    ):
+        configs = list(tiny_pool)
+        selector = selector_cls(tiny_pool, num_clients=FLEET, strategy=strategy)
+        replay(selector, configs, sequence, victims)
+
+        tables = selector.snapshot()
+        assert np.all(tables["resource"] >= 0.0)
+        assert np.all(tables["curiosity"] >= 1.0)
+        assert np.all(tables["resource"].sum(axis=0) > 0.0)  # the returned entry is always reinforced
+        everyone = list(range(FLEET))
+        for model in configs:
+            for client in everyone:
+                for reward in (
+                    selector.combined_reward(model, client),
+                    selector.resource_reward(model, client),
+                    selector.curiosity_reward(model, client),
+                ):
+                    assert 0.0 <= reward <= 1.0
+            assert_distribution(selector.selection_probabilities(model, everyone))
+            assert_distribution(selector.selection_probabilities(model, everyone[1::2]))
+
+    @pytest.mark.parametrize("strategy", ["rl-cs", "rl-c", "rl-s", "random"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sequence=_sequences,
+        victims=st.lists(st.integers(0, FLEET - 2), min_size=1, max_size=3),
+        allowed=st.lists(st.booleans(), min_size=FLEET, max_size=FLEET).filter(any),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_streaming_two_tier_masses_form_the_same_distribution(
+        self, tiny_pool, strategy, sequence, victims, allowed, seed
+    ):
+        configs = list(tiny_pool)
+        selector = StreamingRLClientSelector(tiny_pool, num_clients=FLEET, strategy=strategy)
+        replay(selector, configs, sequence, victims)
+
+        mask = np.array(allowed, dtype=bool)
+        allowed_ids = np.flatnonzero(mask).tolist()
+        touched = set(selector.state_dict()["client_ids"].tolist())
+        for model in configs:
+            touched_mass = sum(selector.combined_reward(model, c) for c in allowed_ids if c in touched)
+            untouched_mass = sum(1 for c in allowed_ids if c not in touched) * selector.default_reward(model)
+            assert touched_mass >= 0.0 and untouched_mass >= 0.0
+            assert np.isfinite(touched_mass + untouched_mass)
+            probabilities = selector.selection_probabilities(model, allowed_ids)
+            assert_distribution(probabilities)
+            if touched_mass + untouched_mass > 0.0:
+                touched_share = sum(p for p, c in zip(probabilities, allowed_ids) if c in touched)
+                assert touched_share == pytest.approx(touched_mass / (touched_mass + untouched_mass), abs=1e-12)
+            else:
+                # a client pruned to the smallest entry earns nothing for a larger
+                # model; when nobody else is reachable the draw falls back to uniform
+                assert np.allclose(probabilities, 1.0 / len(allowed_ids))
+            assert mask[selector.select_from_mask(model, np.random.default_rng(seed), mask)]

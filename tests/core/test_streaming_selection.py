@@ -7,15 +7,42 @@ Pins the equivalences the class guarantees:
   list-based ``select()`` draw is **bit-identical**,
 * ``select_from_mask`` samples the identical distribution without ever
   materialising the population (memory stays O(selected)),
-* checkpoints hold the touched columns only and round-trip bit-exactly.
+* checkpoints hold the touched rows only and round-trip bit-exactly,
+* the array-backed table draws **bit-identically** to the per-client walk
+  it replaced (kept below as :class:`ReferenceStreamingSelector`, the
+  oracle), does O(1) scalar-reward work per selection and one row per
+  update, and reproduces the end-to-end goldens in
+  ``golden/streaming_selection.json`` — generated on the commit before
+  the rewrite; regenerate only for a deliberate trace change with
+  ``PYTHONPATH=src python tests/core/test_streaming_selection.py``.
 """
+
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api.callbacks import Callback
+from repro.core.model_pool import LEVELS
 from repro.core.rl_selection import RLClientSelector, StreamingRLClientSelector
+from repro.experiments.runner import run_algorithm
+from repro.experiments.settings import ExperimentSetting, prepare_experiment
+from repro.sim.cohorts import STREAMING_SELECTION_THRESHOLD
+from repro.store.objects import canonical_json, sha256_hex
 
 NUM_CLIENTS = 40
+
+
+def draw_update(rng, configs, num_clients):
+    """A random valid ⟨sent, returned, client⟩ triple (returned no larger than sent)."""
+    sent = configs[int(rng.integers(0, len(configs)))]
+    candidates = [cfg for cfg in configs if cfg.num_params <= sent.num_params]
+    returned = candidates[int(rng.integers(0, len(candidates)))]
+    return sent, returned, int(rng.integers(0, num_clients))
 
 
 @pytest.fixture
@@ -24,14 +51,10 @@ def pair(tiny_pool):
     dense = RLClientSelector(tiny_pool, num_clients=NUM_CLIENTS, strategy="rl-cs")
     streaming = StreamingRLClientSelector(tiny_pool, num_clients=NUM_CLIENTS, strategy="rl-cs")
     rng = np.random.default_rng(7)
-    configs = list(tiny_pool)
     for _ in range(60):
-        sent = configs[int(rng.integers(0, len(configs)))]
-        candidates = [cfg for cfg in configs if cfg.num_params <= sent.num_params]
-        returned = candidates[int(rng.integers(0, len(candidates)))]
-        client = int(rng.integers(0, NUM_CLIENTS // 2))  # touch only half the fleet
-        dense.update(sent, returned, client)
-        streaming.update(sent, returned, client)
+        update = draw_update(rng, list(tiny_pool), NUM_CLIENTS // 2)  # touch only half the fleet
+        dense.update(*update)
+        streaming.update(*update)
     return dense, streaming
 
 
@@ -194,3 +217,437 @@ class TestValidation:
             streaming.update(tiny_pool.full_config, small, NUM_CLIENTS)
         with pytest.raises(ValueError, match="larger"):
             streaming.update(small, tiny_pool.full_config, 0)
+
+
+# -- oracle: the per-client walk the array-backed table replaced -------------------------
+
+
+class ReferenceStreamingSelector:
+    """The streaming selector as it was before the reward table: one dict
+    entry per touched client, and a Python walk over every touched client
+    per selection, each reward recomputed from its columns.  Test-local
+    reference; the draw scheme and arithmetic are the specification."""
+
+    def __init__(self, pool, num_clients, strategy="rl-cs", resource_reward_cap=0.5):
+        self.pool = pool
+        self.num_clients = num_clients
+        self.strategy = strategy
+        self.resource_reward_cap = resource_reward_cap
+        self.models_per_level = pool.config.models_per_level
+        self.curiosity_columns: dict[int, np.ndarray] = {}
+        self.resource_columns: dict[int, np.ndarray] = {}
+        self.default_curiosity = np.ones(len(LEVELS), dtype=np.float64)
+        self.default_resource = np.ones(len(pool), dtype=np.float64)
+
+    def resource_reward_column(self, model, column):
+        total = float(column.sum())
+        if total <= 0:
+            return 0.0
+        numerator = 0.0
+        for rank in [cfg.rank for cfg in self.pool if cfg.level == model.level]:
+            numerator += float(column[rank:].sum())
+        return numerator / (self.models_per_level * total)
+
+    def curiosity_reward_column(self, model, column):
+        count = column[self.pool.level_index(model.level)]
+        return float(1.0 / np.sqrt(max(count, 1e-12)))
+
+    def combined_reward_columns(self, model, curiosity, resource):
+        if self.strategy == "random":
+            return 1.0
+        if self.strategy == "rl-c":
+            return self.curiosity_reward_column(model, curiosity)
+        if self.strategy == "rl-s":
+            return self.resource_reward_column(model, resource)
+        capped = min(self.resource_reward_cap, self.resource_reward_column(model, resource))
+        return capped * self.curiosity_reward_column(model, curiosity)
+
+    def combined_reward(self, model, client):
+        return self.combined_reward_columns(
+            model,
+            self.curiosity_columns.get(client, self.default_curiosity),
+            self.resource_columns.get(client, self.default_resource),
+        )
+
+    def default_reward(self, model):
+        return self.combined_reward_columns(model, self.default_curiosity, self.default_resource)
+
+    def selection_probabilities(self, model, allowed):
+        rewards = np.array([self.combined_reward(model, client) for client in allowed], dtype=np.float64)
+        rewards = np.clip(rewards, 0.0, None)
+        total = rewards.sum()
+        if total <= 0:
+            return np.full(len(allowed), 1.0 / len(allowed))
+        return rewards / total
+
+    def select_from_mask(self, model, rng, allowed_mask):
+        allowed_total = int(allowed_mask.sum())
+        touched = [client for client in sorted(self.resource_columns) if allowed_mask[client]]
+        rewards = np.clip(
+            np.array([self.combined_reward(model, client) for client in touched], dtype=np.float64),
+            0.0,
+            None,
+        )
+        untouched_total = allowed_total - len(touched)
+        default = max(0.0, self.default_reward(model))
+        total_mass = float(rewards.sum()) + untouched_total * default
+        if total_mass <= 0:
+            return int(np.flatnonzero(allowed_mask)[int(rng.integers(0, allowed_total))])
+        threshold = float(rng.random()) * total_mass
+        accumulated = 0.0
+        for client, reward in zip(touched, rewards):
+            accumulated += float(reward)
+            if threshold < accumulated:
+                return client
+        if untouched_total == 0 or default <= 0.0:
+            return touched[-1]
+        rank = min(int((threshold - accumulated) / default), untouched_total - 1)
+        mask = allowed_mask.copy()
+        mask[np.asarray(touched, dtype=np.int64)] = False
+        return int(np.flatnonzero(mask)[rank])
+
+    def update(self, sent, returned, client):
+        if client not in self.curiosity_columns:
+            self.curiosity_columns[client] = self.default_curiosity.copy()
+            self.resource_columns[client] = self.default_resource.copy()
+        curiosity, resource = self.curiosity_columns[client], self.resource_columns[client]
+        curiosity[self.pool.level_index(sent.level)] += 1
+        curiosity[self.pool.level_index(returned.level)] += 1
+        max_rank = len(self.pool) - 1
+        if sent.rank == returned.rank:
+            resource[sent.rank : max_rank + 1] += 1.0
+            resource[max_rank] += self.models_per_level - 1
+        else:
+            resource[returned.rank] += self.models_per_level
+            penalty = 0.0
+            for rank in range(returned.rank, max_rank + 1):
+                resource[rank] = max(resource[rank] - penalty, 0.0)
+                penalty += 1.0
+
+    def state_dict(self):
+        ids = sorted(self.resource_columns)
+        if ids:
+            curiosity = np.stack([self.curiosity_columns[c] for c in ids], axis=1)
+            resource = np.stack([self.resource_columns[c] for c in ids], axis=1)
+        else:
+            curiosity = np.zeros((len(LEVELS), 0), dtype=np.float64)
+            resource = np.zeros((len(self.pool), 0), dtype=np.float64)
+        return {
+            "client_ids": np.asarray(ids, dtype=np.int64),
+            "curiosity_columns": curiosity,
+            "resource_columns": resource,
+        }
+
+    def load_state_dict(self, state):
+        ids = state["client_ids"]
+        self.curiosity_columns = {int(c): state["curiosity_columns"][:, i].copy() for i, c in enumerate(ids)}
+        self.resource_columns = {int(c): state["resource_columns"][:, i].copy() for i, c in enumerate(ids)}
+
+
+ORACLE_CLIENTS = 24
+STRATEGIES = ["rl-cs", "rl-c", "rl-s", "random"]
+
+_update_op = st.tuples(
+    st.just("update"),
+    st.integers(0, 6),  # dispatched pool rank
+    st.integers(0, 6),  # picks the returned entry among those no larger than the dispatched one
+    st.integers(0, ORACLE_CLIENTS - 1),
+)
+_select_op = st.tuples(
+    st.just("select"),
+    st.integers(0, 6),  # pool rank of the model to place
+    st.integers(0, 2**32 - 1),  # generator seed
+    st.lists(st.booleans(), min_size=ORACLE_CLIENTS, max_size=ORACLE_CLIENTS).filter(any),
+)
+_reload_op = st.tuples(st.just("reload"))
+
+
+def assert_tables_match_reference(selector, reference, pool):
+    """State, probabilities and the maintained reward table against the oracle."""
+    state, expected = selector.state_dict(), reference.state_dict()
+    assert set(state) == set(expected)
+    for name, table in expected.items():
+        assert state[name].dtype == table.dtype, name
+        assert np.array_equal(state[name], table), name
+    level_models = [next(cfg for cfg in pool if cfg.level == level) for level in LEVELS]
+    recomputed = np.array(
+        [[reference.combined_reward(model, int(client)) for model in level_models] for client in state["client_ids"]],
+        dtype=np.float64,
+    ).reshape(-1, len(LEVELS))
+    assert np.array_equal(selector._rewards[: selector.num_touched], recomputed)
+    everyone = list(range(ORACLE_CLIENTS))
+    for model in level_models:
+        assert selector.default_reward(model) == reference.default_reward(model)
+        assert np.array_equal(
+            selector.selection_probabilities(model, everyone),
+            reference.selection_probabilities(model, everyone),
+        )
+
+
+class TestWalkOracle:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(st.one_of(_update_op, _update_op, _select_op, _reload_op), max_size=40))
+    def test_interleavings_match_the_per_client_walk(self, tiny_pool, strategy, ops):
+        configs = list(tiny_pool)
+        assert len(configs) == 7
+
+        def build(cls, **kwargs):
+            return cls(tiny_pool, ORACLE_CLIENTS, strategy=strategy, **kwargs)
+
+        # a cohort narrower than the fleet exercises the cohort-sharded rank lookup
+        selector = build(StreamingRLClientSelector, cohort_size=7)
+        reference = build(ReferenceStreamingSelector)
+        for op in ops:
+            if op[0] == "update":
+                sent = configs[op[1]]
+                candidates = [cfg for cfg in configs if cfg.num_params <= sent.num_params]
+                returned = candidates[op[2] % len(candidates)]
+                selector.update(sent, returned, op[3])
+                reference.update(sent, returned, op[3])
+            elif op[0] == "select":
+                mask = np.array(op[3], dtype=bool)
+                rng, reference_rng = np.random.default_rng(op[2]), np.random.default_rng(op[2])
+                chosen = selector.select_from_mask(configs[op[1]], rng, mask)
+                assert type(chosen) is int
+                assert chosen == reference.select_from_mask(configs[op[1]], reference_rng, mask)
+                assert rng.bit_generator.state == reference_rng.bit_generator.state
+            else:
+                state = selector.state_dict()
+                selector = build(StreamingRLClientSelector, cohort_size=7)
+                selector.load_state_dict(state)
+                reference_state = reference.state_dict()
+                reference = build(ReferenceStreamingSelector)
+                reference.load_state_dict(reference_state)
+            assert_tables_match_reference(selector, reference, tiny_pool)
+
+    def test_degenerate_rewards_fall_back_to_a_uniform_draw(self, tiny_pool):
+        """All-zero resource rows under ``rl-s`` with no untouched client left."""
+        selector = StreamingRLClientSelector(tiny_pool, 3, strategy="rl-s")
+        reference = ReferenceStreamingSelector(tiny_pool, 3, strategy="rl-s")
+        state = {
+            "client_ids": np.arange(3, dtype=np.int64),
+            "curiosity_columns": np.ones((len(LEVELS), 3)),
+            "resource_columns": np.zeros((len(tiny_pool), 3)),
+        }
+        selector.load_state_dict(state)
+        reference.load_state_dict(state)
+        mask = np.ones(3, dtype=bool)
+        for seed in range(10):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            chosen = selector.select_from_mask(tiny_pool.full_config, rng, mask)
+            assert chosen == reference.select_from_mask(tiny_pool.full_config, reference_rng, mask)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_zero_reward_client_is_skipped_at_threshold_zero(self, tiny_pool):
+        """``threshold < accumulated`` is strict: a draw of exactly 0.0 walks past zero mass."""
+
+        class ZeroDraw:
+            def random(self):
+                return 0.0
+
+        state = {
+            "client_ids": np.arange(2, dtype=np.int64),
+            "curiosity_columns": np.ones((len(LEVELS), 2)),
+            "resource_columns": np.stack([np.zeros(len(tiny_pool)), np.ones(len(tiny_pool))], axis=1),
+        }
+        selector = StreamingRLClientSelector(tiny_pool, 2, strategy="rl-s")
+        reference = ReferenceStreamingSelector(tiny_pool, 2, strategy="rl-s")
+        selector.load_state_dict(state)
+        reference.load_state_dict(state)
+        mask = np.ones(2, dtype=bool)
+        assert reference.select_from_mask(tiny_pool.full_config, ZeroDraw(), mask) == 1
+        assert selector.select_from_mask(tiny_pool.full_config, ZeroDraw(), mask) == 1
+
+    def test_large_table_matches_the_walk(self, tiny_pool):
+        """Hundreds of touched rows: NumPy sums in pairwise blocks there, the walk does not."""
+        clients = 1000
+        selector = StreamingRLClientSelector(tiny_pool, clients, cohort_size=128)
+        reference = ReferenceStreamingSelector(tiny_pool, clients)
+        configs = list(tiny_pool)
+        script = np.random.default_rng(11)
+        for _ in range(900):
+            update = draw_update(script, configs, clients // 2)
+            selector.update(*update)
+            reference.update(*update)
+        assert selector.num_touched > 300
+        for seed in range(120):
+            mask = script.random(clients) < (0.1 if seed % 2 else 0.9)
+            model = configs[seed % len(configs)]
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert selector.select_from_mask(model, rng, mask) == reference.select_from_mask(
+                model, reference_rng, mask
+            )
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_loaded_state_is_not_aliased(self, tiny_pool):
+        """Updating after a restore must not write through into the loaded arrays."""
+        source = StreamingRLClientSelector(tiny_pool, 8)
+        source.update(tiny_pool.full_config, tiny_pool.full_config, 5)
+        state = source.state_dict()
+        frozen = {name: table.copy() for name, table in state.items()}
+        restored = StreamingRLClientSelector(tiny_pool, 8)
+        restored.load_state_dict(state)
+        restored.update(tiny_pool.full_config, tiny_pool.full_config, 5)
+        restored.update(tiny_pool.full_config, tiny_pool.full_config, 2)
+        for name, table in frozen.items():
+            assert np.array_equal(state[name], table), name
+
+    def test_unordered_state_rejected(self, tiny_pool):
+        selector = StreamingRLClientSelector(tiny_pool, 8)
+        for ids in ([3, 1], [2, 2]):
+            state = {
+                "client_ids": np.array(ids, dtype=np.int64),
+                "curiosity_columns": np.ones((len(LEVELS), 2)),
+                "resource_columns": np.ones((len(tiny_pool), 2)),
+            }
+            with pytest.raises(ValueError, match="ascending"):
+                selector.load_state_dict(state)
+
+
+# -- complexity guard: the per-client walk must not come back ----------------------------
+
+
+class TestComplexityGuard:
+    TOUCHED = 2000
+
+    @pytest.fixture
+    def counted(self, tiny_pool, monkeypatch):
+        """A selector with 2000 touched clients and a call counter on the scalar reward."""
+        selector = StreamingRLClientSelector(tiny_pool, num_clients=5000, strategy="rl-cs")
+        configs = list(tiny_pool)
+        for client in range(0, 2 * self.TOUCHED, 2):
+            selector.update(tiny_pool.full_config, configs[client % len(configs)], client)
+        assert selector.num_touched == self.TOUCHED
+        calls = []
+        scalar_reward = StreamingRLClientSelector._row_reward
+
+        def counting(self, *args):
+            calls.append(args[0])
+            return scalar_reward(self, *args)
+
+        monkeypatch.setattr(StreamingRLClientSelector, "_row_reward", counting)
+        return selector, calls
+
+    def test_selection_does_constant_scalar_reward_work(self, counted, tiny_pool):
+        selector, calls = counted
+        mask = np.ones(5000, dtype=bool)
+        mask[:200] = False
+        for seed in range(5):
+            selector.select_from_mask(tiny_pool.full_config, np.random.default_rng(seed), mask)
+        assert len(calls) <= 5 * len(LEVELS)  # independent of the 2000 touched clients
+
+    def test_update_recomputes_only_its_own_row(self, counted, tiny_pool):
+        selector, calls = counted
+        before = selector._rewards[: self.TOUCHED].copy()
+        selector.update(tiny_pool.full_config, tiny_pool.full_config, 1000)  # already touched
+        assert len(calls) == len(LEVELS)
+        changed = np.flatnonzero((selector._rewards[: self.TOUCHED] != before).any(axis=1))
+        assert changed.tolist() == [500]  # client 1000 sits at row 500
+        calls.clear()
+        selector.update(tiny_pool.full_config, tiny_pool.full_config, 1001)  # first touch: inserted
+        assert len(calls) == len(LEVELS)
+        assert selector.num_touched == self.TOUCHED + 1
+        kept = np.delete(selector._rewards[: self.TOUCHED + 1], 501, axis=0)
+        assert np.array_equal(kept[:500], before[:500])
+        assert np.array_equal(kept[501:], before[501:])
+        assert np.array_equal(selector._ids[499:503], [998, 1000, 1001, 1002])
+
+
+# -- end-to-end goldens through the streaming path ---------------------------------------
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "streaming_selection.json"
+GOLDEN_ROUNDS = 6
+GOLDEN_CRASH_AT = 3
+GOLDEN_CASES = [(scenario, seed) for scenario in (None, "flaky_edge") for seed in (0, 1)]
+
+
+def golden_setting(scenario, seed):
+    return ExperimentSetting(
+        dataset="cifar10",
+        model="simple_cnn",
+        scale="ci",
+        scenario=scenario,
+        seed=seed,
+        overrides={
+            "num_clients": STREAMING_SELECTION_THRESHOLD,
+            "train_samples": 2 * STREAMING_SELECTION_THRESHOLD,
+            "test_samples": 50,
+            "clients_per_round": 24,
+            "batch_size": 2,
+            "max_batches_per_epoch": 1,
+            "num_rounds": GOLDEN_ROUNDS,
+            "eval_every": 3,
+        },
+    )
+
+
+def case_name(scenario, seed):
+    return f"{scenario or 'plain'}-seed{seed}"
+
+
+class Capture(Callback):
+    """Keeps the finished algorithm; optionally crashes before a round."""
+
+    def __init__(self, crash_at=None):
+        self.crash_at = crash_at
+        self.algorithm = None
+
+    def on_round_start(self, algorithm, round_index):
+        if round_index == self.crash_at:
+            raise KeyboardInterrupt(f"injected crash before round {round_index}")
+
+    def on_fit_end(self, algorithm, history):
+        self.algorithm = algorithm
+
+
+def fingerprint(result, algorithm):
+    """History + final-weights hashes, and proof the streaming selector ran."""
+    assert isinstance(algorithm.selector, StreamingRLClientSelector)
+    digest_input = b"".join(
+        key.encode("utf-8") + algorithm.global_state[key].tobytes() for key in sorted(algorithm.global_state)
+    )
+    return {
+        "history": sha256_hex(canonical_json(result.history.to_dict()).encode("utf-8")),
+        "weights": sha256_hex(digest_input),
+        "touched": algorithm.selector.num_touched,
+    }
+
+
+def run_golden_case(prepared, store=None, crash_at=None):
+    capture = Capture(crash_at)
+    if crash_at is not None:
+        with pytest.raises(KeyboardInterrupt):
+            run_algorithm("adaptivefl", prepared, callbacks=[capture], store=store)
+        capture = Capture()
+        result = run_algorithm("adaptivefl", prepared, callbacks=[capture], store=store, resume=True)
+    else:
+        result = run_algorithm("adaptivefl", prepared, callbacks=[capture], store=store)
+    return fingerprint(result, capture.algorithm)
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+class TestStreamingGoldens:
+    @pytest.mark.parametrize("scenario,seed", GOLDEN_CASES)
+    def test_history_and_weights_hashes(self, goldens, scenario, seed):
+        prepared = prepare_experiment(golden_setting(scenario, seed))
+        assert run_golden_case(prepared) == goldens[case_name(scenario, seed)]
+
+    def test_mid_run_resume_through_the_streaming_selector(self, goldens, tmp_path):
+        prepared = prepare_experiment(golden_setting("flaky_edge", 0))
+        resumed = run_golden_case(prepared, store=str(tmp_path / "store"), crash_at=GOLDEN_CRASH_AT)
+        assert resumed == goldens[case_name("flaky_edge", 0)]
+
+
+if __name__ == "__main__":
+    fixtures = {
+        case_name(scenario, seed): run_golden_case(prepare_experiment(golden_setting(scenario, seed)))
+        for scenario, seed in GOLDEN_CASES
+    }
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(fixtures, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN_PATH} ({len(fixtures)} cases)", file=sys.stderr)
