@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.core.fl_base import FederatedAlgorithm
 from repro.core.model_pool import SubmodelConfig
-from repro.sim.cohorts import STREAMING_SELECTION_THRESHOLD, masked_choice_without_replacement
+from repro.sim.cohorts import masked_choice_without_replacement
 
 __all__ = ["RandomSelectionMixin", "capacity_level_assignment"]
 
@@ -16,28 +16,19 @@ class RandomSelectionMixin:
 
     Under a fleet scenario the draw is restricted to the clients that are
     reachable this round and widened by the scenario's over-selection
-    margin; without one (or when every client is reachable and no margin
-    applies) the draw is bit-identical to the historical implementation.
-    At fleet scale the draw runs on the availability mask directly via
-    cohort-sharded rank translation — the same generator stream, the same
-    ids, without ever materialising the online population as a list.
+    margin.  It runs on the availability mask directly via cohort-sharded
+    rank translation — the ids ``flatnonzero(mask)[rng.choice(...)]``
+    would give, from the same generator stream, without ever
+    materialising the online population as a list.
     """
 
     def sample_clients(self: FederatedAlgorithm, rng: np.random.Generator, round_index: int) -> list[int]:
-        if self.num_clients >= STREAMING_SELECTION_THRESHOLD:
-            mask = self.selectable_mask(round_index)
-            if mask is not None:
-                count = min(self.dispatch_count(), int(np.count_nonzero(mask)))
-                return [int(c) for c in masked_choice_without_replacement(rng, mask, count)]
-        candidates = self.selectable_clients(round_index)
-        if candidates is None:
+        mask = self.selectable_mask(round_index)
+        if mask is None:
             count = min(self.federated_config.clients_per_round, self.num_clients)
             return [int(c) for c in rng.choice(self.num_clients, size=count, replace=False)]
-        count = min(self.dispatch_count(), len(candidates))
-        if len(candidates) == self.num_clients:
-            return [int(c) for c in rng.choice(self.num_clients, size=count, replace=False)]
-        chosen = rng.choice(len(candidates), size=count, replace=False)
-        return [int(candidates[index]) for index in chosen]
+        count = min(self.dispatch_count(), int(np.count_nonzero(mask)))
+        return [int(c) for c in masked_choice_without_replacement(rng, mask, count)]
 
 
 def capacity_level_assignment(

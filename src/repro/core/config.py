@@ -182,9 +182,6 @@ class AdaptiveFLConfig:
     selection_strategy: str = "rl-cs"
     #: success-rate cap applied to the resource reward (paper: 0.5)
     resource_reward_cap: float = 0.5
-    #: RL-table backend: "auto" picks "streaming" at fleet scale (sparse
-    #: O(selected) tables + mask selection) and "dense" below it
-    selector_backend: str = "auto"
 
     def __post_init__(self) -> None:
         valid = {"rl-cs", "rl-c", "rl-s", "random", "greedy"}
@@ -192,8 +189,6 @@ class AdaptiveFLConfig:
             raise ValueError(f"selection_strategy must be one of {sorted(valid)}")
         if not 0.0 < self.resource_reward_cap <= 1.0:
             raise ValueError("resource_reward_cap must be in (0, 1]")
-        if self.selector_backend not in {"auto", "dense", "streaming"}:
-            raise ValueError("selector_backend must be 'auto', 'dense' or 'streaming'")
 
     def to_dict(self) -> dict:
         return {
@@ -202,7 +197,6 @@ class AdaptiveFLConfig:
             "pool": self.pool.to_dict(),
             "selection_strategy": self.selection_strategy,
             "resource_reward_cap": self.resource_reward_cap,
-            "selector_backend": self.selector_backend,
         }
 
     @classmethod

@@ -13,7 +13,7 @@ fan out across the configured :class:`~repro.engine.base.Executor`
 executor choice.  When a :mod:`repro.sim` scenario is active
 (``federated_config.scenario`` or the ``scenario=`` argument), rounds are
 conditioned on the fleet's simulated dynamics: :meth:`dispatch_count`
-adds the scenario's over-selection margin, :meth:`selectable_clients`
+adds the scenario's over-selection margin, :meth:`selectable_mask`
 restricts selection to reachable devices, :meth:`plan_round_outcome`
 simulates arrivals/dropouts/deadlines before training fans out, and
 :meth:`finalize_round` — the single shared hook every ``run_round``
@@ -91,7 +91,6 @@ class FederatedAlgorithm(ABC):
         testbed: TestbedSimulator | None = None,
         scenario: "ScenarioSpec | str | None" = None,
         seed: int = 0,
-        fleet_engine: str = "auto",
     ):
         if partition.num_clients != len(profiles):
             raise ValueError("partition and device profiles must cover the same number of clients")
@@ -129,7 +128,7 @@ class FederatedAlgorithm(ABC):
             )
         self.scenario: "ScenarioSpec | None" = scenario
         self.fleet: "FleetSimulator | None" = (
-            FleetSimulator(scenario, num_clients=partition.num_clients, seed=seed, engine=fleet_engine)
+            FleetSimulator(scenario, num_clients=partition.num_clients, seed=seed)
             if scenario is not None
             else None
         )
@@ -560,7 +559,11 @@ class FederatedAlgorithm(ABC):
         return min(base + self.fleet.spec.over_selection, self.num_clients)
 
     def selectable_clients(self, round_index: int) -> list[int] | None:
-        """Clients reachable at the start of the round (None = everyone)."""
+        """Clients reachable at the start of the round (None = everyone).
+
+        Unused under ``src/``; ``benchmarks/e2e/tracing.py`` (frozen between
+        benchmark PRs) wraps it by name.
+        """
         if self.fleet is None:
             return None
         return self.fleet.available_clients(round_index)
@@ -568,8 +571,8 @@ class FederatedAlgorithm(ABC):
     def selectable_mask(self, round_index: int) -> "np.ndarray | None":
         """Boolean reachability mask (None = everyone reachable).
 
-        The fleet-scale twin of :meth:`selectable_clients`: O(N) vector
-        work, no Python list — streaming selection paths consume this.
+        O(N) vector work, no Python list — what every selection path
+        consumes.
         """
         if self.fleet is None:
             return None

@@ -22,195 +22,29 @@ import numpy as np
 from repro.core.model_pool import LEVELS, ModelPool, SubmodelConfig
 from repro.sim.cohorts import DEFAULT_COHORT_SIZE, cohort_counts, nth_masked_index
 
-__all__ = ["RLClientSelector", "StreamingRLClientSelector"]
+__all__ = ["RLClientSelector"]
 
 
 class RLClientSelector:
-    """Curiosity- and resource-driven client selection."""
+    """Curiosity- and resource-driven client selection with O(selected) state.
 
-    def __init__(
-        self,
-        pool: ModelPool,
-        num_clients: int,
-        strategy: str = "rl-cs",
-        resource_reward_cap: float = 0.5,
-    ):
-        if num_clients <= 0:
-            raise ValueError("num_clients must be positive")
-        valid = {"rl-cs", "rl-c", "rl-s", "random"}
-        if strategy not in valid:
-            raise ValueError(f"strategy must be one of {sorted(valid)}, got {strategy!r}")
-        if not 0.0 < resource_reward_cap <= 1.0:
-            raise ValueError("resource_reward_cap must be in (0, 1]")
-        self.pool = pool
-        self.num_clients = num_clients
-        self.strategy = strategy
-        self.resource_reward_cap = resource_reward_cap
-        self.models_per_level = pool.config.models_per_level
-        # Algorithm 1, lines 1-2: both tables start at one.
-        self.curiosity_table = np.ones((len(LEVELS), num_clients), dtype=np.float64)
-        self.resource_table = np.ones((len(pool), num_clients), dtype=np.float64)
-
-    # -- rewards -------------------------------------------------------------------
-    def _level_ranks(self, level: str) -> list[int]:
-        """Pool ranks belonging to one size level."""
-        return [cfg.rank for cfg in self.pool if cfg.level == level]
-
-    def resource_reward(self, model: SubmodelConfig, client: int) -> float:
-        """Paper's ``R_s``: success mass of the model's level, cumulated upward."""
-        column = self.resource_table[:, client]
-        total = float(column.sum())
-        if total <= 0:
-            return 0.0
-        numerator = 0.0
-        for rank in self._level_ranks(model.level):
-            numerator += float(column[rank:].sum())
-        return numerator / (self.models_per_level * total)
-
-    def curiosity_reward(self, model: SubmodelConfig, client: int) -> float:
-        """Paper's ``R_c``: MBIE-EB bonus ``1/sqrt(T_c[type(m)][c])``."""
-        level_index = self.pool.level_index(model.level)
-        count = self.curiosity_table[level_index, client]
-        return float(1.0 / np.sqrt(max(count, 1e-12)))
-
-    def combined_reward(self, model: SubmodelConfig, client: int) -> float:
-        """Strategy-dependent final reward for one (model, client) pair."""
-        if self.strategy == "random":
-            return 1.0
-        if self.strategy == "rl-c":
-            return self.curiosity_reward(model, client)
-        if self.strategy == "rl-s":
-            return self.resource_reward(model, client)
-        capped = min(self.resource_reward_cap, self.resource_reward(model, client))
-        return capped * self.curiosity_reward(model, client)
-
-    def selection_probabilities(self, model: SubmodelConfig, allowed: list[int]) -> np.ndarray:
-        """Normalised selection probabilities over the ``allowed`` clients."""
-        if not allowed:
-            raise ValueError("no clients available for selection")
-        rewards = np.array([self.combined_reward(model, client) for client in allowed], dtype=np.float64)
-        rewards = np.clip(rewards, 0.0, None)
-        total = rewards.sum()
-        if total <= 0:
-            return np.full(len(allowed), 1.0 / len(allowed))
-        return rewards / total
-
-    # -- selection -----------------------------------------------------------------
-    def select(
-        self,
-        model: SubmodelConfig,
-        rng: np.random.Generator,
-        excluded: set[int] | None = None,
-    ) -> int:
-        """Sample a client for ``model`` (Algorithm 1, ClientSel).
-
-        ``excluded`` holds clients already chosen in the current round so a
-        client trains at most one model per round.
-        """
-        excluded = excluded or set()
-        allowed = [client for client in range(self.num_clients) if client not in excluded]
-        if not allowed:
-            raise ValueError("every client is already selected this round")
-        probabilities = self.selection_probabilities(model, allowed)
-        choice = rng.choice(len(allowed), p=probabilities)
-        return int(allowed[choice])
-
-    # -- table updates --------------------------------------------------------------
-    def update(self, sent: SubmodelConfig, returned: SubmodelConfig, client: int) -> None:
-        """Apply Algorithm 1, lines 12-26, after a client's round finishes."""
-        if not 0 <= client < self.num_clients:
-            raise IndexError(f"client {client} out of range")
-        if returned.num_params > sent.num_params:
-            raise ValueError("a device cannot return a larger model than it received")
-
-        # Lines 12-13: curiosity counts for the dispatched and returned levels.
-        self.curiosity_table[self.pool.level_index(sent.level), client] += 1
-        self.curiosity_table[self.pool.level_index(returned.level), client] += 1
-
-        max_rank = len(self.pool) - 1
-        if sent.rank == returned.rank:
-            # Lines 15-18: the client handled the model unchanged, so every
-            # model at least as large gains confidence; the full model gains
-            # the extra p-1 bonus of line 18.
-            self.resource_table[sent.rank : max_rank + 1, client] += 1.0
-            self.resource_table[max_rank, client] += self.models_per_level - 1
-        else:
-            # Lines 20-25: the client had to prune, so the returned size is
-            # strongly reinforced and larger sizes are progressively
-            # penalised (floored at zero).
-            self.resource_table[returned.rank, client] += self.models_per_level
-            penalty = 0.0
-            for rank in range(returned.rank, max_rank + 1):
-                self.resource_table[rank, client] = max(self.resource_table[rank, client] - penalty, 0.0)
-                penalty += 1.0
-
-    # -- checkpointing ---------------------------------------------------------------
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Copies of both tables, keyed for the experiment store's checkpoints.
-
-        The tables are the selector's *only* mutable state — strategy and
-        reward cap are construction-time configuration — so restoring them
-        with :meth:`load_state_dict` resumes selection bit-identically.
-        """
-        return {
-            "curiosity_table": self.curiosity_table.copy(),
-            "resource_table": self.resource_table.copy(),
-        }
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore :meth:`state_dict` output (shape-checked, bit-exact)."""
-        for name in ("curiosity_table", "resource_table"):
-            if name not in state:
-                raise ValueError(f"selector state is missing {name!r}")
-            table = np.asarray(state[name], dtype=np.float64)
-            current = getattr(self, name)
-            if table.shape != current.shape:
-                raise ValueError(
-                    f"{name} shape {table.shape} does not match the selector's {current.shape}; "
-                    "the checkpoint belongs to a different pool/fleet configuration"
-                )
-        self.curiosity_table = np.array(state["curiosity_table"], dtype=np.float64)
-        self.resource_table = np.array(state["resource_table"], dtype=np.float64)
-
-    # -- introspection ---------------------------------------------------------------
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Copies of both tables (for logging, tests and ablation plots)."""
-        return {
-            "curiosity": self.curiosity_table.copy(),
-            "resource": self.resource_table.copy(),
-        }
-
-
-class StreamingRLClientSelector:
-    """The same RL selection policy with O(selected) memory and bookkeeping.
-
-    The dense :class:`RLClientSelector` holds ``(3 + 2p+1) × num_clients``
-    tables and walks every client per selection — fine for dozens of
-    devices, infeasible for 10⁶.  This selector keeps a row *only* for
-    clients that have ever been updated (the selected set), in one
-    array-backed table in ascending client-id order: ``ids (n,)``,
-    ``curiosity (n, 3)``, ``resource (n, 2p+1)`` and the combined reward
-    per level ``(n, 3)`` — a reward depends on the model only through its
-    level.  Every untouched client implicitly holds the all-ones initial
-    row, so its reward is a single shared value per level.  Selection
-    splits into two tiers: the touched clients' stored rewards, plus
-    ``untouched_count × default_reward`` mass resolved by rank lookup into
-    the availability mask (cohort-sharded, never materialising the
-    population).
+    A row is kept *only* for clients that have ever been updated (the
+    selected set), in one array-backed table in ascending client-id order:
+    ``ids (n,)``, ``curiosity (n, 3)``, ``resource (n, 2p+1)`` and the
+    combined reward per level ``(n, 3)`` — a reward depends on the model
+    only through its level.  Every untouched client implicitly holds the
+    all-ones initial row of Algorithm 1, lines 1-2, so its reward is a
+    single shared value per level.  Selection splits into two tiers: the
+    touched clients' stored rewards, plus ``untouched_count ×
+    default_reward`` mass resolved by rank lookup into the availability
+    mask (cohort-sharded, never materialising the population) — the same
+    code for a 16-client and a 10⁶-client fleet.
 
     Cost model: :meth:`update` rewrites the one row it touched (three
     scalar rewards; a first touch also shifts the rows above the insert
-    position), :meth:`select_from_mask` is one vectorised pass over the
-    touched rows plus one over the mask and computes no reward at all,
+    position), :meth:`select` is one vectorised pass over the touched rows
+    plus one over the mask and computes no reward at all,
     :meth:`load_state_dict` rebuilds every row's rewards once.
-
-    Each stored reward comes from the scalar reward code, which is copied
-    operation-for-operation from the dense selector, so for identical
-    update histories the two produce identical probabilities — the
-    equivalence the test suite pins.  The list-based :meth:`select` draws
-    exactly like the dense selector (bit-identical small-N drop-in);
-    :meth:`select_from_mask` is the streaming draw for large fleets and
-    uses its own (equally deterministic) draw scheme.
     """
 
     def __init__(
@@ -290,7 +124,7 @@ class StreamingRLClientSelector:
         self._size = size + 1
         return position
 
-    # -- rewards (operation-for-operation the dense selector's math) -----------------
+    # -- rewards ---------------------------------------------------------------------
     def _resource_reward_row(self, level_index: int, row: np.ndarray) -> float:
         total = float(row.sum())
         if total <= 0:
@@ -338,36 +172,54 @@ class StreamingRLClientSelector:
         return float(self._default_rewards[self.pool.level_index(model.level)])
 
     # -- selection -------------------------------------------------------------------
-    # The list-based draw *is* the dense selector's (it only needs
-    # ``num_clients`` and ``combined_reward``), so small-N runs are
-    # bit-identical drop-ins.  Large fleets use :meth:`select_from_mask`.
-    selection_probabilities = RLClientSelector.selection_probabilities
-    select = RLClientSelector.select
-
-    def select_from_mask(
-        self,
-        model: SubmodelConfig,
-        rng: np.random.Generator,
-        allowed_mask: np.ndarray,
-    ) -> int:
-        """Streaming selection: sample one client from a boolean mask.
-
-        Two-tier sampling over the same distribution
-        :meth:`selection_probabilities` defines: the stored rewards of the
-        touched clients in the mask (walked in ascending id order by a
-        running sum), then one shared default-reward mass for the
-        untouched remainder, resolved to a client id by rank lookup
-        (cohort-sharded).  Computes no reward: one gather of the mask at
-        the touched ids, one column of the reward table, a cumulative sum
-        and a binary search, plus one vectorised pass over the mask — no
-        per-client Python work, however many clients were ever touched.
-        ``allowed_mask`` is not mutated.
-        """
+    def _checked_mask(self, allowed_mask: np.ndarray) -> np.ndarray:
         allowed_mask = np.asarray(allowed_mask, dtype=bool)
         if allowed_mask.shape != (self.num_clients,):
             raise ValueError(
                 f"allowed_mask has shape {allowed_mask.shape}, expected ({self.num_clients},)"
             )
+        return allowed_mask
+
+    def selection_probabilities(self, model: SubmodelConfig, allowed_mask: np.ndarray) -> np.ndarray:
+        """Normalised selection probabilities of the clients set in ``allowed_mask``.
+
+        One entry per allowed client in ascending id order, read off the
+        stored reward table.  O(num_clients) memory: introspection for
+        tests and plots, not part of :meth:`select`.
+        """
+        allowed_mask = self._checked_mask(allowed_mask)
+        if not allowed_mask.any():
+            raise ValueError("no clients available for selection")
+        level_index = self.pool.level_index(model.level)
+        rewards = np.full(self.num_clients, self._default_rewards[level_index], dtype=np.float64)
+        rewards[self._ids[: self._size]] = self._rewards[: self._size, level_index]
+        rewards = np.clip(rewards[allowed_mask], 0.0, None)
+        total = rewards.sum()
+        if total <= 0:
+            return np.full(rewards.size, 1.0 / rewards.size)
+        return rewards / total
+
+    def select(
+        self,
+        model: SubmodelConfig,
+        rng: np.random.Generator,
+        allowed_mask: np.ndarray,
+    ) -> int:
+        """Sample a client for ``model`` from a boolean mask (Algorithm 1, ClientSel).
+
+        ``allowed_mask`` is the reachable clients not yet chosen this
+        round, so a client trains at most one model per round.  Two-tier
+        sampling over the distribution :meth:`selection_probabilities`
+        defines: the stored rewards of the touched clients in the mask
+        (walked in ascending id order by a running sum), then one shared
+        default-reward mass for the untouched remainder, resolved to a
+        client id by rank lookup (cohort-sharded).  Computes no reward: one
+        gather of the mask at the touched ids, one column of the reward
+        table, a cumulative sum and a binary search, plus one vectorised
+        pass over the mask — no per-client Python work, however many
+        clients were ever touched.  ``allowed_mask`` is not mutated.
+        """
+        allowed_mask = self._checked_mask(allowed_mask)
         allowed_total = int(allowed_mask.sum())
         if allowed_total == 0:
             raise ValueError("every client is already selected this round")
@@ -396,6 +248,10 @@ class StreamingRLClientSelector:
         untouched_mask = allowed_mask.copy()
         untouched_mask[ids] = False
         return self._nth_allowed(untouched_mask, rank)
+
+    # benchmarks/e2e/tracing.py (frozen between benchmark PRs) looks this name
+    # up in the class's own __dict__; delete together with its hook rows
+    select_from_mask = select
 
     def _nth_allowed(self, mask: np.ndarray, rank: int) -> int:
         """The ``rank``-th set bit of ``mask``, found cohort by cohort."""
@@ -483,14 +339,16 @@ class StreamingRLClientSelector:
 
     # -- introspection ---------------------------------------------------------------
     def snapshot(self) -> dict[str, np.ndarray]:
-        """Dense table views rebuilt from the sparse rows (tests, plots).
-
-        Equal to the dense selector's :meth:`RLClientSelector.snapshot`
-        after an identical update history; only call at small N.
-        """
+        """Full ``(levels|pool) × num_clients`` tables rebuilt from the sparse
+        rows (tests, plots); only call at small N."""
         ids = self._ids[: self._size]
         curiosity = np.ones((len(LEVELS), self.num_clients), dtype=np.float64)
         resource = np.ones((len(self.pool), self.num_clients), dtype=np.float64)
         curiosity[:, ids] = self._curiosity[: self._size].T
         resource[:, ids] = self._resource[: self._size].T
         return {"curiosity": curiosity, "resource": resource}
+
+
+# benchmarks/e2e/tracing.py (frozen between benchmark PRs) imports the selector
+# under this name too; delete together with its hook rows
+StreamingRLClientSelector = RLClientSelector

@@ -29,9 +29,8 @@ from repro.core.history import RoundRecord
 from repro.core.metrics import communication_waste_rate
 from repro.core.model_pool import SubmodelConfig
 from repro.core.pruning import extract_submodel_state, resource_aware_prune
-from repro.core.rl_selection import RLClientSelector, StreamingRLClientSelector
+from repro.core.rl_selection import RLClientSelector
 from repro.engine.tasks import LocalRoundTask
-from repro.sim.cohorts import STREAMING_SELECTION_THRESHOLD
 
 __all__ = ["AdaptiveFL"]
 
@@ -56,15 +55,7 @@ class AdaptiveFL(FederatedAlgorithm):
         super().__init__(*args, **kwargs)
         self.strategy = self.algorithm_config.selection_strategy
         selector_strategy = "random" if self.strategy == "greedy" else self.strategy
-        # "auto" keeps the historical dense tables (bit-identical traces) below
-        # the streaming threshold and switches to O(selected) sparse tables +
-        # mask-based selection at fleet scale
-        backend = self.algorithm_config.selector_backend
-        if backend == "auto":
-            backend = "streaming" if self.num_clients >= STREAMING_SELECTION_THRESHOLD else "dense"
-        self.selector_backend = backend
-        selector_cls = StreamingRLClientSelector if backend == "streaming" else RLClientSelector
-        self.selector = selector_cls(
+        self.selector = RLClientSelector(
             pool=self.pool,
             num_clients=self.num_clients,
             strategy=selector_strategy,
@@ -85,29 +76,19 @@ class AdaptiveFL(FederatedAlgorithm):
     def _apply_extra_state(self, arrays, state) -> None:
         """Restore the RL tables captured by ``_collect_extra_state``.
 
-        The dense backend persists ``rl/curiosity_table`` + ``rl/resource_table``;
-        the streaming backend persists ``rl/client_ids`` + the touched columns.
-        Each backend restores its own format and rejects the other with a
-        pointer at ``selector_backend``, so a mismatch fails loudly instead of
-        silently resetting the tables.
+        A checkpoint without the touched-rows arrays is refused by name
+        instead of silently resetting the tables to all-ones.
         """
-        if isinstance(self.selector, StreamingRLClientSelector):
-            required = ("rl/client_ids", "rl/curiosity_columns", "rl/resource_columns")
-        else:
-            required = ("rl/curiosity_table", "rl/resource_table")
+        required = ("rl/client_ids", "rl/curiosity_columns", "rl/resource_columns")
         missing = [key for key in required if key not in arrays]
         if missing:
-            raise ValueError(
-                f"checkpoint is missing AdaptiveFL RL state: {', '.join(missing)} "
-                f"(was it written with a different selector_backend than "
-                f"{self.selector_backend!r}?)"
-            )
+            raise ValueError(f"checkpoint is missing AdaptiveFL RL state: {', '.join(missing)}")
         self.selector.load_state_dict(
             {key.removeprefix("rl/"): arrays[key] for key in required}
         )
 
     # -- Algorithm 1 -----------------------------------------------------------------------
-    def _draw_model(self, rng: np.random.Generator) -> SubmodelConfig:
+    def _random_sel(self, rng: np.random.Generator) -> SubmodelConfig:
         """Step 2 (RandomSel): uniform draw from the pool, or L1 under "greedy"."""
         if self.strategy == "greedy":
             return self.pool.full_config
@@ -131,43 +112,24 @@ class AdaptiveFL(FederatedAlgorithm):
         sequential implementation for every executor choice.
         """
         rng = self.round_rng(round_index)
-        streaming = isinstance(self.selector, StreamingRLClientSelector)
-        allowed_mask: np.ndarray | None = None
-        excluded: set[int] = set()
-        if streaming:
-            # mask-based planning: never materialise per-client python objects
-            # for the whole fleet — availability arrives as a boolean array and
-            # selected clients are cleared bit by bit
-            allowed_mask = self.selectable_mask(round_index)
-            if allowed_mask is None:
-                allowed_mask = np.ones(self.num_clients, dtype=bool)
-            else:
-                allowed_mask = allowed_mask.copy()
-            participants = min(self.dispatch_count(), int(np.count_nonzero(allowed_mask)))
+        # mask-based planning: never materialise per-client python objects
+        # for the whole fleet — availability arrives as a boolean array and
+        # selected clients are cleared bit by bit
+        allowed_mask = self.selectable_mask(round_index)
+        if allowed_mask is None:
+            allowed_mask = np.ones(self.num_clients, dtype=bool)
         else:
-            available = self.selectable_clients(round_index)
-            # unavailable clients are folded into the selector's exclusion set, so
-            # the RL machinery runs unchanged over the reachable fleet
-            excluded = set() if available is None else set(range(self.num_clients)) - set(available)
-            participants = (
-                self.dispatch_count()
-                if available is None
-                else min(self.dispatch_count(), len(available))
-            )
+            allowed_mask = allowed_mask.copy()
+        participants = min(self.dispatch_count(), int(np.count_nonzero(allowed_mask)))
 
         selected: list[int] = []
         capacities: list[float] = []
         dispatched_configs: list[SubmodelConfig] = []
         planned_returns: list[SubmodelConfig] = []
         for _ in range(participants):
-            dispatched = self._draw_model(rng)
-            if streaming:
-                assert allowed_mask is not None
-                client_id = self.selector.select_from_mask(dispatched, rng, allowed_mask)
-                allowed_mask[client_id] = False
-            else:
-                client_id = self.selector.select(dispatched, rng, excluded=excluded)
-                excluded.add(client_id)
+            dispatched = self._random_sel(rng)
+            client_id = self.selector.select(dispatched, rng, allowed_mask)
+            allowed_mask[client_id] = False
             selected.append(client_id)
 
             capacity = self.client_capacity(client_id, round_index)

@@ -22,10 +22,10 @@ with a deterministic discrete-event simulation of a whole device fleet:
   deadline-aware arrival accounting.
 
 All randomness derives from :class:`numpy.random.SeedSequence` streams
-keyed on ``(seed, tag, round, client)`` — disjoint from the training
-streams of :mod:`repro.engine.rng` — so scenario dynamics never perturb
-local training and same-seed runs are bit-identical across the serial,
-thread and process executors.
+keyed on ``(seed, tag, round)``, one population vector each — disjoint
+from the training streams of :mod:`repro.engine.rng` — so scenario
+dynamics never perturb local training and same-seed runs are
+bit-identical across the serial, thread and process executors.
 """
 
 from __future__ import annotations
@@ -55,12 +55,10 @@ _EXPORTS: dict[str, str] = {
     "ClientOutcome": "repro.sim.fleet",
     "RoundOutcome": "repro.sim.fleet",
     "FleetSimulator": "repro.sim.fleet",
-    # vectorized fleet engine (array-first round API)
+    # array-first round API
     "DispatchBatch": "repro.sim.fleet",
     "RoundOutcomeBatch": "repro.sim.fleet",
-    "BATCHED_DRAW_THRESHOLD": "repro.sim.fleet",
     # cohort-sharded streaming selection
-    "STREAMING_SELECTION_THRESHOLD": "repro.sim.cohorts",
     "DEFAULT_COHORT_SIZE": "repro.sim.cohorts",
     "cohort_counts": "repro.sim.cohorts",
     "nth_masked_index": "repro.sim.cohorts",

@@ -33,7 +33,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 __all__ = [
-    "STREAMING_SELECTION_THRESHOLD",
     "DEFAULT_COHORT_SIZE",
     "cohort_counts",
     "nth_masked_index",
@@ -43,11 +42,6 @@ __all__ = [
     "iter_cohort_slices",
     "expand_cohort",
 ]
-
-#: population size at which servers switch from dense list-based selection
-#: to mask/streaming selection (below it, the historical code paths run
-#: unchanged and stay bit-identical to the pre-scale implementation)
-STREAMING_SELECTION_THRESHOLD = 4096
 
 #: default cohort width: large enough that per-cohort overhead vanishes,
 #: small enough that expanding one cohort is cheap (512 KB of indices)

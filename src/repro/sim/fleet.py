@@ -10,8 +10,7 @@ One fleet instance backs one algorithm run.  It owns
 * the **availability trace**: which clients are reachable at each round
   (always / Markov churn / diurnal duty cycle, overlaid with battery
   state), exposed both as a boolean :meth:`FleetSimulator.available_mask`
-  for large fleets and the legacy :meth:`FleetSimulator.available_clients`
-  list façade,
+  and the :meth:`FleetSimulator.available_clients` list façade,
 * the **round simulation**: download → local compute → upload per
   participant, closed-form vectorised when the server is uncontended or
   on the :class:`~repro.sim.events.EventQueue` when a FIFO
@@ -22,30 +21,13 @@ One fleet instance backs one algorithm run.  It owns
   the synchronous-round deadline (absolute seconds or a factor of the
   round's median finish time) and therefore join aggregation.
 
-Two orthogonal knobs govern scale-out:
-
-* ``engine`` — ``"legacy"`` walks per-dispatch Python objects and
-  closures (the historical code path, kept as the benchmark baseline and
-  parity reference); ``"vectorized"`` (the ``"auto"`` default) computes
-  whole rounds as NumPy array arithmetic.  Both engines consume the same
-  pre-drawn randomness and use identical float64 operation order, so for
-  a fixed ``draw_mode`` their outcomes are **bit-identical**.
-* ``draw_mode`` — ``"per-client"`` keys every stochastic quantity on
-  ``(seed, tag, round, client)`` exactly as the historical code did (one
-  ``Generator`` per key); ``"batched"`` draws one full-population vector
-  per ``(seed, tag, round)`` key, which is what makes 10⁶-device rounds
-  feasible.  The two modes draw different (equally deterministic)
-  numbers; ``"auto"`` picks per-client below
-  :data:`BATCHED_DRAW_THRESHOLD` clients so small fleets reproduce the
-  historical traces bit-for-bit, batched at scale.
-
-Determinism: every stochastic quantity is drawn up-front from a
-:class:`numpy.random.SeedSequence` keyed on ``(seed, tag, round,
-client)`` (per-client mode) or ``(seed, tag, round)`` (batched mode) — a
-key-space disjoint from the training streams of
-:mod:`repro.engine.rng` — and the event core breaks ties FIFO, so a
-same-seed run is bit-identical across executors, worker counts and
-process boundaries.
+Determinism: every stochastic quantity is drawn up-front as one
+full-population vector per ``(seed, tag, round)``
+:class:`numpy.random.SeedSequence` key — a key-space disjoint from the
+training streams of :mod:`repro.engine.rng` — so a client's draw never
+depends on who else was dispatched, and the event core breaks ties FIFO:
+a same-seed run is bit-identical across executors, worker counts and
+process boundaries, at 16 clients and at 10⁶ alike.
 
 Static scenarios (no jitter, no churn, no contention, no deadline —
 ``ScenarioSpec.is_static``) bypass the event decomposition and use the
@@ -76,7 +58,6 @@ __all__ = [
     "DispatchBatch",
     "RoundOutcomeBatch",
     "FleetSimulator",
-    "BATCHED_DRAW_THRESHOLD",
 ]
 
 # shared with the legacy test-bed so paper_testbed parity can never drift
@@ -92,11 +73,6 @@ CAPACITY_FRACTIONS = DEFAULT_CAPACITY_FRACTIONS
 #: resource-model draws, which use shorter entropy tuples
 _SIM_TAG = 0x51E47
 _COMPUTE, _LINK_DOWN, _LINK_UP, _DROPOUT, _AVAILABILITY, _PHASE = range(6)
-
-#: fleets at or above this size default to batched per-round draws
-#: (``draw_mode="auto"``); below it they keep the historical per-client
-#: draw keying so existing small-N traces stay bit-identical
-BATCHED_DRAW_THRESHOLD = 4096
 
 
 @dataclass(frozen=True)
@@ -283,7 +259,7 @@ class RoundOutcomeBatch:
 
     @classmethod
     def from_outcome(cls, outcome: RoundOutcome) -> "RoundOutcomeBatch":
-        """Column-ise a row-shaped outcome (legacy-engine batch calls)."""
+        """Column-ise a row-shaped outcome (static rounds of the batch API)."""
         nan = float("nan")
         return cls(
             round_index=outcome.round_index,
@@ -342,12 +318,11 @@ class _DeviceFleet(Sequence):
 
 @dataclass
 class _RoundDraws:
-    """Pre-drawn per-dispatch randomness, shared by both engines.
+    """Pre-drawn per-dispatch randomness.
 
-    Both engines index these exact arrays — never re-drawing, never
-    re-applying ``exp`` — which is what makes the engines bit-identical
-    for a fixed draw mode.  ``drop_fraction`` is NaN-coded: NaN means the
-    client does not fail mid-round.
+    The closed form and the gated event replay index these exact arrays —
+    never re-drawing, never re-applying ``exp``.  ``drop_fraction`` is
+    NaN-coded: NaN means the client does not fail mid-round.
     """
 
     factor: np.ndarray
@@ -359,29 +334,14 @@ class _RoundDraws:
 class FleetSimulator:
     """Stateful scenario engine for one algorithm run (one fleet per run)."""
 
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        num_clients: int,
-        seed: int = 0,
-        engine: str = "auto",
-        draw_mode: str = "auto",
-    ):
+    def __init__(self, spec: ScenarioSpec, num_clients: int, seed: int = 0):
         if num_clients <= 0:
             raise ValueError("num_clients must be positive")
-        if engine not in {"auto", "vectorized", "legacy"}:
-            raise ValueError("engine must be 'auto', 'vectorized' or 'legacy'")
-        if draw_mode not in {"auto", "batched", "per-client"}:
-            raise ValueError("draw_mode must be 'auto', 'batched' or 'per-client'")
         self.spec = spec
         self.seed = int(seed)
         counts = _expand_device_counts(spec.devices, num_clients)
         self.devices = _DeviceFleet(spec.devices, counts)
         self.num_clients = len(self.devices)
-        self.engine = "vectorized" if engine == "auto" else engine
-        if draw_mode == "auto":
-            draw_mode = "batched" if self.num_clients >= BATCHED_DRAW_THRESHOLD else "per-client"
-        self.draw_mode = draw_mode
 
         # struct-of-arrays device parameters: one float64 column per knob,
         # repeated from the template runs — no per-device Python objects
@@ -439,18 +399,8 @@ class FleetSimulator:
         return self.devices[client_id]
 
     # -- randomness -------------------------------------------------------------------
-    def _rng(self, tag: int, round_index: int, client_id: int) -> np.random.Generator:
-        """Per-client generator: the historical (seed, tag, round, client) key."""
-        return np.random.default_rng(
-            np.random.SeedSequence((self.seed, _SIM_TAG, tag, round_index, client_id))
-        )
-
     def _round_rng(self, tag: int, round_index: int) -> np.random.Generator:
-        """Batched generator: one (seed, tag, round) key drives a whole vector.
-
-        The 4-tuple entropy key can never collide with the per-client
-        5-tuples — ``SeedSequence`` folds tuple length into the entropy.
-        """
+        """One (seed, tag, round) key drives a whole population vector."""
         return np.random.default_rng(
             np.random.SeedSequence((self.seed, _SIM_TAG, tag, round_index))
         )
@@ -458,10 +408,10 @@ class FleetSimulator:
     def _population_draws(self, tag: int, round_index: int):
         """Full-population draw vectors for one (tag, round), cached per round.
 
-        Batched mode only.  Drawing the whole population (rather than the
-        dispatched subset) keeps every client's round-``r`` draw a pure
-        function of ``(seed, tag, r, client)`` — independent of which
-        clients were dispatched — exactly like per-client mode.
+        Drawing the whole population (rather than the dispatched subset)
+        keeps every client's round-``r`` draw a pure function of
+        ``(seed, tag, r, client)`` — independent of which clients were
+        dispatched.
         """
         if round_index != self._draw_cache_round:
             self._draw_cache = {}
@@ -483,80 +433,33 @@ class FleetSimulator:
     def _dispatch_draws(self, round_index: int, client_ids: Sequence[int]) -> _RoundDraws:
         """All per-dispatch randomness for one round, drawn up-front.
 
-        The event interleaving can never change what was drawn; both
-        engines consume these arrays verbatim.
+        The event interleaving can never change what was drawn.
         """
-        n = len(client_ids)
-        if self.draw_mode == "batched":
-            ids = np.asarray(client_ids, dtype=np.int64)
-            jitter = self._compute_jitter[ids]
-            normals = self._population_draws(_COMPUTE, round_index)[ids]
-            factor = np.where(jitter > 0, np.exp(jitter * normals), 1.0)
-            link_jitter = self._link_jitter[ids]
-            down_jitter = link_jitter * self._population_draws(_LINK_DOWN, round_index)[ids]
-            up_jitter = link_jitter * self._population_draws(_LINK_UP, round_index)[ids]
-            if self.spec.dropout_rate > 0:
-                trigger, fraction = self._population_draws(_DROPOUT, round_index)
-                drop_fraction = np.where(
-                    trigger[ids] < self.spec.dropout_rate, fraction[ids], np.nan
-                )
-            else:
-                drop_fraction = np.full(n, np.nan)
-            return _RoundDraws(factor, down_jitter, up_jitter, drop_fraction)
-
-        # per-client mode: the historical draw discipline, value-for-value
-        factor = np.ones(n, dtype=np.float64)
-        down_jitter = np.zeros(n, dtype=np.float64)
-        up_jitter = np.zeros(n, dtype=np.float64)
-        drop_fraction = np.full(n, np.nan)
-        for i, raw_id in enumerate(client_ids):
-            client_id = int(raw_id)
-            jitter = float(self._compute_jitter[client_id])
-            if jitter > 0:
-                factor[i] = float(
-                    np.exp(jitter * self._rng(_COMPUTE, round_index, client_id).standard_normal())
-                )
-            link_jitter = float(self._link_jitter[client_id])
-            if link_jitter > 0:
-                down_jitter[i] = float(
-                    link_jitter * self._rng(_LINK_DOWN, round_index, client_id).exponential()
-                )
-                up_jitter[i] = float(
-                    link_jitter * self._rng(_LINK_UP, round_index, client_id).exponential()
-                )
-            if self.spec.dropout_rate > 0:
-                dropout_rng = self._rng(_DROPOUT, round_index, client_id)
-                if float(dropout_rng.random()) < self.spec.dropout_rate:
-                    drop_fraction[i] = float(dropout_rng.random())
+        ids = np.asarray(client_ids, dtype=np.int64)
+        jitter = self._compute_jitter[ids]
+        normals = self._population_draws(_COMPUTE, round_index)[ids]
+        factor = np.where(jitter > 0, np.exp(jitter * normals), 1.0)
+        link_jitter = self._link_jitter[ids]
+        down_jitter = link_jitter * self._population_draws(_LINK_DOWN, round_index)[ids]
+        up_jitter = link_jitter * self._population_draws(_LINK_UP, round_index)[ids]
+        if self.spec.dropout_rate > 0:
+            trigger, fraction = self._population_draws(_DROPOUT, round_index)
+            drop_fraction = np.where(trigger[ids] < self.spec.dropout_rate, fraction[ids], np.nan)
+        else:
+            drop_fraction = np.full(len(ids), np.nan)
         return _RoundDraws(factor, down_jitter, up_jitter, drop_fraction)
 
     # -- availability -----------------------------------------------------------------
     def _availability_uniforms(self, round_index: int) -> np.ndarray:
-        """One uniform per client for round ``round_index`` (mode-dependent)."""
-        if self.draw_mode == "batched":
-            return self._round_rng(_AVAILABILITY, round_index).random(self.num_clients)
-        return np.array(
-            [
-                float(self._rng(_AVAILABILITY, round_index, client_id).random())
-                for client_id in range(self.num_clients)
-            ],
-            dtype=np.float64,
-        )
+        """One uniform per client for round ``round_index``."""
+        return self._round_rng(_AVAILABILITY, round_index).random(self.num_clients)
 
     def _phase_offsets(self, period: int) -> np.ndarray:
         """Per-client diurnal phase: a pure function of (seed, client), drawn once."""
         if self._diurnal_offsets is None:
-            if self.draw_mode == "batched":
-                self._diurnal_offsets = self._round_rng(_PHASE, 0).integers(
-                    0, period, size=self.num_clients
-                )
-            else:
-                self._diurnal_offsets = np.array(
-                    [
-                        int(self._rng(_PHASE, 0, client_id).integers(0, period))
-                        for client_id in range(self.num_clients)
-                    ]
-                )
+            self._diurnal_offsets = self._round_rng(_PHASE, 0).integers(
+                0, period, size=self.num_clients
+            )
         return self._diurnal_offsets
 
     def _trace_availability(self, round_index: int) -> np.ndarray:
@@ -721,15 +624,8 @@ class FleetSimulator:
         self._check_monotonic(round_index)
         if self.spec.is_static:
             return self._simulate_static(round_index, dispatches)
-        draws = self._dispatch_draws(round_index, [d.client_id for d in dispatches])
-        if self.engine == "legacy":
-            outcome = self._simulate_events(round_index, dispatches, draws)
-            self._apply_battery_deaths(outcome, dispatches)
-            self._apply_deadline(outcome)
-            self._apply_byte_budget(outcome)
-            self._advance_batteries(outcome, dispatches)
-            return outcome
         batch = DispatchBatch.from_dispatches(dispatches)
+        draws = self._dispatch_draws(round_index, batch.client_ids)
         return self._simulate_batch(round_index, batch, draws).to_outcome()
 
     def simulate_round_batch(self, round_index: int, batch: DispatchBatch) -> RoundOutcomeBatch:
@@ -745,14 +641,6 @@ class FleetSimulator:
                 self._simulate_static(round_index, batch.to_dispatches())
             )
         draws = self._dispatch_draws(round_index, batch.client_ids)
-        if self.engine == "legacy":
-            dispatches = batch.to_dispatches()
-            outcome = self._simulate_events(round_index, dispatches, draws)
-            self._apply_battery_deaths(outcome, dispatches)
-            self._apply_deadline(outcome)
-            self._apply_byte_budget(outcome)
-            self._advance_batteries(outcome, dispatches)
-            return RoundOutcomeBatch.from_outcome(outcome)
         return self._simulate_batch(round_index, batch, draws)
 
     def _closed_form_seconds(self, dispatch: ClientDispatch) -> tuple[float, float]:
@@ -789,16 +677,12 @@ class FleetSimulator:
             round_index=round_index, clients=clients, deadline_seconds=None, round_seconds=round_seconds
         )
 
-    # -- vectorized engine ------------------------------------------------------------
+    # -- dynamic rounds ---------------------------------------------------------------
     def _simulate_batch(
         self, round_index: int, batch: DispatchBatch, draws: _RoundDraws
     ) -> RoundOutcomeBatch:
-        """One dynamic round as pure array arithmetic.
-
-        Every expression mirrors the legacy engine's float64 operation
-        order exactly (same associativity, same pre-drawn values), which
-        is what the bit-parity suite pins.
-        """
+        """One dynamic round as array arithmetic (the float64 operation
+        order is pinned by ``tests/sim/golden/small_fleet.json``)."""
         ids = batch.client_ids
         latency = self._link_latency[ids]
         bandwidth = self._bandwidth[ids]
@@ -916,7 +800,7 @@ class FleetSimulator:
             round_seconds=round_seconds,
         )
 
-    # -- legacy engine ----------------------------------------------------------------
+    # -- gated rounds: the FIFO event replay ------------------------------------------
     def _simulate_events(
         self, round_index: int, dispatches: list[ClientDispatch], draws: _RoundDraws
     ) -> RoundOutcome:
@@ -1012,47 +896,6 @@ class FleetSimulator:
 
         return RoundOutcome(round_index=round_index, clients=outcomes, deadline_seconds=None, round_seconds=0.0)
 
-    def _apply_battery_deaths(self, outcome: RoundOutcome, dispatches: list[ClientDispatch]) -> None:
-        """Clients whose charge cannot cover the round die mid-round."""
-        battery = self.spec.battery
-        if battery is None:
-            return
-        for client, dispatch in zip(outcome.clients, dispatches):
-            needed = battery.compute_watts * client.compute_seconds + battery.transfer_joules_per_mb * (
-                (client.bytes_down + client.bytes_up) / 1e6
-            )
-            if needed > self._charge[client.client_id]:
-                client.dropped = True
-                if client.failure_seconds is None:
-                    # went silent no later than it would have finished/failed
-                    client.failure_seconds = client.finish_seconds
-                client.finish_seconds = None
-                client.bytes_up = 0
-
-    def _apply_deadline(self, outcome: RoundOutcome) -> None:
-        """Set the deadline, aggregated flags and the round's duration."""
-        finishes = [c.finish_seconds for c in outcome.clients if c.finish_seconds is not None]
-        deadline = self.spec.deadline_seconds
-        if deadline is None and self.spec.deadline_factor is not None and finishes:
-            deadline = float(self.spec.deadline_factor * np.median(finishes))
-        outcome.deadline_seconds = deadline
-        any_missing = False
-        for client in outcome.clients:
-            client.aggregated = client.finish_seconds is not None and (
-                deadline is None or client.finish_seconds <= deadline
-            )
-            any_missing = any_missing or not client.aggregated
-        # without a deadline the server's horizon is the last arrival or the
-        # last failure it times out on — a round never takes zero time just
-        # because everyone failed
-        horizon = finishes + [
-            c.failure_seconds for c in outcome.clients if c.failure_seconds is not None
-        ]
-        if deadline is not None and (any_missing or not finishes):
-            outcome.round_seconds = float(deadline)  # the server waits out the deadline
-        else:
-            outcome.round_seconds = float(max(horizon)) if horizon else 0.0
-
     def _byte_budget_refusals(
         self,
         bytes_down: np.ndarray,
@@ -1067,8 +910,7 @@ class FleetSimulator:
         arrival order — dispatch position breaking ties — while budget
         remains.  A refused upload costs nothing and does not aggregate.
         The greedy rule means a small late-arriving upload may still be
-        admitted after a large one was refused; this is deterministic and
-        identical in both fleet engines.
+        admitted after a large one was refused; this is deterministic.
         """
         refused = np.zeros(finish_seconds.shape, dtype=bool)
         budget = self.spec.round_byte_budget
@@ -1087,46 +929,6 @@ class FleetSimulator:
             else:
                 refused[index] = True
         return refused
-
-    def _apply_byte_budget(self, outcome: RoundOutcome) -> None:
-        """Legacy-engine twin of :meth:`_byte_budget_refusals` (in place)."""
-        if self.spec.round_byte_budget is None:
-            return
-        nan = float("nan")
-        refused = self._byte_budget_refusals(
-            np.array([c.bytes_down for c in outcome.clients], dtype=np.float64),
-            np.array([c.bytes_up for c in outcome.clients], dtype=np.float64),
-            np.array(
-                [nan if c.finish_seconds is None else c.finish_seconds for c in outcome.clients],
-                dtype=np.float64,
-            ),
-        )
-        for client, refuse in zip(outcome.clients, refused):
-            if refuse:
-                client.aggregated = False
-                client.bytes_up = 0
-
-    def _advance_batteries(self, outcome: RoundOutcome, dispatches: list[ClientDispatch]) -> None:
-        battery = self.spec.battery
-        if battery is None:
-            return
-        participants = {client.client_id for client in outcome.clients}
-        for client in outcome.clients:
-            spent = battery.compute_watts * client.compute_seconds + battery.transfer_joules_per_mb * (
-                (client.bytes_down + client.bytes_up) / 1e6
-            )
-            charge = self._charge[client.client_id]
-            self._charge[client.client_id] = max(0.0, charge - min(spent, charge))
-        for client_id in range(self.num_clients):
-            if client_id not in participants:
-                self._charge[client_id] = min(
-                    battery.capacity_joules,
-                    self._charge[client_id] + battery.recharge_watts * outcome.round_seconds,
-                )
-        low = battery.min_charge_fraction * battery.capacity_joules
-        resume = battery.resume_charge_fraction * battery.capacity_joules
-        below = self._charge < low
-        self._recovering_mask = below | (self._recovering_mask & ~(self._charge >= resume))
 
 
 def _expand_device_counts(templates: tuple[DeviceTemplate, ...], num_clients: int) -> list[int]:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rl_selection import RLClientSelector, StreamingRLClientSelector
+from repro.core.model_pool import LEVELS
+from repro.core.rl_selection import RLClientSelector
 
 
 @pytest.fixture
@@ -13,12 +14,21 @@ def selector(tiny_pool):
     return RLClientSelector(tiny_pool, num_clients=6, strategy="rl-cs")
 
 
+def everyone(num_clients, *excluded):
+    """A mask allowing every client but ``excluded``."""
+    mask = np.ones(num_clients, dtype=bool)
+    mask[list(excluded)] = False
+    return mask
+
+
 class TestInitialisation:
     def test_tables_start_at_one(self, selector, tiny_pool):
-        assert selector.curiosity_table.shape == (3, 6)
-        assert selector.resource_table.shape == (len(tiny_pool), 6)
-        assert np.allclose(selector.curiosity_table, 1.0)
-        assert np.allclose(selector.resource_table, 1.0)
+        tables = selector.snapshot()
+        assert tables["curiosity"].shape == (3, 6)
+        assert tables["resource"].shape == (len(tiny_pool), 6)
+        assert np.allclose(tables["curiosity"], 1.0)
+        assert np.allclose(tables["resource"], 1.0)
+        assert selector.num_touched == 0  # the all-ones rows are implicit
 
     def test_invalid_arguments(self, tiny_pool):
         with pytest.raises(ValueError):
@@ -38,7 +48,9 @@ class TestRewards:
     def test_curiosity_reward_decreases_with_selection_count(self, selector, tiny_pool):
         model = tiny_pool.by_name("S1")
         before = selector.curiosity_reward(model, 0)
-        selector.curiosity_table[tiny_pool.level_index("S"), 0] = 9.0
+        for _ in range(4):  # each unpruned S1 round counts the S level twice: 1 -> 9
+            selector.update(model, model, 0)
+        assert selector.snapshot()["curiosity"][tiny_pool.level_index("S"), 0] == 9.0
         after = selector.curiosity_reward(model, 0)
         assert after == pytest.approx(1.0 / 3.0)
         assert after < before
@@ -57,14 +69,20 @@ class TestRewards:
         # inflate client 0's success scores to push R_s well beyond the cap;
         # the S level sums over all three of its ranks so its reward can
         # exceed the 0.5 cap once the whole column is saturated.
-        selector.resource_table[:, 0] = 1000.0
+        selector.load_state_dict(
+            {
+                "client_ids": np.array([0]),
+                "curiosity_columns": np.ones((len(LEVELS), 1)),
+                "resource_columns": np.full((len(tiny_pool), 1), 1000.0),
+            }
+        )
         model = tiny_pool.level_heads()["S"]
         assert selector.resource_reward(model, 0) > 0.5
         combined = selector.combined_reward(model, 0)
         assert combined <= 0.5 * selector.curiosity_reward(model, 0) + 1e-12
 
     def test_probabilities_normalised(self, selector, tiny_pool):
-        probabilities = selector.selection_probabilities(tiny_pool.by_name("S2"), list(range(6)))
+        probabilities = selector.selection_probabilities(tiny_pool.by_name("S2"), everyone(6))
         assert probabilities.sum() == pytest.approx(1.0)
         assert (probabilities >= 0).all()
 
@@ -74,14 +92,15 @@ class TestTableUpdates:
         sent = tiny_pool.by_name("L1")
         returned = tiny_pool.by_name("S1")
         selector.update(sent, returned, client=2)
-        assert selector.curiosity_table[tiny_pool.level_index("L"), 2] == 2.0
-        assert selector.curiosity_table[tiny_pool.level_index("S"), 2] == 2.0
-        assert selector.curiosity_table[tiny_pool.level_index("M"), 2] == 1.0
+        curiosity = selector.snapshot()["curiosity"]
+        assert curiosity[tiny_pool.level_index("L"), 2] == 2.0
+        assert curiosity[tiny_pool.level_index("S"), 2] == 2.0
+        assert curiosity[tiny_pool.level_index("M"), 2] == 1.0
 
     def test_unpruned_return_increments_larger_models(self, selector, tiny_pool):
         sent = tiny_pool.by_name("M2")
         selector.update(sent, sent, client=0)
-        column = selector.resource_table[:, 0]
+        column = selector.snapshot()["resource"][:, 0]
         p = tiny_pool.config.models_per_level
         for rank in range(len(tiny_pool)):
             if rank < sent.rank:
@@ -96,7 +115,7 @@ class TestTableUpdates:
         sent = tiny_pool.full_config
         returned = tiny_pool.by_name("S1")
         selector.update(sent, returned, client=3)
-        column = selector.resource_table[:, 3]
+        column = selector.snapshot()["resource"][:, 3]
         p = tiny_pool.config.models_per_level
         # returned rank gains +p then the penalty loop subtracts 0
         assert column[returned.rank] == 1.0 + p
@@ -125,17 +144,16 @@ class TestTableUpdates:
 class TestSelection:
     def test_select_respects_exclusion(self, selector, tiny_pool):
         rng = np.random.default_rng(0)
-        excluded = {0, 1, 2, 3, 4}
-        choice = selector.select(tiny_pool.by_name("S1"), rng, excluded=excluded)
+        choice = selector.select(tiny_pool.by_name("S1"), rng, everyone(6, 0, 1, 2, 3, 4))
         assert choice == 5
 
     def test_select_all_excluded_raises(self, selector, tiny_pool):
         with pytest.raises(ValueError):
-            selector.select(tiny_pool.by_name("S1"), np.random.default_rng(0), excluded=set(range(6)))
+            selector.select(tiny_pool.by_name("S1"), np.random.default_rng(0), np.zeros(6, dtype=bool))
 
     def test_random_strategy_is_uniform(self, tiny_pool):
         selector = RLClientSelector(tiny_pool, num_clients=4, strategy="random")
-        probabilities = selector.selection_probabilities(tiny_pool.by_name("M1"), [0, 1, 2, 3])
+        probabilities = selector.selection_probabilities(tiny_pool.by_name("M1"), everyone(4))
         assert np.allclose(probabilities, 0.25)
 
     def test_strategies_differ_after_updates(self, tiny_pool):
@@ -148,19 +166,19 @@ class TestSelection:
                 selector_instance.update(tiny_pool.full_config, tiny_pool.by_name("S2"), 0)
                 selector_instance.update(tiny_pool.full_config, tiny_pool.full_config, 1)
         model = tiny_pool.full_config
-        p_cs = cs.selection_probabilities(model, [0, 1, 2])
-        p_c = c_only.selection_probabilities(model, [0, 1, 2])
-        p_s = s_only.selection_probabilities(model, [0, 1, 2])
+        p_cs = cs.selection_probabilities(model, everyone(3))
+        p_c = c_only.selection_probabilities(model, everyone(3))
+        p_s = s_only.selection_probabilities(model, everyone(3))
         assert not np.allclose(p_cs, p_c)
         assert not np.allclose(p_c, p_s)
 
     def test_snapshot_returns_copies(self, selector):
         snap = selector.snapshot()
         snap["curiosity"] += 100
-        assert np.allclose(selector.curiosity_table, 1.0)
+        assert np.allclose(selector.snapshot()["curiosity"], 1.0)
 
 
-# -- boundedness under adversarial return sequences (both selectors) ---------------------
+# -- boundedness under adversarial return sequences --------------------------------------
 
 FLEET = 6
 POOL_SIZE = 7  # tiny_pool: 2p+1 entries with p=3
@@ -206,32 +224,30 @@ class TestBoundedRewards:
     the devices return, rewards stay in [0, 1], the tables stay non-negative
     and selection stays a valid distribution."""
 
-    @pytest.mark.parametrize("selector_cls", [RLClientSelector, StreamingRLClientSelector])
     @pytest.mark.parametrize("strategy", ["rl-cs", "rl-c", "rl-s", "random"])
     @settings(max_examples=40, deadline=None)
     @given(sequence=_sequences, victims=st.lists(st.integers(0, FLEET - 2), min_size=1, max_size=3))
     def test_adversarial_returns_keep_rewards_and_probabilities_valid(
-        self, tiny_pool, selector_cls, strategy, sequence, victims
+        self, tiny_pool, strategy, sequence, victims
     ):
         configs = list(tiny_pool)
-        selector = selector_cls(tiny_pool, num_clients=FLEET, strategy=strategy)
+        selector = RLClientSelector(tiny_pool, num_clients=FLEET, strategy=strategy)
         replay(selector, configs, sequence, victims)
 
         tables = selector.snapshot()
         assert np.all(tables["resource"] >= 0.0)
         assert np.all(tables["curiosity"] >= 1.0)
         assert np.all(tables["resource"].sum(axis=0) > 0.0)  # the returned entry is always reinforced
-        everyone = list(range(FLEET))
         for model in configs:
-            for client in everyone:
+            for client in range(FLEET):
                 for reward in (
                     selector.combined_reward(model, client),
                     selector.resource_reward(model, client),
                     selector.curiosity_reward(model, client),
                 ):
                     assert 0.0 <= reward <= 1.0
-            assert_distribution(selector.selection_probabilities(model, everyone))
-            assert_distribution(selector.selection_probabilities(model, everyone[1::2]))
+            assert_distribution(selector.selection_probabilities(model, everyone(FLEET)))
+            assert_distribution(selector.selection_probabilities(model, everyone(FLEET, 0, 2, 4)))
 
     @pytest.mark.parametrize("strategy", ["rl-cs", "rl-c", "rl-s", "random"])
     @settings(max_examples=40, deadline=None)
@@ -245,7 +261,7 @@ class TestBoundedRewards:
         self, tiny_pool, strategy, sequence, victims, allowed, seed
     ):
         configs = list(tiny_pool)
-        selector = StreamingRLClientSelector(tiny_pool, num_clients=FLEET, strategy=strategy)
+        selector = RLClientSelector(tiny_pool, num_clients=FLEET, strategy=strategy)
         replay(selector, configs, sequence, victims)
 
         mask = np.array(allowed, dtype=bool)
@@ -256,7 +272,7 @@ class TestBoundedRewards:
             untouched_mass = sum(1 for c in allowed_ids if c not in touched) * selector.default_reward(model)
             assert touched_mass >= 0.0 and untouched_mass >= 0.0
             assert np.isfinite(touched_mass + untouched_mass)
-            probabilities = selector.selection_probabilities(model, allowed_ids)
+            probabilities = selector.selection_probabilities(model, mask)
             assert_distribution(probabilities)
             if touched_mass + untouched_mass > 0.0:
                 touched_share = sum(p for p, c in zip(probabilities, allowed_ids) if c in touched)
@@ -265,4 +281,4 @@ class TestBoundedRewards:
                 # a client pruned to the smallest entry earns nothing for a larger
                 # model; when nobody else is reachable the draw falls back to uniform
                 assert np.allclose(probabilities, 1.0 / len(allowed_ids))
-            assert mask[selector.select_from_mask(model, np.random.default_rng(seed), mask)]
+            assert mask[selector.select(model, np.random.default_rng(seed), mask)]

@@ -38,6 +38,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             FederatedConfig(clients_per_round=0)
 
+    def test_removed_selector_backend_key_is_refused(self):
+        """The knob is gone without a deprecation path: strict unknown-key error."""
+        payload = {**AdaptiveFLConfig().to_dict(), "selector_backend": "dense"}
+        with pytest.raises(ValueError, match="does not accept key.*'selector_backend'"):
+            AdaptiveFLConfig.from_dict(payload)
+
 
 class TestRound:
     def test_round_record_contents(self, tiny_cnn, tiny_federated_setup, fast_configs):
@@ -56,11 +62,13 @@ class TestRound:
     def test_round_updates_global_state_and_tables(self, tiny_cnn, tiny_federated_setup, fast_configs):
         algorithm = make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs)
         before = {name: value.copy() for name, value in algorithm.global_state.items()}
-        curiosity_before = algorithm.selector.curiosity_table.copy()
-        algorithm.run_round(0)
+        curiosity_before = algorithm.selector.snapshot()["curiosity"]
+        record = algorithm.run_round(0)
         changed = any(not np.allclose(algorithm.global_state[name], before[name]) for name in before)
         assert changed
-        assert algorithm.selector.curiosity_table.sum() > curiosity_before.sum()
+        assert algorithm.selector.snapshot()["curiosity"].sum() > curiosity_before.sum()
+        # RL rows materialise for the selected clients only
+        assert algorithm.selector.num_touched == len(set(record.selected_clients))
 
     def test_greedy_always_dispatches_full_model(self, tiny_cnn, tiny_federated_setup, fast_configs):
         algorithm = make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs, strategy="greedy")
@@ -77,6 +85,42 @@ class TestRound:
         greedy_rates = [greedy.run_round(r).communication_waste for r in range(warmup + measured)]
         rl_rates = [rl.run_round(r).communication_waste for r in range(warmup + measured)]
         assert np.mean(greedy_rates[warmup:]) > np.mean(rl_rates[warmup:])
+
+
+class TestCheckpointState:
+    def collect(self, algorithm):
+        arrays: dict[str, np.ndarray] = {}
+        algorithm._collect_extra_state(arrays, {})
+        return arrays
+
+    def test_rl_state_round_trips(self, tiny_cnn, tiny_federated_setup, fast_configs):
+        source = make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs)
+        source.run_round(0)
+        arrays = self.collect(source)
+        assert set(arrays) == {"rl/client_ids", "rl/curiosity_columns", "rl/resource_columns"}
+
+        target = make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs)
+        target._apply_extra_state(arrays, {})
+        for name, table in source.selector.snapshot().items():
+            assert np.array_equal(table, target.selector.snapshot()[name]), name
+
+    def test_dense_table_checkpoint_is_refused(self, tiny_cnn, tiny_federated_setup, fast_configs):
+        """A checkpoint from the deleted dense selector must fail by name, never
+        restore as a silent reset to all-ones."""
+        algorithm = make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs)
+        algorithm.run_round(0)
+        before = algorithm.selector.state_dict()
+        num_clients = algorithm.num_clients
+        dense = {
+            "rl/curiosity_table": np.full((3, num_clients), 5.0),
+            "rl/resource_table": np.full((len(algorithm.pool), num_clients), 5.0),
+        }
+        with pytest.raises(ValueError, match="rl/client_ids, rl/curiosity_columns, rl/resource_columns"):
+            algorithm._apply_extra_state(dense, {})
+        after = algorithm.selector.state_dict()
+        assert before["client_ids"].size > 0
+        for name, table in before.items():
+            assert np.array_equal(table, after[name]), name
 
 
 class TestRunLoop:

@@ -1,20 +1,17 @@
-"""StreamingRLClientSelector: sparse O(selected) RL tables at fleet scale.
+"""RLClientSelector at fleet scale: sparse O(selected) RL tables, mask draws.
 
-Pins the equivalences the class guarantees:
+Pins what the class guarantees:
 
-* reward math is operation-for-operation the dense selector's — after an
-  identical update history every reward, probability vector and
-  list-based ``select()`` draw is **bit-identical**,
-* ``select_from_mask`` samples the identical distribution without ever
-  materialising the population (memory stays O(selected)),
+* ``select`` samples the distribution ``selection_probabilities`` defines
+  without ever materialising the population (memory stays O(selected)),
 * checkpoints hold the touched rows only and round-trip bit-exactly,
 * the array-backed table draws **bit-identically** to the per-client walk
   it replaced (kept below as :class:`ReferenceStreamingSelector`, the
   oracle), does O(1) scalar-reward work per selection and one row per
   update, and reproduces the end-to-end goldens in
   ``golden/streaming_selection.json`` — generated on the commit before
-  the rewrite; regenerate only for a deliberate trace change with
-  ``PYTHONPATH=src python tests/core/test_streaming_selection.py``.
+  the array-backed rewrite; regenerate only for a deliberate trace change
+  with ``PYTHONPATH=src python tests/core/test_streaming_selection.py``.
 """
 
 import json
@@ -28,10 +25,9 @@ from hypothesis import strategies as st
 
 from repro.api.callbacks import Callback
 from repro.core.model_pool import LEVELS
-from repro.core.rl_selection import RLClientSelector, StreamingRLClientSelector
+from repro.core.rl_selection import RLClientSelector
 from repro.experiments.runner import run_algorithm
 from repro.experiments.settings import ExperimentSetting, prepare_experiment
-from repro.sim.cohorts import STREAMING_SELECTION_THRESHOLD
 from repro.store.objects import canonical_json, sha256_hex
 
 NUM_CLIENTS = 40
@@ -46,177 +42,118 @@ def draw_update(rng, configs, num_clients):
 
 
 @pytest.fixture
-def pair(tiny_pool):
-    """A dense and a streaming selector fed the same update history."""
-    dense = RLClientSelector(tiny_pool, num_clients=NUM_CLIENTS, strategy="rl-cs")
-    streaming = StreamingRLClientSelector(tiny_pool, num_clients=NUM_CLIENTS, strategy="rl-cs")
+def selector(tiny_pool):
+    """A selector whose update history touched only half the fleet."""
+    selector = RLClientSelector(tiny_pool, num_clients=NUM_CLIENTS, strategy="rl-cs")
     rng = np.random.default_rng(7)
     for _ in range(60):
-        update = draw_update(rng, list(tiny_pool), NUM_CLIENTS // 2)  # touch only half the fleet
-        dense.update(*update)
-        streaming.update(*update)
-    return dense, streaming
-
-
-class TestDenseEquivalence:
-    def test_snapshot_tables_identical(self, pair):
-        dense, streaming = pair
-        dense_tables = dense.snapshot()
-        streaming_tables = streaming.snapshot()
-        assert np.array_equal(dense_tables["curiosity"], streaming_tables["curiosity"])
-        assert np.array_equal(dense_tables["resource"], streaming_tables["resource"])
-
-    def test_rewards_bit_identical(self, pair, tiny_pool):
-        dense, streaming = pair
-        for model in tiny_pool:
-            for client in range(NUM_CLIENTS):
-                assert dense.combined_reward(model, client) == streaming.combined_reward(model, client)
-                assert dense.resource_reward(model, client) == streaming.resource_reward(model, client)
-                assert dense.curiosity_reward(model, client) == streaming.curiosity_reward(model, client)
-
-    def test_selection_probabilities_bit_identical(self, pair, tiny_pool):
-        dense, streaming = pair
-        allowed = list(range(0, NUM_CLIENTS, 3))
-        for model in tiny_pool:
-            assert np.array_equal(
-                dense.selection_probabilities(model, allowed),
-                streaming.selection_probabilities(model, allowed),
-            )
-
-    def test_list_select_is_a_bit_identical_drop_in(self, pair, tiny_pool):
-        dense, streaming = pair
-        model = tiny_pool.full_config
-        excluded: set[int] = set()
-        for seed in range(20):
-            a = dense.select(model, np.random.default_rng(seed), excluded=set(excluded))
-            b = streaming.select(model, np.random.default_rng(seed), excluded=set(excluded))
-            assert a == b
-            excluded.add(a)
-
-    @pytest.mark.parametrize("strategy", ["rl-cs", "rl-c", "rl-s", "random"])
-    def test_all_strategies_match_dense(self, tiny_pool, strategy):
-        dense = RLClientSelector(tiny_pool, num_clients=12, strategy=strategy)
-        streaming = StreamingRLClientSelector(tiny_pool, num_clients=12, strategy=strategy)
-        full = tiny_pool.full_config
-        small = tiny_pool.level_heads()["S"]
-        for client in (0, 3, 3, 7):
-            dense.update(full, small, client)
-            streaming.update(full, small, client)
-        for model in tiny_pool:
-            probabilities = streaming.selection_probabilities(model, list(range(12)))
-            assert np.array_equal(dense.selection_probabilities(model, list(range(12))), probabilities)
+        selector.update(*draw_update(rng, list(tiny_pool), NUM_CLIENTS // 2))
+    return selector
 
 
 class TestMaskSelection:
-    def test_matches_probability_weights_over_many_draws(self, pair, tiny_pool):
-        _, streaming = pair
+    def test_matches_probability_weights_over_many_draws(self, selector, tiny_pool):
         model = tiny_pool.full_config
         mask = np.zeros(NUM_CLIENTS, dtype=bool)
         mask[::2] = True
         allowed = np.flatnonzero(mask).tolist()
-        expected = streaming.selection_probabilities(model, allowed)
+        expected = selector.selection_probabilities(model, mask)
         counts = np.zeros(NUM_CLIENTS)
         draws = 4000
         rng = np.random.default_rng(0)
         for _ in range(draws):
-            client = streaming.select_from_mask(model, rng, mask)
+            client = selector.select(model, rng, mask)
             assert mask[client]
             counts[client] += 1
         observed = counts[np.asarray(allowed)] / draws
         assert np.abs(observed - expected).max() < 0.03
 
-    def test_deterministic_for_fixed_seed_and_mask_not_mutated(self, pair, tiny_pool):
-        _, streaming = pair
+    def test_deterministic_for_fixed_seed_and_mask_not_mutated(self, selector, tiny_pool):
         model = tiny_pool.full_config
         mask = np.ones(NUM_CLIENTS, dtype=bool)
         before = mask.copy()
-        first = [streaming.select_from_mask(model, np.random.default_rng(s), mask) for s in range(30)]
-        second = [streaming.select_from_mask(model, np.random.default_rng(s), mask) for s in range(30)]
+        first = [selector.select(model, np.random.default_rng(s), mask) for s in range(30)]
+        second = [selector.select(model, np.random.default_rng(s), mask) for s in range(30)]
         assert first == second
         assert np.array_equal(mask, before)
 
     def test_untouched_tier_reached_and_resolved_by_rank(self, tiny_pool):
-        streaming = StreamingRLClientSelector(tiny_pool, num_clients=100, strategy="rl-cs")
+        selector = RLClientSelector(tiny_pool, num_clients=100, strategy="rl-cs")
         mask = np.ones(100, dtype=bool)
         model = tiny_pool.full_config
-        hit = {streaming.select_from_mask(model, np.random.default_rng(s), mask) for s in range(200)}
+        hit = {selector.select(model, np.random.default_rng(s), mask) for s in range(200)}
         assert len(hit) > 20  # the untouched tier spreads over the whole fleet
 
-    def test_empty_mask_rejected(self, pair, tiny_pool):
-        _, streaming = pair
+    def test_empty_mask_rejected(self, selector, tiny_pool):
         with pytest.raises(ValueError, match="already selected"):
-            streaming.select_from_mask(tiny_pool.full_config, np.random.default_rng(0), np.zeros(NUM_CLIENTS, dtype=bool))
+            selector.select(tiny_pool.full_config, np.random.default_rng(0), np.zeros(NUM_CLIENTS, dtype=bool))
 
-    def test_wrong_shape_rejected(self, pair, tiny_pool):
-        _, streaming = pair
+    def test_wrong_shape_rejected(self, selector, tiny_pool):
         with pytest.raises(ValueError, match="shape"):
-            streaming.select_from_mask(tiny_pool.full_config, np.random.default_rng(0), np.ones(3, dtype=bool))
+            selector.select(tiny_pool.full_config, np.random.default_rng(0), np.ones(3, dtype=bool))
 
 
 class TestMemoryBounds:
     def test_columns_grow_with_selected_not_population(self, tiny_pool):
-        streaming = StreamingRLClientSelector(tiny_pool, num_clients=1_000_000, strategy="rl-cs")
-        assert streaming.num_touched == 0
+        selector = RLClientSelector(tiny_pool, num_clients=1_000_000, strategy="rl-cs")
+        assert selector.num_touched == 0
         full = tiny_pool.full_config
         for client in (5, 123_456, 999_999, 5):
-            streaming.update(full, full, client)
-        assert streaming.num_touched == 3
+            selector.update(full, full, client)
+        assert selector.num_touched == 3
 
     def test_reads_never_materialise_columns(self, tiny_pool):
-        streaming = StreamingRLClientSelector(tiny_pool, num_clients=1_000_000, strategy="rl-cs")
-        streaming.combined_reward(tiny_pool.full_config, 777_777)
+        selector = RLClientSelector(tiny_pool, num_clients=1_000_000, strategy="rl-cs")
+        selector.combined_reward(tiny_pool.full_config, 777_777)
         mask = np.ones(1_000_000, dtype=bool)
-        streaming.select_from_mask(tiny_pool.full_config, np.random.default_rng(0), mask)
-        assert streaming.num_touched == 0
+        selector.select(tiny_pool.full_config, np.random.default_rng(0), mask)
+        assert selector.num_touched == 0
 
 
 class TestCheckpointing:
-    def test_state_round_trips_bit_exactly(self, pair, tiny_pool):
-        _, streaming = pair
-        state = streaming.state_dict()
-        assert state["client_ids"].size == streaming.num_touched
-        restored = StreamingRLClientSelector(tiny_pool, num_clients=NUM_CLIENTS, strategy="rl-cs")
+    def test_state_round_trips_bit_exactly(self, selector, tiny_pool):
+        state = selector.state_dict()
+        assert state["client_ids"].size == selector.num_touched
+        restored = RLClientSelector(tiny_pool, num_clients=NUM_CLIENTS, strategy="rl-cs")
         restored.load_state_dict(state)
-        for name, table in streaming.snapshot().items():
+        for name, table in selector.snapshot().items():
             assert np.array_equal(table, restored.snapshot()[name]), name
 
     def test_empty_state_round_trips(self, tiny_pool):
-        fresh = StreamingRLClientSelector(tiny_pool, num_clients=8)
+        fresh = RLClientSelector(tiny_pool, num_clients=8)
         state = fresh.state_dict()
         assert state["client_ids"].size == 0
-        other = StreamingRLClientSelector(tiny_pool, num_clients=8)
+        other = RLClientSelector(tiny_pool, num_clients=8)
         other.load_state_dict(state)
         assert other.num_touched == 0
 
-    def test_invalid_state_rejected(self, pair, tiny_pool):
-        _, streaming = pair
-        state = streaming.state_dict()
+    def test_invalid_state_rejected(self, selector, tiny_pool):
+        state = selector.state_dict()
         with pytest.raises(ValueError, match="missing"):
-            streaming.load_state_dict({"client_ids": state["client_ids"]})
+            selector.load_state_dict({"client_ids": state["client_ids"]})
         bad = dict(state)
         bad["client_ids"] = np.array([NUM_CLIENTS + 1], dtype=np.int64)
         with pytest.raises(ValueError):
-            streaming.load_state_dict(bad)
+            selector.load_state_dict(bad)
 
 
 class TestValidation:
     def test_constructor_rejects_bad_arguments(self, tiny_pool):
         with pytest.raises(ValueError):
-            StreamingRLClientSelector(tiny_pool, num_clients=0)
+            RLClientSelector(tiny_pool, num_clients=0)
         with pytest.raises(ValueError):
-            StreamingRLClientSelector(tiny_pool, num_clients=3, strategy="greedy")
+            RLClientSelector(tiny_pool, num_clients=3, strategy="greedy")
         with pytest.raises(ValueError):
-            StreamingRLClientSelector(tiny_pool, num_clients=3, resource_reward_cap=0.0)
+            RLClientSelector(tiny_pool, num_clients=3, resource_reward_cap=0.0)
         with pytest.raises(ValueError):
-            StreamingRLClientSelector(tiny_pool, num_clients=3, cohort_size=0)
+            RLClientSelector(tiny_pool, num_clients=3, cohort_size=0)
 
-    def test_update_validation_matches_dense(self, pair, tiny_pool):
-        _, streaming = pair
+    def test_update_rejects_bad_arguments(self, selector, tiny_pool):
         small = tiny_pool.level_heads()["S"]
         with pytest.raises(IndexError):
-            streaming.update(tiny_pool.full_config, small, NUM_CLIENTS)
+            selector.update(tiny_pool.full_config, small, NUM_CLIENTS)
         with pytest.raises(ValueError, match="larger"):
-            streaming.update(small, tiny_pool.full_config, 0)
+            selector.update(small, tiny_pool.full_config, 0)
 
 
 # -- oracle: the per-client walk the array-backed table replaced -------------------------
@@ -379,7 +316,7 @@ def assert_tables_match_reference(selector, reference, pool):
     for model in level_models:
         assert selector.default_reward(model) == reference.default_reward(model)
         assert np.array_equal(
-            selector.selection_probabilities(model, everyone),
+            selector.selection_probabilities(model, np.ones(ORACLE_CLIENTS, dtype=bool)),
             reference.selection_probabilities(model, everyone),
         )
 
@@ -396,7 +333,7 @@ class TestWalkOracle:
             return cls(tiny_pool, ORACLE_CLIENTS, strategy=strategy, **kwargs)
 
         # a cohort narrower than the fleet exercises the cohort-sharded rank lookup
-        selector = build(StreamingRLClientSelector, cohort_size=7)
+        selector = build(RLClientSelector, cohort_size=7)
         reference = build(ReferenceStreamingSelector)
         for op in ops:
             if op[0] == "update":
@@ -408,13 +345,13 @@ class TestWalkOracle:
             elif op[0] == "select":
                 mask = np.array(op[3], dtype=bool)
                 rng, reference_rng = np.random.default_rng(op[2]), np.random.default_rng(op[2])
-                chosen = selector.select_from_mask(configs[op[1]], rng, mask)
+                chosen = selector.select(configs[op[1]], rng, mask)
                 assert type(chosen) is int
                 assert chosen == reference.select_from_mask(configs[op[1]], reference_rng, mask)
                 assert rng.bit_generator.state == reference_rng.bit_generator.state
             else:
                 state = selector.state_dict()
-                selector = build(StreamingRLClientSelector, cohort_size=7)
+                selector = build(RLClientSelector, cohort_size=7)
                 selector.load_state_dict(state)
                 reference_state = reference.state_dict()
                 reference = build(ReferenceStreamingSelector)
@@ -423,7 +360,7 @@ class TestWalkOracle:
 
     def test_degenerate_rewards_fall_back_to_a_uniform_draw(self, tiny_pool):
         """All-zero resource rows under ``rl-s`` with no untouched client left."""
-        selector = StreamingRLClientSelector(tiny_pool, 3, strategy="rl-s")
+        selector = RLClientSelector(tiny_pool, 3, strategy="rl-s")
         reference = ReferenceStreamingSelector(tiny_pool, 3, strategy="rl-s")
         state = {
             "client_ids": np.arange(3, dtype=np.int64),
@@ -435,7 +372,7 @@ class TestWalkOracle:
         mask = np.ones(3, dtype=bool)
         for seed in range(10):
             rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            chosen = selector.select_from_mask(tiny_pool.full_config, rng, mask)
+            chosen = selector.select(tiny_pool.full_config, rng, mask)
             assert chosen == reference.select_from_mask(tiny_pool.full_config, reference_rng, mask)
             assert rng.bit_generator.state == reference_rng.bit_generator.state
 
@@ -451,18 +388,18 @@ class TestWalkOracle:
             "curiosity_columns": np.ones((len(LEVELS), 2)),
             "resource_columns": np.stack([np.zeros(len(tiny_pool)), np.ones(len(tiny_pool))], axis=1),
         }
-        selector = StreamingRLClientSelector(tiny_pool, 2, strategy="rl-s")
+        selector = RLClientSelector(tiny_pool, 2, strategy="rl-s")
         reference = ReferenceStreamingSelector(tiny_pool, 2, strategy="rl-s")
         selector.load_state_dict(state)
         reference.load_state_dict(state)
         mask = np.ones(2, dtype=bool)
         assert reference.select_from_mask(tiny_pool.full_config, ZeroDraw(), mask) == 1
-        assert selector.select_from_mask(tiny_pool.full_config, ZeroDraw(), mask) == 1
+        assert selector.select(tiny_pool.full_config, ZeroDraw(), mask) == 1
 
     def test_large_table_matches_the_walk(self, tiny_pool):
         """Hundreds of touched rows: NumPy sums in pairwise blocks there, the walk does not."""
         clients = 1000
-        selector = StreamingRLClientSelector(tiny_pool, clients, cohort_size=128)
+        selector = RLClientSelector(tiny_pool, clients, cohort_size=128)
         reference = ReferenceStreamingSelector(tiny_pool, clients)
         configs = list(tiny_pool)
         script = np.random.default_rng(11)
@@ -475,18 +412,18 @@ class TestWalkOracle:
             mask = script.random(clients) < (0.1 if seed % 2 else 0.9)
             model = configs[seed % len(configs)]
             rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert selector.select_from_mask(model, rng, mask) == reference.select_from_mask(
+            assert selector.select(model, rng, mask) == reference.select_from_mask(
                 model, reference_rng, mask
             )
             assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_loaded_state_is_not_aliased(self, tiny_pool):
         """Updating after a restore must not write through into the loaded arrays."""
-        source = StreamingRLClientSelector(tiny_pool, 8)
+        source = RLClientSelector(tiny_pool, 8)
         source.update(tiny_pool.full_config, tiny_pool.full_config, 5)
         state = source.state_dict()
         frozen = {name: table.copy() for name, table in state.items()}
-        restored = StreamingRLClientSelector(tiny_pool, 8)
+        restored = RLClientSelector(tiny_pool, 8)
         restored.load_state_dict(state)
         restored.update(tiny_pool.full_config, tiny_pool.full_config, 5)
         restored.update(tiny_pool.full_config, tiny_pool.full_config, 2)
@@ -494,7 +431,7 @@ class TestWalkOracle:
             assert np.array_equal(state[name], table), name
 
     def test_unordered_state_rejected(self, tiny_pool):
-        selector = StreamingRLClientSelector(tiny_pool, 8)
+        selector = RLClientSelector(tiny_pool, 8)
         for ids in ([3, 1], [2, 2]):
             state = {
                 "client_ids": np.array(ids, dtype=np.int64),
@@ -514,19 +451,19 @@ class TestComplexityGuard:
     @pytest.fixture
     def counted(self, tiny_pool, monkeypatch):
         """A selector with 2000 touched clients and a call counter on the scalar reward."""
-        selector = StreamingRLClientSelector(tiny_pool, num_clients=5000, strategy="rl-cs")
+        selector = RLClientSelector(tiny_pool, num_clients=5000, strategy="rl-cs")
         configs = list(tiny_pool)
         for client in range(0, 2 * self.TOUCHED, 2):
             selector.update(tiny_pool.full_config, configs[client % len(configs)], client)
         assert selector.num_touched == self.TOUCHED
         calls = []
-        scalar_reward = StreamingRLClientSelector._row_reward
+        scalar_reward = RLClientSelector._row_reward
 
         def counting(self, *args):
             calls.append(args[0])
             return scalar_reward(self, *args)
 
-        monkeypatch.setattr(StreamingRLClientSelector, "_row_reward", counting)
+        monkeypatch.setattr(RLClientSelector, "_row_reward", counting)
         return selector, calls
 
     def test_selection_does_constant_scalar_reward_work(self, counted, tiny_pool):
@@ -534,7 +471,7 @@ class TestComplexityGuard:
         mask = np.ones(5000, dtype=bool)
         mask[:200] = False
         for seed in range(5):
-            selector.select_from_mask(tiny_pool.full_config, np.random.default_rng(seed), mask)
+            selector.select(tiny_pool.full_config, np.random.default_rng(seed), mask)
         assert len(calls) <= 5 * len(LEVELS)  # independent of the 2000 touched clients
 
     def test_update_recomputes_only_its_own_row(self, counted, tiny_pool):
@@ -570,8 +507,8 @@ def golden_setting(scenario, seed):
         scenario=scenario,
         seed=seed,
         overrides={
-            "num_clients": STREAMING_SELECTION_THRESHOLD,
-            "train_samples": 2 * STREAMING_SELECTION_THRESHOLD,
+            "num_clients": 4096,
+            "train_samples": 2 * 4096,
             "test_samples": 50,
             "clients_per_round": 24,
             "batch_size": 2,
@@ -602,8 +539,7 @@ class Capture(Callback):
 
 
 def fingerprint(result, algorithm):
-    """History + final-weights hashes, and proof the streaming selector ran."""
-    assert isinstance(algorithm.selector, StreamingRLClientSelector)
+    """History + final-weights hashes, and how many clients hold RL rows."""
     digest_input = b"".join(
         key.encode("utf-8") + algorithm.global_state[key].tobytes() for key in sorted(algorithm.global_state)
     )

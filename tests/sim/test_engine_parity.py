@@ -1,31 +1,22 @@
-"""Vectorized fleet engine vs the legacy event engine: bit-parity.
+"""Contracts of the fleet engine's draws, batch API and state round trip.
 
-The vectorized engine must be a drop-in replacement: for a fixed
-``draw_mode`` every :class:`RoundOutcome` field, every battery trajectory
-and every end-to-end training history is **bit-identical** between
-``engine="legacy"`` and ``engine="vectorized"`` — on static fleets,
-stochastic fleets (markov availability + jitter + dropouts + batteries +
-deadlines) and gated (``server_concurrency``) fleets alike.
+The traces themselves — every :class:`RoundOutcome` field, battery
+trajectory and end-to-end history on stochastic, gated, deadline and
+byte-budget fleets — are pinned by ``test_small_fleet_goldens.py``; here
+live the properties that hold for any trace: batched draws are a pure
+function of ``(seed, round, client)``, the batch API equals the list API,
+and a restored fleet continues bit-identically.
 """
 
 import numpy as np
-import pytest
 
 from repro.sim.fleet import ClientDispatch, DispatchBatch, FleetSimulator
-from repro.sim.scenario import (
-    AvailabilitySpec,
-    BatterySpec,
-    DeviceTemplate,
-    NetworkSpec,
-    ScenarioSpec,
-)
-
-DRAW_MODES = ["per-client", "batched"]
+from repro.sim.scenario import AvailabilitySpec, BatterySpec, DeviceTemplate, ScenarioSpec
 
 
-def stochastic_spec(**overrides):
-    """Every dynamic subsystem on at once: the hardest parity target."""
-    kwargs = dict(
+def stochastic_spec():
+    """Every dynamic subsystem on at once."""
+    return ScenarioSpec(
         name="engine-parity",
         devices=(
             DeviceTemplate(
@@ -42,8 +33,6 @@ def stochastic_spec(**overrides):
         dropout_rate=0.15,
         deadline_factor=2.0,
     )
-    kwargs.update(overrides)
-    return ScenarioSpec(**kwargs)
 
 
 def dispatches_for(clients, params=40_000, flops=20_000, samples=60, epochs=2):
@@ -79,59 +68,13 @@ def run_rounds(fleet, num_rounds=6, k=8):
     return outcomes
 
 
-class TestRoundOutcomeParity:
-    @pytest.mark.parametrize("draw_mode", DRAW_MODES)
-    def test_stochastic_rounds_bit_identical(self, draw_mode):
-        legacy = FleetSimulator(stochastic_spec(), num_clients=24, seed=7, engine="legacy", draw_mode=draw_mode)
-        vector = FleetSimulator(stochastic_spec(), num_clients=24, seed=7, engine="vectorized", draw_mode=draw_mode)
-        for left, right in zip(run_rounds(legacy), run_rounds(vector)):
-            outcomes_equal(left, right)
-        # battery trajectories advanced identically
-        assert np.array_equal(legacy.state_dict()["charge"], vector.state_dict()["charge"])
-        assert legacy.state_dict()["recovering"] == vector.state_dict()["recovering"]
-
-    @pytest.mark.parametrize("draw_mode", DRAW_MODES)
-    def test_gated_network_bit_identical(self, draw_mode):
-        spec = stochastic_spec(network=NetworkSpec(server_concurrency=2), deadline_factor=None)
-        legacy = FleetSimulator(spec, num_clients=16, seed=3, engine="legacy", draw_mode=draw_mode)
-        vector = FleetSimulator(spec, num_clients=16, seed=3, engine="vectorized", draw_mode=draw_mode)
-        for left, right in zip(run_rounds(legacy), run_rounds(vector)):
-            outcomes_equal(left, right)
-
-    def test_fixed_deadline_and_empty_rounds(self):
-        spec = stochastic_spec(deadline_factor=None, deadline_seconds=30.0)
-        legacy = FleetSimulator(spec, num_clients=12, seed=5, engine="legacy")
-        vector = FleetSimulator(spec, num_clients=12, seed=5, engine="vectorized")
-        for round_index in range(4):
-            clients = legacy.available_clients(round_index)[:5] if round_index % 2 else []
-            outcomes_equal(
-                legacy.simulate_round(round_index, dispatches_for(clients)),
-                vector.simulate_round(round_index, dispatches_for(clients)),
-            )
-
-    def test_availability_masks_identical(self):
-        legacy = FleetSimulator(stochastic_spec(), num_clients=32, seed=11, engine="legacy")
-        vector = FleetSimulator(stochastic_spec(), num_clients=32, seed=11, engine="vectorized")
-        for round_index in range(8):
-            assert np.array_equal(legacy.available_mask(round_index), vector.available_mask(round_index))
-            assert legacy.available_clients(round_index) == vector.available_clients(round_index)
-
-
-class TestDrawModeThreshold:
-    def test_auto_draw_mode_switches_at_threshold(self):
-        from repro.sim.fleet import BATCHED_DRAW_THRESHOLD
-
-        small = FleetSimulator(stochastic_spec(), num_clients=16, seed=0)
-        assert small.engine == "vectorized" and small.draw_mode == "per-client"
-        large = FleetSimulator(stochastic_spec(), num_clients=BATCHED_DRAW_THRESHOLD, seed=0)
-        assert large.draw_mode == "batched"
-
+class TestBatchedDraws:
     def test_batched_draws_deterministic_across_instances(self):
-        """Satellite: generator construction is batched per (tag, round) and
+        """Generator construction is batched per (tag, round) and
         the draws are a pure function of (seed, round, client) — two fleets
         and repeated queries agree bit-for-bit."""
-        first = FleetSimulator(stochastic_spec(), num_clients=40, seed=13, draw_mode="batched")
-        second = FleetSimulator(stochastic_spec(), num_clients=40, seed=13, draw_mode="batched")
+        first = FleetSimulator(stochastic_spec(), num_clients=40, seed=13)
+        second = FleetSimulator(stochastic_spec(), num_clients=40, seed=13)
         ids = [3, 7, 21, 38]
         for round_index in range(3):
             a = first._dispatch_draws(round_index, ids)
@@ -143,7 +86,7 @@ class TestDrawModeThreshold:
 
     def test_batched_subset_matches_full_population_draws(self):
         """A dispatched subset indexes the same full-population vectors."""
-        fleet = FleetSimulator(stochastic_spec(), num_clients=40, seed=13, draw_mode="batched")
+        fleet = FleetSimulator(stochastic_spec(), num_clients=40, seed=13)
         subset = fleet._dispatch_draws(2, [5, 17, 29])
         everyone = fleet._dispatch_draws(2, list(range(40)))
         for attr in ("factor", "down_jitter", "up_jitter", "drop_fraction"):
@@ -154,8 +97,8 @@ class TestDrawModeThreshold:
 
 class TestBatchAPI:
     def test_simulate_round_batch_matches_list_api(self):
-        list_fleet = FleetSimulator(stochastic_spec(), num_clients=24, seed=9, engine="vectorized")
-        batch_fleet = FleetSimulator(stochastic_spec(), num_clients=24, seed=9, engine="vectorized")
+        list_fleet = FleetSimulator(stochastic_spec(), num_clients=24, seed=9)
+        batch_fleet = FleetSimulator(stochastic_spec(), num_clients=24, seed=9)
         for round_index in range(4):
             clients = list_fleet.available_clients(round_index)[:8]
             dispatches = dispatches_for(clients)
@@ -173,97 +116,19 @@ class TestBatchAPI:
 
 
 class TestStateRoundTrip:
-    @pytest.mark.parametrize("engine", ["legacy", "vectorized"])
-    def test_resume_is_bit_identical(self, engine):
-        reference = FleetSimulator(stochastic_spec(), num_clients=20, seed=4, engine=engine)
+    def test_resume_is_bit_identical(self):
+        reference = FleetSimulator(stochastic_spec(), num_clients=20, seed=4)
         run_rounds(reference, num_rounds=6)
 
-        first = FleetSimulator(stochastic_spec(), num_clients=20, seed=4, engine=engine)
+        first = FleetSimulator(stochastic_spec(), num_clients=20, seed=4)
         run_rounds(first, num_rounds=3)
-        resumed = FleetSimulator(stochastic_spec(), num_clients=20, seed=4, engine=engine)
+        resumed = FleetSimulator(stochastic_spec(), num_clients=20, seed=4)
         resumed.load_state_dict(first.state_dict())
         for round_index in range(3, 6):
             clients = resumed.available_clients(round_index)[:8]
             resumed.simulate_round(round_index, dispatches_for(clients))
         assert np.array_equal(reference.state_dict()["charge"], resumed.state_dict()["charge"])
         assert reference.state_dict()["recovering"] == resumed.state_dict()["recovering"]
-
-    def test_cross_engine_state_is_interchangeable(self):
-        legacy = FleetSimulator(stochastic_spec(), num_clients=20, seed=4, engine="legacy")
-        run_rounds(legacy, num_rounds=3)
-        vector = FleetSimulator(stochastic_spec(), num_clients=20, seed=4, engine="vectorized")
-        vector.load_state_dict(legacy.state_dict())
-        for round_index in range(3, 6):
-            clients = vector.available_clients(round_index)[:8]
-            vector.simulate_round(round_index, dispatches_for(clients))
-        reference = FleetSimulator(stochastic_spec(), num_clients=20, seed=4, engine="legacy")
-        run_rounds(reference, num_rounds=6)
-        assert np.array_equal(reference.state_dict()["charge"], vector.state_dict()["charge"])
-
-
-@pytest.fixture(scope="module")
-def e2e_setup():
-    """A tiny 17-client federation for end-to-end engine parity runs."""
-    from repro.core.config import FederatedConfig, LocalTrainingConfig, ModelPoolConfig
-    from repro.data.datasets import SyntheticTaskConfig, synthesize_classification_task
-    from repro.data.partition import iid_partition
-    from repro.devices.resources import ResourceModel
-    from repro.devices.testbed import TestbedSimulator
-    from repro.nn.models import SlimmableSimpleCNN
-
-    arch = SlimmableSimpleCNN(num_classes=4, input_shape=(1, 8, 8), width_multiplier=0.5, hidden_features=32)
-    config = SyntheticTaskConfig(
-        num_classes=4, input_shape=(1, 8, 8), train_samples=510, test_samples=170,
-        clusters_per_class=1, noise_std=0.35, label_noise=0.0, seed=11,
-    )
-    train, test = synthesize_classification_task(config)
-    partition = iid_partition(train, 17, np.random.default_rng(2))
-    profiles = TestbedSimulator().build_profiles()
-    resource_model = ResourceModel(profiles, arch.parameter_count(), uncertainty=0.1, seed=2)
-    return {
-        "pool": ModelPoolConfig(models_per_level=3, start_layers=(2, 2, 1), min_start_layer=1),
-        "federated": FederatedConfig(num_rounds=3, clients_per_round=5, eval_every=3),
-        "local": LocalTrainingConfig(local_epochs=1, batch_size=16, max_batches_per_epoch=2),
-        "kwargs": dict(
-            architecture=arch, train_dataset=train, partition=partition, test_dataset=test,
-            profiles=profiles, resource_model=resource_model, seed=2,
-        ),
-    }
-
-
-class TestEndToEndParity:
-    """Histories + final weights bit-identical across engines on flaky_edge."""
-
-    def build(self, setup, cls, engine):
-        from repro.core.config import AdaptiveFLConfig
-        from repro.core.server import AdaptiveFL
-
-        extra = {}
-        if cls is AdaptiveFL:
-            extra["algorithm_config"] = AdaptiveFLConfig(
-                federated=setup["federated"], local=setup["local"], pool=setup["pool"]
-            )
-        return cls(
-            **setup["kwargs"], pool_config=setup["pool"], federated_config=setup["federated"],
-            local_config=setup["local"], scenario="flaky_edge", fleet_engine=engine, **extra,
-        )
-
-    def algorithms(self):
-        from repro.baselines import HeteroFL
-        from repro.core.server import AdaptiveFL
-
-        return [AdaptiveFL, HeteroFL]
-
-    @pytest.mark.parametrize("index", [0, 1], ids=["adaptivefl", "heterofl"])
-    def test_history_and_weights_bit_identical(self, e2e_setup, index):
-        cls = self.algorithms()[index]
-        legacy = self.build(e2e_setup, cls, "legacy")
-        vector = self.build(e2e_setup, cls, "vectorized")
-        legacy_history = legacy.run()
-        vector_history = vector.run()
-        assert legacy_history.to_dict() == vector_history.to_dict()
-        for key in legacy.global_state:
-            assert np.array_equal(legacy.global_state[key], vector.global_state[key]), key
 
 
 class TestPopulationStats:

@@ -20,9 +20,9 @@ on the same golden.
 
 The fixtures were generated on the last commit that still had a second
 fleet engine, a dense RL selector and per-client draws, with the path
-that survives forced on (``selector_backend="streaming"``,
-``engine="vectorized"``, ``draw_mode="batched"``).  Regenerate only for a
-deliberate trace change:
+that survives forced on — they are what that commit's streaming selector
+and vectorised engine with batched draws produced at this size.
+Regenerate only for a deliberate trace change:
 ``PYTHONPATH=src python tests/sim/test_small_fleet_goldens.py``.
 """
 
@@ -34,7 +34,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro.sim.fleet as fleet_module
 from repro.api.callbacks import Callback
 from repro.baselines import HeteroFL
 from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig, ModelPoolConfig
@@ -58,13 +57,6 @@ from repro.store.runstore import RunRecorder, RunStore
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "small_fleet.json"
 SEEDS = (0, 1)
-
-
-@pytest.fixture(autouse=True)
-def surviving_half(monkeypatch):
-    """Force batched draws below the ``auto`` threshold (not plumbed through
-    ``FederatedAlgorithm``)."""
-    monkeypatch.setattr(fleet_module, "BATCHED_DRAW_THRESHOLD", 1)
 
 
 # -- the fleet alone ---------------------------------------------------------------------
@@ -105,9 +97,7 @@ FLEET_CASES = [(name, seed) for name in FLEET_SPECS for seed in SEEDS]
 
 def fleet_trace(name, seed):
     """Drive one fleet for ``FLEET_ROUNDS`` rounds; hash everything it decided."""
-    fleet = FleetSimulator(
-        FLEET_SPECS[name], num_clients=FLEET_CLIENTS, seed=seed, engine="vectorized", draw_mode="batched"
-    )
+    fleet = FleetSimulator(FLEET_SPECS[name], num_clients=FLEET_CLIENTS, seed=seed)
     rounds, aggregated, sitting_out = [], [], []
     for round_index in range(FLEET_ROUNDS):
         mask = fleet.available_mask(round_index)
@@ -188,9 +178,7 @@ def build_algorithm(federation, algorithm, scenario, seed):
     local = LocalTrainingConfig(local_epochs=1, batch_size=16, max_batches_per_epoch=2)
     extra = {}
     if algorithm == "adaptivefl":
-        extra["algorithm_config"] = AdaptiveFLConfig(
-            federated=federated, local=local, pool=pool, selector_backend="streaming"
-        )
+        extra["algorithm_config"] = AdaptiveFLConfig(federated=federated, local=local, pool=pool)
     return ALGORITHMS[algorithm](
         **federation, pool_config=pool, federated_config=federated, local_config=local,
         scenario=SCENARIOS[scenario], seed=seed, **extra,
@@ -230,6 +218,16 @@ def case_name(*parts):
     return "-".join(str(part) for part in parts[:-1]) + f"-seed{parts[-1]}"
 
 
+def counts(case):
+    """A fixture entry's per-round ``"aggregated/dispatched"`` strings as int pairs."""
+    return [tuple(map(int, entry.split("/"))) for entry in case["aggregated"]]
+
+
+def fell_short(case):
+    """True when some round aggregated fewer updates than it dispatched."""
+    return any(done < sent for done, sent in counts(case))
+
+
 @pytest.fixture(scope="module")
 def goldens():
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -242,14 +240,11 @@ class TestFleetGoldens:
 
     def test_cases_show_their_dynamics(self, goldens):
         """Each spec exercises the subsystem it is named for (read off the fixture)."""
-        counts = {
-            name: [tuple(map(int, entry.split("/"))) for entry in case["aggregated"]]
-            for name, case in goldens["fleet"].items()
-        }
         for seed in SEEDS:
-            assert any(done < sent for done, sent in counts[case_name("stochastic", seed)])
-            assert any(done < sent for done, sent in counts[case_name("byte_budget", seed)])
-            assert [sent for _, sent in counts[case_name("fixed_deadline", seed)]][::2] == [0, 0, 0]
+            cases = {name: goldens["fleet"][case_name(name, seed)] for name in FLEET_SPECS}
+            assert fell_short(cases["stochastic"]) and any(cases["stochastic"]["sitting_out"])
+            assert fell_short(cases["byte_budget"])
+            assert [sent for _, sent in counts(cases["fixed_deadline"])][::2] == [0, 0, 0]
 
 
 class TestEndToEndGoldens:
@@ -260,14 +255,10 @@ class TestEndToEndGoldens:
     def test_cases_show_their_dynamics(self, goldens):
         for algorithm in ALGORITHMS:
             for seed in SEEDS:
-                empty = [
-                    entry.startswith("0/")
-                    for entry in goldens["e2e"][case_name(algorithm, "fixed_deadline", seed)]["aggregated"]
-                ]
+                empty = [done == 0 for done, _ in counts(goldens["e2e"][case_name(algorithm, "fixed_deadline", seed)])]
                 assert any(empty) and not all(empty)
                 for scenario in ("flaky_edge", "battery_constrained", "byte_budget"):
-                    counts = goldens["e2e"][case_name(algorithm, scenario, seed)]["aggregated"]
-                    assert any(int(done) < int(sent) for done, sent in (entry.split("/") for entry in counts)), scenario
+                    assert fell_short(goldens["e2e"][case_name(algorithm, scenario, seed)]), scenario
 
     def test_crash_and_resume_reproduces_the_golden(self, goldens, federation, tmp_path):
         store = RunStore(tmp_path / "store")
@@ -282,7 +273,6 @@ class TestEndToEndGoldens:
 
 
 if __name__ == "__main__":
-    fleet_module.BATCHED_DRAW_THRESHOLD = 1
     shared = build_federation()
     fixtures = {
         "fleet": {case_name(*case): fleet_trace(*case) for case in FLEET_CASES},
