@@ -115,6 +115,9 @@ def run_algorithm(
     completed run returns its stored result without training, and a
     partially checkpointed run restores its latest checkpoint and trains
     only the remaining rounds — bit-identically to an uninterrupted run.
+    Checkpoints are written in the background of the next round; the store
+    is flushed before this function returns *or raises*, so every round
+    handed to it is on disk by then and a failed write is raised here.
 
     ``executor`` injects a pre-built, caller-owned executor (see
     :meth:`~repro.core.fl_base.FederatedAlgorithm.set_executor`) — the
@@ -178,9 +181,14 @@ def run_algorithm(
         return AlgorithmResult.from_history(label, algorithm.history)
     recorder = RunRecorder(store, entry.run_id, every=checkpoint_every)
     run_callbacks = (_materialize_callbacks(callbacks) or []) + [recorder]
-    history = algorithm.run(
-        num_rounds=total_rounds - completed, callbacks=run_callbacks, profile=profile
-    )
+    try:
+        history = algorithm.run(
+            num_rounds=total_rounds - completed, callbacks=run_callbacks, profile=profile
+        )
+    finally:
+        # an exception escaping the loop must not race whoever resumes next:
+        # the checkpoint being written is on disk (or has raised) before it leaves
+        store.flush()
     store.finish_run(entry.run_id, history, stop_reason=algorithm.stop_reason)
     summary = algorithm.profiler.summary() if profile else None
     return AlgorithmResult.from_history(label, history, profile=summary)

@@ -33,7 +33,7 @@ type                  emitted when
 ``client_reconnect``  a known client name re-attaches
 ``client_disconnect`` a client's connection is torn down
 ``straggler_requeue`` a dispatched task times out and is requeued
-``checkpoint_saved``  the run store persists a checkpoint
+``checkpoint_saved``  the run store observes a checkpoint's write finished
 ``eval_done``         an evaluation pass produced metrics
 ``run_end``           a federated run finished
 ===================== =====================================================

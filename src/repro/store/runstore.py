@@ -21,22 +21,30 @@ address, so truncation anywhere surfaces as
 wrong resume.
 
 :class:`RunRecorder` is the callback that feeds a store from a live run:
-it persists a checkpoint on the ``on_checkpoint`` hook (every ``every``
-rounds and always on the final/stopped round) and can prune older
-manifests to bound disk use (blobs are shared and therefore never
-pruned here).
+it hands a checkpoint to the store on the ``on_checkpoint`` hook (every
+``every`` rounds and always on the final/stopped round) and can prune
+older manifests to bound disk use (blobs are shared and therefore never
+pruned here).  The store writes a handed-off checkpoint on a background
+thread, one at a time per :class:`RunStore` handle, so the next round
+trains while the previous round's state goes to disk;
+:meth:`RunStore.flush` (called by every checkpoint read path, by the
+next hand-off and when the run ends) is where that write becomes
+visible and where its failure, if any, is raised.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 import numpy as np
 
 from repro.api.callbacks import Callback
+from repro.obs.clock import perf_counter
+from repro.obs.events import get_event_bus
 from repro.store.checkpoint import CHECKPOINT_SCHEMA_VERSION, Checkpoint, CheckpointSchemaError
 from repro.store.objects import (
     ObjectStore,
@@ -76,10 +84,53 @@ class RunEntry:
         return self.status == "completed"
 
 
+class _CheckpointWrite(threading.Thread):
+    """One checkpoint write in flight; keeps the write's error and duration.
+
+    Non-daemon, so the interpreter never exits on a half-written
+    checkpoint; whoever joins it (:meth:`RunStore.flush`) re-raises
+    ``error`` on the thread that owns the handle.
+    """
+
+    def __init__(
+        self, write: Callable[..., object], run_id: str, checkpoint: Checkpoint, keep: int | None, trace_id: str
+    ):
+        super().__init__(
+            target=write,
+            args=(run_id, checkpoint, keep),
+            name=f"repro-checkpoint-{run_id}-{checkpoint.round_index}",
+            daemon=False,
+        )
+        self.run_id = run_id
+        self.round_index = checkpoint.round_index
+        self.trace_id = trace_id
+        self.error: BaseException | None = None
+        self.seconds = 0.0
+
+    def run(self) -> None:
+        started = perf_counter()
+        try:
+            super().run()  # drops its reference to the snapshot when the write ends
+        except BaseException as error:  # noqa: BLE001 - re-raised by RunStore.flush
+            self.error = error
+        finally:
+            self.seconds = perf_counter() - started
+
+
 class RunStore:
-    """Content-addressed on-disk store of runs, checkpoints and histories."""
+    """Content-addressed on-disk store of runs, checkpoints and histories.
+
+    A handle belongs to one thread.  It keeps at most one checkpoint write
+    in flight (:meth:`save_checkpoint` with ``background=True``); every
+    method that reads or lists checkpoints, :meth:`finish_run` and the next
+    save :meth:`flush` it first, so a handle always reads its own writes
+    and a failed background write is raised before anything builds on it.
+    Other handles and processes see a checkpoint once its manifest has
+    been renamed into place.
+    """
 
     def __init__(self, root: str | Path, *, create: bool = True):
+        self._in_flight: _CheckpointWrite | None = None
         self.root = Path(root)
         marker = self.root / "store.json"
         if not create and not marker.exists():
@@ -171,7 +222,12 @@ class RunStore:
         return entry is not None and entry.completed
 
     def finish_run(self, run_id: str, history: "TrainingHistory", stop_reason: str | None = None) -> None:
-        """Mark a run completed and persist its final history."""
+        """Mark a run completed and persist its final history.
+
+        Flushes first: a run is never marked completed past a checkpoint
+        whose background write failed.
+        """
+        self.flush()
         entry = self.get_run(run_id)
         if entry is None:
             raise ValueError(f"run {run_id} was never registered with begin_run")
@@ -199,6 +255,11 @@ class RunStore:
 
     def checkpoint_rounds(self, run_id: str) -> list[int]:
         """Rounds with a stored checkpoint, ascending (empty = none yet)."""
+        self.flush()
+        return self._checkpoint_rounds(run_id)
+
+    def _checkpoint_rounds(self, run_id: str) -> list[int]:
+        """:meth:`checkpoint_rounds` without the flush (the writer thread prunes through it)."""
         directory = self._checkpoint_dir(run_id)
         if not directory.exists():
             return []
@@ -210,16 +271,74 @@ class RunStore:
                 continue
         return sorted(rounds)
 
-    def save_checkpoint(self, run_id: str, checkpoint: Checkpoint, keep: int | None = None) -> Path:
+    def save_checkpoint(
+        self,
+        run_id: str,
+        checkpoint: Checkpoint,
+        keep: int | None = None,
+        *,
+        background: bool = False,
+        trace_id: str = "",
+    ) -> Path:
         """Persist one checkpoint; returns the manifest path.
 
         Arrays go to the content-addressed object store (deduplicated);
         the manifest references them by digest and carries a checksum over
         its own canonical JSON.  ``keep`` prunes older manifests down to
         the newest ``keep`` (blobs stay — they may be shared across runs).
+
+        The checkpoint is durable when this returns.  With
+        ``background=True`` (the hand-off :class:`RunRecorder` uses) it
+        returns as soon as the write has *started* on a writer thread:
+        the caller must not mutate ``checkpoint`` afterwards, and the
+        manifest exists — or the write's exception is raised — at the
+        next :meth:`flush`.  Either way the previous background write is
+        flushed first and ``run_id``/``keep`` are checked before a byte is
+        written.  ``trace_id`` tags the ``checkpoint_saved`` event.
         """
+        self.flush()
+        if keep is not None and keep < 1:
+            raise ValueError("keep must be at least 1")
         if self.get_run(run_id) is None:
             raise ValueError(f"run {run_id} was never registered with begin_run")
+        self._in_flight = _CheckpointWrite(self._write_checkpoint, run_id, checkpoint, keep, trace_id)
+        self._in_flight.start()
+        if not background:
+            self.flush()
+        return self._manifest_path(run_id, checkpoint.round_index)
+
+    def flush(self) -> None:
+        """Wait for the checkpoint write in flight, if any; re-raise its error.
+
+        On success emits ``checkpoint_saved`` — here, on the caller's
+        thread, because this is the first moment the manifest is known to
+        exist — with ``write_ms`` (how long the write took) and
+        ``blocked_ms`` (how much of that the caller spent waiting here).
+        An error is raised once; the slot is empty afterwards.
+        """
+        write = self._in_flight
+        if write is None:
+            return
+        started = perf_counter()
+        write.join()
+        self._in_flight = None
+        if write.error is not None:
+            raise write.error
+        get_event_bus().emit(
+            "checkpoint_saved",
+            trace_id=write.trace_id,
+            run_id=write.run_id,
+            round=write.round_index,
+            write_ms=round(write.seconds * 1000.0, 3),
+            blocked_ms=round((perf_counter() - started) * 1000.0, 3),
+        )
+
+    def _write_checkpoint(self, run_id: str, checkpoint: Checkpoint, keep: int | None) -> None:
+        """Blobs first, manifest last, prune after (runs on the writer thread).
+
+        Must not call :meth:`flush` or anything that does: a thread cannot
+        join itself.
+        """
         arrays: dict[str, dict] = {}
         for prefix, group in (("global", checkpoint.global_state), ("extra", checkpoint.extra_arrays)):
             for key, value in group.items():
@@ -239,15 +358,17 @@ class RunStore:
             "extra_state": checkpoint.extra_state,
             "stop_reason": checkpoint.stop_reason,
         }
+        # the checksum is over the canonical (sorted) form; the file keeps
+        # insertion order, so a resumed history serialises byte-for-byte
+        # like the uninterrupted one (level_accuracies is S, M, L — unsorted)
         body["checksum"] = sha256_hex(canonical_json(body).encode("utf-8"))
-        path = self._manifest_path(run_id, checkpoint.round_index)
-        write_atomic(path, json.dumps(body, indent=2) + "\n")
+        write_atomic(
+            self._manifest_path(run_id, checkpoint.round_index),
+            json.dumps(body, separators=(",", ":")) + "\n",
+        )
         if keep is not None:
-            if keep < 1:
-                raise ValueError("keep must be at least 1")
-            for stale in self.checkpoint_rounds(run_id)[:-keep]:
+            for stale in self._checkpoint_rounds(run_id)[:-keep]:
                 self._manifest_path(run_id, stale).unlink(missing_ok=True)
-        return path
 
     def load_checkpoint(self, run_id: str, round_index: int | None = None) -> Checkpoint:
         """Load one checkpoint (default: the latest round), fully verified.
@@ -257,7 +378,7 @@ class RunStore:
         canonical body, and every referenced blob must hash to its
         content address.  Any failure raises with the offending path.
         """
-        rounds = self.checkpoint_rounds(run_id)
+        rounds = self.checkpoint_rounds(run_id)  # flushes the write in flight
         if not rounds:
             raise ValueError(f"run {run_id} has no checkpoints")
         if round_index is None:
@@ -330,11 +451,17 @@ class RunStore:
 class RunRecorder(Callback):
     """Callback that checkpoints a live run into a :class:`RunStore`.
 
-    Writes on the :meth:`~repro.api.callbacks.Callback.on_checkpoint`
-    hook — the last hook of every round, after any late evaluation — so a
-    crash between rounds loses at most the round in flight.  ``every``
-    thins the cadence (the final and early-stopped rounds are always
-    persisted); ``keep`` bounds how many manifests stay on disk.
+    Hands the round's snapshot to the store on the
+    :meth:`~repro.api.callbacks.Callback.on_checkpoint` hook — the last
+    hook of every round, after any late evaluation — and lets the store
+    write it while the next round trains; ``on_fit_end`` flushes the last
+    one.  An exception or a normal exit therefore loses nothing (the
+    writer thread is non-daemon and ``run_algorithm`` flushes on the way
+    out); a ``kill -9`` loses at most the round in flight and the one
+    checkpoint being written.  A failed write is raised at the next
+    hand-off or flush.  ``every`` thins the cadence (the final and
+    early-stopped rounds are always persisted); ``keep`` bounds how many
+    manifests stay on disk.
     """
 
     def __init__(self, store: RunStore, run_id: str, every: int = 1, keep: int | None = None):
@@ -355,7 +482,7 @@ class RunRecorder(Callback):
             self._start_round = round_index
 
     def on_checkpoint(self, algorithm: "FederatedAlgorithm", record: "RoundRecord") -> None:
-        """Persist the algorithm's state if this round is on the cadence."""
+        """Hand the algorithm's state to the store if this round is on the cadence."""
         start = self._start_round if self._start_round is not None else 0
         completed_here = record.round_index - start + 1
         is_last = algorithm.planned_rounds is not None and completed_here >= algorithm.planned_rounds
@@ -363,17 +490,19 @@ class RunRecorder(Callback):
         stopping = algorithm.stop_reason is not None
         if not (due or stopping or is_last):
             return
-        self.store.save_checkpoint(self.run_id, algorithm.checkpoint_state(), keep=self.keep)
-        from repro.obs.events import get_event_bus
-
-        get_event_bus().emit(
-            "checkpoint_saved",
+        self.store.save_checkpoint(
+            self.run_id,
+            algorithm.checkpoint_state(),
+            keep=self.keep,
+            background=True,
             trace_id=algorithm.current_trace_id,
-            run_id=self.run_id,
-            round=record.round_index,
         )
         # the driver re-fires on_checkpoint when a checkpoint callback stops
         # the run (the record gains its late evaluation); the manifest write
         # above overwrites by round index, so only the log needs deduping
         if not self.saved_rounds or self.saved_rounds[-1] != record.round_index:
             self.saved_rounds.append(record.round_index)
+
+    def on_fit_end(self, algorithm: "FederatedAlgorithm", history: "TrainingHistory") -> None:
+        """Wait for the last checkpoint: it is on disk (or has raised) when ``run()`` returns."""
+        self.store.flush()

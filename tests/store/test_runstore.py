@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.history import RoundRecord, TrainingHistory
 from repro.store.checkpoint import CHECKPOINT_SCHEMA_VERSION, Checkpoint, CheckpointSchemaError
-from repro.store.objects import ObjectStore, StoreCorruptionError
+from repro.store.objects import ObjectStore, StoreCorruptionError, canonical_json, sha256_hex
 from repro.store.runstore import RunStore
 
 
@@ -178,3 +178,46 @@ class TestCheckpoints:
         store = RunStore(tmp_path)
         with pytest.raises(ValueError, match="never registered"):
             store.save_checkpoint("feedfacedeadbeef", make_checkpoint())
+
+    @pytest.mark.parametrize("background", [False, True])
+    def test_refusals_happen_before_anything_is_written(self, tmp_path, background):
+        store = RunStore(tmp_path)
+        entry = store.begin_run(KEY)
+        before = sorted(str(path) for path in tmp_path.rglob("*"))
+        with pytest.raises(ValueError, match="keep must be at least 1"):
+            store.save_checkpoint(entry.run_id, make_checkpoint(), keep=0, background=background)
+        with pytest.raises(ValueError, match="never registered"):
+            store.save_checkpoint("feedfacedeadbeef", make_checkpoint(), background=background)
+        store.flush()
+        assert sorted(str(path) for path in tmp_path.rglob("*")) == before
+        assert store.checkpoint_rounds(entry.run_id) == []
+
+    def test_manifest_is_one_compact_line_checksummed_over_its_canonical_form(self, tmp_path):
+        store = RunStore(tmp_path)
+        entry = store.begin_run(KEY)
+        path = store.save_checkpoint(entry.run_id, make_checkpoint())
+        text = path.read_text()
+        body = json.loads(text)
+        assert text == json.dumps(body, separators=(",", ":")) + "\n"
+        checksum = body.pop("checksum")
+        assert checksum == sha256_hex(canonical_json(body).encode("utf-8"))
+
+    def test_loaded_history_keeps_its_key_order(self, tmp_path):
+        """A resumed run re-serialises its history: sorted keys would change history.json's bytes."""
+        store = RunStore(tmp_path)
+        entry = store.begin_run(KEY)
+        checkpoint = make_checkpoint()
+        checkpoint.history["rounds"][-1]["level_accuracies"] = {"S": 0.1, "M": 0.2, "L": 0.3}
+        store.save_checkpoint(entry.run_id, checkpoint)
+        loaded = store.load_checkpoint(entry.run_id)
+        assert json.dumps(loaded.history) == json.dumps(checkpoint.history)
+        assert json.dumps(loaded.rng_state) == json.dumps(checkpoint.rng_state)
+
+    def test_indented_manifest_of_an_earlier_build_still_loads(self, tmp_path):
+        store = RunStore(tmp_path)
+        entry = store.begin_run(KEY)
+        path = store.save_checkpoint(entry.run_id, make_checkpoint())
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=2) + "\n")
+        loaded = store.load_checkpoint(entry.run_id)
+        assert loaded.history == make_checkpoint().history
+        assert np.array_equal(loaded.global_state["conv.bias"], np.ones(3, dtype=np.float32))
