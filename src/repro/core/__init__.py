@@ -43,6 +43,7 @@ _EXPORTS: dict[str, str] = {
     "RoundRecord": "repro.core.history",
     "evaluate_model": "repro.core.metrics",
     "evaluate_state": "repro.core.metrics",
+    "evaluate_heads": "repro.core.metrics",
     "communication_waste_rate": "repro.core.metrics",
     "slice_tensor": "repro.core.pruning",
     "slice_state_dict": "repro.core.pruning",

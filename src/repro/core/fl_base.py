@@ -36,7 +36,7 @@ from repro.core.config import FederatedConfig, LocalTrainingConfig, ModelPoolCon
 from repro.core.client import SimulatedClient
 from repro.core.history import RoundRecord, TrainingHistory
 from repro.core.local_training import LocalTrainingResult
-from repro.core.metrics import evaluate_state
+from repro.core.metrics import evaluate_heads
 from repro.core.pruning import slice_state_dict
 from repro.engine.base import Executor
 from repro.engine.codecs import EncodedUpdate, UpdateCodec, apply_encoded_update, get_codec
@@ -703,35 +703,19 @@ class FederatedAlgorithm(ABC):
     # -- evaluation -----------------------------------------------------------------------
     def evaluate(self) -> tuple[float, dict[str, float]]:
         """Accuracy of the full global model and of the per-level heads."""
-        full_sizes = self.architecture.full_group_sizes()
-        full_accuracy, _ = evaluate_state(
+        (full_accuracy, _), heads = evaluate_heads(
             self.architecture,
-            full_sizes,
+            self.level_group_sizes(),
             self.global_state,
             self.test_dataset,
             batch_size=self.federated_config.eval_batch_size,
             model_cache=self._eval_model_cache,
         )
-        level_accuracies: dict[str, float] = {}
-        for level, group_sizes in self.level_group_sizes().items():
-            if group_sizes == full_sizes:
-                # the L-level head *is* the unpruned model — same weights,
-                # same data, same deterministic forward: reuse the result
-                level_accuracies[level] = full_accuracy
-                continue
-            accuracy, _ = evaluate_state(
-                self.architecture,
-                group_sizes,
-                self.global_state,
-                self.test_dataset,
-                batch_size=self.federated_config.eval_batch_size,
-                model_cache=self._eval_model_cache,
-            )
-            level_accuracies[level] = accuracy
-        return full_accuracy, level_accuracies
+        return full_accuracy, {level: accuracy for level, (accuracy, _) in heads.items()}
 
     def _record_evaluation(self, record: RoundRecord) -> None:
-        full_accuracy, level_accuracies = self.evaluate()
+        with self.profiler.scope("evaluate"):
+            full_accuracy, level_accuracies = self.evaluate()
         record.full_accuracy = full_accuracy
         record.level_accuracies = level_accuracies
         record.avg_accuracy = float(np.mean(list(level_accuracies.values()))) if level_accuracies else None
@@ -940,8 +924,7 @@ class FederatedAlgorithm(ABC):
                     round_index == start + rounds - 1
                 )
                 if should_eval:
-                    with self.profiler.scope("evaluate"):
-                        self._record_evaluation(record)
+                    self._record_evaluation(record)
                 self.history.append(record)
                 if should_eval:
                     callback_list.on_evaluate(self, record)

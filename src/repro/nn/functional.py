@@ -269,11 +269,14 @@ def conv2d_forward(
 
 
 def conv2d_backward(
-    grad_out: np.ndarray, cache: tuple, ws: Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    grad_out: np.ndarray, cache: tuple, ws: Workspace | None = None, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Backward pass of :func:`conv2d_forward`.
 
-    Returns ``(grad_x, grad_weight, grad_bias)``.
+    Returns ``(grad_x, grad_weight, grad_bias)``.  ``input_grad=False``
+    skips the ``W.T @ grad`` GEMM and the :func:`col2im` fold and returns
+    ``grad_x=None`` — for a stem convolution, whose input gradient is the
+    gradient of the images and is read by nobody.
     """
     x_shape, cols, weight, stride, padding, pointwise = cache
     c_out, c_in, kh, kw = weight.shape
@@ -285,6 +288,8 @@ def conv2d_backward(
         grad_flat = grad_out.reshape(n, c_out, h * w)
         grad_bias = grad_flat.sum(axis=(0, 2))
         grad_w = np.matmul(grad_flat, x_flat.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        if not input_grad:
+            return None, grad_w, grad_bias
         grad_x = np.matmul(weight.reshape(c_out, c_in).T, grad_flat).reshape(x_shape)
         return grad_x, grad_w, grad_bias
 
@@ -292,6 +297,8 @@ def conv2d_backward(
     grad_flat = grad_out.reshape(n, c_out, -1)
     grad_bias = grad_flat.sum(axis=(0, 2))
     grad_w = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(c_out, c_in, kh, kw)
+    if not input_grad:
+        return None, grad_w, grad_bias
     grad_cols = np.matmul(weight.reshape(c_out, -1).T, grad_flat)  # (N, C·k², P)
     grad_x = col2im(grad_cols, x_shape, kh, kw, stride, padding, ws)
     return grad_x, grad_w, grad_bias

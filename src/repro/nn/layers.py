@@ -64,10 +64,12 @@ class Conv2d(Module):
         out, self._cache = F.conv2d_forward(x, self.weight.data, bias, self.stride, self.padding, self._ws)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate parameter gradients; ``input_grad=False`` returns None
+        instead of the input gradient (see :func:`F.conv2d_backward`)."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        grad_x, grad_w, grad_b = F.conv2d_backward(grad_out, self._cache, self._ws)
+        grad_x, grad_w, grad_b = F.conv2d_backward(grad_out, self._cache, self._ws, input_grad)
         self.weight.grad += grad_w
         if self.has_bias:
             self.bias.grad += grad_b

@@ -8,6 +8,7 @@ from repro.nn.models.spec import (
     ChannelGroup,
     ParamSpec,
     SlimmableArchitecture,
+    StagedModel,
     annotate,
     derive_param_specs,
     resolve_group_sizes,
@@ -19,6 +20,7 @@ __all__ = [
     "ChannelGroup",
     "ParamSpec",
     "SlimmableArchitecture",
+    "StagedModel",
     "SlimmableVGG",
     "SlimmableResNet18",
     "SlimmableMobileNetV2",

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.nn.layers import BatchNorm2d, Conv2d, DepthwiseConv2d, GlobalAvgPool2d, Linear, ReLU6
 from repro.nn.module import Module
-from repro.nn.models.spec import ChannelGroup, SlimmableArchitecture, annotate
+from repro.nn.models.spec import ChannelGroup, SlimmableArchitecture, StagedModel, annotate
 from repro.perf.flops import FlopReport, count_flops
 
 __all__ = ["InvertedResidual", "MobileNetModel", "SlimmableMobileNetV2"]
@@ -108,7 +108,7 @@ class InvertedResidual(Module):
         return FlopReport(expand.flops + dw.flops + project.flops, project.output_shape)
 
 
-class MobileNetModel(Module):
+class MobileNetModel(StagedModel):
     """A concrete (possibly pruned) MobileNetV2-lite instance."""
 
     def __init__(self, stem: list[Module], blocks: list[InvertedResidual], head_layers: list[Module], classifier: Linear):
@@ -127,34 +127,10 @@ class MobileNetModel(Module):
     def blocks(self) -> list[InvertedResidual]:
         return [getattr(self, name) for name in self._block_names]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self.stem_act(self.stem_bn(self.stem_conv(x)))
-        for block in self.blocks:
-            x = block(x)
-        x = self.head_act(self.head_bn(self.head_conv(x)))
-        x = self.pool(x)
-        return self.classifier(x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad = self.classifier.backward(grad_out)
-        grad = self.pool.backward(grad)
-        grad = self.head_conv.backward(self.head_bn.backward(self.head_act.backward(grad)))
-        for block in reversed(self.blocks):
-            grad = block.backward(grad)
-        return self.stem_conv.backward(self.stem_bn.backward(self.stem_act.backward(grad)))
-
-    def compute_flops(self, input_shape: tuple[int, ...]) -> FlopReport:
-        report = count_flops(self.stem_conv, input_shape)
-        total = report.flops
-        shape = report.output_shape
-        for block in self.blocks:
-            block_report = block.compute_flops(shape)
-            total += block_report.flops
-            shape = block_report.output_shape
-        head = count_flops(self.head_conv, shape)
-        total += head.flops
-        total += count_flops(self.classifier, (head.output_shape[0],)).flops
-        return FlopReport(total, (self.classifier.out_features,))
+    def stages(self) -> list[Module]:
+        stem = [self.stem_conv, self.stem_bn, self.stem_act]
+        head = [self.head_conv, self.head_bn, self.head_act, self.pool, self.classifier]
+        return [*stem, *self.blocks, *head]
 
 
 class SlimmableMobileNetV2(SlimmableArchitecture):

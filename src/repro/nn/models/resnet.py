@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.nn.layers import BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, ReLU
 from repro.nn.module import Module
-from repro.nn.models.spec import ChannelGroup, SlimmableArchitecture, annotate
+from repro.nn.models.spec import ChannelGroup, SlimmableArchitecture, StagedModel, annotate
 from repro.perf.flops import FlopReport, count_flops
 from repro.nn import functional as F
 
@@ -121,7 +121,7 @@ class BasicBlock(Module):
         return FlopReport(total, main2.output_shape)
 
 
-class ResNetModel(Module):
+class ResNetModel(StagedModel):
     """A concrete (possibly pruned) ResNet instance."""
 
     def __init__(self, stem: list[Module], blocks: list[BasicBlock], head: Linear):
@@ -139,30 +139,8 @@ class ResNetModel(Module):
     def blocks(self) -> list[BasicBlock]:
         return [getattr(self, name) for name in self._block_names]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self.stem_relu(self.stem_bn(self.stem_conv(x)))
-        for block in self.blocks:
-            x = block(x)
-        x = self.pool(x)
-        return self.head(x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad = self.head.backward(grad_out)
-        grad = self.pool.backward(grad)
-        for block in reversed(self.blocks):
-            grad = block.backward(grad)
-        return self.stem_conv.backward(self.stem_bn.backward(self.stem_relu.backward(grad)))
-
-    def compute_flops(self, input_shape: tuple[int, ...]) -> FlopReport:
-        report = count_flops(self.stem_conv, input_shape)
-        total = report.flops
-        shape = report.output_shape
-        for block in self.blocks:
-            block_report = block.compute_flops(shape)
-            total += block_report.flops
-            shape = block_report.output_shape
-        total += count_flops(self.head, (shape[0],)).flops
-        return FlopReport(total, (self.head.out_features,))
+    def stages(self) -> list[Module]:
+        return [self.stem_conv, self.stem_bn, self.stem_relu, *self.blocks, self.pool, self.head]
 
 
 class SlimmableResNet18(SlimmableArchitecture):

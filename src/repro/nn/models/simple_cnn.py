@@ -12,13 +12,12 @@ import numpy as np
 
 from repro.nn.layers import BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU
 from repro.nn.module import Module, Sequential
-from repro.nn.models.spec import ChannelGroup, SlimmableArchitecture, annotate
-from repro.perf.flops import FlopReport, count_flops
+from repro.nn.models.spec import ChannelGroup, SlimmableArchitecture, StagedModel, annotate
 
 __all__ = ["SimpleCNNModel", "SlimmableSimpleCNN"]
 
 
-class SimpleCNNModel(Module):
+class SimpleCNNModel(StagedModel):
     """A concrete (possibly pruned) SimpleCNN instance."""
 
     def __init__(self, features: Sequential, classifier: Sequential):
@@ -27,21 +26,8 @@ class SimpleCNNModel(Module):
         self.flatten = Flatten()
         self.classifier = classifier
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self.features(x)
-        x = self.flatten(x)
-        return self.classifier(x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad = self.classifier.backward(grad_out)
-        grad = self.flatten.backward(grad)
-        return self.features.backward(grad)
-
-    def compute_flops(self, input_shape: tuple[int, ...]) -> FlopReport:
-        body = count_flops(self.features, input_shape)
-        flat = (int(np.prod(body.output_shape)),)
-        head = count_flops(self.classifier, flat)
-        return FlopReport(body.flops + head.flops, head.output_shape)
+    def stages(self) -> list[Module]:
+        return [*self.features, self.flatten, *self.classifier]
 
 
 class SlimmableSimpleCNN(SlimmableArchitecture):

@@ -32,10 +32,12 @@ from typing import Mapping
 import numpy as np
 
 from repro.nn.module import Module
+from repro.perf.flops import FlopReport, count_flops
 
 __all__ = [
     "ChannelGroup",
     "ParamSpec",
+    "StagedModel",
     "SlimmableArchitecture",
     "annotate",
     "derive_param_specs",
@@ -163,6 +165,49 @@ def resolve_group_sizes(
     return sizes
 
 
+class StagedModel(Module):
+    """A network that is one ordered chain of stages.
+
+    A family supplies :meth:`stages`; the forward pass, the backward pass
+    and the FLOP trace are written once over that chain.  Two callers rely
+    on the seam: shared-trunk evaluation (:func:`repro.core.metrics.evaluate_heads`)
+    taps the activation entering a stage and starts a pruned head's chain
+    there, and local training asks for no input gradient so the stem skips
+    the work of producing the gradient of the images.
+    """
+
+    def stages(self) -> list[Module]:  # pragma: no cover - abstract
+        """The chain, nested ``Sequential``s flattened; residual blocks are
+        one stage.  The first stage must be a ``Conv2d`` stem."""
+        raise NotImplementedError
+
+    def forward(self, x: np.ndarray, start: int = 0, taps: dict | None = None) -> np.ndarray:
+        """Run ``stages()[start:]``; each index keyed in ``taps`` receives
+        the activation *entering* that stage."""
+        for index, stage in enumerate(self.stages()[start:], start):
+            if taps is not None and index in taps:
+                taps[index] = x
+            x = stage(x)
+        return x
+
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Backpropagate through the chain; ``input_grad=False`` lets the
+        stem skip the gradient with respect to the model input."""
+        stem, *rest = self.stages()
+        for stage in reversed(rest):
+            grad_out = stage.backward(grad_out)
+        return stem.backward(grad_out, input_grad)
+
+    def compute_flops(self, input_shape: tuple[int, ...]) -> FlopReport:
+        total = 0
+        shape = tuple(input_shape)
+        for stage in self.stages():
+            report = count_flops(stage, shape)
+            total += report.flops
+            shape = report.output_shape
+        return FlopReport(total, shape)
+
+
 class SlimmableArchitecture(ABC):
     """A model family that can be instantiated at arbitrary channel widths."""
 
@@ -189,7 +234,7 @@ class SlimmableArchitecture(ABC):
         self,
         group_sizes: Mapping[str, int] | None = None,
         rng: np.random.Generator | None = None,
-    ) -> Module:
+    ) -> StagedModel:
         """Instantiate the network at the given channel widths.
 
         ``group_sizes=None`` builds the full model.  The returned module

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.api.callbacks import Callback
 from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig
 from repro.core.server import AdaptiveFL
 from repro.perf.profiler import Profiler, render_summary
@@ -100,6 +101,34 @@ class TestRunProfiling:
         # modeled downlink is counted under delta transport too
         assert counters.get("transport.bytes_down", 0) > 0
         assert counters.get("workspace.buffer_hits", 0) > 0
+
+    def test_early_stop_evaluation_is_inside_the_evaluate_scope(self, easy_setup):
+        """A stop on a round off the eval cadence triggers a late evaluation;
+        the profiler must count it like a scheduled one."""
+
+        class StopAfterSecondRound(Callback):
+            def on_round_end(self, algorithm, record):
+                if record.round_index == 1:
+                    algorithm.request_stop("test stop")
+
+        federated = FederatedConfig(num_rounds=6, clients_per_round=3, eval_every=3)
+        local = LocalTrainingConfig(local_epochs=1, batch_size=16, max_batches_per_epoch=1)
+        algorithm = AdaptiveFL(
+            architecture=easy_setup["arch"],
+            train_dataset=easy_setup["train"],
+            partition=easy_setup["partition"],
+            test_dataset=easy_setup["test"],
+            profiles=easy_setup["profiles"],
+            resource_model=easy_setup["resource_model"],
+            algorithm_config=AdaptiveFLConfig(federated=federated, local=local, pool=easy_setup["pool"]),
+            seed=0,
+        )
+        history = algorithm.run(callbacks=[StopAfterSecondRound()], profile=True)
+        assert len(history) == 2  # truncated before the first scheduled evaluation
+        evaluated = history.evaluated_records()
+        assert [record.round_index for record in evaluated] == [1]
+        scopes = {scope["name"]: scope for scope in algorithm.profiler.summary()["scopes"]}
+        assert scopes["evaluate"]["calls"] == len(evaluated)
 
     def test_unprofiled_run_disables_and_preserves_summary(self, easy_setup):
         federated = FederatedConfig(num_rounds=1, clients_per_round=3, eval_every=1)
