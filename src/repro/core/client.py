@@ -9,7 +9,10 @@ only the returned model's size, which is what the RL tables learn from.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from repro.data.datasets import Dataset
 from repro.devices.profiles import DeviceProfile
 from repro.engine.transport import StateHandle
 
-__all__ = ["ClientRoundResult", "SimulatedClient"]
+__all__ = ["ClientRoundResult", "SimulatedClient", "LazyClients"]
 
 
 @dataclass
@@ -119,3 +122,27 @@ class SimulatedClient:
             mean_loss=result.mean_loss,
             locally_pruned=trained_config.name != dispatched.name,
         )
+
+
+class LazyClients(Sequence):
+    """The fleet's clients, each built the first time it is indexed.
+
+    Reads like the list it stands in for (``len``, negative indices,
+    ``IndexError``, iteration); a client nobody indexed — and the shard
+    building it cuts out of the training set — costs nothing.
+    """
+
+    def __init__(self, build: Callable[[int], SimulatedClient], count: int):
+        self._build = build
+        self._count = count
+        self._built: dict[int, SimulatedClient] = {}
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index: int) -> SimulatedClient:
+        client_id = range(self._count)[operator.index(index)]
+        client = self._built.get(client_id)
+        if client is None:
+            client = self._built[client_id] = self._build(client_id)
+        return client

@@ -33,7 +33,7 @@ import numpy as np
 from repro.api.callbacks import Callback, CallbackList, ProgressCallback
 from repro.core.aggregation import ClientUpdate, HeterogeneousAggregator
 from repro.core.config import FederatedConfig, LocalTrainingConfig, ModelPoolConfig
-from repro.core.client import SimulatedClient
+from repro.core.client import LazyClients, SimulatedClient
 from repro.core.history import RoundRecord, TrainingHistory
 from repro.core.local_training import LocalTrainingResult
 from repro.core.metrics import evaluate_heads
@@ -133,15 +133,19 @@ class FederatedAlgorithm(ABC):
             else None
         )
 
-        self.clients = [
-            SimulatedClient(
+        #: local data sizes, known without cutting any shard (planning reads these)
+        self._client_sizes = partition.sizes()
+        if 0 in self._client_sizes:
+            raise ValueError(f"client {self._client_sizes.index(0)} has no local data")
+        self.clients: Sequence[SimulatedClient] = LazyClients(
+            lambda index: SimulatedClient(
                 client_id=index,
                 dataset=partition.client_dataset(train_dataset, index),
                 profile=profiles[index],
                 local_config=local_config,
-            )
-            for index in range(partition.num_clients)
-        ]
+            ),
+            partition.num_clients,
+        )
         self.global_state = architecture.build(rng=np.random.default_rng(seed)).state_dict()
         self.history = TrainingHistory(self.name)
         self._executor: Executor | None = None
@@ -539,7 +543,7 @@ class FederatedAlgorithm(ABC):
                     params_down=sent_params,
                     params_up=back_params,
                     flops_per_sample=flops,
-                    num_samples=self.clients[client_id].num_samples,
+                    num_samples=self._client_sizes[client_id],
                     local_epochs=self.local_config.local_epochs,
                 )
             )
@@ -613,7 +617,7 @@ class FederatedAlgorithm(ABC):
                     else max(1, int(round(self.pool.by_name(back_name).num_params * uplink_scale)))
                 ),
                 flops_per_sample=self.submodel_flops(back_name),
-                num_samples=self.clients[client_id].num_samples,
+                num_samples=self._client_sizes[client_id],
                 local_epochs=self.local_config.local_epochs,
             )
             for client_id, sent_name, back_name in zip(selected_clients, dispatched_names, returned_names)

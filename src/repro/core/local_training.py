@@ -1,14 +1,19 @@
 """Local training of a (sub)model on one client's data (Algorithm 1, LocalTrain).
 
-The same routine serves AdaptiveFL and every baseline: it builds the
+The same routine serves AdaptiveFL and every baseline: it takes the
 network for the requested channel configuration, loads the dispatched
 weights, runs the paper's local SGD schedule and returns the trained state
 dict together with the client's data size (used as the aggregation
 weight).
+
+A device receives weights, it never initialises them: the network is
+built once per worker thread and width spec and kept between tasks as a
+tensor-free :class:`~repro.nn.module.Skeleton`.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -17,11 +22,29 @@ import numpy as np
 from repro.core.config import LocalTrainingConfig
 from repro.data.datasets import Dataset
 from repro.data.loader import DataLoader
+from repro.nn.dtype import resolve_dtype
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models.spec import SlimmableArchitecture
+from repro.nn.module import Skeleton
 from repro.nn.optim import SGD
 
 __all__ = ["LocalTrainingResult", "train_local_model"]
+
+
+class _Skeletons(threading.local):
+    """This thread's skeletons, one per distinct spec seen.
+
+    Keyed by value (a wire worker unpickles a fresh architecture with every
+    task), never pickled, never shared between threads; an entry is out of
+    the table while a task holds it, and a task that raises does not put
+    it back.
+    """
+
+    def __init__(self) -> None:
+        self.by_spec: dict[tuple, Skeleton] = {}
+
+
+_SKELETONS = _Skeletons()
 
 
 @dataclass
@@ -51,7 +74,14 @@ def train_local_model(
     """
     if len(dataset) == 0:
         raise ValueError("client dataset is empty")
-    model = architecture.build(group_sizes, rng=np.random.default_rng(int(rng.integers(0, 2**31 - 1))))
+    # drawn by every task, though only the first of a spec initialises
+    # weights with it: the loader shuffles on the same stream
+    init_seed = int(rng.integers(0, 2**31 - 1))
+    spec = (architecture.signature(), tuple(sorted(group_sizes.items())), resolve_dtype())
+    skeleton = _SKELETONS.by_spec.pop(spec, None)
+    if skeleton is None:
+        skeleton = Skeleton(architecture.build(group_sizes, rng=np.random.default_rng(init_seed)))
+    model = skeleton.check_out(init_seed)
     model.load_state_dict({name: np.asarray(value) for name, value in initial_state.items()})
     model.train()
 
@@ -79,9 +109,12 @@ def train_local_model(
             total_loss += loss
             steps += 1
     mean_loss = total_loss / steps if steps else float("nan")
-    return LocalTrainingResult(
+    result = LocalTrainingResult(
         state=model.state_dict(),
         num_samples=len(dataset),
         mean_loss=mean_loss,
         num_steps=steps,
     )
+    skeleton.check_in()
+    _SKELETONS.by_spec[spec] = skeleton
+    return result

@@ -68,6 +68,12 @@ class ModelPool:
             )
         self._configs = self._build_configs()
         self._by_name = {cfg.name: cfg for cfg in self._configs}
+        # geometry is a pure function of the pool entry: computed once, keyed by
+        # the frozen config itself so an entry of another pool never matches
+        self._group_sizes = {
+            cfg: architecture.group_sizes_for(cfg.width_ratio, cfg.start_layer) for cfg in self._configs
+        }
+        self._prunable_to = {received: self._reachable_from(received) for received in self._configs}
 
     def _build_configs(self) -> list[SubmodelConfig]:
         configs: list[SubmodelConfig] = []
@@ -150,9 +156,17 @@ class ModelPool:
                 heads[cfg.level] = cfg
         return heads
 
+    def _sizes(self, config: SubmodelConfig) -> dict[str, int]:
+        """The pool's own (shared, read-only) size table entry; a config of
+        another pool is resolved from its ``(r_w, I)`` instead."""
+        sizes = self._group_sizes.get(config)
+        if sizes is None:
+            sizes = self.architecture.group_sizes_for(config.width_ratio, config.start_layer)
+        return sizes
+
     def group_sizes(self, config: SubmodelConfig) -> dict[str, int]:
-        """Channel-group sizes of one pool entry."""
-        return self.architecture.group_sizes_for(config.width_ratio, config.start_layer)
+        """Channel-group sizes of one pool entry (a fresh dict)."""
+        return dict(self._sizes(config))
 
     def size_of(self, config: SubmodelConfig) -> int:
         """Parameter count of one pool entry."""
@@ -169,10 +183,14 @@ class ModelPool:
         within it, because local pruning can drop channels but never
         recreate ones the dispatched model did not carry.
         """
-        inner_sizes = self.group_sizes(inner)
-        outer_sizes = self.group_sizes(outer)
+        inner_sizes = self._sizes(inner)
+        outer_sizes = self._sizes(outer)
         return all(inner_sizes[name] <= outer_sizes[name] for name in inner_sizes)
 
     def prunable_to(self, received: SubmodelConfig) -> list[SubmodelConfig]:
         """Pool entries a device can reach by pruning ``received`` (incl. itself)."""
+        reachable = self._prunable_to.get(received)
+        return list(reachable) if reachable is not None else self._reachable_from(received)
+
+    def _reachable_from(self, received: SubmodelConfig) -> list[SubmodelConfig]:
         return [cfg for cfg in self._configs if self.fits_within(cfg, received)]

@@ -140,6 +140,10 @@ def _generate_group_styles(rng: np.random.Generator, config: SyntheticTaskConfig
     return styles
 
 
+#: samples synthesised per block of :func:`_sample_split`
+_SYNTHESIS_BLOCK = 1024
+
+
 def _sample_split(
     rng: np.random.Generator,
     config: SyntheticTaskConfig,
@@ -151,10 +155,18 @@ def _sample_split(
     clusters = rng.integers(0, config.clusters_per_class, size=count)
     groups = rng.integers(0, config.num_groups, size=count) if styles is not None else None
 
-    images = prototypes[labels, clusters].copy()
-    if styles is not None:
-        images += styles[groups]
-    images += config.noise_std * rng.normal(size=images.shape)
+    # filled block by block into the stack dtype: the float64 temporaries
+    # (prototype gather, noise, scaled noise) exist for one block instead of
+    # the whole split; consecutive draws continue one Generator sequence,
+    # so the data is bit-identical to a single whole-split draw
+    images = np.empty((count, *config.input_shape), dtype=resolve_dtype())
+    for start in range(0, count, _SYNTHESIS_BLOCK):
+        stop = min(start + _SYNTHESIS_BLOCK, count)
+        block = prototypes[labels[start:stop], clusters[start:stop]]
+        if styles is not None:
+            block += styles[groups[start:stop]]
+        block += config.noise_std * rng.normal(size=block.shape)
+        images[start:stop] = block
 
     if config.label_noise > 0:
         flip = rng.random(count) < config.label_noise

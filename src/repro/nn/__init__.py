@@ -10,7 +10,7 @@ provides:
   passes (``repro.nn.layers``),
 * losses (cross-entropy, KL divergence for ScaleFL's self-distillation),
 * an SGD optimizer with momentum and weight decay,
-* parameter and FLOP counting (``repro.nn.profiling``) used to reproduce
+* parameter and FLOP counting (:mod:`repro.perf.flops`) used to reproduce
   Table 1 of the paper,
 * a zoo of *slimmable* architectures (VGG16, ResNet18, MobileNetV2-lite and
   a small FEMNIST CNN) under ``repro.nn.models``.

@@ -424,6 +424,10 @@ class Dropout(Module):
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._mask = None
 
+    def reseed(self, rng: np.random.Generator) -> None:
+        """Draw every later mask from ``rng``."""
+        self._rng = rng
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.training or self.p == 0.0:
             self._mask = None

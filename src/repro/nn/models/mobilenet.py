@@ -178,7 +178,7 @@ class SlimmableMobileNetV2(SlimmableArchitecture):
                 in_channels = out_channels
         return plan
 
-    def channel_groups(self) -> list[ChannelGroup]:
+    def _describe_groups(self) -> list[ChannelGroup]:
         groups = [ChannelGroup("stem", self._stem_channels, layer_index=1)]
         plan = self._block_plan()
         for block_index, expand_channels, out_channels, _, _ in plan:

@@ -179,7 +179,7 @@ class SlimmableResNet18(SlimmableArchitecture):
                 plan.append((block_index, channels, stride, projection))
         return plan
 
-    def channel_groups(self) -> list[ChannelGroup]:
+    def _describe_groups(self) -> list[ChannelGroup]:
         groups = [ChannelGroup("conv1", self._stage_channels[0], layer_index=1)]
         for block_index, channels, _, _ in self._block_plan():
             layer_index = block_index + 1

@@ -54,7 +54,7 @@ class SlimmableSimpleCNN(SlimmableArchitecture):
             raise ValueError(f"input {self.input_shape} too small for two 2x2 pooling stages")
         self._final_spatial = spatial_h * spatial_w
 
-    def channel_groups(self) -> list[ChannelGroup]:
+    def _describe_groups(self) -> list[ChannelGroup]:
         return [
             ChannelGroup("conv1", self._conv_channels[0], layer_index=1),
             ChannelGroup("conv2", self._conv_channels[1], layer_index=2),

@@ -221,13 +221,21 @@ class SlimmableArchitecture(ABC):
             raise ValueError("input_shape must be (channels, height, width)")
         self.input_shape = tuple(input_shape)
         self.num_classes = int(num_classes)
+        self._channel_groups: tuple[ChannelGroup, ...] | None = None
         self._param_specs: list[ParamSpec] | None = None
         self._full_shapes: dict[str, tuple[int, ...]] | None = None
 
     # -- architecture description -------------------------------------------------
     @abstractmethod
-    def channel_groups(self) -> list[ChannelGroup]:
+    def _describe_groups(self) -> list[ChannelGroup]:
         """Ordered channel groups of the full architecture."""
+
+    def channel_groups(self) -> list[ChannelGroup]:
+        """Ordered channel groups of the full architecture (described once
+        per architecture object; a fresh list per call)."""
+        if self._channel_groups is None:
+            self._channel_groups = tuple(self._describe_groups())
+        return list(self._channel_groups)
 
     @abstractmethod
     def build(
@@ -243,6 +251,14 @@ class SlimmableArchitecture(ABC):
         """
 
     # -- derived helpers -----------------------------------------------------------
+    def signature(self) -> tuple:
+        """Value identity: the class and every attribute the constructor set
+        (not the memoised descriptions).  Unpickled copies of one architecture
+        compare equal, architectures differing in any constructor argument do
+        not — the key of a cache that outlives the object."""
+        memoised = ("_channel_groups", "_param_specs", "_full_shapes")
+        return type(self), repr(sorted(item for item in vars(self).items() if item[0] not in memoised))
+
     def full_group_sizes(self) -> dict[str, int]:
         """Channel sizes of the unpruned global model."""
         return {g.name: g.full_size for g in self.channel_groups()}

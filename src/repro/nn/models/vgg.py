@@ -39,7 +39,14 @@ class VGGModel(StagedModel):
 
 
 class SlimmableVGG(SlimmableArchitecture):
-    """VGG family whose conv/linear widths can be pruned layer by layer."""
+    """VGG family whose conv/linear widths can be pruned layer by layer.
+
+    Local training gives each ``Dropout`` layer its own stream, keyed on
+    the task's seed and the layer's place in the network; earlier releases
+    let all of them share the generator that had initialised the weights,
+    so masks of ``dropout > 0`` runs differ from those releases
+    (``dropout = 0``, the default, is untouched).
+    """
 
     def __init__(
         self,
@@ -74,7 +81,7 @@ class SlimmableVGG(SlimmableArchitecture):
         self._final_spatial = spatial_h * spatial_w
 
     # -- description ----------------------------------------------------------------
-    def channel_groups(self) -> list[ChannelGroup]:
+    def _describe_groups(self) -> list[ChannelGroup]:
         groups = []
         for index, channels in enumerate(self._conv_channels, start=1):
             groups.append(ChannelGroup(f"conv{index}", channels, layer_index=index))

@@ -13,8 +13,9 @@ from typing import Iterator
 import numpy as np
 
 from repro.nn.dtype import resolve_dtype
+from repro.perf.workspace import Workspace
 
-__all__ = ["Parameter", "Module", "Sequential"]
+__all__ = ["Parameter", "Module", "Sequential", "Skeleton"]
 
 
 class Parameter:
@@ -239,3 +240,61 @@ class Sequential(Module):
         for module in reversed(list(self)):
             grad_out = module.backward(grad_out)
         return grad_out
+
+
+class Skeleton:
+    """A built network kept between uses without its tensors.
+
+    What stays is the module tree and the shape and dtype of every
+    parameter and buffer; what goes is every parameter, gradient, buffer
+    and workspace array.  The tree is the expensive part to build and the
+    arrays are the heavy part to keep, so a skeleton is cheap to hold per
+    worker and width spec where a model is not.
+    """
+
+    def __init__(self, model: Module):
+        self.model = model
+        modules = list(model.modules())
+        self._parameters = [(param, param.data.shape, param.data.dtype) for param in model.parameters()]
+        self._buffers = [
+            (module, name, buffer.shape, buffer.dtype)
+            for module in modules
+            for name, buffer in module._buffers.items()
+        ]
+        self._workspaces = [
+            value for module in modules for value in vars(module).values() if isinstance(value, Workspace)
+        ]
+        #: layers that draw random numbers, with their place in the tree
+        self._stochastic = [(index, module) for index, module in enumerate(modules) if hasattr(module, "reseed")]
+        self.check_in()
+
+    def check_out(self, seed: int) -> Module:
+        """The model with fresh tensors, every stochastic layer on its own
+        stream ``default_rng([seed, place in the tree])``.
+
+        Gradients are zero; parameters and buffers are *uninitialised* —
+        load a complete state dict before anything reads them.
+        """
+        for param, shape, dtype in self._parameters:
+            param.data = np.empty(shape, dtype)
+            param.grad = np.zeros(shape, dtype)
+        for module, name, shape, dtype in self._buffers:
+            module.register_buffer(name, np.empty(shape, dtype))
+        for index, module in self._stochastic:
+            module.reseed(np.random.default_rng([seed, index]))
+        return self.model
+
+    def check_in(self) -> None:
+        """Drop every tensor and workspace buffer.
+
+        For a model whose last forward pass was followed by its backward
+        pass (layers clear what they cached per batch there); a model
+        abandoned half-way is not worth keeping — let it go instead.
+        """
+        for param, _, _ in self._parameters:
+            param.data = param.grad = None
+        for module, name, _, _ in self._buffers:
+            module._buffers[name] = None
+            object.__setattr__(module, name, None)
+        for workspace in self._workspaces:
+            workspace.clear()

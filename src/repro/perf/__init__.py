@@ -7,8 +7,8 @@ Three concerns live here:
   and exposed on the CLI as ``--profile``.
 * :mod:`repro.perf.workspace` — reusable ndarray buffers that remove
   per-batch allocation from the conv/pool/optimizer hot paths.
-* :mod:`repro.perf.flops` — parameter and FLOP counting (promoted from
-  ``repro.nn.profiling``), used for Table 1 and the test-bed clock.
+* :mod:`repro.perf.flops` — parameter and FLOP counting, used for
+  Table 1 and the test-bed clock.
 
 Exports resolve lazily so low-level modules (``repro.nn.layers`` needs
 :mod:`repro.perf.workspace`; :mod:`repro.perf.flops` needs

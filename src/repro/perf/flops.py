@@ -1,4 +1,4 @@
-"""Parameter and FLOP counting (promoted from ``repro.nn.profiling``).
+"""Parameter and FLOP counting.
 
 Used to regenerate Table 1 of the paper (the #PARAMS / #FLOPS columns of
 the VGG16 split settings).  Following the convention of the paper (and of

@@ -13,10 +13,12 @@ it reads, which is exactly what makes reuse safe.  Callers that need
 zeroed memory use :meth:`Workspace.zeros`.
 
 Workspaces are owned by the module/optimizer instance that uses them, so
-their lifetime and thread-affinity mirror the owning model: the engine
-builds one model per client task, never sharing workspaces across
-threads or processes.  The global :func:`workspace_stats` counters feed
-the ``repro.perf`` profiler's allocation accounting.
+their lifetime and thread-affinity mirror the owning model.  Local
+training keeps one module tree per worker thread and width spec between
+client tasks (:class:`repro.nn.module.Skeleton`) but empties its
+workspaces at every check-in: buffers live for one task and are never
+shared across threads or processes.  The global :func:`workspace_stats`
+counters feed the ``repro.perf`` profiler's allocation accounting.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from repro.data.datasets import Dataset
 from repro.nn.layers import Conv2d, DepthwiseConv2d
 from repro.nn.models import SlimmableMobileNetV2, SlimmableResNet18, SlimmableSimpleCNN, SlimmableVGG
 from repro.nn.models.spec import StagedModel
+from repro.nn.module import Skeleton
 
 ARCHITECTURES = {
     "simple_cnn": lambda: SlimmableSimpleCNN(num_classes=4, input_shape=(1, 8, 8), width_multiplier=0.5, hidden_features=16),
@@ -31,19 +32,38 @@ def has_col2im_buffer(conv) -> bool:
 
 
 def train_once(arch, monkeypatch, input_grad: bool):
-    """One ``train_local_model`` call; returns (result, the model it trained)."""
+    """One ``train_local_model`` call; returns (result, what the trained model held).
+
+    The model is a skeleton again by the time the call returns, so its
+    gradients and workspaces are read inside the call, at the moment it
+    is checked back in.
+    """
     images = np.random.default_rng(1).normal(size=(12, *arch.input_shape)).astype(np.float32)
     labels = np.random.default_rng(2).integers(0, arch.num_classes, size=12)
     initial = arch.build(rng=np.random.default_rng(3)).state_dict()
-    built = []
-    build = type(arch).build
+    held = []
+    check_in = Skeleton.check_in
 
-    def recording_build(self, *args, **kwargs):
-        built.append(build(self, *args, **kwargs))
-        return built[-1]
+    def observing_check_in(self):
+        stem, *rest = self.model.stages()
+        inner = [
+            module
+            for stage in rest
+            for module in stage.modules()
+            if isinstance(module, DepthwiseConv2d) or (isinstance(module, Conv2d) and module.kernel_size > 1)
+        ]
+        held.append(
+            {
+                "model": self.model,
+                "grads": {key: param.grad.copy() for key, param in self.model.named_parameters()},
+                "stem_col2im": has_col2im_buffer(stem),
+                "inner_col2im": [has_col2im_buffer(conv) for conv in inner],
+            }
+        )
+        check_in(self)
 
     with monkeypatch.context() as patch:
-        patch.setattr(type(arch), "build", recording_build)
+        patch.setattr(Skeleton, "check_in", observing_check_in)
         if input_grad:
             backward = StagedModel.backward
             patch.setattr(StagedModel, "backward", lambda self, grad_out, input_grad=True: backward(self, grad_out))
@@ -51,38 +71,35 @@ def train_once(arch, monkeypatch, input_grad: bool):
             arch, arch.full_group_sizes(), initial, Dataset(images, labels, arch.num_classes), CONFIG,
             np.random.default_rng(4),
         )
-    (model,) = built
-    return result, model
+    # one model trained (a freshly built one is also checked in once, before its first use)
+    assert len({id(entry["model"]) for entry in held}) == 1
+    return result, held[-1]
 
 
 @pytest.mark.parametrize("name", sorted(ARCHITECTURES))
 class TestDeadInputGradient:
     def test_training_is_bit_identical_with_and_without_the_input_gradient(self, name, monkeypatch):
         arch = ARCHITECTURES[name]()
-        with_grad, model_with = train_once(arch, monkeypatch, input_grad=True)
-        without, model_without = train_once(arch, monkeypatch, input_grad=False)
+        with_grad, held_with = train_once(arch, monkeypatch, input_grad=True)
+        without, held_without = train_once(arch, monkeypatch, input_grad=False)
 
         assert without.num_steps == with_grad.num_steps == 2
         assert without.mean_loss == with_grad.mean_loss
         assert list(without.state) == list(with_grad.state)
         for key, value in with_grad.state.items():
             assert without.state[key].tobytes() == value.tobytes(), key
-        # the gradients of the last step are still on the parameters
-        for (key, ours), (_, theirs) in zip(model_without.named_parameters(), model_with.named_parameters()):
-            assert ours.grad.tobytes() == theirs.grad.tobytes(), key
-            assert np.any(ours.grad), key
+        # the gradients of the last step were still on the parameters
+        assert list(held_without["grads"]) == list(held_with["grads"]) == list(dict(arch.build().named_parameters()))
+        for key, theirs in held_with["grads"].items():
+            assert held_without["grads"][key].tobytes() == theirs.tobytes(), key
+            assert np.any(theirs), key
 
-        # the stem never folded columns back into an image-shaped buffer ...
-        assert has_col2im_buffer(model_with.stages()[0])
-        assert not has_col2im_buffer(model_without.stages()[0])
+        # the stem never folded columns back into an image-shaped buffer (the
+        # second call trained on the first call's skeleton: nothing was left on it) ...
+        assert held_with["stem_col2im"]
+        assert not held_without["stem_col2im"]
         # ... and every other im2col convolution still produced its input gradient
-        inner = [
-            module
-            for stage in model_without.stages()[1:]
-            for module in stage.modules()
-            if isinstance(module, DepthwiseConv2d) or (isinstance(module, Conv2d) and module.kernel_size > 1)
-        ]
-        assert inner and all(has_col2im_buffer(conv) for conv in inner)
+        assert held_without["inner_col2im"] and all(held_without["inner_col2im"])
 
     def test_plain_backward_still_returns_the_input_gradient(self, name):
         arch = ARCHITECTURES[name]()

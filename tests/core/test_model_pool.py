@@ -77,3 +77,99 @@ class TestModelPool:
     def test_group_sizes_full_for_l1(self, tiny_pool):
         sizes = tiny_pool.group_sizes(tiny_pool.full_config)
         assert sizes == tiny_pool.architecture.full_group_sizes()
+
+
+# -- memoised geometry: the tables of ModelPool.__init__ against the formulas they replace ----
+
+
+def zoo():
+    from repro.nn.models import SlimmableMobileNetV2, SlimmableResNet18, SlimmableSimpleCNN, SlimmableVGG
+
+    return {
+        "simple_cnn": SlimmableSimpleCNN(num_classes=5, input_shape=(1, 8, 8), width_multiplier=0.5, hidden_features=32),
+        "vgg16": SlimmableVGG(config="vgg16", num_classes=5, input_shape=(3, 32, 32), width_multiplier=0.125, classifier_widths=(16, 16)),
+        "resnet18": SlimmableResNet18(num_classes=5, input_shape=(3, 16, 16), width_multiplier=0.125),
+        "mobilenetv2": SlimmableMobileNetV2(num_classes=5, input_shape=(1, 16, 16), width_multiplier=0.25, stem_channels=8, head_channels=16),
+    }
+
+
+def formula_sizes(pool, config):
+    from repro.nn.models.spec import resolve_group_sizes
+
+    return resolve_group_sizes(pool.architecture._describe_groups(), config.width_ratio, config.start_layer)
+
+
+def formula_fits(pool, inner, outer):
+    inner_sizes, outer_sizes = formula_sizes(pool, inner), formula_sizes(pool, outer)
+    return all(inner_sizes[name] <= outer_sizes[name] for name in inner_sizes)
+
+
+@pytest.mark.parametrize("name", sorted(zoo()))
+class TestMemoisedGeometry:
+    @pytest.fixture
+    def pool(self, name):
+        from repro.experiments.settings import paper_pool_config
+
+        arch = zoo()[name]
+        return ModelPool(arch, paper_pool_config(arch))
+
+    @pytest.fixture
+    def foreign(self, pool):
+        """A pool over the same architecture whose entries reuse this pool's names
+        at other width ratios."""
+        config = ModelPoolConfig(
+            models_per_level=3, level_width_ratios={"L": 1.0, "M": 0.5, "S": 0.3},
+            start_layers=pool.config.start_layers, min_start_layer=pool.config.min_start_layer,
+        )
+        return ModelPool(pool.architecture, config)
+
+    def test_tables_equal_the_formulas(self, pool):
+        for config in pool:
+            assert pool.group_sizes(config) == formula_sizes(pool, config)
+            assert pool.prunable_to(config) == [cfg for cfg in pool if formula_fits(pool, cfg, config)]
+            for other in pool:
+                assert pool.fits_within(other, config) == formula_fits(pool, other, config)
+
+    def test_a_clashing_name_from_another_pool_is_not_answered_from_the_table(self, pool, foreign):
+        clashing = [(pool.by_name(theirs.name), theirs) for theirs in foreign if theirs.level != "L"]
+        # the test bites: some clashing entry really has another geometry
+        assert any(formula_sizes(pool, theirs) != formula_sizes(pool, ours) for ours, theirs in clashing)
+        for ours, theirs in clashing:
+            assert theirs != ours
+            assert pool.group_sizes(theirs) == formula_sizes(pool, theirs)
+            assert pool.prunable_to(theirs) == [cfg for cfg in pool if formula_fits(pool, cfg, theirs)]
+            assert pool.fits_within(ours, theirs) == formula_fits(pool, ours, theirs)
+            assert pool.fits_within(theirs, ours) == formula_fits(pool, theirs, ours)
+
+    def test_returned_containers_are_fresh(self, pool):
+        config = pool.by_name("M2")
+        sizes = pool.group_sizes(config)
+        reachable = pool.prunable_to(config)
+        expected_sizes, expected_reachable = dict(sizes), list(reachable)
+        sizes.clear()
+        reachable.clear()
+        assert pool.group_sizes(config) == expected_sizes
+        assert pool.prunable_to(config) == expected_reachable
+        assert pool.group_sizes(config) is not pool.group_sizes(config)
+        assert pool.fits_within(pool.by_rank(0), config)
+
+    def test_channel_groups_are_described_once_and_returned_fresh(self, name, monkeypatch):
+        arch = zoo()[name]
+        calls = []
+        describe = type(arch)._describe_groups
+        monkeypatch.setattr(type(arch), "_describe_groups", lambda self: calls.append(1) or describe(self))
+        groups = arch.channel_groups()
+        arch.full_group_sizes(), arch.num_prunable_layers(), arch.validate_group_sizes(arch.full_group_sizes())
+        groups.clear()
+        assert arch.channel_groups() == describe(arch) and arch.channel_groups() is not arch.channel_groups()
+        assert calls == [1]
+
+    def test_the_tables_survive_pickling(self, pool):
+        import pickle
+
+        copy = pickle.loads(pickle.dumps(pool))
+        for config, theirs in zip(pool, copy):
+            assert theirs == config
+            assert copy.group_sizes(theirs) == pool.group_sizes(config)
+            assert copy.prunable_to(theirs) == pool.prunable_to(config)
+            assert copy._sizes(config) is copy._group_sizes[theirs]  # answered from the table, by value
