@@ -8,8 +8,9 @@ layer.  It writes ``BENCH_hotpaths.json`` with three sections:
   GEMM GFLOP/s), which damps machine-to-machine variance on CI runners.
 * ``micro`` — per-op timings of the reworked kernels against their
   historical reference implementations (im2col gather, col2im scatter
-  vs. the Python ``kh×kw`` loop, flat-``bincount`` maxpool backward vs.
-  4-axis ``np.add.at``), at training- and evaluation-scale geometries.
+  vs. the Python ``kh×kw`` loop, running-maximum maxpool forward, its
+  per-position backward vs. 4-axis ``np.add.at``), at training- and
+  evaluation-scale geometries.
 * ``end_to_end`` — rounds/sec of **all five algorithms** on the CI
   setting, serial and process executors, raw mode (no emulated device
   latency), plus the per-round pickled transport payload of the
@@ -130,7 +131,8 @@ def measure_micro() -> list[dict]:
 
         pooled, cache = F.maxpool2d_forward(x, 2, 2, ws)
         grad_pool = rng.random(pooled.shape, dtype=np.float32)
-        maxpool_bwd_s = _time_op(lambda: F.maxpool2d_backward(grad_pool, cache))
+        maxpool_fwd_s = _time_op(lambda: F.maxpool2d_forward(x, 2, 2, ws))
+        maxpool_bwd_s = _time_op(lambda: F.maxpool2d_backward(grad_pool, cache, ws))
         maxpool_ref_s = _time_op(lambda: F.maxpool2d_backward_reference(grad_pool, cache))
 
         rows.append(
@@ -142,7 +144,8 @@ def measure_micro() -> list[dict]:
                 "col2im_scatter_us": round(col2im_s * 1e6, 2),
                 "col2im_loop_reference_us": round(col2im_ref_s * 1e6, 2),
                 "col2im_speedup": round(col2im_ref_s / col2im_s, 2),
-                "maxpool_bwd_bincount_us": round(maxpool_bwd_s * 1e6, 2),
+                "maxpool_fwd_us": round(maxpool_fwd_s * 1e6, 2),
+                "maxpool_bwd_us": round(maxpool_bwd_s * 1e6, 2),
                 "maxpool_bwd_reference_us": round(maxpool_ref_s * 1e6, 2),
                 "maxpool_bwd_speedup": round(maxpool_ref_s / maxpool_bwd_s, 2),
             }
@@ -309,13 +312,14 @@ def render(payload: dict) -> str:
         f"hot paths — {payload['cpu_count']} CPU(s), "
         f"{payload['calibration']['gemm_gflops']:.1f} GFLOP/s f32 GEMM",
         "",
-        f"{'geometry':<12} {'im2col us':>10} {'col2im us':>10} {'(loop ref)':>11} {'maxpool us':>11} {'(ref)':>8}",
+        f"{'geometry':<12} {'im2col us':>10} {'col2im us':>10} {'(loop ref)':>11} "
+        f"{'pool fwd us':>12} {'pool bwd us':>12} {'(ref)':>8}",
     ]
     for row in payload["micro"]:
         lines.append(
             f"{row['geometry']:<12} {row['im2col_us']:>10.1f} {row['col2im_scatter_us']:>10.1f} "
-            f"{row['col2im_loop_reference_us']:>11.1f} {row['maxpool_bwd_bincount_us']:>11.1f} "
-            f"{row['maxpool_bwd_reference_us']:>8.1f}"
+            f"{row['col2im_loop_reference_us']:>11.1f} {row['maxpool_fwd_us']:>12.1f} "
+            f"{row['maxpool_bwd_us']:>12.1f} {row['maxpool_bwd_reference_us']:>8.1f}"
         )
     lines.append("")
     lines.append(f"{'transport':<10} {'task bytes/round':>17} {'result bytes/round':>19}  parity")

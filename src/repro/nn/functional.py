@@ -11,10 +11,10 @@ Hot-path design (see ``repro.perf``):
   :class:`repro.perf.workspace.Workspace` and write into reusable
   buffers instead of allocating per batch — conv/pool *modules* own one
   workspace each and pass it down;
-* the fold/scatter adjoints (:func:`col2im`,
-  :func:`maxpool2d_backward`) are vectorised over precomputed flat
-  scatter indices (cached per geometry, shared process-wide) instead of
-  Python ``kh×kw`` loops or 4-axis fancy indexing;
+* the fold adjoint (:func:`col2im`) is one flat scatter over precomputed
+  indices (cached per geometry, shared process-wide) instead of a Python
+  ``kh×kw`` loop; max pooling is a running maximum over its ``k²`` window
+  positions, forward and backward — no window gather, no index arithmetic;
 * 1×1 stride-1 unpadded convolutions skip the im2col lowering entirely
   and run as batched GEMMs on reshaped views — no column copy at all
   (the "contiguity-aware" fast path: the strides of an NCHW tensor
@@ -55,7 +55,7 @@ __all__ = [
 #: immutable precomputed scatter-index arrays, keyed by geometry.  Shared
 #: process-wide (read-only after construction, so thread-safe) — worker
 #: processes build a fresh model per task but pay for index construction
-#: only once per conv/pool geometry.
+#: only once per conv geometry.
 _SCATTER_INDEX_CACHE: dict[tuple, np.ndarray] = {}
 
 
@@ -351,6 +351,14 @@ def depthwise_conv2d_backward(
     return grad_x, grad_w, grad_bias
 
 
+def _pool_windows(x: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int):
+    """``(position, strided view of that element of every window)`` in the
+    row-major order ``np.argmax`` scans a window in."""
+    for position in range(kernel * kernel):
+        i, j = divmod(position, kernel)
+        yield position, x[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+
+
 def maxpool2d_forward(
     x: np.ndarray,
     kernel: int,
@@ -360,67 +368,62 @@ def maxpool2d_forward(
 ) -> tuple[np.ndarray, tuple]:
     """Max pooling forward pass (no padding).
 
-    ``need_argmax=False`` (inference) skips the patch gather and argmax
-    entirely: the maximum is reduced over ``kernel²`` strided window
-    views, which is both allocation-free and much faster — the returned
-    cache is then unusable for :func:`maxpool2d_backward`.
+    A running maximum over the ``kernel²`` window positions.  ``argmax``
+    is the running maximum of ``position × (window > out)``: the last
+    position that *strictly* beat the running maximum is the first
+    occurrence of the window's maximum, which is what ``np.argmax``
+    returns on ties (windows of post-ReLU zeros are the common case).
+    ``need_argmax=False`` (inference) skips that bookkeeping — the
+    returned cache is then unusable for :func:`maxpool2d_backward`.
+
+    A NaN in a window still yields NaN (``np.maximum`` propagates it), but
+    the position its gradient is routed to is unspecified.
     """
     n, c, h, w = x.shape
-    out_h = conv_output_size(h, kernel, stride, 0)
-    out_w = conv_output_size(w, kernel, stride, 0)
-    if not need_argmax:
-        out = None
-        for i in range(kernel):
-            for j in range(kernel):
-                window = x[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
-                if out is None:
-                    out = np.array(window, copy=True)
-                else:
-                    np.maximum(out, window, out=out)
-        return out, (x.shape, None, kernel, stride)
-    ws = _owned_or_fresh(ws)
-    patches = _patch_view(x, kernel, kernel, stride)
-    flat = ws.get(("maxpool", x.shape, kernel, stride), (n, c, out_h, out_w, kernel * kernel), x.dtype)
-    np.copyto(flat.reshape(patches.shape), patches)
-    argmax = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
-    cache = (x.shape, argmax, kernel, stride)
-    return out, cache
+    shape = (n, c, conv_output_size(h, kernel, stride, 0), conv_output_size(w, kernel, stride, 0))
+    out = np.empty(shape, x.dtype)
+    argmax = None
+    if need_argmax:
+        # the cache outlives this call (a second forward must not rewrite
+        # it), so it is the one array not taken from the workspace
+        argmax = np.zeros(shape, np.min_scalar_type(kernel * kernel - 1))
+        ws = _owned_or_fresh(ws)
+        plane = ws.get(("maxpool_plane", shape), shape, x.dtype)
+        beat_at = ws.get(("maxpool_beat_at", shape), shape, argmax.dtype)
+    for position, window in _pool_windows(x, kernel, stride, *shape[2:]):
+        if position == 0:
+            np.copyto(out, window)
+            continue
+        if need_argmax:
+            # read twice: one contiguous copy is cheaper than a second
+            # ufunc pass over the strided view
+            np.copyto(plane, window)
+            window = plane
+            np.greater(window, out, out=beat_at)
+            beat_at *= position
+            np.maximum(argmax, beat_at, out=argmax)
+        np.maximum(out, window, out=out)
+    return out, (x.shape, argmax, kernel, stride)
 
 
-def _pool_base_indices(x_shape: tuple[int, int, int, int], out_h: int, out_w: int) -> np.ndarray:
-    """Per-(n, c) flat offsets of the pooling grid origin (cached)."""
-    key = ("poolbase", x_shape, out_h, out_w)
-    cached = _SCATTER_INDEX_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n, c, h, w = x_shape
-    base = (np.arange(n * c, dtype=np.intp) * (h * w))[:, None, None]
-    base = np.ascontiguousarray(np.broadcast_to(base, (n * c, out_h, out_w))).reshape(n, c, out_h, out_w)
-    _SCATTER_INDEX_CACHE[key] = base
-    return base
-
-
-def maxpool2d_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
+def maxpool2d_backward(grad_out: np.ndarray, cache: tuple, ws: Workspace | None = None) -> np.ndarray:
     """Backward pass of :func:`maxpool2d_forward`.
 
-    Routes every output gradient to its argmax input position with one
-    flat ``bincount`` accumulation (duplicate targets cannot occur within
-    a window, but windows may overlap when ``stride < kernel``).
+    Position by position, ``grad_out × (argmax == position)`` is added
+    onto the strided view of a zeroed input gradient: one gradient lands
+    per window, and overlapping windows (``stride < kernel``) accumulate.
     """
     x_shape, argmax, kernel, stride = cache
     if argmax is None:
         raise RuntimeError("maxpool forward ran without argmax (inference mode); no backward possible")
-    n, c, h, w = x_shape
-    out_h, out_w = grad_out.shape[2], grad_out.shape[3]
-
-    rows = argmax // kernel
-    rows += np.arange(out_h, dtype=argmax.dtype)[None, None, :, None] * stride
-    cols = argmax % kernel
-    cols += np.arange(out_w, dtype=argmax.dtype)[None, None, None, :] * stride
-    indices = _pool_base_indices(x_shape, out_h, out_w) + rows * w + cols
-    flat = np.bincount(indices.reshape(-1), weights=grad_out.reshape(-1), minlength=n * c * h * w)
-    return flat.reshape(x_shape).astype(grad_out.dtype, copy=False)
+    ws = _owned_or_fresh(ws)
+    grad_x = ws.zeros(("maxpool_grad", x_shape), x_shape, grad_out.dtype)
+    routed = ws.get(("maxpool_routed", grad_out.shape), grad_out.shape, grad_out.dtype)
+    for position, window in _pool_windows(grad_x, kernel, stride, *grad_out.shape[2:]):
+        np.equal(argmax, position, out=routed)
+        routed *= grad_out
+        window += routed
+    return grad_x
 
 
 def maxpool2d_backward_reference(grad_out: np.ndarray, cache: tuple) -> np.ndarray:

@@ -169,10 +169,10 @@ class BatchNorm2d(Module):
 
     Hot-path notes: the normalised activations and the input gradient are
     computed into module-owned workspace buffers (one fresh output
-    allocation per forward, zero per backward), the running statistics
-    update in place, and the backward reductions run as ``einsum``
-    contractions that never materialise the element-wise products.  The
-    layer never mutates its input.
+    allocation per forward), the input is centred once for both batch
+    statistics, the running statistics update in place, and the backward
+    contraction is one batched ``matmul`` that never materialises the
+    element-wise product.  The layer never mutates its input.
     """
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -192,16 +192,7 @@ class BatchNorm2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.num_features:
             raise ValueError(f"expected {self.num_features} channels, got {x.shape[1]}")
-        if self.training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            running_mean = self._buffers["running_mean"]
-            running_var = self._buffers["running_var"]
-            running_mean *= 1 - self.momentum
-            running_mean += self.momentum * mean
-            running_var *= 1 - self.momentum
-            running_var += self.momentum * var
-        else:
+        if not self.training:
             # inference: fold mean/var/gamma/beta into one per-channel affine
             inv_std = 1.0 / np.sqrt(self._buffers["running_var"] + self.eps)
             scale = self.weight.data * inv_std
@@ -209,14 +200,31 @@ class BatchNorm2d(Module):
             out = x * scale[None, :, None, None]
             out += shift[None, :, None, None]
             return out
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        # the reductions ``x.mean`` and ``x.var`` run, centred once for both
+        m = x.size // self.num_features
+        mean = np.add.reduce(x, (0, 2, 3)) / m
         x_hat = self._ws.get(("x_hat", x.shape), x.shape, x.dtype)
         np.subtract(x, mean[None, :, None, None], out=x_hat, casting="unsafe")
+        # a sum rounds in its operand's memory order: square into a buffer
+        # laid out like ``x``, as ``x.var`` did (a depthwise convolution
+        # hands over a channel-major array)
+        layout = ("squared", x.shape, x.strides)
+        squared = self._ws.lookup(layout)
+        if squared is None:
+            squared = self._ws.put(layout, np.empty_like(x))
+        np.multiply(x_hat, x_hat, out=squared)
+        var = np.add.reduce(squared, (0, 2, 3)) / m
+        running_mean = self._buffers["running_mean"]
+        running_var = self._buffers["running_var"]
+        running_mean *= 1 - self.momentum
+        running_mean += self.momentum * mean
+        running_var *= 1 - self.momentum
+        running_var += self.momentum * var
+        inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat *= inv_std[None, :, None, None]
         out = self.weight.data[None, :, None, None] * x_hat
         out += self.bias.data[None, :, None, None]
-        if self.training:
-            self._cache = (x_hat, inv_std)
+        self._cache = (x_hat, inv_std)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -226,9 +234,12 @@ class BatchNorm2d(Module):
         n, c, h, w = grad_out.shape
         m = n * h * w
 
-        # einsum contracts without materialising grad_out * x_hat; each
-        # O(N*C*H*W) reduction is computed exactly once
-        dot = np.einsum("nchw,nchw->c", grad_out, x_hat, optimize=True)
+        # sum_nhw(grad_out * x_hat) as ``einsum(..., optimize=True)`` resolves
+        # it, less its path search: two channel-major copies and one batched
+        # (c, 1, m) @ (c, m, 1); plain ``einsum`` sums in another order
+        dot = np.matmul(
+            grad_out.transpose(1, 0, 2, 3).reshape(c, 1, m), x_hat.transpose(1, 0, 2, 3).reshape(c, m, 1)
+        ).reshape(c)
         grad_sum = grad_out.sum(axis=(0, 2, 3))
         self.weight.grad += dot
         self.bias.grad += grad_sum
@@ -348,7 +359,7 @@ class MaxPool2d(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        grad = F.maxpool2d_backward(grad_out, self._cache)
+        grad = F.maxpool2d_backward(grad_out, self._cache, self._ws)
         self._cache = None
         return grad
 
@@ -391,7 +402,7 @@ class GlobalAvgPool2d(Module):
         n, c, h, w = self._shape
         grad = np.broadcast_to(grad_out[:, :, None, None], self._shape) / (h * w)
         self._shape = None
-        return grad.copy()
+        return grad
 
 
 class Flatten(Module):
