@@ -12,6 +12,12 @@ contract, the histories diverge and the script exits non-zero.
 Usage::
 
     PYTHONPATH=src python scripts/serve_smoke.py [--rounds 2] [--algorithm adaptivefl]
+        [--transport-codec int8]
+
+``--transport-codec`` runs both sides over a lossy uplink codec: the
+encode → wire → decode-into-the-fold path instead of the exact
+XOR-delta one.  Lossy, but the histories (true encoded ``bytes_up``
+included) must still be identical.
 """
 
 from __future__ import annotations
@@ -28,13 +34,14 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 LISTEN_LINE = re.compile(r"repro-serve: listening on (\S+):(\d+)")
 
 
-def run_serial(algorithm: str, rounds: int, scale: str, output_dir: Path) -> None:
+def run_serial(algorithm: str, rounds: int, scale: str, codec: str, output_dir: Path) -> None:
     """Produce the serial reference history via ``repro run``."""
     subprocess.run(
         [
             sys.executable, "-m", "repro", "run",
             "--algorithm", algorithm, "--scale", scale,
             "--rounds", str(rounds), "--quiet",
+            "--transport-codec", codec,
             "--output-dir", str(output_dir),
         ],
         cwd=REPO_ROOT,
@@ -43,13 +50,14 @@ def run_serial(algorithm: str, rounds: int, scale: str, output_dir: Path) -> Non
     )
 
 
-def run_remote(algorithm: str, rounds: int, scale: str, output_dir: Path, clients: int) -> None:
+def run_remote(algorithm: str, rounds: int, scale: str, codec: str, output_dir: Path, clients: int) -> None:
     """Run the same experiment through ``repro serve`` + worker processes."""
     server = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
             "--algorithm", algorithm, "--scale", scale,
             "--rounds", str(rounds), "--quiet",
+            "--transport-codec", codec,
             "--output-dir", str(output_dir),
             "--port", "0", "--expect-clients", str(clients),
             "--heartbeat-interval", "1", "--connect-timeout", "60",
@@ -104,15 +112,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=2)
     parser.add_argument("--scale", default="ci")
     parser.add_argument("--clients", type=int, default=2)
+    parser.add_argument("--transport-codec", default="none", help="uplink codec of both runs")
     args = parser.parse_args(argv)
+    codec = args.transport_codec
 
     with tempfile.TemporaryDirectory(prefix="serve_smoke_") as tmp:
         serial_dir = Path(tmp) / "serial"
         remote_dir = Path(tmp) / "remote"
-        print(f"[serve-smoke] serial reference: {args.algorithm}, {args.rounds} rounds")
-        run_serial(args.algorithm, args.rounds, args.scale, serial_dir)
+        print(f"[serve-smoke] serial reference: {args.algorithm}, {args.rounds} rounds, codec {codec}")
+        run_serial(args.algorithm, args.rounds, args.scale, codec, serial_dir)
         print(f"[serve-smoke] networked run: {args.clients} clients over loopback")
-        run_remote(args.algorithm, args.rounds, args.scale, remote_dir, args.clients)
+        run_remote(args.algorithm, args.rounds, args.scale, codec, remote_dir, args.clients)
 
         history = f"{args.algorithm}_history.json"
         serial = json.loads((serial_dir / history).read_text(encoding="utf-8"))

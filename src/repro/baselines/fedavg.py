@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.api.registry import register_algorithm
 from repro.baselines.base import RandomSelectionMixin
-from repro.core.aggregation import ClientUpdate
 from repro.core.fl_base import FederatedAlgorithm
 from repro.core.history import RoundRecord
 from repro.core.metrics import communication_waste_rate
@@ -48,17 +47,7 @@ class AllLargeFedAvg(RandomSelectionMixin, FederatedAlgorithm):
         )
         losses = [result.mean_loss for result in results]
 
-        if results:
-            # generator: each decoded update is folded into the aggregator's
-            # reused buffers and dropped before the next one is decoded
-            updates = (
-                ClientUpdate(
-                    self.decode_result_state(result.state, full_sizes, self.global_state),
-                    result.num_samples,
-                )
-                for result in results
-            )
-            self.global_state = self.aggregate(updates)
+        self.fold_results(results, [full_sizes] * len(results))
         record = RoundRecord(
             round_index=round_index,
             train_loss=float(np.mean(losses)) if losses else None,

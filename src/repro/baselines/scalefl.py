@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.api.registry import register_algorithm
 from repro.baselines.base import RandomSelectionMixin, capacity_level_assignment
-from repro.core.aggregation import ClientUpdate
 from repro.core.fl_base import FederatedAlgorithm
 from repro.core.history import RoundRecord
 from repro.core.metrics import communication_waste_rate
@@ -148,17 +147,7 @@ class ScaleFL(RandomSelectionMixin, FederatedAlgorithm):
         results = self.run_local_training(round_index, kept)
         losses = [result.mean_loss for result in results]
 
-        if results:
-            # generator: each decoded update is folded into the aggregator's
-            # reused buffers and dropped before the next one is decoded
-            updates = (
-                ClientUpdate(
-                    self.decode_result_state(result.state, sizes, self.global_state),
-                    result.num_samples,
-                )
-                for (_, sizes, _), result in zip(kept, results)
-            )
-            self.global_state = self.aggregate(updates)
+        self.fold_results(results, [sizes for _, sizes, _ in kept])
         # dropped/late dispatches return nothing and count as pure waste
         aggregated = set(keep)
         sent = [self.level_params[self.client_level[c]] for c in selected]

@@ -111,6 +111,14 @@ class HeterogeneousAggregator:
             self._buffers_for(name, old_value)
         self._round_state = state
 
+    def scratch_for(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The open round's scratch block under an upload of ``shape``: a tensor
+        decoded right here is weighted by :meth:`add` where it lies, not copied in."""
+        if self._round_state is None:
+            raise RuntimeError("scratch_for called with no open round (call begin_round first)")
+        region = self.region_for(name, self._round_state[name].shape, shape)
+        return self._buffers[name][2][region]
+
     def add(self, update: ClientUpdate) -> None:
         """Accumulate one upload into the open round's partial sums.
 

@@ -26,6 +26,7 @@ evaluation, fit end) and honours :meth:`request_stop` for early stopping.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import closing
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -39,7 +40,13 @@ from repro.core.local_training import LocalTrainingResult
 from repro.core.metrics import evaluate_heads
 from repro.core.pruning import slice_state_dict
 from repro.engine.base import Executor
-from repro.engine.codecs import EncodedUpdate, UpdateCodec, apply_encoded_update, get_codec
+from repro.engine.codecs import (
+    EncodedUpdate,
+    UpdateCodec,
+    apply_encoded_update,
+    get_codec,
+    inflate_ahead,
+)
 from repro.engine.factory import create_executor
 from repro.engine.rng import client_stream
 from repro.engine.tasks import ClientTask, TrainSubmodelTask
@@ -61,6 +68,8 @@ from repro.nn.models.spec import SlimmableArchitecture
 from repro.perf.flops import count_flops
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import Future
+
     # imported lazily at runtime: repro.sim.scenario pulls in
     # repro.core.serialization, so a module-level import here would make
     # `import repro.sim` (before repro.core is initialised) circular
@@ -320,7 +329,7 @@ class FederatedAlgorithm(ABC):
         store = self._state_stores.get(stream)
         if store is None:
             store = self._state_stores[stream] = StateStore(label=f"{self.name}-{stream}")
-        handle = store.publish(state, spill=self.executor.is_interprocess)
+        handle = store.publish(state, spill=self.executor.is_interprocess, keep_bytes=True)
         # rounds are synchronous (map() returns only when every task did),
         # so once a new version is out nothing can reference versions more
         # than one behind; keep that one-version straggler window and
@@ -372,6 +381,7 @@ class FederatedAlgorithm(ABC):
         uploaded,
         group_sizes: Mapping[str, int],
         source_state: Mapping[str, np.ndarray],
+        inflated: "Future[dict[str, bytes]] | None" = None,
     ) -> Mapping[str, np.ndarray]:
         """Resolve an upload (raw weights, XOR delta or codec payload) into plain weights.
 
@@ -380,7 +390,9 @@ class FederatedAlgorithm(ABC):
         compressed blob length, so lossy payloads are never overstated —
         and an encoded upload additionally banks the client's new
         error-feedback residual before decoding against the same
-        reference slice the worker trained from.
+        reference slice the worker trained from.  With ``inflated`` (see
+        :meth:`fold_results`) it is rebuilt in the open aggregation round's
+        scratch, valid until the next decode; without, the caller owns it.
         """
         if isinstance(uploaded, EncodedUpdate):
             self._round_bytes_up += uploaded.nbytes
@@ -388,8 +400,18 @@ class FederatedAlgorithm(ABC):
             if self.profiler.enabled:
                 self.profiler.count("transport.bytes_up", uploaded.nbytes)
             self._bank_codec_residual(uploaded)
-            reference = slice_state_dict(source_state, self.architecture, dict(group_sizes))
-            return apply_encoded_update(uploaded, reference)
+            # views, not slice_state_dict's copies: the reference is only read
+            reference = {
+                spec.name: np.asarray(source_state[spec.name])[
+                    tuple(slice(0, n) for n in self.architecture.param_shape_for(spec, group_sizes))
+                ]
+                for spec in self.architecture.param_specs()
+            }
+            if inflated is None:
+                return apply_encoded_update(uploaded, reference)
+            return apply_encoded_update(
+                uploaded, reference, self._aggregator.scratch_for, inflated.result()
+            )
         if isinstance(uploaded, Mapping):
             nbytes = state_nbytes(uploaded)
             self._round_bytes_up += nbytes
@@ -456,6 +478,24 @@ class FederatedAlgorithm(ABC):
         """
         with self.profiler.scope("round.aggregate"):
             return self._aggregator.aggregate(self.global_state, updates)
+
+    def fold_results(self, results: Sequence, group_sizes: Sequence[Mapping[str, int]]) -> None:
+        """Decode each result's upload (``group_sizes[i]`` is what ``results[i]`` trained) and aggregate.
+
+        A generator feeds :meth:`aggregate`, so a decoded upload exists only
+        while it is folded; an encoded one is rebuilt in the aggregator's
+        scratch while a helper thread, alive for this call, inflates the next.
+        """
+        if not results:
+            return
+        with closing(inflate_ahead([result.state for result in results])) as inflated:
+            self.global_state = self.aggregate(
+                ClientUpdate(
+                    self.decode_result_state(result.state, sizes, self.global_state, codes),
+                    result.num_samples,
+                )
+                for result, sizes, codes in zip(results, group_sizes, inflated)
+            )
 
     def client_dataset_source(self, client_id: int) -> "Dataset | StateHandle":
         """The dataset reference a client task should carry.

@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_algorithm
-from repro.core.aggregation import ClientUpdate
 from repro.core.client import ClientRoundResult
 from repro.core.config import AdaptiveFLConfig
 from repro.core.fl_base import FederatedAlgorithm
@@ -185,20 +184,7 @@ class AdaptiveFL(FederatedAlgorithm):
                     f"resource plan predicted {planned_returns[i].name}"
                 )
 
-        if results:
-            # generator, not a list: each decoded full-size update exists only
-            # while the aggregator folds it into the reused partial-sum
-            # buffers, so peak memory holds one delta instead of all of them
-            updates = (
-                ClientUpdate(
-                    self.decode_result_state(
-                        result.state, self.pool.group_sizes(result.returned), self.global_state
-                    ),
-                    result.num_samples,
-                )
-                for result in results
-            )
-            self.global_state = self.aggregate(updates)
+        self.fold_results(results, [self.pool.group_sizes(result.returned) for result in results])
 
         # waste counts every dispatch: a dropped/late client's downlinked model
         # returns nothing, which is exactly the waste the paper's §4.4 rate measures

@@ -16,14 +16,31 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-__all__ = ["Executor", "run_task", "default_max_workers"]
+__all__ = ["Executor", "run_task", "default_max_workers", "map_longest_first"]
 
 
 def run_task(task: Any) -> Any:
     """Execute one task (module-level so process pools can pickle it by name)."""
     return task.run()
+
+
+def map_longest_first(
+    ordered_map: Callable[[list[Any]], Iterable[Any]], tasks: Sequence[Any]
+) -> list[Any]:
+    """``ordered_map(tasks)``, costliest first, results in submission order.
+
+    A round's tasks differ severalfold in size (S/M/L submodels): started
+    in submission order, the last big one leaves the other workers idle.
+    ``ordered_map`` (order-preserving, hands items out first to last) gets
+    them by decreasing ``task.cost`` — ties and cost-less tasks as submitted.
+    """
+    order = sorted(range(len(tasks)), key=lambda index: -getattr(tasks[index], "cost", 0))
+    results: list[Any] = [None] * len(tasks)
+    for index, result in zip(order, ordered_map([tasks[index] for index in order])):
+        results[index] = result
+    return results
 
 
 def default_max_workers() -> int:

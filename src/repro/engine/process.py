@@ -12,7 +12,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Sequence
 
-from repro.engine.base import Executor, run_task
+from repro.engine.base import Executor, map_longest_first, run_task
 
 __all__ = ["ProcessExecutor"]
 
@@ -33,10 +33,11 @@ class ProcessExecutor(Executor):
         return self._pool
 
     def map(self, tasks: Sequence[Any]) -> list[Any]:
-        """Fan the tasks across worker processes; results in submission order."""
+        """Fan the tasks across worker processes, costliest first; results in submission order."""
         if not tasks:
             return []
-        return list(self._ensure_pool().map(run_task, tasks))
+        pool = self._ensure_pool()
+        return map_longest_first(lambda batch: pool.map(run_task, batch), tasks)
 
     def shutdown(self) -> None:
         """Terminate the worker pool (a later map() lazily rebuilds it)."""

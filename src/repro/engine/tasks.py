@@ -60,6 +60,9 @@ class ClientTask(ABC):
 
     #: private randomness of this task (see :mod:`repro.engine.rng`)
     rng_stream: np.random.SeedSequence
+    #: relative running time (parameters trained): parallel executors start
+    #: the costliest task first (:func:`repro.engine.base.map_longest_first`)
+    cost: int = 0
 
     @abstractmethod
     def run(self) -> Any:
@@ -103,6 +106,11 @@ class LocalRoundTask(ClientTask):
     codec_residual: "Mapping[str, np.ndarray] | None" = None
     #: telemetry identity (round trace + task span); never read by run()
     trace: TraceContext | None = None
+
+    @property
+    def cost(self) -> int:
+        """Parameters of the submodel the device trains."""
+        return (self.dispatched if self.planned_return is None else self.planned_return).num_params
 
     def run(self) -> ClientRoundResult:
         """Execute the client's full local round (worker-side entry point)."""
@@ -157,6 +165,11 @@ class TrainSubmodelTask(ClientTask):
     codec_residual: "Mapping[str, np.ndarray] | None" = None
     #: telemetry identity (round trace + task span); never read by run()
     trace: TraceContext | None = None
+
+    @property
+    def cost(self) -> int:
+        """Parameters of the assigned submodel."""
+        return self.architecture.parameter_count(self.group_sizes)
 
     def run(self) -> LocalTrainingResult:
         """Train the assigned submodel on the client's data (worker-side)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Sequence
 
-from repro.engine.base import Executor, run_task
+from repro.engine.base import Executor, map_longest_first, run_task
 
 __all__ = ["ThreadExecutor"]
 
@@ -35,14 +35,15 @@ class ThreadExecutor(Executor):
         return self._pool
 
     def map(self, tasks: Sequence[Any]) -> list[Any]:
-        """Fan the tasks across the thread pool; results in submission order.
+        """Fan the tasks across the thread pool, costliest first; results in submission order.
 
         ``Executor.map`` re-raises the first task exception when its
         result is consumed, preserving the serial error behaviour.
         """
         if not tasks:
             return []
-        return list(self._ensure_pool().map(run_task, tasks))
+        pool = self._ensure_pool()
+        return map_longest_first(lambda batch: pool.map(run_task, batch), tasks)
 
     def shutdown(self) -> None:
         """Join the thread pool (a later map() lazily rebuilds it)."""

@@ -189,10 +189,19 @@ class StateStore:
         #: outstanding StateHandles (stragglers, networked workers) may
         #: still resolve them
         self._spill_paths: dict[int, str] = {}
+        #: (version, pickled bytes) of the newest spill published with
+        #: ``keep_bytes``: served from memory instead of re-read per worker
+        self._newest_spill: tuple[int, bytes] = (0, b"")
         _SERVER_STORES[self.store_id] = self
 
-    def publish(self, state: Mapping[str, np.ndarray], spill: bool = False) -> StateHandle:
-        """Register a new version of the state and return its handle."""
+    def publish(
+        self, state: Mapping[str, np.ndarray], spill: bool = False, keep_bytes: bool = False
+    ) -> StateHandle:
+        """Register a new version of the state and return its handle.
+
+        ``keep_bytes`` holds a spilled version's pickle until the next publish:
+        for streams every wire worker fetches each round (weights, not datasets).
+        """
         self.version += 1
         path = None
         if spill:
@@ -200,7 +209,11 @@ class StateStore:
                 self._spill_dir = tempfile.mkdtemp(prefix=f"repro-{self.label}-")
             path = os.path.join(self._spill_dir, f"v{self.version}.pkl")
             with open(path, "wb") as stream:
-                pickle.dump(state, stream, protocol=pickle.HIGHEST_PROTOCOL)
+                if keep_bytes:
+                    self._newest_spill = (self.version, pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
+                    stream.write(self._newest_spill[1])
+                else:  # streamed: no second copy of a large dataset in memory
+                    pickle.dump(state, stream, protocol=pickle.HIGHEST_PROTOCOL)
             self._spill_paths[self.version] = path
         return StateHandle(self.store_id, self.version, path, state)
 
@@ -217,6 +230,8 @@ class StateStore:
                 f"store {self.store_id!r} does not retain v{version} "
                 f"(current v{self.version}, retained {sorted(self._spill_paths)})"
             ) from None
+        if self._newest_spill[0] == version:
+            return self._newest_spill[1]
         with open(path, "rb") as stream:
             return stream.read()
 
@@ -247,6 +262,7 @@ class StateStore:
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
         self._spill_paths.clear()
+        self._newest_spill = (0, b"")
         if self._spill_dir is not None:
             try:
                 os.rmdir(self._spill_dir)

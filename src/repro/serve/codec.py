@@ -57,7 +57,7 @@ def encode_frame(message: Message) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
-def decode_body(body: bytes) -> Message:
+def decode_body(body: "bytes | bytearray") -> Message:
     """Deserialise a frame body, validating it is a registered message."""
     try:
         message = pickle.loads(body)
@@ -99,20 +99,22 @@ def send_message(sock: socket.socket, message: Message) -> None:
     sock.sendall(encode_frame(message))
 
 
-def _recv_exact(sock: socket.socket, length: int) -> bytes | None:
+def _recv_exact(sock: socket.socket, length: int) -> bytearray | None:
     """Read exactly ``length`` bytes; ``None`` on EOF before the first byte."""
-    buffer = bytearray()
-    while len(buffer) < length:
+    buffer = bytearray(length)
+    view = memoryview(buffer)
+    received = 0
+    while received < length:
         try:
-            chunk = sock.recv(length - len(buffer))
+            count = sock.recv_into(view[received:])
         except (ConnectionResetError, BrokenPipeError):
-            chunk = b""
-        if not chunk:
-            if not buffer:
+            count = 0
+        if not count:
+            if not received:
                 return None
             raise CodecError("connection closed mid-frame")
-        buffer.extend(chunk)
-    return bytes(buffer)
+        received += count
+    return buffer
 
 
 def recv_message(sock: socket.socket) -> Message | None:

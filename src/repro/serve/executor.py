@@ -25,7 +25,7 @@ import threading
 from dataclasses import replace
 from typing import Any, Sequence
 
-from repro.engine.base import Executor
+from repro.engine.base import Executor, map_longest_first
 from repro.serve.coordinator import Coordinator
 from repro.serve.options import ServeOptions, serve_options
 
@@ -100,7 +100,10 @@ class RemoteExecutor(Executor):
 
     # -- Executor contract ----------------------------------------------------------------
     def map(self, tasks: Sequence[Any]) -> list[Any]:
-        """Run one batch of tasks on the connected clients, in submission order."""
+        """Run one batch of tasks on the connected clients, costliest first; results in submission order."""
+        return map_longest_first(self._run_batch, tasks)
+
+    def _run_batch(self, tasks: list[Any]) -> list[Any]:
         address = self.start()
         assert self._loop is not None and self._coordinator is not None and address is not None
         payloads = [pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL) for task in tasks]

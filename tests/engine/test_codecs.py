@@ -129,10 +129,10 @@ class TestConfigRoundTrip:
         assert rebuilt == codec
 
     def test_non_default_knobs_roundtrip(self):
-        codec = TopKCodec(k_fraction=0.25, compress_level=9)
+        codec = TopKCodec(k_fraction=0.25)
         rebuilt = codec_from_dict(codec.to_dict())
         assert rebuilt == codec
-        assert rebuilt.k_fraction == 0.25 and rebuilt.compress_level == 9
+        assert rebuilt.k_fraction == 0.25
 
     def test_from_dict_requires_name(self):
         with pytest.raises(ValueError, match="name"):
@@ -150,13 +150,6 @@ class TestConfigRoundTrip:
     def test_topk_rejects_bad_k_fraction(self, k_fraction):
         with pytest.raises(ValueError, match="k_fraction"):
             TopKCodec(k_fraction=k_fraction)
-
-    @pytest.mark.parametrize("level", [0, 10])
-    def test_bad_compress_level_rejected(self, level):
-        with pytest.raises(ValueError, match="compress_level"):
-            Int8Codec(compress_level=level)
-        with pytest.raises(ValueError, match="compress_level"):
-            TopKCodec(compress_level=level)
 
     @pytest.mark.parametrize("name", BUILTIN_CODECS)
     def test_nominal_bytes_per_param_positive(self, name):

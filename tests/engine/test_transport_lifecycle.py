@@ -165,6 +165,41 @@ def test_server_state_bytes_serves_retained_versions():
         store.close()
 
 
+def test_newest_spill_is_served_from_memory_when_asked_to_keep_its_bytes():
+    """``keep_bytes``: the bytes ``publish`` pickled answer ``state_request`` — no file read per worker."""
+    store = StateStore("hot")
+    try:
+        first = store.publish(make_state(1.0), spill=True, keep_bytes=True)
+        with open(first.path, "rb") as stream:
+            assert server_state_bytes(store.store_id, 1) == stream.read()
+        second = store.publish(make_state(2.0), spill=True, keep_bytes=True)
+        os.unlink(second.path)  # memory, not the file, serves the newest version
+        assert_states_equal(pickle.loads(server_state_bytes(store.store_id, 2)), make_state(2.0))
+        # only one pickle is retained: the straggler window's older version re-reads its file
+        assert_states_equal(pickle.loads(server_state_bytes(store.store_id, 1)), make_state(1.0))
+        os.unlink(first.path)
+        with pytest.raises(OSError):
+            server_state_bytes(store.store_id, 1)
+    finally:
+        store.close()
+    with pytest.raises(KeyError):
+        store.version_bytes(2)
+
+
+def test_publish_once_streams_keep_no_bytes():
+    """Client datasets are fetched once per worker: their pickle is not held in memory."""
+    store = StateStore("dataset")
+    try:
+        handle = store.publish(make_state(3.0), spill=True)
+        assert store._newest_spill == (0, b"")
+        assert_states_equal(pickle.loads(server_state_bytes(store.store_id, 1)), make_state(3.0))
+        os.unlink(handle.path)
+        with pytest.raises(OSError):
+            server_state_bytes(store.store_id, 1)
+    finally:
+        store.close()
+
+
 def test_server_store_registry_is_weak():
     store = StateStore("weak")
     store_id = store.store_id

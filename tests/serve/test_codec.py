@@ -59,6 +59,27 @@ def test_multiple_frames_in_sequence(sock_pair):
         assert recv_message(right) == Heartbeat(seq=seq)
 
 
+def test_large_frame_arriving_in_pieces(sock_pair):
+    """A body larger than the socket buffer is assembled from many ``recv_into`` calls."""
+    import threading
+
+    left, right = sock_pair
+    message = WeightSlice(store_id="global-0", version=7, payload=bytes(range(256)) * 8192)  # 2 MiB
+    frame = encode_frame(message)
+
+    def trickle() -> None:
+        for start in range(0, len(frame), 70_001):
+            left.sendall(frame[start : start + 70_001])
+
+    sender = threading.Thread(target=trickle)
+    sender.start()
+    try:
+        assert recv_message(right) == message
+    finally:
+        sender.join(timeout=10)
+    assert not sender.is_alive()
+
+
 def test_clean_eof_returns_none(sock_pair):
     left, right = sock_pair
     left.close()
