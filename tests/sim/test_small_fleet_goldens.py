@@ -7,7 +7,9 @@
   of a :class:`~repro.sim.fleet.FleetSimulator` driven alone, under every
   dynamic subsystem (markov churn + jitter + dropouts + batteries +
   relative deadline, a gated server, a fixed deadline with empty rounds, a
-  byte budget, diurnal duty cycles), and
+  byte budget, diurnal duty cycles) and under the two static scenarios
+  (``paper_testbed`` at its 17 clients, a jitter-free copy of the dynamic
+  device mix) that take the closed-form branch, and
 * history + final-weights hashes of 17-client AdaptiveFL and HeteroFL runs
   without a scenario and under ``flaky_edge``, ``congested_network``
   (gated), ``battery_constrained``, a binding ``round_byte_budget`` and a
@@ -89,15 +91,23 @@ FLEET_SPECS = {
         devices=DEVICES,
         availability=AvailabilitySpec(kind="diurnal", period_rounds=4, on_fraction=0.5),
     ),
+    # static: no jitter, churn, contention or deadline — the closed-form branch
+    "paper_testbed": get_scenario("paper_testbed"),
+    "static_mix": ScenarioSpec(
+        name="static_mix",
+        devices=tuple(
+            replace(device, compute_jitter=0.0, link_latency_s=0.0, link_jitter_s=0.0) for device in DEVICES
+        ),
+    ),
 }
-FLEET_CLIENTS = 24
+FLEET_CLIENTS = {name: 17 if name == "paper_testbed" else 24 for name in FLEET_SPECS}
 FLEET_ROUNDS = 6
 FLEET_CASES = [(name, seed) for name in FLEET_SPECS for seed in SEEDS]
 
 
 def fleet_trace(name, seed):
     """Drive one fleet for ``FLEET_ROUNDS`` rounds; hash everything it decided."""
-    fleet = FleetSimulator(FLEET_SPECS[name], num_clients=FLEET_CLIENTS, seed=seed)
+    fleet = FleetSimulator(FLEET_SPECS[name], num_clients=FLEET_CLIENTS[name], seed=seed)
     rounds, aggregated, sitting_out = [], [], []
     for round_index in range(FLEET_ROUNDS):
         mask = fleet.available_mask(round_index)
@@ -245,6 +255,8 @@ class TestFleetGoldens:
             assert fell_short(cases["stochastic"]) and any(cases["stochastic"]["sitting_out"])
             assert fell_short(cases["byte_budget"])
             assert [sent for _, sent in counts(cases["fixed_deadline"])][::2] == [0, 0, 0]
+            for static in ("paper_testbed", "static_mix"):
+                assert FLEET_SPECS[static].is_static and not fell_short(cases[static])
 
 
 class TestEndToEndGoldens:
