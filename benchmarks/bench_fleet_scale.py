@@ -79,7 +79,7 @@ def measure_throughput(size: int, rounds: int) -> dict:
             client_ids=clients.astype(np.int64), params_down=40_000, params_up=20_000,
             flops_per_sample=20_000, num_samples=60, local_epochs=2,
         )
-        fleet.simulate_round_batch(round_index, batch)
+        fleet.simulate_round(round_index, batch)
         fleet.population_stats(round_index)
 
     one_round(0)  # warm caches outside the timed window

@@ -15,7 +15,9 @@ executor choice.  When a :mod:`repro.sim` scenario is active
 conditioned on the fleet's simulated dynamics: :meth:`dispatch_count`
 adds the scenario's over-selection margin, :meth:`selectable_mask`
 restricts selection to reachable devices, :meth:`plan_round_outcome`
-simulates arrivals/dropouts/deadlines before training fans out, and
+hands the fleet one :class:`~repro.sim.fleet.DispatchBatch` of columns
+and gets the round's arrivals/dropouts/deadlines back as one columnar
+:class:`~repro.sim.fleet.RoundOutcome` before training fans out, and
 :meth:`finalize_round` — the single shared hook every ``run_round``
 returns through — records wall-clock, arrivals, drops and bytes on the
 :class:`~repro.core.history.RoundRecord`.  :meth:`run` drives the
@@ -610,7 +612,7 @@ class FederatedAlgorithm(ABC):
         """
         if self.fleet is None:
             return None
-        return self.fleet.available_clients(round_index)
+        return np.flatnonzero(self.fleet.available_mask(round_index)).tolist()
 
     def selectable_mask(self, round_index: int) -> "np.ndarray | None":
         """Boolean reachability mask (None = everyone reachable).
@@ -639,30 +641,24 @@ class FederatedAlgorithm(ABC):
         """
         if self.fleet is None:
             return None
-        from repro.sim.fleet import ClientDispatch
+        from repro.sim.fleet import DispatchBatch
 
-        # a lossy codec shrinks the modeled uplink: the fleet clock (and any
-        # byte-budget admission) must see the compressed transfer, so the
-        # nominal per-param rate scales params_up for the simulator
-        uplink_scale = 1.0
-        if self._codec is not None:
+        params_up = [self.pool.by_name(name).num_params for name in returned_names]
+        if self._codec is not None and self._codec.nominal_bytes_per_param != 4.0:
+            # a lossy codec shrinks the modeled uplink: the fleet clock (and any
+            # byte-budget admission) must see the compressed transfer, so the
+            # nominal per-param rate scales params_up for the simulator
             uplink_scale = self._codec.nominal_bytes_per_param / 4.0
-        dispatches = [
-            ClientDispatch(
-                client_id=client_id,
-                params_down=self.pool.by_name(sent_name).num_params,
-                params_up=(
-                    self.pool.by_name(back_name).num_params
-                    if uplink_scale == 1.0
-                    else max(1, int(round(self.pool.by_name(back_name).num_params * uplink_scale)))
-                ),
-                flops_per_sample=self.submodel_flops(back_name),
-                num_samples=self._client_sizes[client_id],
-                local_epochs=self.local_config.local_epochs,
-            )
-            for client_id, sent_name, back_name in zip(selected_clients, dispatched_names, returned_names)
-        ]
-        return self.fleet.simulate_round(round_index, dispatches)
+            params_up = [max(1, int(round(params * uplink_scale))) for params in params_up]
+        batch = DispatchBatch(
+            client_ids=selected_clients,
+            params_down=[self.pool.by_name(name).num_params for name in dispatched_names],
+            params_up=params_up,
+            flops_per_sample=[self.submodel_flops(name) for name in returned_names],
+            num_samples=[self._client_sizes[client_id] for client_id in selected_clients],
+            local_epochs=self.local_config.local_epochs,
+        )
+        return self.fleet.simulate_round(round_index, batch)
 
     def finalize_round(self, record: RoundRecord, outcome: "RoundOutcome | None" = None) -> RoundRecord:
         """Attach the round's system accounting to its record (shared hook).
@@ -707,8 +703,8 @@ class FederatedAlgorithm(ABC):
         record.deadline_seconds = outcome.deadline_seconds
         record.arrival_seconds = outcome.arrival_seconds()
         record.dropped_clients = outcome.dropped_client_ids()
-        record.bytes_down = outcome.bytes_down
-        record.bytes_up = outcome.bytes_up if self._codec is None else codec_bytes_up
+        record.bytes_down = outcome.bytes_down_total
+        record.bytes_up = outcome.bytes_up_total if self._codec is None else codec_bytes_up
         self._observe_fleet_metrics(record.round_index, outcome.round_seconds)
         return record
 

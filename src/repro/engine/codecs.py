@@ -185,6 +185,22 @@ def codec_from_dict(payload: Mapping[str, Any]) -> "UpdateCodec":
 # -- codec classes ----------------------------------------------------------------------
 
 
+class NonFiniteUpdateError(ValueError):
+    """A client's update holds NaN or ±inf: it diverged and must not be shipped."""
+
+
+def _finite_peak(work: np.ndarray) -> float:
+    """``max|x|`` of a float tensor (0.0 when empty); NaN or ±inf anywhere raises.
+
+    Two reductions — NaN propagates through both — so a lossy encoder
+    learns that its input is finite for less than one ``isfinite`` pass.
+    """
+    peak = max(float(work.max()), -float(work.min())) if work.size else 0.0
+    if not math.isfinite(peak):
+        raise NonFiniteUpdateError(f"peak magnitude is {peak}")
+    return peak
+
+
 class UpdateCodec(ABC):
     """One registered compression scheme for client updates."""
 
@@ -246,7 +262,9 @@ class Fp16Codec(UpdateCodec):
 
     def encode_array(self, value: np.ndarray, rng: np.random.Generator) -> tuple[str, bytes]:
         """Round each value to a neighbouring float16 grid point, unbiased."""
-        clipped = np.clip(value.astype(np.float32, copy=False), -_FP16_MAX, _FP16_MAX)
+        work = value.astype(np.float32, copy=False)
+        _finite_peak(work)  # the clamp below would ship ±inf as ±65504 and NaN as NaN
+        clipped = np.clip(work, -_FP16_MAX, _FP16_MAX)
         nearest = clipped.astype(np.float16)
         nearest32 = nearest.astype(np.float32)
         with np.errstate(over="ignore"):
@@ -265,10 +283,6 @@ class Fp16Codec(UpdateCodec):
     def nominal_bytes_per_param(self) -> float:
         """Two bytes: one float16 per parameter."""
         return 2.0
-
-
-class NonFiniteUpdateError(ValueError):
-    """A client's update holds NaN or ±inf: it diverged and must not be shipped."""
 
 
 class _Scratch(threading.local):
@@ -314,10 +328,7 @@ class Int8Codec(UpdateCodec):
         """Quantize to the symmetric int8 lattice and DEFLATE-pack the codes."""
         work = value.astype(np.float32, copy=False).reshape(-1)
         size = work.size
-        peak = max(float(work.max()), -float(work.min())) if size else 0.0
-        if not math.isfinite(peak):
-            raise NonFiniteUpdateError(f"peak magnitude is {peak}")
-        scale = np.float32(peak / 127.0)
+        scale = np.float32(_finite_peak(work) / 127.0)
         codes = _SCRATCH.take("codes", size, np.int8)
         if scale > 0:
             grid = _SCRATCH.take("grid", size, np.float32)
@@ -368,6 +379,9 @@ class TopKCodec(UpdateCodec):
     def encode_array(self, value: np.ndarray, rng: np.random.Generator) -> tuple[str, bytes]:
         """Keep the k largest-magnitude entries as packed (index, value) pairs."""
         flat = np.ascontiguousarray(value.astype(np.float32, copy=False)).ravel()
+        # a NaN sorts last: it would miss the kept set and be banked in the
+        # client's error-feedback residual, poisoning every later round
+        _finite_peak(flat)
         k = max(1, int(math.ceil(self.k_fraction * flat.size))) if flat.size else 0
         # stable magnitude order: sort on (-|x|, flat index) so equal
         # magnitudes keep a deterministic winner on every platform

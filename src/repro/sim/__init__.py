@@ -14,12 +14,14 @@ with a deterministic discrete-event simulation of a whole device fleet:
 * :mod:`repro.sim.library` — the shipped scenario library:
   ``stable_lab``, ``flaky_edge``, ``diurnal``, ``congested_network``,
   ``battery_constrained`` and ``paper_testbed`` (bit-identical to the
-  legacy :class:`~repro.devices.testbed.TestbedSimulator` numbers).
+  :class:`~repro.devices.testbed.TestbedSimulator` numbers).
 * :mod:`repro.sim.fleet` — :class:`FleetSimulator`, the per-run stateful
-  engine the federated algorithms talk to: availability traces, per-round
-  outcome simulation (compute jitter, link latency/jitter, server
-  transfer-slot contention, mid-round dropouts, battery budgets) and
-  deadline-aware arrival accounting.
+  engine the federated algorithms talk to in columns: availability
+  masks, and :meth:`~repro.sim.fleet.FleetSimulator.simulate_round`
+  from one :class:`DispatchBatch` to one :class:`RoundOutcome` (compute
+  jitter, link latency/jitter, server transfer-slot contention,
+  mid-round dropouts, battery budgets, deadline-aware arrival
+  accounting).
 
 All randomness derives from :class:`numpy.random.SeedSequence` streams
 keyed on ``(seed, tag, round)``, one population vector each — disjoint
@@ -51,13 +53,9 @@ _EXPORTS: dict[str, str] = {
     "validate_scenario_choice": "repro.sim.scenario",
     "ensure_builtin_scenarios": "repro.sim.scenario",
     # fleet runtime
-    "ClientDispatch": "repro.sim.fleet",
-    "ClientOutcome": "repro.sim.fleet",
-    "RoundOutcome": "repro.sim.fleet",
     "FleetSimulator": "repro.sim.fleet",
-    # array-first round API
     "DispatchBatch": "repro.sim.fleet",
-    "RoundOutcomeBatch": "repro.sim.fleet",
+    "RoundOutcome": "repro.sim.fleet",
     # cohort-sharded streaming selection
     "DEFAULT_COHORT_SIZE": "repro.sim.cohorts",
     "cohort_counts": "repro.sim.cohorts",

@@ -1,19 +1,21 @@
 """:class:`FleetSimulator` — the per-run discrete-event fleet engine.
 
-One fleet instance backs one algorithm run.  It owns
+One fleet instance backs one algorithm run.  The round loop hands it one
+:class:`DispatchBatch` of column arrays per round and reads one columnar
+:class:`RoundOutcome` back; no Python object exists per client at any
+fleet size.  The fleet owns
 
 * the **device fleet**: the scenario's templates expanded to the
   experiment's client count (fixed counts verbatim when they match,
-  largest-remainder proportions otherwise), held as NumPy
-  struct-of-arrays so million-device fleets never materialise a Python
-  object per client,
+  largest-remainder proportions otherwise), held as one float64 column
+  per device knob,
 * the **availability trace**: which clients are reachable at each round
   (always / Markov churn / diurnal duty cycle, overlaid with battery
-  state), exposed both as a boolean :meth:`FleetSimulator.available_mask`
-  and the :meth:`FleetSimulator.available_clients` list façade,
-* the **round simulation**: download → local compute → upload per
-  participant, closed-form vectorised when the server is uncontended or
-  on the :class:`~repro.sim.events.EventQueue` when a FIFO
+  state), as the boolean :meth:`FleetSimulator.available_mask`,
+* the **round simulation** (:meth:`FleetSimulator.simulate_round`):
+  download → local compute → upload per participant, closed-form
+  vectorised when the server is uncontended or on the
+  :class:`~repro.sim.events.EventQueue` when a FIFO
   :class:`~repro.sim.events.TransferGate` bounds server transfer
   concurrency, with link latency/jitter, per-round compute-throughput
   jitter, mid-round dropouts and battery depletion,
@@ -30,43 +32,34 @@ a same-seed run is bit-identical across executors, worker counts and
 process boundaries, at 16 clients and at 10⁶ alike.
 
 Static scenarios (no jitter, no churn, no contention, no deadline —
-``ScenarioSpec.is_static``) bypass the event decomposition and use the
-exact closed-form arithmetic of
-:meth:`repro.devices.testbed.TestbedSimulator.client_round_time`, which is
-what makes the ``paper_testbed`` scenario reproduce the legacy test-bed
-wall-clock numbers bit-for-bit.
+``ScenarioSpec.is_static``) skip the event decomposition: their clock is
+one call of :func:`repro.devices.testbed.split_round_seconds` on the
+columns, the same function
+:meth:`repro.devices.testbed.TestbedSimulator.client_round_time` computes
+through, which is what makes the ``paper_testbed`` scenario reproduce the
+test-bed wall-clock numbers bit-for-bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import partial
+from typing import Mapping
 
 import numpy as np
 
 from repro.devices.profiles import DeviceClass, DeviceProfile
-from repro.devices.testbed import DEFAULT_CAPACITY_FRACTIONS, TestbedSimulator, split_round_seconds
+from repro.devices.testbed import (
+    BYTES_PER_PARAM,
+    DEFAULT_CAPACITY_FRACTIONS,
+    TRAIN_FLOP_MULTIPLIER,
+    split_round_seconds,
+)
 from repro.sim.events import EventQueue, TransferGate
 from repro.sim.scenario import DeviceTemplate, ScenarioSpec
 
-__all__ = [
-    "ClientDispatch",
-    "ClientOutcome",
-    "RoundOutcome",
-    "DispatchBatch",
-    "RoundOutcomeBatch",
-    "FleetSimulator",
-]
-
-# shared with the legacy test-bed so paper_testbed parity can never drift
-#: bytes per parameter (float32 on the wire)
-BYTES_PER_PARAM = TestbedSimulator.BYTES_PER_PARAM
-#: backward pass costs roughly twice the forward pass
-TRAIN_FLOP_MULTIPLIER = TestbedSimulator.TRAIN_FLOP_MULTIPLIER
-#: capacity fraction per device class
-CAPACITY_FRACTIONS = DEFAULT_CAPACITY_FRACTIONS
+__all__ = ["DispatchBatch", "RoundOutcome", "FleetSimulator"]
 
 #: sim-stream namespace tag; keeps (seed, tag, ...) keys disjoint from the
 #: (seed, round, client) training streams and (seed, client, round)
@@ -75,71 +68,9 @@ _SIM_TAG = 0x51E47
 _COMPUTE, _LINK_DOWN, _LINK_UP, _DROPOUT, _AVAILABILITY, _PHASE = range(6)
 
 
-@dataclass(frozen=True)
-class ClientDispatch:
-    """What the server asks one selected client to do this round."""
-
-    client_id: int
-    params_down: int
-    params_up: int
-    flops_per_sample: int
-    num_samples: int
-    local_epochs: int
-
-
-@dataclass
-class ClientOutcome:
-    """How one dispatched client's round actually went."""
-
-    client_id: int
-    bytes_down: int
-    bytes_up: int
-    #: upload-complete time (seconds from round start); None = never returned
-    finish_seconds: float | None
-    #: True when the client failed mid-round (dropout or battery death)
-    dropped: bool
-    #: True when the update arrived in time to join aggregation
-    aggregated: bool
-    #: seconds of local compute actually spent (battery accounting)
-    compute_seconds: float = 0.0
-    #: when a dropped client went silent (the server's timeout horizon)
-    failure_seconds: float | None = None
-
-
-@dataclass
-class RoundOutcome:
-    """The simulated fate of one synchronous round."""
-
-    round_index: int
-    clients: list[ClientOutcome]
-    deadline_seconds: float | None
-    round_seconds: float
-
-    def aggregated_positions(self) -> list[int]:
-        """Indices (into the dispatch order) whose updates join aggregation."""
-        return [i for i, client in enumerate(self.clients) if client.aggregated]
-
-    def dropped_client_ids(self) -> list[int]:
-        """Clients whose update missed aggregation (dropout or deadline)."""
-        return [client.client_id for client in self.clients if not client.aggregated]
-
-    def arrival_seconds(self) -> list[float | None]:
-        """Per-dispatched-client upload-complete times (None = dropped)."""
-        return [client.finish_seconds for client in self.clients]
-
-    @property
-    def bytes_down(self) -> int:
-        return sum(client.bytes_down for client in self.clients)
-
-    @property
-    def bytes_up(self) -> int:
-        return sum(client.bytes_up for client in self.clients)
-
-
 @dataclass
 class DispatchBatch:
-    """A round's dispatches as column arrays (the scale-path twin of
-    ``list[ClientDispatch]``).
+    """What the server asks each selected client to do this round, as columns.
 
     Scalar fields broadcast: pass a single int for ``params_down`` etc.
     and it is expanded to every client in the batch.
@@ -168,47 +99,25 @@ class DispatchBatch:
     def __len__(self) -> int:
         return int(self.client_ids.shape[0])
 
-    @classmethod
-    def from_dispatches(cls, dispatches: Sequence[ClientDispatch]) -> "DispatchBatch":
-        """Column-ise a list of per-client dispatches (order preserved)."""
-        return cls(
-            client_ids=np.array([d.client_id for d in dispatches], dtype=np.int64),
-            params_down=np.array([d.params_down for d in dispatches], dtype=np.int64),
-            params_up=np.array([d.params_up for d in dispatches], dtype=np.int64),
-            flops_per_sample=np.array([d.flops_per_sample for d in dispatches], dtype=np.int64),
-            num_samples=np.array([d.num_samples for d in dispatches], dtype=np.int64),
-            local_epochs=np.array([d.local_epochs for d in dispatches], dtype=np.int64),
-        )
-
-    def to_dispatches(self) -> list[ClientDispatch]:
-        """The row view back: one ``ClientDispatch`` per batch entry."""
-        return [
-            ClientDispatch(
-                client_id=int(self.client_ids[i]),
-                params_down=int(self.params_down[i]),
-                params_up=int(self.params_up[i]),
-                flops_per_sample=int(self.flops_per_sample[i]),
-                num_samples=int(self.num_samples[i]),
-                local_epochs=int(self.local_epochs[i]),
-            )
-            for i in range(len(self))
-        ]
-
 
 @dataclass
-class RoundOutcomeBatch:
-    """A round's outcome as column arrays (NaN codes "never happened")."""
+class RoundOutcome:
+    """The simulated fate of one synchronous round, one column per fact
+    (dispatch order; NaN codes "never happened")."""
 
     round_index: int
     client_ids: np.ndarray
     bytes_down: np.ndarray
     bytes_up: np.ndarray
-    #: upload-complete times; NaN = never returned
+    #: upload-complete time (seconds from round start); NaN = never returned
     finish_seconds: np.ndarray
+    #: True when the client failed mid-round (dropout or battery death)
     dropped: np.ndarray
+    #: True when the update arrived in time to join aggregation
     aggregated: np.ndarray
+    #: seconds of local compute actually spent (battery accounting)
     compute_seconds: np.ndarray
-    #: when dropped clients went silent; NaN = did not fail
+    #: when a dropped client went silent (the server's timeout horizon); NaN = did not fail
     failure_seconds: np.ndarray
     deadline_seconds: float | None
     round_seconds: float
@@ -216,13 +125,17 @@ class RoundOutcomeBatch:
     def __len__(self) -> int:
         return int(self.client_ids.shape[0])
 
-    def aggregated_positions(self) -> np.ndarray:
+    def aggregated_positions(self) -> list[int]:
         """Indices (into the dispatch order) whose updates join aggregation."""
-        return np.flatnonzero(self.aggregated)
+        return np.flatnonzero(self.aggregated).tolist()
 
-    def dropped_client_ids(self) -> np.ndarray:
+    def dropped_client_ids(self) -> list[int]:
         """Clients whose update missed aggregation (dropout or deadline)."""
-        return self.client_ids[~self.aggregated]
+        return self.client_ids[~self.aggregated].tolist()
+
+    def arrival_seconds(self) -> list[float | None]:
+        """Per-dispatched-client upload-complete times (None = never returned)."""
+        return [None if math.isnan(finish) else finish for finish in self.finish_seconds.tolist()]
 
     @property
     def bytes_down_total(self) -> int:
@@ -231,104 +144,6 @@ class RoundOutcomeBatch:
     @property
     def bytes_up_total(self) -> int:
         return int(self.bytes_up.sum())
-
-    def to_outcome(self) -> RoundOutcome:
-        """The row view back (small-N callers; Python scalars throughout)."""
-        clients = []
-        for i in range(len(self)):
-            finish = float(self.finish_seconds[i])
-            failure = float(self.failure_seconds[i])
-            clients.append(
-                ClientOutcome(
-                    client_id=int(self.client_ids[i]),
-                    bytes_down=int(self.bytes_down[i]),
-                    bytes_up=int(self.bytes_up[i]),
-                    finish_seconds=None if math.isnan(finish) else finish,
-                    dropped=bool(self.dropped[i]),
-                    aggregated=bool(self.aggregated[i]),
-                    compute_seconds=float(self.compute_seconds[i]),
-                    failure_seconds=None if math.isnan(failure) else failure,
-                )
-            )
-        return RoundOutcome(
-            round_index=self.round_index,
-            clients=clients,
-            deadline_seconds=self.deadline_seconds,
-            round_seconds=self.round_seconds,
-        )
-
-    @classmethod
-    def from_outcome(cls, outcome: RoundOutcome) -> "RoundOutcomeBatch":
-        """Column-ise a row-shaped outcome (static rounds of the batch API)."""
-        nan = float("nan")
-        return cls(
-            round_index=outcome.round_index,
-            client_ids=np.array([c.client_id for c in outcome.clients], dtype=np.int64),
-            bytes_down=np.array([c.bytes_down for c in outcome.clients], dtype=np.int64),
-            bytes_up=np.array([c.bytes_up for c in outcome.clients], dtype=np.int64),
-            finish_seconds=np.array(
-                [nan if c.finish_seconds is None else c.finish_seconds for c in outcome.clients],
-                dtype=np.float64,
-            ),
-            dropped=np.array([c.dropped for c in outcome.clients], dtype=bool),
-            aggregated=np.array([c.aggregated for c in outcome.clients], dtype=bool),
-            compute_seconds=np.array([c.compute_seconds for c in outcome.clients], dtype=np.float64),
-            failure_seconds=np.array(
-                [nan if c.failure_seconds is None else c.failure_seconds for c in outcome.clients],
-                dtype=np.float64,
-            ),
-            deadline_seconds=outcome.deadline_seconds,
-            round_seconds=outcome.round_seconds,
-        )
-
-
-class _DeviceFleet(Sequence):
-    """Lazy ``Sequence[DeviceTemplate]`` over (template, count) runs.
-
-    Small-N callers index and iterate it like the historical
-    ``list[DeviceTemplate]``; large fleets never pay for N references.
-    """
-
-    __slots__ = ("templates", "counts", "_offsets", "_total")
-
-    def __init__(self, templates: Sequence[DeviceTemplate], counts: Sequence[int]):
-        self.templates = tuple(templates)
-        self.counts = tuple(int(count) for count in counts)
-        self._offsets = np.cumsum(np.asarray(self.counts, dtype=np.int64))
-        self._total = int(self._offsets[-1]) if self.counts else 0
-
-    def __len__(self) -> int:
-        return self._total
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._total))]
-        i = int(index)
-        if i < 0:
-            i += self._total
-        if not 0 <= i < self._total:
-            raise IndexError(f"client_id {index} out of range for fleet of {self._total}")
-        return self.templates[int(np.searchsorted(self._offsets, i, side="right"))]
-
-    def __iter__(self) -> Iterator[DeviceTemplate]:
-        for template, count in zip(self.templates, self.counts):
-            for _ in range(count):
-                yield template
-
-
-@dataclass
-class _RoundDraws:
-    """Pre-drawn per-dispatch randomness.
-
-    The closed form and the gated event replay index these exact arrays —
-    never re-drawing, never re-applying ``exp``.  ``drop_fraction`` is
-    NaN-coded: NaN means the client does not fail mid-round.
-    """
-
-    factor: np.ndarray
-    down_jitter: np.ndarray
-    up_jitter: np.ndarray
-    drop_fraction: np.ndarray
 
 
 class FleetSimulator:
@@ -339,13 +154,13 @@ class FleetSimulator:
             raise ValueError("num_clients must be positive")
         self.spec = spec
         self.seed = int(seed)
-        counts = _expand_device_counts(spec.devices, num_clients)
-        self.devices = _DeviceFleet(spec.devices, counts)
-        self.num_clients = len(self.devices)
+        #: clients per template of ``spec.devices``, in fleet order
+        self.device_counts = _expand_device_counts(spec.devices, num_clients)
+        self.num_clients = sum(self.device_counts)
 
         # struct-of-arrays device parameters: one float64 column per knob,
         # repeated from the template runs — no per-device Python objects
-        reps = np.asarray(counts, dtype=np.int64)
+        reps = np.asarray(self.device_counts, dtype=np.int64)
 
         def column(attr: str) -> np.ndarray:
             values = np.array([getattr(t, attr) for t in spec.devices], dtype=np.float64)
@@ -374,29 +189,23 @@ class FleetSimulator:
     def build_profiles(self) -> list[DeviceProfile]:
         """Capacity profiles matching the fleet (weak/medium/strong classes).
 
-        Deterministic, in fleet order — the same mapping the legacy
-        test-bed produces with an identity permutation.
+        Deterministic, in fleet order — the same mapping
+        :class:`~repro.devices.testbed.TestbedSimulator` produces with an
+        identity permutation.
         """
-        populated = [
-            template
-            for template, count in zip(self.devices.templates, self.devices.counts)
-            if count > 0
-        ]
-        top_speed = max(template.flops_per_second for template in populated)
+        runs = list(zip(self.spec.devices, self.device_counts))
+        top_speed = max(template.flops_per_second for template, count in runs if count > 0)
         profiles: list[DeviceProfile] = []
-        for template, count in zip(self.devices.templates, self.devices.counts):
+        for template, count in runs:
             device_class = DeviceClass(
                 name=template.device_class,
-                capacity_fraction=CAPACITY_FRACTIONS[template.device_class],
+                capacity_fraction=DEFAULT_CAPACITY_FRACTIONS[template.device_class],
                 compute_speed=template.flops_per_second / top_speed,
                 memory_gb=template.memory_gb,
             )
             for _ in range(count):
                 profiles.append(DeviceProfile(client_id=len(profiles), device_class=device_class))
         return profiles
-
-    def device_for(self, client_id: int) -> DeviceTemplate:
-        return self.devices[client_id]
 
     # -- randomness -------------------------------------------------------------------
     def _round_rng(self, tag: int, round_index: int) -> np.random.Generator:
@@ -430,12 +239,15 @@ class FleetSimulator:
             self._draw_cache[tag] = cached
         return cached
 
-    def _dispatch_draws(self, round_index: int, client_ids: Sequence[int]) -> _RoundDraws:
-        """All per-dispatch randomness for one round, drawn up-front.
+    def _dispatch_draws(self, round_index: int, ids: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(factor, down_jitter, up_jitter, drop_fraction)`` for one round's dispatches.
 
-        The event interleaving can never change what was drawn.
+        All per-dispatch randomness is drawn up-front: the closed form and
+        the gated event replay read these exact arrays — never re-drawing,
+        never re-applying ``exp`` — so the event interleaving can never
+        change what was drawn.  ``drop_fraction`` is NaN-coded: NaN means
+        the client does not fail mid-round.
         """
-        ids = np.asarray(client_ids, dtype=np.int64)
         jitter = self._compute_jitter[ids]
         normals = self._population_draws(_COMPUTE, round_index)[ids]
         factor = np.where(jitter > 0, np.exp(jitter * normals), 1.0)
@@ -447,7 +259,7 @@ class FleetSimulator:
             drop_fraction = np.where(trigger[ids] < self.spec.dropout_rate, fraction[ids], np.nan)
         else:
             drop_fraction = np.full(len(ids), np.nan)
-        return _RoundDraws(factor, down_jitter, up_jitter, drop_fraction)
+        return factor, down_jitter, up_jitter, drop_fraction
 
     # -- availability -----------------------------------------------------------------
     def _availability_uniforms(self, round_index: int) -> np.ndarray:
@@ -503,11 +315,12 @@ class FleetSimulator:
         return state
 
     def available_mask(self, round_index: int) -> np.ndarray:
-        """Boolean reachability mask when round ``round_index`` starts.
+        """Boolean mask of the clients reachable when round ``round_index`` starts.
 
-        The scale-path twin of :meth:`available_clients`: same semantics
-        (battery-recovering clients sit out; empty overlays are lifted),
-        O(N) vector work, no Python-object materialisation.
+        Battery-recovering clients sit out.  If the trace leaves nobody
+        online the server is modelled as waiting out the gap: first the
+        battery overlay is lifted, then — if the raw trace itself is empty
+        — every client is considered reachable again.
         """
         trace = self._trace_availability(round_index)
         online = trace & ~self._recovering_mask
@@ -516,16 +329,6 @@ class FleetSimulator:
         if trace.any():
             return trace.copy()
         return np.ones(self.num_clients, dtype=bool)
-
-    def available_clients(self, round_index: int) -> list[int]:
-        """Clients the server can reach when round ``round_index`` starts.
-
-        Battery-recovering clients sit out.  If the trace leaves nobody
-        online the server is modelled as waiting out the gap: first the
-        battery overlay is lifted, then — if the raw trace itself is empty
-        — every client is considered reachable again.
-        """
-        return np.flatnonzero(self.available_mask(round_index)).tolist()
 
     # -- population telemetry ---------------------------------------------------------
     def population_stats(self, round_index: int) -> dict[str, int]:
@@ -544,24 +347,6 @@ class FleetSimulator:
         }
 
     # -- checkpointing ----------------------------------------------------------------
-    @property
-    def _recovering(self) -> set[int]:
-        """The battery-recovering clients as a set (small-N façade).
-
-        Internally the fleet keeps a boolean mask; the set view exists for
-        checkpoints and tests.  Mutate via the setter (assignment), not by
-        ``.add``/``.discard`` on the returned copy.
-        """
-        return {int(client) for client in np.flatnonzero(self._recovering_mask)}
-
-    @_recovering.setter
-    def _recovering(self, value) -> None:
-        mask = np.zeros(self.num_clients, dtype=bool)
-        ids = np.asarray(sorted(int(client) for client in value), dtype=np.int64)
-        if ids.size:
-            mask[ids] = True
-        self._recovering_mask = mask
-
     def state_dict(self) -> dict:
         """The fleet's mutable cross-round state, for the experiment store.
 
@@ -574,7 +359,7 @@ class FleetSimulator:
         """
         return {
             "last_simulated_round": self._last_simulated_round,
-            "recovering": sorted(self._recovering),
+            "recovering": np.flatnonzero(self._recovering_mask).tolist(),
             "charge": None if self._charge is None else self._charge.copy(),
         }
 
@@ -583,6 +368,16 @@ class FleetSimulator:
         unknown = sorted(set(state) - {"last_simulated_round", "recovering", "charge"})
         if unknown:
             raise ValueError(f"fleet state does not accept key(s) {', '.join(map(repr, unknown))}")
+        missing = sorted({"last_simulated_round", "recovering"} - set(state))
+        if missing:
+            raise ValueError(f"fleet state lacks key(s) {', '.join(map(repr, missing))}")
+        recovering = np.asarray(state["recovering"], dtype=np.int64)
+        outside = recovering[(recovering < 0) | (recovering >= self.num_clients)]
+        if outside.size:
+            raise ValueError(
+                f"fleet state names recovering client(s) {outside.tolist()} "
+                f"outside [0, {self.num_clients})"
+            )
         charge = state.get("charge")
         if (charge is None) != (self._charge is None):
             raise ValueError(
@@ -597,7 +392,8 @@ class FleetSimulator:
                 )
             self._charge = charge.copy()
         self._last_simulated_round = int(state["last_simulated_round"])
-        self._recovering = {int(client) for client in state["recovering"]}
+        self._recovering_mask = np.zeros(self.num_clients, dtype=bool)
+        self._recovering_mask[recovering] = True
 
     # -- battery ----------------------------------------------------------------------
     def battery_charge(self, client_id: int) -> float | None:
@@ -607,7 +403,14 @@ class FleetSimulator:
         return float(self._charge[client_id])
 
     # -- round simulation -------------------------------------------------------------
-    def _check_monotonic(self, round_index: int) -> None:
+    def simulate_round(self, round_index: int, batch: DispatchBatch) -> RoundOutcome:
+        """Simulate one synchronous round; mutates battery/availability state.
+
+        Must be called once per round, in increasing round order (the
+        federated loop does exactly that).  Everything is array
+        arithmetic over the dispatched clients; the float64 operation
+        order is pinned by ``tests/sim/golden/small_fleet.json``.
+        """
         if round_index <= self._last_simulated_round:
             raise ValueError(
                 f"round {round_index} already simulated (last was {self._last_simulated_round}); "
@@ -615,117 +418,49 @@ class FleetSimulator:
             )
         self._last_simulated_round = round_index
 
-    def simulate_round(self, round_index: int, dispatches: list[ClientDispatch]) -> RoundOutcome:
-        """Simulate one synchronous round; mutates battery/availability state.
-
-        Must be called once per round, in increasing round order (the
-        federated loop does exactly that).
-        """
-        self._check_monotonic(round_index)
-        if self.spec.is_static:
-            return self._simulate_static(round_index, dispatches)
-        batch = DispatchBatch.from_dispatches(dispatches)
-        draws = self._dispatch_draws(round_index, batch.client_ids)
-        return self._simulate_batch(round_index, batch, draws).to_outcome()
-
-    def simulate_round_batch(self, round_index: int, batch: DispatchBatch) -> RoundOutcomeBatch:
-        """Array-native :meth:`simulate_round` (the million-device entry point).
-
-        Same semantics, same determinism, same monotonic-round contract;
-        the outcome stays columnar so the caller never pays for
-        per-client Python objects.
-        """
-        self._check_monotonic(round_index)
-        if self.spec.is_static:
-            return RoundOutcomeBatch.from_outcome(
-                self._simulate_static(round_index, batch.to_dispatches())
-            )
-        draws = self._dispatch_draws(round_index, batch.client_ids)
-        return self._simulate_batch(round_index, batch, draws)
-
-    def _closed_form_seconds(self, dispatch: ClientDispatch) -> tuple[float, float]:
-        """The legacy test-bed's (communication, training) clock, shared code."""
-        device = self.devices[dispatch.client_id]
-        return split_round_seconds(
-            device.bandwidth_mbps,
-            device.flops_per_second,
-            dispatch.params_down,
-            dispatch.params_up,
-            dispatch.flops_per_sample,
-            dispatch.num_samples,
-            dispatch.local_epochs,
-        )
-
-    def _simulate_static(self, round_index: int, dispatches: list[ClientDispatch]) -> RoundOutcome:
-        clients = []
-        for dispatch in dispatches:
-            communication, training = self._closed_form_seconds(dispatch)
-            clients.append(
-                ClientOutcome(
-                    client_id=dispatch.client_id,
-                    bytes_down=dispatch.params_down * BYTES_PER_PARAM,
-                    bytes_up=dispatch.params_up * BYTES_PER_PARAM,
-                    finish_seconds=communication + training,
-                    dropped=False,
-                    aggregated=True,
-                    compute_seconds=training,
-                )
-            )
-        finishes = [client.finish_seconds for client in clients]
-        round_seconds = float(max(finishes)) if finishes else 0.0
-        return RoundOutcome(
-            round_index=round_index, clients=clients, deadline_seconds=None, round_seconds=round_seconds
-        )
-
-    # -- dynamic rounds ---------------------------------------------------------------
-    def _simulate_batch(
-        self, round_index: int, batch: DispatchBatch, draws: _RoundDraws
-    ) -> RoundOutcomeBatch:
-        """One dynamic round as array arithmetic (the float64 operation
-        order is pinned by ``tests/sim/golden/small_fleet.json``)."""
         ids = batch.client_ids
-        latency = self._link_latency[ids]
         bandwidth = self._bandwidth[ids]
         flops = self._flops[ids]
-
         bytes_down = batch.params_down * BYTES_PER_PARAM
-        download = latency + draws.down_jitter + batch.params_down * BYTES_PER_PARAM * 8 / (
-            bandwidth * 1e6
-        )
-        upload = latency + draws.up_jitter + batch.params_up * BYTES_PER_PARAM * 8 / (
-            bandwidth * 1e6
-        )
-        total_flops = (
-            TRAIN_FLOP_MULTIPLIER * batch.flops_per_sample * batch.num_samples * batch.local_epochs
-        )
-        compute = total_flops / (flops * draws.factor)
-        dropped = ~np.isnan(draws.drop_fraction)
+        bytes_up = batch.params_up * BYTES_PER_PARAM
 
-        if self.spec.network.server_concurrency is None:
-            # uncontended: the event decomposition degenerates to
-            # download → compute → upload back-to-back, in closed form
-            compute_seconds = np.where(dropped, draws.drop_fraction * compute, compute)
-            finish_seconds = np.where(dropped, np.nan, download + compute + upload)
-            failure_seconds = np.where(dropped, download + compute_seconds, np.nan)
-            bytes_up = np.where(dropped, 0, batch.params_up * BYTES_PER_PARAM)
+        if self.spec.is_static:
+            # no dynamics at all: the test-bed's closed-form clock, on columns
+            communication, compute_seconds = split_round_seconds(
+                bandwidth,
+                flops,
+                batch.params_down,
+                batch.params_up,
+                batch.flops_per_sample,
+                batch.num_samples,
+                batch.local_epochs,
+            )
+            dropped = np.zeros(len(batch), dtype=bool)
+            finish_seconds = communication + compute_seconds
+            failure_seconds = np.full(len(batch), np.nan)
         else:
-            # gated: replay the exact FIFO event interleaving on the
-            # dispatched subset (O(dispatched), never O(fleet))
-            outcome = self._simulate_events(round_index, batch.to_dispatches(), draws)
-            nan = float("nan")
-            finish_seconds = np.array(
-                [nan if c.finish_seconds is None else c.finish_seconds for c in outcome.clients],
-                dtype=np.float64,
+            factor, down_jitter, up_jitter, drop_fraction = self._dispatch_draws(round_index, ids)
+            latency = self._link_latency[ids]
+            download = latency + down_jitter + bytes_down * 8 / (bandwidth * 1e6)
+            upload = latency + up_jitter + bytes_up * 8 / (bandwidth * 1e6)
+            total_flops = (
+                TRAIN_FLOP_MULTIPLIER * batch.flops_per_sample * batch.num_samples * batch.local_epochs
             )
-            failure_seconds = np.array(
-                [nan if c.failure_seconds is None else c.failure_seconds for c in outcome.clients],
-                dtype=np.float64,
-            )
-            compute_seconds = np.array(
-                [c.compute_seconds for c in outcome.clients], dtype=np.float64
-            )
-            bytes_up = np.array([c.bytes_up for c in outcome.clients], dtype=np.int64)
-            dropped = np.array([c.dropped for c in outcome.clients], dtype=bool)
+            compute = total_flops / (flops * factor)
+            dropped = ~np.isnan(drop_fraction)
+            if self.spec.network.server_concurrency is None:
+                # uncontended: the event decomposition degenerates to
+                # download → compute → upload back-to-back, in closed form
+                compute_seconds = np.where(dropped, drop_fraction * compute, compute)
+                finish_seconds = np.where(dropped, np.nan, download + compute + upload)
+                failure_seconds = np.where(dropped, download + compute_seconds, np.nan)
+            else:
+                # gated: replay the exact FIFO event interleaving on the
+                # dispatched subset (O(dispatched), never O(fleet))
+                compute_seconds, finish_seconds, failure_seconds = self._simulate_events(
+                    download, compute, upload, drop_fraction
+                )
+            bytes_up = np.where(dropped, 0, bytes_up)
 
         battery = self.spec.battery
         if battery is not None:
@@ -786,11 +521,11 @@ class FleetSimulator:
             below = self._charge < low
             self._recovering_mask = below | (self._recovering_mask & ~(self._charge >= resume))
 
-        return RoundOutcomeBatch(
+        return RoundOutcome(
             round_index=round_index,
             client_ids=ids,
             bytes_down=bytes_down,
-            bytes_up=np.asarray(bytes_up, dtype=np.int64),
+            bytes_up=bytes_up,
             finish_seconds=finish_seconds,
             dropped=dropped,
             aggregated=aggregated,
@@ -802,99 +537,54 @@ class FleetSimulator:
 
     # -- gated rounds: the FIFO event replay ------------------------------------------
     def _simulate_events(
-        self, round_index: int, dispatches: list[ClientDispatch], draws: _RoundDraws
-    ) -> RoundOutcome:
+        self,
+        download: np.ndarray,
+        compute: np.ndarray,
+        upload: np.ndarray,
+        drop_fraction: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Replay one gated round; returns ``(compute, finish, failure)`` second columns.
+
+        The durations and the NaN-coded ``drop_fraction`` were all fixed
+        before the replay starts, keyed on (round, client): the event
+        interleaving decides only *when* each transfer gets a slot.
+        """
         queue = EventQueue()
         gate = TransferGate(self.spec.network.server_concurrency)
+        download, compute, upload, drop_fraction = (
+            column.tolist() for column in (download, compute, upload, drop_fraction)
+        )
+        compute_seconds = list(compute)
+        finish_seconds = [math.nan] * len(compute)
+        failure_seconds = [math.nan] * len(compute)
 
-        plans = []
-        for i, dispatch in enumerate(dispatches):
-            device = self.devices[dispatch.client_id]
-            # all randomness was drawn up-front, keyed on (round, client):
-            # the event interleaving can never change what was drawn
-            factor = float(draws.factor[i])
-            down_jitter = float(draws.down_jitter[i])
-            up_jitter = float(draws.up_jitter[i])
-            raw_fraction = float(draws.drop_fraction[i])
-            drop_fraction = None if math.isnan(raw_fraction) else raw_fraction
-            total_flops = (
-                TRAIN_FLOP_MULTIPLIER
-                * dispatch.flops_per_sample
-                * dispatch.num_samples
-                * dispatch.local_epochs
-            )
-            plans.append(
-                {
-                    "download": device.link_latency_s
-                    + down_jitter
-                    + dispatch.params_down * BYTES_PER_PARAM * 8 / (device.bandwidth_mbps * 1e6),
-                    "compute": total_flops / (device.flops_per_second * factor),
-                    "upload": device.link_latency_s
-                    + up_jitter
-                    + dispatch.params_up * BYTES_PER_PARAM * 8 / (device.bandwidth_mbps * 1e6),
-                    "drop_fraction": drop_fraction,
-                }
-            )
+        def start_download(i: int) -> None:
+            queue.schedule(download[i], partial(finish_download, i))
 
-        outcomes = [
-            ClientOutcome(
-                client_id=dispatch.client_id,
-                bytes_down=dispatch.params_down * BYTES_PER_PARAM,
-                bytes_up=0,
-                finish_seconds=None,
-                dropped=False,
-                aggregated=False,
-            )
-            for dispatch in dispatches
-        ]
+        def finish_download(i: int) -> None:
+            gate.release()
+            if not math.isnan(drop_fraction[i]):
+                # the client dies mid-compute; nothing more happens
+                compute_seconds[i] = drop_fraction[i] * compute[i]
+                failure_seconds[i] = queue.now + compute_seconds[i]
+                return
+            queue.schedule(compute[i], partial(request_upload, i))
 
-        def start_download(i: int):
-            def start() -> None:
-                queue.schedule(plans[i]["download"], make_finish_download(i))
+        def request_upload(i: int) -> None:
+            gate.acquire(partial(start_upload, i))
 
-            return start
+        def start_upload(i: int) -> None:
+            queue.schedule(upload[i], partial(finish_upload, i))
 
-        def make_finish_download(i: int):
-            def finish() -> None:
-                gate.release()
-                plan, outcome = plans[i], outcomes[i]
-                if plan["drop_fraction"] is not None:
-                    spent = plan["drop_fraction"] * plan["compute"]
-                    outcome.dropped = True
-                    outcome.compute_seconds = spent
-                    outcome.failure_seconds = queue.now + spent
-                    return  # the client dies mid-compute; nothing more happens
-                outcome.compute_seconds = plan["compute"]
-                queue.schedule(plan["compute"], make_request_upload(i))
+        def finish_upload(i: int) -> None:
+            gate.release()
+            finish_seconds[i] = queue.now
 
-            return finish
-
-        def make_request_upload(i: int):
-            def request() -> None:
-                gate.acquire(make_start_upload(i))
-
-            return request
-
-        def make_start_upload(i: int):
-            def start() -> None:
-                queue.schedule(plans[i]["upload"], make_finish_upload(i))
-
-            return start
-
-        def make_finish_upload(i: int):
-            def finish() -> None:
-                gate.release()
-                outcome = outcomes[i]
-                outcome.finish_seconds = queue.now
-                outcome.bytes_up = dispatches[i].params_up * BYTES_PER_PARAM
-
-            return finish
-
-        for i in range(len(dispatches)):  # FIFO by dispatch order at t=0
-            gate.acquire(start_download(i))
+        for i in range(len(compute)):  # FIFO by dispatch order at t=0
+            gate.acquire(partial(start_download, i))
         queue.run()
 
-        return RoundOutcome(round_index=round_index, clients=outcomes, deadline_seconds=None, round_seconds=0.0)
+        return np.array(compute_seconds), np.array(finish_seconds), np.array(failure_seconds)
 
     def _byte_budget_refusals(
         self,
@@ -969,11 +659,3 @@ def _expand_device_counts(templates: tuple[DeviceTemplate, ...], num_clients: in
         position += 1
     return counts
 
-
-def _expand_devices(templates: tuple[DeviceTemplate, ...], num_clients: int) -> list[DeviceTemplate]:
-    """One template per client (small-N compatibility wrapper).
-
-    The counts come from :func:`_expand_device_counts`; large fleets
-    should use the counts directly instead of materialising N references.
-    """
-    return list(_DeviceFleet(templates, _expand_device_counts(templates, num_clients)))

@@ -1,12 +1,18 @@
-"""A diverged client fails loudly at the worker — serial and over the wire.
+"""A diverged client fails loudly at the worker — serial and over the wire, under every lossy codec.
 
-The int8 encoder computes each tensor's peak anyway; a non-finite one
-used to ship ``scale = NaN``, which the server decoded into a poisoned
-global model.  Here one client's local data carries a NaN / +inf / -inf
-pixel, so its trained weights — and its update — are not finite: the
-round must fail naming that client, and the global model must stay as
-it was.  (The server-side half — drop the update, record it, carry on —
-is ROADMAP item 1 and not this test's subject.)
+Each lossy encoder used to ship a non-finite update in its own way: int8
+as ``scale = NaN``, fp16 with ``±inf`` clamped to ``±65504`` and ``NaN``
+passed through, top-k with ``±inf`` kept and ``NaN`` sorted out of the
+kept set into the client's error-feedback residual, where it poisoned
+every later round of that client.  Here one client's local data carries
+a NaN / +inf / -inf pixel, so its trained weights — and its update — are
+not finite: the round must fail naming that client, and the global model
+must stay as it was.  (The server-side half — drop the update, record
+it, carry on — is ROADMAP item 1 and not this test's subject.)
+
+The same encoders on the inputs that are degenerate but *finite* — empty,
+scalar, all-zero, all-equal, ``k_fraction=1.0`` — are at the end of the
+file (int8's are in ``test_int8_wire_format.py``).
 
 Test ids contain the executor name on purpose: CI's executor-parity
 matrix filters ``tests/engine`` with ``-k "serial|process|remote"``.
@@ -25,25 +31,39 @@ import pytest
 from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig
 from repro.core.server import AdaptiveFL
 from repro.data.datasets import Dataset
-from repro.engine.codecs import NonFiniteUpdateError
+from repro.engine.codecs import (
+    Fp16Codec,
+    Int8Codec,
+    NonFiniteUpdateError,
+    TopKCodec,
+    codec_generator,
+    decode_update,
+    encode_client_update,
+    encode_update,
+)
+from repro.engine.rng import client_stream
 from repro.serve.executor import RemoteExecutor
 from repro.serve.options import ServeOptions
 
 #: every client takes part, so the poisoned one is certainly dispatched
 FEDERATED = FederatedConfig(num_rounds=1, clients_per_round=8, eval_every=1, transport_codec="int8")
+LOSSY = {"int8": Int8Codec(), "fp16": Fp16Codec(), "topk": TopKCodec()}
+CODECS = pytest.mark.parametrize("codec", list(LOSSY))
 LOCAL = LocalTrainingConfig(local_epochs=1, batch_size=25, max_batches_per_epoch=2)
 POISONED_CLIENT = 5
 REPO_ROOT = Path(__file__).resolve().parents[2]
 POISONS = pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 
 
-def build_algorithm(easy_setup, poison: float) -> AdaptiveFL:
+def build_algorithm(easy_setup, poison: float, codec: str) -> AdaptiveFL:
     train = easy_setup["train"]
     images = train.images.copy()
     # one pixel of every sample the client owns: whatever batches it draws, it diverges
     images[easy_setup["partition"].client_indices[POISONED_CLIENT], 0, 0, 0] = poison
     return AdaptiveFL(
-        algorithm_config=AdaptiveFLConfig(federated=FEDERATED, local=LOCAL, pool=easy_setup["pool"]),
+        algorithm_config=AdaptiveFLConfig(
+            federated=replace(FEDERATED, transport_codec=codec), local=LOCAL, pool=easy_setup["pool"]
+        ),
         architecture=easy_setup["arch"],
         train_dataset=Dataset(images, train.labels, train.num_classes),
         partition=easy_setup["partition"],
@@ -54,9 +74,10 @@ def build_algorithm(easy_setup, poison: float) -> AdaptiveFL:
     )
 
 
+@CODECS
 @POISONS
-def test_serial_round_refuses_the_diverged_client(easy_setup, poison):
-    algorithm = build_algorithm(easy_setup, poison)
+def test_serial_round_refuses_the_diverged_client(easy_setup, poison, codec):
+    algorithm = build_algorithm(easy_setup, poison, codec)
     before = {name: value.copy() for name, value in algorithm.global_state.items()}
     with np.errstate(all="ignore"), pytest.raises(
         NonFiniteUpdateError, match=rf"client {POISONED_CLIENT}\b.*tensor '[\w.]+' is not finite"
@@ -100,9 +121,10 @@ def remote_fleet():
                 process.wait(timeout=15)
 
 
+@CODECS
 @POISONS
-def test_remote_round_fails_naming_the_diverged_client(easy_setup, remote_fleet, poison):
-    algorithm = build_algorithm(easy_setup, poison)
+def test_remote_round_fails_naming_the_diverged_client(easy_setup, remote_fleet, poison, codec):
+    algorithm = build_algorithm(easy_setup, poison, codec)
     algorithm.set_executor(remote_fleet)
     before = {name: value.copy() for name, value in algorithm.global_state.items()}
     with pytest.raises(
@@ -116,7 +138,7 @@ def test_remote_round_fails_naming_the_diverged_client(easy_setup, remote_fleet,
 
 
 def test_remote_fleet_survives_and_a_clean_run_matches_serial(easy_setup, remote_fleet):
-    """After three failed batches the same fleet still trains, bit-identical to serial."""
+    """After nine failed batches the same fleet still trains, bit-identical to serial."""
     clean = replace(FEDERATED, clients_per_round=4)
 
     def run(executor):
@@ -139,3 +161,93 @@ def test_remote_fleet_survives_and_a_clean_run_matches_serial(easy_setup, remote
     assert [r.to_dict() for r in remote.history.records] == [r.to_dict() for r in serial.history.records]
     for name, value in serial.global_state.items():
         assert remote.global_state[name].tobytes() == value.tobytes()
+
+
+# -- the encoders alone ------------------------------------------------------------------
+
+
+def rng():
+    return codec_generator(client_stream(0, 1, 0))
+
+
+def roundtrip(codec, value):
+    return decode_update(encode_update(codec, {"t": value}, rng()))["t"]
+
+
+@CODECS
+@POISONS
+@pytest.mark.parametrize("position", [0, 7, -1], ids=["first", "middle", "last"])
+def test_encode_array_refuses_one_poisoned_entry(codec, poison, position):
+    value = np.linspace(-1.0, 1.0, 40, dtype=np.float32).reshape(5, 8)
+    value.flat[position] = poison
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdateError, match="peak magnitude"):
+        LOSSY[codec].encode_array(value, rng())
+    with np.errstate(all="ignore"), pytest.raises(
+        NonFiniteUpdateError, match=r"client 3: update of tensor 't' is not finite"
+    ):
+        encode_update(LOSSY[codec], {"t": value}, rng(), client_id=3)
+
+
+@POISONS
+def test_topk_banks_no_residual_from_a_poisoned_update(poison):
+    """The refusal comes before the error-feedback residual exists: nothing to bank."""
+    reference = {"w": np.zeros(64, dtype=np.float32)}
+    trained = {"w": np.linspace(-1.0, 1.0, 64, dtype=np.float32)}
+    trained["w"][10] = poison
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdateError, match="client 2"):
+        encode_client_update(TopKCodec(), trained, reference, client_stream(0, 1, 2), client_id=2)
+
+
+def test_fp16_still_clamps_large_finite_values():
+    """Finite inputs are untouched by the check: beyond ±65504 clamps, as before."""
+    value = np.array([1e6, -3e38, 65504.0, -65505.0, 12.5], dtype=np.float32)
+    assert roundtrip(Fp16Codec(), value).tolist() == [65504.0, -65504.0, 65504.0, -65504.0, 12.5]
+
+
+FINITE = {"fp16": Fp16Codec(), "topk": TopKCodec(), "topk_full": TopKCodec(k_fraction=1.0)}
+FINITE_CODECS = pytest.mark.parametrize("codec", list(FINITE))
+
+
+class TestDegenerateFiniteInputs:
+    @FINITE_CODECS
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4, 1)])
+    def test_empty(self, codec, shape):
+        decoded = roundtrip(FINITE[codec], np.zeros(shape, dtype=np.float32))
+        assert decoded.shape == shape and decoded.dtype == np.float32
+
+    @FINITE_CODECS
+    @pytest.mark.parametrize("value", [0.0, 0.5, -7.5])
+    def test_scalar(self, codec, value):
+        """A lone value is on the fp16 grid here, and is its own top-1."""
+        decoded = roundtrip(FINITE[codec], np.float32(value).reshape(()))
+        assert decoded.shape == () and decoded == np.float32(value)
+
+    @FINITE_CODECS
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zero(self, codec, zero):
+        decoded = roundtrip(FINITE[codec], np.full((4, 9), zero, dtype=np.float32))
+        assert decoded.shape == (4, 9) and not decoded.any()
+
+    @pytest.mark.parametrize("value", [2.5e-3, -2.5e-3])
+    def test_all_equal_fp16_stays_within_one_grid_step(self, value):
+        decoded = roundtrip(Fp16Codec(), np.full(300, value, dtype=np.float32))
+        spacing = float(np.spacing(np.float16(abs(value))))
+        np.testing.assert_allclose(decoded, value, rtol=0, atol=spacing)
+
+    @pytest.mark.parametrize("value", [2.5e-3, -2.5e-3])
+    def test_all_equal_topk_keeps_the_lowest_indices(self, value):
+        """Every magnitude ties: the kept set is the first ceil(k·n) flat indices."""
+        decoded = roundtrip(TopKCodec(k_fraction=0.05), np.full(300, value, dtype=np.float32))
+        assert decoded[:15].tolist() == [np.float32(value)] * 15
+        assert not decoded[15:].any()
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 3, 4)])
+    def test_full_fraction_is_exact_and_leaves_no_residual(self, shape):
+        generator = np.random.default_rng(4)
+        trained = {"w": generator.standard_normal(shape).astype(np.float32)}
+        reference = {"w": np.zeros(shape, dtype=np.float32)}
+        encoded = encode_client_update(
+            TopKCodec(k_fraction=1.0), trained, reference, client_stream(0, 1, 0)
+        )
+        assert decode_update(encoded)["w"].tobytes() == trained["w"].tobytes()
+        assert not encoded.residual["w"].any()

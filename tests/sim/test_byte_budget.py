@@ -17,14 +17,14 @@ remains.  The rules pinned here:
 
 import pytest
 
-from repro.sim.fleet import BYTES_PER_PARAM, ClientDispatch, FleetSimulator
+from repro.sim.fleet import BYTES_PER_PARAM, DispatchBatch, FleetSimulator
 from repro.sim.library import congested_metered, congested_network
 from repro.sim.scenario import DeviceTemplate, ScenarioSpec, get_scenario
 
 
-def dispatch(client_id, params_down=1000, params_up=1000, flops=5000, samples=50, epochs=1):
-    return ClientDispatch(
-        client_id=client_id,
+def dispatch(client_ids, params_down=1000, params_up=1000, flops=5000, samples=50, epochs=1):
+    return DispatchBatch(
+        client_ids=client_ids,
         params_down=params_down,
         params_up=params_up,
         flops_per_sample=flops,
@@ -98,53 +98,50 @@ class TestSpecValidation:
 
 class TestAdmission:
     def test_ample_budget_changes_nothing(self):
-        dispatches = [dispatch(c) for c in range(4)]
+        dispatches = dispatch(range(4))
         capped = budget_fleet(10**9).simulate_round(0, dispatches)
         uncapped = budget_fleet(None).simulate_round(0, dispatches)
-        assert [c.aggregated for c in capped.clients] == [c.aggregated for c in uncapped.clients]
-        assert [c.bytes_up for c in capped.clients] == [c.bytes_up for c in uncapped.clients]
+        assert capped.aggregated.tolist() == uncapped.aggregated.tolist()
+        assert capped.bytes_up.tolist() == uncapped.bytes_up.tolist()
 
     def test_downlinks_spend_the_budget_first(self):
         """A budget smaller than the summed downlinks refuses every upload."""
-        dispatches = [dispatch(c) for c in range(4)]
+        dispatches = dispatch(range(4))
         total_down = 4 * 1000 * BYTES_PER_PARAM
         outcome = budget_fleet(total_down - 1).simulate_round(0, dispatches)
-        assert all(not c.aggregated for c in outcome.clients)
-        assert all(c.bytes_up == 0 for c in outcome.clients)
+        assert not outcome.aggregated.any()
+        assert (outcome.bytes_up == 0).all()
         # the downlink bytes were still spent (the server already sent them)
-        assert all(c.bytes_down == 1000 * BYTES_PER_PARAM for c in outcome.clients)
+        assert (outcome.bytes_down == 1000 * BYTES_PER_PARAM).all()
 
     def test_partial_budget_admits_in_arrival_order(self):
         """Identical devices and loads: arrival ties break by dispatch position."""
-        dispatches = [dispatch(c) for c in range(4)]
+        dispatches = dispatch(range(4))
         down = 4 * 1000 * BYTES_PER_PARAM
         up = 1000 * BYTES_PER_PARAM
         outcome = budget_fleet(down + 2 * up).simulate_round(0, dispatches)
-        assert [c.aggregated for c in outcome.clients] == [True, True, False, False]
-        assert [c.bytes_up for c in outcome.clients] == [up, up, 0, 0]
+        assert outcome.aggregated.tolist() == [True, True, False, False]
+        assert outcome.bytes_up.tolist() == [up, up, 0, 0]
 
     def test_greedy_rule_admits_a_small_upload_after_a_large_refusal(self):
         """Client 0 uploads big, clients 1-3 small; the budget refuses the
         big upload but still admits the small ones that arrive later."""
-        dispatches = [dispatch(0, params_up=5000)] + [
-            dispatch(c, params_up=100) for c in range(1, 4)
-        ]
+        dispatches = dispatch(range(4), params_up=[5000, 100, 100, 100])
         down = 4 * 1000 * BYTES_PER_PARAM
         outcome = budget_fleet(down + 3 * 100 * BYTES_PER_PARAM).simulate_round(0, dispatches)
         # client 0 (largest upload, latest finisher here anyway) refused,
         # the three small uploads all fit
-        flags = {c.client_id: c.aggregated for c in outcome.clients}
+        flags = dict(zip(outcome.client_ids.tolist(), outcome.aggregated.tolist()))
         assert flags == {0: False, 1: True, 2: True, 3: True}
-        assert outcome.clients[0].bytes_up == 0
+        assert outcome.bytes_up[0] == 0
 
     def test_refusal_is_not_a_drop(self):
         """Refused clients still *returned* (trained and tried to upload)."""
-        dispatches = [dispatch(c) for c in range(4)]
+        dispatches = dispatch(range(4))
         outcome = budget_fleet(1).simulate_round(0, dispatches)
-        for client in outcome.clients:
-            assert client.finish_seconds is not None
-            assert not client.dropped
-            assert not client.aggregated
+        assert None not in outcome.arrival_seconds()
+        assert not outcome.dropped.any()
+        assert not outcome.aggregated.any()
 
 
     def test_budget_binds_under_congestion_and_codecs_relieve_it(self):
@@ -154,22 +151,18 @@ class TestAdmission:
         # 6 downlinks of 4k params fit the 192kB budget; 6 exact 8k-param
         # uplinks overflow what remains, 6 codec-sized 2k-param uplinks don't
         exact = FleetSimulator(spec, num_clients=10, seed=3)
-        outcome = exact.simulate_round(
-            0, [dispatch(c, params_down=4_000, params_up=8_000) for c in range(6)]
-        )
-        refused_exact = sum(1 for c in outcome.clients if not c.aggregated)
+        outcome = exact.simulate_round(0, dispatch(range(6), params_down=4_000, params_up=8_000))
+        refused_exact = int((~outcome.aggregated).sum())
 
         compressed = FleetSimulator(spec, num_clients=10, seed=3)
-        outcome = compressed.simulate_round(
-            0, [dispatch(c, params_down=4_000, params_up=2_000) for c in range(6)]
-        )
-        refused_compressed = sum(1 for c in outcome.clients if not c.aggregated)
+        outcome = compressed.simulate_round(0, dispatch(range(6), params_down=4_000, params_up=2_000))
+        refused_compressed = int((~outcome.aggregated).sum())
         assert refused_exact > refused_compressed
 
 
 class TestDeterminism:
     def test_same_seed_same_refusals(self):
-        dispatches = [dispatch(c) for c in range(6)]
+        dispatches = dispatch(range(6))
         flags = []
         for _ in range(2):
             fleet = budget_fleet(
@@ -179,7 +172,7 @@ class TestDeterminism:
                 devices=JITTER_DEVICES,
             )
             outcome = fleet.simulate_round(0, dispatches)
-            flags.append([c.aggregated for c in outcome.clients])
+            flags.append(outcome.aggregated.tolist())
         assert flags[0] == flags[1]
 
     def test_refusals_follow_arrival_not_dispatch_order(self):
@@ -195,11 +188,11 @@ class TestDeterminism:
         )
         # fraction expansion assigns clients 0-1 the slow template and 2-3
         # the fast one; dispatch the slow clients first
-        dispatches = [dispatch(c) for c in (0, 1, 2, 3)]
+        dispatches = dispatch([0, 1, 2, 3])
         up, down = 1000 * BYTES_PER_PARAM, 4 * 1000 * BYTES_PER_PARAM
         fleet = budget_fleet(down + 2 * up, num_clients=4, seed=0, devices=devices)
         outcome = fleet.simulate_round(0, dispatches)
-        flags = {c.client_id: c.aggregated for c in outcome.clients}
-        arrivals = {c.client_id: c.finish_seconds for c in outcome.clients}
+        flags = dict(zip(outcome.client_ids.tolist(), outcome.aggregated.tolist()))
+        arrivals = dict(zip(outcome.client_ids.tolist(), outcome.arrival_seconds()))
         assert arrivals[2] < arrivals[0] and arrivals[3] < arrivals[1]
         assert flags == {0: False, 1: False, 2: True, 3: True}

@@ -1,17 +1,22 @@
-"""Contracts of the fleet engine's draws, batch API and state round trip.
+"""Contracts of the fleet engine's draws and state round trip.
 
 The traces themselves — every :class:`RoundOutcome` field, battery
 trajectory and end-to-end history on stochastic, gated, deadline and
 byte-budget fleets — are pinned by ``test_small_fleet_goldens.py``; here
 live the properties that hold for any trace: batched draws are a pure
-function of ``(seed, round, client)``, the batch API equals the list API,
-and a restored fleet continues bit-identically.
+function of ``(seed, round, client)``, a restored fleet continues
+bit-identically, and a checkpoint that names clients the fleet does not
+have is refused.
 """
 
 import numpy as np
+import pytest
 
-from repro.sim.fleet import ClientDispatch, DispatchBatch, FleetSimulator
+from repro.sim.fleet import DispatchBatch, FleetSimulator
 from repro.sim.scenario import AvailabilitySpec, BatterySpec, DeviceTemplate, ScenarioSpec
+
+
+DRAW_COLUMNS = ("factor", "down_jitter", "up_jitter", "drop_fraction")
 
 
 def stochastic_spec():
@@ -36,34 +41,17 @@ def stochastic_spec():
 
 
 def dispatches_for(clients, params=40_000, flops=20_000, samples=60, epochs=2):
-    return [
-        ClientDispatch(
-            client_id=client, params_down=params, params_up=params // 2,
-            flops_per_sample=flops, num_samples=samples, local_epochs=epochs,
-        )
-        for client in clients
-    ]
-
-
-def outcomes_equal(left, right):
-    """Field-by-field bit equality of two RoundOutcomes."""
-    assert left.round_index == right.round_index
-    assert left.deadline_seconds == right.deadline_seconds
-    assert left.round_seconds == right.round_seconds
-    assert len(left.clients) == len(right.clients)
-    for a, b in zip(left.clients, right.clients):
-        for field in (
-            "client_id", "bytes_down", "bytes_up", "finish_seconds",
-            "dropped", "aggregated", "compute_seconds", "failure_seconds",
-        ):
-            assert getattr(a, field) == getattr(b, field), field
+    return DispatchBatch(
+        client_ids=clients, params_down=params, params_up=params // 2,
+        flops_per_sample=flops, num_samples=samples, local_epochs=epochs,
+    )
 
 
 def run_rounds(fleet, num_rounds=6, k=8):
     """Simulate ``num_rounds`` rounds over whichever clients are reachable."""
     outcomes = []
     for round_index in range(num_rounds):
-        clients = fleet.available_clients(round_index)[:k]
+        clients = np.flatnonzero(fleet.available_mask(round_index))[:k]
         outcomes.append(fleet.simulate_round(round_index, dispatches_for(clients)))
     return outcomes
 
@@ -75,44 +63,22 @@ class TestBatchedDraws:
         and repeated queries agree bit-for-bit."""
         first = FleetSimulator(stochastic_spec(), num_clients=40, seed=13)
         second = FleetSimulator(stochastic_spec(), num_clients=40, seed=13)
-        ids = [3, 7, 21, 38]
+        ids = np.array([3, 7, 21, 38])
         for round_index in range(3):
             a = first._dispatch_draws(round_index, ids)
             b = second._dispatch_draws(round_index, ids)
             again = first._dispatch_draws(round_index, ids)
-            for attr in ("factor", "down_jitter", "up_jitter", "drop_fraction"):
-                assert np.array_equal(getattr(a, attr), getattr(b, attr), equal_nan=True), attr
-                assert np.array_equal(getattr(a, attr), getattr(again, attr), equal_nan=True), attr
+            for column, (x, y, z) in zip(DRAW_COLUMNS, zip(a, b, again, strict=True)):
+                assert np.array_equal(x, y, equal_nan=True), column
+                assert np.array_equal(x, z, equal_nan=True), column
 
     def test_batched_subset_matches_full_population_draws(self):
         """A dispatched subset indexes the same full-population vectors."""
         fleet = FleetSimulator(stochastic_spec(), num_clients=40, seed=13)
-        subset = fleet._dispatch_draws(2, [5, 17, 29])
-        everyone = fleet._dispatch_draws(2, list(range(40)))
-        for attr in ("factor", "down_jitter", "up_jitter", "drop_fraction"):
-            assert np.array_equal(
-                getattr(subset, attr), getattr(everyone, attr)[[5, 17, 29]], equal_nan=True
-            ), attr
-
-
-class TestBatchAPI:
-    def test_simulate_round_batch_matches_list_api(self):
-        list_fleet = FleetSimulator(stochastic_spec(), num_clients=24, seed=9)
-        batch_fleet = FleetSimulator(stochastic_spec(), num_clients=24, seed=9)
-        for round_index in range(4):
-            clients = list_fleet.available_clients(round_index)[:8]
-            dispatches = dispatches_for(clients)
-            outcome = list_fleet.simulate_round(round_index, dispatches)
-            batch = batch_fleet.simulate_round_batch(
-                round_index, DispatchBatch.from_dispatches(dispatches)
-            )
-            outcomes_equal(outcome, batch.to_outcome())
-
-    def test_dispatch_batch_round_trips(self):
-        dispatches = dispatches_for([2, 5, 9])
-        batch = DispatchBatch.from_dispatches(dispatches)
-        assert batch.to_dispatches() == dispatches
-        assert len(batch) == 3
+        subset = fleet._dispatch_draws(2, np.array([5, 17, 29]))
+        everyone = fleet._dispatch_draws(2, np.arange(40))
+        for column, part, whole in zip(DRAW_COLUMNS, subset, everyone, strict=True):
+            assert np.array_equal(part, whole[[5, 17, 29]], equal_nan=True), column
 
 
 class TestStateRoundTrip:
@@ -125,10 +91,36 @@ class TestStateRoundTrip:
         resumed = FleetSimulator(stochastic_spec(), num_clients=20, seed=4)
         resumed.load_state_dict(first.state_dict())
         for round_index in range(3, 6):
-            clients = resumed.available_clients(round_index)[:8]
+            clients = np.flatnonzero(resumed.available_mask(round_index))[:8]
             resumed.simulate_round(round_index, dispatches_for(clients))
         assert np.array_equal(reference.state_dict()["charge"], resumed.state_dict()["charge"])
         assert reference.state_dict()["recovering"] == resumed.state_dict()["recovering"]
+
+    @pytest.mark.parametrize("recovering", [[-1], [20], [3, 4, 10**6]])
+    def test_recovering_ids_outside_the_fleet_are_refused(self, recovering):
+        """A negative id would wrap and silently bench the last client."""
+        fleet = FleetSimulator(stochastic_spec(), num_clients=20, seed=4)
+        state = fleet.state_dict()
+        state["recovering"] = recovering
+        with pytest.raises(ValueError, match="outside"):
+            fleet.load_state_dict(state)
+        assert fleet.population_stats(0)["recovering"] == 0
+
+    @pytest.mark.parametrize("key", ["last_simulated_round", "recovering"])
+    def test_a_state_without_its_keys_is_refused(self, key):
+        fleet = FleetSimulator(stochastic_spec(), num_clients=20, seed=4)
+        state = fleet.state_dict()
+        del state[key]
+        with pytest.raises(ValueError, match=key):
+            fleet.load_state_dict(state)
+
+    def test_state_dict_lists_recovering_ids_in_order(self):
+        fleet = FleetSimulator(stochastic_spec(), num_clients=20, seed=4)
+        state = fleet.state_dict()
+        state["recovering"] = [7, 2, 11]
+        fleet.load_state_dict(state)
+        assert fleet.state_dict()["recovering"] == [2, 7, 11]
+        assert not fleet.available_mask(0)[[2, 7, 11]].any()
 
 
 class TestPopulationStats:

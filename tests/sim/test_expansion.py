@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.fleet import _expand_device_counts, _expand_devices
+from repro.sim.fleet import _expand_device_counts
 from repro.sim.scenario import DeviceTemplate
 
 
@@ -72,11 +72,6 @@ class TestLargestRemainder:
         assert sum(counts) == 2
         assert counts == [1, 1, 0, 0]
 
-    def test_expand_devices_wrapper_matches_counts(self):
-        templates = fraction_templates([0.6, 0.4])
-        devices = _expand_devices(templates, 10)
-        assert [d.name for d in devices] == ["t0"] * 6 + ["t1"] * 4
-
     @settings(max_examples=100, deadline=None)
     @given(
         fractions=st.lists(st.floats(0.01, 1.0, allow_nan=False), min_size=1, max_size=8),
@@ -111,9 +106,7 @@ class TestScaleConstruction:
         spec = ScenarioSpec(name="scale", devices=fraction_templates([0.5, 0.3, 0.2]))
         fleet = FleetSimulator(spec, num_clients=num_clients, seed=0)
         assert fleet.num_clients == num_clients
-        assert len(fleet.devices) == num_clients
-        # the lazy façade answers point queries without materialising a list
-        assert fleet.devices[0].name == "t0"
-        assert fleet.devices[num_clients - 1].name == "t2"
+        # the fleet keeps (template, count) runs in template order, never a per-client list
+        assert fleet.device_counts == [num_clients // 2, num_clients * 3 // 10, num_clients // 5]
         assert fleet.available_mask(0).sum() == num_clients
         assert math.isclose(fleet._flops.sum(), 1e6 * num_clients)

@@ -3,7 +3,7 @@
 ``golden/small_fleet.json`` holds
 
 * per-round hashes of the availability mask, every
-  :class:`~repro.sim.fleet.RoundOutcomeBatch` column and the battery state
+  :class:`~repro.sim.fleet.RoundOutcome` column and the battery state
   of a :class:`~repro.sim.fleet.FleetSimulator` driven alone, under every
   dynamic subsystem (markov churn + jitter + dropouts + batteries +
   relative deadline, a gated server, a fixed deadline with empty rounds, a
@@ -122,7 +122,7 @@ def fleet_trace(name, seed):
             num_samples=60,
             local_epochs=2,
         )
-        outcome = fleet.simulate_round_batch(round_index, batch)
+        outcome = fleet.simulate_round(round_index, batch)
         state = fleet.state_dict()
         deadline = np.nan if outcome.deadline_seconds is None else outcome.deadline_seconds
         columns = [
