@@ -1,14 +1,23 @@
-"""Shared helpers for the baseline algorithms."""
+"""Shared helpers for the baseline algorithms.
+
+A baseline differs from the others in one thing: which fixed submodel
+each client is assigned.  It says so in ``assigned(client_id)``;
+:class:`RandomSelectionMixin` samples the round's clients and
+:func:`level_plan` turns the two into the round's
+:class:`~repro.core.fl_base.RoundPlan`.
+"""
 
 from __future__ import annotations
 
+from typing import Callable, Mapping, Sequence
+
 import numpy as np
 
-from repro.core.fl_base import FederatedAlgorithm
+from repro.core.fl_base import FederatedAlgorithm, RoundPlan
 from repro.core.model_pool import SubmodelConfig
 from repro.sim.cohorts import masked_choice_without_replacement
 
-__all__ = ["RandomSelectionMixin", "capacity_level_assignment"]
+__all__ = ["RandomSelectionMixin", "capacity_level_assignment", "level_plan"]
 
 
 class RandomSelectionMixin:
@@ -29,6 +38,27 @@ class RandomSelectionMixin:
             return [int(c) for c in rng.choice(self.num_clients, size=count, replace=False)]
         count = min(self.dispatch_count(), int(np.count_nonzero(mask)))
         return [int(c) for c in masked_choice_without_replacement(rng, mask, count)]
+
+    def plan_round(self, round_index: int, rng: np.random.Generator) -> RoundPlan:
+        return level_plan(self.sample_clients(rng, round_index), self.assigned)
+
+
+def level_plan(
+    clients: Sequence[int], assigned: Callable[[int], tuple[str, int, Mapping[str, int]]]
+) -> RoundPlan:
+    """Every client trains, and returns, the ``(name, params, group_sizes)`` assigned to it."""
+    slots = [assigned(client_id) for client_id in clients]
+    names = [name for name, _, _ in slots]
+    params = [count for _, count, _ in slots]
+    return RoundPlan(
+        clients=list(clients),
+        dispatched=names,
+        returned=list(names),
+        sent_params=params,
+        back_params=params,
+        group_sizes=[group_sizes for _, _, group_sizes in slots],
+        streams=["global"] * len(slots),
+    )
 
 
 def capacity_level_assignment(

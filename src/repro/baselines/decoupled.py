@@ -14,9 +14,8 @@ import numpy as np
 from repro.api.registry import register_algorithm
 from repro.baselines.base import RandomSelectionMixin, capacity_level_assignment
 from repro.core.aggregation import ClientUpdate, fedavg_aggregate
-from repro.core.fl_base import FederatedAlgorithm
-from repro.core.history import RoundRecord
-from repro.core.metrics import communication_waste_rate, evaluate_state
+from repro.core.fl_base import FederatedAlgorithm, RoundPlan
+from repro.core.metrics import evaluate_state
 from repro.core.pruning import extract_submodel_state
 
 __all__ = ["DecoupledFL"]
@@ -42,59 +41,30 @@ class DecoupledFL(RandomSelectionMixin, FederatedAlgorithm):
         }
         self.client_level = capacity_level_assignment(self, self.level_heads)
 
-    def run_round(self, round_index: int) -> RoundRecord:
-        rng = self.round_rng(round_index)
-        selected = self.sample_clients(rng, round_index)
+    def assigned(self, client_id: int):
+        config = self.level_heads[self.client_level[client_id]]
+        return config.name, config.num_params, self.pool.group_sizes(config)
 
-        # one published stream per level: each level keeps its own global model
-        handles = {
-            level: self.publish_state(state, stream=level)
-            for level, state in self.level_states.items()
-        }
-        assignments = []
-        levels: list[str] = []
-        dispatched: list[str] = []
-        for client_id in selected:
-            level = self.client_level[client_id]
-            config = self.level_heads[level]
-            handle = handles[level]
-            source = handle if handle is not None else self.level_states[level]
-            assignments.append((client_id, self.pool.group_sizes(config), source))
-            levels.append(level)
-            dispatched.append(config.name)
+    def plan_round(self, round_index: int, rng: np.random.Generator) -> RoundPlan:
+        plan = super().plan_round(round_index, rng)
+        plan.streams = [self.client_level[client_id] for client_id in plan.clients]
+        return plan
 
-        outcome = self.plan_round_outcome(round_index, selected, dispatched, dispatched)
-        keep = list(outcome.aggregated_positions()) if outcome is not None else list(range(len(selected)))
-        results = self.run_local_training(round_index, [assignments[i] for i in keep])
+    def round_streams(self):
+        """One published stream per level: each level keeps its own global model."""
+        return self.level_states
+
+    def fold_round(self, plan: RoundPlan, keep, results) -> None:
+        """FedAvg within each level; the "full" model of Decoupled is its L-level model."""
         per_level_updates: dict[str, list[ClientUpdate]] = {level: [] for level in self.level_states}
-        losses: list[float] = []
-        for i, result in zip(keep, results):
-            level = levels[i]
-            state = self.decode_result_state(
-                result.state, self.pool.group_sizes(self.level_heads[level]), self.level_states[level]
-            )
+        for slot, result in zip(keep, results):
+            level = plan.streams[slot]
+            state = self.decode_result_state(result.state, plan.group_sizes[slot], self.level_states[level])
             per_level_updates[level].append(ClientUpdate(state, result.num_samples))
-            losses.append(result.mean_loss)
-
         for level, updates in per_level_updates.items():
             if updates:
                 self.level_states[level] = fedavg_aggregate(updates)
-        # The "full" model of Decoupled is its L-level model.
         self.global_state = dict(self.level_states["L"])
-
-        # dropped/late dispatches return nothing and count as pure waste
-        aggregated = set(keep)
-        sent = [self.level_heads[self.client_level[c]].num_params for c in selected]
-        back = [size if i in aggregated else 0 for i, size in enumerate(sent)]
-        record = RoundRecord(
-            round_index=round_index,
-            train_loss=float(np.mean(losses)) if losses else None,
-            communication_waste=communication_waste_rate(sent, back) if sent else None,
-            dispatched=dispatched,
-            returned=list(dispatched),
-            selected_clients=selected,
-        )
-        return self.finalize_round(record, outcome)
 
     def evaluate(self) -> tuple[float, dict[str, float]]:
         """Full = the L-level model; per-level heads use their own decoupled states."""

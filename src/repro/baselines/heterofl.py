@@ -10,14 +10,10 @@ the reliance on accurate device resource information.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.api.registry import register_algorithm
 from repro.baselines.base import RandomSelectionMixin, capacity_level_assignment
 from repro.core.config import ModelPoolConfig
 from repro.core.fl_base import FederatedAlgorithm
-from repro.core.history import RoundRecord
-from repro.core.metrics import communication_waste_rate
 
 __all__ = ["HeteroFL", "HETEROFL_POOL_CONFIG"]
 
@@ -52,37 +48,6 @@ class HeteroFL(RandomSelectionMixin, FederatedAlgorithm):
         self.level_heads = self.pool.level_heads()
         self.client_level = capacity_level_assignment(self, self.level_heads)
 
-    def run_round(self, round_index: int) -> RoundRecord:
-        rng = self.round_rng(round_index)
-        selected = self.sample_clients(rng, round_index)
-
-        handle = self.publish_state(self.global_state)
-        assignments = []
-        dispatched: list[str] = []
-        for client_id in selected:
-            config = self.level_heads[self.client_level[client_id]]
-            group_sizes = self.pool.group_sizes(config)
-            source = self.state_source(handle, self.global_state, group_sizes)
-            assignments.append((client_id, group_sizes, source))
-            dispatched.append(config.name)
-
-        outcome = self.plan_round_outcome(round_index, selected, dispatched, dispatched)
-        keep = outcome.aggregated_positions() if outcome is not None else range(len(selected))
-        kept = [assignments[i] for i in keep]
-        results = self.run_local_training(round_index, kept)
-        losses = [result.mean_loss for result in results]
-
-        self.fold_results(results, [sizes for _, sizes, _ in kept])
-        # dropped/late dispatches return nothing and count as pure waste
-        aggregated = set(keep)
-        sent = [self.level_heads[self.client_level[c]].num_params for c in selected]
-        back = [size if i in aggregated else 0 for i, size in enumerate(sent)]
-        record = RoundRecord(
-            round_index=round_index,
-            train_loss=float(np.mean(losses)) if losses else None,
-            communication_waste=communication_waste_rate(sent, back) if sent else None,
-            dispatched=dispatched,
-            returned=list(dispatched),
-            selected_clients=selected,
-        )
-        return self.finalize_round(record, outcome)
+    def assigned(self, client_id: int):
+        config = self.level_heads[self.client_level[client_id]]
+        return config.name, config.num_params, self.pool.group_sizes(config)

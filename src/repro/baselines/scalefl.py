@@ -23,8 +23,6 @@ import numpy as np
 from repro.api.registry import register_algorithm
 from repro.baselines.base import RandomSelectionMixin, capacity_level_assignment
 from repro.core.fl_base import FederatedAlgorithm
-from repro.core.history import RoundRecord
-from repro.core.metrics import communication_waste_rate
 from repro.nn.models.spec import SlimmableArchitecture, scaled_size
 
 __all__ = ["ScaleFL", "two_dimensional_group_sizes", "calibrate_width_ratio"]
@@ -127,37 +125,6 @@ class ScaleFL(RandomSelectionMixin, FederatedAlgorithm):
         """Evaluate the per-level heads at ScaleFL's own 2-D configurations."""
         return {level: dict(sizes) for level, sizes in self.level_sizes.items()}
 
-    def run_round(self, round_index: int) -> RoundRecord:
-        rng = self.round_rng(round_index)
-        selected = self.sample_clients(rng, round_index)
-
-        handle = self.publish_state(self.global_state)
-        assignments = []
-        dispatched: list[str] = []
-        for client_id in selected:
-            level = self.client_level[client_id]
-            sizes = self.level_sizes[level]
-            source = self.state_source(handle, self.global_state, sizes)
-            assignments.append((client_id, sizes, source))
-            dispatched.append(f"{level}1")
-
-        outcome = self.plan_round_outcome(round_index, selected, dispatched, dispatched)
-        keep = outcome.aggregated_positions() if outcome is not None else range(len(selected))
-        kept = [assignments[i] for i in keep]
-        results = self.run_local_training(round_index, kept)
-        losses = [result.mean_loss for result in results]
-
-        self.fold_results(results, [sizes for _, sizes, _ in kept])
-        # dropped/late dispatches return nothing and count as pure waste
-        aggregated = set(keep)
-        sent = [self.level_params[self.client_level[c]] for c in selected]
-        back = [size if i in aggregated else 0 for i, size in enumerate(sent)]
-        record = RoundRecord(
-            round_index=round_index,
-            train_loss=float(np.mean(losses)) if losses else None,
-            communication_waste=communication_waste_rate(sent, back) if sent else None,
-            dispatched=dispatched,
-            returned=list(dispatched),
-            selected_clients=selected,
-        )
-        return self.finalize_round(record, outcome)
+    def assigned(self, client_id: int):
+        level = self.client_level[client_id]
+        return f"{level}1", self.level_params[level], self.level_sizes[level]

@@ -1,34 +1,35 @@
 """Shared federated-training scaffolding for AdaptiveFL and the baselines.
 
-Every algorithm in this repository follows the same synchronous FL
-protocol: select participants, dispatch weights, train locally, aggregate,
-evaluate.  :class:`FederatedAlgorithm` implements the common machinery
-(client construction, per-round and per-client RNG streams, the parallel
-client-execution engine, evaluation of the global model and of the
-per-level heads, history bookkeeping, optional wall-clock simulation);
-subclasses implement :meth:`run_round` and dispatch their per-client work
-through :meth:`run_local_training` / :meth:`execute_client_tasks`, which
-fan out across the configured :class:`~repro.engine.base.Executor`
-(``federated_config.executor``) with bit-identical results for every
-executor choice.  When a :mod:`repro.sim` scenario is active
-(``federated_config.scenario`` or the ``scenario=`` argument), rounds are
-conditioned on the fleet's simulated dynamics: :meth:`dispatch_count`
-adds the scenario's over-selection margin, :meth:`selectable_mask`
-restricts selection to reachable devices, :meth:`plan_round_outcome`
-hands the fleet one :class:`~repro.sim.fleet.DispatchBatch` of columns
-and gets the round's arrivals/dropouts/deadlines back as one columnar
+Every algorithm here follows the same synchronous protocol — select
+participants, dispatch weights, train locally, aggregate, evaluate — and
+differs only in the first step.  :meth:`FederatedAlgorithm.run_round` is
+the one round body; a subclass implements
+:meth:`~FederatedAlgorithm.plan_round`, which says who trains which
+submodel of which weight stream as a :class:`RoundPlan` of equal-length
+columns.  The round asks the fleet which slots will arrive
+(:meth:`~FederatedAlgorithm.plan_round_outcome`), publishes each weight
+stream once, builds one task per arriving slot
+(:meth:`~FederatedAlgorithm.make_task`), fans the tasks out across the
+configured :class:`~repro.engine.base.Executor` with bit-identical results
+for every executor choice, folds the uploads
+(:meth:`~FederatedAlgorithm.fold_round`) and writes the
+:class:`~repro.core.history.RoundRecord`.
+
+When a :mod:`repro.sim` scenario is active (``federated_config.scenario``
+or the ``scenario=`` argument), :meth:`dispatch_count` adds its
+over-selection margin, :meth:`selectable_mask` restricts selection to
+reachable devices, :meth:`plan_round_outcome` exchanges one columnar
+:class:`~repro.sim.fleet.DispatchBatch` for one
 :class:`~repro.sim.fleet.RoundOutcome` before training fans out, and
-:meth:`finalize_round` — the single shared hook every ``run_round``
-returns through — records wall-clock, arrivals, drops and bytes on the
-:class:`~repro.core.history.RoundRecord`.  :meth:`run` drives the
-:class:`repro.api.callbacks.Callback` hook protocol (round start/end,
-evaluation, fit end) and honours :meth:`request_stop` for early stopping.
+:meth:`finalize_round` records wall-clock, arrivals, drops and bytes.
+:meth:`run` drives the :class:`repro.api.callbacks.Callback` protocol and
+honours :meth:`request_stop`.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from contextlib import closing
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,8 +39,7 @@ from repro.core.aggregation import ClientUpdate, HeterogeneousAggregator
 from repro.core.config import FederatedConfig, LocalTrainingConfig, ModelPoolConfig
 from repro.core.client import LazyClients, SimulatedClient
 from repro.core.history import RoundRecord, TrainingHistory
-from repro.core.local_training import LocalTrainingResult
-from repro.core.metrics import evaluate_heads
+from repro.core.metrics import communication_waste_rate, evaluate_heads
 from repro.core.pruning import slice_state_dict
 from repro.engine.base import Executor
 from repro.engine.codecs import (
@@ -79,10 +79,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.scenario import ScenarioSpec
     from repro.store.checkpoint import Checkpoint
 
-__all__ = ["FederatedAlgorithm"]
+__all__ = ["FederatedAlgorithm", "RoundPlan"]
 
 
-class FederatedAlgorithm(ABC):
+@dataclass
+class RoundPlan:
+    """Who trains what this round: equal-length columns, one entry per dispatched slot."""
+
+    clients: list[int]
+    #: pool-entry names sent / expected back (what the record and the fleet clock read)
+    dispatched: list[str]
+    returned: list[str]
+    #: their parameter counts (communication waste, modeled downlink)
+    sent_params: list[int]
+    back_params: list[int]
+    #: channel-group sizes of the submodel each slot trains
+    group_sizes: list[Mapping[str, int]]
+    #: the weight stream (a key of ``round_streams()``) each slot reads
+    streams: list[str]
+
+
+class FederatedAlgorithm:
     """Base class of every federated algorithm in the repository."""
 
     #: short identifier ("adaptivefl", "all_large", "heterofl", ...)
@@ -197,10 +214,92 @@ class FederatedAlgorithm(ABC):
         #: telemetry identity of the round in flight ("" outside run())
         self.current_trace_id: str = ""
 
-    # -- hooks --------------------------------------------------------------------------
-    @abstractmethod
+    # -- the round ---------------------------------------------------------------------
+    def plan_round(self, round_index: int, rng: np.random.Generator) -> RoundPlan:
+        """Choose this round's clients and submodels (the one step algorithms differ in).
+
+        ``rng`` is the round's generator (:meth:`round_rng`); everything
+        the plan draws comes from it.  Not enforced at construction: a
+        subclass may replace :meth:`run_round` whole instead.
+        """
+        raise NotImplementedError(f"{type(self).__name__} must implement plan_round (or override run_round)")
+
+    def round_streams(self) -> Mapping[str, Mapping[str, np.ndarray]]:
+        """The weight streams published each round, by the name ``RoundPlan.streams`` uses."""
+        return {"global": self.global_state}
+
+    def make_task(
+        self,
+        round_index: int,
+        plan: RoundPlan,
+        slot: int,
+        source: "Mapping[str, np.ndarray] | StateHandle",
+    ) -> ClientTask:
+        """The task of one slot that will be aggregated: train its submodel of ``source``.
+
+        ``source`` is the slot's published stream — a
+        :class:`~repro.engine.transport.StateHandle` (the worker cuts the
+        slice and uploads a bit-exact delta) or, under "full" transport,
+        the stream's weights, cut here and shipped inside the task.
+        """
+        client_id, group_sizes = plan.clients[slot], plan.group_sizes[slot]
+        is_handle = isinstance(source, StateHandle)
+        if is_handle:
+            self.count_downlink(plan.back_params[slot] * np.dtype(resolve_dtype()).itemsize)
+        else:
+            source = slice_state_dict(source, self.architecture, dict(group_sizes))
+            self.count_downlink(state_nbytes(source))
+        return TrainSubmodelTask(
+            architecture=self.architecture,
+            group_sizes=group_sizes,
+            initial_state=source,
+            dataset=self.client_dataset_source(client_id),
+            local_config=self.local_config,
+            client_id=client_id,
+            rng_stream=self.client_stream(round_index, client_id),
+            delta_upload=is_handle,
+            codec=self._codec,
+            codec_residual=self.codec_residual_for(client_id, group_sizes),
+            trace=self.task_trace(),
+        )
+
+    def fold_round(self, plan: RoundPlan, keep: Sequence[int], results: Sequence) -> None:
+        """Fold ``results`` (of slots ``keep``, in order) into the weights."""
+        self.fold_results(results, [plan.group_sizes[slot] for slot in keep])
+
     def run_round(self, round_index: int) -> RoundRecord:
-        """Execute one federated round and return its (unevaluated) record."""
+        """Execute one federated round and return its (unevaluated) record.
+
+        Plan, then ask the fleet which slots arrive — every duration and
+        dropout is a pure function of ``(seed, round, client)``, so this
+        resolves before any training runs and training fans out only for
+        the uploads that will be aggregated.  Waste counts every dispatch:
+        a dropped or late client's downlinked model returns nothing, which
+        is exactly what the paper's §4.4 rate measures.
+        """
+        plan = self.plan_round(round_index, self.round_rng(round_index))
+        outcome = self.plan_round_outcome(round_index, plan.clients, plan.dispatched, plan.returned)
+        keep = list(outcome.aggregated_positions()) if outcome is not None else list(range(len(plan.clients)))
+        sources = {}
+        for stream, state in self.round_streams().items():
+            handle = self.publish_state(state, stream=stream)
+            sources[stream] = state if handle is None else handle
+        tasks = [self.make_task(round_index, plan, slot, sources[plan.streams[slot]]) for slot in keep]
+        with self.profiler.scope("round.training"):
+            results = self.execute_client_tasks(tasks)
+        self.fold_round(plan, keep, results)
+
+        aggregated = set(keep)
+        back = [size if slot in aggregated else 0 for slot, size in enumerate(plan.back_params)]
+        record = RoundRecord(
+            round_index=round_index,
+            train_loss=float(np.mean([result.mean_loss for result in results])) if results else None,
+            communication_waste=communication_waste_rate(plan.sent_params, back) if plan.clients else None,
+            dispatched=plan.dispatched,
+            returned=plan.returned,
+            selected_clients=plan.clients,
+        )
+        return self.finalize_round(record, outcome)
 
     # -- helpers ------------------------------------------------------------------------
     @property
@@ -273,45 +372,6 @@ class FederatedAlgorithm(ABC):
         """Fan per-client tasks out through the executor (order-preserving)."""
         return self.executor.map(tasks)
 
-    def run_local_training(
-        self,
-        round_index: int,
-        assignments: Sequence[tuple[int, Mapping[str, int], "Mapping[str, np.ndarray] | StateHandle"]],
-    ) -> list[LocalTrainingResult]:
-        """Train one submodel per ``(client_id, group_sizes, state_source)``.
-
-        The common client loop of every baseline: each assignment becomes an
-        independent :class:`~repro.engine.tasks.TrainSubmodelTask` with its
-        own RNG stream, and results come back in assignment order.  The
-        state source is either a pre-cut slice (legacy "full" transport)
-        or a :class:`~repro.engine.transport.StateHandle` — then the
-        worker cuts the slice locally and uploads a bit-exact delta.
-        """
-        tasks = []
-        for client_id, group_sizes, state_source in assignments:
-            is_handle = isinstance(state_source, StateHandle)
-            if is_handle:
-                self.count_downlink(group_sizes=group_sizes)
-            else:
-                self.count_downlink(actual_bytes=state_nbytes(state_source))
-            tasks.append(
-                TrainSubmodelTask(
-                    architecture=self.architecture,
-                    group_sizes=group_sizes,
-                    initial_state=state_source,
-                    dataset=self.client_dataset_source(client_id),
-                    local_config=self.local_config,
-                    client_id=client_id,
-                    rng_stream=self.client_stream(round_index, client_id),
-                    delta_upload=is_handle,
-                    codec=self._codec,
-                    codec_residual=self.codec_residual_for(client_id, group_sizes),
-                    trace=self.task_trace(),
-                )
-            )
-        with self.profiler.scope("round.training"):
-            return self.execute_client_tasks(tasks)
-
     # -- weight transport (repro.engine.transport) ---------------------------------------
     @property
     def uses_delta_transport(self) -> bool:
@@ -323,8 +383,8 @@ class FederatedAlgorithm(ABC):
     ) -> StateHandle | None:
         """Publish this round's weights for the client tasks (delta mode).
 
-        Returns ``None`` under legacy "full" transport — callers then ship
-        pre-cut slices inside the tasks instead.
+        Returns ``None`` under legacy "full" transport — :meth:`make_task`
+        then ships a pre-cut slice inside the task instead.
         """
         if not self.uses_delta_transport:
             return None
@@ -343,40 +403,18 @@ class FederatedAlgorithm(ABC):
                 self.profiler.count("transport.spilled_bytes", state_nbytes(state))
         return handle
 
-    def state_source(
-        self,
-        handle: StateHandle | None,
-        state: Mapping[str, np.ndarray],
-        group_sizes: Mapping[str, int],
-    ) -> "Mapping[str, np.ndarray] | StateHandle":
-        """What a task carries: the published handle, or a pre-cut slice."""
-        if handle is not None:
-            return handle
-        return slice_state_dict(state, self.architecture, dict(group_sizes))
+    def count_downlink(self, num_bytes: int) -> None:
+        """Account one client's downlink: the submodel slice it receives.
 
-    def count_downlink(
-        self,
-        group_sizes: Mapping[str, int] | None = None,
-        num_params: int | None = None,
-        actual_bytes: int | None = None,
-    ) -> None:
-        """Account one client's downlink on the profiler.
-
-        ``transport.bytes_down`` is the *modeled* downlink — the submodel
-        slice the client receives — in both transport modes, so the
-        counter stays comparable between "full" (where it also equals the
-        pickled payload) and "delta" (where the wire carries only a tiny
-        handle; the modeled slice is what a real deployment would send).
-        Under delta transport the size is derived from the slice's
-        parameter count (batch-norm statistics excluded).
+        The *modeled* downlink in both transport modes, so the counter
+        stays comparable between "full" (where it is also the pickled
+        payload) and "delta" (where the wire carries only a tiny handle;
+        the slice — parameters × itemsize, batch-norm statistics excluded
+        — is what a real deployment would send).
         """
-        if actual_bytes is None:
-            if num_params is None:
-                num_params = self.architecture.parameter_count(dict(group_sizes))
-            actual_bytes = num_params * np.dtype(resolve_dtype()).itemsize
-        self._round_bytes_down += actual_bytes
+        self._round_bytes_down += num_bytes
         if self.profiler.enabled:
-            self.profiler.count("transport.bytes_down", actual_bytes)
+            self.profiler.count("transport.bytes_down", num_bytes)
 
     def decode_result_state(
         self,
@@ -427,11 +465,6 @@ class FederatedAlgorithm(ABC):
         return decode_upload(uploaded, reference)
 
     # -- lossy transport codec (repro.engine.codecs) -------------------------------------
-    @property
-    def transport_codec(self) -> UpdateCodec | None:
-        """The active lossy codec (None = exact transport)."""
-        return self._codec
-
     def codec_residual_for(
         self, client_id: int, group_sizes: Mapping[str, int]
     ) -> dict[str, np.ndarray] | None:
@@ -661,13 +694,12 @@ class FederatedAlgorithm(ABC):
         return self.fleet.simulate_round(round_index, batch)
 
     def finalize_round(self, record: RoundRecord, outcome: "RoundOutcome | None" = None) -> RoundRecord:
-        """Attach the round's system accounting to its record (shared hook).
+        """Attach the round's system accounting to its record (how :meth:`run_round` ends).
 
-        Every algorithm returns ``self.finalize_round(record, outcome)`` at
-        the end of :meth:`run_round`: with a fleet outcome it records the
-        simulated duration, per-client arrivals, dropped clients, the
-        deadline and the bytes moved; otherwise it falls back to the
-        legacy test-bed clock (or leaves the record untimed).
+        With a fleet outcome it records the simulated duration, per-client
+        arrivals, dropped clients, the deadline and the bytes moved;
+        otherwise it falls back to the legacy test-bed clock (or leaves
+        the record untimed).
 
         Under a lossy codec ``record.bytes_up`` is always the round's
         *true encoded* uplink (summed compressed payload sizes from

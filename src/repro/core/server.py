@@ -18,20 +18,32 @@ clients).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.api.registry import register_algorithm
-from repro.core.client import ClientRoundResult
 from repro.core.config import AdaptiveFLConfig
-from repro.core.fl_base import FederatedAlgorithm
-from repro.core.history import RoundRecord
-from repro.core.metrics import communication_waste_rate
+from repro.core.fl_base import FederatedAlgorithm, RoundPlan
 from repro.core.model_pool import SubmodelConfig
 from repro.core.pruning import extract_submodel_state, resource_aware_prune
 from repro.core.rl_selection import RLClientSelector
 from repro.engine.tasks import LocalRoundTask
+from repro.engine.transport import StateHandle
+from repro.nn.dtype import resolve_dtype
 
-__all__ = ["AdaptiveFL"]
+__all__ = ["AdaptiveFL", "AdaptivePlan"]
+
+
+@dataclass(kw_only=True)
+class AdaptivePlan(RoundPlan):
+    """A :class:`RoundPlan` that also carries what a device's local round needs."""
+
+    #: the pool entries behind ``dispatched`` / ``returned``
+    configs: list[SubmodelConfig]
+    planned_returns: list[SubmodelConfig]
+    #: each device's available resources this round (device-side information)
+    capacities: list[float]
 
 
 @register_algorithm(
@@ -94,23 +106,20 @@ class AdaptiveFL(FederatedAlgorithm):
         index = int(rng.integers(0, len(self.pool)))
         return self.pool.by_rank(index)
 
-    def run_round(self, round_index: int) -> RoundRecord:
-        """One round: plan serially (Algorithm 1's control flow), train in parallel.
+    def plan_round(self, round_index: int, rng: np.random.Generator) -> AdaptivePlan:
+        """Algorithm 1's control flow, resolved before any training runs.
 
-        The round splits into two phases.  The **planning** phase walks the
-        participant slots in order — draw a pool entry, select a client,
-        update the RL tables — exactly as the sequential protocol dictates:
-        later slots must see earlier slots' table updates.  Those updates
-        need only the ⟨dispatched, returned⟩ pair (Algorithm 1, lines
-        12-26), and the returned size is the deterministic outcome of
+        Walks the participant slots in order — draw a pool entry, select a
+        client, update the RL tables — exactly as the sequential protocol
+        dictates: later slots must see earlier slots' table updates.  Those
+        updates need only the ⟨dispatched, returned⟩ pair (Algorithm 1,
+        lines 12-26), and the returned size is the deterministic outcome of
         resource-aware pruning under the capacity the server's resource
-        model already simulates, so the whole control flow resolves before
-        any training happens.  The **execution** phase then fans the
-        independent local rounds out through the executor; per-client RNG
-        streams make the result bit-identical to the historical fully
-        sequential implementation for every executor choice.
+        model already simulates, so the independent local rounds can then
+        fan out through the executor; per-client RNG streams make the
+        result bit-identical to the historical fully sequential
+        implementation for every executor choice.
         """
-        rng = self.round_rng(round_index)
         # mask-based planning: never materialise per-client python objects
         # for the whole fleet — availability arrives as a boolean array and
         # selected clients are cleared bit by bit
@@ -123,7 +132,7 @@ class AdaptiveFL(FederatedAlgorithm):
 
         selected: list[int] = []
         capacities: list[float] = []
-        dispatched_configs: list[SubmodelConfig] = []
+        configs: list[SubmodelConfig] = []
         planned_returns: list[SubmodelConfig] = []
         for _ in range(participants):
             dispatched = self._random_sel(rng)
@@ -135,70 +144,56 @@ class AdaptiveFL(FederatedAlgorithm):
             planned_return = resource_aware_prune(self.pool, dispatched, capacity)
             self.selector.update(dispatched, planned_return, client_id)
             capacities.append(capacity)
-            dispatched_configs.append(dispatched)
+            configs.append(dispatched)
             planned_returns.append(planned_return)
 
-        dispatched_names = [config.name for config in dispatched_configs]
-        returned_names = [config.name for config in planned_returns]
-        outcome = self.plan_round_outcome(round_index, selected, dispatched_names, returned_names)
-        keep = list(outcome.aggregated_positions()) if outcome is not None else list(range(participants))
+        return AdaptivePlan(
+            clients=selected,
+            dispatched=[config.name for config in configs],
+            returned=[config.name for config in planned_returns],
+            sent_params=[config.num_params for config in configs],
+            back_params=[config.num_params for config in planned_returns],
+            group_sizes=[self.pool.group_sizes(config) for config in planned_returns],
+            streams=["global"] * participants,
+            configs=configs,
+            planned_returns=planned_returns,
+            capacities=capacities,
+        )
 
-        # slice/delta transport: publish the global state once; each task
-        # carries only a handle plus the *planned-return* configuration, so
-        # the worker cuts exactly the slice the device trains.  Legacy
-        # "full" transport ships the dispatched slice inside the task.
-        handle = self.publish_state(self.global_state)
-        tasks = [
-            LocalRoundTask(
-                client=self.dispatch_client(selected[i]),
-                pool=self.pool,
-                dispatched=dispatched_configs[i],
-                dispatched_state=(
-                    handle
-                    if handle is not None
-                    else extract_submodel_state(self.global_state, self.pool, dispatched_configs[i])
-                ),
-                available_capacity=capacities[i],
-                rng_stream=self.client_stream(round_index, selected[i]),
-                planned_return=planned_returns[i] if handle is not None else None,
-                delta_upload=handle is not None,
-                codec=self._codec,
-                codec_residual=self.codec_residual_for(
-                    selected[i], self.pool.group_sizes(planned_returns[i])
-                ),
-                trace=self.task_trace(),
-            )
-            for i in keep
-        ]
-        for i in keep:
-            # modeled downlink: the slice the device trains (delta mode)
-            # or the dispatched slice it receives (full mode)
-            config = planned_returns[i] if handle is not None else dispatched_configs[i]
-            self.count_downlink(num_params=config.num_params)
-        with self.profiler.scope("round.training"):
-            results: list[ClientRoundResult] = self.execute_client_tasks(tasks)
-        for i, result in zip(keep, results):
-            if result.returned.name != planned_returns[i].name:  # pragma: no cover - invariant
+    def make_task(self, round_index: int, plan: AdaptivePlan, slot: int, source) -> LocalRoundTask:
+        """The device's full local round: adapt (prune) then train.
+
+        Under slice/delta transport the task carries only a handle plus the
+        *planned-return* configuration, so the worker cuts exactly the
+        slice the device trains; legacy "full" transport ships the
+        dispatched slice inside the task.  The modeled downlink is that
+        slice either way.
+        """
+        client_id, dispatched, planned = plan.clients[slot], plan.configs[slot], plan.planned_returns[slot]
+        is_handle = isinstance(source, StateHandle)
+        shipped = planned if is_handle else dispatched
+        self.count_downlink(shipped.num_params * np.dtype(resolve_dtype()).itemsize)
+        return LocalRoundTask(
+            client=self.dispatch_client(client_id),
+            pool=self.pool,
+            dispatched=dispatched,
+            dispatched_state=(
+                source if is_handle else extract_submodel_state(source, self.pool, dispatched)
+            ),
+            available_capacity=plan.capacities[slot],
+            rng_stream=self.client_stream(round_index, client_id),
+            planned_return=planned if is_handle else None,
+            delta_upload=is_handle,
+            codec=self._codec,
+            codec_residual=self.codec_residual_for(client_id, plan.group_sizes[slot]),
+            trace=self.task_trace(),
+        )
+
+    def fold_round(self, plan: AdaptivePlan, keep, results) -> None:
+        for slot, result in zip(keep, results):
+            if result.returned.name != plan.returned[slot]:  # pragma: no cover - invariant
                 raise RuntimeError(
                     f"client {result.client_id} returned {result.returned.name} but the "
-                    f"resource plan predicted {planned_returns[i].name}"
+                    f"resource plan predicted {plan.returned[slot]}"
                 )
-
-        self.fold_results(results, [self.pool.group_sizes(result.returned) for result in results])
-
-        # waste counts every dispatch: a dropped/late client's downlinked model
-        # returns nothing, which is exactly the waste the paper's §4.4 rate measures
-        aggregated = set(keep)
-        sent_sizes = [config.num_params for config in dispatched_configs]
-        back_sizes = [
-            planned_returns[i].num_params if i in aggregated else 0 for i in range(participants)
-        ]
-        record = RoundRecord(
-            round_index=round_index,
-            train_loss=float(np.mean([result.mean_loss for result in results])) if results else None,
-            communication_waste=communication_waste_rate(sent_sizes, back_sizes) if selected else None,
-            dispatched=dispatched_names,
-            returned=returned_names,
-            selected_clients=selected,
-        )
-        return self.finalize_round(record, outcome)
+        super().fold_round(plan, keep, results)

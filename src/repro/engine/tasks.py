@@ -55,6 +55,23 @@ def _resolve_state(
     return source
 
 
+def _upload(task, trained: Mapping[str, np.ndarray], reference: Mapping[str, np.ndarray], client_id: int):
+    """What travels back: the codec's encoding of ``trained − reference`` (rounded on
+    the task's own stream; takes precedence), a bit-exact XOR delta, or the weights."""
+    if task.codec is not None:
+        return encode_client_update(
+            task.codec,
+            trained,
+            reference,
+            rng_stream=task.rng_stream,
+            residual=task.codec_residual,
+            client_id=client_id,
+        )
+    if task.delta_upload:
+        return encode_state_delta(trained, reference)
+    return trained
+
+
 class ClientTask(ABC):
     """One independent unit of client work executed by an :class:`Executor`."""
 
@@ -125,25 +142,15 @@ class LocalRoundTask(ClientTask):
             available_capacity=self.available_capacity,
             rng=self.rng(),
         )
-        if self.codec is not None:
-            # encode_client_update prefix-slices the reference to the
-            # trained shapes, which matches slice_state_dict's prefix cut
-            # bit-for-bit even when the device pruned below the plan
-            result.state = encode_client_update(
-                self.codec,
-                result.state,
-                initial_state,
-                rng_stream=self.rng_stream,
-                residual=self.codec_residual,
-                client_id=self.client.client_id,
+        # encode_client_update prefix-slices the reference to the trained
+        # shapes itself; the XOR delta needs it cut when the device pruned
+        # below the plan
+        reference = initial_state
+        if self.delta_upload and result.returned.name != slice_config.name:  # pragma: no cover - plan invariant
+            reference = slice_state_dict(
+                dict(initial_state), self.pool.architecture, self.pool.group_sizes(result.returned)
             )
-        elif self.delta_upload:
-            reference = initial_state
-            if result.returned.name != slice_config.name:  # pragma: no cover - plan invariant
-                reference = slice_state_dict(
-                    dict(initial_state), self.pool.architecture, self.pool.group_sizes(result.returned)
-                )
-            result.state = encode_state_delta(result.state, reference)
+        result.state = _upload(self, result.state, reference, self.client.client_id)
         return result
 
 
@@ -183,18 +190,4 @@ class TrainSubmodelTask(ClientTask):
             config=self.local_config,
             rng=self.rng(),
         )
-        if self.codec is not None:
-            result = dataclass_replace(
-                result,
-                state=encode_client_update(
-                    self.codec,
-                    result.state,
-                    initial_state,
-                    rng_stream=self.rng_stream,
-                    residual=self.codec_residual,
-                    client_id=self.client_id,
-                ),
-            )
-        elif self.delta_upload:
-            result = dataclass_replace(result, state=encode_state_delta(result.state, initial_state))
-        return result
+        return dataclass_replace(result, state=_upload(self, result.state, initial_state, self.client_id))

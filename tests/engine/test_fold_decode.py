@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.aggregation import ClientUpdate, HeterogeneousAggregator
 from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig
+from repro.core.fl_base import FederatedAlgorithm, RoundPlan
 from repro.core.server import AdaptiveFL
 from repro.engine.codecs import (
     EncodedUpdate,
@@ -264,12 +265,17 @@ def build_algorithm(easy_setup, codec: str) -> AdaptiveFL:
 
 
 def train_one_round(algorithm: AdaptiveFL):
-    """Four clients' results on S/M/L heads, through the baselines' shared client loop."""
+    """Four clients' results on S/M/L heads, through the base class's train-a-submodel task."""
     heads = list(algorithm.level_group_sizes().values())
     sizes = [heads[index % len(heads)] for index in range(4)]
+    params = [algorithm.architecture.parameter_count(size) for size in sizes]
+    plan = RoundPlan(
+        clients=[0, 1, 2, 3], dispatched=["head"] * 4, returned=["head"] * 4, sent_params=params,
+        back_params=params, group_sizes=sizes, streams=["global"] * 4,
+    )
     handle = algorithm.publish_state(algorithm.global_state)
-    results = algorithm.run_local_training(0, [(client, sizes[client], handle) for client in range(4)])
-    return results, sizes
+    tasks = [FederatedAlgorithm.make_task(algorithm, 0, plan, slot, handle) for slot in range(4)]
+    return algorithm.execute_client_tasks(tasks), sizes
 
 
 @pytest.mark.parametrize("codec", ["int8", "topk", "none"])
