@@ -41,6 +41,27 @@ class DecoupledFL(RandomSelectionMixin, FederatedAlgorithm):
         }
         self.client_level = capacity_level_assignment(self, self.level_heads)
 
+    # -- checkpointing ---------------------------------------------------------------------
+    def _collect_extra_state(self, arrays, state) -> None:
+        """Checkpoint the per-level models: ``global_state`` is only the L one."""
+        for level, weights in self.level_states.items():
+            for key, value in weights.items():
+                arrays[f"stream/{level}/{key}"] = value.copy()
+
+    def _apply_extra_state(self, arrays, state) -> None:
+        """Restore the per-level models; a checkpoint without them is refused by name
+        instead of silently resuming every level from its initial slice."""
+        missing = [
+            f"stream/{level}/{key}"
+            for level, weights in self.level_states.items()
+            for key in weights
+            if f"stream/{level}/{key}" not in arrays
+        ]
+        if missing:
+            raise ValueError(f"checkpoint is missing Decoupled per-level weights: {', '.join(missing)}")
+        for level, weights in self.level_states.items():
+            self.level_states[level] = {key: np.array(arrays[f"stream/{level}/{key}"]) for key in weights}
+
     def assigned(self, client_id: int):
         config = self.level_heads[self.client_level[client_id]]
         return config.name, config.num_params, self.pool.group_sizes(config)

@@ -2,8 +2,9 @@
 
 A run checkpointed at round *k* and resumed must produce a
 **bit-identical** :class:`TrainingHistory` and final global weights to an
-uninterrupted same-seed run — for AdaptiveFL (whose RL tables must travel
-with the weights) and HeteroFL, across the serial and process executors,
+uninterrupted same-seed run — for every registered algorithm (AdaptiveFL's
+RL tables and Decoupled's per-level models must travel with the weights),
+across the serial and process executors,
 and under a dynamic fleet scenario (whose battery/availability state must
 travel too).  Exact float equality is intentional, mirroring
 ``tests/engine/test_parity.py``: resuming must not change a single bit.
@@ -16,12 +17,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.baselines import HeteroFL
+from repro.api.registry import get_algorithm
 from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig
-from repro.core.server import AdaptiveFL
 from repro.store.runstore import RunRecorder, RunStore
 
-ALGORITHMS = ["adaptivefl", "heterofl"]
+ALGORITHMS = ["adaptivefl", "heterofl", "all_large", "scalefl", "decoupled"]
 EXECUTORS = ["serial", "process"]
 
 ROUNDS = 3
@@ -44,12 +44,15 @@ def build_algorithm(name: str, easy_setup, executor: str, scenario: str | None =
         scenario=scenario,
         seed=0,
     )
-    if name == "adaptivefl":
-        return AdaptiveFL(
+    spec = get_algorithm(name)
+    if spec.uses_pool_config:
+        kwargs["pool_config"] = easy_setup["pool"]
+    if spec.uses_algorithm_config:
+        return spec.factory(
             algorithm_config=AdaptiveFLConfig(federated=federated, local=LOCAL, pool=easy_setup["pool"]),
             **kwargs,
         )
-    return HeteroFL(federated_config=federated, local_config=LOCAL, **kwargs)
+    return spec.factory(federated_config=federated, local_config=LOCAL, **kwargs)
 
 
 def fingerprint(history) -> list[dict]:
@@ -140,6 +143,28 @@ def test_rl_tables_travel_with_the_checkpoint(easy_setup, reference):
     assert not np.array_equal(before["curiosity"], after["curiosity"])
     assert np.array_equal(after["curiosity"][:, ids], checkpoint.extra_arrays["rl/curiosity_columns"])
     assert np.array_equal(after["resource"][:, ids], checkpoint.extra_arrays["rl/resource_columns"])
+
+
+def test_decoupled_level_models_travel_with_the_checkpoint(easy_setup, reference):
+    """``global_state`` is only Decoupled's L model: S and M must be checkpointed too."""
+    store, run_id, _, _ = reference[("decoupled", None)]
+    checkpoint = store.load_checkpoint(run_id, round_index=RESUME_AT)
+    resumed = build_algorithm("decoupled", easy_setup, "serial")
+    initial = {level: dict(weights) for level, weights in resumed.level_states.items()}
+    resumed.restore_checkpoint(checkpoint)
+    for level, weights in resumed.level_states.items():
+        for key, value in weights.items():
+            assert np.array_equal(value, checkpoint.extra_arrays[f"stream/{level}/{key}"])
+    # a level below L was trained by then: restoring it is what the fix is about
+    assert any(
+        not np.array_equal(resumed.level_states[level][key], initial[level][key])
+        for level in ("S", "M")
+        for key in initial[level]
+    )
+
+    stripped = replace(checkpoint, extra_arrays={})
+    with pytest.raises(ValueError, match="missing Decoupled per-level weights: stream/S/"):
+        build_algorithm("decoupled", easy_setup, "serial").restore_checkpoint(stripped)
 
 
 class TestRestoreValidation:
