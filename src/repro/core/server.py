@@ -189,11 +189,11 @@ class AdaptiveFL(FederatedAlgorithm):
             trace=self.task_trace(),
         )
 
-    def fold_round(self, plan: AdaptivePlan, keep, results) -> None:
+    def fold_round(self, plan: AdaptivePlan, keep, results):
         for slot, result in zip(keep, results):
             if result.returned.name != plan.returned[slot]:  # pragma: no cover - invariant
                 raise RuntimeError(
                     f"client {result.client_id} returned {result.returned.name} but the "
                     f"resource plan predicted {plan.returned[slot]}"
                 )
-        super().fold_round(plan, keep, results)
+        return super().fold_round(plan, keep, results)

@@ -186,7 +186,12 @@ def codec_from_dict(payload: Mapping[str, Any]) -> "UpdateCodec":
 
 
 class NonFiniteUpdateError(ValueError):
-    """A client's update holds NaN or ±inf: it diverged and must not be shipped."""
+    """A client's update holds NaN or ±inf: it diverged and must not be shipped or aggregated."""
+
+    def __init__(self, message: str, tensor: str | None = None):
+        super().__init__(message)
+        #: the offending tensor's name, where the raiser knows it
+        self.tensor = tensor
 
 
 def _finite_peak(work: np.ndarray) -> float:

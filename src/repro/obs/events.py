@@ -35,6 +35,7 @@ type                  emitted when
 ``straggler_requeue`` a dispatched task times out and is requeued
 ``checkpoint_saved``  the run store observes a checkpoint's write finished
 ``eval_done``         an evaluation pass produced metrics
+``update_rejected``   an upload decoded to NaN/±inf and was left out
 ``run_end``           a federated run finished
 ===================== =====================================================
 """
@@ -81,6 +82,7 @@ EVENT_TYPES = frozenset(
         "straggler_requeue",
         "checkpoint_saved",
         "eval_done",
+        "update_rejected",
         "run_end",
     }
 )

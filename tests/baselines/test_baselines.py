@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.api.cli import main
+from repro.api.registry import register_algorithm, unregister_algorithm
 from repro.baselines import ALGORITHMS, AllLargeFedAvg, DecoupledFL, HeteroFL, ScaleFL, create_algorithm
 from repro.baselines.base import capacity_level_assignment
 from repro.baselines.scalefl import calibrate_width_ratio, two_dimensional_group_sizes
+from repro.core.fl_base import FederatedAlgorithm
+from repro.core.history import RoundRecord
+from repro.engine.tasks import TrainSubmodelTask
+from repro.store.runstore import RunStore
 
 
 def build_baseline(cls, tiny_cnn, tiny_federated_setup, fast_configs, **extra):
@@ -145,3 +151,103 @@ class TestCapacityAssignment:
         for client_id, level in assignment.items():
             capacity = algorithm.resource_model.nominal_capacity(client_id)
             assert levels[level] <= capacity or level == "S"
+
+
+BASELINES = pytest.mark.parametrize("cls", [AllLargeFedAvg, DecoupledFL, HeteroFL, ScaleFL], ids=lambda cls: cls.name)
+
+
+class TestRoundPlan:
+    @BASELINES
+    def test_columns_have_one_entry_per_slot(self, cls, tiny_cnn, tiny_federated_setup, fast_configs):
+        algorithm = build_baseline(cls, tiny_cnn, tiny_federated_setup, fast_configs)
+        plan = algorithm.plan_round(0, algorithm.round_rng(0))
+        columns = [
+            plan.clients, plan.dispatched, plan.returned, plan.sent_params,
+            plan.back_params, plan.group_sizes, plan.streams,
+        ]
+        assert {len(column) for column in columns} == {fast_configs["federated"].clients_per_round}
+        assert len(set(plan.clients)) == len(plan.clients)
+        assert all(back <= sent for sent, back in zip(plan.sent_params, plan.back_params))
+        assert [tiny_cnn.parameter_count(sizes) for sizes in plan.group_sizes] == plan.back_params
+        assert set(plan.streams) <= set(algorithm.round_streams())
+
+    @BASELINES
+    def test_the_round_records_its_plan(self, cls, tiny_cnn, tiny_federated_setup, fast_configs):
+        """``run_round`` hands ``plan_round`` the round's generator and draws nothing else from it."""
+        planned = build_baseline(cls, tiny_cnn, tiny_federated_setup, fast_configs)
+        trained = build_baseline(cls, tiny_cnn, tiny_federated_setup, fast_configs)
+        for round_index in range(2):
+            plan = planned.plan_round(round_index, planned.round_rng(round_index))
+            record = trained.run_round(round_index)
+            assert record.selected_clients == plan.clients
+            assert (record.dispatched, record.returned) == (plan.dispatched, plan.returned)
+
+    @BASELINES
+    def test_a_round_nobody_is_reachable_in_trains_nothing(
+        self, cls, tiny_cnn, tiny_federated_setup, fast_configs, monkeypatch
+    ):
+        algorithm = build_baseline(cls, tiny_cnn, tiny_federated_setup, fast_configs, scenario="flaky_edge")
+        monkeypatch.setattr(algorithm.fleet, "available_mask", lambda round_index: np.zeros(8, dtype=bool))
+        before = {name: value.copy() for name, value in algorithm.global_state.items()}
+        record = algorithm.run_round(0)
+        assert record.selected_clients == [] and record.dispatched == [] and record.dropped_clients == []
+        assert record.train_loss is None and record.communication_waste is None
+        for name, value in before.items():
+            assert algorithm.global_state[name].tobytes() == value.tobytes()
+
+
+class WholeRound(FederatedAlgorithm):
+    """The plug-in shape from before ``plan_round`` existed: the subclass owns the whole round."""
+
+    name = "whole_round"
+    crash_before_round: int | None = None
+
+    def run_round(self, round_index):
+        if round_index == self.crash_before_round:
+            raise KeyboardInterrupt(f"injected crash before round {round_index}")
+        selected = [int(c) for c in self.round_rng(round_index).choice(self.num_clients, size=2, replace=False)]
+        sizes = self.architecture.full_group_sizes()
+        handle = self.publish_state(self.global_state)
+        tasks = [
+            TrainSubmodelTask(
+                architecture=self.architecture, group_sizes=sizes, initial_state=handle,
+                dataset=self.client_dataset_source(client_id), local_config=self.local_config,
+                client_id=client_id, rng_stream=self.client_stream(round_index, client_id), delta_upload=True,
+            )
+            for client_id in selected
+        ]
+        results = self.execute_client_tasks(tasks)
+        self.fold_results(results, [sizes] * len(results))
+        record = RoundRecord(
+            round_index=round_index, train_loss=float(np.mean([result.mean_loss for result in results])),
+            communication_waste=0.0, dispatched=["L1"] * 2, returned=["L1"] * 2, selected_clients=selected,
+        )
+        return self.finalize_round(record)
+
+
+class TestWholeRoundOverride:
+    def test_runs_under_repro_run_with_store_and_resume(self, tmp_path, monkeypatch):
+        register_algorithm("whole_round", description="owns run_round")(WholeRound)
+        try:
+            argv = [
+                "run", "--algorithm", "whole_round", "--scale", "ci", "--rounds", "3", "--quiet",
+                "--output-dir", str(tmp_path / "results"),
+            ]
+            assert main([*argv, "--store", str(tmp_path / "whole")]) == 0
+            whole = RunStore(tmp_path / "whole")
+            [entry] = whole.runs()
+            expected = whole.load_history(entry.run_id)
+            assert len(expected) == 3
+
+            crashed = [*argv, "--store", str(tmp_path / "crashed")]
+            monkeypatch.setattr(WholeRound, "crash_before_round", 2)
+            with pytest.raises(KeyboardInterrupt):
+                main(crashed)
+            monkeypatch.setattr(WholeRound, "crash_before_round", None)
+            assert main([*crashed, "--resume"]) == 0
+            store = RunStore(tmp_path / "crashed")
+            [entry] = store.runs()
+            assert entry.completed
+            assert store.load_history(entry.run_id).to_dict() == expected.to_dict()
+        finally:
+            unregister_algorithm("whole_round")

@@ -87,6 +87,52 @@ class TestRound:
         assert np.mean(greedy_rates[warmup:]) > np.mean(rl_rates[warmup:])
 
 
+class TestRoundPlan:
+    def test_columns_have_one_entry_per_slot(self, tiny_cnn, tiny_federated_setup, fast_configs):
+        algorithm = make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs)
+        plan = algorithm.plan_round(0, algorithm.round_rng(0))
+        columns = [
+            plan.clients, plan.dispatched, plan.returned, plan.sent_params, plan.back_params,
+            plan.group_sizes, plan.streams, plan.configs, plan.planned_returns, plan.capacities,
+        ]
+        assert {len(column) for column in columns} == {fast_configs["federated"].clients_per_round}
+        assert len(set(plan.clients)) == len(plan.clients)
+        assert set(plan.streams) == set(algorithm.round_streams())
+        for slot, (sent, back) in enumerate(zip(plan.configs, plan.planned_returns)):
+            assert (plan.dispatched[slot], plan.sent_params[slot]) == (sent.name, sent.num_params)
+            assert (plan.returned[slot], plan.back_params[slot]) == (back.name, back.num_params)
+            assert back.num_params <= sent.num_params and algorithm.pool.fits_within(back, sent)
+            assert back.num_params <= plan.capacities[slot] or back is algorithm.pool.by_rank(0)
+            assert plan.group_sizes[slot] == algorithm.pool.group_sizes(back)
+            assert tiny_cnn.parameter_count(plan.group_sizes[slot]) == back.num_params
+
+    def test_the_round_records_its_plan(self, tiny_cnn, tiny_federated_setup, fast_configs):
+        """``run_round`` hands ``plan_round`` the round's generator and draws nothing else
+        from it; planning alone advances the RL tables exactly as a trained round does."""
+        planned = make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs)
+        trained = make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs)
+        for round_index in range(3):
+            plan = planned.plan_round(round_index, planned.round_rng(round_index))
+            record = trained.run_round(round_index)
+            assert record.selected_clients == plan.clients
+            assert (record.dispatched, record.returned) == (plan.dispatched, plan.returned)
+        for name, table in trained.selector.snapshot().items():
+            assert np.array_equal(table, planned.selector.snapshot()[name]), name
+
+    def test_a_round_nobody_is_reachable_in_trains_nothing(
+        self, tiny_cnn, tiny_federated_setup, fast_configs, monkeypatch
+    ):
+        algorithm = make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs)
+        monkeypatch.setattr(algorithm, "selectable_mask", lambda round_index: np.zeros(8, dtype=bool))
+        before = {name: value.copy() for name, value in algorithm.global_state.items()}
+        record = algorithm.run_round(0)
+        assert record.selected_clients == [] and record.dispatched == [] and record.returned == []
+        assert record.train_loss is None and record.communication_waste is None
+        assert algorithm.selector.num_touched == 0
+        for name, value in before.items():
+            assert algorithm.global_state[name].tobytes() == value.tobytes()
+
+
 class TestCheckpointState:
     def collect(self, algorithm):
         arrays: dict[str, np.ndarray] = {}

@@ -7,8 +7,13 @@ kept set into the client's error-feedback residual, where it poisoned
 every later round of that client.  Here one client's local data carries
 a NaN / +inf / -inf pixel, so its trained weights — and its update — are
 not finite: the round must fail naming that client, and the global model
-must stay as it was.  (The server-side half — drop the update, record
-it, carry on — is ROADMAP item 1 and not this test's subject.)
+must stay as it was.
+
+With the exact transport (``transport_codec="none"``, the default) no
+encoder looks at the numbers, so the server does, where an upload becomes
+weights: the update is left out of aggregation, the client is recorded as
+dropped and the run carries on — with the weights of a run in which that
+upload was simply absent, on every executor.
 
 The same encoders on the inputs that are degenerate but *finite* — empty,
 scalar, all-zero, all-equal, ``k_fraction=1.0`` — are at the end of the
@@ -20,15 +25,19 @@ matrix filters ``tests/engine`` with ``-k "serial|process|remote"``.
 
 from __future__ import annotations
 
+import math
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.api.registry import get_algorithm
 from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig
+from repro.core.metrics import communication_waste_rate
 from repro.core.server import AdaptiveFL
 from repro.data.datasets import Dataset
 from repro.engine.codecs import (
@@ -42,6 +51,7 @@ from repro.engine.codecs import (
     encode_update,
 )
 from repro.engine.rng import client_stream
+from repro.obs.events import configure_telemetry, shutdown_telemetry
 from repro.serve.executor import RemoteExecutor
 from repro.serve.options import ServeOptions
 
@@ -161,6 +171,144 @@ def test_remote_fleet_survives_and_a_clean_run_matches_serial(easy_setup, remote
     assert [r.to_dict() for r in remote.history.records] == [r.to_dict() for r in serial.history.records]
     for name, value in serial.global_state.items():
         assert remote.global_state[name].tobytes() == value.tobytes()
+
+
+# -- the server's half: exact transport, nothing encodes -------------------------------------
+
+EXACT = FederatedConfig(num_rounds=2, clients_per_round=8, eval_every=2)
+REJECTING = pytest.mark.parametrize("name", ["adaptivefl", "heterofl", "decoupled"])
+
+
+def build_exact(easy_setup, name: str, poison: float | None = None, executor: str = "serial"):
+    """``name`` on the exact transport; with ``poison``, client 5's data diverges its training."""
+    train = easy_setup["train"]
+    if poison is not None:
+        images = train.images.copy()
+        images[easy_setup["partition"].client_indices[POISONED_CLIENT], 0, 0, 0] = poison
+        train = Dataset(images, train.labels, train.num_classes)
+    federated = replace(EXACT, executor=executor, max_workers=2)
+    spec = get_algorithm(name)
+    kwargs = dict(
+        architecture=easy_setup["arch"], train_dataset=train, partition=easy_setup["partition"],
+        test_dataset=easy_setup["test"], profiles=easy_setup["profiles"],
+        resource_model=easy_setup["resource_model"], seed=0,
+    )
+    if spec.uses_pool_config:
+        kwargs["pool_config"] = easy_setup["pool"]
+    if spec.uses_algorithm_config:
+        kwargs["algorithm_config"] = AdaptiveFLConfig(federated=federated, local=LOCAL, pool=easy_setup["pool"])
+    else:
+        kwargs.update(federated_config=federated, local_config=LOCAL)
+    return spec.factory(**kwargs)
+
+
+@pytest.fixture(scope="module")
+def absent_reference(easy_setup):
+    """Clean-data runs whose fold never sees client 5's upload: what a rejection must equal."""
+    runs = {}
+    for name in ("adaptivefl", "heterofl", "decoupled"):
+        algorithm = build_exact(easy_setup, name)
+        fold_round = algorithm.fold_round
+
+        def fold_without(plan, keep, results, fold_round=fold_round):
+            kept = [(slot, result) for slot, result in zip(keep, results) if plan.clients[slot] != POISONED_CLIENT]
+            return fold_round(plan, [slot for slot, _ in kept], [result for _, result in kept])
+
+        algorithm.fold_round = fold_without
+        algorithm.run()
+        runs[name] = algorithm
+    return runs
+
+
+def assert_rejected_like_absent(algorithm, reference):
+    for name, value in reference.global_state.items():
+        assert algorithm.global_state[name].tobytes() == value.tobytes(), name
+        assert np.isfinite(algorithm.global_state[name]).all(), name
+    for record, expected in zip(algorithm.history.records, reference.history.records, strict=True):
+        assert record.selected_clients == expected.selected_clients
+        assert record.dropped_clients == [POISONED_CLIENT] and expected.dropped_clients == []
+        # the loss is the mean over the uploads that were folded; the refused bytes crossed the wire
+        assert math.isfinite(record.train_loss)
+        assert record.bytes_up > expected.bytes_up and record.bytes_down == expected.bytes_down
+        sent = [algorithm.pool.by_name(entry).num_params for entry in record.dispatched]
+        back = [algorithm.pool.by_name(entry).num_params for entry in record.returned]
+        back[record.selected_clients.index(POISONED_CLIENT)] = 0
+        assert record.communication_waste == communication_waste_rate(sent, back)
+        assert record.communication_waste > expected.communication_waste
+        assert record.full_accuracy == expected.full_accuracy
+
+
+@REJECTING
+@POISONS
+@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+def test_server_leaves_out_a_non_finite_upload(easy_setup, absent_reference, name, poison, executor):
+    algorithm = build_exact(easy_setup, name, poison, executor)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        algorithm.run()
+    assert_rejected_like_absent(algorithm, absent_reference[name])
+
+
+@REJECTING
+@POISONS
+def test_remote_server_leaves_out_a_non_finite_upload(easy_setup, absent_reference, remote_fleet, name, poison):
+    algorithm = build_exact(easy_setup, name, poison)
+    algorithm.set_executor(remote_fleet)
+    algorithm.run()
+    assert_rejected_like_absent(algorithm, absent_reference[name])
+
+
+def test_serial_rejection_emits_one_event_per_refused_upload(easy_setup):
+    (ring,) = configure_telemetry(ring_size=256)
+    try:
+        algorithm = build_exact(easy_setup, "heterofl", np.nan)
+        with np.errstate(all="ignore"):
+            algorithm.run()
+        rejected = [event for event in ring.events() if event.type == "update_rejected"]
+    finally:
+        shutdown_telemetry()
+    assert [(event.data["round"], event.data["client"]) for event in rejected] == [(0, 5), (1, 5)]
+    assert all(event.data["tensor"] in algorithm.global_state for event in rejected)
+    assert all(event.trace_id for event in rejected)
+
+
+def test_serial_round_with_every_upload_refused_keeps_the_weights(easy_setup):
+    algorithm = build_exact(easy_setup, "heterofl")
+    before = {name: value.copy() for name, value in algorithm.global_state.items()}
+    plan = algorithm.plan_round(0, algorithm.round_rng(0))
+    handle = algorithm.publish_state(algorithm.global_state)
+    results = algorithm.execute_client_tasks(
+        [algorithm.make_task(0, plan, slot, handle) for slot in range(len(plan.clients))]
+    )
+    poisoned = []
+    for result, sizes in zip(results, plan.group_sizes):
+        state = algorithm.decode_result_state(result.state, sizes, algorithm.global_state)
+        state = {name: value.copy() for name, value in state.items()}
+        next(iter(state.values())).flat[0] = np.inf
+        poisoned.append(replace(result, state=state))
+    refused = algorithm.fold_round(plan, list(range(len(results))), poisoned)
+    algorithm.close()
+    assert sorted(refused) == list(range(len(results)))
+    for name, value in before.items():
+        assert algorithm.global_state[name].tobytes() == value.tobytes()
+
+
+def test_decode_refuses_before_banking_an_error_feedback_residual(easy_setup):
+    """A lossy upload that decodes onto a non-finite reference is refused, its residual unbanked."""
+    algorithm = build_algorithm(easy_setup, 0.0, "topk")
+    plan = algorithm.plan_round(0, algorithm.round_rng(0))
+    handle = algorithm.publish_state(algorithm.global_state)
+    result = algorithm.execute_client_tasks([algorithm.make_task(0, plan, 0, handle)])[0]
+    algorithm.close()
+    assert result.state.residual is not None
+    broken = {name: value.copy() for name, value in algorithm.global_state.items()}
+    name = next(iter(result.state.shapes))
+    broken[name].flat[0] = np.nan
+    with pytest.raises(NonFiniteUpdateError, match=f"tensor '{name}'") as refusal:
+        algorithm.decode_result_state(result.state, plan.group_sizes[0], broken)
+    assert refusal.value.tensor == name
+    assert algorithm._round_bytes_up == result.state.nbytes
+    assert plan.clients[0] not in algorithm._codec_residuals
 
 
 # -- the encoders alone ------------------------------------------------------------------

@@ -140,6 +140,18 @@ def test_flaky_edge_cells_drop_uploads(goldens):
         assert any(done < sent for done, sent in done_sent), name
 
 
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_serial_planning_alone_draws_the_pinned_clients(goldens, federation, name, scenario):
+    """``plan_round`` takes from the round's generator exactly what the whole round used to."""
+    algorithm = build_algorithm(federation, name, scenario, "none-delta")
+    for round_index, selected in enumerate(goldens[case_name(name, scenario, "none-delta")]["selected"]):
+        plan = algorithm.plan_round(round_index, algorithm.round_rng(round_index))
+        assert plan.clients == selected
+        # the fleet's batteries and availability advance with the simulated round
+        algorithm.plan_round_outcome(round_index, plan.clients, plan.dispatched, plan.returned)
+
+
 @pytest.mark.parametrize("executor", ["serial"])
 @pytest.mark.parametrize("name,scenario,wire", SERIAL_CASES)
 def test_round_and_weights_hashes(goldens, federation, name, scenario, wire, executor):

@@ -148,6 +148,6 @@ class TestVocabulary:
             "run_start", "round_start", "round_end", "task_dispatch", "task_start",
             "task_result", "task_upload", "client_connect", "client_reconnect",
             "client_disconnect", "straggler_requeue", "checkpoint_saved", "eval_done",
-            "run_end",
+            "update_rejected", "run_end",
         }
         assert EVENT_TYPES == expected
