@@ -28,6 +28,7 @@ honours :meth:`request_stop`.
 
 from __future__ import annotations
 
+from abc import ABC
 from contextlib import closing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -100,7 +101,7 @@ class RoundPlan:
     streams: list[str]
 
 
-class FederatedAlgorithm:
+class FederatedAlgorithm(ABC):
     """Base class of every federated algorithm in the repository."""
 
     #: short identifier ("adaptivefl", "all_large", "heterofl", ...)
@@ -493,6 +494,11 @@ class FederatedAlgorithm:
         return state
 
     # -- lossy transport codec (repro.engine.codecs) -------------------------------------
+    @property
+    def transport_codec(self) -> UpdateCodec | None:
+        """The active lossy codec (None = exact transport)."""
+        return self._codec
+
     def codec_residual_for(
         self, client_id: int, group_sizes: Mapping[str, int]
     ) -> dict[str, np.ndarray] | None:
