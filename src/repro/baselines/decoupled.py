@@ -52,16 +52,15 @@ class DecoupledFL(RandomSelectionMixin, FederatedAlgorithm):
     def _apply_extra_state(self, arrays, state) -> None:
         """Restore the per-level models; a checkpoint without them is refused by name
         instead of silently resuming every level from its initial slice."""
-        missing = [
-            f"stream/{level}/{key}"
-            for level, weights in self.level_states.items()
-            for key in weights
-            if f"stream/{level}/{key}" not in arrays
-        ]
+        names = {
+            level: {key: f"stream/{level}/{key}" for key in weights} for level, weights in self.level_states.items()
+        }
+        missing = [name for keys in names.values() for name in keys.values() if name not in arrays]
         if missing:
             raise ValueError(f"checkpoint is missing Decoupled per-level weights: {', '.join(missing)}")
-        for level, weights in self.level_states.items():
-            self.level_states[level] = {key: np.array(arrays[f"stream/{level}/{key}"]) for key in weights}
+        self.level_states = {
+            level: {key: np.array(arrays[name]) for key, name in keys.items()} for level, keys in names.items()
+        }
 
     def assigned(self, client_id: int):
         config = self.level_heads[self.client_level[client_id]]

@@ -65,17 +65,21 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 POISONS = pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 
 
-def build_algorithm(easy_setup, poison: float, codec: str) -> AdaptiveFL:
+def poisoned_train_set(easy_setup, poison: float) -> Dataset:
     train = easy_setup["train"]
     images = train.images.copy()
     # one pixel of every sample the client owns: whatever batches it draws, it diverges
     images[easy_setup["partition"].client_indices[POISONED_CLIENT], 0, 0, 0] = poison
+    return Dataset(images, train.labels, train.num_classes)
+
+
+def build_algorithm(easy_setup, poison: float, codec: str) -> AdaptiveFL:
     return AdaptiveFL(
         algorithm_config=AdaptiveFLConfig(
             federated=replace(FEDERATED, transport_codec=codec), local=LOCAL, pool=easy_setup["pool"]
         ),
         architecture=easy_setup["arch"],
-        train_dataset=Dataset(images, train.labels, train.num_classes),
+        train_dataset=poisoned_train_set(easy_setup, poison),
         partition=easy_setup["partition"],
         test_dataset=easy_setup["test"],
         profiles=easy_setup["profiles"],
@@ -181,11 +185,7 @@ REJECTING = pytest.mark.parametrize("name", ["adaptivefl", "heterofl", "decouple
 
 def build_exact(easy_setup, name: str, poison: float | None = None, executor: str = "serial"):
     """``name`` on the exact transport; with ``poison``, client 5's data diverges its training."""
-    train = easy_setup["train"]
-    if poison is not None:
-        images = train.images.copy()
-        images[easy_setup["partition"].client_indices[POISONED_CLIENT], 0, 0, 0] = poison
-        train = Dataset(images, train.labels, train.num_classes)
+    train = easy_setup["train"] if poison is None else poisoned_train_set(easy_setup, poison)
     federated = replace(EXACT, executor=executor, max_workers=2)
     spec = get_algorithm(name)
     kwargs = dict(
