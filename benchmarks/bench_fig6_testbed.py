@@ -15,9 +15,11 @@ from repro.baselines import HeteroFL, ScaleFL
 from repro.data.datasets import make_widar_like
 from repro.data.partition import natural_partition
 from repro.devices.resources import ResourceModel
-from repro.devices.testbed import TESTBED_DEVICE_SPECS, TestbedSimulator
+from repro.devices.testbed import TESTBED_DEVICE_SPECS
 from repro.experiments import format_table
 from repro.nn.models import SlimmableMobileNetV2
+from repro.sim.fleet import FleetSimulator
+from repro.sim.scenario import get_scenario
 
 from common import once
 
@@ -29,8 +31,8 @@ def _build_testbed_experiment(seed=0):
         num_classes=22, input_shape=(1, 16, 16), width_multiplier=0.25, stem_channels=8, head_channels=32
     )
     train, test = make_widar_like(num_users=17, train_samples=850, test_samples=220, image_size=16, seed=seed)
-    testbed = TestbedSimulator()
-    profiles = testbed.build_profiles(np.random.default_rng(seed))
+    # the profiles of the devices the paper_testbed clock times
+    profiles = FleetSimulator(get_scenario("paper_testbed"), 17, seed=seed).build_profiles()
     partition = natural_partition(train, 17, np.random.default_rng(seed))
     resource_model = ResourceModel(profiles, arch.parameter_count(), uncertainty=0.1, seed=seed)
     federated = FederatedConfig(num_rounds=ROUNDS, clients_per_round=10, eval_every=2)
@@ -46,7 +48,7 @@ def _build_testbed_experiment(seed=0):
         federated_config=federated,
         local_config=local,
         resource_model=resource_model,
-        testbed=testbed,
+        scenario="paper_testbed",
         seed=seed,
     )
     return kwargs, AdaptiveFLConfig(federated=federated, local=local, pool=pool), pool

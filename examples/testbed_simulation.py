@@ -2,7 +2,7 @@
 """Simulated AIoT test-bed: Widar-like gestures on 17 heterogeneous devices.
 
 Reproduces the paper's real test-bed experiment (§4.5, Table 5, Figure 6)
-with the device timing model in :mod:`repro.devices.testbed`: 4 Raspberry
+on the ``paper_testbed`` fleet scenario (:mod:`repro.sim`): 4 Raspberry
 Pi 4B, 10 Jetson Nano and 3 Jetson Xavier AGX clients train a slimmable
 MobileNetV2 on per-user non-IID CSI data, and the script prints accuracy
 against simulated wall-clock seconds.
@@ -19,9 +19,10 @@ import numpy as np
 
 from repro import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig, ModelPoolConfig, ProgressCallback, get_algorithm
 from repro.data import make_widar_like, natural_partition
-from repro.devices import ResourceModel, TESTBED_DEVICE_SPECS, TestbedSimulator
+from repro.devices import ResourceModel, TESTBED_DEVICE_SPECS
 from repro.experiments import format_table
 from repro.nn.models import SlimmableMobileNetV2
+from repro.sim import FleetSimulator, get_scenario
 
 
 def build_setup(args, seed):
@@ -35,8 +36,8 @@ def build_setup(args, seed):
     train, test = make_widar_like(
         num_users=17, train_samples=args.samples, test_samples=args.samples // 4, image_size=args.image_size, seed=seed
     )
-    testbed = TestbedSimulator()
-    profiles = testbed.build_profiles(np.random.default_rng(seed))
+    # the profiles of the devices the paper_testbed clock times
+    profiles = FleetSimulator(get_scenario("paper_testbed"), 17, seed=seed).build_profiles()
     partition = natural_partition(train, 17, np.random.default_rng(seed))
     resource_model = ResourceModel(profiles, architecture.parameter_count(), uncertainty=0.1, seed=seed)
     federated = FederatedConfig(num_rounds=args.rounds, clients_per_round=10, eval_every=max(1, args.rounds // 4))
@@ -56,7 +57,7 @@ def build_setup(args, seed):
         federated_config=federated,
         local_config=local,
         resource_model=resource_model,
-        testbed=testbed,
+        scenario="paper_testbed",
         seed=seed,
     )
     return kwargs, AdaptiveFLConfig(federated=federated, local=local, pool=pool), pool

@@ -80,61 +80,59 @@ from repro.api.callbacks import Callback, EarlyStopping, JsonHistoryStreamer, Pr
 from repro.api.registry import available_algorithms, get_algorithm, validate_algorithm_names
 from repro.api.session import ExperimentSession
 from repro.api.spec import ExperimentSpec
+from repro.core.config import SELECTION_STRATEGIES, TRANSPORTS
+from repro.engine.codecs import available_codecs
 from repro.engine.factory import EXECUTOR_NAMES
-from repro.experiments.settings import DATASET_BUILDERS, ExperimentSetting
+from repro.experiments.settings import DATASET_BUILDERS, DISTRIBUTIONS, ExperimentSetting
 from repro.experiments.reporting import format_table, render_accuracy_table
 from repro.perf.profiler import render_summary
 
 __all__ = ["main", "build_parser"]
 
-#: CLI default model; the ExperimentSetting default (vgg16) needs 32px
-#: inputs and cannot build at the 16px ci scale every quick run uses.
-DEFAULT_MODEL = "simple_cnn"
+_STRATEGY_HELP = f"AdaptiveFL strategy ({', '.join(SELECTION_STRATEGIES)})"
+
+
+def _setting_flags() -> dict[str, dict]:
+    """What each setting flag adds to its :class:`ExperimentSetting` field.
+
+    The flag's default is the field's, except ``--distribution``: it stays
+    None so that ``--alpha`` can imply dirichlet.  Built per parser, so
+    codecs registered after import are valid choices.
+    """
+    return {
+        "dataset": {"choices": sorted(DATASET_BUILDERS)},
+        "model": {"help": "architecture registry name"},
+        "distribution": {
+            "default": None,
+            "choices": DISTRIBUTIONS,
+            "help": "data distribution (default: dirichlet when --alpha is given, else iid)",
+        },
+        "alpha": {"type": float, "help": "Dirichlet alpha for non-IID data"},
+        "proportion": {"help": "weak:medium:strong device proportion"},
+        "scale": {"help": "experiment scale preset (ci, small, paper)"},
+        "seed": {"type": int},
+        "executor": {
+            "choices": EXECUTOR_NAMES,
+            "help": "client-execution engine; bit-identical results, different wall-clock",
+        },
+        "max_workers": {"type": int, "help": "worker count for thread/process executors (default: usable CPUs)"},
+        "scenario": {"help": "fleet scenario driving system dynamics (see `repro scenarios`)"},
+        "transport": {
+            "choices": TRANSPORTS,
+            "help": "weight transport: slice/delta (default) or legacy full-state shipping",
+        },
+        "transport_codec": {
+            "choices": available_codecs(),
+            "help": "lossy uplink codec layered on the transport (default: none = exact)",
+        },
+    }
 
 
 def _add_setting_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("experiment setting")
-    group.add_argument("--dataset", default="cifar10", choices=sorted(DATASET_BUILDERS))
-    group.add_argument("--model", default=DEFAULT_MODEL, help="architecture registry name")
-    group.add_argument(
-        "--distribution",
-        default=None,
-        choices=["iid", "dirichlet", "natural"],
-        help="data distribution (default: dirichlet when --alpha is given, else iid)",
-    )
-    group.add_argument("--alpha", type=float, default=None, help="Dirichlet alpha for non-IID data")
-    group.add_argument("--proportion", default="4:3:3", help="weak:medium:strong device proportion")
-    group.add_argument("--scale", default="ci", help="experiment scale preset (ci, small, paper)")
-    group.add_argument("--seed", type=int, default=0)
-    group.add_argument(
-        "--executor",
-        default="serial",
-        choices=list(EXECUTOR_NAMES),
-        help="client-execution engine; bit-identical results, different wall-clock",
-    )
-    group.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="worker count for thread/process executors (default: usable CPUs)",
-    )
-    group.add_argument(
-        "--scenario",
-        default=None,
-        help="fleet scenario driving system dynamics (see `repro scenarios`)",
-    )
-    group.add_argument(
-        "--transport",
-        default="delta",
-        choices=["delta", "full"],
-        help="weight transport: slice/delta (default) or legacy full-state shipping",
-    )
-    group.add_argument(
-        "--transport-codec",
-        default="none",
-        choices=["none", "fp16", "int8", "topk"],
-        help="lossy uplink codec layered on the transport (default: none = exact)",
-    )
+    defaults = ExperimentSetting()
+    for name, options in _setting_flags().items():
+        group.add_argument(f"--{name.replace('_', '-')}", **{"default": getattr(defaults, name), **options})
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -192,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subparsers.add_parser("run", help="train one algorithm end-to-end")
     run.add_argument("--algorithm", default=None, help="registered algorithm name (default: adaptivefl)")
-    run.add_argument("--selection-strategy", default=None, help="AdaptiveFL strategy (rl-cs, rl-c, rl-s, random, greedy)")
+    run.add_argument("--selection-strategy", default=None, help=_STRATEGY_HELP)
     _add_setting_flags(run)
     _add_run_flags(run)
     run.set_defaults(handler=_cmd_run)
@@ -261,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser("serve", help="host the federation coordinator and train over networked clients")
     serve.add_argument("--algorithm", default=None, help="registered algorithm name (default: adaptivefl)")
     serve.add_argument("--algorithms", nargs="*", default=None, help="several names, run on the same client fleet")
-    serve.add_argument("--selection-strategy", default=None, help="AdaptiveFL strategy (rl-cs, rl-c, rl-s, random, greedy)")
+    serve.add_argument("--selection-strategy", default=None, help=_STRATEGY_HELP)
     service = serve.add_argument_group("federation service")
     service.add_argument("--host", default="127.0.0.1", help="interface to bind (default: loopback)")
     service.add_argument("--port", type=int, default=7733, help="TCP port; 0 binds an ephemeral port")
@@ -345,42 +343,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _setting_from_args(args: argparse.Namespace) -> ExperimentSetting:
-    distribution = args.distribution
-    if distribution is None:
-        distribution = "dirichlet" if args.alpha is not None else "iid"
-    return ExperimentSetting(
-        dataset=args.dataset,
-        model=args.model,
-        distribution=distribution,
-        alpha=args.alpha,
-        proportion=args.proportion,
-        scale=args.scale,
-        seed=args.seed,
-        executor=args.executor,
-        max_workers=args.max_workers,
-        scenario=args.scenario,
-        transport=args.transport,
-        transport_codec=args.transport_codec,
-    )
+    options = {name: getattr(args, name) for name in _setting_flags()}
+    if options["distribution"] is None:
+        options["distribution"] = "dirichlet" if args.alpha is not None else "iid"
+    return ExperimentSetting(**options)
+
+
+def _refuse_with_spec(args: argparse.Namespace, *names: str) -> None:
+    """Refuse grid/algorithm flags given beside ``--spec`` (the file is the one source)."""
+    conflicting = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name, None)]
+    if conflicting:
+        raise ValueError(
+            f"{' and '.join(conflicting)} cannot be combined with --spec; "
+            "edit the spec file instead (--rounds may override it)"
+        )
 
 
 def _session_from_args(args: argparse.Namespace) -> tuple[ExperimentSession, ExperimentSpec]:
     """Resolve a session + the effective spec (from --spec or from flags)."""
     if args.spec is not None:
-        conflicting = [
-            flag
-            for flag, value in [
-                ("--algorithm", getattr(args, "algorithm", None)),
-                ("--algorithms", getattr(args, "algorithms", None)),
-                ("--selection-strategy", getattr(args, "selection_strategy", None)),
-            ]
-            if value
-        ]
-        if conflicting:
-            raise ValueError(
-                f"{' and '.join(conflicting)} cannot be combined with --spec; "
-                "edit the spec file instead (--rounds may override it)"
-            )
+        _refuse_with_spec(args, "algorithm", "algorithms", "selection_strategy")
         spec = ExperimentSpec.load(args.spec)
         if args.rounds is not None:
             spec = ExperimentSpec.from_dict({**spec.to_dict(), "num_rounds": args.rounds})
@@ -509,21 +491,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.store is None:
         raise ValueError("repro sweep requires --store (the grid's durable home)")
     if args.spec is not None:
-        conflicting = [
-            flag
-            for flag, value in [
-                ("--algorithms", args.algorithms),
-                ("--seeds", args.seeds),
-                ("--scenarios", args.scenarios),
-                ("--selection-strategy", args.selection_strategy),
-            ]
-            if value
-        ]
-        if conflicting:
-            raise ValueError(
-                f"{' and '.join(conflicting)} cannot be combined with --spec; "
-                "edit the sweep file instead (--rounds may override it)"
-            )
+        _refuse_with_spec(args, "algorithms", "seeds", "scenarios", "selection_strategy")
         sweep = SweepSpec.load(args.spec)
         if args.rounds is not None:
             base = ExperimentSpec.from_dict({**sweep.base.to_dict(), "num_rounds": args.rounds})

@@ -9,8 +9,8 @@ branch in the runner), and only AdaptiveFL accepts an
 CLI are pure registry lookups: adding an algorithm is one decorator, no
 runner edits.
 
-This module deliberately imports nothing from the rest of the package at
-module level so that algorithm modules (``repro.core.server``,
+This module imports nothing from the rest of the package at module level
+but the config vocabulary, so that algorithm modules (``repro.core.server``,
 ``repro.baselines.*``) can import the decorator without cycles; the
 built-in algorithms are pulled in lazily by :func:`ensure_builtin_algorithms`.
 """
@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
+from repro.core.config import SELECTION_STRATEGIES
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.fl_base import FederatedAlgorithm
-    from repro.devices.testbed import TestbedSimulator
     from repro.experiments.settings import PreparedExperiment
 
 __all__ = [
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 #: default selection strategy of AdaptiveFL (the paper's RL-CS)
-DEFAULT_SELECTION_STRATEGY = "rl-cs"
+DEFAULT_SELECTION_STRATEGY = SELECTION_STRATEGIES[0]
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,6 @@ class AlgorithmSpec:
         prepared: "PreparedExperiment",
         *,
         selection_strategy: str | None = None,
-        testbed: "TestbedSimulator | None" = None,
         scenario: "str | None" = None,
     ) -> "FederatedAlgorithm":
         """Instantiate the algorithm on a prepared experiment.
@@ -78,8 +78,6 @@ class AlgorithmSpec:
                 f"(got {selection_strategy!r})"
             )
         kwargs = prepared.algorithm_kwargs()
-        if testbed is not None:
-            kwargs["testbed"] = testbed
         if scenario is not None:
             kwargs["scenario"] = scenario
         if self.uses_pool_config:

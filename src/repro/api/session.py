@@ -7,7 +7,7 @@ so multi-algorithm comparisons and ablation sweeps are paired and avoid
 N× re-preparation.  Callbacks attach builder-style and are materialised
 fresh for every run when given as factories.
 
-    session = (ExperimentSession(ExperimentSetting(model="simple_cnn"))
+    session = (ExperimentSession()
                .with_callback(ProgressCallback())
                .with_callback(lambda: EarlyStopping(patience=3)))
     session.compare(["heterofl", "adaptivefl"])
@@ -24,7 +24,6 @@ from typing import Callable, Iterable
 from repro.api.callbacks import Callback
 from repro.api.registry import available_algorithms, get_algorithm, validate_algorithm_names
 from repro.api.spec import ExperimentSpec
-from repro.devices.testbed import TestbedSimulator
 from repro.experiments.runner import AlgorithmResult, run_algorithm
 from repro.experiments.settings import ExperimentSetting, PreparedExperiment, prepare_experiment
 
@@ -34,14 +33,8 @@ __all__ = ["ExperimentSession"]
 class ExperimentSession:
     """One prepared experiment, any number of algorithm runs on it."""
 
-    def __init__(
-        self,
-        setting: ExperimentSetting | None = None,
-        *,
-        testbed: TestbedSimulator | None = None,
-    ):
+    def __init__(self, setting: ExperimentSetting | None = None):
         self.setting = setting if setting is not None else ExperimentSetting()
-        self.testbed = testbed
         self.spec: ExperimentSpec | None = None
         self.results: dict[str, AlgorithmResult] = {}
         self._callbacks: list[Callback | Callable[[], Callback]] = []
@@ -52,11 +45,11 @@ class ExperimentSession:
         self._checkpoint_every = 1
 
     @classmethod
-    def from_spec(cls, spec: ExperimentSpec | str | Path, **kwargs) -> "ExperimentSession":
+    def from_spec(cls, spec: ExperimentSpec | str | Path) -> "ExperimentSession":
         """Build a session from an :class:`ExperimentSpec` or a JSON file path."""
         if not isinstance(spec, ExperimentSpec):
             spec = ExperimentSpec.load(spec)
-        session = cls(spec.setting, **kwargs)
+        session = cls(spec.setting)
         session.spec = spec
         return session
 
@@ -185,7 +178,6 @@ class ExperimentSession:
             self.prepared,
             selection_strategy=selection_strategy,
             num_rounds=num_rounds if num_rounds is not None else self._spec_rounds(),
-            testbed=self.testbed,
             callbacks=self._callbacks + list(callbacks or []),
             profile=self._profile,
             store=self._store,

@@ -27,7 +27,7 @@ class ExperimentSpec:
     setting: ExperimentSetting = field(default_factory=ExperimentSetting)
     #: algorithm names to run; empty means "every registered algorithm"
     algorithms: tuple[str, ...] = ()
-    #: AdaptiveFL selection strategy (None = the paper's default "rl-cs")
+    #: AdaptiveFL selection strategy (None = the paper's default, rl-cs)
     selection_strategy: str | None = None
     #: override of the scale's round count (None = use the scale preset)
     num_rounds: int | None = None

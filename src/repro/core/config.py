@@ -15,7 +15,18 @@ from typing import Any, Mapping
 from repro.core.serialization import checked_payload, coerce_int_tuple
 from repro.engine.factory import validate_executor_choice
 
-__all__ = ["LocalTrainingConfig", "FederatedConfig", "ModelPoolConfig", "AdaptiveFLConfig"]
+__all__ = [
+    "LocalTrainingConfig", "FederatedConfig", "ModelPoolConfig", "AdaptiveFLConfig",
+    "RUNTIME_FIELDS", "SELECTION_STRATEGIES", "TRANSPORTS",
+]
+
+#: the :class:`FederatedConfig` fields an experiment setting carries through
+#: unchanged (``ExperimentSetting.runtime_options()``)
+RUNTIME_FIELDS = ("executor", "max_workers", "scenario", "transport", "transport_codec")
+#: valid values of ``FederatedConfig.transport``
+TRANSPORTS = ("delta", "full")
+#: AdaptiveFL client-selection strategies, the default (the paper's) first
+SELECTION_STRATEGIES = ("rl-cs", "rl-c", "rl-s", "random", "greedy")
 
 
 @dataclass(frozen=True)
@@ -68,7 +79,7 @@ class FederatedConfig:
     #: worker count for pool-based executors (None = the usable CPU count)
     max_workers: int | None = None
     #: registered fleet scenario driving system dynamics (None = no simulation);
-    #: see :mod:`repro.sim` — "paper_testbed" reproduces the legacy test-bed clock
+    #: see :mod:`repro.sim` — "paper_testbed" is the paper's §4.5 test-bed clock
     scenario: str | None = None
     #: weight transport between server and client workers: "delta" publishes
     #: the global state once per round (version tag + per-worker cache),
@@ -90,7 +101,7 @@ class FederatedConfig:
             raise ValueError("clients_per_round must be positive")
         if self.eval_every <= 0:
             raise ValueError("eval_every must be positive")
-        if self.transport not in {"delta", "full"}:
+        if self.transport not in TRANSPORTS:
             raise ValueError("transport must be 'delta' or 'full'")
         validate_executor_choice(self.executor, self.max_workers)
         # imported inside the method for the same circularity reason as
@@ -178,15 +189,14 @@ class AdaptiveFLConfig:
     federated: FederatedConfig = field(default_factory=FederatedConfig)
     local: LocalTrainingConfig = field(default_factory=LocalTrainingConfig)
     pool: ModelPoolConfig = field(default_factory=ModelPoolConfig)
-    #: client-selection strategy: "rl-cs" (paper), "rl-c", "rl-s", "random", "greedy"
-    selection_strategy: str = "rl-cs"
+    #: client-selection strategy, one of SELECTION_STRATEGIES (default: the paper's)
+    selection_strategy: str = SELECTION_STRATEGIES[0]
     #: success-rate cap applied to the resource reward (paper: 0.5)
     resource_reward_cap: float = 0.5
 
     def __post_init__(self) -> None:
-        valid = {"rl-cs", "rl-c", "rl-s", "random", "greedy"}
-        if self.selection_strategy not in valid:
-            raise ValueError(f"selection_strategy must be one of {sorted(valid)}")
+        if self.selection_strategy not in SELECTION_STRATEGIES:
+            raise ValueError(f"selection_strategy must be one of {sorted(SELECTION_STRATEGIES)}")
         if not 0.0 < self.resource_reward_cap <= 1.0:
             raise ValueError("resource_reward_cap must be in (0, 1]")
 

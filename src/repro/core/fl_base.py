@@ -16,7 +16,8 @@ for every executor choice, folds the uploads
 :class:`~repro.core.history.RoundRecord`.
 
 When a :mod:`repro.sim` scenario is active (``federated_config.scenario``
-or the ``scenario=`` argument), :meth:`dispatch_count` adds its
+or the ``scenario=`` argument; ``paper_testbed`` is the paper's §4.5
+test-bed clock), :meth:`dispatch_count` adds its
 over-selection margin, :meth:`selectable_mask` restricts selection to
 reachable devices, :meth:`plan_round_outcome` exchanges one columnar
 :class:`~repro.sim.fleet.DispatchBatch` for one
@@ -66,7 +67,6 @@ from repro.data.datasets import Dataset
 from repro.data.partition import ClientPartition
 from repro.devices.profiles import DeviceProfile
 from repro.devices.resources import ResourceModel
-from repro.devices.testbed import TestbedSimulator
 from repro.nn.dtype import resolve_dtype
 from repro.nn.models.spec import SlimmableArchitecture
 from repro.perf.flops import count_flops
@@ -118,7 +118,6 @@ class FederatedAlgorithm(ABC):
         local_config: LocalTrainingConfig,
         pool_config: ModelPoolConfig | None = None,
         resource_model: ResourceModel | None = None,
-        testbed: TestbedSimulator | None = None,
         scenario: "ScenarioSpec | str | None" = None,
         seed: int = 0,
     ):
@@ -137,7 +136,6 @@ class FederatedAlgorithm(ABC):
         self.resource_model = resource_model or ResourceModel(
             self.profiles, architecture.parameter_count(), uncertainty=0.0, seed=seed
         )
-        self.testbed = testbed
         self.seed = seed
         self.rng = np.random.default_rng(seed)
 
@@ -151,11 +149,6 @@ class FederatedAlgorithm(ABC):
             scenario = federated_config.scenario
         if isinstance(scenario, str):
             scenario = get_scenario(scenario)
-        if scenario is not None and testbed is not None:
-            raise ValueError(
-                "pass either a legacy testbed or a scenario, not both; the "
-                "'paper_testbed' scenario reproduces the testbed numbers exactly"
-            )
         self.scenario: "ScenarioSpec | None" = scenario
         self.fleet: "FleetSimulator | None" = (
             FleetSimulator(scenario, num_clients=partition.num_clients, seed=seed)
@@ -634,39 +627,12 @@ class FederatedAlgorithm(ABC):
         return {level: self.pool.group_sizes(cfg) for level, cfg in self.pool.level_heads().items()}
 
     def submodel_flops(self, config_name: str) -> int:
-        """Per-sample MACs of a pool entry (cached; used by the test-bed clock)."""
+        """Per-sample MACs of a pool entry (cached; the fleet clock reads it)."""
         if config_name not in self._flops_cache:
             config = self.pool.by_name(config_name)
             model = self.architecture.build(self.pool.group_sizes(config), rng=np.random.default_rng(0))
             self._flops_cache[config_name] = count_flops(model, self.architecture.input_shape).flops
         return self._flops_cache[config_name]
-
-    def simulate_round_time(
-        self,
-        round_index: int,
-        selected_clients: list[int],
-        dispatched_names: list[str],
-        returned_names: list[str],
-    ) -> float | None:
-        """Wall-clock seconds of a synchronous round on the test-bed (if any)."""
-        if self.testbed is None:
-            return None
-        times = []
-        for client_id, sent_name, back_name in zip(selected_clients, dispatched_names, returned_names):
-            sent_params = self.pool.by_name(sent_name).num_params
-            back_params = self.pool.by_name(back_name).num_params
-            flops = self.submodel_flops(back_name)
-            times.append(
-                self.testbed.client_round_time(
-                    client_id,
-                    params_down=sent_params,
-                    params_up=back_params,
-                    flops_per_sample=flops,
-                    num_samples=self._client_sizes[client_id],
-                    local_epochs=self.local_config.local_epochs,
-                )
-            )
-        return self.testbed.round_time(times)
 
     # -- fleet simulation (scenario-conditioned rounds) -----------------------------------
     def dispatch_count(self) -> int:
@@ -742,8 +708,7 @@ class FederatedAlgorithm(ABC):
 
         With a fleet outcome it records the simulated duration, per-client
         arrivals, dropped clients, the deadline and the bytes moved;
-        otherwise it falls back to the legacy test-bed clock (or leaves
-        the record untimed).
+        otherwise the record stays untimed.
 
         Under a lossy codec ``record.bytes_up`` is always the round's
         *true encoded* uplink (summed compressed payload sizes from
@@ -766,9 +731,6 @@ class FederatedAlgorithm(ABC):
                 "codec_raw_bytes_up_total", "uncompressed bytes the same uploads would have moved"
             ).inc(codec_raw_up)
         if outcome is None:
-            record.wall_clock_seconds = self.simulate_round_time(
-                record.round_index, record.selected_clients, record.dispatched, record.returned
-            )
             # measured wire bytes (exact or encoded) — populated whenever the
             # round actually moved payloads, so codec ratios have a baseline
             if codec_bytes_up > 0 or codec_bytes_down > 0:

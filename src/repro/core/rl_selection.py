@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.config import SELECTION_STRATEGIES
 from repro.core.model_pool import LEVELS, ModelPool, SubmodelConfig
 from repro.sim.cohorts import DEFAULT_COHORT_SIZE, cohort_counts, nth_masked_index
 
@@ -51,13 +52,14 @@ class RLClientSelector:
         self,
         pool: ModelPool,
         num_clients: int,
-        strategy: str = "rl-cs",
+        strategy: str = SELECTION_STRATEGIES[0],
         resource_reward_cap: float = 0.5,
         cohort_size: int = DEFAULT_COHORT_SIZE,
     ):
         if num_clients <= 0:
             raise ValueError("num_clients must be positive")
-        valid = {"rl-cs", "rl-c", "rl-s", "random"}
+        # AdaptiveFL resolves "greedy" itself and selects for it as "random"
+        valid = [name for name in SELECTION_STRATEGIES if name != "greedy"]
         if strategy not in valid:
             raise ValueError(f"strategy must be one of {sorted(valid)}, got {strategy!r}")
         if not 0.0 < resource_reward_cap <= 1.0:

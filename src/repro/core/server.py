@@ -11,9 +11,8 @@ Each round the server:
 6. aggregates every upload into the new global model (Step 6, Algorithm 2).
 
 The ``selection_strategy`` knob reproduces the ablation variants of §4.4:
-``"rl-cs"`` (the paper's AdaptiveFL), ``"rl-c"``, ``"rl-s"``, ``"random"``
-and ``"greedy"`` (always dispatch the full model to randomly chosen
-clients).
+``rl-cs`` (the paper's AdaptiveFL), ``rl-c``, ``rl-s``, ``random`` and
+``greedy`` (always dispatch the full model to randomly chosen clients).
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ def split_round_seconds(
     """(communication, training) seconds of one client's synchronous round.
 
     The single closed-form clock of the paper's §4.5 evaluation.  Both the
-    legacy :class:`TestbedSimulator` and the static path of
+    reference :class:`TestbedSimulator` and the static path of
     :class:`repro.sim.fleet.FleetSimulator` compute through this function,
     which is what makes their ``paper_testbed`` parity structural rather
     than a convention.
@@ -92,25 +92,22 @@ TESTBED_DEVICE_SPECS: tuple[TestbedDeviceSpec, ...] = (
 
 
 class TestbedSimulator:
-    """Wall-clock model of the paper's 17-device test-bed."""
+    """Wall-clock model of the paper's 17-device test-bed.
+
+    The reference the ``paper_testbed`` scenario is checked against
+    (``tests/sim/test_scenario_parity.py``); runs use the scenario.
+    """
 
     #: not a pytest test class despite the name
     __test__ = False
-
-    #: bytes per parameter (kept as class attributes for compatibility)
-    BYTES_PER_PARAM = BYTES_PER_PARAM
-    #: backward pass costs roughly twice the forward pass
-    TRAIN_FLOP_MULTIPLIER = TRAIN_FLOP_MULTIPLIER
 
     def __init__(
         self,
         specs: tuple[TestbedDeviceSpec, ...] = TESTBED_DEVICE_SPECS,
         capacity_fractions: dict[str, float] | None = None,
-        seed: int = 0,
     ):
         self.specs = tuple(specs)
         self.capacity_fractions = capacity_fractions or dict(DEFAULT_CAPACITY_FRACTIONS)
-        self.seed = seed
         self._device_specs: list[TestbedDeviceSpec] = []
         for spec in self.specs:
             self._device_specs.extend([spec] * spec.count)

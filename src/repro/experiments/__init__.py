@@ -42,7 +42,6 @@ __all__ = [
     "AlgorithmResult",
     "run_algorithm",
     "run_comparison",
-    "ALL_ALGORITHM_NAMES",
     "format_table",
     "render_accuracy_table",
     "render_learning_curves",
@@ -51,13 +50,3 @@ __all__ = [
     "PAPER_TABLE3",
     "PAPER_TABLE4",
 ]
-
-
-def __getattr__(name: str):
-    # ALL_ALGORITHM_NAMES is a live view of the algorithm registry; keep it
-    # lazy here too so plugins registered after import are visible
-    if name == "ALL_ALGORITHM_NAMES":
-        from repro.api.registry import available_algorithms
-
-        return available_algorithms()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

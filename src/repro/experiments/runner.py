@@ -20,17 +20,9 @@ from typing import Callable, Iterable, Sequence
 from repro.api.callbacks import Callback
 from repro.api.registry import available_algorithms, get_algorithm, validate_algorithm_names
 from repro.core.history import TrainingHistory
-from repro.devices.testbed import TestbedSimulator
 from repro.experiments.settings import ExperimentSetting, PreparedExperiment, prepare_experiment
 
-__all__ = ["AlgorithmResult", "run_algorithm", "run_comparison", "ALL_ALGORITHM_NAMES"]
-
-
-def __getattr__(name: str):
-    # live registry view (PEP 562): reflects plugins registered after import
-    if name == "ALL_ALGORITHM_NAMES":
-        return available_algorithms()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["AlgorithmResult", "run_algorithm", "run_comparison"]
 
 
 #: Callbacks argument accepted by the runners: ready instances, or zero-arg
@@ -88,7 +80,6 @@ def run_algorithm(
     prepared: PreparedExperiment,
     selection_strategy: str | None = None,
     num_rounds: int | None = None,
-    testbed: TestbedSimulator | None = None,
     scenario: str | None = None,
     callbacks: Sequence[CallbackArg] | None = None,
     profile: bool = False,
@@ -127,7 +118,7 @@ def run_algorithm(
     """
     spec = get_algorithm(name)
     if store is None:
-        algorithm = spec.build(prepared, selection_strategy=selection_strategy, testbed=testbed, scenario=scenario)
+        algorithm = spec.build(prepared, selection_strategy=selection_strategy, scenario=scenario)
         if executor is not None:
             algorithm.set_executor(executor)  # type: ignore[arg-type]
         history = algorithm.run(
@@ -140,11 +131,6 @@ def run_algorithm(
     from repro.store.keys import resolve_num_rounds, run_key
     from repro.store.runstore import RunRecorder, RunStore
 
-    if testbed is not None:
-        raise ValueError(
-            "the experiment store cannot key runs on an ad-hoc testbed; use the "
-            "'paper_testbed' scenario instead (it reproduces the testbed clock exactly)"
-        )
     if not isinstance(store, RunStore):
         store = RunStore(store)
     key = run_key(
@@ -198,7 +184,6 @@ def run_comparison(
     setting: ExperimentSetting,
     algorithms: Iterable[str] | None = None,
     num_rounds: int | None = None,
-    testbed: TestbedSimulator | None = None,
     scenario: str | None = None,
     callbacks: Sequence[CallbackArg] | None = None,
 ) -> dict[str, AlgorithmResult]:
@@ -206,8 +191,6 @@ def run_comparison(
     names = validate_algorithm_names(algorithms if algorithms is not None else available_algorithms())
     prepared = prepare_experiment(setting)
     return {
-        name: run_algorithm(
-            name, prepared, num_rounds=num_rounds, testbed=testbed, scenario=scenario, callbacks=callbacks
-        )
+        name: run_algorithm(name, prepared, num_rounds=num_rounds, scenario=scenario, callbacks=callbacks)
         for name in names
     }

@@ -13,10 +13,11 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig, ModelPoolConfig
+from repro.core.config import (
+    RUNTIME_FIELDS, SELECTION_STRATEGIES, AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig, ModelPoolConfig,
+)
 from repro.core.serialization import checked_payload
 from repro.data.datasets import Dataset, make_cifar10_like, make_cifar100_like, make_femnist_like, make_widar_like
-from repro.engine.factory import validate_executor_choice
 from repro.data.partition import ClientPartition, partition_dataset
 from repro.devices.profiles import DeviceProfile, build_device_profiles
 from repro.devices.resources import ResourceModel
@@ -24,10 +25,11 @@ from repro.experiments.scaling import ExperimentScale, get_scale
 from repro.nn.models import create_architecture
 from repro.nn.models.spec import SlimmableArchitecture
 from repro.sim.fleet import FleetSimulator
-from repro.sim.scenario import get_scenario, validate_scenario_choice
+from repro.sim.scenario import get_scenario
 
 __all__ = [
     "DATASET_BUILDERS",
+    "DISTRIBUTIONS",
     "ExperimentSetting",
     "PreparedExperiment",
     "prepare_experiment",
@@ -42,6 +44,9 @@ DATASET_BUILDERS = {
     "widar": make_widar_like,
 }
 
+#: valid values of ``ExperimentSetting.distribution``
+DISTRIBUTIONS = ("iid", "dirichlet", "natural")
+
 _DATASET_CLASSES = {"cifar10": 10, "cifar100": 100, "femnist": 62, "widar": 22}
 _DATASET_CHANNELS = {"cifar10": 3, "cifar100": 3, "femnist": 1, "widar": 1}
 
@@ -51,46 +56,37 @@ class ExperimentSetting:
     """One cell of the paper's evaluation grid."""
 
     dataset: str = "cifar10"
-    model: str = "vgg16"
-    #: "iid", "dirichlet" or "natural"
+    #: architecture registry name; simple_cnn builds at every scale (a
+    #: paper-scale VGG16 run passes model="vgg16", which needs 32 px inputs)
+    model: str = "simple_cnn"
+    #: one of DISTRIBUTIONS
     distribution: str = "iid"
     alpha: float | None = None
     proportion: str = "4:3:3"
     scale: str = "ci"
     seed: int = 0
     resource_uncertainty: float = 0.1
-    #: client-execution engine: "serial", "thread" or "process" (bit-identical)
+    #: the runtime knobs (RUNTIME_FIELDS): declared, documented and validated
+    #: by :class:`~repro.core.config.FederatedConfig`, which receives them as-is
     executor: str = "serial"
-    #: worker count for pool-based executors (None = the usable CPU count)
     max_workers: int | None = None
-    #: registered fleet scenario (repro.sim) driving system dynamics, or None
     scenario: str | None = None
-    #: weight transport: "delta" (slice download + XOR-delta upload, the
-    #: default) or "full" (legacy per-task weight shipping); bit-identical
     transport: str = "delta"
-    #: lossy update codec on the uplink ("none", "fp16", "int8", "topk");
-    #: see :mod:`repro.engine.codecs` — "none" keeps exact transport
     transport_codec: str = "none"
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.dataset not in DATASET_BUILDERS:
             raise ValueError(f"unknown dataset {self.dataset!r}")
-        if self.distribution not in {"iid", "dirichlet", "natural"}:
+        if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.distribution == "dirichlet" and self.alpha is None:
             raise ValueError("dirichlet distribution requires alpha")
-        validate_executor_choice(self.executor, self.max_workers)
-        validate_scenario_choice(self.scenario)
-        if self.transport not in {"delta", "full"}:
-            raise ValueError("transport must be 'delta' or 'full'")
-        from repro.engine.codecs import available_codecs
+        FederatedConfig(**self.runtime_options())
 
-        if self.transport_codec not in available_codecs():
-            raise ValueError(
-                f"transport_codec must be one of {sorted(available_codecs())}, "
-                f"got {self.transport_codec!r}"
-            )
+    def runtime_options(self) -> dict:
+        """The runtime knobs as :class:`~repro.core.config.FederatedConfig` keyword arguments."""
+        return {name: getattr(self, name) for name in RUNTIME_FIELDS}
 
     def to_dict(self) -> dict:
         """JSON-friendly representation; round-trips through :meth:`from_dict`."""
@@ -137,7 +133,7 @@ class PreparedExperiment:
             "seed": self.setting.seed,
         }
 
-    def adaptivefl_config(self, selection_strategy: str = "rl-cs") -> AdaptiveFLConfig:
+    def adaptivefl_config(self, selection_strategy: str = SELECTION_STRATEGIES[0]) -> AdaptiveFLConfig:
         """AdaptiveFL configuration matching this experiment."""
         return AdaptiveFLConfig(
             federated=self.federated_config,
@@ -236,11 +232,7 @@ def prepare_experiment(setting: ExperimentSetting) -> PreparedExperiment:
         clients_per_round=scale.clients_per_round,
         eval_every=scale.eval_every,
         seed=setting.seed,
-        executor=setting.executor,
-        max_workers=setting.max_workers,
-        scenario=setting.scenario,
-        transport=setting.transport,
-        transport_codec=setting.transport_codec,
+        **setting.runtime_options(),
     )
     local_config = LocalTrainingConfig(
         local_epochs=scale.local_epochs,

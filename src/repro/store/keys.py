@@ -45,7 +45,7 @@ def run_key(
 
     The selection strategy is normalised so equivalent submissions
     collide: algorithms that ignore strategies always key on ``None``,
-    and AdaptiveFL's default ``None`` keys on the paper's ``"rl-cs"``.
+    and AdaptiveFL's default ``None`` keys on the paper's ``rl-cs``.
     """
     spec = get_algorithm(algorithm)
     if spec.uses_selection_strategy:

@@ -12,7 +12,7 @@ from repro.api.registry import (
 from repro.baselines import ALGORITHMS
 from repro.baselines.heterofl import HETEROFL_POOL_CONFIG
 from repro.core.server import AdaptiveFL
-from repro.experiments import ALL_ALGORITHM_NAMES, ExperimentSetting, run_comparison
+from repro.experiments import ExperimentSetting, run_comparison
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +24,6 @@ def prepared(ci_prepared):
 class TestCompleteness:
     def test_canonical_order(self):
         assert available_algorithms() == ("all_large", "decoupled", "heterofl", "scalefl", "adaptivefl")
-
-    def test_all_algorithm_names_derives_from_registry(self):
-        assert ALL_ALGORITHM_NAMES == available_algorithms()
 
     def test_legacy_baseline_mapping_cannot_drift(self):
         # every legacy ALGORITHMS entry is registered under the same factory
@@ -105,17 +102,6 @@ class TestCustomRegistration:
         finally:
             unregister_algorithm("all_large_again")
         assert "all_large_again" not in available_algorithms()
-
-    def test_all_algorithm_names_is_a_live_registry_view(self):
-        import repro.experiments as experiments
-        from repro.baselines.fedavg import AllLargeFedAvg
-
-        register_algorithm("plugin_probe", order=60)(type("P", (AllLargeFedAvg,), {"name": "plugin_probe"}))
-        try:
-            assert "plugin_probe" in experiments.ALL_ALGORITHM_NAMES
-        finally:
-            unregister_algorithm("plugin_probe")
-        assert "plugin_probe" not in experiments.ALL_ALGORITHM_NAMES
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="already registered"):

@@ -1,13 +1,15 @@
 """ExperimentSession (prepare-once reuse) and the ``python -m repro`` CLI."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.api.callbacks import Callback
-from repro.api.cli import main
+from repro.api.cli import _setting_from_args, build_parser, main
 from repro.api.session import ExperimentSession
 from repro.api.spec import ExperimentSpec
+from repro.engine.codecs import PassthroughCodec, register_codec, unregister_codec
 from repro.experiments import run_algorithm, run_comparison, prepare_experiment
 
 # the CI-scale setting/prepared snapshot come session-scoped from tests/conftest.py
@@ -255,3 +257,15 @@ class TestCli:
         rc = main(["run", "--algorithm", "heterofl", "--scale", "ci", "--rounds", "1", "--output-dir", str(tmp_path)])
         assert rc == 0
         assert "[heterofl] round 1/1" in capsys.readouterr().out
+
+    def test_cli_accepts_a_registered_plugin_codec(self):
+        @dataclasses.dataclass(frozen=True)
+        class ProbeCodec(PassthroughCodec):
+            name = "cli-probe"
+
+        register_codec("cli-probe")(ProbeCodec)
+        try:
+            args = build_parser().parse_args(["run", "--transport-codec", "cli-probe"])
+            assert _setting_from_args(args).transport_codec == "cli-probe"
+        finally:
+            unregister_codec("cli-probe")

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api.registry import available_algorithms
 from repro.core.history import RoundRecord, TrainingHistory
 from repro.experiments import (
-    ALL_ALGORITHM_NAMES,
     PAPER_TABLE2,
     PAPER_TABLE3,
     PAPER_TABLE4,
@@ -54,6 +54,13 @@ class TestSettings:
             ExperimentSetting(distribution="dirichlet")  # missing alpha
         with pytest.raises(ValueError):
             ExperimentSetting(distribution="zipf")
+
+    @pytest.mark.parametrize("scale", ["ci", "small"])
+    def test_default_setting_prepares(self, scale):
+        """The default model builds at the 16 px scales quick runs use (vgg16 needs 32 px)."""
+        prepared = prepare_experiment(ExperimentSetting(scale=scale))
+        assert prepared.architecture.input_shape == (3, 16, 16)
+        assert prepared.architecture.parameter_count() > 0
 
     def test_prepare_experiment_wiring(self):
         setting = ExperimentSetting(dataset="cifar10", model="simple_cnn", distribution="iid", scale="ci")
@@ -112,7 +119,7 @@ class TestRunner:
             run_algorithm("fedprox", prepared)
 
     def test_all_algorithm_names_cover_paper_table2(self):
-        assert set(ALL_ALGORITHM_NAMES) == set(PAPER_TABLE2["vgg16"]["cifar10-iid"].keys())
+        assert set(available_algorithms()) == set(PAPER_TABLE2["vgg16"]["cifar10-iid"].keys())
 
 
 class TestReporting:

@@ -14,7 +14,8 @@ from repro.core.server import AdaptiveFL
 from repro.baselines import HeteroFL
 from repro.data.partition import iid_partition
 from repro.devices.resources import ResourceModel
-from repro.devices.testbed import TestbedSimulator
+from repro.sim.fleet import FleetSimulator
+from repro.sim.scenario import get_scenario
 
 # ``easy_setup`` comes session-scoped from tests/conftest.py and is shared
 # with the engine parity suite.
@@ -103,8 +104,8 @@ class TestSubmodelConsistency:
 
 class TestTestbedIntegration:
     def test_wall_clock_is_recorded_and_increasing(self, easy_setup):
-        testbed = TestbedSimulator()
-        profiles = testbed.build_profiles(np.random.default_rng(0))
+        # the profiles of the devices the paper_testbed clock times
+        profiles = FleetSimulator(get_scenario("paper_testbed"), 17, seed=0).build_profiles()
         # the test-bed has 17 devices; re-partition the data accordingly
         partition = iid_partition(easy_setup["train"], 17, np.random.default_rng(0))
         resource_model = ResourceModel(profiles, easy_setup["arch"].parameter_count(), uncertainty=0.1, seed=0)
@@ -119,7 +120,7 @@ class TestTestbedIntegration:
             profiles=profiles,
             resource_model=resource_model,
             algorithm_config=adaptive,
-            testbed=testbed,
+            scenario="paper_testbed",
             seed=0,
         )
         history = algorithm.run()

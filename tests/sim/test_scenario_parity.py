@@ -1,9 +1,10 @@
 """Acceptance tests of the scenario layer.
 
-* ``paper_testbed`` parity: histories (every legacy-observable field,
-  including ``wall_clock_seconds``) and final weights are **bit-identical**
-  to the legacy ``TestbedSimulator`` path for AdaptiveFL and all four
-  baselines.
+* ``paper_testbed`` parity: for AdaptiveFL and all four baselines, a run
+  under the scenario trains exactly like a plain run (every other legacy
+  field and the final weights **bit-identical**), and every round's
+  ``wall_clock_seconds`` is the reference :class:`TestbedSimulator` clock
+  of the round's own dispatches.
 * Same-seed scenario runs are fully deterministic across the serial,
   thread and process executors.
 * Deadline-based over-selection demonstrably changes round composition in
@@ -25,7 +26,7 @@ from repro.devices.resources import ResourceModel
 from repro.devices.testbed import TestbedSimulator
 from repro.nn.models import SlimmableSimpleCNN
 
-#: every legacy RoundRecord field the pre-scenario code recorded
+#: every RoundRecord field an unsimulated run records besides the clock
 LEGACY_FIELDS = (
     "round_index",
     "full_accuracy",
@@ -36,7 +37,6 @@ LEGACY_FIELDS = (
     "dispatched",
     "returned",
     "selected_clients",
-    "wall_clock_seconds",
 )
 
 
@@ -70,29 +70,48 @@ def testbed_setup():
 
 
 def build_pair(setup, cls):
-    """The same algorithm on the legacy testbed and on the scenario fleet."""
+    """The same algorithm without simulation and on the ``paper_testbed`` fleet."""
     extra = {}
     if cls is AdaptiveFL:
         extra["algorithm_config"] = AdaptiveFLConfig(
             federated=setup["federated"], local=setup["local"], pool=setup["pool"]
         )
-    legacy = cls(**setup["kwargs"], pool_config=setup["pool"], testbed=setup["testbed"], **extra)
+    plain = cls(**setup["kwargs"], pool_config=setup["pool"], **extra)
     scenario = cls(**setup["kwargs"], pool_config=setup["pool"], scenario="paper_testbed", **extra)
-    return legacy, scenario
+    return plain, scenario
+
+
+def reference_round_time(setup, algorithm, record):
+    """The reference test-bed clock of one record's own dispatches."""
+    testbed, sizes = setup["testbed"], setup["kwargs"]["partition"].sizes()
+    times = [
+        testbed.client_round_time(
+            client,
+            params_down=algorithm.pool.by_name(sent).num_params,
+            params_up=algorithm.pool.by_name(back).num_params,
+            flops_per_sample=algorithm.submodel_flops(back),
+            num_samples=sizes[client],
+            local_epochs=setup["local"].local_epochs,
+        )
+        for client, sent, back in zip(record.selected_clients, record.dispatched, record.returned)
+    ]
+    return testbed.round_time(times)
 
 
 class TestPaperTestbedParity:
     @pytest.mark.parametrize("cls", [AdaptiveFL, AllLargeFedAvg, DecoupledFL, HeteroFL, ScaleFL])
     def test_history_and_weights_bit_identical(self, testbed_setup, cls):
-        legacy, scenario = build_pair(testbed_setup, cls)
-        legacy_history = legacy.run()
+        plain, scenario = build_pair(testbed_setup, cls)
+        plain_history = plain.run()
         scenario_history = scenario.run()
-        assert len(legacy_history) == len(scenario_history)
-        for old, new in zip(legacy_history.records, scenario_history.records):
+        assert len(plain_history) == len(scenario_history)
+        for old, new in zip(plain_history.records, scenario_history.records):
             for field in LEGACY_FIELDS:
                 assert getattr(old, field) == getattr(new, field), field
-        for key in legacy.global_state:
-            assert np.array_equal(legacy.global_state[key], scenario.global_state[key]), key
+            assert old.wall_clock_seconds is None
+            assert new.wall_clock_seconds == reference_round_time(testbed_setup, scenario, new)
+        for key in plain.global_state:
+            assert np.array_equal(plain.global_state[key], scenario.global_state[key]), key
 
     def test_scenario_run_adds_fleet_accounting(self, testbed_setup):
         _, scenario = build_pair(testbed_setup, HeteroFL)
@@ -103,15 +122,6 @@ class TestPaperTestbedParity:
             assert record.dropped_clients == []  # the static test-bed never drops
             assert record.wall_clock_seconds == max(record.arrival_seconds)
             assert record.bytes_down > 0 and record.bytes_up > 0
-
-    def test_testbed_and_scenario_together_rejected(self, testbed_setup):
-        with pytest.raises(ValueError, match="not both"):
-            HeteroFL(
-                **testbed_setup["kwargs"],
-                pool_config=testbed_setup["pool"],
-                testbed=testbed_setup["testbed"],
-                scenario="paper_testbed",
-            )
 
 
 class TestScenarioDeterminism:
