@@ -14,7 +14,7 @@ layer.  It writes ``BENCH_hotpaths.json`` with three sections:
 * ``end_to_end`` — rounds/sec of **all five algorithms** on the CI
   setting, serial and process executors, raw mode (no emulated device
   latency), plus the per-round pickled transport payload of the
-  slice/delta transport against legacy full-state shipping.
+  slice/delta transport.
 
 ``pre_pr_reference`` embeds the seed-commit throughput measured with
 this exact loop (best-of-3, same container class) so the JSON carries
@@ -179,30 +179,21 @@ class _PayloadSpy(Executor):
 
 
 def measure_transport(num_rounds: int) -> list[dict]:
-    """Pickled bytes per round, slice/delta transport vs full shipping."""
-    rows = []
-    accuracies = {}
-    for transport in ("full", "delta"):
-        setting = ExperimentSetting(**{**BENCH_SETTING_KWARGS, "transport": transport})
-        prepared = prepare_experiment(setting)
-        algorithm = get_algorithm("adaptivefl").build(prepared)
-        spy = _PayloadSpy()
-        algorithm.set_executor(spy)
-        history = algorithm.run(num_rounds=num_rounds)
-        accuracies[transport] = history.final_accuracy("full")
-        rows.append(
-            {
-                "transport": transport,
-                "algorithm": "adaptivefl",
-                "rounds": num_rounds,
-                "task_payload_bytes_per_round": round(spy.task_bytes / num_rounds),
-                "result_payload_bytes_per_round": round(spy.result_bytes / num_rounds),
-            }
-        )
-    # the transport modes must be bit-identical — re-checked under timing
-    for row in rows:
-        row["parity"] = accuracies["full"] == accuracies["delta"]
-    return rows
+    """Pickled bytes per round of the slice/delta transport."""
+    prepared = prepare_experiment(ExperimentSetting(**BENCH_SETTING_KWARGS))
+    algorithm = get_algorithm("adaptivefl").build(prepared)
+    spy = _PayloadSpy()
+    algorithm.set_executor(spy)
+    algorithm.run(num_rounds=num_rounds)
+    return [
+        {
+            "transport": "delta",
+            "algorithm": "adaptivefl",
+            "rounds": num_rounds,
+            "task_payload_bytes_per_round": round(spy.task_bytes / num_rounds),
+            "result_payload_bytes_per_round": round(spy.result_bytes / num_rounds),
+        }
+    ]
 
 
 def measure_end_to_end(
@@ -322,11 +313,11 @@ def render(payload: dict) -> str:
             f"{row['maxpool_bwd_us']:>12.1f} {row['maxpool_bwd_reference_us']:>8.1f}"
         )
     lines.append("")
-    lines.append(f"{'transport':<10} {'task bytes/round':>17} {'result bytes/round':>19}  parity")
+    lines.append(f"{'transport':<10} {'task bytes/round':>17} {'result bytes/round':>19}")
     for row in payload["transport"]:
         lines.append(
             f"{row['transport']:<10} {row['task_payload_bytes_per_round']:>17,} "
-            f"{row['result_payload_bytes_per_round']:>19,}  {row['parity']}"
+            f"{row['result_payload_bytes_per_round']:>19,}"
         )
     lines.append("")
     lines.append(f"{'algorithm':<12} {'executor':<9} {'rounds/s':>9} {'vs pre-PR':>10}  parity")

@@ -80,7 +80,7 @@ from repro.api.callbacks import Callback, EarlyStopping, JsonHistoryStreamer, Pr
 from repro.api.registry import available_algorithms, get_algorithm, validate_algorithm_names
 from repro.api.session import ExperimentSession
 from repro.api.spec import ExperimentSpec
-from repro.core.config import SELECTION_STRATEGIES, TRANSPORTS
+from repro.core.config import SELECTION_STRATEGIES
 from repro.engine.codecs import available_codecs
 from repro.engine.factory import EXECUTOR_NAMES
 from repro.experiments.settings import DATASET_BUILDERS, DISTRIBUTIONS, ExperimentSetting
@@ -117,10 +117,6 @@ def _setting_flags() -> dict[str, dict]:
         },
         "max_workers": {"type": int, "help": "worker count for thread/process executors (default: usable CPUs)"},
         "scenario": {"help": "fleet scenario driving system dynamics (see `repro scenarios`)"},
-        "transport": {
-            "choices": TRANSPORTS,
-            "help": "weight transport: slice/delta (default) or legacy full-state shipping",
-        },
         "transport_codec": {
             "choices": available_codecs(),
             "help": "lossy uplink codec layered on the transport (default: none = exact)",

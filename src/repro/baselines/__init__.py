@@ -11,10 +11,8 @@
 
 Each class registers itself in :mod:`repro.api.registry` via
 ``@register_algorithm`` and declares there which configs it accepts
-(e.g. HeteroFL's fixed pool); the experiment runner and CLI discover the
-baselines through that registry, never through this module.  ``ALGORITHMS``
-below is the legacy name→class mapping, kept consistent with the registry
-by the api test-suite.
+(e.g. HeteroFL's fixed pool); look a baseline up by name with
+:func:`repro.api.registry.get_algorithm`, never through this module.
 """
 
 from repro.baselines.decoupled import DecoupledFL
@@ -22,18 +20,4 @@ from repro.baselines.fedavg import AllLargeFedAvg
 from repro.baselines.heterofl import HeteroFL
 from repro.baselines.scalefl import ScaleFL
 
-__all__ = ["AllLargeFedAvg", "DecoupledFL", "HeteroFL", "ScaleFL", "create_algorithm", "ALGORITHMS"]
-
-ALGORITHMS = {
-    "all_large": AllLargeFedAvg,
-    "decoupled": DecoupledFL,
-    "heterofl": HeteroFL,
-    "scalefl": ScaleFL,
-}
-
-
-def create_algorithm(name: str, *args, **kwargs):
-    """Instantiate a baseline by name (see :data:`ALGORITHMS`)."""
-    if name not in ALGORITHMS:
-        raise KeyError(f"unknown baseline {name!r}; available: {sorted(ALGORITHMS)}")
-    return ALGORITHMS[name](*args, **kwargs)
+__all__ = ["AllLargeFedAvg", "DecoupledFL", "HeteroFL", "ScaleFL"]

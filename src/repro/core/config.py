@@ -23,8 +23,9 @@ __all__ = [
 #: the :class:`FederatedConfig` fields an experiment setting carries through
 #: unchanged (``ExperimentSetting.runtime_options()``)
 RUNTIME_FIELDS = ("executor", "max_workers", "scenario", "transport", "transport_codec")
-#: valid values of ``FederatedConfig.transport``
-TRANSPORTS = ("delta", "full")
+#: valid values of ``FederatedConfig.transport``; the field leaves once
+#: ``benchmarks/e2e/workloads.py`` stops passing it
+TRANSPORTS = ("delta",)
 #: AdaptiveFL client-selection strategies, the default (the paper's) first
 SELECTION_STRATEGIES = ("rl-cs", "rl-c", "rl-s", "random", "greedy")
 
@@ -81,11 +82,10 @@ class FederatedConfig:
     #: registered fleet scenario driving system dynamics (None = no simulation);
     #: see :mod:`repro.sim` — "paper_testbed" is the paper's §4.5 test-bed clock
     scenario: str | None = None
-    #: weight transport between server and client workers: "delta" publishes
-    #: the global state once per round (version tag + per-worker cache),
-    #: ships each client only the submodel slice it trains and returns
-    #: bit-exact XOR deltas; "full" is the legacy per-task weight shipping.
-    #: Both produce bit-identical results (see tests/perf).
+    #: weight transport between server and client workers, and its only
+    #: value: "delta" publishes the global state once per round (version
+    #: tag + per-worker cache), the worker cuts the submodel slice it
+    #: trains and returns a bit-exact XOR delta (see tests/perf)
     transport: str = "delta"
     #: lossy update codec layered on the transport ("none", "fp16",
     #: "int8", "topk" — see :mod:`repro.engine.codecs`).  "none" keeps
@@ -102,7 +102,7 @@ class FederatedConfig:
         if self.eval_every <= 0:
             raise ValueError("eval_every must be positive")
         if self.transport not in TRANSPORTS:
-            raise ValueError("transport must be 'delta' or 'full'")
+            raise ValueError(f"transport must be one of {list(TRANSPORTS)}, got {self.transport!r}")
         validate_executor_choice(self.executor, self.max_workers)
         # imported inside the method for the same circularity reason as
         # the scenario validation below

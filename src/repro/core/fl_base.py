@@ -55,7 +55,7 @@ from repro.engine.codecs import (
 from repro.engine.factory import create_executor
 from repro.engine.rng import client_stream
 from repro.engine.tasks import ClientTask, TrainSubmodelTask
-from repro.engine.transport import StateHandle, StateStore, decode_upload, state_nbytes
+from repro.engine.transport import StateHandle, StateStore, apply_state_delta, state_nbytes
 from repro.obs.events import get_event_bus
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.trace import TraceContext, new_span_id, new_trace_id
@@ -180,7 +180,7 @@ class FederatedAlgorithm(ABC):
         #: reused accumulation buffers for heterogeneous aggregation
         self._aggregator = HeterogeneousAggregator()
         #: lossy update codec layered on the transport ("none" resolves to
-        #: None so the exact delta/full paths stay byte-for-byte untouched)
+        #: None so the exact delta path stays byte-for-byte untouched)
         self._codec: UpdateCodec | None = (
             get_codec(federated_config.transport_codec)
             if federated_config.transport_codec != "none"
@@ -195,9 +195,9 @@ class FederatedAlgorithm(ABC):
         self._round_bytes_up = 0
         self._round_raw_bytes_up = 0
         self._round_bytes_down = 0
-        #: one publisher per logical weight stream (slice/delta transport)
+        #: one publisher per logical weight stream
         self._state_stores: dict[str, StateStore] = {}
-        #: one-time published per-client datasets (delta transport): workers
+        #: one-time published per-client datasets: workers
         #: cache them across rounds, so dispatching never re-ships data
         self._dataset_handles: dict[int, StateHandle] = {}
         #: built eval networks per group-size configuration (weights are
@@ -228,22 +228,15 @@ class FederatedAlgorithm(ABC):
         round_index: int,
         plan: RoundPlan,
         slot: int,
-        source: "Mapping[str, np.ndarray] | StateHandle",
+        source: StateHandle,
     ) -> ClientTask:
         """The task of one slot that will be aggregated: train its submodel of ``source``.
 
-        ``source`` is the slot's published stream — a
-        :class:`~repro.engine.transport.StateHandle` (the worker cuts the
-        slice and uploads a bit-exact delta) or, under "full" transport,
-        the stream's weights, cut here and shipped inside the task.
+        ``source`` is the slot's published stream: the worker cuts the
+        slice and uploads a bit-exact delta.
         """
         client_id, group_sizes = plan.clients[slot], plan.group_sizes[slot]
-        is_handle = isinstance(source, StateHandle)
-        if is_handle:
-            self.count_downlink(plan.back_params[slot] * np.dtype(resolve_dtype()).itemsize)
-        else:
-            source = slice_state_dict(source, self.architecture, dict(group_sizes))
-            self.count_downlink(state_nbytes(source))
+        self.count_downlink(plan.back_params[slot] * np.dtype(resolve_dtype()).itemsize)
         return TrainSubmodelTask(
             architecture=self.architecture,
             group_sizes=group_sizes,
@@ -252,7 +245,6 @@ class FederatedAlgorithm(ABC):
             local_config=self.local_config,
             client_id=client_id,
             rng_stream=self.client_stream(round_index, client_id),
-            delta_upload=is_handle,
             codec=self._codec,
             codec_residual=self.codec_residual_for(client_id, group_sizes),
             trace=self.task_trace(),
@@ -281,10 +273,7 @@ class FederatedAlgorithm(ABC):
         plan = self.plan_round(round_index, self.round_rng(round_index))
         outcome = self.plan_round_outcome(round_index, plan.clients, plan.dispatched, plan.returned)
         keep = list(outcome.aggregated_positions()) if outcome is not None else list(range(len(plan.clients)))
-        sources = {}
-        for stream, state in self.round_streams().items():
-            handle = self.publish_state(state, stream=stream)
-            sources[stream] = state if handle is None else handle
+        sources = {stream: self.publish_state(state, stream=stream) for stream, state in self.round_streams().items()}
         tasks = [self.make_task(round_index, plan, slot, sources[plan.streams[slot]]) for slot in keep]
         with self.profiler.scope("round.training"):
             results = self.execute_client_tasks(tasks)
@@ -385,21 +374,8 @@ class FederatedAlgorithm(ABC):
         return self.executor.map(tasks)
 
     # -- weight transport (repro.engine.transport) ---------------------------------------
-    @property
-    def uses_delta_transport(self) -> bool:
-        """True under the slice/delta transport (``federated_config.transport``)."""
-        return self.federated_config.transport == "delta"
-
-    def publish_state(
-        self, state: Mapping[str, np.ndarray], stream: str = "global"
-    ) -> StateHandle | None:
-        """Publish this round's weights for the client tasks (delta mode).
-
-        Returns ``None`` under legacy "full" transport — :meth:`make_task`
-        then ships a pre-cut slice inside the task instead.
-        """
-        if not self.uses_delta_transport:
-            return None
+    def publish_state(self, state: Mapping[str, np.ndarray], stream: str = "global") -> StateHandle:
+        """Publish this round's weights of one stream for the client tasks."""
         store = self._state_stores.get(stream)
         if store is None:
             store = self._state_stores[stream] = StateStore(label=f"{self.name}-{stream}")
@@ -418,11 +394,9 @@ class FederatedAlgorithm(ABC):
     def count_downlink(self, num_bytes: int) -> None:
         """Account one client's downlink: the submodel slice it receives.
 
-        The *modeled* downlink in both transport modes, so the counter
-        stays comparable between "full" (where it is also the pickled
-        payload) and "delta" (where the wire carries only a tiny handle;
+        The *modeled* downlink: the wire carries only a tiny handle, and
         the slice — parameters × itemsize, batch-norm statistics excluded
-        — is what a real deployment would send).
+        — is what a real deployment would send.
         """
         self._round_bytes_down += num_bytes
         if self.profiler.enabled:
@@ -435,9 +409,9 @@ class FederatedAlgorithm(ABC):
         source_state: Mapping[str, np.ndarray],
         inflated: "Future[dict[str, bytes]] | None" = None,
     ) -> Mapping[str, np.ndarray]:
-        """Resolve an upload (raw weights, XOR delta or codec payload) into plain weights.
+        """Resolve an upload (XOR delta or codec payload) into plain weights.
 
-        Every branch accounts the upload's *actual* wire size on the
+        Both branches account the upload's *actual* wire size on the
         round accumulators — for an :class:`EncodedUpdate` that is the
         compressed blob length, so lossy payloads are never overstated —
         and decodes against the same reference slice the worker trained
@@ -469,12 +443,9 @@ class FederatedAlgorithm(ABC):
                 state = apply_encoded_update(
                     uploaded, reference, self._aggregator.scratch_for, inflated.result()
                 )
-        elif isinstance(uploaded, Mapping):
-            nbytes = state_nbytes(uploaded)
-            state = uploaded
         else:
             nbytes = uploaded.nbytes
-            state = decode_upload(uploaded, slice_state_dict(source_state, self.architecture, dict(group_sizes)))
+            state = apply_state_delta(uploaded, slice_state_dict(source_state, self.architecture, dict(group_sizes)))
         self._round_bytes_up += nbytes
         if self.profiler.enabled:
             self.profiler.count("transport.bytes_up", nbytes)
@@ -569,15 +540,12 @@ class FederatedAlgorithm(ABC):
             self.global_state = self.aggregate(decoded(inflated))
         return refused
 
-    def client_dataset_source(self, client_id: int) -> "Dataset | StateHandle":
+    def client_dataset_source(self, client_id: int) -> StateHandle:
         """The dataset reference a client task should carry.
 
-        Under delta transport each client's local data is published once
-        and referenced by handle ever after (workers cache it across
-        rounds); legacy transport ships the dataset inside every task.
+        Each client's local data is published once and referenced by
+        handle ever after (workers cache it across rounds).
         """
-        if not self.uses_delta_transport:
-            return self.clients[client_id].dataset
         spill = self.executor.is_interprocess
         handle = self._dataset_handles.get(client_id)
         if handle is None or (spill and handle.path is None):
@@ -594,16 +562,13 @@ class FederatedAlgorithm(ABC):
     def dispatch_client(self, client_id: int) -> SimulatedClient:
         """The client object a :class:`LocalRoundTask` should carry.
 
-        Identical to ``self.clients[client_id]`` except that, under delta
-        transport, its dataset is the published handle — a dispatched
-        client pickles in bytes, not megabytes.
+        Identical to ``self.clients[client_id]`` except that its dataset is
+        the published handle — a dispatched client pickles in bytes, not
+        megabytes.
         """
-        source = self.client_dataset_source(client_id)
-        if source is self.clients[client_id].dataset:
-            return self.clients[client_id]
         return SimulatedClient(
             client_id=client_id,
-            dataset=source,
+            dataset=self.client_dataset_source(client_id),
             profile=self.profiles[client_id],
             local_config=self.local_config,
         )

@@ -25,7 +25,7 @@ from repro.api.registry import register_algorithm
 from repro.core.config import AdaptiveFLConfig
 from repro.core.fl_base import FederatedAlgorithm, RoundPlan
 from repro.core.model_pool import SubmodelConfig
-from repro.core.pruning import extract_submodel_state, resource_aware_prune
+from repro.core.pruning import resource_aware_prune
 from repro.core.rl_selection import RLClientSelector
 from repro.engine.tasks import LocalRoundTask
 from repro.engine.transport import StateHandle
@@ -159,30 +159,23 @@ class AdaptiveFL(FederatedAlgorithm):
             capacities=capacities,
         )
 
-    def make_task(self, round_index: int, plan: AdaptivePlan, slot: int, source) -> LocalRoundTask:
+    def make_task(self, round_index: int, plan: AdaptivePlan, slot: int, source: StateHandle) -> LocalRoundTask:
         """The device's full local round: adapt (prune) then train.
 
-        Under slice/delta transport the task carries only a handle plus the
-        *planned-return* configuration, so the worker cuts exactly the
-        slice the device trains; legacy "full" transport ships the
-        dispatched slice inside the task.  The modeled downlink is that
-        slice either way.
+        The task carries only a handle plus the *planned-return*
+        configuration, so the worker cuts exactly the slice the device
+        trains.  The modeled downlink is that slice.
         """
         client_id, dispatched, planned = plan.clients[slot], plan.configs[slot], plan.planned_returns[slot]
-        is_handle = isinstance(source, StateHandle)
-        shipped = planned if is_handle else dispatched
-        self.count_downlink(shipped.num_params * np.dtype(resolve_dtype()).itemsize)
+        self.count_downlink(planned.num_params * np.dtype(resolve_dtype()).itemsize)
         return LocalRoundTask(
             client=self.dispatch_client(client_id),
             pool=self.pool,
             dispatched=dispatched,
-            dispatched_state=(
-                source if is_handle else extract_submodel_state(source, self.pool, dispatched)
-            ),
+            dispatched_state=source,
             available_capacity=plan.capacities[slot],
             rng_stream=self.client_stream(round_index, client_id),
-            planned_return=planned if is_handle else None,
-            delta_upload=is_handle,
+            planned_return=planned,
             codec=self._codec,
             codec_residual=self.codec_residual_for(client_id, plan.group_sizes[slot]),
             trace=self.task_trace(),

@@ -9,12 +9,11 @@ fields, mutate nothing shared, and derive all randomness from their
 executors and worker counts.
 
 Weight transport (see :mod:`repro.engine.transport`): ``initial_state``/
-``dispatched_state`` may be either a plain mapping (legacy "full" mode:
-the slice travels inside the task) or a :class:`StateHandle` — the
-worker resolves the handle against its per-process cache of the
-published global state and cuts the submodel slice locally, so the task
-payload stays tiny.  With ``delta_upload`` the trained weights return as
-a bit-exact XOR :class:`StateDelta` against the received slice.
+``dispatched_state`` is a :class:`StateHandle` — the worker resolves it
+against its per-process cache of the published global state and cuts
+the submodel slice locally, so the task payload stays tiny.  The trained
+weights return as a bit-exact XOR :class:`StateDelta` against that slice,
+or as a lossy codec's encoding when the task carries a ``codec``.
 """
 
 from __future__ import annotations
@@ -40,24 +39,21 @@ __all__ = ["ClientTask", "LocalRoundTask", "TrainSubmodelTask"]
 
 
 def _resolve_state(
-    source: "Mapping[str, np.ndarray] | StateHandle",
+    source: StateHandle,
     architecture: SlimmableArchitecture,
     group_sizes: Mapping[str, int],
 ) -> Mapping[str, np.ndarray]:
     """Materialise the submodel slice a task trains.
 
-    A :class:`StateHandle` resolves to the worker-cached global state and
-    is sliced here (worker-side); a plain mapping is the pre-sliced
-    legacy payload and passes through untouched.
+    The handle resolves to the worker-cached global state, which is
+    sliced here (worker-side).
     """
-    if isinstance(source, StateHandle):
-        return slice_state_dict(source.load(), architecture, dict(group_sizes))
-    return source
+    return slice_state_dict(source.load(), architecture, dict(group_sizes))
 
 
 def _upload(task, trained: Mapping[str, np.ndarray], reference: Mapping[str, np.ndarray], client_id: int):
     """What travels back: the codec's encoding of ``trained − reference`` (rounded on
-    the task's own stream; takes precedence), a bit-exact XOR delta, or the weights."""
+    the task's own stream), or else a bit-exact XOR delta."""
     if task.codec is not None:
         return encode_client_update(
             task.codec,
@@ -67,9 +63,7 @@ def _upload(task, trained: Mapping[str, np.ndarray], reference: Mapping[str, np.
             residual=task.codec_residual,
             client_id=client_id,
         )
-    if task.delta_upload:
-        return encode_state_delta(trained, reference)
-    return trained
+    return encode_state_delta(trained, reference)
 
 
 class ClientTask(ABC):
@@ -95,28 +89,27 @@ class LocalRoundTask(ClientTask):
     """AdaptiveFL's full client round: adapt (prune) then train (Algorithm 1).
 
     The device-side resource adaptation runs inside the task, exactly as it
-    would on a real client; the server only planned the dispatch.  Under
-    slice transport the task carries only the *planned-return*
-    configuration's slice (the weights the device actually trains — a
-    prefix of the dispatched model, so slicing the global state directly
-    to it is value-identical to pruning the dispatched slice on device).
+    would on a real client; the server only planned the dispatch.  The
+    task carries only the *planned-return* configuration's slice (the
+    weights the device actually trains — a prefix of the dispatched model,
+    so slicing the global state directly to it is value-identical to
+    pruning the dispatched slice on device).
     """
 
     client: SimulatedClient
     pool: ModelPool
     dispatched: SubmodelConfig
-    dispatched_state: "Mapping[str, np.ndarray] | StateHandle"
+    dispatched_state: StateHandle
     available_capacity: float
     # required on purpose: an OS-entropy default would silently break the
     # engine's determinism guarantee
     rng_stream: np.random.SeedSequence
-    #: the submodel the resource plan predicts the device trains; used to
-    #: cut the slice worker-side when ``dispatched_state`` is a handle
-    planned_return: SubmodelConfig | None = None
-    delta_upload: bool = False
-    #: lossy update codec (takes precedence over ``delta_upload``); the
-    #: trained slice uploads as an :class:`EncodedUpdate` of
-    #: ``trained − reference``, rounded on the task's own stream
+    #: the submodel the resource plan predicts the device trains; the
+    #: worker cuts its slice of ``dispatched_state``
+    planned_return: SubmodelConfig
+    #: lossy update codec (None = exact XOR delta); the trained slice
+    #: uploads as an :class:`EncodedUpdate` of ``trained − reference``,
+    #: rounded on the task's own stream
     codec: UpdateCodec | None = None
     #: server-banked error-feedback carry for this client (sliced to the
     #: dispatched shapes), added to the update before encoding
@@ -127,13 +120,12 @@ class LocalRoundTask(ClientTask):
     @property
     def cost(self) -> int:
         """Parameters of the submodel the device trains."""
-        return (self.dispatched if self.planned_return is None else self.planned_return).num_params
+        return self.planned_return.num_params
 
     def run(self) -> ClientRoundResult:
         """Execute the client's full local round (worker-side entry point)."""
-        slice_config = self.planned_return if self.planned_return is not None else self.dispatched
         initial_state = _resolve_state(
-            self.dispatched_state, self.pool.architecture, self.pool.group_sizes(slice_config)
+            self.dispatched_state, self.pool.architecture, self.pool.group_sizes(self.planned_return)
         )
         result = self.client.local_round(
             pool=self.pool,
@@ -146,7 +138,7 @@ class LocalRoundTask(ClientTask):
         # shapes itself; the XOR delta needs it cut when the device pruned
         # below the plan
         reference = initial_state
-        if self.delta_upload and result.returned.name != slice_config.name:  # pragma: no cover - plan invariant
+        if result.returned.name != self.planned_return.name:  # pragma: no cover - plan invariant
             reference = slice_state_dict(
                 dict(initial_state), self.pool.architecture, self.pool.group_sizes(result.returned)
             )
@@ -160,13 +152,12 @@ class TrainSubmodelTask(ClientTask):
 
     architecture: SlimmableArchitecture
     group_sizes: Mapping[str, int]
-    initial_state: "Mapping[str, np.ndarray] | StateHandle"
+    initial_state: StateHandle
     dataset: "Dataset | StateHandle"
     local_config: LocalTrainingConfig
     rng_stream: np.random.SeedSequence
     client_id: int = -1
-    delta_upload: bool = False
-    #: lossy update codec (takes precedence over ``delta_upload``)
+    #: lossy update codec (None = exact XOR delta)
     codec: UpdateCodec | None = None
     #: server-banked error-feedback carry for this client
     codec_residual: "Mapping[str, np.ndarray] | None" = None

@@ -1,9 +1,6 @@
 """Slice/delta weight transport between the server and client workers.
 
-Historically every client task carried a full copy of its submodel
-weights and returned the trained weights whole — for the process
-executor that meant pickling (and unpickling) the model state once per
-task per round.  This module replaces both directions:
+A client task carries a handle down and a bit-exact delta back:
 
 * **Download** — the server :meth:`publishes <StateStore.publish>` the
   global state once per round under a monotonically increasing version
@@ -18,11 +15,11 @@ task per round.  This module replaces both directions:
   of the IEEE-754 payloads, so the server's reconstruction
   (``reference XOR delta``) is exact to the last bit — arithmetic
   deltas (``trained - received``) cannot guarantee that, and the
-  engine's contract is bit-identical histories for every transport and
-  executor choice.  Tensors the client never touched XOR to all-zero
-  blocks, which collapse under any downstream compression.
+  engine's contract is bit-identical histories for every executor
+  choice.  Tensors the client never touched XOR to all-zero blocks,
+  which collapse under any downstream compression.
 
-The server reconstructs uploads with :func:`decode_upload` against the
+The server reconstructs uploads with :func:`apply_state_delta` against the
 same slice of the global state it published — slicing is exact, so the
 round trip is lossless by construction (property-tested in
 ``tests/perf``).
@@ -47,7 +44,6 @@ __all__ = [
     "StateDelta",
     "encode_state_delta",
     "apply_state_delta",
-    "decode_upload",
     "state_nbytes",
     "set_state_fetcher",
     "server_state_bytes",
@@ -343,15 +339,3 @@ def apply_state_delta(
         combined = _bit_view(ref) ^ bits
         state[name] = combined.view(np.dtype(delta.dtypes[name]))
     return state
-
-
-def decode_upload(
-    uploaded: "StateDelta | Mapping[str, np.ndarray]",
-    reference: Mapping[str, np.ndarray] | None,
-) -> Mapping[str, np.ndarray]:
-    """Resolve an upload that may be either raw weights or a delta."""
-    if isinstance(uploaded, StateDelta):
-        if reference is None:
-            raise ValueError("delta upload needs the reference slice to decode against")
-        return apply_state_delta(uploaded, reference)
-    return uploaded

@@ -14,8 +14,7 @@ message                   direction  meaning
 ``task_dispatch``         s → c      one pickled client task to execute
 ``state_request``         c → s      fetch a published ``StateStore`` version
 ``weight_slice``          s → c      the requested state payload (pickled dict)
-``state_delta``           c → s      a task's result — the XOR delta upload in
-                                     delta-transport mode, raw weights otherwise
+``state_delta``           c → s      a task's result — the XOR delta upload
 ``encoded_delta``         c → s      a codec-compressed task result, tagged with
                                      the codec name + true byte counts (schema ≥ 3)
 ``heartbeat``             both       liveness probe / echo
@@ -186,9 +185,8 @@ class WeightSlice(Message):
 class TaskResult(Message):
     """A task's result upload (wire name ``state_delta``).
 
-    Under the engine's delta transport the payload is the pickled
-    bit-exact XOR :class:`~repro.engine.transport.StateDelta` the task
-    produced; under legacy full transport it is the raw trained state.
+    The payload is the pickled bit-exact XOR
+    :class:`~repro.engine.transport.StateDelta` the task produced.
     ``error`` carries the client-side traceback when the task raised
     instead of completing (``payload`` is empty then).
     """

@@ -9,7 +9,6 @@ from repro.api.registry import (
     unregister_algorithm,
     validate_algorithm_names,
 )
-from repro.baselines import ALGORITHMS
 from repro.baselines.heterofl import HETEROFL_POOL_CONFIG
 from repro.core.server import AdaptiveFL
 from repro.experiments import ExperimentSetting, run_comparison
@@ -24,12 +23,6 @@ def prepared(ci_prepared):
 class TestCompleteness:
     def test_canonical_order(self):
         assert available_algorithms() == ("all_large", "decoupled", "heterofl", "scalefl", "adaptivefl")
-
-    def test_legacy_baseline_mapping_cannot_drift(self):
-        # every legacy ALGORITHMS entry is registered under the same factory
-        for name, cls in ALGORITHMS.items():
-            assert get_algorithm(name).factory is cls
-        assert set(ALGORITHMS) | {"adaptivefl"} == set(available_algorithms())
 
     def test_every_spec_is_instantiable_from_algorithm_kwargs(self, prepared):
         for name in available_algorithms():

@@ -11,6 +11,7 @@ from repro.api.session import ExperimentSession
 from repro.api.spec import ExperimentSpec
 from repro.engine.codecs import PassthroughCodec, register_codec, unregister_codec
 from repro.experiments import run_algorithm, run_comparison, prepare_experiment
+from repro.store.sweep import SweepSpec
 
 # the CI-scale setting/prepared snapshot come session-scoped from tests/conftest.py
 
@@ -241,6 +242,30 @@ class TestCli:
         rc = main(["compare", "--spec", str(tmp_path / "nope.json")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_a_spec_file_naming_the_retired_full_transport_exits_2(self, tmp_path, capsys, ci_setting, command):
+        spec = ExperimentSpec(setting=ci_setting, algorithms=("heterofl",), num_rounds=1).to_dict()
+        spec["setting"]["transport"] = "full"
+        argv = [command, "--spec", str(tmp_path / "spec.json"), "--quiet"]
+        if command == "sweep":
+            spec = {**SweepSpec(base=ExperimentSpec(setting=ci_setting)).to_dict(), "base": spec}
+            argv += ["--store", str(tmp_path / "store")]
+        else:
+            argv += ["--output-dir", str(tmp_path / "out")]
+        (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+        assert main(argv) == 2
+        assert "'full'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep", "serve"])
+    def test_an_old_transport_flag_on_the_command_line_exits_2(self, capsys, command):
+        """``--transport`` is gone; an old command line is refused, never run."""
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args([command, "--transport", "full"])
+        assert exited.value.code == 2
+        assert "'full'" in capsys.readouterr().err
+        assert "transport" not in vars(build_parser().parse_args([command]))
 
     def test_unknown_algorithm_is_a_clean_error(self, tmp_path, capsys):
         rc = main(["run", "--algorithm", "fedprox", "--scale", "ci", "--output-dir", str(tmp_path)])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.api.cli import main
-from repro.api.registry import register_algorithm, unregister_algorithm
-from repro.baselines import ALGORITHMS, AllLargeFedAvg, DecoupledFL, HeteroFL, ScaleFL, create_algorithm
+from repro.api.registry import available_algorithms, get_algorithm, register_algorithm, unregister_algorithm
+from repro.baselines import AllLargeFedAvg, DecoupledFL, HeteroFL, ScaleFL
 from repro.baselines.base import capacity_level_assignment
 from repro.baselines.scalefl import calibrate_width_ratio, two_dimensional_group_sizes
 from repro.core.fl_base import FederatedAlgorithm
@@ -35,11 +35,10 @@ def build_baseline(cls, tiny_cnn, tiny_federated_setup, fast_configs, **extra):
 
 class TestRegistry:
     def test_algorithm_names(self):
-        assert set(ALGORITHMS) == {"all_large", "decoupled", "heterofl", "scalefl"}
-
-    def test_create_algorithm_unknown(self):
-        with pytest.raises(KeyError):
-            create_algorithm("fedprox")
+        """Each baseline is registered under its name with the class this package exports."""
+        baselines = {"all_large": AllLargeFedAvg, "decoupled": DecoupledFL, "heterofl": HeteroFL, "scalefl": ScaleFL}
+        assert {name: get_algorithm(name).factory for name in baselines} == baselines
+        assert set(available_algorithms()) == set(baselines) | {"adaptivefl"}
 
 
 class TestAllLarge:
@@ -212,7 +211,7 @@ class WholeRound(FederatedAlgorithm):
             TrainSubmodelTask(
                 architecture=self.architecture, group_sizes=sizes, initial_state=handle,
                 dataset=self.client_dataset_source(client_id), local_config=self.local_config,
-                client_id=client_id, rng_stream=self.client_stream(round_index, client_id), delta_upload=True,
+                client_id=client_id, rng_stream=self.client_stream(round_index, client_id),
             )
             for client_id in selected
         ]

@@ -9,6 +9,7 @@ threads may ever hold the same tree.
 import pickle
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.data.datasets import Dataset
 from repro.engine.rng import client_stream
 from repro.engine.tasks import TrainSubmodelTask
 from repro.engine.thread import ThreadExecutor
+from repro.engine.transport import StateStore, apply_state_delta
 from repro.experiments.settings import paper_pool_config
 from repro.nn.models import SlimmableSimpleCNN, SlimmableVGG
 from repro.nn.models.spec import StagedModel
@@ -296,19 +298,26 @@ class TestKeying:
 
 class TestThreads:
     def make_tasks(self, bench, spec, count):
+        handle = StateStore("skeletons").publish(bench.full_state, spill=False)
         return [
             TrainSubmodelTask(
-                architecture=bench.arch, group_sizes=bench.specs[spec], initial_state=bench.state(spec),
+                architecture=bench.arch, group_sizes=bench.specs[spec], initial_state=handle,
                 dataset=bench.dataset, local_config=CONFIG, rng_stream=client_stream(0, 0, client), client_id=client,
             )
             for client in range(count)
         ]
 
+    @staticmethod
+    def decoded(bench, spec, results):
+        """The results with their XOR-delta uploads decoded into weights."""
+        reference = bench.state(spec)
+        return [replace(result, state=apply_state_delta(result.state, reference)) for result in results]
+
     def test_two_workers_on_one_pool_entry_never_share_a_skeleton(self, monkeypatch):
         bench = Workbench(serial_cnn())
         spec = "adaptive-M1"
         tasks = self.make_tasks(bench, spec, 2)
-        serial = [task.run() for task in tasks]
+        serial = self.decoded(bench, spec, [task.run() for task in tasks])
 
         both_inside = threading.Barrier(2, timeout=JOIN_SECONDS)
         held = []
@@ -322,7 +331,7 @@ class TestThreads:
 
         monkeypatch.setattr(Skeleton, "check_out", meeting_check_out)
         with ThreadExecutor(max_workers=2) as executor:
-            results = executor.map(tasks)
+            results = self.decoded(bench, spec, executor.map(tasks))
         assert len(held) == 2
         assert len({thread for thread, _, _ in held}) == 2
         assert len({skeleton for _, skeleton, _ in held}) == 2 and len({model for _, _, model in held}) == 2
@@ -332,8 +341,9 @@ class TestThreads:
         """Stress: 8 threads, 48 tasks of one spec, a 1 µs switch interval —
         every result equals the serial one and each skeleton stays on its thread."""
         bench = Workbench(serial_cnn())
-        tasks = self.make_tasks(bench, "hetero-S1", 48)
-        serial = [task.run() for task in tasks]
+        spec = "hetero-S1"
+        tasks = self.make_tasks(bench, spec, 48)
+        serial = self.decoded(bench, spec, [task.run() for task in tasks])
         owners = {}
         lock = threading.Lock()
         check_out = Skeleton.check_out
@@ -348,7 +358,7 @@ class TestThreads:
         Skeleton.check_out = recording_check_out
         try:
             with ThreadExecutor(max_workers=8) as executor:
-                results = executor.map(tasks)
+                results = self.decoded(bench, spec, executor.map(tasks))
         finally:
             Skeleton.check_out = check_out
             sys.setswitchinterval(interval)

@@ -38,6 +38,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             FederatedConfig(clients_per_round=0)
 
+    def test_an_unknown_transport_is_named_in_the_error(self):
+        with pytest.raises(ValueError, match=r"one of \['delta'\], got 'raw'"):
+            FederatedConfig(transport="raw")
+
     def test_removed_selector_backend_key_is_refused(self):
         """The knob is gone without a deprecation path: strict unknown-key error."""
         payload = {**AdaptiveFLConfig().to_dict(), "selector_backend": "dense"}

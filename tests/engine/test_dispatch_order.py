@@ -156,8 +156,16 @@ class TestTaskCosts:
             )
 
         assert task(big, small).cost == small.num_params
-        assert task(big, None).cost == big.num_params
         assert small.num_params < big.num_params
+
+    def test_a_local_round_task_needs_its_planned_return(self, easy_setup):
+        """The worker cuts the planned-return slice, so the plan is not optional."""
+        pool = ModelPool(easy_setup["arch"], easy_setup["pool"])
+        with pytest.raises(TypeError, match="planned_return"):
+            LocalRoundTask(
+                client=None, pool=pool, dispatched=pool.full_config, dispatched_state={},
+                available_capacity=1.0, rng_stream=client_stream(0, 0, 0),
+            )
 
     def test_train_submodel_task_costs_its_parameter_count(self, easy_setup):
         arch = easy_setup["arch"]

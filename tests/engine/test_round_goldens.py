@@ -2,15 +2,15 @@
 
 ``golden/rounds.json`` holds, for each of the five registered algorithms ×
 {no scenario, ``flaky_edge``, ``paper_testbed``} × {``none``/``delta``,
-``none``/``full``, ``int8``/``delta``, ``topk``/``delta``}, the hash of
-every round's ``RoundRecord.to_dict()`` and of the final global weights of
-a 4-round, 17-client run at seed 3 — 60 cells.  Only AdaptiveFL and
+``int8``/``delta``, ``topk``/``delta``}, the hash of every round's
+``RoundRecord.to_dict()`` and of the final global weights of a 4-round,
+17-client run at seed 3 — 45 cells.  Only AdaptiveFL and
 HeteroFL had end-to-end fingerprints before (``tests/sim``,
 ``tests/store``, ``tests/perf``); All-Large, ScaleFL and Decoupled had
 none.  The readable ``selected`` / ``aggregated`` columns say *what* moved
 when a hash does.
 
-All 60 cells run on the serial executor; the exact and the top-k (error
+All 45 cells run on the serial executor; the exact and the top-k (error
 feedback) ``flaky_edge`` cells of each algorithm run again on ``thread``
 and ``process`` and must land on the same entry.  Test ids contain the
 executor name on purpose: CI's executor-parity matrix filters
@@ -29,10 +29,13 @@ import pytest
 
 from repro.api.registry import available_algorithms, get_algorithm
 from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig, ModelPoolConfig
+from repro.core.pruning import slice_state_dict
 from repro.data.datasets import SyntheticTaskConfig, synthesize_classification_task
 from repro.data.partition import iid_partition
 from repro.devices.resources import ResourceModel
 from repro.devices.testbed import TestbedSimulator
+from repro.engine.transport import state_nbytes
+from repro.nn.dtype import resolve_dtype
 from repro.nn.models import SlimmableSimpleCNN
 from repro.store.objects import canonical_json, sha256_hex
 
@@ -44,7 +47,6 @@ SCENARIOS = {"plain": None, "flaky_edge": "flaky_edge", "paper_testbed": "paper_
 #: (transport codec, transport)
 WIRES = {
     "none-delta": ("none", "delta"),
-    "none-full": ("none", "full"),
     "int8-delta": ("int8", "delta"),
     "topk-delta": ("topk", "delta"),
 }
@@ -150,6 +152,28 @@ def test_serial_planning_alone_draws_the_pinned_clients(goldens, federation, nam
         assert plan.clients == selected
         # the fleet's batteries and availability advance with the simulated round
         algorithm.plan_round_outcome(round_index, plan.clients, plan.dispatched, plan.returned)
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_plain_exact_rounds_count_parameters_down_and_whole_slices_up(federation, name):
+    """Without a scenario or a codec, ``bytes_down`` is the modelled downlink — the
+    parameters of each slot's planned-return slice, batch-norm statistics excluded —
+    and ``bytes_up`` the XOR deltas of the whole trained slices, statistics included."""
+    planner = build_algorithm(federation, name, "plain", "none-delta")
+    algorithm = build_algorithm(federation, name, "plain", "none-delta")
+    arch, itemsize = federation["architecture"], np.dtype(resolve_dtype()).itemsize
+    for round_index in range(2):
+        plan = planner.plan_round(round_index, planner.round_rng(round_index))
+        streams = algorithm.round_streams()
+        slices = [
+            slice_state_dict(streams[stream], arch, dict(sizes))
+            for stream, sizes in zip(plan.streams, plan.group_sizes)
+        ]
+        record = algorithm.run_round(round_index)
+        assert record.selected_clients == plan.clients
+        assert record.bytes_down == itemsize * sum(arch.parameter_count(sizes) for sizes in plan.group_sizes)
+        assert record.bytes_up == sum(state_nbytes(piece) for piece in slices)
+        assert record.bytes_down < record.bytes_up
 
 
 @pytest.mark.parametrize("executor", ["serial"])

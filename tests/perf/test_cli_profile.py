@@ -1,4 +1,4 @@
-"""CLI integration of the perf layer: --profile and --transport flags."""
+"""CLI integration of the perf layer: --profile and --transport-codec flags."""
 
 import json
 
@@ -28,12 +28,12 @@ class TestCliProfileFlag:
         rc = main(
             [
                 "run", "--algorithm", "heterofl", "--scale", "ci", "--rounds", "1",
-                "--transport", "full", "--quiet", "--output-dir", str(tmp_path),
+                "--transport-codec", "int8", "--quiet", "--output-dir", str(tmp_path),
             ]
         )
         assert rc == 0
         spec = ExperimentSpec.load(tmp_path / "spec.json")
-        assert spec.setting.transport == "full"
+        assert spec.setting.transport_codec == "int8"
 
     def test_no_profile_flag_writes_no_profile(self, tmp_path):
         rc = main(

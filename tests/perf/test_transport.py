@@ -1,5 +1,6 @@
-"""Slice/delta transport: exact codecs, worker caching, and bit-parity
-of delta transport against legacy full-weight transport."""
+"""Slice/delta transport: exact codecs, worker caching, what a task
+carries each way, and bit-parity of a run across a pickle boundary
+against the in-process run."""
 
 import pickle
 from dataclasses import replace
@@ -9,13 +10,16 @@ import pytest
 
 from repro.baselines import HeteroFL
 from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig
+from repro.core.pruning import slice_state_dict
 from repro.core.server import AdaptiveFL
 from repro.engine.base import Executor, run_task
 from repro.engine.transport import (
+    StateDelta,
+    StateHandle,
     StateStore,
     apply_state_delta,
-    decode_upload,
     encode_state_delta,
+    state_nbytes,
 )
 
 FEDERATED = FederatedConfig(num_rounds=2, clients_per_round=4, eval_every=2)
@@ -35,6 +39,25 @@ class PickleRoundTripExecutor(Executor):
         for task in tasks:
             clone = pickle.loads(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
             results.append(pickle.loads(pickle.dumps(run_task(clone), protocol=pickle.HIGHEST_PROTOCOL)))
+        return results
+
+
+class RecordingExecutor(Executor):
+    """Serial executor that keeps every task it ran, its pickled size before
+    it ran, and every result it returned."""
+
+    name = "recording"
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.tasks, self.wire_sizes, self.results = [], [], []
+
+    def map(self, tasks):
+        tasks = list(tasks)
+        self.wire_sizes.extend(len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)) for task in tasks)
+        results = [run_task(task) for task in tasks]
+        self.tasks.extend(tasks)
+        self.results.extend(results)
         return results
 
 
@@ -61,15 +84,6 @@ class TestDeltaCodec:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             encode_state_delta({"w": np.zeros(3, np.float32)}, {"w": np.zeros(4, np.float32)})
-
-    def test_decode_upload_passthrough_and_delta(self):
-        reference = {"w": np.ones(3, np.float32)}
-        raw = {"w": np.full(3, 2.0, np.float32)}
-        assert decode_upload(raw, None) is raw
-        delta = encode_state_delta(raw, reference)
-        assert np.array_equal(decode_upload(delta, reference)["w"], raw["w"])
-        with pytest.raises(ValueError):
-            decode_upload(delta, None)
 
 
 class TestStateStore:
@@ -104,8 +118,8 @@ class TestStateStore:
             clone.load()
 
 
-def build_algorithm(name, easy_setup, transport, executor="serial"):
-    federated = replace(FEDERATED, transport=transport, executor=executor, max_workers=2)
+def build_algorithm(name, easy_setup, executor="serial"):
+    federated = replace(FEDERATED, executor=executor, max_workers=2)
     kwargs = dict(
         architecture=easy_setup["arch"],
         train_dataset=easy_setup["train"],
@@ -140,30 +154,63 @@ def fingerprint(algorithm):
     ]
 
 
+def recorded_round(name, easy_setup):
+    """One serial round; returns the algorithm, its weights before the round, and the recorder."""
+    algorithm = build_algorithm(name, easy_setup)
+    before = {key: value.copy() for key, value in algorithm.global_state.items()}
+    recorder = RecordingExecutor()
+    algorithm.set_executor(recorder)
+    algorithm.run_round(0)
+    assert recorder.tasks and len(recorder.results) == len(recorder.tasks)
+    return algorithm, before, recorder
+
+
+class TestWirePayloads:
+    """A task carries handles down and an XOR delta back — never weights."""
+
+    @pytest.mark.parametrize("name", ["adaptivefl", "heterofl"])
+    def test_tasks_carry_handles_not_weights_or_data(self, easy_setup, name):
+        algorithm, before, recorder = recorded_round(name, easy_setup)
+        for task, wire_size in zip(recorder.tasks, recorder.wire_sizes):
+            if name == "adaptivefl":
+                state, client_id = task.dispatched_state, task.client.client_id
+                sizes = algorithm.pool.group_sizes(task.planned_return)
+            else:
+                state, client_id, sizes = task.initial_state, task.client_id, task.group_sizes
+            assert isinstance(state, StateHandle)
+            trained_slice = slice_state_dict(before, algorithm.architecture, dict(sizes))
+            local_data = algorithm.clients[client_id].dataset
+            assert wire_size < min(state_nbytes(trained_slice), local_data.images.nbytes)
+
+    @pytest.mark.parametrize("name", ["adaptivefl", "heterofl"])
+    def test_exact_uploads_are_xor_deltas_of_the_trained_slice(self, easy_setup, name):
+        algorithm, before, recorder = recorded_round(name, easy_setup)
+        for task, result in zip(recorder.tasks, recorder.results):
+            assert isinstance(result.state, StateDelta)
+            sizes = algorithm.pool.group_sizes(result.returned) if name == "adaptivefl" else task.group_sizes
+            reference = slice_state_dict(before, algorithm.architecture, dict(sizes))
+            assert result.state.nbytes == state_nbytes(reference)
+            decoded = apply_state_delta(result.state, reference)
+            assert {key: value.shape for key, value in decoded.items()} == {
+                key: value.shape for key, value in reference.items()
+            }
+            assert any(not np.array_equal(decoded[key], reference[key]) for key in reference), "nothing trained"
+
+
 class TestDeltaTransportParity:
-    """Satellite: delta transport is bit-identical to full-weight transport
+    """A run across a pickle boundary is bit-identical to the in-process run
     (histories *and* final weights) for AdaptiveFL and HeteroFL."""
 
     @pytest.mark.parametrize("name", ["adaptivefl", "heterofl"])
-    def test_serial_bit_identical(self, easy_setup, name):
-        full = build_algorithm(name, easy_setup, "full")
-        full.run()
-        delta = build_algorithm(name, easy_setup, "delta")
-        delta.run()
-        assert fingerprint(delta) == fingerprint(full)
-        assert set(delta.global_state) == set(full.global_state)
-        for key, value in delta.global_state.items():
-            assert np.array_equal(value, full.global_state[key]), f"weights differ in {key!r}"
-
-    @pytest.mark.parametrize("name", ["adaptivefl", "heterofl"])
     def test_spill_path_bit_identical(self, easy_setup, name):
-        """Same check across a real pickle boundary (spill files + worker
-        cache + XOR-delta uploads), without the cost of a process pool."""
-        full = build_algorithm(name, easy_setup, "full")
-        full.run()
-        delta = build_algorithm(name, easy_setup, "delta")
-        delta.set_executor(PickleRoundTripExecutor())
-        delta.run()
-        assert fingerprint(delta) == fingerprint(full)
-        for key, value in delta.global_state.items():
-            assert np.array_equal(value, full.global_state[key]), f"weights differ in {key!r}"
+        """Spill files + worker cache + XOR-delta uploads, without the cost
+        of a process pool."""
+        inline = build_algorithm(name, easy_setup)
+        inline.run()
+        spilled = build_algorithm(name, easy_setup)
+        spilled.set_executor(PickleRoundTripExecutor())
+        spilled.run()
+        assert fingerprint(spilled) == fingerprint(inline)
+        assert set(spilled.global_state) == set(inline.global_state)
+        for key, value in spilled.global_state.items():
+            assert np.array_equal(value, inline.global_state[key]), f"weights differ in {key!r}"

@@ -16,7 +16,7 @@ def test_serve_parser_defaults():
     assert args.liveness_timeout == 120.0
     # the full setting/run surface rides along
     assert args.dataset == "cifar10"
-    assert args.transport == "delta"
+    assert args.transport_codec == "none"
     assert args.output_dir is not None
 
 

@@ -9,6 +9,7 @@ import pytest
 from repro.api.spec import ExperimentSpec
 from repro.core.history import RoundRecord, TrainingHistory
 from repro.experiments.settings import ExperimentSetting
+from repro.store.keys import run_key
 from repro.store.report import generate_report, write_report
 from repro.store.runstore import RunStore
 from repro.store.sweep import SweepSpec, run_sweep
@@ -119,6 +120,21 @@ class TestReport:
         bundle = generate_report(store)
         assert "## Incomplete runs" in bundle.markdown
         assert bundle.payload["incomplete"][0]["key"]["algorithm"] == "adaptivefl"
+
+    def test_a_stored_run_of_the_retired_full_transport_still_renders(self, tmp_path):
+        """The retired "full" transport is no longer a valid setting, but a store written
+        before holds it in its run keys; the report reads those keys and never rebuilds a setting."""
+        store = RunStore(tmp_path / "store")
+        key = run_key(ExperimentSetting(seed=5), "heterofl", num_rounds=1)
+        key["setting"]["transport"] = "full"
+        entry = store.begin_run(key)
+        history = TrainingHistory("heterofl")
+        history.append(RoundRecord(round_index=0, full_accuracy=0.5, avg_accuracy=0.4, communication_waste=0.0))
+        store.finish_run(entry.run_id, history)
+        bundle = generate_report(store)
+        [row] = bundle.payload["completed"]
+        assert (row["run_id"], row["algorithm"], row["seed"]) == (entry.run_id, "heterofl", 5)
+        assert "| heterofl | (none) | 5 | 1 | 50.00 | 40.00 | 0.00 | 0 |" in bundle.markdown
 
     def test_write_report_defaults_to_store_root(self, swept_store):
         store, _ = swept_store
