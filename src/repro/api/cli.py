@@ -539,11 +539,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.executor import RemoteExecutor
-    from repro.serve.options import configure_serve
+    from repro.serve.options import ServeOptions
 
     # the whole point of this command is the networked path
     args.executor = "remote"
-    options = configure_serve(
+    options = ServeOptions(
         host=args.host,
         port=args.port,
         min_clients=args.expect_clients,

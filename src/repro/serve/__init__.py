@@ -5,55 +5,22 @@ client/server deployment while keeping the training loop — and its
 bit-exact results — untouched:
 
 * :mod:`repro.serve.protocol` / :mod:`repro.serve.codec` — the
-  versioned, length-prefixed wire protocol (``hello`` handshake,
-  ``round_plan``/``task_dispatch`` fan-out, ``weight_slice`` downloads,
-  XOR ``state_delta`` uploads, heartbeats, ``bye``);
-* :class:`Coordinator` — asyncio server running one supervised
+  length-prefixed wire protocol with one exact-match version
+  (``hello`` handshake, ``round_plan``/``task_dispatch`` fan-out,
+  ``weight_slice`` downloads, ``state_delta`` uploads, heartbeats,
+  ``bye``);
+* :mod:`repro.serve.coordinator` — asyncio server running one supervised
   :class:`~repro.serve.actors.ClientActor` per connection, with
   straggler requeue, reconnect grace windows and bounded send queues
   for back-pressure;
-* :class:`RemoteExecutor` — slots the coordinator into the engine's
-  ``Executor`` contract (``FederatedConfig.executor = "remote"``);
-* :class:`ClientRunner` — the worker side (``repro client``), with
-  deterministic reconnect backoff and wire-served state fetching.
+* :mod:`repro.serve.executor` — ``RemoteExecutor`` slots the coordinator
+  into the engine's ``Executor`` contract, configured by
+  :class:`~repro.serve.options.ServeOptions`;
+* :mod:`repro.serve.client` — ``ClientRunner``, the worker side
+  (``repro client``), with deterministic reconnect backoff and
+  wire-served state fetching.
 
 The wire format pickles this repository's own dataclasses: use it on
-trusted networks (loopback, cluster-internal) only.
-
-Exports resolve lazily (PEP 562) so importing the protocol vocabulary
-does not pull in asyncio server machinery.
+trusted networks (loopback, cluster-internal) only.  Import from the
+submodules; the package itself exports nothing.
 """
-
-from __future__ import annotations
-
-import importlib
-from typing import Any
-
-_EXPORTS: dict[str, str] = {
-    "PROTOCOL_VERSION": "repro.serve.protocol",
-    "SCHEMA_VERSION": "repro.serve.protocol",
-    "MESSAGE_TYPES": "repro.serve.protocol",
-    "Message": "repro.serve.protocol",
-    "CodecError": "repro.serve.codec",
-    "ServeOptions": "repro.serve.options",
-    "configure_serve": "repro.serve.options",
-    "serve_options": "repro.serve.options",
-    "Coordinator": "repro.serve.coordinator",
-    "ClientActor": "repro.serve.actors",
-    "RemoteExecutor": "repro.serve.executor",
-    "ClientRunner": "repro.serve.client",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro.serve' has no attribute {name!r}") from None
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

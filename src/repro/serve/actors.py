@@ -82,8 +82,6 @@ class ClientActor:
         #: envelopes dispatched to this client and not yet resolved
         self.inflight: "set[TaskEnvelope]" = set()
         self.last_seen = time.monotonic()
-        #: payload schema negotiated in the handshake (set by the coordinator)
-        self.schema_version: int = 0
         #: send time of each outstanding heartbeat probe, by sequence number
         self._heartbeat_sent: dict[int, float] = {}
         #: set once the supervisor finished cleanup (socket closed, work requeued)

@@ -2,7 +2,7 @@
 
 :class:`ClientRunner` is what ``repro client`` (and the parity tests)
 run in each worker process.  It dials the coordinator, performs the
-versioned handshake, then serves frames: ``task_dispatch`` payloads are
+exact-version handshake, then serves frames: ``task_dispatch`` payloads are
 unpickled and executed exactly as a local worker would run them,
 results go back as ``state_delta`` uploads, heartbeats are echoed, and
 ``bye`` ends the session cleanly.
@@ -42,16 +42,13 @@ import time
 import traceback
 from collections import deque
 
-from repro.engine.codecs import EncodedUpdate
 from repro.engine.transport import set_state_fetcher
 from repro.obs.events import EventBus
 from repro.obs.sinks import JsonlSink
 from repro.serve.codec import CodecError, recv_message, send_message
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
-    SCHEMA_VERSION,
     Bye,
-    EncodedResult,
     Heartbeat,
     Hello,
     HelloAck,
@@ -100,8 +97,6 @@ class ClientRunner:
         self.drop_after = drop_after
         self.quiet = quiet
         self._sock: socket.socket | None = None
-        #: payload schema negotiated in the handshake (set by ``_connect``)
-        self._schema = SCHEMA_VERSION
         #: frames read while waiting for a weight slice, served afterwards
         self._deferred: "deque[Message]" = deque()
         self._results_computed = 0
@@ -156,10 +151,7 @@ class ClientRunner:
         sock = socket.create_connection((self.host, self.port), timeout=30)
         try:
             sock.settimeout(None)
-            send_message(
-                sock,
-                Hello(client_name=self.name, protocol_version=PROTOCOL_VERSION, schema_version=SCHEMA_VERSION),
-            )
+            send_message(sock, Hello(client_name=self.name, protocol_version=PROTOCOL_VERSION))
             reply = recv_message(sock)
         except BaseException:
             sock.close()
@@ -174,7 +166,6 @@ class ClientRunner:
             sock.close()
             raise CodecError(f"expected hello_ack, got {type(reply).type!r}")
         self._sock = sock
-        self._schema = min(SCHEMA_VERSION, reply.schema_version)
         self._log(f"connected to {reply.server_name} at {self.host}:{self.port} (resumed={reply.resumed})")
 
     def _close_socket(self) -> None:
@@ -263,14 +254,9 @@ class ClientRunner:
         )
         error: str | None = None
         payload = b""
-        encoded: EncodedUpdate | None = None
         try:
             task = pickle.loads(dispatch.payload)
-            result = task.run()
-            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-            state = getattr(result, "state", None)
-            if isinstance(state, EncodedUpdate):
-                encoded = state
+            payload = pickle.dumps(task.run(), protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             error = traceback.format_exc()
         self._results_computed += 1
@@ -286,11 +272,9 @@ class ClientRunner:
             self._log(f"injected drop after result #{self._results_computed}")
             self._close_socket()
             return False
-        if encoded is not None and self._schema >= 3:
-            # schema-3 peers get the codec-tagged frame so the coordinator's
-            # compression counters see true encoded bytes, not pickle sizes;
-            # older servers receive the same payload as a plain state_delta
-            upload: TaskResult = EncodedResult(
+        send_message(
+            self._sock,
+            TaskResult(
                 batch_id=dispatch.batch_id,
                 task_index=dispatch.task_index,
                 payload=payload,
@@ -298,21 +282,8 @@ class ClientRunner:
                 error=error,
                 trace_id=dispatch.trace_id,
                 span_id=dispatch.span_id,
-                codec=encoded.codec,
-                encoded_nbytes=encoded.nbytes,
-                raw_nbytes=encoded.raw_nbytes,
-            )
-        else:
-            upload = TaskResult(
-                batch_id=dispatch.batch_id,
-                task_index=dispatch.task_index,
-                payload=payload,
-                client_name=self.name,
-                error=error,
-                trace_id=dispatch.trace_id,
-                span_id=dispatch.span_id,
-            )
-        send_message(self._sock, upload)
+            ),
+        )
         self.events.emit(
             "task_upload",
             trace_id=dispatch.trace_id,

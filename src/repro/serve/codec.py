@@ -79,7 +79,7 @@ async def read_message(reader: asyncio.StreamReader) -> Message | None:
         raise CodecError("connection closed mid-header") from error
     (length,) = _HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
-        raise FrameTooLarge(f"peer announced a {length} byte frame (cap {MAX_FRAME_BYTES})")
+        raise FrameTooLarge(f"frame header declares {length} bytes (cap {MAX_FRAME_BYTES})")
     try:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as error:
@@ -124,7 +124,7 @@ def recv_message(sock: socket.socket) -> Message | None:
         return None
     (length,) = _HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
-        raise FrameTooLarge(f"peer announced a {length} byte frame (cap {MAX_FRAME_BYTES})")
+        raise FrameTooLarge(f"frame header declares {length} bytes (cap {MAX_FRAME_BYTES})")
     body = _recv_exact(sock, length)
     if body is None:
         raise CodecError("connection closed between header and frame body")

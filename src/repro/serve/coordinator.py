@@ -1,6 +1,6 @@
 """Asyncio coordinator of the networked federation service.
 
-The :class:`Coordinator` binds a TCP server, performs the versioned
+The :class:`Coordinator` binds a TCP server, performs the exact-version
 ``hello``/``hello_ack`` handshake with every connecting client and runs
 one supervised :class:`~repro.serve.actors.ClientActor` per connection.
 Task batches (one federated round each) enter through
@@ -44,17 +44,7 @@ from repro.obs.status import StatusServer
 from repro.serve.actors import ClientActor
 from repro.serve.codec import CodecError, read_message, write_message
 from repro.serve.options import ServeOptions
-from repro.serve.protocol import (
-    MIN_SCHEMA_VERSION,
-    PROTOCOL_VERSION,
-    SCHEMA_VERSION,
-    EncodedResult,
-    Hello,
-    HelloAck,
-    ProtocolError,
-    RoundPlan,
-    TaskResult,
-)
+from repro.serve.protocol import PROTOCOL_VERSION, Hello, HelloAck, ProtocolError, RoundPlan, TaskResult
 
 __all__ = ["Coordinator", "TaskBatch", "TaskEnvelope", "STAT_KEYS"]
 
@@ -149,13 +139,6 @@ class Coordinator:
         self.bytes_up = self.metrics.counter(
             "bytes_up_total", "payload bytes received from clients (result uploads)"
         )
-        #: true post-codec upload bytes reported by schema-3 encoded_delta frames
-        self.codec_bytes_up = self.metrics.counter(
-            "codec_bytes_up_total", "encoded update bytes reported by codec-tagged uploads"
-        )
-        self.codec_raw_bytes_up = self.metrics.counter(
-            "codec_raw_bytes_up_total", "uncompressed-equivalent bytes of codec-tagged uploads"
-        )
         self._known_clients: set[str] = set()
         self._pending: "asyncio.Queue[TaskEnvelope]" = asyncio.Queue()
         self._batch: TaskBatch | None = None
@@ -249,16 +232,6 @@ class Coordinator:
                 f"{message.client_name!r} speaks protocol {message.protocol_version}",
             )
             return
-        if not MIN_SCHEMA_VERSION <= message.schema_version <= SCHEMA_VERSION:
-            await self._reject(
-                writer,
-                f"schema version mismatch: server accepts schema {MIN_SCHEMA_VERSION}..{SCHEMA_VERSION}, "
-                f"client {message.client_name!r} speaks schema {message.schema_version}",
-            )
-            return
-        # both sides speak the lower of the two schemas (schema-1 peers
-        # simply never see the optional trace fields populated)
-        negotiated_schema = min(SCHEMA_VERSION, message.schema_version)
         name = message.client_name
         resumed = name in self._known_clients
         superseded = self.actors.get(name)
@@ -266,18 +239,13 @@ class Coordinator:
             await superseded.stop(f"superseded by a new connection from {name!r}")
         self._known_clients.add(name)
         self.count("reconnects" if resumed else "connects")
-        get_event_bus().emit(
-            "client_reconnect" if resumed else "client_connect",
-            client=name,
-            schema_version=negotiated_schema,
-        )
+        get_event_bus().emit("client_reconnect" if resumed else "client_connect", client=name)
         try:
             await write_message(
                 writer,
                 HelloAck(
                     server_name=SERVER_NAME,
                     protocol_version=PROTOCOL_VERSION,
-                    schema_version=negotiated_schema,
                     heartbeat_interval=self.options.heartbeat_interval,
                     resumed=resumed,
                 ),
@@ -286,7 +254,6 @@ class Coordinator:
             writer.close()
             return
         actor = ClientActor(self, name, reader, writer, self.options)
-        actor.schema_version = negotiated_schema
         self.actors[name] = actor
         actor.start()
         self._client_joined.set()
@@ -305,7 +272,7 @@ class Coordinator:
     ) -> list[bytes]:
         """Execute one batch of opaque task payloads, preserving order.
 
-        Waits for the client quorum, announces a ``round_plan``, queues
+        Waits for the client quorum, sends every client a ``round_plan``, queues
         every payload for the actors' work loops and resolves when all
         results are in.  ``traces`` optionally aligns one
         ``(trace_id, span_id)`` pair with each payload so dispatches and
@@ -408,11 +375,6 @@ class Coordinator:
         batch.remaining -= 1
         self.count("results")
         self.bytes_up.inc(len(message.payload))
-        codec = ""
-        if isinstance(message, EncodedResult):
-            codec = message.codec
-            self.codec_bytes_up.inc(message.encoded_nbytes)
-            self.codec_raw_bytes_up.inc(message.raw_nbytes)
         get_event_bus().emit(
             "task_result",
             trace_id=envelope.trace_id,
@@ -421,7 +383,6 @@ class Coordinator:
             batch_id=batch.batch_id,
             client=message.client_name,
             payload_bytes=len(message.payload),
-            codec=codec,
         )
         if batch.remaining == 0:
             batch.finished.set()

@@ -27,7 +27,7 @@ from typing import Any, Sequence
 
 from repro.engine.base import Executor, map_longest_first
 from repro.serve.coordinator import Coordinator
-from repro.serve.options import ServeOptions, serve_options
+from repro.serve.options import ServeOptions
 
 __all__ = ["RemoteExecutor"]
 
@@ -37,8 +37,8 @@ class RemoteExecutor(Executor):
 
     ``max_workers`` maps onto the coordinator's client quorum
     (``min_clients``): a round is not dispatched before that many
-    clients are connected.  Explicit ``options`` win over the
-    process-wide defaults from :func:`repro.serve.options.serve_options`.
+    clients are connected; without ``options`` the coordinator runs on
+    the :class:`~repro.serve.options.ServeOptions` defaults.
     """
 
     name = "remote"
@@ -47,7 +47,7 @@ class RemoteExecutor(Executor):
     def __init__(self, max_workers: int | None = None, options: ServeOptions | None = None):
         super().__init__(max_workers)
         if options is None:
-            options = serve_options()
+            options = ServeOptions()
         if max_workers is not None:
             options = replace(options, min_clients=max_workers)
         self.options = options
@@ -76,11 +76,6 @@ class RemoteExecutor(Executor):
         self._loop = loop
         self._thread = thread
         self._coordinator = coordinator
-        if self.options.announce:
-            print(f"repro-serve: listening on {self._address[0]}:{self._address[1]}", flush=True)
-            status = coordinator.status_address
-            if status is not None:
-                print(f"repro-serve: status endpoint on http://{status[0]}:{status[1]}/metrics", flush=True)
         return self._address
 
     def shutdown(self) -> None:

@@ -1,19 +1,17 @@
-"""Tunable knobs of the federation service, shared by both sides.
+"""Tunable knobs of the federation service.
 
 :class:`ServeOptions` configures the coordinator (bind address, client
-quorum, straggler and liveness timeouts, per-actor send-queue bound)
-and provides the defaults a factory-built
-:class:`~repro.serve.executor.RemoteExecutor` uses when the executor is
-selected by name (``FederatedConfig.executor = "remote"``) and nobody
-constructed it explicitly.  ``repro serve`` calls :func:`configure_serve`
-before training so the config-driven path picks up its CLI flags.
+quorum, straggler and liveness timeouts, per-actor send-queue bound).
+``repro serve`` builds one from its flags and hands it to the
+:class:`~repro.serve.executor.RemoteExecutor` it starts; an executor
+built without options uses the defaults below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-__all__ = ["ServeOptions", "configure_serve", "serve_options"]
+__all__ = ["ServeOptions"]
 
 
 @dataclass(frozen=True)
@@ -45,8 +43,6 @@ class ServeOptions:
     max_inflight: int = 1
     #: dispatch attempts per task before the batch is failed
     max_task_attempts: int = 5
-    #: print a "listening on host:port" line when the server binds
-    announce: bool = False
     #: bind the HTTP status endpoint (/metrics, /healthz, /events) on this
     #: port (0 = ephemeral); ``None`` disables it
     status_port: int | None = None
@@ -71,27 +67,3 @@ class ServeOptions:
             raise ValueError("max_task_attempts must be positive")
         if self.status_port is not None and self.status_port < 0:
             raise ValueError("status_port cannot be negative")
-
-
-#: process-wide defaults used by factory-built executors; reassigned (never
-#: mutated) by configure_serve, so concurrent readers always see a
-#: consistent frozen snapshot
-_DEFAULT_OPTIONS = ServeOptions()
-
-
-def configure_serve(**overrides: object) -> ServeOptions:
-    """Replace the process-wide default :class:`ServeOptions` (returns them).
-
-    Called by ``repro serve`` before training so that executors built by
-    name through :func:`repro.engine.factory.create_executor` — which
-    only receives ``(name, max_workers)`` — inherit the CLI's host,
-    port and timeout flags.
-    """
-    global _DEFAULT_OPTIONS
-    _DEFAULT_OPTIONS = replace(_DEFAULT_OPTIONS, **overrides)  # type: ignore[arg-type]
-    return _DEFAULT_OPTIONS
-
-
-def serve_options() -> ServeOptions:
-    """The current process-wide default options (a frozen snapshot)."""
-    return _DEFAULT_OPTIONS

@@ -8,43 +8,23 @@ dataclasses below.  The conversation is:
 ========================  =========  ==================================================
 message                   direction  meaning
 ========================  =========  ==================================================
-``hello``                 c → s      identity + protocol/schema version negotiation
+``hello``                 c → s      identity + protocol version
 ``hello_ack``             s → c      accept; advertises the heartbeat cadence
 ``round_plan``            s → c      a task batch (one federated round) is starting
 ``task_dispatch``         s → c      one pickled client task to execute
 ``state_request``         c → s      fetch a published ``StateStore`` version
 ``weight_slice``          s → c      the requested state payload (pickled dict)
-``state_delta``           c → s      a task's result — the XOR delta upload
-``encoded_delta``         c → s      a codec-compressed task result, tagged with
-                                     the codec name + true byte counts (schema ≥ 3)
+``state_delta``           c → s      a task's result — XOR delta or codec encoding
 ``heartbeat``             both       liveness probe / echo
 ``bye``                   both       orderly shutdown of one side
 ``error``                 both       protocol violation or remote failure report
 ========================  =========  ==================================================
 
-Two version numbers gate the handshake: ``PROTOCOL_VERSION`` covers the
-framing and message vocabulary and must match exactly; ``SCHEMA_VERSION``
-covers the *payload* pickles (task dataclasses, state dicts, deltas) and
-is **negotiated**: the server accepts any client schema in
-``[MIN_SCHEMA_VERSION, SCHEMA_VERSION]`` and its ``hello_ack`` advertises
-the lower of the two sides' versions, which both sides then speak.  A
-client outside that window receives an ``error`` frame and is
+One version number gates the handshake: ``PROTOCOL_VERSION`` covers the
+framing, the message vocabulary and the payload pickles (task
+dataclasses, state dicts, uploads), and must match exactly.  A client
+speaking any other version receives an ``error`` frame and is
 disconnected before any task can cross the wire.
-
-Schema 2 added the optional ``trace_id``/``span_id`` telemetry fields on
-``task_dispatch`` and ``state_delta`` frames (defaulted to empty
-strings, so schema-1 peers interoperate unchanged — the negotiation
-exists to make that compatibility contract explicit on the wire).
-
-Schema 3 added the ``encoded_delta`` frame (:class:`EncodedResult`): a
-codec-tagged ``state_delta`` subclass a client sends when the task's
-upload is a lossy :class:`~repro.engine.codecs.EncodedUpdate`.  The tag
-names the codec and carries the true encoded/raw byte counts so the
-coordinator's compression counters never re-measure pickles.  Clients
-only emit it when the negotiated schema is ≥ 3; to older servers the
-same payload travels as a plain ``state_delta`` frame (the pickled
-``EncodedUpdate`` inside is self-describing, so decoding is unaffected —
-only the wire-level accounting tag is lost).
 
 Payloads travel as pickles of this repository's own dataclasses, so the
 protocol is for **trusted networks only** — the loopback and
@@ -59,8 +39,6 @@ from typing import ClassVar
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SCHEMA_VERSION",
-    "MIN_SCHEMA_VERSION",
     "MESSAGE_TYPES",
     "Message",
     "Hello",
@@ -70,22 +48,13 @@ __all__ = [
     "StateRequest",
     "WeightSlice",
     "TaskResult",
-    "EncodedResult",
     "Heartbeat",
     "Bye",
     "ProtocolError",
 ]
 
-#: framing + message vocabulary version (checked in the handshake)
-PROTOCOL_VERSION = 1
-
-#: payload pickle schema version (task dataclasses, state dicts, deltas);
-#: v2 added optional trace fields on task_dispatch/state_delta frames,
-#: v3 the codec-tagged encoded_delta result frame
-SCHEMA_VERSION = 3
-
-#: oldest payload schema the server still accepts in the handshake
-MIN_SCHEMA_VERSION = 1
+#: framing + vocabulary + payload version (must match exactly in the handshake)
+PROTOCOL_VERSION = 2
 
 #: wire name -> message class; populated by :func:`register_message`
 MESSAGE_TYPES: dict[str, type["Message"]] = {}
@@ -109,12 +78,11 @@ class Message:
 @register_message
 @dataclass(frozen=True)
 class Hello(Message):
-    """Client's opening frame: identity and version negotiation."""
+    """Client's opening frame: identity and protocol version."""
 
     type: ClassVar[str] = "hello"
     client_name: str
     protocol_version: int
-    schema_version: int
 
 
 @register_message
@@ -130,7 +98,6 @@ class HelloAck(Message):
     type: ClassVar[str] = "hello_ack"
     server_name: str
     protocol_version: int
-    schema_version: int
     heartbeat_interval: float
     resumed: bool = False
 
@@ -154,7 +121,7 @@ class TaskDispatch(Message):
     batch_id: int
     task_index: int
     payload: bytes
-    #: telemetry identity (schema ≥ 2; empty strings for schema-1 peers)
+    #: telemetry identity (empty strings when the task carries none)
     trace_id: str = ""
     span_id: str = ""
 
@@ -185,8 +152,9 @@ class WeightSlice(Message):
 class TaskResult(Message):
     """A task's result upload (wire name ``state_delta``).
 
-    The payload is the pickled bit-exact XOR
-    :class:`~repro.engine.transport.StateDelta` the task produced.
+    The payload is the pickled task result; its state is a bit-exact XOR
+    :class:`~repro.engine.transport.StateDelta` or, under a lossy codec,
+    an :class:`~repro.engine.codecs.EncodedUpdate`.
     ``error`` carries the client-side traceback when the task raised
     instead of completing (``payload`` is empty then).
     """
@@ -197,28 +165,9 @@ class TaskResult(Message):
     payload: bytes
     client_name: str = ""
     error: str | None = None
-    #: telemetry identity echoed from the dispatch (schema ≥ 2)
+    #: telemetry identity echoed from the dispatch
     trace_id: str = ""
     span_id: str = ""
-
-
-@register_message
-@dataclass(frozen=True)
-class EncodedResult(TaskResult):
-    """A codec-compressed task result (wire name ``encoded_delta``, schema ≥ 3).
-
-    Subclasses :class:`TaskResult` so every coordinator code path that
-    routes on ``isinstance(message, TaskResult)`` handles it unchanged;
-    the extra fields tag the payload with its codec and true byte
-    counts (``encoded_nbytes`` = summed compressed blob sizes,
-    ``raw_nbytes`` = what the same update would have moved uncompressed)
-    for the coordinator's compression metrics.
-    """
-
-    type: ClassVar[str] = "encoded_delta"
-    codec: str = ""
-    encoded_nbytes: int = 0
-    raw_nbytes: int = 0
 
 
 @register_message

@@ -157,13 +157,20 @@ def test_recorded_bytes_match_wire_observed_sizes_serial_loopback(easy_setup, co
 
 
 def test_remote_executor_matches_serial_under_topk(easy_setup, codec_serial_reference):
-    """The networked path (schema-3 ``encoded_delta`` frames) stays on the
-    serial lossy history bit-for-bit, and the coordinator's compression
-    counters see the true encoded bytes."""
+    """The networked path stays on the serial lossy history bit-for-bit, and
+    the process registry's compression counters — the only copy, not a
+    coordinator mirror — advance by the true encoded bytes."""
+    from repro.obs.metrics import registry
     from repro.serve.executor import RemoteExecutor
     from repro.serve.options import ServeOptions
 
+    def counted(name: str) -> float:
+        metric = registry().get(name)
+        return 0.0 if metric is None else metric.value
+
     expected_history, expected_state, _ = codec_serial_reference["topk"]
+    encoded_before = counted("codec_bytes_up_total")
+    raw_before = counted("codec_raw_bytes_up_total")
     executor = RemoteExecutor(
         options=ServeOptions(port=0, min_clients=2, connect_timeout=60.0, straggler_timeout=60.0)
     )
@@ -187,8 +194,9 @@ def test_remote_executor_matches_serial_under_topk(easy_setup, codec_serial_refe
         algorithm.run()
         coordinator = executor._coordinator
         assert coordinator is not None
-        encoded_bytes = coordinator.codec_bytes_up.value
-        raw_bytes = coordinator.codec_raw_bytes_up.value
+        fleet_names = {metric.name for metric in coordinator.metrics.metrics()}
+        encoded_bytes = counted("codec_bytes_up_total") - encoded_before
+        raw_bytes = counted("codec_raw_bytes_up_total") - raw_before
     finally:
         executor.shutdown()
         for process in clients:
@@ -201,7 +209,7 @@ def test_remote_executor_matches_serial_under_topk(easy_setup, codec_serial_refe
     assert fingerprint(algorithm) == expected_history
     for key, value in algorithm.global_state.items():
         assert np.array_equal(value, expected_state[key]), f"weights differ in {key!r}"
-    # the encoded_delta frames carried their true byte accounting
+    assert not fleet_names & {"codec_bytes_up_total", "codec_raw_bytes_up_total"}
     expected_up = sum(record["bytes_up"] for record in expected_history)
     assert encoded_bytes == expected_up
     assert raw_bytes > encoded_bytes > 0

@@ -15,7 +15,7 @@ from repro.serve.codec import (
     recv_message,
     send_message,
 )
-from repro.serve.protocol import Heartbeat, Hello, TaskDispatch, WeightSlice
+from repro.serve.protocol import PROTOCOL_VERSION, Heartbeat, Hello, TaskDispatch, WeightSlice
 
 
 @pytest.fixture()
@@ -29,7 +29,7 @@ def sock_pair():
 
 
 MESSAGES = [
-    Hello(client_name="w0", protocol_version=1, schema_version=1),
+    Hello(client_name="w0", protocol_version=PROTOCOL_VERSION),
     Heartbeat(seq=41),
     TaskDispatch(batch_id=3, task_index=1, payload=b"\x00\x01binary\xff"),
     WeightSlice(store_id="global-0", version=2, payload=pickle.dumps({"w": [1.0, 2.0]})),

@@ -16,7 +16,7 @@ from repro.serve.client import ClientRunner
 from repro.serve.codec import recv_message, send_message
 from repro.serve.executor import RemoteExecutor
 from repro.serve.options import ServeOptions
-from repro.serve.protocol import PROTOCOL_VERSION, SCHEMA_VERSION, Hello, HelloAck, ProtocolError
+from repro.serve.protocol import PROTOCOL_VERSION, Hello, HelloAck, ProtocolError
 
 
 class EchoTask:
@@ -146,16 +146,14 @@ def test_quorum_timeout_raises_without_clients():
         executor.shutdown()
 
 
-def test_version_mismatch_is_rejected_before_any_task():
+@pytest.mark.parametrize("version", [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1], ids=["older", "newer"])
+def test_version_mismatch_is_rejected_before_any_task(version):
     executor = make_executor()
     host, port = executor.start()
     try:
         with socket.create_connection((host, port), timeout=5) as sock:
             sock.settimeout(5)
-            send_message(
-                sock,
-                Hello(client_name="fossil", protocol_version=PROTOCOL_VERSION + 1, schema_version=SCHEMA_VERSION),
-            )
+            send_message(sock, Hello(client_name="fossil", protocol_version=version))
             reply = recv_message(sock)
         assert isinstance(reply, ProtocolError)
         assert "version mismatch" in reply.message
@@ -171,10 +169,7 @@ def test_reconnect_under_the_same_name_is_resumed():
     def handshake() -> HelloAck:
         with socket.create_connection((host, port), timeout=5) as sock:
             sock.settimeout(5)
-            send_message(
-                sock,
-                Hello(client_name="phoenix", protocol_version=PROTOCOL_VERSION, schema_version=SCHEMA_VERSION),
-            )
+            send_message(sock, Hello(client_name="phoenix", protocol_version=PROTOCOL_VERSION))
             reply = recv_message(sock)
         assert isinstance(reply, HelloAck)
         return reply

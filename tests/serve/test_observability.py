@@ -1,4 +1,4 @@
-"""Fleet observability: stats back-compat, RTT, schema negotiation, traces.
+"""Fleet observability: stats back-compat, RTT, traces, the status endpoint.
 
 These tests pin the telemetry half of the serve stack — everything
 ``repro.obs`` added on top of the wire protocol — against real loopback
@@ -6,7 +6,6 @@ sockets, mirroring the harness of ``test_coordinator.py``.
 """
 
 import json
-import socket
 import time
 import urllib.request
 
@@ -14,16 +13,7 @@ from repro.engine.tasks import LocalRoundTask  # noqa: F401 - asserts importabil
 from repro.obs.events import get_event_bus
 from repro.obs.sinks import RingBufferSink
 from repro.obs.trace import TraceContext
-from repro.serve.codec import recv_message, send_message
 from repro.serve.coordinator import STAT_KEYS
-from repro.serve.protocol import (
-    MIN_SCHEMA_VERSION,
-    PROTOCOL_VERSION,
-    SCHEMA_VERSION,
-    Hello,
-    HelloAck,
-    ProtocolError,
-)
 
 from test_coordinator import ClientThread, EchoTask, make_executor
 
@@ -91,48 +81,6 @@ class TestHeartbeatRtt:
         finally:
             executor.shutdown()
             client.join()
-
-
-class TestSchemaNegotiation:
-    def _handshake(self, host, port, schema_version):
-        with socket.create_connection((host, port), timeout=5) as sock:
-            sock.settimeout(5)
-            send_message(
-                sock,
-                Hello(client_name="probe", protocol_version=PROTOCOL_VERSION, schema_version=schema_version),
-            )
-            return recv_message(sock)
-
-    def test_older_schema_peer_is_accepted_at_its_level(self):
-        executor = make_executor()
-        host, port = executor.start()
-        try:
-            reply = self._handshake(host, port, MIN_SCHEMA_VERSION)
-            assert isinstance(reply, HelloAck)
-            assert reply.schema_version == MIN_SCHEMA_VERSION
-        finally:
-            executor.shutdown()
-
-    def test_current_schema_peer_gets_the_current_schema(self):
-        executor = make_executor()
-        host, port = executor.start()
-        try:
-            reply = self._handshake(host, port, SCHEMA_VERSION)
-            assert isinstance(reply, HelloAck)
-            assert reply.schema_version == SCHEMA_VERSION
-        finally:
-            executor.shutdown()
-
-    def test_future_schema_peer_is_rejected(self):
-        executor = make_executor()
-        host, port = executor.start()
-        try:
-            reply = self._handshake(host, port, SCHEMA_VERSION + 1)
-            assert isinstance(reply, ProtocolError)
-            assert "schema version mismatch" in reply.message
-            assert executor.stats()["connects"] == 0
-        finally:
-            executor.shutdown()
 
 
 class TestTracePropagation:

@@ -9,7 +9,6 @@ from repro.serve import protocol
 from repro.serve.protocol import (
     MESSAGE_TYPES,
     PROTOCOL_VERSION,
-    SCHEMA_VERSION,
     Heartbeat,
     Hello,
     Message,
@@ -25,7 +24,6 @@ EXPECTED_WIRE_NAMES = {
     "state_request",
     "weight_slice",
     "state_delta",
-    "encoded_delta",
     "heartbeat",
     "bye",
     "error",
@@ -47,9 +45,10 @@ def test_task_result_travels_as_state_delta():
     assert TaskResult.type == "state_delta"
 
 
-def test_versions_are_positive_integers():
-    assert isinstance(PROTOCOL_VERSION, int) and PROTOCOL_VERSION >= 1
-    assert isinstance(SCHEMA_VERSION, int) and SCHEMA_VERSION >= 1
+def test_one_wire_version():
+    """One exact-match version; 2 dropped the schema negotiation of version 1."""
+    assert PROTOCOL_VERSION == 2
+    assert not hasattr(protocol, "SCHEMA_VERSION")
 
 
 def test_duplicate_registration_rejected():
@@ -64,7 +63,7 @@ def test_duplicate_registration_rejected():
 
 
 def test_messages_are_immutable():
-    hello = Hello(client_name="w0", protocol_version=1, schema_version=1)
+    hello = Hello(client_name="w0", protocol_version=PROTOCOL_VERSION)
     with pytest.raises(FrozenInstanceError):
         hello.client_name = "other"
 
