@@ -64,7 +64,7 @@ def join_timelines(events: list[dict]) -> dict[tuple[str, str], list[dict]]:
         trace_id = event.get("trace_id", "")
         span_id = event.get("span_id", "")
         if not trace_id or not span_id:
-            continue  # pre-telemetry frames or schema-1 peers
+            continue  # tasks dispatched without a trace identity
         timelines[(trace_id, span_id)].append(event)
     for timeline in timelines.values():
         timeline.sort(key=lambda event: event.get("timestamp", 0.0))

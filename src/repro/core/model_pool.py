@@ -37,10 +37,6 @@ class SubmodelConfig:
     start_layer: int | None
     num_params: int
 
-    @property
-    def is_full(self) -> bool:
-        return self.width_ratio >= 1.0
-
     def __post_init__(self) -> None:
         if self.level not in LEVELS:
             raise ValueError(f"level must be one of {LEVELS}, got {self.level!r}")
@@ -167,10 +163,6 @@ class ModelPool:
     def group_sizes(self, config: SubmodelConfig) -> dict[str, int]:
         """Channel-group sizes of one pool entry (a fresh dict)."""
         return dict(self._sizes(config))
-
-    def size_of(self, config: SubmodelConfig) -> int:
-        """Parameter count of one pool entry."""
-        return config.num_params
 
     def level_index(self, level: str) -> int:
         """Index of a level in the curiosity table (0 = S, 1 = M, 2 = L)."""

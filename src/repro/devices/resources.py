@@ -71,10 +71,6 @@ class ResourceModel:
             raise ValueError("round_index must be non-negative")
         return self.nominal_capacity(client_id) * self._fluctuation(client_id, round_index)
 
-    def capacity_matrix(self, round_index: int) -> np.ndarray:
-        """Available capacity of every client for one round (testing aid)."""
-        return np.array([self.available_capacity(c, round_index) for c in range(self.num_clients)])
-
 
 class StaticResourceModel(ResourceModel):
     """A :class:`ResourceModel` without fluctuation (ablation / unit tests)."""

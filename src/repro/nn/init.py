@@ -16,8 +16,6 @@ from repro.nn.dtype import resolve_dtype
 
 __all__ = [
     "kaiming_uniform",
-    "kaiming_normal",
-    "xavier_uniform",
     "zeros",
     "ones",
     "uniform_bias",
@@ -44,20 +42,6 @@ def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator, a: float =
     fan_in, _ = _fan_in_fan_out(shape)
     gain = math.sqrt(2.0 / (1.0 + a * a))
     bound = gain * math.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(resolve_dtype())
-
-
-def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming normal initialisation (fan-in mode, ReLU gain)."""
-    fan_in, _ = _fan_in_fan_out(shape)
-    std = math.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape).astype(resolve_dtype())
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation."""
-    fan_in, fan_out = _fan_in_fan_out(shape)
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(resolve_dtype())
 
 

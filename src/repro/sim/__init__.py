@@ -61,10 +61,6 @@ _EXPORTS: dict[str, str] = {
     "cohort_counts": "repro.sim.cohorts",
     "nth_masked_index": "repro.sim.cohorts",
     "masked_choice_without_replacement": "repro.sim.cohorts",
-    "reservoir_sample": "repro.sim.cohorts",
-    "streaming_top_k": "repro.sim.cohorts",
-    "iter_cohort_slices": "repro.sim.cohorts",
-    "expand_cohort": "repro.sim.cohorts",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -15,10 +15,6 @@ client ids — and selection streams over per-cohort summaries:
 * :func:`cohort_counts` / :func:`nth_masked_index` are the building
   blocks: per-cohort online tallies via one ``np.add.reduceat`` pass and
   rank→id translation inside a single cohort.
-* :func:`reservoir_sample` and :func:`streaming_top_k` are the classic
-  one-pass selectors for candidate streams of unknown length (Vitter's
-  algorithm R and a bounded min-heap respectively); they back planning
-  paths that must never hold the full candidate set.
 
 Everything here is pure and deterministic given the caller's
 :class:`numpy.random.Generator`, which keeps the repo's bit-identical
@@ -27,9 +23,6 @@ replay guarantees intact.
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, Iterator, Sequence
-
 import numpy as np
 
 __all__ = [
@@ -37,10 +30,6 @@ __all__ = [
     "cohort_counts",
     "nth_masked_index",
     "masked_choice_without_replacement",
-    "reservoir_sample",
-    "streaming_top_k",
-    "iter_cohort_slices",
-    "expand_cohort",
 ]
 
 #: default cohort width: large enough that per-cohort overhead vanishes,
@@ -111,74 +100,3 @@ def masked_choice_without_replacement(
         local_ids = np.flatnonzero(mask[base : base + cohort_size]) + base
         result[hit] = local_ids[positions[hit] - offsets[cohort]]
     return result
-
-
-def reservoir_sample(
-    candidates: Iterable[int], k: int, rng: np.random.Generator
-) -> list[int]:
-    """Uniform ``k``-sample from a candidate stream of unknown length.
-
-    Vitter's algorithm R: O(k) memory, one pass, every candidate ends up
-    in the reservoir with probability ``k / n``.  Returns fewer than
-    ``k`` items only when the stream itself is shorter than ``k``.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    reservoir: list[int] = []
-    for seen, candidate in enumerate(candidates):
-        if seen < k:
-            reservoir.append(candidate)
-            continue
-        slot = int(rng.integers(0, seen + 1))
-        if slot < k:
-            reservoir[slot] = candidate
-    return reservoir
-
-
-def streaming_top_k(
-    scored: Iterable[tuple[int, float]], k: int
-) -> list[tuple[int, float]]:
-    """The ``k`` highest-scoring ``(item, score)`` pairs from a stream.
-
-    Bounded min-heap: O(k) memory, O(n log k) time, one pass.  Ties break
-    toward the earlier stream position (deterministic for deterministic
-    streams).  The result is sorted best-first.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k == 0:
-        return []
-    heap: list[tuple[float, int, int]] = []  # (score, -arrival, item): min-heap
-    for arrival, (item, score) in enumerate(scored):
-        entry = (float(score), -arrival, item)
-        if len(heap) < k:
-            heapq.heappush(heap, entry)
-        elif entry > heap[0]:
-            heapq.heapreplace(heap, entry)
-    ranked = sorted(heap, key=lambda entry: (-entry[0], -entry[1]))
-    return [(item, score) for score, _, item in ranked]
-
-
-def iter_cohort_slices(
-    num_clients: int, cohort_size: int = DEFAULT_COHORT_SIZE
-) -> Iterator[slice]:
-    """Contiguous cohort slices covering ``[0, num_clients)`` in order.
-
-    The canonical sharding used everywhere in this module; exposed so
-    aggregation and planning code shard the population identically.
-    """
-    if cohort_size <= 0:
-        raise ValueError("cohort_size must be positive")
-    for start in range(0, num_clients, cohort_size):
-        yield slice(start, min(start + cohort_size, num_clients))
-
-
-def expand_cohort(mask_or_ids: np.ndarray | Sequence[int], cohort: slice) -> np.ndarray:
-    """Client ids of one cohort from a population mask.
-
-    Convenience for callers iterating :func:`iter_cohort_slices` over an
-    availability mask: the cohort's online ids, absolute (not
-    cohort-relative).
-    """
-    mask = np.asarray(mask_or_ids, dtype=bool)
-    return np.flatnonzero(mask[cohort]) + (cohort.start or 0)

@@ -129,7 +129,3 @@ class ObjectStore:
                 "delete the object and resume from an earlier checkpoint"
             )
         return np.load(io.BytesIO(payload), allow_pickle=False)
-
-    def contains(self, digest: str) -> bool:
-        """True when a blob with this content address exists on disk."""
-        return self._path_for(digest).exists()

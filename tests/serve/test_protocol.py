@@ -46,7 +46,7 @@ def test_task_result_travels_as_state_delta():
 
 
 def test_one_wire_version():
-    """One exact-match version; 2 dropped the schema negotiation of version 1."""
+    """The handshake checks one version number and no separate payload schema."""
     assert PROTOCOL_VERSION == 2
     assert not hasattr(protocol, "SCHEMA_VERSION")
 

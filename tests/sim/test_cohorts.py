@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 
 from repro.sim.cohorts import (
     cohort_counts,
-    expand_cohort,
-    iter_cohort_slices,
     masked_choice_without_replacement,
     nth_masked_index,
-    reservoir_sample,
-    streaming_top_k,
 )
 
 
@@ -84,54 +80,3 @@ class TestMaskedChoice:
         chosen = masked_choice_without_replacement(np.random.default_rng(seed), mask, k, cohort_size=cohort)
         reference = self.dense_reference(np.random.default_rng(seed), mask, k)
         assert np.array_equal(chosen, reference)
-
-
-class TestReservoirSample:
-    def test_short_stream_returned_whole(self):
-        assert reservoir_sample(range(3), 10, np.random.default_rng(0)) == [0, 1, 2]
-
-    def test_deterministic_for_fixed_seed(self):
-        first = reservoir_sample(range(1000), 10, np.random.default_rng(9))
-        second = reservoir_sample(range(1000), 10, np.random.default_rng(9))
-        assert first == second
-        assert len(set(first)) == 10
-
-    def test_uniformity_over_many_seeds(self):
-        hits = np.zeros(20)
-        for seed in range(400):
-            for item in reservoir_sample(range(20), 5, np.random.default_rng(seed)):
-                hits[item] += 1
-        # every item selected with probability 5/20 = 0.25 → ~100 hits each
-        assert hits.min() > 60 and hits.max() < 140
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            reservoir_sample(range(5), -1, np.random.default_rng(0))
-
-
-class TestStreamingTopK:
-    def test_matches_sorted_reference(self):
-        scored = [(i, float((i * 7919) % 101)) for i in range(200)]
-        top = streaming_top_k(scored, 10)
-        reference = sorted(scored, key=lambda pair: -pair[1])[:10]
-        assert [score for _, score in top] == [score for _, score in reference]
-
-    def test_ties_break_to_earlier_arrival(self):
-        scored = [(0, 1.0), (1, 1.0), (2, 1.0)]
-        assert streaming_top_k(scored, 2) == [(0, 1.0), (1, 1.0)]
-
-    def test_k_zero_and_short_streams(self):
-        assert streaming_top_k([(0, 1.0)], 0) == []
-        assert streaming_top_k([(0, 1.0)], 5) == [(0, 1.0)]
-
-
-class TestCohortIteration:
-    def test_slices_cover_population_exactly_once(self):
-        slices = list(iter_cohort_slices(10, cohort_size=4))
-        assert slices == [slice(0, 4), slice(4, 8), slice(8, 10)]
-
-    def test_expand_cohort_returns_absolute_ids(self):
-        mask = np.array([0, 1, 1, 0, 1, 0, 1], dtype=bool)
-        cohorts = list(iter_cohort_slices(mask.size, cohort_size=4))
-        ids = np.concatenate([expand_cohort(mask, cohort) for cohort in cohorts])
-        assert ids.tolist() == np.flatnonzero(mask).tolist()
