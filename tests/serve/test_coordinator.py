@@ -198,6 +198,24 @@ def test_actor_send_queues_are_bounded(fleet):
         assert actor.send_queue.maxsize == executor.options.send_queue_size
 
 
+def test_executor_without_options_runs_on_the_defaults():
+    assert RemoteExecutor().options == ServeOptions()
+    sized = RemoteExecutor(max_workers=3)
+    assert sized.options == ServeOptions(min_clients=3)
+    assert sized.effective_workers == 3
+
+
+def test_start_binds_silently(capsys):
+    """Announcing the address is the CLI's job; the executor prints nothing."""
+    executor = make_executor()
+    try:
+        host, port = executor.start()
+        assert executor.address == (host, port) and port > 0
+    finally:
+        executor.shutdown()
+    assert capsys.readouterr().out == ""
+
+
 def test_executor_registered_in_factory():
     from repro.engine.factory import EXECUTOR_NAMES, EXECUTORS
 

@@ -1,4 +1,4 @@
-"""Fleet observability: stats back-compat, RTT, traces, the status endpoint.
+"""Fleet observability: stats back-compat, RTT, handshake, traces, the status endpoint.
 
 These tests pin the telemetry half of the serve stack — everything
 ``repro.obs`` added on top of the wire protocol — against real loopback
@@ -6,6 +6,7 @@ sockets, mirroring the harness of ``test_coordinator.py``.
 """
 
 import json
+import socket
 import time
 import urllib.request
 
@@ -13,7 +14,9 @@ from repro.engine.tasks import LocalRoundTask  # noqa: F401 - asserts importabil
 from repro.obs.events import get_event_bus
 from repro.obs.sinks import RingBufferSink
 from repro.obs.trace import TraceContext
+from repro.serve.codec import recv_message, send_message
 from repro.serve.coordinator import STAT_KEYS
+from repro.serve.protocol import PROTOCOL_VERSION, Hello, HelloAck
 
 from test_coordinator import ClientThread, EchoTask, make_executor
 
@@ -78,6 +81,56 @@ class TestHeartbeatRtt:
             assert coordinator.heartbeat_rtt.calls >= 1
             # loopback RTTs are real durations: positive, well under a second
             assert 0 < coordinator.heartbeat_rtt.total < coordinator.heartbeat_rtt.calls * 1.0
+        finally:
+            executor.shutdown()
+            client.join()
+
+
+class TestVersionHandshake:
+    def _handshake(self, host, port, name="probe"):
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.settimeout(5)
+            send_message(sock, Hello(client_name=name, protocol_version=PROTOCOL_VERSION))
+            return recv_message(sock)
+
+    def test_current_version_peer_is_acked_at_that_version(self):
+        executor = make_executor()
+        host, port = executor.start()
+        try:
+            reply = self._handshake(host, port)
+            assert isinstance(reply, HelloAck)
+            assert reply.protocol_version == PROTOCOL_VERSION
+            assert reply.resumed is False
+        finally:
+            executor.shutdown()
+
+    def test_client_connect_event_names_only_the_client(self):
+        ring = RingBufferSink(capacity=64)
+        get_event_bus().attach(ring)
+        executor = make_executor()
+        host, port = executor.start()
+        try:
+            assert isinstance(self._handshake(host, port), HelloAck)
+        finally:
+            executor.shutdown()
+            get_event_bus().detach(ring)
+        connects = [event for event in ring.events() if event.type == "client_connect"]
+        assert [event.data for event in connects] == [{"client": "probe"}]
+
+
+class TestCodecCounters:
+    def test_coordinator_registers_no_codec_byte_counters(self):
+        """The codec byte counters live once, in the process registry the training loop feeds."""
+        executor = make_executor(min_clients=1)
+        host, port = executor.start()
+        client = ClientThread(host, port, "w0")
+        try:
+            executor.map([EchoTask(1)])
+            coordinator = executor._coordinator
+            assert coordinator is not None
+            exposition = coordinator.metrics.render()
+            assert "bytes_up_total" in exposition
+            assert "codec_" not in exposition
         finally:
             executor.shutdown()
             client.join()

@@ -1,6 +1,6 @@
 """Message registry and version-gating behaviour of the wire protocol."""
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import ClassVar
 
 import pytest
@@ -11,6 +11,7 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     Heartbeat,
     Hello,
+    HelloAck,
     Message,
     TaskResult,
     register_message,
@@ -45,10 +46,28 @@ def test_task_result_travels_as_state_delta():
     assert TaskResult.type == "state_delta"
 
 
+def test_versions_are_positive_integers():
+    assert isinstance(PROTOCOL_VERSION, int) and PROTOCOL_VERSION >= 1
+
+
 def test_one_wire_version():
     """The handshake checks one version number and no separate payload schema."""
     assert PROTOCOL_VERSION == 2
     assert not hasattr(protocol, "SCHEMA_VERSION")
+
+
+def test_handshake_frames_carry_only_the_protocol_version():
+    for cls in (Hello, HelloAck):
+        names = {field.name for field in fields(cls)}
+        assert "protocol_version" in names
+        assert not any("schema" in name for name in names), (cls.type, names)
+
+
+def test_every_upload_travels_in_one_frame_type():
+    """No registered frame specialises ``state_delta``: a result has one shape on the wire."""
+    assert MESSAGE_TYPES["state_delta"] is TaskResult
+    subclasses = [cls.type for cls in MESSAGE_TYPES.values() if cls is not TaskResult and issubclass(cls, TaskResult)]
+    assert subclasses == []
 
 
 def test_duplicate_registration_rejected():

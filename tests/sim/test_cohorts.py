@@ -24,11 +24,32 @@ class TestCohortCounts:
         with pytest.raises(ValueError, match="cohort_size"):
             cohort_counts(np.ones(4, dtype=bool), cohort_size=0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), size=st.integers(1, 300), cohort=st.integers(1, 64))
+    def test_property_one_tally_per_cohort_summing_to_the_population(self, seed, size, cohort):
+        mask = np.random.default_rng(seed).random(size) < 0.5
+        counts = cohort_counts(mask, cohort_size=cohort)
+        assert counts.size == -(-size // cohort)
+        assert int(counts.sum()) == int(mask.sum())
+        assert counts.max() <= cohort
+
 
 class TestNthMaskedIndex:
     def test_rank_translation(self):
         mask = np.array([0, 1, 0, 1, 1], dtype=bool)
         assert [nth_masked_index(mask, r) for r in range(3)] == [1, 3, 4]
+
+    def test_prefix_sums_then_in_cohort_rank_recover_every_id(self):
+        """The two-step lookup: locate the cohort by prefix sums, then translate the rank inside it."""
+        cohort_size = 8
+        mask = np.random.default_rng(11).random(103) < 0.3
+        offsets = np.concatenate([[0], np.cumsum(cohort_counts(mask, cohort_size))])
+        dense = np.flatnonzero(mask)
+        for rank, expected in enumerate(dense):
+            cohort = int(np.searchsorted(offsets, rank, side="right")) - 1
+            base = cohort * cohort_size
+            local = nth_masked_index(mask[base : base + cohort_size], rank - int(offsets[cohort]))
+            assert base + local == expected
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
