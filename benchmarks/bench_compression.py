@@ -49,8 +49,8 @@ QUICK_ROUNDS = 4
 
 def run_codec(codec: str, rounds: int) -> dict:
     """One paired CI-scale AdaptiveFL run with the given transport codec."""
-    from repro.experiments import ExperimentSetting, prepare_experiment
     from repro.experiments.runner import run_algorithm
+    from repro.experiments.settings import ExperimentSetting, prepare_experiment
 
     setting = ExperimentSetting(
         dataset="cifar10",

@@ -7,7 +7,9 @@ waste far less communication than Greedy, and RL-CS reaches the best
 accuracy.
 """
 
-from repro.experiments import format_table, prepare_experiment, run_algorithm
+from repro.experiments.reporting import format_table
+from repro.experiments.runner import run_algorithm
+from repro.experiments.settings import prepare_experiment
 
 from common import bench_setting, once
 

@@ -47,7 +47,7 @@ import numpy as np
 from repro.api.registry import available_algorithms, get_algorithm
 from repro.engine.base import Executor
 from repro.engine.factory import create_executor
-from repro.experiments import ExperimentSetting, prepare_experiment
+from repro.experiments.settings import ExperimentSetting, prepare_experiment
 from repro.nn import functional as F
 from repro.perf.workspace import Workspace
 

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.api.registry import get_algorithm
-from repro.experiments import ExperimentSetting, prepare_experiment
+from repro.experiments.settings import ExperimentSetting, prepare_experiment
 from repro.obs.events import EventBus, configure_telemetry, shutdown_telemetry
 from repro.obs.sinks import RingBufferSink
 

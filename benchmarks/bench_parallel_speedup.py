@@ -46,7 +46,7 @@ from repro.api.registry import get_algorithm
 from repro.engine.base import Executor
 from repro.engine.factory import create_executor
 from repro.engine.rng import spawn_streams
-from repro.experiments import ExperimentSetting, prepare_experiment
+from repro.experiments.settings import ExperimentSetting, prepare_experiment
 
 #: the benchmark configuration (one shared prepared experiment, paired runs)
 BENCH_SETTING_KWARGS = dict(

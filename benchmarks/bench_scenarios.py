@@ -26,7 +26,8 @@ import json
 from pathlib import Path
 from typing import Sequence
 
-from repro.experiments import ExperimentSetting, prepare_experiment, run_algorithm
+from repro.experiments.runner import run_algorithm
+from repro.experiments.settings import ExperimentSetting, prepare_experiment
 from repro.sim.scenario import available_scenarios
 
 BENCH_ROUNDS = 5

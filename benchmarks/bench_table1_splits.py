@@ -5,7 +5,8 @@ computed on the real 33.65M-parameter VGG16 and should match the paper to
 within rounding.
 """
 
-from repro.experiments import format_table, vgg16_table1_settings
+from repro.experiments.reporting import format_table
+from repro.experiments.settings import vgg16_table1_settings
 from repro.nn.models import SlimmableVGG
 from repro.perf.flops import count_flops
 

@@ -8,7 +8,8 @@ better, improving the "full" accuracy.
 
 from repro.api.registry import get_algorithm
 from repro.core.config import ModelPoolConfig
-from repro.experiments import PAPER_TABLE4, format_table, prepare_experiment
+from repro.experiments.reporting import PAPER_TABLE4, format_table
+from repro.experiments.settings import prepare_experiment
 
 from common import bench_setting, once
 

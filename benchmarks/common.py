@@ -13,7 +13,8 @@ All benches are macro-benchmarks: they run once per pytest-benchmark round
 
 from __future__ import annotations
 
-from repro.experiments import ExperimentSetting, run_comparison
+from repro.experiments.runner import run_comparison
+from repro.experiments.settings import ExperimentSetting
 
 #: rounds used by the CI-scale benchmark runs
 BENCH_ROUNDS = 6

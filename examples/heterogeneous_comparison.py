@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro import ProgressCallback, available_algorithms, run_comparison
-from repro.experiments import ExperimentSetting, render_accuracy_table, render_waste_table
+from repro import ExperimentSetting, ProgressCallback, available_algorithms, run_comparison
+from repro.experiments.reporting import render_accuracy_table, render_waste_table
 
 
 def main() -> None:

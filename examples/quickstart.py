@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 
 from repro import ExperimentSession, ExperimentSetting, ProgressCallback
-from repro.core import ModelPool
+from repro.core.model_pool import ModelPool
 
 
 def main() -> None:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro import available_scenarios
-from repro.experiments import ExperimentSetting, format_table, prepare_experiment, run_algorithm
+from repro import ExperimentSetting, available_scenarios, prepare_experiment, run_algorithm
+from repro.experiments.reporting import format_table
 
 
 def main() -> None:

@@ -17,12 +17,22 @@ import argparse
 
 import numpy as np
 
-from repro import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig, ModelPoolConfig, ProgressCallback, get_algorithm
-from repro.data import make_widar_like, natural_partition
-from repro.devices import ResourceModel, TESTBED_DEVICE_SPECS
-from repro.experiments import format_table
+from repro import (
+    AdaptiveFLConfig,
+    FederatedConfig,
+    FleetSimulator,
+    LocalTrainingConfig,
+    ModelPoolConfig,
+    ProgressCallback,
+    get_algorithm,
+    get_scenario,
+)
+from repro.data.datasets import make_widar_like
+from repro.data.partition import natural_partition
+from repro.devices.resources import ResourceModel
+from repro.devices.testbed import TESTBED_DEVICE_SPECS
+from repro.experiments.reporting import format_table
 from repro.nn.models import SlimmableMobileNetV2
-from repro.sim import FleetSimulator, get_scenario
 
 
 def build_setup(args, seed):

@@ -1,18 +1,20 @@
 """AdaptiveFL reproduction (DAC 2024).
 
-The curated public surface lives in :mod:`repro.api` and is re-exported
-here lazily — ``import repro`` is cheap, and the common entry points are
-one import away::
+This package *is* the public surface: ``_EXPORTS`` names each entry point
+and the submodule that defines it, resolved lazily so ``import repro``
+stays cheap::
 
     from repro import ExperimentSetting, ExperimentSession, ProgressCallback
     session = ExperimentSession(ExperimentSetting(model="simple_cnn"))
     result = session.with_callback(ProgressCallback()).run("adaptivefl")
 
 or from a shell: ``python -m repro run --algorithm adaptivefl --scale ci``.
+The subpackages export nothing of their own; any other name is imported
+from the submodule that defines it.
 
 Package layout:
 
-* ``repro.api`` — the public experiment-session layer: algorithm registry
+* ``repro.api`` — the experiment-session layer: algorithm registry
   (``@register_algorithm``), training callbacks, serialisable
   ``ExperimentSpec``, ``ExperimentSession`` and the CLI.
 * ``repro.nn`` — numpy deep-learning substrate and slimmable model zoo.

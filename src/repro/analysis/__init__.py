@@ -9,35 +9,9 @@ store writes (RPL006), registry hygiene (RPL007) and callback ordering
 (RPL008).
 
 Rules register via the same decorator idiom as algorithms and
-scenarios (:func:`register_rule`); :func:`lint_paths` drives a run;
-``repro lint`` is the CLI face.  See ``docs/guides/lint.md``.
+scenarios (:func:`~repro.analysis.registry.register_rule`);
+:func:`~repro.analysis.engine.lint_paths` drives a run; ``repro lint`` is
+the CLI face.  See ``docs/guides/lint.md``.
+
+Import from the submodules; the package itself exports nothing.
 """
-
-from repro.analysis.baseline import Baseline, BaselineMatch
-from repro.analysis.engine import LintResult, lint_paths
-from repro.analysis.findings import PARSE_ERROR_CODE, Finding
-from repro.analysis.registry import (
-    Rule,
-    RuleSpec,
-    available_rules,
-    ensure_builtin_rules,
-    get_rule,
-    register_rule,
-    unregister_rule,
-)
-
-__all__ = [
-    "Baseline",
-    "BaselineMatch",
-    "Finding",
-    "LintResult",
-    "PARSE_ERROR_CODE",
-    "Rule",
-    "RuleSpec",
-    "available_rules",
-    "ensure_builtin_rules",
-    "get_rule",
-    "lint_paths",
-    "register_rule",
-    "unregister_rule",
-]

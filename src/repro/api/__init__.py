@@ -1,6 +1,4 @@
-"""``repro.api`` — the curated public surface of the reproduction.
-
-This package is the single entry point applications should use:
+"""``repro.api`` — the experiment-session layer of the reproduction.
 
 * :mod:`repro.api.registry` — the algorithm registry: ``@register_algorithm``
   lets AdaptiveFL, the four baselines and any plugin self-describe the
@@ -11,81 +9,15 @@ This package is the single entry point applications should use:
   :meth:`repro.core.fl_base.FederatedAlgorithm.run`, with shipped callbacks
   for progress logging, early stopping, wall-clock budgets and JSON
   history streaming.
-* :mod:`repro.api.spec` — :class:`ExperimentSpec`, a JSON-serialisable
-  description of a full experiment (setting + algorithms + run options).
-* :mod:`repro.api.session` — :class:`ExperimentSession`, which prepares the
-  data/partition/devices once and runs any number of algorithms on the
-  identical snapshot (paired comparisons, N× faster than re-preparing).
+* :mod:`repro.api.spec` — :class:`~repro.api.spec.ExperimentSpec`, a
+  JSON-serialisable description of a full experiment (setting, algorithms
+  and run options).
+* :mod:`repro.api.session` — :class:`~repro.api.session.ExperimentSession`,
+  which prepares the data/partition/devices once and runs any number of
+  algorithms on the identical snapshot (paired comparisons, N× faster than
+  re-preparing).
 * :mod:`repro.api.cli` — the ``python -m repro`` command line.
 
-Attribute access is lazy (PEP 562) so ``import repro.api`` stays cheap and
-submodules underneath (``repro.core.fl_base`` imports the callback
-protocol) never create import cycles.
+The public entry points are exported by :mod:`repro` itself.  Import from
+the submodules; the package itself exports nothing.
 """
-
-from __future__ import annotations
-
-import importlib
-from typing import Any
-
-_EXPORTS: dict[str, str] = {
-    # registry
-    "AlgorithmSpec": "repro.api.registry",
-    "register_algorithm": "repro.api.registry",
-    "unregister_algorithm": "repro.api.registry",
-    "get_algorithm": "repro.api.registry",
-    "available_algorithms": "repro.api.registry",
-    "validate_algorithm_names": "repro.api.registry",
-    # callbacks
-    "Callback": "repro.api.callbacks",
-    "CallbackList": "repro.api.callbacks",
-    "ProgressCallback": "repro.api.callbacks",
-    "EarlyStopping": "repro.api.callbacks",
-    "WallClockBudget": "repro.api.callbacks",
-    "JsonHistoryStreamer": "repro.api.callbacks",
-    # spec / session
-    "ExperimentSpec": "repro.api.spec",
-    "ExperimentSession": "repro.api.session",
-    # re-exported building blocks
-    "ExperimentSetting": "repro.experiments.settings",
-    "PreparedExperiment": "repro.experiments.settings",
-    "prepare_experiment": "repro.experiments.settings",
-    "AlgorithmResult": "repro.experiments.runner",
-    "run_algorithm": "repro.experiments.runner",
-    "run_comparison": "repro.experiments.runner",
-    "FederatedConfig": "repro.core.config",
-    "LocalTrainingConfig": "repro.core.config",
-    "ModelPoolConfig": "repro.core.config",
-    "AdaptiveFLConfig": "repro.core.config",
-    "TrainingHistory": "repro.core.history",
-    "RoundRecord": "repro.core.history",
-    # experiment store (repro.store)
-    "RunStore": "repro.store.runstore",
-    "RunRecorder": "repro.store.runstore",
-    "Checkpoint": "repro.store.checkpoint",
-    "SweepSpec": "repro.store.sweep",
-    "run_sweep": "repro.store.sweep",
-    "generate_report": "repro.store.report",
-    "write_report": "repro.store.report",
-    # fleet simulation (repro.sim)
-    "ScenarioSpec": "repro.sim.scenario",
-    "register_scenario": "repro.sim.scenario",
-    "unregister_scenario": "repro.sim.scenario",
-    "get_scenario": "repro.sim.scenario",
-    "available_scenarios": "repro.sim.scenario",
-    "FleetSimulator": "repro.sim.fleet",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro.api' has no attribute {name!r}") from None
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

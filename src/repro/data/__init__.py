@@ -6,42 +6,6 @@ generators with matched tensor shapes, class counts and federated
 structure (Dirichlet non-IID for CIFAR, natural per-writer non-IID for
 FEMNIST, per-user non-IID for Widar).  See DESIGN.md §2 for the
 substitution rationale.
+
+Import from the submodules; the package itself exports nothing.
 """
-
-from repro.data.datasets import (
-    Dataset,
-    SyntheticTaskConfig,
-    make_cifar10_like,
-    make_cifar100_like,
-    make_femnist_like,
-    make_widar_like,
-    synthesize_classification_task,
-)
-from repro.data.loader import DataLoader
-from repro.data.partition import (
-    ClientPartition,
-    dirichlet_partition,
-    iid_partition,
-    natural_partition,
-    partition_dataset,
-)
-from repro.data.transforms import normalize, add_gaussian_noise, random_crop_shift
-
-__all__ = [
-    "Dataset",
-    "SyntheticTaskConfig",
-    "synthesize_classification_task",
-    "make_cifar10_like",
-    "make_cifar100_like",
-    "make_femnist_like",
-    "make_widar_like",
-    "DataLoader",
-    "ClientPartition",
-    "iid_partition",
-    "dirichlet_partition",
-    "natural_partition",
-    "partition_dataset",
-    "normalize",
-    "add_gaussian_noise",
-    "random_crop_shift",
-]

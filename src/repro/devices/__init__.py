@@ -10,29 +10,6 @@ against:
 * the real test-bed of §4.5 (Raspberry Pi 4B / Jetson Nano / Jetson Xavier
   AGX), reproduced here as a latency + memory model driving a wall-clock
   simulation.
+
+Import from the submodules; the package itself exports nothing.
 """
-
-from repro.devices.profiles import (
-    DEFAULT_DEVICE_CLASSES,
-    DeviceClass,
-    DeviceProfile,
-    assign_device_classes,
-    build_device_profiles,
-    parse_proportion,
-)
-from repro.devices.resources import ResourceModel, StaticResourceModel
-from repro.devices.testbed import TESTBED_DEVICE_SPECS, TestbedDeviceSpec, TestbedSimulator
-
-__all__ = [
-    "DeviceClass",
-    "DeviceProfile",
-    "DEFAULT_DEVICE_CLASSES",
-    "assign_device_classes",
-    "build_device_profiles",
-    "parse_proportion",
-    "ResourceModel",
-    "StaticResourceModel",
-    "TestbedDeviceSpec",
-    "TESTBED_DEVICE_SPECS",
-    "TestbedSimulator",
-]

@@ -4,54 +4,18 @@ Federated rounds are embarrassingly parallel on the client side: once the
 server has planned *who* trains *what*, every local round is an
 independent task.  This package fans those tasks out:
 
-* :class:`SerialExecutor` — sequential reference implementation (default),
-* :class:`ThreadExecutor` — thread pool; cheapest spin-up, overlaps
-  GIL-releasing numpy kernels and simulated device latency,
-* :class:`ProcessExecutor` — process pool; true CPU parallelism for
-  compute-bound local training.
+* :class:`~repro.engine.serial.SerialExecutor` — sequential reference
+  implementation (default),
+* :class:`~repro.engine.thread.ThreadExecutor` — thread pool; cheapest
+  spin-up, overlaps GIL-releasing numpy kernels and simulated device
+  latency,
+* :class:`~repro.engine.process.ProcessExecutor` — process pool; true CPU
+  parallelism for compute-bound local training.
 
 All three are interchangeable **and bit-identical**: tasks carry private
 :class:`numpy.random.SeedSequence` streams keyed on (seed, round, client),
 so the training history never depends on the executor or worker count —
 enforced by the serial-parity suite in ``tests/engine``.
 
-Exports resolve lazily (PEP 562) so that low-level modules can import the
-executor vocabulary (``repro.engine.factory``) without pulling in the
-task layer and its dependencies.
+Import from the submodules; the package itself exports nothing.
 """
-
-from __future__ import annotations
-
-import importlib
-from typing import Any
-
-_EXPORTS: dict[str, str] = {
-    "Executor": "repro.engine.base",
-    "run_task": "repro.engine.base",
-    "default_max_workers": "repro.engine.base",
-    "SerialExecutor": "repro.engine.serial",
-    "ThreadExecutor": "repro.engine.thread",
-    "ProcessExecutor": "repro.engine.process",
-    "EXECUTORS": "repro.engine.factory",
-    "EXECUTOR_NAMES": "repro.engine.factory",
-    "create_executor": "repro.engine.factory",
-    "client_stream": "repro.engine.rng",
-    "spawn_streams": "repro.engine.rng",
-    "ClientTask": "repro.engine.tasks",
-    "LocalRoundTask": "repro.engine.tasks",
-    "TrainSubmodelTask": "repro.engine.tasks",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro.engine' has no attribute {name!r}") from None
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

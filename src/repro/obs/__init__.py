@@ -2,13 +2,14 @@
 
 Three pillars, all wired through the federation stack:
 
-* :mod:`repro.obs.events` — a process-wide :class:`EventBus` emitting
-  typed, schema-versioned events to pluggable sinks
-  (:mod:`repro.obs.sinks`: JSONL file with rotation, in-memory ring,
-  stderr pretty-printer).
+* :mod:`repro.obs.events` — a process-wide
+  :class:`~repro.obs.events.EventBus` emitting typed, schema-versioned
+  events to pluggable sinks (:mod:`repro.obs.sinks`: JSONL file with
+  rotation, in-memory ring, stderr pretty-printer).
 * :mod:`repro.obs.metrics` — counters/gauges/histograms in a
-  :class:`MetricsRegistry`, rendered as Prometheus text exposition and
-  served live by :mod:`repro.obs.status` and the ``repro metrics`` CLI.
+  :class:`~repro.obs.metrics.MetricsRegistry`, rendered as Prometheus
+  text exposition and served live by :mod:`repro.obs.status` and the
+  ``repro metrics`` CLI.
 * :mod:`repro.obs.trace` — trace/span ids minted per round and per
   task, carried on task envelopes and optional wire-protocol fields so
   ``scripts/trace_join.py`` can stitch server + client logs into
@@ -19,85 +20,5 @@ through the sanctioned :mod:`repro.obs.clock` shim, and never feeds run
 keys, checkpoints, histories or randomness — determinism and resume
 parity are untouched whether telemetry is on or off.
 
-Exports resolve lazily so importing :mod:`repro` never drags in the
-sink/status machinery on paths that don't use it.
+Import from the submodules; the package itself exports nothing.
 """
-
-from __future__ import annotations
-
-import importlib
-from typing import Any
-
-__all__ = [
-    "Event",
-    "EventBus",
-    "EVENT_SCHEMA_VERSION",
-    "EVENT_TYPES",
-    "configure_telemetry",
-    "shutdown_telemetry",
-    "telemetry_active",
-    "emit",
-    "get_event_bus",
-    "Sink",
-    "JsonlSink",
-    "RingBufferSink",
-    "StderrSink",
-    "format_event",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "registry",
-    "render_prometheus",
-    "StatusServer",
-    "TraceContext",
-    "new_trace_id",
-    "new_span_id",
-    "wall_time",
-    "monotonic",
-    "perf_counter",
-    "iso_format",
-]
-
-_EXPORTS: dict[str, str] = {
-    "Event": "repro.obs.events",
-    "EventBus": "repro.obs.events",
-    "EVENT_SCHEMA_VERSION": "repro.obs.events",
-    "EVENT_TYPES": "repro.obs.events",
-    "configure_telemetry": "repro.obs.events",
-    "shutdown_telemetry": "repro.obs.events",
-    "telemetry_active": "repro.obs.events",
-    "emit": "repro.obs.events",
-    "get_event_bus": "repro.obs.events",
-    "Sink": "repro.obs.sinks",
-    "JsonlSink": "repro.obs.sinks",
-    "RingBufferSink": "repro.obs.sinks",
-    "StderrSink": "repro.obs.sinks",
-    "format_event": "repro.obs.sinks",
-    "Counter": "repro.obs.metrics",
-    "Gauge": "repro.obs.metrics",
-    "Histogram": "repro.obs.metrics",
-    "MetricsRegistry": "repro.obs.metrics",
-    "registry": "repro.obs.metrics",
-    "render_prometheus": "repro.obs.metrics",
-    "StatusServer": "repro.obs.status",
-    "TraceContext": "repro.obs.trace",
-    "new_trace_id": "repro.obs.trace",
-    "new_span_id": "repro.obs.trace",
-    "wall_time": "repro.obs.clock",
-    "monotonic": "repro.obs.clock",
-    "perf_counter": "repro.obs.clock",
-    "iso_format": "repro.obs.clock",
-}
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro.obs' has no attribute {name!r}") from None
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

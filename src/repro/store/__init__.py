@@ -5,15 +5,16 @@ Four layers, bottom up:
 * :mod:`repro.store.objects` — content-addressed array blobs
   (``objects/<sha256>``), written once, integrity-checked on every read.
 * :mod:`repro.store.checkpoint` + :mod:`repro.store.runstore` —
-  :class:`Checkpoint` (the complete restorable state of a run at the end
-  of one round: weights, history, RNG state, RL tables, fleet state) and
-  :class:`RunStore` (runs keyed by canonical run-key hashes, per-round
-  checkpoint manifests, final histories).  :class:`RunRecorder` feeds a
-  store from a live run via the ``on_checkpoint`` callback hook.
-* :mod:`repro.store.sweep` — :class:`SweepSpec` grids
-  (algorithms × scenarios × seeds) and :func:`run_sweep`, which skips
-  completed cells by run-key hash, resumes partial ones and runs the
-  rest.
+  :class:`~repro.store.checkpoint.Checkpoint` (the complete restorable
+  state of a run at the end of one round: weights, history, RNG state, RL
+  tables, fleet state) and :class:`~repro.store.runstore.RunStore` (runs
+  keyed by canonical run-key hashes, per-round checkpoint manifests, final
+  histories).  :class:`~repro.store.runstore.RunRecorder` feeds a store
+  from a live run via the ``on_checkpoint`` callback hook.
+* :mod:`repro.store.sweep` — :class:`~repro.store.sweep.SweepSpec` grids
+  (algorithms × scenarios × seeds) and :func:`~repro.store.sweep.run_sweep`,
+  which skips completed cells by run-key hash, resumes partial ones and
+  runs the rest.
 * :mod:`repro.store.report` — ``report.md``/``report.json`` regenerated
   from stored state only.
 
@@ -21,51 +22,5 @@ The common entry points are ``ExperimentSession.with_store`` /
 ``session.run(..., resume=True)`` in code and ``repro run --store
 --resume``, ``repro sweep`` and ``repro report`` on the CLI.
 
-Attribute access is lazy (PEP 562), matching the other subpackages.
+Import from the submodules; the package itself exports nothing.
 """
-
-from __future__ import annotations
-
-import importlib
-from typing import Any
-
-_EXPORTS: dict[str, str] = {
-    # object layer
-    "ObjectStore": "repro.store.objects",
-    "StoreCorruptionError": "repro.store.objects",
-    # checkpoints
-    "Checkpoint": "repro.store.checkpoint",
-    "CheckpointSchemaError": "repro.store.checkpoint",
-    "CHECKPOINT_SCHEMA_VERSION": "repro.store.checkpoint",
-    # run store
-    "RunStore": "repro.store.runstore",
-    "RunEntry": "repro.store.runstore",
-    "RunRecorder": "repro.store.runstore",
-    # keys
-    "run_key": "repro.store.keys",
-    "resolve_num_rounds": "repro.store.keys",
-    # sweeps
-    "SweepSpec": "repro.store.sweep",
-    "SweepCell": "repro.store.sweep",
-    "CellResult": "repro.store.sweep",
-    "SweepResult": "repro.store.sweep",
-    "run_sweep": "repro.store.sweep",
-    # reporting
-    "ReportBundle": "repro.store.report",
-    "generate_report": "repro.store.report",
-    "write_report": "repro.store.report",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro.store' has no attribute {name!r}") from None
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.analysis import Baseline, Finding
+from repro.analysis.baseline import Baseline
+from repro.analysis.findings import Finding
 
 
 def _finding(message="m", line=3, code="RPL005", path="a.py"):

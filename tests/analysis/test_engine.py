@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import PARSE_ERROR_CODE, Finding, lint_paths
+from repro.analysis.engine import lint_paths
+from repro.analysis.findings import PARSE_ERROR_CODE, Finding
 from repro.analysis.context import FileContext, path_matches
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.analysis import Baseline, lint_paths
+from repro.analysis.baseline import Baseline
+from repro.analysis.engine import lint_paths
 from repro.analysis.report import REPORT_SCHEMA_VERSION, render_json, render_text
 
 FIXTURES = Path(__file__).parent / "fixtures"

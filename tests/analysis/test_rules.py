@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import available_rules, lint_paths
+from repro.analysis.engine import lint_paths
+from repro.analysis.registry import available_rules
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

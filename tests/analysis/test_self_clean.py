@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, lint_paths
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME
+from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
+from repro.analysis.engine import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 

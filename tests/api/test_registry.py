@@ -11,7 +11,8 @@ from repro.api.registry import (
 )
 from repro.baselines.heterofl import HETEROFL_POOL_CONFIG
 from repro.core.server import AdaptiveFL
-from repro.experiments import ExperimentSetting, run_comparison
+from repro.experiments.runner import run_comparison
+from repro.experiments.settings import ExperimentSetting
 
 
 @pytest.fixture(scope="module")

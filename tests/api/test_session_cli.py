@@ -10,7 +10,8 @@ from repro.api.cli import _setting_from_args, build_parser, main
 from repro.api.session import ExperimentSession
 from repro.api.spec import ExperimentSpec
 from repro.engine.codecs import PassthroughCodec, register_codec, unregister_codec
-from repro.experiments import run_algorithm, run_comparison, prepare_experiment
+from repro.experiments.runner import run_algorithm, run_comparison
+from repro.experiments.settings import prepare_experiment
 from repro.store.sweep import SweepSpec
 
 # the CI-scale setting/prepared snapshot come session-scoped from tests/conftest.py

@@ -8,8 +8,8 @@ experiment API.
 
 import pytest
 
-from repro.experiments import prepare_experiment, run_algorithm
-from repro.experiments.settings import ExperimentSetting
+from repro.experiments.runner import run_algorithm
+from repro.experiments.settings import ExperimentSetting, prepare_experiment
 
 from test_parity import build_algorithm, history_fingerprint
 
@@ -57,7 +57,7 @@ def test_api_level_runs_reproducible(executor):
 def test_injected_executor_is_caller_owned_across_runs(easy_setup):
     """set_executor keeps the caller's executor attached and alive through
     run() (which only closes executors it built itself from the config)."""
-    from repro.engine import SerialExecutor
+    from repro.engine.serial import SerialExecutor
 
     algorithm = build_algorithm("adaptivefl", easy_setup, "serial")
     injected = SerialExecutor()

@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.model_pool import ModelPool
-from repro.engine import ProcessExecutor, ThreadExecutor
+from repro.engine.process import ProcessExecutor
+from repro.engine.thread import ThreadExecutor
 from repro.engine.base import map_longest_first
 from repro.engine.rng import client_stream
 from repro.engine.tasks import LocalRoundTask, TrainSubmodelTask

@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core.config import FederatedConfig
-from repro.engine import (
-    EXECUTOR_NAMES,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    client_stream,
-    create_executor,
-    default_max_workers,
-    spawn_streams,
-)
+from repro.engine.base import default_max_workers
+from repro.engine.factory import EXECUTOR_NAMES, create_executor
+from repro.engine.process import ProcessExecutor
+from repro.engine.rng import client_stream, spawn_streams
+from repro.engine.serial import SerialExecutor
+from repro.engine.thread import ThreadExecutor
 
 ALL_EXECUTORS = ["serial", "thread", "process"]
 

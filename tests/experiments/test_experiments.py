@@ -5,20 +5,21 @@ import pytest
 
 from repro.api.registry import available_algorithms
 from repro.core.history import RoundRecord, TrainingHistory
-from repro.experiments import (
+from repro.experiments.reporting import (
     PAPER_TABLE2,
     PAPER_TABLE3,
     PAPER_TABLE4,
-    AlgorithmResult,
-    ExperimentSetting,
     format_table,
-    get_scale,
-    paper_pool_config,
-    prepare_experiment,
     render_accuracy_table,
     render_learning_curves,
     render_waste_table,
-    run_algorithm,
+)
+from repro.experiments.runner import AlgorithmResult, run_algorithm
+from repro.experiments.scaling import get_scale
+from repro.experiments.settings import (
+    ExperimentSetting,
+    paper_pool_config,
+    prepare_experiment,
     vgg16_table1_settings,
 )
 
