@@ -104,7 +104,7 @@ class ExperimentSession:
         resume: bool = False,
         checkpoint_every: int = 1,
     ) -> "ExperimentSession":
-        """Persist every subsequent run into a :class:`repro.store.RunStore`.
+        """Persist every subsequent run into a :class:`repro.store.runstore.RunStore`.
 
         ``store`` is a ready store or a directory path.  Each run writes a
         checkpoint every ``checkpoint_every`` rounds plus its final
@@ -125,7 +125,7 @@ class ExperimentSession:
 
     @property
     def store(self):
-        """The attached :class:`repro.store.RunStore` (None = not persisting)."""
+        """The attached :class:`repro.store.runstore.RunStore` (None = not persisting)."""
         return self._store
 
     # -- profiling --------------------------------------------------------------------
@@ -171,8 +171,6 @@ class ExperimentSession:
         validate_algorithm_names([algorithm])
         if resume is None:
             resume = self._resume
-        if resume and self._store is None:
-            raise ValueError("resume requires a store; call with_store(...) first")
         result = run_algorithm(
             algorithm,
             self.prepared,

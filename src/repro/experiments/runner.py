@@ -100,7 +100,7 @@ def run_algorithm(
     :meth:`repro.api.session.ExperimentSession.with_scenario`) before
     preparing.
 
-    ``store`` (a :class:`repro.store.RunStore` or a directory path)
+    ``store`` (a :class:`repro.store.runstore.RunStore` or a directory path)
     persists a checkpoint every ``checkpoint_every`` rounds and the final
     history under the run's canonical key.  With ``resume=True`` a
     completed run returns its stored result without training, and a
@@ -116,6 +116,10 @@ def run_algorithm(
     :class:`~repro.serve.executor.RemoteExecutor` (and its connected
     clients) alive across several algorithms.
     """
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be positive, got {checkpoint_every}")
+    if resume and store is None:
+        raise ValueError("resume requires a store (there is nothing to resume from)")
     spec = get_algorithm(name)
     if store is None:
         algorithm = spec.build(prepared, selection_strategy=selection_strategy, scenario=scenario)

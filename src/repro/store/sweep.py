@@ -221,6 +221,8 @@ def run_sweep(
     the grid travels with the data and can be re-invoked later with
     ``repro sweep --spec <store>/sweep.json``.
     """
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be positive, got {checkpoint_every}")
     if not isinstance(store, RunStore):
         store = RunStore(store)
     sweep.save(store.root / "sweep.json")

@@ -8,7 +8,10 @@ import pytest
 
 from repro.api.cli import main
 from repro.api.session import ExperimentSession
+from repro.api.spec import ExperimentSpec
+from repro.experiments.runner import run_algorithm
 from repro.store.runstore import RunStore
+from repro.store.sweep import SweepSpec, run_sweep
 
 CLI_SETTING = ["--scale", "ci", "--rounds", "2", "--quiet"]
 
@@ -40,6 +43,38 @@ class TestSessionStore:
         [entry] = store.runs()
         # ci_setting overrides num_rounds to 2: rounds 0 (skipped) and 1 (cadence + final)
         assert store.checkpoint_rounds(entry.run_id) == [1]
+
+
+class TestRefusedStoreOptions:
+    """A refused run must leave no trace: no run entry, no ``sweep.json``."""
+
+    def test_run_algorithm_refuses_checkpoint_every_before_touching_the_store(self, ci_prepared, tmp_path):
+        store = RunStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            run_algorithm("heterofl", ci_prepared, store=store, checkpoint_every=0)
+        assert store.runs() == []
+
+    def test_run_algorithm_refuses_resume_without_store(self, ci_prepared):
+        with pytest.raises(ValueError, match="resume requires a store"):
+            run_algorithm("heterofl", ci_prepared, resume=True)
+
+    def test_run_sweep_refuses_checkpoint_every_before_touching_the_store(self, ci_setting, tmp_path):
+        store_dir = tmp_path / "store"
+        sweep = SweepSpec(base=ExperimentSpec(setting=ci_setting, algorithms=("heterofl",)))
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            run_sweep(sweep, store_dir, checkpoint_every=0)
+        assert not store_dir.exists()
+
+    def test_sweep_cli_refusal_leaves_no_phantom_run(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        argv = [
+            "sweep", "--algorithms", "heterofl", *CLI_SETTING,
+            "--store", str(store_dir), "--checkpoint-every", "0",
+        ]
+        assert main(argv) == 2
+        assert "checkpoint_every" in capsys.readouterr().err
+        assert not (store_dir / "sweep.json").exists()
+        assert not (store_dir / "runs").exists()
 
 
 class TestEarlyStopResume:
