@@ -10,7 +10,7 @@
 * ``on_checkpoint(algorithm, record)`` — last hook of every round, once
   the record is final (including the late evaluation an early stop
   triggers); the durable-state hook the experiment store's
-  :class:`repro.store.RunRecorder` persists checkpoints from.  If a
+  :class:`repro.store.runstore.RunRecorder` persists checkpoints from.  If a
   checkpoint callback itself requests a stop, the driver evaluates the
   record and *re-fires* ``on_checkpoint`` so durable state always saw
   the final record — it may therefore fire twice for one round, with
@@ -69,7 +69,7 @@ class Callback:
         Unlike ``on_round_end`` this hook fires *after* the late evaluation
         an early stop can trigger, so the record it sees is exactly what
         the history keeps — the safe place to persist durable state
-        (:class:`repro.store.RunRecorder` writes its checkpoints here).
+        (:class:`repro.store.runstore.RunRecorder` writes its checkpoints here).
         When a checkpoint callback requests a stop, the hook re-fires with
         the same (now evaluated) record; implementations must be
         idempotent per round index.

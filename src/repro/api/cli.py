@@ -63,7 +63,7 @@ Both ``run`` and ``compare`` write one ``<algorithm>_history.json`` per
 run plus ``summary.json`` (and echo the resolved ``spec.json``) into
 ``--output-dir``, and stream progress unless ``--quiet``; with
 ``--store`` they also checkpoint every round into a durable
-:class:`repro.store.RunStore`, and ``--resume`` continues interrupted
+:class:`repro.store.runstore.RunStore`, and ``--resume`` continues interrupted
 runs from their last completed round.
 """
 

@@ -773,7 +773,7 @@ class FederatedAlgorithm(ABC):
     def checkpoint_state(self) -> "Checkpoint":
         """Capture the run's complete restorable state at the current round.
 
-        The returned :class:`repro.store.Checkpoint` holds the global
+        The returned :class:`repro.store.checkpoint.Checkpoint` holds the global
         weights, the history, the base RNG state and — via the
         ``_collect_extra_state`` subclass hook — algorithm-specific arrays
         such as AdaptiveFL's RL tables, plus the attached fleet's battery
@@ -978,7 +978,7 @@ class FederatedAlgorithm(ABC):
                     self._record_evaluation(record)
                     callback_list.on_evaluate(self, record)
                 # the record is final from here on: durable-state callbacks
-                # (e.g. repro.store.RunRecorder) persist checkpoints now
+                # (e.g. repro.store.runstore.RunRecorder) persist checkpoints now
                 callback_list.on_checkpoint(self, record)
                 round_seconds = monotonic() - round_started_at
                 rounds_total.inc()

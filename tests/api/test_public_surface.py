@@ -25,15 +25,11 @@ SUBPACKAGES = sorted(
 )
 
 
-@pytest.mark.parametrize("name", sorted(repro._EXPORTS))
+@pytest.mark.parametrize("name", [name for name in repro.__all__ if name != "__version__"])
 def test_every_export_is_its_defining_modules_object(name):
     module = importlib.import_module(repro._EXPORTS[name])
     assert getattr(repro, name) is getattr(module, name)
     assert getattr(getattr(module, name), "__module__", module.__name__) == module.__name__
-
-
-def test_all_lists_exactly_the_exports():
-    assert sorted(repro.__all__) == sorted(["__version__", *repro._EXPORTS])
 
 
 @pytest.mark.parametrize("package", [name for name in SUBPACKAGES if name not in PLUGIN_PACKAGES])
