@@ -105,7 +105,7 @@ class SimulatedClient:
     ) -> ClientRoundResult:
         """Receive a model, adapt it, train it and return the upload."""
         trained_config, initial_state = self.adapt_model(pool, dispatched, dispatched_state, available_capacity)
-        result: LocalTrainingResult = train_local_model(
+        result = train_local_model(
             architecture=pool.architecture,
             group_sizes=pool.group_sizes(trained_config),
             initial_state=initial_state,
@@ -113,6 +113,12 @@ class SimulatedClient:
             config=self.local_config,
             rng=rng,
         )
+        return self.round_result(dispatched, trained_config, result)
+
+    def round_result(
+        self, dispatched: SubmodelConfig, trained_config: SubmodelConfig, result: LocalTrainingResult
+    ) -> ClientRoundResult:
+        """The upload of a round in which ``dispatched`` arrived and ``trained_config`` trained."""
         return ClientRoundResult(
             client_id=self.client_id,
             dispatched=dispatched,

@@ -9,6 +9,7 @@ validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
 
@@ -50,8 +51,11 @@ class LocalTrainingConfig:
             raise ValueError("local_epochs must be positive")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # written so that NaN fails every check: ``nan <= 0`` is False
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.max_batches_per_epoch is not None and self.max_batches_per_epoch <= 0:

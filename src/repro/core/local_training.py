@@ -1,10 +1,14 @@
-"""Local training of a (sub)model on one client's data (Algorithm 1, LocalTrain).
+"""Local training of a (sub)model on clients' data (Algorithm 1, LocalTrain).
 
 The same routine serves AdaptiveFL and every baseline: it takes the
 network for the requested channel configuration, loads the dispatched
 weights, runs the paper's local SGD schedule and returns the trained state
 dict together with the client's data size (used as the aggregation
 weight).
+
+:func:`train_local_models` trains K clients of one network, one set of
+weights and one dataset length as one stacked pass, each bit-identical to
+training alone; :func:`train_local_model` is its one-client case.
 
 A device receives weights, it never initialises them: the network is
 built once per worker thread and width spec and kept between tasks as a
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from repro.nn.models.spec import SlimmableArchitecture
 from repro.nn.module import Skeleton
 from repro.nn.optim import SGD
 
-__all__ = ["LocalTrainingResult", "train_local_model"]
+__all__ = ["LocalTrainingResult", "train_local_model", "train_local_models"]
 
 
 class _Skeletons(threading.local):
@@ -72,17 +76,42 @@ def train_local_model(
     to a real deployment, where only the pruned weights travel to the
     device).
     """
-    if len(dataset) == 0:
+    (result,) = train_local_models(architecture, group_sizes, initial_state, [dataset], config, [rng])
+    return result
+
+
+def train_local_models(
+    architecture: SlimmableArchitecture,
+    group_sizes: Mapping[str, int],
+    initial_state: Mapping[str, np.ndarray],
+    datasets: Sequence[Dataset],
+    config: LocalTrainingConfig,
+    rngs: Sequence[np.random.Generator],
+) -> list[LocalTrainingResult]:
+    """:func:`train_local_model` for K clients at once, as one stacked pass
+    (:meth:`~repro.nn.module.Skeleton.check_out`).
+
+    Every client starts from ``initial_state`` and keeps its own dataset,
+    generator (initialisation draw and loader stream) and loss; equal
+    dataset lengths make the batch schedules one.  Client ``k``'s result is
+    bit-identical to ``train_local_model(..., datasets[k], ..., rngs[k])``.
+    """
+    if min(len(dataset) for dataset in datasets) == 0:
         raise ValueError("client dataset is empty")
-    # drawn by every task, though only the first of a spec initialises
+    if len({len(dataset) for dataset in datasets}) > 1:
+        raise ValueError("clients trained as one pass need datasets of one length")
+    # drawn by every client, though only the first of a spec initialises
     # weights with it: the loader shuffles on the same stream
-    init_seed = int(rng.integers(0, 2**31 - 1))
+    init_seeds = [int(rng.integers(0, 2**31 - 1)) for rng in rngs]
     spec = (architecture.signature(), tuple(sorted(group_sizes.items())), resolve_dtype())
     skeleton = _SKELETONS.by_spec.pop(spec, None)
     if skeleton is None:
-        skeleton = Skeleton(architecture.build(group_sizes, rng=np.random.default_rng(init_seed)))
-    model = skeleton.check_out(init_seed)
-    model.load_state_dict({name: np.asarray(value) for name, value in initial_state.items()})
+        skeleton = Skeleton(architecture.build(group_sizes, rng=np.random.default_rng(init_seeds[0])))
+    model = skeleton.check_out(init_seeds)
+    clients = (len(init_seeds),)
+    model.load_state_dict(
+        {name: np.broadcast_to(value, clients + np.shape(value)) for name, value in initial_state.items()}
+    )
     model.train()
 
     optimizer = SGD(
@@ -92,29 +121,36 @@ def train_local_model(
         weight_decay=config.weight_decay,
     )
     loss_fn = CrossEntropyLoss()
-    loader = DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)
+    loaders = [
+        DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)
+        for dataset, rng in zip(datasets, rngs)
+    ]
 
-    total_loss = 0.0
+    total_loss = np.zeros(clients)
     steps = 0
     for _ in range(config.local_epochs):
-        for batch_index, (images, labels) in enumerate(loader):
+        for batch_index, batches in enumerate(zip(*loaders)):
             if config.max_batches_per_epoch is not None and batch_index >= config.max_batches_per_epoch:
                 break
             optimizer.zero_grad()
-            logits = model(images)
-            loss = loss_fn(logits, labels)
+            logits = model(np.concatenate([images for images, _ in batches]))
+            losses = loss_fn(logits, np.stack([labels for _, labels in batches]))
             # nobody reads the gradient of the images: the stem skips it
             model.backward(loss_fn.backward(), input_grad=False)
             optimizer.step()
-            total_loss += loss
+            total_loss += losses
             steps += 1
-    mean_loss = total_loss / steps if steps else float("nan")
-    result = LocalTrainingResult(
-        state=model.state_dict(),
-        num_samples=len(dataset),
-        mean_loss=mean_loss,
-        num_steps=steps,
-    )
+    # the stacks leave with the results: a checked-in skeleton holds none
+    stacks = [(name, param.data) for name, param in model.named_parameters()] + list(model.named_buffers())
+    results = [
+        LocalTrainingResult(
+            state={name: stack[client] for name, stack in stacks},
+            num_samples=len(dataset),
+            mean_loss=float(total_loss[client] / steps) if steps else float("nan"),
+            num_steps=steps,
+        )
+        for client, dataset in enumerate(datasets)
+    ]
     skeleton.check_in()
     _SKELETONS.by_spec[spec] = skeleton
-    return result
+    return results

@@ -18,12 +18,32 @@ import os
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Iterable, Sequence
 
-__all__ = ["Executor", "run_task", "default_max_workers", "map_longest_first"]
+__all__ = ["Executor", "run_task", "run_stacked", "default_max_workers", "map_longest_first"]
 
 
 def run_task(task: Any) -> Any:
     """Execute one task (module-level so process pools can pickle it by name)."""
     return task.run()
+
+
+def run_stacked(tasks: Sequence[Any]) -> list[Any]:
+    """Every task's result, in submission order; tasks that stack run as one.
+
+    Tasks whose ``stack_key()`` is equal and not None
+    (:meth:`repro.engine.tasks.ClientTask.stack_key`) go to one ``run_stack``
+    call of their class; groups run in the order of their first task.
+    """
+    groups: dict[Any, list[int]] = {}
+    for index, task in enumerate(tasks):
+        key = task.stack_key() if hasattr(task, "stack_key") else None
+        groups.setdefault(index if key is None else key, []).append(index)
+    results: list[Any] = [None] * len(tasks)
+    for members in groups.values():
+        group = [tasks[index] for index in members]
+        outcomes = type(group[0]).run_stack(group) if len(group) > 1 else [run_task(group[0])]
+        for index, outcome in zip(members, outcomes):
+            results[index] = outcome
+    return results
 
 
 def map_longest_first(

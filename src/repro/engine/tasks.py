@@ -14,24 +14,30 @@ against its per-process cache of the published global state and cuts
 the submodel slice locally, so the task payload stays tiny.  The trained
 weights return as a bit-exact XOR :class:`StateDelta` against that slice,
 or as a lossy codec's encoding when the task carries a ``codec``.
+
+Tasks with equal :meth:`ClientTask.stack_key` train one submodel from one
+published state on datasets of one length; their ``run_stack`` resolves
+the slice once, trains them as one stacked pass and encodes each upload on
+its own, every result bit-identical to the task's own ``run``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace as dataclass_replace
-from typing import Any, Mapping
+from typing import Any, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.client import ClientRoundResult, SimulatedClient
 from repro.core.config import LocalTrainingConfig
-from repro.core.local_training import LocalTrainingResult, train_local_model
+from repro.core.local_training import LocalTrainingResult, train_local_model, train_local_models
 from repro.core.model_pool import ModelPool, SubmodelConfig
-from repro.core.pruning import slice_state_dict
+from repro.core.pruning import resource_aware_prune, slice_state_dict
 from repro.data.datasets import Dataset
 from repro.engine.codecs import UpdateCodec, encode_client_update
 from repro.engine.transport import StateHandle, encode_state_delta
+from repro.nn.dtype import resolve_dtype
 from repro.nn.models.spec import SlimmableArchitecture
 from repro.obs.trace import TraceContext
 
@@ -66,6 +72,14 @@ def _upload(task, trained: Mapping[str, np.ndarray], reference: Mapping[str, np.
     return encode_state_delta(trained, reference)
 
 
+def _stack_key(task, architecture, group_sizes, source: StateHandle, config, dataset) -> tuple:
+    """Everything tasks must share to train in lockstep from one slice."""
+    return (
+        type(task), architecture.signature(), tuple(sorted(group_sizes.items())), resolve_dtype(),
+        source.store_id, source.version, config, len(dataset),
+    )
+
+
 class ClientTask(ABC):
     """One independent unit of client work executed by an :class:`Executor`."""
 
@@ -78,6 +92,14 @@ class ClientTask(ABC):
     @abstractmethod
     def run(self) -> Any:
         """Execute the work and return its result (runs on any worker)."""
+
+    def stack_key(self) -> Hashable | None:
+        """The key under which tasks run as one stacked pass; None runs alone.
+
+        Tasks with equal keys go to one ``run_stack(tasks)`` call of their
+        class, which returns their results in order.
+        """
+        return None
 
     def rng(self) -> np.random.Generator:
         """A fresh generator over the task's stream (same bits every call)."""
@@ -145,6 +167,34 @@ class LocalRoundTask(ClientTask):
         result.state = _upload(self, result.state, reference, self.client.client_id)
         return result
 
+    def stack_key(self) -> Hashable | None:
+        """The device's stack key; None when it prunes below the plan (it then trains alone)."""
+        adapted = resource_aware_prune(self.pool, self.dispatched, self.available_capacity)
+        if adapted.name != self.planned_return.name:  # pragma: no cover - plan invariant
+            return None
+        return _stack_key(
+            self, self.pool.architecture, self.pool.group_sizes(self.planned_return),
+            self.dispatched_state, self.client.local_config, self.client.dataset,
+        )
+
+    @staticmethod
+    def run_stack(tasks: Sequence["LocalRoundTask"]) -> list[ClientRoundResult]:
+        """Devices of one stack key, which all train their planned return, as one pass."""
+        first = tasks[0]
+        architecture, group_sizes = first.pool.architecture, first.pool.group_sizes(first.planned_return)
+        initial_state = _resolve_state(first.dispatched_state, architecture, group_sizes)
+        trained = train_local_models(
+            architecture, group_sizes, initial_state, [task.client.dataset for task in tasks],
+            first.client.local_config, [task.rng() for task in tasks],
+        )
+        return [
+            dataclass_replace(
+                task.client.round_result(task.dispatched, task.planned_return, result),
+                state=_upload(task, result.state, initial_state, task.client.client_id),
+            )
+            for task, result in zip(tasks, trained)
+        ]
+
 
 @dataclass
 class TrainSubmodelTask(ClientTask):
@@ -169,16 +219,39 @@ class TrainSubmodelTask(ClientTask):
         """Parameters of the assigned submodel."""
         return self.architecture.parameter_count(self.group_sizes)
 
+    def local_dataset(self) -> Dataset:
+        """The client's data (a published handle resolves against the worker cache)."""
+        return self.dataset.load() if isinstance(self.dataset, StateHandle) else self.dataset
+
     def run(self) -> LocalTrainingResult:
         """Train the assigned submodel on the client's data (worker-side)."""
         initial_state = _resolve_state(self.initial_state, self.architecture, self.group_sizes)
-        dataset = self.dataset.load() if isinstance(self.dataset, StateHandle) else self.dataset
         result = train_local_model(
             architecture=self.architecture,
             group_sizes=self.group_sizes,
             initial_state=initial_state,
-            dataset=dataset,
+            dataset=self.local_dataset(),
             config=self.local_config,
             rng=self.rng(),
         )
         return dataclass_replace(result, state=_upload(self, result.state, initial_state, self.client_id))
+
+    def stack_key(self) -> Hashable:
+        """Equal for clients of one submodel, published state, config and data length."""
+        return _stack_key(
+            self, self.architecture, self.group_sizes, self.initial_state, self.local_config, self.local_dataset()
+        )
+
+    @staticmethod
+    def run_stack(tasks: Sequence["TrainSubmodelTask"]) -> list[LocalTrainingResult]:
+        """Clients of one stack key as one pass."""
+        first = tasks[0]
+        initial_state = _resolve_state(first.initial_state, first.architecture, first.group_sizes)
+        trained = train_local_models(
+            first.architecture, first.group_sizes, initial_state, [task.local_dataset() for task in tasks],
+            first.local_config, [task.rng() for task in tasks],
+        )
+        return [
+            dataclass_replace(result, state=_upload(task, result.state, initial_state, task.client_id))
+            for task, result in zip(tasks, trained)
+        ]

@@ -11,14 +11,20 @@ Hot-path design (see ``repro.perf``):
   :class:`repro.perf.workspace.Workspace` and write into reusable
   buffers instead of allocating per batch — conv/pool *modules* own one
   workspace each and pass it down;
-* the fold adjoint (:func:`col2im`) is one flat scatter over precomputed
-  indices (cached per geometry, shared process-wide) instead of a Python
-  ``kh×kw`` loop; max pooling is a running maximum over its ``k²`` window
-  positions, forward and backward — no window gather, no index arithmetic;
+* the fold adjoint (:func:`col2im`) is a flat scatter per sample over
+  precomputed indices (cached per sample geometry, shared process-wide)
+  instead of a Python ``kh×kw`` loop; max pooling is a running maximum
+  over its ``k²`` window positions, forward and backward — no window
+  gather, no index arithmetic;
 * 1×1 stride-1 unpadded convolutions skip the im2col lowering entirely
   and run as batched GEMMs on reshaped views — no column copy at all
   (the "contiguity-aware" fast path: the strides of an NCHW tensor
   already permit BLAS-friendly GEMM for pointwise kernels).
+
+The convolutions also take a stack of K clients' weights ``(K, *shape)``
+and their ``K·N`` samples client-major (:meth:`repro.nn.module.Skeleton.check_out`):
+the same GEMM per sample and per-client reductions keep each client
+bit-identical to training it alone.
 
 Reference implementations of the scatter adjoints
 (:func:`col2im_reference`, :func:`maxpool2d_backward_reference`) are
@@ -26,6 +32,8 @@ kept for equivalence tests and microbenchmarks.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -52,10 +60,10 @@ __all__ = [
     "conv_output_size",
 ]
 
-#: immutable precomputed scatter-index arrays, keyed by geometry.  Shared
-#: process-wide (read-only after construction, so thread-safe) — worker
-#: processes build a fresh model per task but pay for index construction
-#: only once per conv geometry.
+#: immutable precomputed scatter-index arrays, keyed by one sample's
+#: geometry (any batch size reuses them).  Shared process-wide (read-only
+#: after construction, so thread-safe) — worker processes build a fresh
+#: model per task but pay for index construction only once per conv geometry.
 _SCATTER_INDEX_CACHE: dict[tuple, np.ndarray] = {}
 
 
@@ -140,15 +148,15 @@ def im2col(
 
 
 def _col2im_indices(
-    x_shape: tuple[int, int, int, int], kh: int, kw: int, stride: int, padding: int
+    sample_shape: tuple[int, int, int], kh: int, kw: int, stride: int, padding: int
 ) -> np.ndarray:
-    """Flat scatter indices mapping im2col column elements into the padded
-    input, laid out exactly like ``cols.ravel()``: (N, C, kh, kw, oh, ow)."""
-    key = ("col2im", x_shape, kh, kw, stride, padding)
+    """Flat scatter indices mapping one sample's im2col column elements into
+    its padded input, laid out like that sample's ``cols``: (C, kh, kw, oh, ow)."""
+    key = ("col2im", sample_shape, kh, kw, stride, padding)
     cached = _SCATTER_INDEX_CACHE.get(key)
     if cached is not None:
         return cached
-    n, c, h, w = x_shape
+    c, h, w = sample_shape
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
     hp, wp = h + 2 * padding, w + 2 * padding
@@ -161,10 +169,8 @@ def _col2im_indices(
     # iterated in (C, kh, kw, oh, ow) order to match the NC layout
     rows = oi[None, None, None, :, None] * stride + ki[None, :, None, None, None]
     cols = oj[None, None, None, None, :] * stride + kj[None, None, :, None, None]
-    per_sample = (ci[:, None, None, None, None] * hp + rows) * wp + cols  # (c, kh, kw, oh, ow)
-    per_sample = np.broadcast_to(per_sample, (c, kh, kw, out_h, out_w)).reshape(-1)
-    offsets = np.arange(n, dtype=np.intp) * (c * hp * wp)
-    indices = (offsets[:, None] + per_sample[None, :]).reshape(-1)
+    indices = (ci[:, None, None, None, None] * hp + rows) * wp + cols  # (c, kh, kw, oh, ow)
+    indices = np.broadcast_to(indices, (c, kh, kw, out_h, out_w)).reshape(-1)
     _SCATTER_INDEX_CACHE[key] = indices
     return indices
 
@@ -181,15 +187,24 @@ def col2im(
     """Fold a column matrix back into an NCHW tensor, accumulating overlaps.
 
     This is the adjoint of :func:`im2col` (it produces the gradient with
-    respect to the convolution input), vectorised as one flat
-    ``np.add.at`` scatter over precomputed indices.
+    respect to the convolution input), vectorised as one ``np.add.at``
+    scatter per sample over precomputed indices.
+    """
+    return _fold(cols.reshape(x_shape[0], -1), cols.dtype, x_shape, kh, kw, stride, padding, ws)
+
+
+def _fold(sample_cols: Iterable[np.ndarray], dtype, x_shape, kh, kw, stride, padding, ws) -> np.ndarray:
+    """:func:`col2im` of the column matrices of the samples, one at a time.
+
+    The indices are one sample's: a batch-wide index array would be as
+    large as the columns, cached once per batch size.
     """
     n, c, h, w = x_shape
     hp, wp = h + 2 * padding, w + 2 * padding
-    ws = _owned_or_fresh(ws)
-    indices = _col2im_indices(x_shape, kh, kw, stride, padding)
-    xp = ws.zeros(("col2im", x_shape, kh, kw, stride, padding), (n * c * hp * wp,), cols.dtype)
-    np.add.at(xp, indices, cols.reshape(-1))
+    indices = _col2im_indices(x_shape[1:], kh, kw, stride, padding)
+    xp = _owned_or_fresh(ws).zeros(("col2im", x_shape, kh, kw, stride, padding), (n, c * hp * wp), dtype)
+    for sample, cols in zip(xp, sample_cols):
+        np.add.at(sample, indices, cols.reshape(-1))
     xp = xp.reshape(n, c, hp, wp)
     if padding == 0:
         return xp
@@ -240,31 +255,27 @@ def conv2d_forward(
 ) -> tuple[np.ndarray, tuple]:
     """Standard (dense) 2-D convolution forward pass.
 
-    ``weight`` has shape ``(C_out, C_in, kh, kw)``.  Returns the output and a
-    cache used by :func:`conv2d_backward`.
+    ``weight`` has shape ``(C_out, C_in, kh, kw)``, or ``(K, C_out, C_in,
+    kh, kw)`` for a client stack.  Returns the output and a cache used by
+    :func:`conv2d_backward`.
     """
-    n = x.shape[0]
-    c_out, c_in, kh, kw = weight.shape
+    c_out, c_in, kh, kw = weight.shape[-4:]
     if x.shape[1] != c_in:
         raise ValueError(f"input has {x.shape[1]} channels, weight expects {c_in}")
+    w_mat = weight.reshape(-1, 1, c_out, c_in * kh * kw)
     if _is_pointwise(kh, kw, stride, padding):
-        # 1x1 fast path: batched GEMM straight over the NCHW layout
-        h, w = x.shape[2], x.shape[3]
-        x_flat = x.reshape(n, c_in, h * w)
-        out = np.matmul(weight.reshape(c_out, c_in), x_flat)  # (n, c_out, h*w)
-        if bias is not None:
-            out += bias[None, :, None]
-        out = out.reshape(n, c_out, h, w)
-        cache = (x.shape, x_flat, weight, stride, padding, True)
-        return out, cache
-    cols, out_h, out_w = im2col(x, kh, kw, stride, padding, ws)
-    w_mat = weight.reshape(c_out, -1)
-    # batched GEMM over the NC layout: (c_out, C·k²) @ (N, C·k², P)
+        # 1x1 fast path: the NCHW input already is its own column matrix
+        out_h, out_w = x.shape[2], x.shape[3]
+        cols = x.reshape(x.shape[0], c_in, out_h * out_w)
+    else:
+        cols, out_h, out_w = im2col(x, kh, kw, stride, padding, ws)
+    cols = cols.reshape(w_mat.shape[0], -1, *cols.shape[1:])
+    # batched GEMM over the NC layout: (K, 1, c_out, C·k²) @ (K, N, C·k², P)
     out = np.matmul(w_mat, cols)
     if bias is not None:
-        out += bias[None, :, None]
-    out = out.reshape(n, c_out, out_h, out_w)
-    cache = (x.shape, cols, weight, stride, padding, False)
+        out += bias.reshape(-1, 1, c_out, 1)
+    out = out.reshape(x.shape[0], c_out, out_h, out_w)
+    cache = (x.shape, cols, weight, stride, padding)
     return out, cache
 
 
@@ -278,29 +289,26 @@ def conv2d_backward(
     ``grad_x=None`` — for a stem convolution, whose input gradient is the
     gradient of the images and is read by nobody.
     """
-    x_shape, cols, weight, stride, padding, pointwise = cache
-    c_out, c_in, kh, kw = weight.shape
-    n = grad_out.shape[0]
+    x_shape, cols, weight, stride, padding = cache
+    c_out, c_in, kh, kw = weight.shape[-4:]
 
-    if pointwise:
-        h, w = x_shape[2], x_shape[3]
-        x_flat = cols  # the (n, c_in, h*w) view stored by the forward pass
-        grad_flat = grad_out.reshape(n, c_out, h * w)
-        grad_bias = grad_flat.sum(axis=(0, 2))
-        grad_w = np.matmul(grad_flat, x_flat.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        if not input_grad:
-            return None, grad_w, grad_bias
-        grad_x = np.matmul(weight.reshape(c_out, c_in).T, grad_flat).reshape(x_shape)
-        return grad_x, grad_w, grad_bias
-
-    # NC layout throughout: grad_out (N, c_out, P), cols (N, C·k², P)
-    grad_flat = grad_out.reshape(n, c_out, -1)
-    grad_bias = grad_flat.sum(axis=(0, 2))
-    grad_w = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(c_out, c_in, kh, kw)
+    # NC layout throughout: grad_out (K, N, c_out, P), cols (K, N, C·k², P)
+    grad_flat = grad_out.reshape(*cols.shape[:2], c_out, -1)
+    grad_bias = grad_flat.sum(axis=(1, 3)).reshape(weight.shape[:-3])
+    grad_w = np.matmul(grad_flat, cols.swapaxes(2, 3)).sum(axis=1).reshape(weight.shape)
     if not input_grad:
         return None, grad_w, grad_bias
-    grad_cols = np.matmul(weight.reshape(c_out, -1).T, grad_flat)  # (N, C·k², P)
-    grad_x = col2im(grad_cols, x_shape, kh, kw, stride, padding, ws)
+    w_t = weight.reshape(-1, c_out, c_in * kh * kw).swapaxes(1, 2)  # (K, C·k², c_out)
+    if _is_pointwise(kh, kw, stride, padding):
+        return np.matmul(w_t[:, None], grad_flat).reshape(x_shape), grad_w, grad_bias
+    # each sample's W.T @ grad is folded as soon as it is made: the column
+    # gradient of a whole (stacked) batch never exists at once
+    per_client = grad_flat.shape[1]
+    grad_cols = (
+        np.matmul(w_t[index // per_client], grad)
+        for index, grad in enumerate(grad_flat.reshape(-1, *grad_flat.shape[2:]))
+    )
+    grad_x = _fold(grad_cols, np.result_type(weight, grad_out), x_shape, kh, kw, stride, padding, ws)
     return grad_x, grad_w, grad_bias
 
 
@@ -314,20 +322,27 @@ def depthwise_conv2d_forward(
 ) -> tuple[np.ndarray, tuple]:
     """Depthwise 2-D convolution (one filter per input channel).
 
-    ``weight`` has shape ``(C, 1, kh, kw)``; channel ``c`` of the output is
-    produced only from channel ``c`` of the input, as used by MobileNetV2.
+    ``weight`` has shape ``(C, 1, kh, kw)``, or ``(K, C, 1, kh, kw)`` for a
+    client stack; channel ``c`` of the output is produced only from channel
+    ``c`` of the input, as used by MobileNetV2.  The contractions run one
+    ``einsum`` per client: a stacked ``einsum`` is not proven bit-equal.
     """
-    n, c, h, w = x.shape
-    if weight.shape[0] != c or weight.shape[1] != 1:
+    n, c = x.shape[:2]
+    if weight.shape[-4] != c or weight.shape[-3] != 1:
         raise ValueError(f"depthwise weight shape {weight.shape} incompatible with {c} input channels")
-    kh, kw = weight.shape[2], weight.shape[3]
+    kh, kw = weight.shape[-2:]
+    w_mat = weight.reshape(-1, c, kh * kw)
+    clients = w_mat.shape[0]
     cols, out_h, out_w = im2col(x, kh, kw, stride, padding, ws)
-    # cols: (N, C*kh*kw, P) -> (N, C, kh*kw, P)
-    cols_c = cols.reshape(n, c, kh * kw, -1)
-    w_mat = weight.reshape(c, kh * kw)
-    out = np.einsum("ck,nckp->ncp", w_mat, cols_c, optimize=True)
+    # cols: (K·N, C*kh*kw, P) -> (K, N, C, kh*kw, P)
+    cols_c = cols.reshape(clients, n // clients, c, kh * kw, -1)
+    # channel-major, the memory order einsum gives one client: what the
+    # batch-norm statistics after this layer are rounded in
+    out = np.empty((c, n, out_h * out_w), np.result_type(w_mat, cols)).transpose(1, 0, 2)
+    for client, rows in enumerate(np.split(out, clients)):
+        rows[...] = np.einsum("ck,nckp->ncp", w_mat[client], cols_c[client], optimize=True)
     if bias is not None:
-        out += bias[None, :, None]
+        out.reshape(clients, n // clients, c, -1)[...] += bias.reshape(clients, 1, c, 1)
     out = out.reshape(n, c, out_h, out_w)
     cache = (x.shape, cols_c, weight, stride, padding)
     return out, cache
@@ -338,15 +353,19 @@ def depthwise_conv2d_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward pass of :func:`depthwise_conv2d_forward`."""
     x_shape, cols_c, weight, stride, padding = cache
-    n = grad_out.shape[0]
-    c = weight.shape[0]
-    kh, kw = weight.shape[2], weight.shape[3]
+    clients, n, c, taps, _ = cols_c.shape
+    kh, kw = weight.shape[-2:]
+    w_mat = weight.reshape(clients, c, taps)
 
-    grad_flat = grad_out.reshape(n, c, -1)
-    grad_bias = grad_flat.sum(axis=(0, 2))
-    grad_w = np.einsum("ncp,nckp->ck", grad_flat, cols_c, optimize=True).reshape(c, 1, kh, kw)
-    grad_cols_c = np.einsum("ncp,ck->nckp", grad_flat, weight.reshape(c, kh * kw), optimize=True)
-    grad_cols = grad_cols_c.reshape(n, c * kh * kw, -1)
+    grad_flat = grad_out.reshape(clients, n, c, -1)
+    grad_bias = grad_flat.sum(axis=(1, 3)).reshape(weight.shape[:-3])
+    grad_w = np.stack(
+        [np.einsum("ncp,nckp->ck", grad_flat[k], cols_c[k], optimize=True) for k in range(clients)]
+    ).reshape(weight.shape)
+    grad_cols_c = np.stack(
+        [np.einsum("ncp,ck->nckp", grad_flat[k], w_mat[k], optimize=True) for k in range(clients)]
+    )
+    grad_cols = grad_cols_c.reshape(clients * n, c * kh * kw, -1)
     grad_x = col2im(grad_cols, x_shape, kh, kw, stride, padding, ws)
     return grad_x, grad_w, grad_bias
 

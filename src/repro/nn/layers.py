@@ -1,4 +1,10 @@
-"""Trainable and stateless layers with explicit forward/backward passes."""
+"""Trainable and stateless layers with explicit forward/backward passes.
+
+A layer's tensors may be a stack of K clients' (``Skeleton.check_out``):
+``Conv2d``, ``Linear`` and ``BatchNorm2d`` batch over the client axis,
+``Dropout`` and ``DepthwiseConv2d`` loop over it, per-sample layers never
+see it.
+"""
 
 from __future__ import annotations
 
@@ -147,21 +153,25 @@ class Linear(Module):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        weight = self.weight.data.reshape(-1, self.out_features, self.in_features)
+        x = x.reshape(weight.shape[0], -1, self.in_features)
         self._cache = x
-        out = x @ self.weight.data.T
+        out = np.matmul(x, weight.swapaxes(1, 2))
         if self.has_bias:
-            out += self.bias.data
-        return out
+            out += self.bias.data.reshape(-1, 1, self.out_features)
+        return out.reshape(-1, self.out_features)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x = self._cache
-        self.weight.grad += grad_out.T @ x
+        grad_out = grad_out.reshape(x.shape[0], -1, self.out_features)
+        self.weight.grad += np.matmul(grad_out.swapaxes(1, 2), x).reshape(self.weight.grad.shape)
         if self.has_bias:
-            self.bias.grad += grad_out.sum(axis=0)
+            self.bias.grad += grad_out.sum(axis=1).reshape(self.bias.grad.shape)
         self._cache = None
-        return grad_out @ self.weight.data
+        weight = self.weight.data.reshape(-1, self.out_features, self.in_features)
+        return np.matmul(grad_out, weight).reshape(-1, self.in_features)
 
 
 class BatchNorm2d(Module):
@@ -189,62 +199,70 @@ class BatchNorm2d(Module):
         self._cache = None
         self._ws = Workspace()
 
+    def _per_client(self, tensor: np.ndarray) -> np.ndarray:
+        """A channel vector (or K) as ``(K, 1, C, 1, 1)``, against a ``(K, N, C, H, W)`` batch."""
+        return tensor.reshape(-1, 1, self.num_features, 1, 1)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.num_features:
             raise ValueError(f"expected {self.num_features} channels, got {x.shape[1]}")
+        gamma, beta = self._per_client(self.weight.data), self._per_client(self.bias.data)
+        running_mean = self._per_client(self._buffers["running_mean"])
+        running_var = self._per_client(self._buffers["running_var"])
+        batch = x.reshape(gamma.shape[0], -1, *x.shape[1:])
         if not self.training:
             # inference: fold mean/var/gamma/beta into one per-channel affine
-            inv_std = 1.0 / np.sqrt(self._buffers["running_var"] + self.eps)
-            scale = self.weight.data * inv_std
-            shift = self.bias.data - self._buffers["running_mean"] * scale
-            out = x * scale[None, :, None, None]
-            out += shift[None, :, None, None]
-            return out
+            inv_std = 1.0 / np.sqrt(running_var + self.eps)
+            scale = gamma * inv_std
+            shift = beta - running_mean * scale
+            out = batch * scale
+            out += shift
+            return out.reshape(x.shape)
         # the reductions ``x.mean`` and ``x.var`` run, centred once for both
-        m = x.size // self.num_features
-        mean = np.add.reduce(x, (0, 2, 3)) / m
-        x_hat = self._ws.get(("x_hat", x.shape), x.shape, x.dtype)
-        np.subtract(x, mean[None, :, None, None], out=x_hat, casting="unsafe")
+        m = batch[0].size // self.num_features
+        mean = np.add.reduce(batch, (1, 3, 4), keepdims=True) / m
+        x_hat = self._ws.get(("x_hat", batch.shape), batch.shape, x.dtype)
+        np.subtract(batch, mean, out=x_hat, casting="unsafe")
         # a sum rounds in its operand's memory order: square into a buffer
         # laid out like ``x``, as ``x.var`` did (a depthwise convolution
         # hands over a channel-major array)
-        layout = ("squared", x.shape, x.strides)
+        layout = ("squared", batch.shape, batch.strides)
         squared = self._ws.lookup(layout)
         if squared is None:
-            squared = self._ws.put(layout, np.empty_like(x))
+            squared = self._ws.put(layout, np.empty_like(batch))
         np.multiply(x_hat, x_hat, out=squared)
-        var = np.add.reduce(squared, (0, 2, 3)) / m
-        running_mean = self._buffers["running_mean"]
-        running_var = self._buffers["running_var"]
+        var = np.add.reduce(squared, (1, 3, 4), keepdims=True) / m
         running_mean *= 1 - self.momentum
         running_mean += self.momentum * mean
         running_var *= 1 - self.momentum
         running_var += self.momentum * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat *= inv_std[None, :, None, None]
-        out = self.weight.data[None, :, None, None] * x_hat
-        out += self.bias.data[None, :, None, None]
+        x_hat *= inv_std
+        out = gamma * x_hat
+        out += beta
         self._cache = (x_hat, inv_std)
-        return out
+        return out.reshape(x.shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward (or module in eval mode)")
         x_hat, inv_std = self._cache
-        n, c, h, w = grad_out.shape
+        clients, n, c, h, w = x_hat.shape
         m = n * h * w
+        grad = grad_out.reshape(x_hat.shape)
 
         # sum_nhw(grad_out * x_hat) as ``einsum(..., optimize=True)`` resolves
         # it, less its path search: two channel-major copies and one batched
-        # (c, 1, m) @ (c, m, 1); plain ``einsum`` sums in another order
+        # (K, c, 1, m) @ (K, c, m, 1); plain ``einsum`` sums in another order
         dot = np.matmul(
-            grad_out.transpose(1, 0, 2, 3).reshape(c, 1, m), x_hat.transpose(1, 0, 2, 3).reshape(c, m, 1)
-        ).reshape(c)
-        grad_sum = grad_out.sum(axis=(0, 2, 3))
-        self.weight.grad += dot
-        self.bias.grad += grad_sum
+            grad.transpose(0, 2, 1, 3, 4).reshape(clients, c, 1, m),
+            x_hat.transpose(0, 2, 1, 3, 4).reshape(clients, c, m, 1),
+        ).reshape(clients, 1, c, 1, 1)
+        grad_sum = np.add.reduce(grad, (1, 3, 4), keepdims=True)
+        self.weight.grad += dot.reshape(self.weight.grad.shape)
+        self.bias.grad += grad_sum.reshape(self.bias.grad.shape)
 
-        gamma = self.weight.data
+        gamma = self._per_client(self.weight.data)
         # channel-wise sums of grad_xhat (= gamma * grad_out) and of
         # grad_xhat * x_hat, without the (N, C, H, W) temporaries
         sum_grad = gamma * grad_sum
@@ -254,14 +272,14 @@ class BatchNorm2d(Module):
         # assembled in place: x_hat (the cached workspace buffer) is dead
         # after this call, so it doubles as the output buffer
         grad_x = x_hat
-        grad_x *= -sum_grad_xhat[None, :, None, None]
-        grad_x -= sum_grad[None, :, None, None]
-        scaled = self._ws.get(("grad_scaled", grad_out.shape), grad_out.shape, grad_out.dtype)
-        np.multiply(grad_out, (m * gamma)[None, :, None, None], out=scaled, casting="unsafe")
+        grad_x *= -sum_grad_xhat
+        grad_x -= sum_grad
+        scaled = self._ws.get(("grad_scaled", grad.shape), grad.shape, grad_out.dtype)
+        np.multiply(grad, m * gamma, out=scaled, casting="unsafe")
         grad_x += scaled
-        grad_x *= (inv_std / m)[None, :, None, None]
+        grad_x *= inv_std / m
         self._cache = None
-        return grad_x
+        return grad_x.reshape(grad_out.shape)
 
 
 class ReLU(Module):
@@ -425,26 +443,34 @@ class Flatten(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
+    """Inverted dropout; identity in eval mode.
+
+    One stream per client: a stack of K clients draws client ``k``'s mask,
+    over its own rows of the batch, from the ``k``-th stream.
+    """
 
     def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None):
         super().__init__()
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        self._rngs = [rng if rng is not None else np.random.default_rng(0)]
         self._mask = None
 
-    def reseed(self, rng: np.random.Generator) -> None:
-        """Draw every later mask from ``rng``."""
-        self._rng = rng
+    def reseed(self, rngs: list[np.random.Generator]) -> None:
+        """Draw every later mask of client ``k`` from ``rngs[k]``."""
+        self._rngs = list(rngs)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.training or self.p == 0.0:
             self._mask = None
             return x
         keep = 1.0 - self.p
-        self._mask = (self._rng.random(x.shape) < keep) / keep
+        # in the activations' dtype: a float64 mask would promote them
+        self._mask = np.empty(x.shape, x.dtype)
+        for rows, rng in zip(np.split(self._mask, len(self._rngs)), self._rngs):
+            rows[...] = rng.random(rows.shape) < keep
+        self._mask /= keep
         return x * self._mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

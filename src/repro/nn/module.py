@@ -8,7 +8,7 @@ the federated-learning code (which dispatches, prunes and aggregates
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -268,20 +268,24 @@ class Skeleton:
         self._stochastic = [(index, module) for index, module in enumerate(modules) if hasattr(module, "reseed")]
         self.check_in()
 
-    def check_out(self, seed: int) -> Module:
-        """The model with fresh tensors, every stochastic layer on its own
-        stream ``default_rng([seed, place in the tree])``.
+    def check_out(self, seeds: Sequence[int]) -> Module:
+        """The model with fresh tensors for ``K = len(seeds)`` clients: every
+        parameter, gradient and buffer a stack ``(K, *shape)``, the input the
+        clients' ``K·N`` samples client-major, one pass training each client
+        exactly as alone; client ``k``'s stochastic layers on streams
+        ``default_rng([seeds[k], place in the tree])``.
 
         Gradients are zero; parameters and buffers are *uninitialised* —
-        load a complete state dict before anything reads them.
+        load a complete state dict of stacks before anything reads them.
         """
+        stack = (len(seeds),)
         for param, shape, dtype in self._parameters:
-            param.data = np.empty(shape, dtype)
-            param.grad = np.zeros(shape, dtype)
+            param.data = np.empty(stack + shape, dtype)
+            param.grad = np.zeros(stack + shape, dtype)
         for module, name, shape, dtype in self._buffers:
-            module.register_buffer(name, np.empty(shape, dtype))
+            module.register_buffer(name, np.empty(stack + shape, dtype))
         for index, module in self._stochastic:
-            module.reseed(np.random.default_rng([seed, index]))
+            module.reseed([np.random.default_rng([seed, index]) for seed in seeds])
         return self.model
 
     def check_in(self) -> None:

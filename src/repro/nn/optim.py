@@ -26,11 +26,12 @@ class SGD:
         momentum: float = 0.0,
         weight_decay: float = 0.0,
     ):
-        if lr <= 0:
+        # written so that NaN fails every check
+        if not lr > 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
+        if not weight_decay >= 0:
             raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
         self.parameters = list(parameters)
         if not self.parameters:

@@ -75,6 +75,28 @@ class TestTrainLocalModel:
         with pytest.raises(ValueError):
             LocalTrainingConfig(momentum=1.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("learning_rate", 0.0),
+            ("weight_decay", -0.5),
+            ("weight_decay", float("nan")),
+            ("weight_decay", float("inf")),
+            ("momentum", float("nan")),
+        ],
+    )
+    def test_non_numbers_and_negatives_are_refused_by_name(self, field, value):
+        """``nan <= 0`` is False: a NaN learning rate used to train NaN weights."""
+        with pytest.raises(ValueError, match=field):
+            LocalTrainingConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            LocalTrainingConfig.from_dict({**LocalTrainingConfig().to_dict(), field: value})
+
+    def test_zero_weight_decay_is_valid(self):
+        assert LocalTrainingConfig(weight_decay=0.0).weight_decay == 0.0
+
 
 class TestSimulatedClient:
     def make_client(self, dataset, class_name="strong"):

@@ -198,10 +198,10 @@ class TestResultsDoNotDependOnHistory:
         bench = Workbench(dropout_vgg())
         bench.train("adaptive-L1")
         (skeleton,) = skeletons.values()
-        model = skeleton.check_out(seed=11)
+        model = skeleton.check_out([11])
         layers = [module for module in model.modules() if hasattr(module, "reseed")]
         assert len(layers) == 2
-        draws = [layer._rng.random(4).tolist() for layer in layers]
+        draws = [layer._rngs[0].random(4).tolist() for layer in layers]
         assert draws[0] != draws[1]
         places = [index for index, module in enumerate(model.modules()) if hasattr(module, "reseed")]
         assert draws == [np.random.default_rng([11, place]).random(4).tolist() for place in places]

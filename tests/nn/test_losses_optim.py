@@ -130,6 +130,20 @@ class TestSGD:
         with pytest.raises(ValueError):
             SGD([], lr=0.1)
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"lr": float("nan")}, "learning rate"),
+            ({"lr": 0.0}, "learning rate"),
+            ({"lr": 0.1, "weight_decay": float("nan")}, "weight decay"),
+            ({"lr": 0.1, "weight_decay": -0.5}, "weight decay"),
+            ({"lr": 0.1, "momentum": float("nan")}, "momentum"),
+        ],
+    )
+    def test_nan_fails_every_check(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SGD([Parameter(np.array([1.0]))], **kwargs)
+
 
 class TestSchedules:
     def test_constant(self):
