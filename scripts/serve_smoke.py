@@ -15,8 +15,8 @@ Usage::
         [--transport-codec int8]
 
 ``--transport-codec`` runs both sides over a lossy uplink codec: the
-encode → wire → decode-into-the-fold path instead of the exact
-XOR-delta one.  Lossy, but the histories (true encoded ``bytes_up``
+encode → wire → decode-into-the-fold path instead of the exact one,
+where the trained slice itself is the upload.  Lossy, but the histories (true encoded ``bytes_up``
 included) must still be identical.
 """
 

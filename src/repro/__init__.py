@@ -23,7 +23,7 @@ Package layout:
   the simulated real test-bed.
 * ``repro.engine`` — the parallel client-execution engine: serial, thread
   and process executors with bit-identical, seed-stable results, plus the
-  slice/delta weight transport with per-worker state caching.
+  sliced-download, exact-upload weight transport with per-worker state caching.
 * ``repro.perf`` — the profiling + optimization layer: scoped timers and
   counters (CLI ``--profile``), reusable kernel workspaces, FLOP counting.
 * ``repro.sim`` — the discrete-event AIoT fleet simulator: scenario

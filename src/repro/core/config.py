@@ -87,9 +87,10 @@ class FederatedConfig:
     #: see :mod:`repro.sim` — "paper_testbed" is the paper's §4.5 test-bed clock
     scenario: str | None = None
     #: weight transport between server and client workers, and its only
-    #: value: "delta" publishes the global state once per round (version
-    #: tag + per-worker cache), the worker cuts the submodel slice it
-    #: trains and returns a bit-exact XOR delta (see tests/perf)
+    #: value: "delta" means sliced download, exact upload — the global
+    #: state is published once per round (version tag + per-worker cache),
+    #: the worker cuts the submodel slice it trains and returns the trained
+    #: slice itself, bit-exact across any pickle (see tests/perf)
     transport: str = "delta"
     #: lossy update codec layered on the transport ("none", "fp16",
     #: "int8", "topk" — see :mod:`repro.engine.codecs`).  "none" keeps

@@ -55,7 +55,7 @@ from repro.engine.codecs import (
 from repro.engine.factory import create_executor
 from repro.engine.rng import client_stream
 from repro.engine.tasks import ClientTask, TrainSubmodelTask
-from repro.engine.transport import StateHandle, StateStore, apply_state_delta, state_nbytes
+from repro.engine.transport import StateHandle, StateStore, state_nbytes
 from repro.obs.events import get_event_bus
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.trace import TraceContext, new_span_id, new_trace_id
@@ -99,6 +99,31 @@ class RoundPlan:
     group_sizes: list[Mapping[str, int]]
     #: the weight stream (a key of ``round_streams()``) each slot reads
     streams: list[str]
+
+
+def _check_upload_layout(
+    uploaded, shapes: Mapping[str, tuple[int, ...]], source_state: Mapping[str, np.ndarray]
+) -> None:
+    """Refuse an upload whose tensors are not exactly ``shapes`` in the source's dtypes.
+
+    Raises ``ValueError`` naming the first missing, extra, misshapen or
+    mistyped tensor, with the expected and the received layout.
+    """
+    if isinstance(uploaded, EncodedUpdate):
+        received = {name: (tuple(uploaded.shapes[name]), np.dtype(uploaded.dtypes[name])) for name in uploaded.blobs}
+    else:
+        received = {name: (np.shape(value), np.asarray(value).dtype) for name, value in uploaded.items()}
+
+    def describe(layout) -> str:
+        return "no tensor" if layout is None else f"shape {layout[0]} dtype {layout[1]}"
+
+    for name, shape in shapes.items():
+        expected = (shape, np.asarray(source_state[name]).dtype)
+        got = received.pop(name, None)
+        if got != expected:
+            raise ValueError(f"upload tensor {name!r}: expected {describe(expected)}, received {describe(got)}")
+    for name, got in received.items():
+        raise ValueError(f"upload tensor {name!r}: expected {describe(None)}, received {describe(got)}")
 
 
 class FederatedAlgorithm(ABC):
@@ -174,13 +199,15 @@ class FederatedAlgorithm(ABC):
         self._executor: Executor | None = None
         self._owns_executor = False
         self._flops_cache: dict[str, int] = {}
+        #: tensor shapes of each submodel slice uploads arrive as, by sorted group sizes
+        self._slice_shape_cache: dict[tuple, dict[str, tuple[int, ...]]] = {}
         #: phase-grained scoped timers + transport/workspace counters
         #: (disabled unless run(profile=True) / CLI --profile enables it)
         self.profiler = Profiler(enabled=False)
         #: reused accumulation buffers for heterogeneous aggregation
         self._aggregator = HeterogeneousAggregator()
         #: lossy update codec layered on the transport ("none" resolves to
-        #: None so the exact delta path stays byte-for-byte untouched)
+        #: None so the exact upload path stays byte-for-byte untouched)
         self._codec: UpdateCodec | None = (
             get_codec(federated_config.transport_codec)
             if federated_config.transport_codec != "none"
@@ -233,7 +260,7 @@ class FederatedAlgorithm(ABC):
         """The task of one slot that will be aggregated: train its submodel of ``source``.
 
         ``source`` is the slot's published stream: the worker cuts the
-        slice and uploads a bit-exact delta.
+        slice and uploads the trained slice itself.
         """
         client_id, group_sizes = plan.clients[slot], plan.group_sizes[slot]
         self.count_downlink(plan.back_params[slot] * np.dtype(resolve_dtype()).itemsize)
@@ -409,15 +436,18 @@ class FederatedAlgorithm(ABC):
         source_state: Mapping[str, np.ndarray],
         inflated: "Future[dict[str, bytes]] | None" = None,
     ) -> Mapping[str, np.ndarray]:
-        """Resolve an upload (XOR delta or codec payload) into plain weights.
+        """Resolve an upload (the trained slice itself, or a codec payload) into plain weights.
 
-        Both branches account the upload's *actual* wire size on the
-        round accumulators — for an :class:`EncodedUpdate` that is the
-        compressed blob length, so lossy payloads are never overstated —
-        and decodes against the same reference slice the worker trained
-        from.  With ``inflated`` (see :meth:`fold_results`) the weights are
-        rebuilt in the open aggregation round's scratch, valid until the
-        next decode; without, the caller owns them.
+        An upload whose tensor names, shapes or dtypes are not exactly
+        those of the ``group_sizes`` slice raises ``ValueError`` naming the
+        tensor, before any arithmetic.  Both branches account the upload's
+        *actual* wire size on the round accumulators — for an
+        :class:`EncodedUpdate` that is the compressed blob length, so lossy
+        payloads are never overstated.  An exact upload is returned as is;
+        an encoded one decodes against the same reference slice the worker
+        trained from.  With ``inflated`` (see :meth:`fold_results`) its
+        weights are rebuilt in the open aggregation round's scratch, valid
+        until the next decode; without, the caller owns them.
 
         This is where an upload becomes weights, so it is where one that
         is not a number stops: decoded weights holding NaN or ±inf raise
@@ -427,15 +457,15 @@ class FederatedAlgorithm(ABC):
         ``isfinite`` pass per tensor: ≈ 22 µs per 120k-parameter upload,
         ≈ 0.17 ms per 584k-parameter one.
         """
+        shapes = self._slice_shapes(group_sizes)
+        _check_upload_layout(uploaded, shapes, source_state)
         if isinstance(uploaded, EncodedUpdate):
             nbytes = uploaded.nbytes
             self._round_raw_bytes_up += uploaded.raw_nbytes
             # views, not slice_state_dict's copies: the reference is only read
             reference = {
-                spec.name: np.asarray(source_state[spec.name])[
-                    tuple(slice(0, n) for n in self.architecture.param_shape_for(spec, group_sizes))
-                ]
-                for spec in self.architecture.param_specs()
+                name: np.asarray(source_state[name])[tuple(slice(0, n) for n in shape)]
+                for name, shape in shapes.items()
             }
             if inflated is None:
                 state = apply_encoded_update(uploaded, reference)
@@ -444,8 +474,8 @@ class FederatedAlgorithm(ABC):
                     uploaded, reference, self._aggregator.scratch_for, inflated.result()
                 )
         else:
-            nbytes = uploaded.nbytes
-            state = apply_state_delta(uploaded, slice_state_dict(source_state, self.architecture, dict(group_sizes)))
+            nbytes = state_nbytes(uploaded)
+            state = uploaded
         self._round_bytes_up += nbytes
         if self.profiler.enabled:
             self.profiler.count("transport.bytes_up", nbytes)
@@ -456,6 +486,17 @@ class FederatedAlgorithm(ABC):
         if isinstance(uploaded, EncodedUpdate):
             self._bank_codec_residual(uploaded)
         return state
+
+    def _slice_shapes(self, group_sizes: Mapping[str, int]) -> dict[str, tuple[int, ...]]:
+        """Every tensor's shape in the ``group_sizes`` slice (cached per group sizes)."""
+        key = tuple(sorted(group_sizes.items()))
+        shapes = self._slice_shape_cache.get(key)
+        if shapes is None:
+            shapes = self._slice_shape_cache[key] = {
+                spec.name: self.architecture.param_shape_for(spec, group_sizes)
+                for spec in self.architecture.param_specs()
+            }
+        return shapes
 
     # -- lossy transport codec (repro.engine.codecs) -------------------------------------
     @property

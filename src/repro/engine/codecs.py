@@ -1,9 +1,8 @@
 """Lossy update codecs — the compressed transport tier.
 
-The XOR-delta transport (:mod:`repro.engine.transport`) is *exact*: it
-moves every changed bit of a trained slice.  At fleet scale bytes, not
-FLOPs, bound a round, so this module adds the lossy tier the ROADMAP
-names: registered **update codecs** that compress the arithmetic update
+The exact transport (:mod:`repro.engine.transport`) uploads the trained
+slice itself, every bit of it.  At fleet scale bytes, not FLOPs, bound a
+round, so this module adds the lossy tier the ROADMAP names: registered **update codecs** that compress the arithmetic update
 ``trained − reference`` a client uploads, at a quantified fidelity cost.
 
 Codecs are frozen dataclasses registered under a short name through

@@ -12,8 +12,8 @@ Weight transport (see :mod:`repro.engine.transport`): ``initial_state``/
 ``dispatched_state`` is a :class:`StateHandle` — the worker resolves it
 against its per-process cache of the published global state and cuts
 the submodel slice locally, so the task payload stays tiny.  The trained
-weights return as a bit-exact XOR :class:`StateDelta` against that slice,
-or as a lossy codec's encoding when the task carries a ``codec``.
+slice itself is the upload (exact: a pickled float array is lossless), or
+a lossy codec's encoding when the task carries a ``codec``.
 
 Tasks with equal :meth:`ClientTask.stack_key` train one submodel from one
 published state on datasets of one length; their ``run_stack`` resolves
@@ -36,7 +36,7 @@ from repro.core.model_pool import ModelPool, SubmodelConfig
 from repro.core.pruning import resource_aware_prune, slice_state_dict
 from repro.data.datasets import Dataset
 from repro.engine.codecs import UpdateCodec, encode_client_update
-from repro.engine.transport import StateHandle, encode_state_delta
+from repro.engine.transport import StateHandle
 from repro.nn.dtype import resolve_dtype
 from repro.nn.models.spec import SlimmableArchitecture
 from repro.obs.trace import TraceContext
@@ -57,9 +57,16 @@ def _resolve_state(
     return slice_state_dict(source.load(), architecture, dict(group_sizes))
 
 
+# benchmarks/e2e/tracing.py (frozen between benchmark PRs) times the exact upload
+# by wrapping this name in the module's __dict__; delete together with its hook row
+def encode_state_delta(trained: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """An exact upload: the trained slice itself."""
+    return dict(trained)
+
+
 def _upload(task, trained: Mapping[str, np.ndarray], reference: Mapping[str, np.ndarray], client_id: int):
     """What travels back: the codec's encoding of ``trained − reference`` (rounded on
-    the task's own stream), or else a bit-exact XOR delta."""
+    the task's own stream), or else the trained weights themselves."""
     if task.codec is not None:
         return encode_client_update(
             task.codec,
@@ -69,7 +76,7 @@ def _upload(task, trained: Mapping[str, np.ndarray], reference: Mapping[str, np.
             residual=task.codec_residual,
             client_id=client_id,
         )
-    return encode_state_delta(trained, reference)
+    return encode_state_delta(trained)
 
 
 def _stack_key(task, architecture, group_sizes, source: StateHandle, config, dataset) -> tuple:
@@ -129,9 +136,9 @@ class LocalRoundTask(ClientTask):
     #: the submodel the resource plan predicts the device trains; the
     #: worker cuts its slice of ``dispatched_state``
     planned_return: SubmodelConfig
-    #: lossy update codec (None = exact XOR delta); the trained slice
-    #: uploads as an :class:`EncodedUpdate` of ``trained − reference``,
-    #: rounded on the task's own stream
+    #: lossy update codec (None = exact upload of the trained slice); the
+    #: trained slice uploads as an :class:`EncodedUpdate` of ``trained −
+    #: reference``, rounded on the task's own stream
     codec: UpdateCodec | None = None
     #: server-banked error-feedback carry for this client (sliced to the
     #: dispatched shapes), added to the update before encoding
@@ -157,14 +164,8 @@ class LocalRoundTask(ClientTask):
             rng=self.rng(),
         )
         # encode_client_update prefix-slices the reference to the trained
-        # shapes itself; the XOR delta needs it cut when the device pruned
-        # below the plan
-        reference = initial_state
-        if result.returned.name != self.planned_return.name:  # pragma: no cover - plan invariant
-            reference = slice_state_dict(
-                dict(initial_state), self.pool.architecture, self.pool.group_sizes(result.returned)
-            )
-        result.state = _upload(self, result.state, reference, self.client.client_id)
+        # shapes itself, should the device prune below the plan
+        result.state = _upload(self, result.state, initial_state, self.client.client_id)
         return result
 
     def stack_key(self) -> Hashable | None:
@@ -207,7 +208,7 @@ class TrainSubmodelTask(ClientTask):
     local_config: LocalTrainingConfig
     rng_stream: np.random.SeedSequence
     client_id: int = -1
-    #: lossy update codec (None = exact XOR delta)
+    #: lossy update codec (None = exact upload of the trained slice)
     codec: UpdateCodec | None = None
     #: server-banked error-feedback carry for this client
     codec_residual: "Mapping[str, np.ndarray] | None" = None

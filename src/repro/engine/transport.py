@@ -1,6 +1,6 @@
-"""Slice/delta weight transport between the server and client workers.
+"""Sliced-download weight transport between the server and client workers.
 
-A client task carries a handle down and a bit-exact delta back:
+A client task carries a handle down and its trained weights back:
 
 * **Download** — the server :meth:`publishes <StateStore.publish>` the
   global state once per round under a monotonically increasing version
@@ -10,19 +10,11 @@ A client task carries a handle down and a bit-exact delta back:
   task, and then cuts the submodel slice *it trains* locally.  For
   in-process executors (serial/thread) the handle resolves to the
   published dict itself — zero copies.
-* **Upload** — clients return a :class:`StateDelta` against the slice
-  they received instead of raw weights.  The delta is a *bitwise* XOR
-  of the IEEE-754 payloads, so the server's reconstruction
-  (``reference XOR delta``) is exact to the last bit — arithmetic
-  deltas (``trained - received``) cannot guarantee that, and the
-  engine's contract is bit-identical histories for every executor
-  choice.  Tensors the client never touched XOR to all-zero blocks,
-  which collapse under any downstream compression.
-
-The server reconstructs uploads with :func:`apply_state_delta` against the
-same slice of the global state it published — slicing is exact, so the
-round trip is lossless by construction (property-tested in
-``tests/perf``).
+* **Upload** — an exact upload is the trained slice itself: pickling a
+  float array is lossless, so the weights cross any process or wire
+  boundary bit for bit (property-tested in ``tests/perf``), and an
+  in-process fold reads them where training left them.  A lossy codec
+  (:mod:`repro.engine.codecs`) replaces it with an encoded update.
 """
 
 from __future__ import annotations
@@ -41,9 +33,6 @@ import numpy as np
 __all__ = [
     "StateStore",
     "StateHandle",
-    "StateDelta",
-    "encode_state_delta",
-    "apply_state_delta",
     "state_nbytes",
     "set_state_fetcher",
     "server_state_bytes",
@@ -273,69 +262,3 @@ class StateStore:
             # never raise from a finaliser, least of all at interpreter
             # shutdown when our own globals may be half torn down
             pass
-
-
-def _bit_view(tensor: np.ndarray) -> np.ndarray:
-    """An unsigned-integer view of a float tensor's IEEE-754 payload."""
-    tensor = np.ascontiguousarray(tensor)
-    return tensor.view(np.dtype(f"u{tensor.dtype.itemsize}"))
-
-
-@dataclass
-class StateDelta:
-    """A bitwise (XOR) delta of a trained state against its reference slice.
-
-    ``payload`` maps tensor name to the XOR of the unsigned-integer views
-    of trained and reference values; ``dtypes`` remembers the floating
-    dtypes for reconstruction.
-    """
-
-    payload: dict[str, np.ndarray]
-    dtypes: dict[str, str]
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes of the delta payload (the upload's wire size)."""
-        return int(sum(value.nbytes for value in self.payload.values()))
-
-
-def encode_state_delta(
-    trained: Mapping[str, np.ndarray],
-    reference: Mapping[str, np.ndarray],
-) -> StateDelta:
-    """XOR-encode ``trained`` against ``reference`` (bit-exact, same shapes).
-
-    Every tensor of ``trained`` must appear in ``reference`` with an
-    identical shape and dtype — the reference is the exact slice the
-    client received.
-    """
-    payload: dict[str, np.ndarray] = {}
-    dtypes: dict[str, str] = {}
-    for name, value in trained.items():
-        value = np.asarray(value)
-        ref = np.asarray(reference[name])
-        if ref.shape != value.shape or ref.dtype != value.dtype:
-            raise ValueError(
-                f"delta reference mismatch for {name!r}: trained {value.shape}/{value.dtype} "
-                f"vs reference {ref.shape}/{ref.dtype}"
-            )
-        payload[name] = _bit_view(value) ^ _bit_view(ref)
-        dtypes[name] = value.dtype.str
-    return StateDelta(payload, dtypes)
-
-
-def apply_state_delta(
-    delta: StateDelta,
-    reference: Mapping[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """Reconstruct the trained state: ``reference XOR delta`` per tensor.
-
-    Exact inverse of :func:`encode_state_delta` — bit-identical to the
-    weights the client trained.
-    """
-    state: dict[str, np.ndarray] = {}
-    for name, bits in delta.payload.items():
-        ref = np.asarray(reference[name])
-        combined = _bit_view(ref) ^ bits
-        state[name] = combined.view(np.dtype(delta.dtypes[name]))
-    return state

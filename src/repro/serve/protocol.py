@@ -14,7 +14,7 @@ message                   direction  meaning
 ``task_dispatch``         s → c      one pickled client task to execute
 ``state_request``         c → s      fetch a published ``StateStore`` version
 ``weight_slice``          s → c      the requested state payload (pickled dict)
-``state_delta``           c → s      a task's result — XOR delta or codec encoding
+``state_delta``           c → s      a task's result — trained slice or codec encoding
 ``heartbeat``             both       liveness probe / echo
 ``bye``                   both       orderly shutdown of one side
 ``error``                 both       protocol violation or remote failure report
@@ -53,8 +53,9 @@ __all__ = [
     "ProtocolError",
 ]
 
-#: framing + vocabulary + payload version (must match exactly in the handshake)
-PROTOCOL_VERSION = 2
+#: framing + vocabulary + payload version (must match exactly in the handshake);
+#: 3 since an exact upload is the trained state dict, no longer an XOR delta
+PROTOCOL_VERSION = 3
 
 #: wire name -> message class; populated by :func:`register_message`
 MESSAGE_TYPES: dict[str, type["Message"]] = {}
@@ -152,8 +153,8 @@ class WeightSlice(Message):
 class TaskResult(Message):
     """A task's result upload (wire name ``state_delta``).
 
-    The payload is the pickled task result; its state is a bit-exact XOR
-    :class:`~repro.engine.transport.StateDelta` or, under a lossy codec,
+    The payload is the pickled task result; its state is the trained
+    slice itself (a dict of arrays, bit-exact) or, under a lossy codec,
     an :class:`~repro.engine.codecs.EncodedUpdate`.
     ``error`` carries the client-side traceback when the task raised
     instead of completing (``payload`` is empty then).

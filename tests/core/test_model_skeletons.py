@@ -9,7 +9,6 @@ threads may ever hold the same tree.
 import pickle
 import sys
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from repro.data.datasets import Dataset
 from repro.engine.rng import client_stream
 from repro.engine.tasks import TrainSubmodelTask
 from repro.engine.thread import ThreadExecutor
-from repro.engine.transport import StateStore, apply_state_delta
+from repro.engine.transport import StateStore
 from repro.experiments.settings import paper_pool_config
 from repro.nn.models import SlimmableSimpleCNN, SlimmableVGG
 from repro.nn.models.spec import StagedModel
@@ -307,17 +306,11 @@ class TestThreads:
             for client in range(count)
         ]
 
-    @staticmethod
-    def decoded(bench, spec, results):
-        """The results with their XOR-delta uploads decoded into weights."""
-        reference = bench.state(spec)
-        return [replace(result, state=apply_state_delta(result.state, reference)) for result in results]
-
     def test_two_workers_on_one_pool_entry_never_share_a_skeleton(self, monkeypatch):
         bench = Workbench(serial_cnn())
         spec = "adaptive-M1"
         tasks = self.make_tasks(bench, spec, 2)
-        serial = self.decoded(bench, spec, [task.run() for task in tasks])
+        serial = [task.run() for task in tasks]
 
         both_inside = threading.Barrier(2, timeout=JOIN_SECONDS)
         held = []
@@ -331,7 +324,7 @@ class TestThreads:
 
         monkeypatch.setattr(Skeleton, "check_out", meeting_check_out)
         with ThreadExecutor(max_workers=2) as executor:
-            results = self.decoded(bench, spec, executor.map(tasks))
+            results = executor.map(tasks)
         assert len(held) == 2
         assert len({thread for thread, _, _ in held}) == 2
         assert len({skeleton for _, skeleton, _ in held}) == 2 and len({model for _, _, model in held}) == 2
@@ -343,7 +336,7 @@ class TestThreads:
         bench = Workbench(serial_cnn())
         spec = "hetero-S1"
         tasks = self.make_tasks(bench, spec, 48)
-        serial = self.decoded(bench, spec, [task.run() for task in tasks])
+        serial = [task.run() for task in tasks]
         owners = {}
         lock = threading.Lock()
         check_out = Skeleton.check_out
@@ -358,7 +351,7 @@ class TestThreads:
         Skeleton.check_out = recording_check_out
         try:
             with ThreadExecutor(max_workers=8) as executor:
-                results = self.decoded(bench, spec, executor.map(tasks))
+                results = executor.map(tasks)
         finally:
             Skeleton.check_out = check_out
             sys.setswitchinterval(interval)

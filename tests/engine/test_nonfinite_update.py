@@ -38,7 +38,6 @@ import pytest
 from repro.api.registry import get_algorithm
 from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig
 from repro.core.metrics import communication_waste_rate
-from repro.core.pruning import slice_state_dict
 from repro.core.server import AdaptiveFL
 from repro.data.datasets import Dataset
 from repro.engine.codecs import (
@@ -52,7 +51,6 @@ from repro.engine.codecs import (
     encode_update,
 )
 from repro.engine.rng import client_stream
-from repro.engine.transport import encode_state_delta
 from repro.obs.events import configure_telemetry, shutdown_telemetry
 from repro.serve.executor import RemoteExecutor
 from repro.serve.options import ServeOptions
@@ -283,12 +281,10 @@ def test_serial_round_with_every_upload_refused_keeps_the_weights(easy_setup):
         [algorithm.make_task(0, plan, slot, handle) for slot in range(len(plan.clients))]
     )
     poisoned = []
-    for result, sizes in zip(results, plan.group_sizes):
-        state = algorithm.decode_result_state(result.state, sizes, algorithm.global_state)
-        state = {name: value.copy() for name, value in state.items()}
+    for result in results:
+        state = {name: value.copy() for name, value in result.state.items()}
         next(iter(state.values())).flat[0] = np.inf
-        reference = slice_state_dict(algorithm.global_state, algorithm.architecture, dict(sizes))
-        poisoned.append(replace(result, state=encode_state_delta(state, reference)))
+        poisoned.append(replace(result, state=state))
     refused = algorithm.fold_round(plan, list(range(len(results))), poisoned)
     algorithm.close()
     assert sorted(refused) == list(range(len(results)))

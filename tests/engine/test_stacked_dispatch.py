@@ -77,9 +77,9 @@ def same_upload(ours, theirs) -> None:
     assert (ours.mean_loss.hex(), ours.num_steps, ours.num_samples) == (
         theirs.mean_loss.hex(), theirs.num_steps, theirs.num_samples
     )
-    assert list(ours.state.payload) == list(theirs.state.payload)
-    for name, bits in theirs.state.payload.items():
-        assert ours.state.payload[name].tobytes() == bits.tobytes(), name
+    assert list(ours.state) == list(theirs.state)
+    for name, value in theirs.state.items():
+        assert ours.state[name].tobytes() == value.tobytes(), name
 
 
 #: (pool entry, state version, dataset size) per client, the groups interleaved
@@ -145,8 +145,8 @@ def test_a_device_round_stacks_by_planned_return(easy_setup, stacks):
     for ours, theirs in zip(stacked, alone, strict=True):
         assert (ours.client_id, ours.returned, ours.locally_pruned) == (theirs.client_id, theirs.returned, theirs.locally_pruned)
         assert ours.mean_loss == theirs.mean_loss
-        for name, bits in theirs.state.payload.items():
-            assert ours.state.payload[name].tobytes() == bits.tobytes(), name
+        for name, value in theirs.state.items():
+            assert ours.state[name].tobytes() == value.tobytes(), name
     # a device that would prune below the plan does not stack
     task = tasks[0]
     smaller = min(task.pool.prunable_to(task.planned_return), key=lambda config: config.num_params)

@@ -1,5 +1,6 @@
-"""Slice/delta transport: exact codecs, worker caching, what a task
-carries each way, and bit-parity of a run across a pickle boundary
+"""Sliced-download transport: worker caching, what a task carries each
+way, exact uploads crossing a pickle boundary bit for bit, the refusal of
+malformed uploads, and bit-parity of a run across a pickle boundary
 against the in-process run."""
 
 import pickle
@@ -8,19 +9,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.engine.tasks as engine_tasks
 from repro.baselines import HeteroFL
 from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig
 from repro.core.pruning import slice_state_dict
 from repro.core.server import AdaptiveFL
 from repro.engine.base import Executor, run_task
-from repro.engine.transport import (
-    StateDelta,
-    StateHandle,
-    StateStore,
-    apply_state_delta,
-    encode_state_delta,
-    state_nbytes,
-)
+from repro.engine.tasks import encode_state_delta
+from repro.engine.transport import StateHandle, StateStore, state_nbytes
 
 FEDERATED = FederatedConfig(num_rounds=2, clients_per_round=4, eval_every=2)
 LOCAL = LocalTrainingConfig(local_epochs=1, batch_size=25, max_batches_per_epoch=3)
@@ -61,29 +57,37 @@ class RecordingExecutor(Executor):
         return results
 
 
-class TestDeltaCodec:
+def bits_of(array: np.ndarray) -> np.ndarray:
+    return array.view(np.dtype(f"u{array.dtype.itemsize}"))
+
+
+class TestExactUpload:
+    """An exact upload is the trained slice itself, and pickling it moves no bit."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_roundtrip_is_bit_exact(self, dtype):
-        rng = np.random.default_rng(0)
-        reference = {"w": rng.normal(size=(5, 3)).astype(dtype), "b": rng.normal(size=(5,)).astype(dtype)}
-        trained = {name: (value + rng.normal(size=value.shape) * 1e-3).astype(dtype) for name, value in reference.items()}
-        delta = encode_state_delta(trained, reference)
-        decoded = apply_state_delta(delta, reference)
-        for name in trained:
-            # bit-exact, not just allclose: XOR of the IEEE-754 payloads
-            assert np.array_equal(
-                decoded[name].view(np.uint8), np.asarray(trained[name]).view(np.uint8)
-            ), name
-
-    def test_special_values_survive(self):
-        reference = {"w": np.array([0.0, -0.0, 1.0, 2.0], dtype=np.float32)}
-        trained = {"w": np.array([np.inf, -np.inf, np.nan, 2.0], dtype=np.float32)}
-        decoded = apply_state_delta(encode_state_delta(trained, reference), reference)
-        assert np.array_equal(decoded["w"].view(np.uint32), trained["w"].view(np.uint32))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            encode_state_delta({"w": np.zeros(3, np.float32)}, {"w": np.zeros(4, np.float32)})
+    def test_upload_crosses_pickle_bit_for_bit(self, dtype):
+        info = np.finfo(dtype)
+        inf_bits, sign_bit = bits_of(np.array([np.inf, -0.0], dtype=dtype))
+        # quiet and signalling NaNs with distinct payloads, both signs
+        payloads = np.array([1, 2, 0x2A, 1 << (info.nmant - 1), (1 << info.nmant) - 1], dtype=inf_bits.dtype)
+        nans = np.concatenate([inf_bits | payloads, sign_bit | inf_bits | payloads]).view(dtype)
+        specials = np.array(
+            [np.inf, -np.inf, -0.0, 0.0, info.smallest_subnormal, -info.smallest_subnormal, info.tiny, info.max],
+            dtype=dtype,
+        )
+        trained = {
+            "w": np.random.default_rng(0).normal(size=(5, 3)).astype(dtype),
+            "nan": nans,
+            "special": specials,
+        }
+        upload = encode_state_delta(trained)
+        assert all(upload[name] is trained[name] for name in trained), "an exact upload copies nothing"
+        received = pickle.loads(pickle.dumps(upload, protocol=pickle.HIGHEST_PROTOCOL))
+        assert list(received) == list(trained)
+        for name, value in trained.items():
+            assert (received[name].dtype, received[name].shape) == (value.dtype, value.shape), name
+            assert np.array_equal(bits_of(received[name]), bits_of(value)), name
+        assert state_nbytes(received) == state_nbytes(trained)
 
 
 class TestStateStore:
@@ -118,8 +122,8 @@ class TestStateStore:
             clone.load()
 
 
-def build_algorithm(name, easy_setup, executor="serial"):
-    federated = replace(FEDERATED, executor=executor, max_workers=2)
+def build_algorithm(name, easy_setup, executor="serial", transport_codec="none"):
+    federated = replace(FEDERATED, executor=executor, max_workers=2, transport_codec=transport_codec)
     kwargs = dict(
         architecture=easy_setup["arch"],
         train_dataset=easy_setup["train"],
@@ -166,7 +170,7 @@ def recorded_round(name, easy_setup):
 
 
 class TestWirePayloads:
-    """A task carries handles down and an XOR delta back — never weights."""
+    """A task carries handles down and its trained slice back — never the global weights."""
 
     @pytest.mark.parametrize("name", ["adaptivefl", "heterofl"])
     def test_tasks_carry_handles_not_weights_or_data(self, easy_setup, name):
@@ -183,18 +187,79 @@ class TestWirePayloads:
             assert wire_size < min(state_nbytes(trained_slice), local_data.images.nbytes)
 
     @pytest.mark.parametrize("name", ["adaptivefl", "heterofl"])
-    def test_exact_uploads_are_xor_deltas_of_the_trained_slice(self, easy_setup, name):
+    def test_exact_uploads_are_the_trained_slice(self, easy_setup, name):
         algorithm, before, recorder = recorded_round(name, easy_setup)
         for task, result in zip(recorder.tasks, recorder.results):
-            assert isinstance(result.state, StateDelta)
+            assert isinstance(result.state, dict)
             sizes = algorithm.pool.group_sizes(result.returned) if name == "adaptivefl" else task.group_sizes
             reference = slice_state_dict(before, algorithm.architecture, dict(sizes))
-            assert result.state.nbytes == state_nbytes(reference)
-            decoded = apply_state_delta(result.state, reference)
-            assert {key: value.shape for key, value in decoded.items()} == {
-                key: value.shape for key, value in reference.items()
-            }
-            assert any(not np.array_equal(decoded[key], reference[key]) for key in reference), "nothing trained"
+            assert set(result.state) == set(reference)
+            for key, value in reference.items():
+                assert (result.state[key].shape, result.state[key].dtype) == (value.shape, value.dtype), key
+            assert state_nbytes(result.state) == state_nbytes(reference)
+            assert any(not np.array_equal(result.state[key], reference[key]) for key in reference), "nothing trained"
+
+
+#: the name of the tensor an ``extra`` defect adds
+GHOST = "ghost.weight"
+
+
+def first_vector(state) -> str:
+    """The first 1-D tensor (a bias) of a state dict."""
+    return next(name for name, value in state.items() if np.ndim(value) == 1)
+
+
+def malformed(state, defect: str) -> dict:
+    """``state`` with one tensor dropped, added, cut to its first element or widened to float64."""
+    state = dict(state)
+    name = first_vector(state)
+    if defect == "missing":
+        del state[name]
+    elif defect == "extra":
+        state[GHOST] = np.zeros(3, dtype=np.float32)
+    elif defect == "short":
+        state[name] = state[name][:1]
+    else:
+        state[name] = state[name].astype(np.float64)
+    return state
+
+
+class TestMalformedUploads:
+    """An upload whose tensors are not exactly the slice's is refused by name and never folded."""
+
+    @pytest.mark.parametrize("executor", ["serial", "pickle"])
+    @pytest.mark.parametrize("codec", ["none", "int8"])
+    @pytest.mark.parametrize("defect", ["missing", "extra", "short", "dtype"])
+    def test_refused_before_the_fold(self, easy_setup, monkeypatch, defect, codec, executor):
+        algorithm = build_algorithm("heterofl", easy_setup, transport_codec=codec)
+        if executor == "pickle":
+            algorithm.set_executor(PickleRoundTripExecutor())
+        if codec == "none":
+            monkeypatch.setattr(engine_tasks, "encode_state_delta", lambda trained: malformed(trained, defect))
+        else:
+            encode = engine_tasks.encode_client_update
+
+            def encode_malformed(codec, trained, reference, **kwargs):
+                reference = {**reference, GHOST: np.zeros(3, dtype=np.float32)}
+                return encode(codec, malformed(trained, defect), reference, **kwargs)
+
+            monkeypatch.setattr(engine_tasks, "encode_client_update", encode_malformed)
+        before = {key: value.copy() for key, value in algorithm.global_state.items()}
+        name = first_vector(before)
+        expected = {
+            "missing": rf"upload tensor '{name}': expected shape \(\d+,\) dtype float32, received no tensor$",
+            "extra": rf"upload tensor '{GHOST}': expected no tensor, received shape \(3,\) dtype float32$",
+            "short": rf"upload tensor '{name}': expected shape \(\d+,\) dtype float32, received shape \(1,\) dtype float32$",
+            "dtype": rf"upload tensor '{name}': expected shape \((\d+),\) dtype float32, received shape \(\1,\) dtype float64$",
+        }[defect]
+        try:
+            with pytest.raises(ValueError, match=expected) as refusal:
+                algorithm.run_round(0)
+        finally:
+            algorithm.close()
+        assert type(refusal.value) is ValueError  # not a non-finite refusal, which drops the client and folds on
+        for key, value in before.items():
+            assert algorithm.global_state[key].tobytes() == value.tobytes(), key
 
 
 class TestDeltaTransportParity:
@@ -203,8 +268,8 @@ class TestDeltaTransportParity:
 
     @pytest.mark.parametrize("name", ["adaptivefl", "heterofl"])
     def test_spill_path_bit_identical(self, easy_setup, name):
-        """Spill files + worker cache + XOR-delta uploads, without the cost
-        of a process pool."""
+        """Spill files + worker cache + exact uploads, without the cost of a
+        process pool."""
         inline = build_algorithm(name, easy_setup)
         inline.run()
         spilled = build_algorithm(name, easy_setup)

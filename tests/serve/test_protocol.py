@@ -1,11 +1,15 @@
 """Message registry and version-gating behaviour of the wire protocol."""
 
+import socket
 from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import ClassVar
 
 import pytest
 
 from repro.serve import protocol
+from repro.serve.codec import recv_message, send_message
+from repro.serve.executor import RemoteExecutor
+from repro.serve.options import ServeOptions
 from repro.serve.protocol import (
     MESSAGE_TYPES,
     PROTOCOL_VERSION,
@@ -13,6 +17,7 @@ from repro.serve.protocol import (
     Hello,
     HelloAck,
     Message,
+    ProtocolError,
     TaskResult,
     register_message,
 )
@@ -52,8 +57,27 @@ def test_versions_are_positive_integers():
 
 def test_one_wire_version():
     """The handshake checks one version number and no separate payload schema."""
-    assert PROTOCOL_VERSION == 2
+    assert PROTOCOL_VERSION == 3
     assert not hasattr(protocol, "SCHEMA_VERSION")
+
+
+def test_a_version_2_peer_is_refused_at_hello():
+    """Version 2 uploads were XOR deltas: such a peer is refused by name at
+    hello, before any task result could reach ``pickle.loads``."""
+    executor = RemoteExecutor(
+        options=ServeOptions(port=0, min_clients=1, connect_timeout=5.0, heartbeat_interval=0.5, liveness_timeout=5.0)
+    )
+    host, port = executor.start()
+    try:
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.settimeout(5)
+            send_message(sock, Hello(client_name="v2-peer", protocol_version=2))
+            reply = recv_message(sock)
+        assert isinstance(reply, ProtocolError)
+        assert "server speaks protocol 3, client 'v2-peer' speaks protocol 2" in reply.message
+        assert executor.stats()["connects"] == 0
+    finally:
+        executor.shutdown()
 
 
 def test_handshake_frames_carry_only_the_protocol_version():
