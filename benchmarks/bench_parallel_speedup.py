@@ -100,6 +100,8 @@ class DeviceLatencyExecutor(Executor):
     def __init__(self, inner: Executor, seconds: float, jitter: float = DEFAULT_LATENCY_JITTER):
         super().__init__(inner.max_workers)
         self.inner = inner
+        # the transport spills published state only for interprocess executors
+        self.is_interprocess = inner.is_interprocess
         self.seconds = seconds
         self.jitter = jitter
 

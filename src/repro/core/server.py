@@ -108,43 +108,45 @@ class AdaptiveFL(FederatedAlgorithm):
     def plan_round(self, round_index: int, rng: np.random.Generator) -> AdaptivePlan:
         """Algorithm 1's control flow, resolved before any training runs.
 
-        Walks the participant slots in order — draw a pool entry, select a
-        client, update the RL tables — exactly as the sequential protocol
-        dictates: later slots must see earlier slots' table updates.  Those
-        updates need only the ⟨dispatched, returned⟩ pair (Algorithm 1,
-        lines 12-26), and the returned size is the deterministic outcome of
-        resource-aware pruning under the capacity the server's resource
-        model already simulates, so the independent local rounds can then
-        fan out through the executor; per-client RNG streams make the
-        result bit-identical to the historical fully sequential
-        implementation for every executor choice.
+        One ``select`` call walks the participant slots in order: each slot
+        draws a pool entry (RandomSel) and then a client (ClientSel) from
+        ``rng``, so the draws interleave exactly as in the sequential
+        protocol.  Each slot's capacity and resource-aware pruning follow,
+        and one ``update`` applies the round's ⟨dispatched, returned⟩ pairs
+        to the RL tables (Algorithm 1, lines 12-26).  Deferring the update
+        is exact: a client picked at slot *s* leaves the mask at once and
+        slot *s*'s update writes only that client's row, so no later slot
+        of the round reads a row the round has updated, and a round's
+        clients are distinct, so their updates commute.  The returned size
+        is the deterministic outcome of resource-aware pruning under the
+        capacity the server's resource model already simulates, so the
+        independent local rounds can then fan out through the executor;
+        per-client RNG streams make the result bit-identical to the
+        historical fully sequential implementation for every executor
+        choice.
         """
         # mask-based planning: never materialise per-client python objects
-        # for the whole fleet — availability arrives as a boolean array and
-        # selected clients are cleared bit by bit
+        # for the whole fleet — availability arrives as a boolean array
         allowed_mask = self.selectable_mask(round_index)
         if allowed_mask is None:
             allowed_mask = np.ones(self.num_clients, dtype=bool)
-        else:
-            allowed_mask = allowed_mask.copy()
         participants = min(self.dispatch_count(), int(np.count_nonzero(allowed_mask)))
 
-        selected: list[int] = []
-        capacities: list[float] = []
         configs: list[SubmodelConfig] = []
-        planned_returns: list[SubmodelConfig] = []
-        for _ in range(participants):
-            dispatched = self._random_sel(rng)
-            client_id = self.selector.select(dispatched, rng, allowed_mask)
-            allowed_mask[client_id] = False
-            selected.append(client_id)
 
-            capacity = self.client_capacity(client_id, round_index)
-            planned_return = resource_aware_prune(self.pool, dispatched, capacity)
-            self.selector.update(dispatched, planned_return, client_id)
-            capacities.append(capacity)
-            configs.append(dispatched)
-            planned_returns.append(planned_return)
+        def random_sel():
+            # drawn as select reaches each slot, between the slots' own draws
+            for _ in range(participants):
+                configs.append(self._random_sel(rng))
+                yield configs[-1]
+
+        selected = self.selector.select(random_sel(), rng, allowed_mask)
+        capacities = [self.client_capacity(client_id, round_index) for client_id in selected]
+        planned_returns = [
+            resource_aware_prune(self.pool, dispatched, capacity)
+            for dispatched, capacity in zip(configs, capacities)
+        ]
+        self.selector.update(configs, planned_returns, selected)
 
         return AdaptivePlan(
             clients=selected,

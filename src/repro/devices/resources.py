@@ -61,7 +61,7 @@ class ResourceModel:
             return 1.0
         rng = np.random.default_rng((self.seed, client_id, round_index))
         draw = 1.0 + self.uncertainty * rng.standard_normal()
-        return float(np.clip(draw, self.floor_fraction, self.ceiling_fraction))
+        return float(min(max(draw, self.floor_fraction), self.ceiling_fraction))
 
     def available_capacity(self, client_id: int, round_index: int) -> float:
         """Parameter budget available to ``client_id`` during ``round_index``."""

@@ -7,8 +7,10 @@ Pins what the class guarantees:
 * checkpoints hold the touched rows only and round-trip bit-exactly,
 * the array-backed table draws **bit-identically** to the per-client walk
   it replaced (kept below as :class:`ReferenceStreamingSelector`, the
-  oracle), does O(1) scalar-reward work per selection and one row per
-  update, and reproduces the end-to-end goldens in
+  oracle), also when one ``select`` walks a whole round and one column
+  ``update`` follows it; it rebuilds no reward while selecting and only
+  the updated rows' rewards per update, copies and tallies the mask O(1)
+  times per round, and reproduces the end-to-end goldens in
   ``golden/streaming_selection.json`` — generated on the commit before
   the array-backed rewrite; regenerate only for a deliberate trace change
   with ``PYTHONPATH=src python tests/core/test_streaming_selection.py``.
@@ -24,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.callbacks import Callback
+from repro.core import rl_selection
 from repro.core.model_pool import LEVELS
 from repro.core.rl_selection import RLClientSelector
 from repro.experiments.runner import run_algorithm
@@ -442,6 +445,178 @@ class TestWalkOracle:
                 selector.load_state_dict(state)
 
 
+# -- the round-level path: one select and one update per round ---------------------------
+
+
+def random_sel(pool, rng, slots, greedy, drawn, states):
+    """RandomSel as ``AdaptiveFL.plan_round`` draws it, one model as each slot is reached.
+
+    Logs the generator state before each slot's draw, i.e. after the previous
+    slot's selection draw, so the two sides' draws can be compared slot by slot.
+    """
+    for _ in range(slots):
+        states.append(rng.bit_generator.state)
+        drawn.append(pool.full_config if greedy else pool.by_rank(int(rng.integers(0, len(pool)))))
+        yield drawn[-1]
+
+
+def planned_return(configs, sent, pick):
+    candidates = [cfg for cfg in configs if cfg.num_params <= sent.num_params]
+    return candidates[pick % len(candidates)]
+
+
+_round = st.tuples(
+    st.integers(0, 2**32 - 1),  # generator seed
+    st.lists(st.booleans(), min_size=ORACLE_CLIENTS, max_size=ORACLE_CLIENTS).filter(any),  # reachable
+    st.integers(1, ORACLE_CLIENTS),  # slots, capped at the reachable count: a high one exhausts the mask
+    st.lists(st.integers(0, 6), min_size=ORACLE_CLIENTS, max_size=ORACLE_CLIENTS),  # planned returns
+)
+
+
+class TestRoundOracle:
+    """``select`` over a whole round, then one ``update``, against the sequential
+    protocol: per slot a RandomSel draw, a selection by the per-client walk and
+    that client's table update before the next slot."""
+
+    @pytest.mark.parametrize("strategy", [*STRATEGIES, "greedy"])
+    @settings(max_examples=50, deadline=None)
+    @given(
+        history=st.lists(_update_op, max_size=30),
+        degenerate=st.booleans(),
+        cohort_size=st.sampled_from([1, 5, 7, ORACLE_CLIENTS]),
+        rounds=st.lists(_round, min_size=1, max_size=3),
+    )
+    def test_a_round_equals_the_per_client_walk(self, tiny_pool, strategy, history, degenerate, cohort_size, rounds):
+        configs = list(tiny_pool)
+        greedy = strategy == "greedy"
+        selector_strategy = "random" if greedy else strategy
+        selector = RLClientSelector(tiny_pool, ORACLE_CLIENTS, strategy=selector_strategy, cohort_size=cohort_size)
+        reference = ReferenceStreamingSelector(tiny_pool, ORACLE_CLIENTS, strategy=selector_strategy)
+        for _, sent_rank, pick, client in history:
+            sent = configs[sent_rank]
+            selector.update(sent, planned_return(configs, sent, pick), client)
+            reference.update(sent, planned_return(configs, sent, pick), client)
+        if degenerate:
+            # every client touched with an all-zero resource row: rl-s and rl-cs
+            # rewards are all zero, so each slot falls back to a uniform draw
+            state = {
+                "client_ids": np.arange(ORACLE_CLIENTS, dtype=np.int64),
+                "curiosity_columns": np.ones((len(LEVELS), ORACLE_CLIENTS)),
+                "resource_columns": np.zeros((len(tiny_pool), ORACLE_CLIENTS)),
+            }
+            selector.load_state_dict(state)
+            reference.load_state_dict(state)
+
+        for seed, reachable, slots, picks in rounds:
+            mask = np.array(reachable, dtype=bool)
+            slots = min(slots, int(mask.sum()))
+
+            rng, drawn, states = np.random.default_rng(seed), [], []
+            clients = selector.select(random_sel(tiny_pool, rng, slots, greedy, drawn, states), rng, mask)
+            states.append(rng.bit_generator.state)
+            returns = [planned_return(configs, sent, pick) for sent, pick in zip(drawn, picks)]
+            selector.update(drawn, returns, clients)
+            assert np.array_equal(mask, np.array(reachable, dtype=bool))  # not mutated
+
+            walk_rng, walk_drawn, walk_states, walk_clients = np.random.default_rng(seed), [], [], []
+            walk_mask = mask.copy()
+            for slot, sent in enumerate(random_sel(tiny_pool, walk_rng, slots, greedy, walk_drawn, walk_states)):
+                client = reference.select_from_mask(sent, walk_rng, walk_mask)
+                walk_mask[client] = False
+                reference.update(sent, planned_return(configs, sent, picks[slot]), client)
+                walk_clients.append(client)
+            walk_states.append(walk_rng.bit_generator.state)
+
+            assert clients == walk_clients
+            assert all(type(client) is int for client in clients)
+            assert drawn == walk_drawn
+            assert states == walk_states  # the same draws, slot by slot
+            assert_tables_match_reference(selector, reference, tiny_pool)
+
+    def test_empty_round(self, tiny_pool):
+        selector = RLClientSelector(tiny_pool, 8)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert selector.select([], rng, np.ones(8, dtype=bool)) == []
+        selector.update([], [], [])
+        assert rng.bit_generator.state == before
+        assert selector.num_touched == 0
+
+    def test_more_slots_than_clients_rejected(self, tiny_pool):
+        selector = RLClientSelector(tiny_pool, 8)
+        mask = np.zeros(8, dtype=bool)
+        mask[[1, 4]] = True
+        with pytest.raises(ValueError, match="already selected"):
+            selector.select([tiny_pool.full_config] * 3, np.random.default_rng(0), mask)
+
+
+_batch = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, ORACLE_CLIENTS - 1)),
+    max_size=ORACLE_CLIENTS,
+    unique_by=lambda op: op[2],
+)
+
+
+class TestColumnUpdate:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @settings(max_examples=60, deadline=None)
+    @given(history=st.lists(_update_op, max_size=30), batch=_batch)
+    def test_one_column_pass_equals_sequential_updates(self, tiny_pool, strategy, history, batch):
+        configs = list(tiny_pool)
+        column = RLClientSelector(tiny_pool, ORACLE_CLIENTS, strategy=strategy)
+        sequential = RLClientSelector(tiny_pool, ORACLE_CLIENTS, strategy=strategy)
+        reference = ReferenceStreamingSelector(tiny_pool, ORACLE_CLIENTS, strategy=strategy)
+        for _, sent_rank, pick, client in history:
+            for selector in (column, sequential, reference):
+                selector.update(configs[sent_rank], planned_return(configs, configs[sent_rank], pick), client)
+        triples = [
+            (configs[sent_rank], planned_return(configs, configs[sent_rank], pick), client)
+            for sent_rank, pick, client in batch
+        ]
+        column.update([t[0] for t in triples], [t[1] for t in triples], [t[2] for t in triples])
+        for triple in triples:
+            sequential.update(*triple)
+            reference.update(*triple)
+        assert_tables_match_reference(column, reference, tiny_pool)
+        for name, table in sequential.state_dict().items():
+            assert np.array_equal(column.state_dict()[name], table), name
+        assert np.array_equal(column._rewards, sequential._rewards)
+
+    def test_full_model_bonus_and_penalty_floor(self, tiny_pool):
+        """Lines 15-18 add ``p - 1`` more to the full model; lines 20-25 floor at 0."""
+        assert [cfg.level for cfg in tiny_pool] == ["S", "M", "S", "S", "M", "M", "L"]
+        full, smallest, rank3 = tiny_pool.full_config, tiny_pool.by_rank(0), tiny_pool.by_rank(3)
+        selector = RLClientSelector(tiny_pool, 5)
+        # unsorted, with clients 3 and 4 left untouched
+        selector.update([full, full, full], [rank3, full, smallest], [2, 0, 1])
+        selector.update([full], [smallest], [1])
+        tables = selector.snapshot()
+        assert tables["resource"].T.tolist() == [
+            [1, 1, 1, 1, 1, 1, 1 + 1 + 2],  # kept the full model: +1, and the p-1 = 2 bonus
+            [7, 0, 0, 0, 0, 0, 0],  # pruned to rank 0 twice: +3 each, every larger rank floored
+            [1, 1, 1, 4, 0, 0, 0],  # pruned to rank 3: +3 there, 1-1, 1-2, 1-3 floored
+            [1, 1, 1, 1, 1, 1, 1],
+            [1, 1, 1, 1, 1, 1, 1],
+        ]
+        assert tables["curiosity"].T.tolist() == [[1, 1, 3], [3, 1, 3], [2, 1, 2], [1, 1, 1], [1, 1, 1]]
+
+    def test_refused_update_changes_nothing(self, tiny_pool):
+        full, small = tiny_pool.full_config, tiny_pool.by_rank(0)
+        selector = RLClientSelector(tiny_pool, 6)
+        selector.update(full, small, 3)
+        before = selector.state_dict()
+        for sent, returned, clients, error, match in (
+            ([full, full], [small, small], [2, 2], ValueError, "distinct"),
+            ([full, full], [small], [1, 2], ValueError, "same length"),
+            ([full, small], [small, full], [1, 2], ValueError, "larger"),
+            ([full, full], [full, full], [1, 6], IndexError, "out of range"),
+        ):
+            with pytest.raises(error, match=match):
+                selector.update(sent, returned, clients)
+            for name, table in before.items():
+                assert np.array_equal(selector.state_dict()[name], table), name
+
+
 # -- complexity guard: the per-client walk must not come back ----------------------------
 
 
@@ -450,45 +625,88 @@ class TestComplexityGuard:
 
     @pytest.fixture
     def counted(self, tiny_pool, monkeypatch):
-        """A selector with 2000 touched clients and a call counter on the scalar reward."""
-        selector = RLClientSelector(tiny_pool, num_clients=5000, strategy="rl-cs")
+        """A selector with 2000 touched clients and a log of how many reward rows each rebuild covers."""
+        selector = RLClientSelector(tiny_pool, num_clients=5000, strategy="rl-cs", cohort_size=256)
         configs = list(tiny_pool)
         for client in range(0, 2 * self.TOUCHED, 2):
             selector.update(tiny_pool.full_config, configs[client % len(configs)], client)
         assert selector.num_touched == self.TOUCHED
-        calls = []
-        scalar_reward = RLClientSelector._row_reward
+        rebuilt = []
+        level_rewards = RLClientSelector._level_rewards
 
-        def counting(self, *args):
-            calls.append(args[0])
-            return scalar_reward(self, *args)
+        def counting(self, curiosity, resource):
+            rebuilt.append(curiosity.shape[0])
+            return level_rewards(self, curiosity, resource)
 
-        monkeypatch.setattr(RLClientSelector, "_row_reward", counting)
-        return selector, calls
+        monkeypatch.setattr(RLClientSelector, "_level_rewards", counting)
+        return selector, rebuilt
 
-    def test_selection_does_constant_scalar_reward_work(self, counted, tiny_pool):
-        selector, calls = counted
+    def test_selection_rebuilds_no_reward(self, counted, tiny_pool):
+        selector, rebuilt = counted
         mask = np.ones(5000, dtype=bool)
         mask[:200] = False
         for seed in range(5):
             selector.select(tiny_pool.full_config, np.random.default_rng(seed), mask)
-        assert len(calls) <= 5 * len(LEVELS)  # independent of the 2000 touched clients
+        selector.select(list(tiny_pool) * 4, np.random.default_rng(5), mask)
+        assert rebuilt == []  # reads the stored table, however many clients were touched
 
     def test_update_recomputes_only_its_own_row(self, counted, tiny_pool):
-        selector, calls = counted
-        before = selector._rewards[: self.TOUCHED].copy()
-        selector.update(tiny_pool.full_config, tiny_pool.full_config, 1000)  # already touched
-        assert len(calls) == len(LEVELS)
-        changed = np.flatnonzero((selector._rewards[: self.TOUCHED] != before).any(axis=1))
+        selector, rebuilt = counted
+        full = tiny_pool.full_config
+        before = selector._rewards.copy()
+        selector.update(full, full, 1000)  # already touched
+        assert rebuilt == [1]
+        changed = np.flatnonzero((selector._rewards != before).any(axis=1))
         assert changed.tolist() == [500]  # client 1000 sits at row 500
-        calls.clear()
-        selector.update(tiny_pool.full_config, tiny_pool.full_config, 1001)  # first touch: inserted
-        assert len(calls) == len(LEVELS)
+        rebuilt.clear()
+        selector.update(full, full, 1001)  # first touch: inserted
+        assert rebuilt == [1]
         assert selector.num_touched == self.TOUCHED + 1
-        kept = np.delete(selector._rewards[: self.TOUCHED + 1], 501, axis=0)
+        kept = np.delete(selector._rewards, 501, axis=0)
         assert np.array_equal(kept[:500], before[:500])
         assert np.array_equal(kept[501:], before[501:])
         assert np.array_equal(selector._ids[499:503], [998, 1000, 1001, 1002])
+        rebuilt.clear()
+        selector.update([full] * 4, [full] * 4, [4999, 1002, 3, 1001])  # a round: two first touches
+        assert rebuilt == [4]  # one rebuild of the round's rows
+        assert selector.num_touched == self.TOUCHED + 3
+
+    @pytest.mark.parametrize("slots", [1, 40])
+    @pytest.mark.parametrize("degenerate", [False, True], ids=["two-tier", "degenerate"])
+    def test_a_round_makes_constant_full_mask_passes(self, tiny_pool, monkeypatch, slots, degenerate):
+        """Mask copies and cohort tallies per round do not grow with the slots."""
+        clients = 5000
+        selector = RLClientSelector(tiny_pool, clients, strategy="rl-s", cohort_size=256)
+        touched = np.arange(0, clients, 2 if not degenerate else 1)
+        selector.load_state_dict(
+            {
+                "client_ids": touched,
+                "curiosity_columns": np.ones((len(LEVELS), touched.size)),
+                "resource_columns": np.full((len(tiny_pool), touched.size), 0.0 if degenerate else 1.0),
+            }
+        )
+        copies, tallies = [], []
+        tier, counts = rl_selection._Tier, rl_selection.cohort_counts
+
+        def counting_tier(mask, cohort_size):
+            copies.append(mask.size)  # each tier owns one copy of the mask
+            return tier(mask, cohort_size)
+
+        def counting_counts(mask, cohort_size):
+            tallies.append(mask.size)
+            return counts(mask, cohort_size)
+
+        monkeypatch.setattr(rl_selection, "_Tier", counting_tier)
+        monkeypatch.setattr(rl_selection, "cohort_counts", counting_counts)
+        mask = np.ones(clients, dtype=bool)
+        mask[:100] = False
+        models = [tiny_pool.by_rank(slot % len(tiny_pool)) for slot in range(slots)]
+        chosen = selector.select(models, np.random.default_rng(3), mask)
+        assert len(set(chosen)) == slots
+        assert 1 <= len(copies) <= 2  # the allowed tier, and the untouched tier once a slot lands there
+        assert len(tallies) <= len(copies)  # at most one cohort tally per tier
+        if slots == 40:
+            assert len(copies) == 2 - degenerate and len(tallies) == 1  # both tiers were walked
 
 
 # -- end-to-end goldens through the streaming path ---------------------------------------

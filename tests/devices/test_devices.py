@@ -87,6 +87,29 @@ class TestResourceModel:
                 cap = model.available_capacity(client, round_index)
                 assert 0.5 * nominal <= cap <= 1.1 * nominal
 
+    @pytest.mark.parametrize("uncertainty", [0.1, 1.0])
+    def test_fluctuation_clamp_equals_np_clip(self, uncertainty):
+        """``min(max(draw, floor), ceiling)`` gives ``np.clip``'s value, the exact bounds included."""
+        profiles = build_device_profiles(3, "4:3:3", np.random.default_rng(0))
+        for client in range(3):
+            for round_index in range(20):
+                draw = 1.0 + uncertainty * np.random.default_rng((5, client, round_index)).standard_normal()
+                if draw <= 0:
+                    continue
+                above, below = np.nextafter(draw, np.inf), np.nextafter(draw, 0.0)
+                for floor, ceiling in (
+                    (0.5, 1.1),
+                    (draw, max(draw, 1.1)),  # the draw sits exactly on a bound
+                    (min(draw, 0.5), draw),
+                    (draw, draw),
+                    (above, max(above, 1.1)),  # one ulp outside a bound
+                    (min(below, 0.5), below),
+                ):
+                    model = ResourceModel(profiles, 1_000_000, uncertainty, floor, ceiling, seed=5)
+                    value = model._fluctuation(client, round_index)
+                    assert type(value) is float
+                    assert value == float(np.clip(draw, floor, ceiling)), (draw, floor, ceiling)
+
     def test_static_model_has_no_fluctuation(self):
         profiles = build_device_profiles(4, "4:3:3", np.random.default_rng(0))
         model = StaticResourceModel(profiles, 1_000_000)
