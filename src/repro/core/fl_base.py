@@ -600,31 +600,16 @@ class FederatedAlgorithm(ABC):
                 self.profiler.count("transport.dataset_spills")
         return handle
 
-    def dispatch_client(self, client_id: int) -> SimulatedClient:
-        """The client object a :class:`LocalRoundTask` should carry.
-
-        Identical to ``self.clients[client_id]`` except that its dataset is
-        the published handle — a dispatched client pickles in bytes, not
-        megabytes.
-        """
-        return SimulatedClient(
-            client_id=client_id,
-            dataset=self.client_dataset_source(client_id),
-            profile=self.profiles[client_id],
-            local_config=self.local_config,
-        )
-
     def client_capacity(self, client_id: int, round_index: int) -> float:
         """The client's available resources this round.
 
         Conceptually device-side information: the *real* server never
         observes it, and no algorithm may use it to steer selection.  The
-        simulation reads it in two places that both stand in for the
-        device: when handing it to :meth:`SimulatedClient.local_round`, and
-        in AdaptiveFL's planning phase to predict the deterministic
-        resource-aware pruning outcome (the same ⟨dispatched, returned⟩
-        pair the device will report back) so RL-table updates can resolve
-        before training fans out.
+        simulation reads it in one place, which stands in for the device:
+        AdaptiveFL's planning runs each selected device's resource-aware
+        pruning on it (Algorithm 1, Step 4), and the outcome is the
+        submodel that device trains and the ⟨dispatched, returned⟩ pair
+        the RL tables learn from.
         """
         return self.resource_model.available_capacity(client_id, round_index)
 

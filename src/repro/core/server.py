@@ -5,7 +5,9 @@ Each round the server:
 1. splits the global model into the heterogeneous model pool (Step 1),
 2. randomly draws one pool entry per participant slot (Step 2, RandomSel),
 3. selects a client for each drawn model with the RL strategy (Step 3),
-4. lets the selected devices adaptively prune and train (Steps 4-5),
+4. resolves each selected device's resource-aware pruning on that
+   device's own available capacity, then has it train the pruned
+   submodel (Steps 4-5),
 5. updates the curiosity and resource tables from the ⟨dispatched,
    returned⟩ pairs (Algorithm 1, lines 12-26),
 6. aggregates every upload into the new global model (Step 6, Algorithm 2).
@@ -17,8 +19,6 @@ The ``selection_strategy`` knob reproduces the ablation variants of §4.4:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.api.registry import register_algorithm
@@ -27,22 +27,8 @@ from repro.core.fl_base import FederatedAlgorithm, RoundPlan
 from repro.core.model_pool import SubmodelConfig
 from repro.core.pruning import resource_aware_prune
 from repro.core.rl_selection import RLClientSelector
-from repro.engine.tasks import LocalRoundTask
-from repro.engine.transport import StateHandle
-from repro.nn.dtype import resolve_dtype
 
-__all__ = ["AdaptiveFL", "AdaptivePlan"]
-
-
-@dataclass(kw_only=True)
-class AdaptivePlan(RoundPlan):
-    """A :class:`RoundPlan` that also carries what a device's local round needs."""
-
-    #: the pool entries behind ``dispatched`` / ``returned``
-    configs: list[SubmodelConfig]
-    planned_returns: list[SubmodelConfig]
-    #: each device's available resources this round (device-side information)
-    capacities: list[float]
+__all__ = ["AdaptiveFL"]
 
 
 @register_algorithm(
@@ -105,7 +91,7 @@ class AdaptiveFL(FederatedAlgorithm):
         index = int(rng.integers(0, len(self.pool)))
         return self.pool.by_rank(index)
 
-    def plan_round(self, round_index: int, rng: np.random.Generator) -> AdaptivePlan:
+    def plan_round(self, round_index: int, rng: np.random.Generator) -> RoundPlan:
         """Algorithm 1's control flow, resolved before any training runs.
 
         One ``select`` call walks the participant slots in order: each slot
@@ -117,13 +103,17 @@ class AdaptiveFL(FederatedAlgorithm):
         is exact: a client picked at slot *s* leaves the mask at once and
         slot *s*'s update writes only that client's row, so no later slot
         of the round reads a row the round has updated, and a round's
-        clients are distinct, so their updates commute.  The returned size
-        is the deterministic outcome of resource-aware pruning under the
-        capacity the server's resource model already simulates, so the
-        independent local rounds can then fan out through the executor;
-        per-client RNG streams make the result bit-identical to the
-        historical fully sequential implementation for every executor
-        choice.
+        clients are distinct, so their updates commute.
+
+        Resource-aware pruning (Step 4) is the device's decision, a pure
+        function of the dispatched model and the device's own available
+        capacity (:meth:`client_capacity`); it runs here, once per slot,
+        and its outcome is what the slot trains (``group_sizes``), what
+        the RL update and the fleet clock read, and what the device
+        uploads.  Every slot is then an ordinary
+        :class:`~repro.engine.tasks.TrainSubmodelTask` from the base
+        :meth:`make_task`, and per-client RNG streams make the round
+        bit-identical for every executor choice.
         """
         # mask-based planning: never materialise per-client python objects
         # for the whole fleet — availability arrives as a boolean array
@@ -142,52 +132,18 @@ class AdaptiveFL(FederatedAlgorithm):
 
         selected = self.selector.select(random_sel(), rng, allowed_mask)
         capacities = [self.client_capacity(client_id, round_index) for client_id in selected]
-        planned_returns = [
+        returned = [
             resource_aware_prune(self.pool, dispatched, capacity)
             for dispatched, capacity in zip(configs, capacities)
         ]
-        self.selector.update(configs, planned_returns, selected)
+        self.selector.update(configs, returned, selected)
 
-        return AdaptivePlan(
+        return RoundPlan(
             clients=selected,
             dispatched=[config.name for config in configs],
-            returned=[config.name for config in planned_returns],
+            returned=[config.name for config in returned],
             sent_params=[config.num_params for config in configs],
-            back_params=[config.num_params for config in planned_returns],
-            group_sizes=[self.pool.group_sizes(config) for config in planned_returns],
+            back_params=[config.num_params for config in returned],
+            group_sizes=[self.pool.group_sizes(config) for config in returned],
             streams=["global"] * participants,
-            configs=configs,
-            planned_returns=planned_returns,
-            capacities=capacities,
         )
-
-    def make_task(self, round_index: int, plan: AdaptivePlan, slot: int, source: StateHandle) -> LocalRoundTask:
-        """The device's full local round: adapt (prune) then train.
-
-        The task carries only a handle plus the *planned-return*
-        configuration, so the worker cuts exactly the slice the device
-        trains.  The modeled downlink is that slice.
-        """
-        client_id, dispatched, planned = plan.clients[slot], plan.configs[slot], plan.planned_returns[slot]
-        self.count_downlink(planned.num_params * np.dtype(resolve_dtype()).itemsize)
-        return LocalRoundTask(
-            client=self.dispatch_client(client_id),
-            pool=self.pool,
-            dispatched=dispatched,
-            dispatched_state=source,
-            available_capacity=plan.capacities[slot],
-            rng_stream=self.client_stream(round_index, client_id),
-            planned_return=planned,
-            codec=self._codec,
-            codec_residual=self.codec_residual_for(client_id, plan.group_sizes[slot]),
-            trace=self.task_trace(),
-        )
-
-    def fold_round(self, plan: AdaptivePlan, keep, results):
-        for slot, result in zip(keep, results):
-            if result.returned.name != plan.returned[slot]:  # pragma: no cover - invariant
-                raise RuntimeError(
-                    f"client {result.client_id} returned {result.returned.name} but the "
-                    f"resource plan predicted {plan.returned[slot]}"
-                )
-        return super().fold_round(plan, keep, results)

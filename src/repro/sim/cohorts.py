@@ -12,9 +12,8 @@ client ids — and selection streams over per-cohort summaries:
   reference equality is testable bit-for-bit) but only expands the
   cohorts that were actually hit, keeping the transient footprint
   O(cohorts + k·cohort_size) instead of O(population).
-* :func:`cohort_counts` / :func:`nth_masked_index` are the building
-  blocks: per-cohort online tallies via one ``np.add.reduceat`` pass and
-  rank→id translation inside a single cohort.
+* :func:`cohort_counts` is the building block: per-cohort online tallies
+  via one ``np.add.reduceat`` pass.
 
 Everything here is pure and deterministic given the caller's
 :class:`numpy.random.Generator`, which keeps the repo's bit-identical
@@ -28,7 +27,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_COHORT_SIZE",
     "cohort_counts",
-    "nth_masked_index",
     "masked_choice_without_replacement",
 ]
 
@@ -50,20 +48,6 @@ def cohort_counts(mask: np.ndarray, cohort_size: int = DEFAULT_COHORT_SIZE) -> n
         return np.zeros(0, dtype=np.int64)
     starts = np.arange(0, mask.size, cohort_size)
     return np.add.reduceat(mask.astype(np.int64), starts)
-
-
-def nth_masked_index(mask: np.ndarray, rank: int) -> int:
-    """The index of the ``rank``-th ``True`` in ``mask`` (0-based).
-
-    Rank→id translation inside one cohort; callers locate the cohort via
-    :func:`cohort_counts` prefix sums first, so ``mask`` here is a short
-    slice, never the full population.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    indices = np.flatnonzero(mask)
-    if not 0 <= rank < indices.size:
-        raise IndexError(f"rank {rank} out of range for mask with {indices.size} set bits")
-    return int(indices[rank])
 
 
 def masked_choice_without_replacement(

@@ -6,7 +6,6 @@ import pytest
 from repro.core.client import SimulatedClient
 from repro.core.config import LocalTrainingConfig
 from repro.core.local_training import train_local_model
-from repro.core.pruning import extract_submodel_state
 from repro.devices.profiles import DEFAULT_DEVICE_CLASSES, DeviceProfile
 
 
@@ -103,42 +102,6 @@ class TestSimulatedClient:
         profile = DeviceProfile(client_id=0, device_class=DEFAULT_DEVICE_CLASSES[class_name])
         config = LocalTrainingConfig(local_epochs=1, batch_size=16, max_batches_per_epoch=2)
         return SimulatedClient(0, dataset, profile, config)
-
-    def test_no_pruning_when_capacity_sufficient(self, tiny_pool, client_dataset):
-        client = self.make_client(client_dataset)
-        dispatched = tiny_pool.by_name("M1")
-        state = extract_submodel_state(
-            tiny_pool.architecture.build(rng=np.random.default_rng(0)).state_dict(), tiny_pool, dispatched
-        )
-        config, adapted = client.adapt_model(tiny_pool, dispatched, state, available_capacity=dispatched.num_params * 2)
-        assert config.name == "M1"
-        assert adapted is state
-
-    def test_adaptive_pruning_when_capacity_limited(self, tiny_pool, client_dataset):
-        client = self.make_client(client_dataset, "weak")
-        dispatched = tiny_pool.full_config
-        state = extract_submodel_state(
-            tiny_pool.architecture.build(rng=np.random.default_rng(0)).state_dict(), tiny_pool, dispatched
-        )
-        s_head = tiny_pool.level_heads()["S"]
-        config, adapted = client.adapt_model(tiny_pool, dispatched, state, available_capacity=s_head.num_params + 1)
-        assert config.num_params <= s_head.num_params + 1
-        # adapted weights are prefix slices of what was dispatched
-        for name, tensor in adapted.items():
-            region = tuple(slice(0, extent) for extent in tensor.shape)
-            assert np.allclose(tensor, np.asarray(state[name])[region])
-
-    def test_local_round_reports_pruning(self, tiny_pool, client_dataset):
-        client = self.make_client(client_dataset, "weak")
-        dispatched = tiny_pool.full_config
-        global_state = tiny_pool.architecture.build(rng=np.random.default_rng(0)).state_dict()
-        state = extract_submodel_state(global_state, tiny_pool, dispatched)
-        result = client.local_round(
-            tiny_pool, dispatched, state, available_capacity=tiny_pool.level_heads()["S"].num_params, rng=np.random.default_rng(0)
-        )
-        assert result.locally_pruned
-        assert result.returned.num_params < result.dispatched.num_params
-        assert result.num_samples == len(client_dataset)
 
     def test_empty_client_rejected(self, tiny_pool, client_dataset):
         empty = client_dataset.subset(np.array([], dtype=int))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.config import AdaptiveFLConfig, FederatedConfig
+from repro.core.pruning import resource_aware_prune
 from repro.core.server import AdaptiveFL
+from repro.engine.tasks import TrainSubmodelTask
 
 
-def make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs, strategy="rl-cs", seed=0):
+def make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs, strategy="rl-cs", seed=0, scenario=None):
     config = AdaptiveFLConfig(
         federated=fast_configs["federated"],
         local=fast_configs["local"],
@@ -23,6 +25,7 @@ def make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs, strategy="rl-c
         profiles=setup["profiles"],
         resource_model=setup["resource_model"],
         algorithm_config=config,
+        scenario=scenario,
         seed=seed,
     )
 
@@ -97,18 +100,47 @@ class TestRoundPlan:
         plan = algorithm.plan_round(0, algorithm.round_rng(0))
         columns = [
             plan.clients, plan.dispatched, plan.returned, plan.sent_params, plan.back_params,
-            plan.group_sizes, plan.streams, plan.configs, plan.planned_returns, plan.capacities,
+            plan.group_sizes, plan.streams,
         ]
         assert {len(column) for column in columns} == {fast_configs["federated"].clients_per_round}
         assert len(set(plan.clients)) == len(plan.clients)
         assert set(plan.streams) == set(algorithm.round_streams())
-        for slot, (sent, back) in enumerate(zip(plan.configs, plan.planned_returns)):
-            assert (plan.dispatched[slot], plan.sent_params[slot]) == (sent.name, sent.num_params)
-            assert (plan.returned[slot], plan.back_params[slot]) == (back.name, back.num_params)
-            assert back.num_params <= sent.num_params and algorithm.pool.fits_within(back, sent)
-            assert back.num_params <= plan.capacities[slot] or back is algorithm.pool.by_rank(0)
-            assert plan.group_sizes[slot] == algorithm.pool.group_sizes(back)
+        pool = algorithm.pool
+        for slot, client in enumerate(plan.clients):
+            sent, back = pool.by_name(plan.dispatched[slot]), pool.by_name(plan.returned[slot])
+            assert plan.sent_params[slot] == sent.num_params
+            assert plan.back_params[slot] == back.num_params
+            assert back.num_params <= sent.num_params and pool.fits_within(back, sent)
+            assert back.num_params <= algorithm.client_capacity(client, 0) or back is pool.by_rank(0)
+            assert plan.group_sizes[slot] == pool.group_sizes(back)
             assert tiny_cnn.parameter_count(plan.group_sizes[slot]) == back.num_params
+
+    @pytest.mark.parametrize("scenario", [None, "flaky_edge"])
+    def test_every_task_trains_the_devices_pruned_submodel(
+        self, tiny_cnn, tiny_federated_setup, fast_configs, monkeypatch, scenario
+    ):
+        """Each slot's task trains what the device's resource-aware pruning returns
+        on its own capacity this round: the ⟨dispatched, returned⟩ pair the RL
+        tables learn from is the layout the device uploads."""
+        algorithm = make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs, scenario=scenario)
+        pool, plans, dispatches = algorithm.pool, [], []
+        plan_round, execute = algorithm.plan_round, algorithm.execute_client_tasks
+        monkeypatch.setattr(algorithm, "plan_round", lambda *args: plans.append(plan_round(*args)) or plans[-1])
+        monkeypatch.setattr(algorithm, "execute_client_tasks", lambda tasks: dispatches.append(tasks) or execute(tasks))
+        pruned = 0
+        for round_index in range(6):
+            algorithm.run_round(round_index)
+            plan, tasks = plans[round_index], dispatches[round_index]
+            assert tasks and {type(task) for task in tasks} == {TrainSubmodelTask}
+            for task in tasks:
+                slot = plan.clients.index(task.client_id)
+                dispatched = pool.by_name(plan.dispatched[slot])
+                capacity = algorithm.client_capacity(task.client_id, round_index)
+                expected = resource_aware_prune(pool, dispatched, capacity)
+                assert task.group_sizes == pool.group_sizes(expected)
+                assert task.cost == expected.num_params
+                pruned += expected.name != dispatched.name
+        assert pruned, "no device pruned: the check saw only unpruned slots"
 
     def test_the_round_records_its_plan(self, tiny_cnn, tiny_federated_setup, fast_configs):
         """``run_round`` hands ``plan_round`` the round's generator and draws nothing else

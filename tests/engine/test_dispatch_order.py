@@ -23,7 +23,7 @@ from repro.engine.process import ProcessExecutor
 from repro.engine.thread import ThreadExecutor
 from repro.engine.base import map_longest_first
 from repro.engine.rng import client_stream
-from repro.engine.tasks import LocalRoundTask, TrainSubmodelTask
+from repro.engine.tasks import TrainSubmodelTask
 from repro.serve.client import ClientRunner
 from repro.serve.executor import RemoteExecutor
 from repro.serve.options import ServeOptions
@@ -145,28 +145,6 @@ def test_two_workers_still_return_submission_order(name, costs):
 
 class TestTaskCosts:
     """The cost is what the task already knows: the parameters it trains."""
-
-    def test_local_round_task_costs_its_planned_return(self, easy_setup):
-        pool = ModelPool(easy_setup["arch"], easy_setup["pool"])
-        big, small = pool.full_config, min(pool.configs, key=lambda config: config.num_params)
-
-        def task(dispatched, planned_return):
-            return LocalRoundTask(
-                client=None, pool=pool, dispatched=dispatched, dispatched_state={},
-                available_capacity=1.0, rng_stream=client_stream(0, 0, 0), planned_return=planned_return,
-            )
-
-        assert task(big, small).cost == small.num_params
-        assert small.num_params < big.num_params
-
-    def test_a_local_round_task_needs_its_planned_return(self, easy_setup):
-        """The worker cuts the planned-return slice, so the plan is not optional."""
-        pool = ModelPool(easy_setup["arch"], easy_setup["pool"])
-        with pytest.raises(TypeError, match="planned_return"):
-            LocalRoundTask(
-                client=None, pool=pool, dispatched=pool.full_config, dispatched_state={},
-                available_capacity=1.0, rng_stream=client_stream(0, 0, 0),
-            )
 
     def test_train_submodel_task_costs_its_parameter_count(self, easy_setup):
         arch = easy_setup["arch"]

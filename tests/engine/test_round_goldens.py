@@ -158,7 +158,7 @@ def test_serial_planning_alone_draws_the_pinned_clients(goldens, federation, nam
 def test_plain_exact_rounds_count_parameters_down_and_whole_slices_up(federation, name):
     """Without a scenario or a codec, ``bytes_down`` is the modelled downlink — the
     parameters of each slot's planned-return slice, batch-norm statistics excluded —
-    and ``bytes_up`` the XOR deltas of the whole trained slices, statistics included."""
+    and ``bytes_up`` the whole trained slices themselves, statistics included."""
     planner = build_algorithm(federation, name, "plain", "none-delta")
     algorithm = build_algorithm(federation, name, "plain", "none-delta")
     arch, itemsize = federation["architecture"], np.dtype(resolve_dtype()).itemsize

@@ -7,8 +7,6 @@ whose update is not a number is still refused by name from inside a stack.
 (``test_nonfinite_update.py`` covers the same refusals through whole runs.)
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,7 @@ from repro.data.datasets import Dataset
 from repro.engine.codecs import Int8Codec, NonFiniteUpdateError
 from repro.engine.rng import client_stream
 from repro.engine.serial import SerialExecutor
-from repro.engine.tasks import LocalRoundTask, TrainSubmodelTask
+from repro.engine.tasks import TrainSubmodelTask
 from repro.engine.transport import StateStore
 
 LOCAL = LocalTrainingConfig(local_epochs=2, batch_size=4, max_batches_per_epoch=2)
@@ -29,14 +27,13 @@ LOCAL = LocalTrainingConfig(local_epochs=2, batch_size=4, max_batches_per_epoch=
 def stacks(monkeypatch):
     """The client ids of every group a ``run_stack`` call received."""
     seen = []
-    for cls in (TrainSubmodelTask, LocalRoundTask):
-        original = cls.__dict__["run_stack"].__func__
+    original = TrainSubmodelTask.__dict__["run_stack"].__func__
 
-        def recording(tasks, original=original):
-            seen.append([task.client_id if hasattr(task, "client_id") else task.client.client_id for task in tasks])
-            return original(tasks)
+    def recording(tasks):
+        seen.append([task.client_id for task in tasks])
+        return original(tasks)
 
-        monkeypatch.setattr(cls, "run_stack", staticmethod(recording))
+    monkeypatch.setattr(TrainSubmodelTask, "run_stack", staticmethod(recording))
     return seen
 
 
@@ -143,12 +140,4 @@ def test_a_device_round_stacks_by_planned_return(easy_setup, stacks):
     algorithm.close()
     assert stacks and all(len({plan.returned[plan.clients.index(c)] for c in group}) == 1 for group in stacks)
     for ours, theirs in zip(stacked, alone, strict=True):
-        assert (ours.client_id, ours.returned, ours.locally_pruned) == (theirs.client_id, theirs.returned, theirs.locally_pruned)
-        assert ours.mean_loss == theirs.mean_loss
-        for name, value in theirs.state.items():
-            assert ours.state[name].tobytes() == value.tobytes(), name
-    # a device that would prune below the plan does not stack
-    task = tasks[0]
-    smaller = min(task.pool.prunable_to(task.planned_return), key=lambda config: config.num_params)
-    if smaller.name != task.planned_return.name:
-        assert replace(task, planned_return=smaller).stack_key() is None
+        same_upload(ours, theirs)

@@ -176,14 +176,9 @@ class TestWirePayloads:
     def test_tasks_carry_handles_not_weights_or_data(self, easy_setup, name):
         algorithm, before, recorder = recorded_round(name, easy_setup)
         for task, wire_size in zip(recorder.tasks, recorder.wire_sizes):
-            if name == "adaptivefl":
-                state, client_id = task.dispatched_state, task.client.client_id
-                sizes = algorithm.pool.group_sizes(task.planned_return)
-            else:
-                state, client_id, sizes = task.initial_state, task.client_id, task.group_sizes
-            assert isinstance(state, StateHandle)
-            trained_slice = slice_state_dict(before, algorithm.architecture, dict(sizes))
-            local_data = algorithm.clients[client_id].dataset
+            assert isinstance(task.initial_state, StateHandle)
+            trained_slice = slice_state_dict(before, algorithm.architecture, dict(task.group_sizes))
+            local_data = algorithm.clients[task.client_id].dataset
             assert wire_size < min(state_nbytes(trained_slice), local_data.images.nbytes)
 
     @pytest.mark.parametrize("name", ["adaptivefl", "heterofl"])
@@ -191,8 +186,7 @@ class TestWirePayloads:
         algorithm, before, recorder = recorded_round(name, easy_setup)
         for task, result in zip(recorder.tasks, recorder.results):
             assert isinstance(result.state, dict)
-            sizes = algorithm.pool.group_sizes(result.returned) if name == "adaptivefl" else task.group_sizes
-            reference = slice_state_dict(before, algorithm.architecture, dict(sizes))
+            reference = slice_state_dict(before, algorithm.architecture, dict(task.group_sizes))
             assert set(result.state) == set(reference)
             for key, value in reference.items():
                 assert (result.state[key].shape, result.state[key].dtype) == (value.shape, value.dtype), key

@@ -10,7 +10,6 @@ import socket
 import time
 import urllib.request
 
-from repro.engine.tasks import LocalRoundTask  # noqa: F401 - asserts importability of the trace field
 from repro.obs.events import get_event_bus
 from repro.obs.sinks import RingBufferSink
 from repro.obs.trace import TraceContext

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.cohorts import (
-    cohort_counts,
-    masked_choice_without_replacement,
-    nth_masked_index,
-)
+from repro.sim.cohorts import cohort_counts, masked_choice_without_replacement
 
 
 class TestCohortCounts:
@@ -32,28 +28,6 @@ class TestCohortCounts:
         assert counts.size == -(-size // cohort)
         assert int(counts.sum()) == int(mask.sum())
         assert counts.max() <= cohort
-
-
-class TestNthMaskedIndex:
-    def test_rank_translation(self):
-        mask = np.array([0, 1, 0, 1, 1], dtype=bool)
-        assert [nth_masked_index(mask, r) for r in range(3)] == [1, 3, 4]
-
-    def test_prefix_sums_then_in_cohort_rank_recover_every_id(self):
-        """The two-step lookup: locate the cohort by prefix sums, then translate the rank inside it."""
-        cohort_size = 8
-        mask = np.random.default_rng(11).random(103) < 0.3
-        offsets = np.concatenate([[0], np.cumsum(cohort_counts(mask, cohort_size))])
-        dense = np.flatnonzero(mask)
-        for rank, expected in enumerate(dense):
-            cohort = int(np.searchsorted(offsets, rank, side="right")) - 1
-            base = cohort * cohort_size
-            local = nth_masked_index(mask[base : base + cohort_size], rank - int(offsets[cohort]))
-            assert base + local == expected
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            nth_masked_index(np.array([True, False]), 1)
 
 
 class TestMaskedChoice:
