@@ -142,6 +142,54 @@ class TestRoundPlan:
                 pruned += expected.name != dispatched.name
         assert pruned, "no device pruned: the check saw only unpruned slots"
 
+    def test_no_pruning_when_capacity_sufficient(self, tiny_cnn, tiny_federated_setup, fast_configs, monkeypatch):
+        algorithm = make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs)
+        pool = algorithm.pool
+        monkeypatch.setattr(algorithm, "client_capacity", lambda client_id, round_index: 2 * pool.full_config.num_params)
+        for round_index in range(3):
+            plan = algorithm.plan_round(round_index, algorithm.round_rng(round_index))
+            assert plan.returned == plan.dispatched and plan.back_params == plan.sent_params
+            assert plan.group_sizes == [pool.group_sizes(pool.by_name(name)) for name in plan.dispatched]
+
+    def test_adaptive_pruning_when_capacity_limited(self, tiny_cnn, tiny_federated_setup, fast_configs, monkeypatch):
+        algorithm = make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs, strategy="greedy")
+        pool = algorithm.pool
+        capacity = pool.level_heads()["S"].num_params + 1
+        monkeypatch.setattr(algorithm, "client_capacity", lambda client_id, round_index: capacity)
+        plan = algorithm.plan_round(0, algorithm.round_rng(0))
+        for slot, (sent_name, back_name) in enumerate(zip(plan.dispatched, plan.returned)):
+            sent, back = pool.by_name(sent_name), pool.by_name(back_name)
+            assert sent.name == pool.full_config.name
+            assert back.num_params <= capacity < sent.num_params
+            assert pool.fits_within(back, sent)
+            assert plan.group_sizes[slot] == pool.group_sizes(back)
+
+    def test_a_pruned_round_trains_prefix_slices_and_reports_pruning(
+        self, tiny_cnn, tiny_federated_setup, fast_configs, monkeypatch
+    ):
+        """A device that prunes trains a prefix slice of the published weights
+        on all of its data, and the round's record shows what it returned."""
+        algorithm = make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs, strategy="greedy")
+        pool = algorithm.pool
+        capacity = pool.level_heads()["S"].num_params
+        monkeypatch.setattr(algorithm, "client_capacity", lambda client_id, round_index: capacity)
+        before = {name: value.copy() for name, value in algorithm.global_state.items()}
+        runs, execute = [], algorithm.execute_client_tasks
+        monkeypatch.setattr(algorithm, "execute_client_tasks", lambda tasks: runs.append((tasks, execute(tasks))) or runs[-1][1])
+        record = algorithm.run_round(0)
+        for sent_name, back_name in zip(record.dispatched, record.returned):
+            assert pool.by_name(back_name).num_params < pool.by_name(sent_name).num_params
+        assert record.communication_waste > 0
+        (tasks, results), = runs
+        assert len(tasks) == len(record.selected_clients)
+        for task, result in zip(tasks, results):
+            initial = task._initial_slice()
+            assert initial.keys() == before.keys()
+            for name, tensor in initial.items():
+                region = tuple(slice(0, extent) for extent in tensor.shape)
+                assert np.array_equal(tensor, before[name][region])
+            assert result.num_samples == len(task.local_dataset())
+
     def test_the_round_records_its_plan(self, tiny_cnn, tiny_federated_setup, fast_configs):
         """``run_round`` hands ``plan_round`` the round's generator and draws nothing else
         from it; planning alone advances the RL tables exactly as a trained round does."""

@@ -96,6 +96,32 @@ class TestMaskSelection:
             selector.select(tiny_pool.full_config, np.random.default_rng(0), np.ones(3, dtype=bool))
 
 
+class TestTierRankLookup:
+    """``_Tier.nth`` turns a rank among the set bits into a client id, cohort by cohort."""
+
+    def test_rank_translation(self):
+        tier = rl_selection._Tier(np.array([0, 1, 0, 1, 1], dtype=bool), cohort_size=2)
+        assert [tier.nth(rank) for rank in range(3)] == [1, 3, 4]
+
+    def test_every_rank_recovers_its_id_while_clients_are_taken(self):
+        """The cohort tallies and cached set bits follow each ``take``: after any
+        number of takes every rank still names the dense lookup's id."""
+        rng = np.random.default_rng(11)
+        mask = rng.random(103) < 0.3
+        tier = rl_selection._Tier(mask.copy(), cohort_size=8)
+        while tier.total:
+            dense = np.flatnonzero(tier.mask)
+            assert tier.total == dense.size
+            assert [tier.nth(rank) for rank in range(dense.size)] == dense.tolist()
+            tier.take(int(dense[rng.integers(0, dense.size)]))
+        assert not tier.mask.any()
+
+    def test_out_of_range(self):
+        tier = rl_selection._Tier(np.array([True, False]), cohort_size=8)
+        with pytest.raises(IndexError):
+            tier.nth(1)
+
+
 class TestMemoryBounds:
     def test_columns_grow_with_selected_not_population(self, tiny_pool):
         selector = RLClientSelector(tiny_pool, num_clients=1_000_000, strategy="rl-cs")

@@ -160,6 +160,15 @@ class TestTaskCosts:
             costs.append(task.cost)
         assert len(set(costs)) > 1
 
+    def test_a_train_submodel_task_needs_its_rng_stream(self, easy_setup):
+        """An OS-entropy default would break bit-identical replay, so the stream is not optional."""
+        pool = ModelPool(easy_setup["arch"], easy_setup["pool"])
+        with pytest.raises(TypeError, match="rng_stream"):
+            TrainSubmodelTask(
+                architecture=easy_setup["arch"], group_sizes=pool.group_sizes(pool.full_config),
+                initial_state={}, dataset=None, local_config=None,
+            )
+
     def test_cost_orders_a_round_like_the_planner_builds_it(self, easy_setup):
         arch = easy_setup["arch"]
         pool = ModelPool(arch, easy_setup["pool"])
