@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.aggregation import UploadStack
 from repro.core.config import LocalTrainingConfig
 from repro.data.datasets import Dataset
 from repro.data.loader import DataLoader
@@ -53,9 +54,9 @@ _SKELETONS = _Skeletons()
 
 @dataclass
 class LocalTrainingResult:
-    """Output of one client's local training pass."""
+    """Output of one client's local training pass (``state`` is its row of the pass's stack)."""
 
-    state: dict[str, np.ndarray]
+    state: Mapping[str, np.ndarray]
     num_samples: int
     mean_loss: float
     num_steps: int
@@ -94,7 +95,9 @@ def train_local_models(
     Every client starts from ``initial_state`` and keeps its own dataset,
     generator (initialisation draw and loader stream) and loss; equal
     dataset lengths make the batch schedules one.  Client ``k``'s result is
-    bit-identical to ``train_local_model(..., datasets[k], ..., rngs[k])``.
+    bit-identical to ``train_local_model(..., datasets[k], ..., rngs[k])``;
+    its ``state`` is row ``k`` (a :class:`~repro.core.aggregation.StackRow`)
+    of the pass's trained :class:`~repro.core.aggregation.UploadStack`.
     """
     if min(len(dataset) for dataset in datasets) == 0:
         raise ValueError("client dataset is empty")
@@ -107,15 +110,12 @@ def train_local_models(
     skeleton = _SKELETONS.by_spec.pop(spec, None)
     if skeleton is None:
         skeleton = Skeleton(architecture.build(group_sizes, rng=np.random.default_rng(init_seeds[0])))
-    model = skeleton.check_out(init_seeds)
-    clients = (len(init_seeds),)
-    model.load_state_dict(
-        {name: np.broadcast_to(value, clients + np.shape(value)) for name, value in initial_state.items()}
-    )
-    model.train()
+    skeleton.check_out(init_seeds)
+    skeleton.load(initial_state)
+    model = skeleton.train()
 
     optimizer = SGD(
-        model.parameters(),
+        skeleton.parameters(),
         lr=config.learning_rate,
         momentum=config.momentum,
         weight_decay=config.weight_decay,
@@ -126,7 +126,7 @@ def train_local_models(
         for dataset, rng in zip(datasets, rngs)
     ]
 
-    total_loss = np.zeros(clients)
+    total_loss = np.zeros(len(datasets))
     steps = 0
     for _ in range(config.local_epochs):
         for batch_index, batches in enumerate(zip(*loaders)):
@@ -141,15 +141,15 @@ def train_local_models(
             total_loss += losses
             steps += 1
     # the stacks leave with the results: a checked-in skeleton holds none
-    stacks = [(name, param.data) for name, param in model.named_parameters()] + list(model.named_buffers())
+    stack = UploadStack(skeleton.tensors(), [len(dataset) for dataset in datasets])
     results = [
         LocalTrainingResult(
-            state={name: stack[client] for name, stack in stacks},
+            state=row,
             num_samples=len(dataset),
             mean_loss=float(total_loss[client] / steps) if steps else float("nan"),
             num_steps=steps,
         )
-        for client, dataset in enumerate(datasets)
+        for client, (row, dataset) in enumerate(zip(stack.rows(), datasets))
     ]
     skeleton.check_in()
     _SKELETONS.by_spec[spec] = skeleton

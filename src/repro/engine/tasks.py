@@ -13,7 +13,9 @@ a :class:`StateHandle` — the worker resolves it against its per-process
 cache of the published global state and cuts the submodel slice locally,
 so the task payload stays tiny.  The trained slice itself is the upload
 (exact: a pickled float array is lossless), or a lossy codec's encoding
-when the task carries a ``codec``.
+when the task carries a ``codec``.  An exact upload is the task's row of
+its pass's :class:`~repro.core.aggregation.UploadStack`, which the server
+checks and weights once per stack; it pickles as a plain dict.
 
 Tasks with equal :meth:`ClientTask.stack_key` train one submodel from one
 published state on datasets of one length; their ``run_stack`` resolves
@@ -44,9 +46,9 @@ __all__ = ["ClientTask", "TrainSubmodelTask"]
 
 # benchmarks/e2e/tracing.py (frozen between benchmark PRs) times the exact upload
 # by wrapping this name in the module's __dict__; delete together with its hook row
-def encode_state_delta(trained: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """An exact upload: the trained slice itself."""
-    return dict(trained)
+def encode_state_delta(trained: Mapping[str, np.ndarray]) -> Mapping[str, np.ndarray]:
+    """An exact upload: the trained slice itself (a stacked pass's row stays one)."""
+    return trained
 
 
 class ClientTask(ABC):

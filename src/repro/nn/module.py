@@ -8,7 +8,7 @@ the federated-learning code (which dispatches, prunes and aggregates
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -254,18 +254,23 @@ class Skeleton:
 
     def __init__(self, model: Module):
         self.model = model
-        modules = list(model.modules())
-        self._parameters = [(param, param.data.shape, param.data.dtype) for param in model.parameters()]
-        self._buffers = [
-            (module, name, buffer.shape, buffer.dtype)
-            for module in modules
-            for name, buffer in module._buffers.items()
+        self._modules = list(model.modules())
+        self._parameters = [
+            (name, param, param.data.shape, param.data.dtype) for name, param in model.named_parameters()
         ]
+        self._buffers = [
+            (f"{prefix}.{local}" if prefix else local, module, local, buffer.shape, buffer.dtype)
+            for prefix, module in model.named_modules()
+            for local, buffer in module._buffers.items()
+        ]
+        self._names = dict.fromkeys(name for name, *_ in self._parameters + self._buffers)
         self._workspaces = [
-            value for module in modules for value in vars(module).values() if isinstance(value, Workspace)
+            value for module in self._modules for value in vars(module).values() if isinstance(value, Workspace)
         ]
         #: layers that draw random numbers, with their place in the tree
-        self._stochastic = [(index, module) for index, module in enumerate(modules) if hasattr(module, "reseed")]
+        self._stochastic = [
+            (index, module) for index, module in enumerate(self._modules) if hasattr(module, "reseed")
+        ]
         self.check_in()
 
     def check_out(self, seeds: Sequence[int]) -> Module:
@@ -276,17 +281,53 @@ class Skeleton:
         ``default_rng([seeds[k], place in the tree])``.
 
         Gradients are zero; parameters and buffers are *uninitialised* —
-        load a complete state dict of stacks before anything reads them.
+        :meth:`load` a state before anything reads them.
         """
         stack = (len(seeds),)
-        for param, shape, dtype in self._parameters:
+        for _, param, shape, dtype in self._parameters:
             param.data = np.empty(stack + shape, dtype)
             param.grad = np.zeros(stack + shape, dtype)
-        for module, name, shape, dtype in self._buffers:
-            module.register_buffer(name, np.empty(stack + shape, dtype))
+        for _, module, local, shape, dtype in self._buffers:
+            module.register_buffer(local, np.empty(stack + shape, dtype))
         for index, module in self._stochastic:
             module.reseed([np.random.default_rng([seed, index]) for seed in seeds])
         return self.model
+
+    def load(self, state: Mapping[str, np.ndarray]) -> None:
+        """Set every client's row of each checked-out parameter and buffer to
+        ``state[name]``, cast to the stack's dtype — the rows
+        :meth:`Module.load_state_dict` of ``K``-fold broadcast views writes.
+
+        A tensor of the wrong shape raises ``ValueError`` and a missing or
+        unexpected one ``KeyError``, each naming the tensor.
+        """
+        missing = [name for name in self._names if name not in state]
+        unexpected = [name for name in state if name not in self._names]
+        if missing or unexpected:
+            raise KeyError(f"load_state_dict mismatch: missing={missing}, unexpected={unexpected}")
+        targets = [(name, param.data) for name, param, _, _ in self._parameters]
+        targets += [(name, module._buffers[local]) for name, module, local, _, _ in self._buffers]
+        for name, target in targets:
+            value = np.asarray(state[name])
+            if value.shape != target.shape[1:]:
+                raise ValueError(f"shape mismatch for {name!r}: expected {target.shape[1:]}, got {value.shape}")
+            np.copyto(target, value, casting="unsafe")
+
+    def parameters(self) -> list[Parameter]:
+        """Every parameter, in :meth:`Module.parameters` order."""
+        return [param for _, param, _, _ in self._parameters]
+
+    def train(self) -> Module:
+        """The model, every layer in training mode."""
+        for module in self._modules:
+            module.training = True
+        return self.model
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        """Every checked-out stack by name, parameters then buffers (:meth:`Module.state_dict` order)."""
+        tensors = {name: param.data for name, param, _, _ in self._parameters}
+        tensors.update((name, module._buffers[local]) for name, module, local, _, _ in self._buffers)
+        return tensors
 
     def check_in(self) -> None:
         """Drop every tensor and workspace buffer.
@@ -295,10 +336,10 @@ class Skeleton:
         pass (layers clear what they cached per batch there); a model
         abandoned half-way is not worth keeping — let it go instead.
         """
-        for param, _, _ in self._parameters:
+        for _, param, _, _ in self._parameters:
             param.data = param.grad = None
-        for module, name, _, _ in self._buffers:
-            module._buffers[name] = None
-            object.__setattr__(module, name, None)
+        for _, module, local, _, _ in self._buffers:
+            module._buffers[local] = None
+            object.__setattr__(module, local, None)
         for workspace in self._workspaces:
             workspace.clear()

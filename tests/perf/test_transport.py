@@ -4,6 +4,7 @@ malformed uploads, and bit-parity of a run across a pickle boundary
 against the in-process run."""
 
 import pickle
+from collections.abc import Mapping
 from dataclasses import replace
 
 import numpy as np
@@ -185,7 +186,9 @@ class TestWirePayloads:
     def test_exact_uploads_are_the_trained_slice(self, easy_setup, name):
         algorithm, before, recorder = recorded_round(name, easy_setup)
         for task, result in zip(recorder.tasks, recorder.results):
-            assert isinstance(result.state, dict)
+            # a read-only row of its pass's stack, which crosses a pickle boundary as a plain dict
+            assert isinstance(result.state, Mapping)
+            assert type(pickle.loads(pickle.dumps(result.state))) is dict
             reference = slice_state_dict(before, algorithm.architecture, dict(task.group_sizes))
             assert set(result.state) == set(reference)
             for key, value in reference.items():
