@@ -85,9 +85,9 @@ _EXPORTS: dict[str, str] = {
     "FleetSimulator": "repro.sim.fleet",
     # execution engine
     "Executor": "repro.engine.base",
-    "SerialExecutor": "repro.engine.serial",
-    "ThreadExecutor": "repro.engine.thread",
-    "ProcessExecutor": "repro.engine.process",
+    "SerialExecutor": "repro.engine.executors",
+    "ThreadExecutor": "repro.engine.executors",
+    "ProcessExecutor": "repro.engine.executors",
     "create_executor": "repro.engine.factory",
     # experiment store (repro.store)
     "RunStore": "repro.store.runstore",

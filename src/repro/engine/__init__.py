@@ -2,14 +2,16 @@
 
 Federated rounds are embarrassingly parallel on the client side: once the
 server has planned *who* trains *what*, every local round is an
-independent task.  This package fans those tasks out:
+independent task.  This package fans those tasks out through one dispatch
+path, :mod:`repro.engine.executors`, which trains the tasks of one
+``stack_key()`` as stacked passes.  The executors differ only in their pool:
 
-* :class:`~repro.engine.serial.SerialExecutor` — sequential reference
-  implementation (default),
-* :class:`~repro.engine.thread.ThreadExecutor` — thread pool; cheapest
+* :class:`~repro.engine.executors.SerialExecutor` — no pool: each stack
+  trains as one pass in the calling thread (default, the reference),
+* :class:`~repro.engine.executors.ThreadExecutor` — thread pool; cheapest
   spin-up, overlaps GIL-releasing numpy kernels and simulated device
   latency,
-* :class:`~repro.engine.process.ProcessExecutor` — process pool; true CPU
+* :class:`~repro.engine.executors.ProcessExecutor` — process pool; true CPU
   parallelism for compute-bound local training.
 
 All three are interchangeable **and bit-identical**: tasks carry private

@@ -18,45 +18,23 @@ import os
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Iterable, Sequence
 
-__all__ = ["Executor", "run_task", "run_stacked", "default_max_workers", "map_longest_first"]
-
-
-def run_task(task: Any) -> Any:
-    """Execute one task (module-level so process pools can pickle it by name)."""
-    return task.run()
-
-
-def run_stacked(tasks: Sequence[Any]) -> list[Any]:
-    """Every task's result, in submission order; tasks that stack run as one.
-
-    Tasks whose ``stack_key()`` is equal and not None
-    (:meth:`repro.engine.tasks.ClientTask.stack_key`) go to one ``run_stack``
-    call of their class; groups run in the order of their first task.
-    """
-    groups: dict[Any, list[int]] = {}
-    for index, task in enumerate(tasks):
-        key = task.stack_key() if hasattr(task, "stack_key") else None
-        groups.setdefault(index if key is None else key, []).append(index)
-    results: list[Any] = [None] * len(tasks)
-    for members in groups.values():
-        group = [tasks[index] for index in members]
-        outcomes = type(group[0]).run_stack(group) if len(group) > 1 else [run_task(group[0])]
-        for index, outcome in zip(members, outcomes):
-            results[index] = outcome
-    return results
+__all__ = ["Executor", "default_max_workers", "map_longest_first"]
 
 
 def map_longest_first(
-    ordered_map: Callable[[list[Any]], Iterable[Any]], tasks: Sequence[Any]
+    ordered_map: Callable[[list[Any]], Iterable[Any]],
+    tasks: Sequence[Any],
+    cost: Callable[[Any], float] = lambda task: getattr(task, "cost", 0),
 ) -> list[Any]:
     """``ordered_map(tasks)``, costliest first, results in submission order.
 
     A round's tasks differ severalfold in size (S/M/L submodels): started
     in submission order, the last big one leaves the other workers idle.
     ``ordered_map`` (order-preserving, hands items out first to last) gets
-    them by decreasing ``task.cost`` — ties and cost-less tasks as submitted.
+    them by decreasing ``cost`` (default: ``task.cost``) — ties and
+    cost-less tasks as submitted.
     """
-    order = sorted(range(len(tasks)), key=lambda index: -getattr(tasks[index], "cost", 0))
+    order = sorted(range(len(tasks)), key=lambda index: -cost(tasks[index]))
     results: list[Any] = [None] * len(tasks)
     for index, result in zip(order, ordered_map([tasks[index] for index in order])):
         results[index] = result

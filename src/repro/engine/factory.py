@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from repro.engine.base import Executor
-from repro.engine.process import ProcessExecutor
-from repro.engine.serial import SerialExecutor
-from repro.engine.thread import ThreadExecutor
+from repro.engine.executors import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.serve.executor import RemoteExecutor
 
 __all__ = ["EXECUTORS", "EXECUTOR_NAMES", "create_executor", "validate_executor_choice"]

@@ -2,7 +2,7 @@
 
 A task bundles everything one client's local round needs — model slice,
 data, hyper-parameters and a private RNG stream — so it can run anywhere:
-inline (:class:`~repro.engine.serial.SerialExecutor`), on a thread, or
+inline (:class:`~repro.engine.executors.SerialExecutor`), on a thread, or
 pickled to a worker process.  Tasks are pure: they read only their own
 fields, mutate nothing shared, and derive all randomness from their
 ``rng_stream``, which is what guarantees bit-identical results across
@@ -56,8 +56,8 @@ class ClientTask(ABC):
 
     #: private randomness of this task (see :mod:`repro.engine.rng`)
     rng_stream: np.random.SeedSequence
-    #: relative running time (parameters trained): parallel executors start
-    #: the costliest task first (:func:`repro.engine.base.map_longest_first`)
+    #: relative running time (parameters trained): pool executors start the
+    #: costliest work first (:func:`repro.engine.base.map_longest_first`)
     cost: int = 0
 
     @abstractmethod
@@ -67,8 +67,10 @@ class ClientTask(ABC):
     def stack_key(self) -> Hashable | None:
         """The key under which tasks run as one stacked pass; None runs alone.
 
-        Tasks with equal keys go to one ``run_stack(tasks)`` call of their
-        class, which returns their results in order.
+        Tasks with equal keys form a stack; each piece of it an executor
+        hands out (:func:`repro.engine.executors.stack_pieces`) goes to one
+        ``run_stack(tasks)`` call of their class, which returns their
+        results in order.
         """
         return None
 

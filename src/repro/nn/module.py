@@ -83,13 +83,6 @@ class Module:
         self._buffers[name] = value
         object.__setattr__(self, name, self._buffers[name])
 
-    def _set_buffer(self, name: str, value: np.ndarray) -> None:
-        """Update a registered buffer in place (keeps state_dict in sync)."""
-        if name not in self._buffers:
-            raise KeyError(f"buffer {name!r} is not registered")
-        self._buffers[name] = np.asarray(value, dtype=self._buffers[name].dtype)
-        object.__setattr__(self, name, self._buffers[name])
-
     # -- traversal ---------------------------------------------------------------
     def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
         yield prefix, self

@@ -17,8 +17,8 @@ per-instance :class:`~repro.obs.metrics.MetricsRegistry`
 (:attr:`Coordinator.metrics`; ``connects_total``, ``reconnects_total``,
 ``dispatched_total`` … plus the ``tasks_inflight`` gauge,
 ``heartbeat_rtt_seconds`` histogram and wire byte counters fed by the
-actors), with the legacy :attr:`Coordinator.stats` dict preserved as a
-read-only snapshot property.  Fleet lifecycle events (connect /
+actors); :attr:`Coordinator.counters` maps each of :data:`STAT_KEYS` to
+its counter.  Fleet lifecycle events (connect /
 reconnect / disconnect, dispatches, results, straggler requeues) are
 emitted on the process-wide :class:`~repro.obs.events.EventBus`, and an
 optional :class:`~repro.obs.status.StatusServer`
@@ -51,7 +51,7 @@ __all__ = ["Coordinator", "TaskBatch", "TaskEnvelope", "STAT_KEYS"]
 #: server identity advertised in every ``hello_ack``
 SERVER_NAME = "repro-serve"
 
-#: the churn counters every coordinator maintains (``stats`` dict keys)
+#: the churn counters every coordinator maintains (``counters`` keys)
 STAT_KEYS = (
     "connects",
     "reconnects",
@@ -119,7 +119,8 @@ class Coordinator:
         self.actors: dict[str, ClientActor] = {}
         #: this fleet's metrics (layered over the process registry by /metrics)
         self.metrics = MetricsRegistry()
-        self._counters = {
+        #: the churn counter of each of :data:`STAT_KEYS`
+        self.counters = {
             key: self.metrics.counter(f"{key}_total", f"coordinator {key.replace('_', ' ')}")
             for key in STAT_KEYS
         }
@@ -151,14 +152,9 @@ class Coordinator:
         self._status_ring: RingBufferSink | None = None
 
     # -- telemetry ------------------------------------------------------------------------
-    @property
-    def stats(self) -> dict[str, int]:
-        """Snapshot of the churn counters (legacy dict view of the registry)."""
-        return {key: int(counter.value) for key, counter in self._counters.items()}
-
     def count(self, key: str, amount: int = 1) -> None:
         """Increment one of the :data:`STAT_KEYS` churn counters."""
-        self._counters[key].inc(amount)
+        self.counters[key].inc(amount)
 
     def update_inflight(self) -> None:
         """Recompute the ``tasks_inflight`` gauge from the live actors."""

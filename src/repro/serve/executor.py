@@ -135,4 +135,4 @@ class RemoteExecutor(Executor):
         """Snapshot of the coordinator's churn counters (empty before start)."""
         if self._coordinator is None:
             return {}
-        return dict(self._coordinator.stats)
+        return {key: int(counter.value) for key, counter in self._coordinator.counters.items()}

@@ -22,7 +22,7 @@ from repro.core.pruning import slice_state_dict
 from repro.data.datasets import Dataset
 from repro.engine.rng import client_stream
 from repro.engine.tasks import TrainSubmodelTask
-from repro.engine.thread import ThreadExecutor
+from repro.engine.executors import ThreadExecutor
 from repro.engine.transport import StateStore
 from repro.experiments.settings import paper_pool_config
 from repro.nn.models import SlimmableSimpleCNN, SlimmableVGG

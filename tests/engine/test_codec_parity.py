@@ -33,7 +33,7 @@ import pytest
 
 from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig
 from repro.core.server import AdaptiveFL
-from repro.engine.base import Executor, run_task
+from repro.engine.base import Executor
 from repro.engine.codecs import EncodedUpdate
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -134,7 +134,7 @@ class EncodedByteAuditExecutor(Executor):
         for task in tasks:
             clone = pickle.loads(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
             result = pickle.loads(
-                pickle.dumps(run_task(clone), protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dumps(clone.run(), protocol=pickle.HIGHEST_PROTOCOL)
             )
             state = getattr(result, "state", None)
             assert isinstance(state, EncodedUpdate), "codec run must upload EncodedUpdate"

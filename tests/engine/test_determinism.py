@@ -57,7 +57,7 @@ def test_api_level_runs_reproducible(executor):
 def test_injected_executor_is_caller_owned_across_runs(easy_setup):
     """set_executor keeps the caller's executor attached and alive through
     run() (which only closes executors it built itself from the config)."""
-    from repro.engine.serial import SerialExecutor
+    from repro.engine.executors import SerialExecutor
 
     algorithm = build_algorithm("adaptivefl", easy_setup, "serial")
     injected = SerialExecutor()

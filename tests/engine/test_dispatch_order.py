@@ -1,6 +1,8 @@
 """Longest-first dispatch: costliest task started first, results in submission order.
 
-The three parallel executors share ``map_longest_first``.  With one
+The thread, process and remote executors share ``map_longest_first``
+(thread and process hand out stack pieces; these tasks have no
+``stack_key``, so every piece is one task).  With one
 worker the order tasks *start* in is the order they were handed out, so
 each task stamps its start and the test reads the dispatch order back
 from the stamps; the results themselves must come back in submission
@@ -19,9 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.model_pool import ModelPool
-from repro.engine.process import ProcessExecutor
-from repro.engine.thread import ThreadExecutor
 from repro.engine.base import map_longest_first
+from repro.engine.executors import ProcessExecutor, ThreadExecutor
 from repro.engine.rng import client_stream
 from repro.engine.tasks import TrainSubmodelTask
 from repro.serve.client import ClientRunner

@@ -7,11 +7,9 @@ import pytest
 
 from repro.core.config import FederatedConfig
 from repro.engine.base import default_max_workers
+from repro.engine.executors import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.engine.factory import EXECUTOR_NAMES, create_executor
-from repro.engine.process import ProcessExecutor
 from repro.engine.rng import client_stream, spawn_streams
-from repro.engine.serial import SerialExecutor
-from repro.engine.thread import ThreadExecutor
 
 ALL_EXECUTORS = ["serial", "thread", "process"]
 

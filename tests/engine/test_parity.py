@@ -1,7 +1,7 @@
 """Serial-parity regression suite (the engine's core guarantee).
 
 Every executor must produce **bit-identical** training histories to
-:class:`~repro.engine.serial.SerialExecutor` at a fixed seed: identical
+:class:`~repro.engine.executors.SerialExecutor` at a fixed seed: identical
 client selections, dispatched/returned submodels, train losses,
 accuracies and global model weights.  Exact float equality is intentional
 — parallel execution must not change a single bit of the simulation.

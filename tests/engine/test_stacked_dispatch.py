@@ -1,14 +1,20 @@
-"""The serial executor trains the tasks that share a shape as one stacked pass.
+"""Every in-process executor trains the tasks that share a shape as stacked passes.
 
 Tasks stack only when their submodel, published state version, local
-config and dataset length all match; the stacked results come back in
-submission order, each bit-identical to the task run alone; and a client
-whose update is not a number is still refused by name from inside a stack.
+config and dataset length all match; with W workers a stack of K goes
+out as ``min(K, W)`` contiguous pieces whose sizes differ by at most one
+(serial: one piece); the results come back in submission order, each
+bit-identical to the task run alone; and a client whose update is not a
+number is still refused by name from inside a stack.
 (``test_nonfinite_update.py`` covers the same refusals through whole runs.)
+Test ids of the executor-parametrized cases contain the executor name
+(CI's executor-parity matrix filters ``tests/engine`` with ``-k``).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig
 from repro.core.model_pool import ModelPool
@@ -16,11 +22,13 @@ from repro.core.server import AdaptiveFL
 from repro.data.datasets import Dataset
 from repro.engine.codecs import Int8Codec, NonFiniteUpdateError
 from repro.engine.rng import client_stream
-from repro.engine.serial import SerialExecutor
+from repro.engine.executors import SerialExecutor, ThreadExecutor
+from repro.engine.factory import create_executor
 from repro.engine.tasks import TrainSubmodelTask
 from repro.engine.transport import StateStore
 
 LOCAL = LocalTrainingConfig(local_epochs=2, batch_size=4, max_batches_per_epoch=2)
+IN_PROCESS = ["serial", "thread", "process"]
 
 
 @pytest.fixture
@@ -37,6 +45,14 @@ def stacks(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def store():
+    """Publishes with a spill file, so that process workers resolve the handles too."""
+    published = StateStore("stacked")
+    yield published
+    published.close()
+
+
 def dataset(easy_setup, client: int, size: int, poison: float | None = None) -> Dataset:
     train = easy_setup["train"]
     rows = easy_setup["partition"].client_indices[client % 8][:size]
@@ -46,13 +62,12 @@ def dataset(easy_setup, client: int, size: int, poison: float | None = None) -> 
     return Dataset(images, train.labels[rows], train.num_classes)
 
 
-def submodel_tasks(easy_setup, specs, codec=None, poisoned=()):
+def submodel_tasks(easy_setup, store, specs, codec=None, poisoned=()):
     """One task per ``(pool entry, state version, dataset size)``, client ids in order."""
     arch = easy_setup["arch"]
     pool = ModelPool(arch, easy_setup["pool"])
-    store = StateStore("stacked")
     handles = {
-        version: store.publish(arch.build(rng=np.random.default_rng(version)).state_dict())
+        version: store.publish(arch.build(rng=np.random.default_rng(version)).state_dict(), spill=True)
         for version in sorted({version for _, version, _ in specs})
     }
     return [
@@ -86,47 +101,60 @@ SPECS = [
 ]
 
 
-def test_only_tasks_of_one_entry_version_and_length_share_a_pass(easy_setup, stacks):
-    SerialExecutor().map(submodel_tasks(easy_setup, SPECS))
+def test_only_tasks_of_one_entry_version_and_length_share_a_pass(easy_setup, store, stacks):
+    SerialExecutor().map(submodel_tasks(easy_setup, store, SPECS))
     assert sorted(stacks) == [[0, 2, 6], [1, 5], [3, 7]]
     for group in stacks:
         assert len({SPECS[client] for client in group}) == 1
 
 
-def test_results_come_back_in_submission_order_as_if_run_alone(easy_setup, stacks):
-    tasks = submodel_tasks(easy_setup, SPECS)
+@pytest.mark.parametrize("name", IN_PROCESS)
+def test_results_come_back_in_submission_order_as_if_run_alone(easy_setup, store, stacks, name):
+    tasks = submodel_tasks(easy_setup, store, SPECS)
     alone = [task.run() for task in tasks]
     assert stacks == []
-    for ours, theirs in zip(SerialExecutor().map(tasks), alone, strict=True):
+    with create_executor(name, max_workers=2) as executor:
+        results = executor.map(tasks)
+    for ours, theirs in zip(results, alone, strict=True):
         same_upload(ours, theirs)
-    assert stacks
+    # a process worker's run_stack calls are recorded in the worker
+    assert stacks or name == "process"
 
 
-def test_a_poisoned_client_in_a_stack_is_refused_by_name(easy_setup, stacks):
+def test_a_thread_executor_hands_run_stack_its_pieces(easy_setup, store, stacks):
+    with ThreadExecutor(max_workers=2) as executor:
+        executor.map(submodel_tasks(easy_setup, store, [("L1", 1, 12)] * 5 + [("S1", 1, 12)]))
+    assert sorted(stacks) == [[0, 1], [2, 3, 4]]
+
+
+def test_a_poisoned_client_in_a_stack_is_refused_by_name(easy_setup, store, stacks):
     specs = [("L1", 1, 12)] * 4
     with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdateError, match=r"client 2: update of tensor"):
-        SerialExecutor().map(submodel_tasks(easy_setup, specs, codec=Int8Codec(), poisoned={2}))
+        SerialExecutor().map(submodel_tasks(easy_setup, store, specs, codec=Int8Codec(), poisoned={2}))
     assert stacks == [[0, 1, 2, 3]]
 
 
-def test_a_poisoned_client_leaves_its_stack_mates_untouched(easy_setup, stacks):
+@pytest.mark.parametrize("name", IN_PROCESS)
+def test_a_poisoned_client_leaves_its_stack_mates_untouched(easy_setup, store, stacks, name):
     """Exact transport: nothing encodes the numbers, so the stack trains on;
     the poisoned client's weights are not finite, its mates' are their own."""
     specs = [("L1", 1, 12)] * 3
-    tasks = submodel_tasks(easy_setup, specs, poisoned={1})
-    with np.errstate(all="ignore"):
+    tasks = submodel_tasks(easy_setup, store, specs, poisoned={1})
+    with np.errstate(all="ignore"), create_executor(name, max_workers=2) as executor:
         alone = [task.run() for task in tasks]
-        stacked = SerialExecutor().map(tasks)
-    assert stacks == [[0, 1, 2]]
+        stacked = executor.map(tasks)
+    assert stacks == {"serial": [[0, 1, 2]], "thread": [[1, 2]], "process": []}[name]
     assert np.isnan(stacked[1].mean_loss)
     for ours, theirs in zip(stacked, alone):
         same_upload(ours, theirs)
 
 
-def test_a_device_round_stacks_by_planned_return(easy_setup, stacks):
+@pytest.mark.parametrize("name", IN_PROCESS)
+def test_a_device_round_stacks_by_planned_return(easy_setup, stacks, name):
     algorithm = AdaptiveFL(
         algorithm_config=AdaptiveFLConfig(
-            federated=FederatedConfig(num_rounds=1, clients_per_round=8), local=LOCAL, pool=easy_setup["pool"]
+            federated=FederatedConfig(num_rounds=1, clients_per_round=8, executor=name, max_workers=2),
+            local=LOCAL, pool=easy_setup["pool"],
         ),
         architecture=easy_setup["arch"], train_dataset=easy_setup["train"], partition=easy_setup["partition"],
         test_dataset=easy_setup["test"], profiles=easy_setup["profiles"],
@@ -136,8 +164,58 @@ def test_a_device_round_stacks_by_planned_return(easy_setup, stacks):
     handle = algorithm.publish_state(algorithm.global_state)
     tasks = [algorithm.make_task(0, plan, slot, handle) for slot in range(len(plan.clients))]
     alone = [task.run() for task in tasks]
-    stacked = SerialExecutor().map(tasks)
+    stacked = algorithm.execute_client_tasks(tasks)
     algorithm.close()
-    assert stacks and all(len({plan.returned[plan.clients.index(c)] for c in group}) == 1 for group in stacks)
+    assert stacks or name != "serial"
+    assert all(len({plan.returned[plan.clients.index(c)] for c in group}) == 1 for group in stacks)
     for ours, theirs in zip(stacked, alone, strict=True):
         same_upload(ours, theirs)
+
+
+class KeyedTask:
+    """A member of stack ``key``; returns its index and the piece it ran in."""
+
+    def __init__(self, index: int, key: str):
+        self.index, self.key = index, key
+
+    def stack_key(self) -> str:
+        return self.key
+
+    def run(self) -> tuple[int, tuple[int, ...]]:
+        return self.index, (self.index,)
+
+    @staticmethod
+    def run_stack(tasks) -> list[tuple[int, tuple[int, ...]]]:
+        piece = tuple(task.index for task in tasks)
+        return [(task.index, piece) for task in tasks]
+
+
+class PricelessTask(KeyedTask):
+    """Its ``cost`` raises: only an executor that orders its pieces reads it."""
+
+    @property
+    def cost(self) -> int:
+        raise AssertionError("cost was read")
+
+
+@pytest.mark.parametrize("name", IN_PROCESS)
+@settings(max_examples=10, deadline=None)
+@given(keys=st.lists(st.sampled_from("abc"), max_size=12), workers=st.integers(min_value=1, max_value=3))
+def test_a_stack_goes_out_as_contiguous_pieces_of_near_equal_size(name, keys, workers):
+    with create_executor(name, max_workers=workers) as executor:
+        results = executor.map([KeyedTask(index, key) for index, key in enumerate(keys)])
+        workers = executor.effective_workers
+    assert [index for index, _ in results] == list(range(len(keys)))
+    for key in set(keys):
+        members = [index for index, other in enumerate(keys) if other == key]
+        pieces = sorted({piece for index, piece in results if keys[index] == key})
+        assert [index for piece in pieces for index in piece] == members
+        assert len(pieces) == min(len(members), workers)
+        assert max(map(len, pieces)) - min(map(len, pieces)) <= 1
+
+
+def test_the_serial_executor_never_reads_cost():
+    tasks = [PricelessTask(index, key) for index, key in enumerate("aabca")]
+    assert SerialExecutor().map(tasks) == [(0, (0, 1, 4)), (1, (0, 1, 4)), (2, (2,)), (3, (3,)), (4, (0, 1, 4))]
+    with ThreadExecutor(max_workers=1) as executor, pytest.raises(AssertionError, match="cost was read"):
+        executor.map(tasks)

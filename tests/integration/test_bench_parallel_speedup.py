@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.api.registry import get_algorithm
-from repro.engine.process import ProcessExecutor
+from repro.engine.executors import ProcessExecutor
 from repro.experiments.settings import ExperimentSetting, prepare_experiment
 
 SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_parallel_speedup.py"

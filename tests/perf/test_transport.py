@@ -15,7 +15,7 @@ from repro.baselines import HeteroFL
 from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig
 from repro.core.pruning import slice_state_dict
 from repro.core.server import AdaptiveFL
-from repro.engine.base import Executor, run_task
+from repro.engine.base import Executor
 from repro.engine.tasks import encode_state_delta
 from repro.engine.transport import StateHandle, StateStore, state_nbytes
 
@@ -35,7 +35,7 @@ class PickleRoundTripExecutor(Executor):
         results = []
         for task in tasks:
             clone = pickle.loads(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
-            results.append(pickle.loads(pickle.dumps(run_task(clone), protocol=pickle.HIGHEST_PROTOCOL)))
+            results.append(pickle.loads(pickle.dumps(clone.run(), protocol=pickle.HIGHEST_PROTOCOL)))
         return results
 
 
@@ -52,7 +52,7 @@ class RecordingExecutor(Executor):
     def map(self, tasks):
         tasks = list(tasks)
         self.wire_sizes.extend(len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)) for task in tasks)
-        results = [run_task(task) for task in tasks]
+        results = [task.run() for task in tasks]
         self.tasks.extend(tasks)
         self.results.extend(results)
         return results
