@@ -46,6 +46,7 @@ from repro.api.registry import get_algorithm
 from repro.engine.base import Executor
 from repro.engine.factory import create_executor
 from repro.engine.rng import spawn_streams
+from repro.engine.tasks import StackTask
 from repro.experiments.settings import ExperimentSetting, prepare_experiment
 
 #: the benchmark configuration (one shared prepared experiment, paired runs)
@@ -69,26 +70,30 @@ DEFAULT_WORKERS = (1, 2, 4)
 
 @dataclass
 class EmulatedDeviceTask:
-    """Wraps a client task with the device/communication latency it would
-    have on real hardware (the executor can overlap it, serial cannot).
+    """Wraps a round's stack piece with the device/communication latency its
+    clients would have on real hardware (the executor can overlap it, serial
+    cannot).
 
-    The latency is jittered per device and round through a child of the
-    task's own RNG stream (``spawn_streams``), so it is deterministic and
-    identical for every executor/worker count while never perturbing the
-    training randomness of the parent stream.
+    Every member of the piece is charged its own latency, jittered per
+    device and round through a child of the member's own RNG stream
+    (``spawn_streams``), so it is deterministic and identical for every
+    executor/worker count while never perturbing the training randomness of
+    the parent stream.
     """
 
-    inner: object
+    inner: StackTask
     seconds: float
     jitter: float = 0.0
 
+    def latency(self, member) -> float:
+        """One member's emulated device latency in seconds."""
+        if self.jitter <= 0:
+            return self.seconds
+        latency_rng = np.random.default_rng(spawn_streams(member.rng_stream, 1)[0])
+        return self.seconds * float(latency_rng.uniform(1 - self.jitter, 1 + self.jitter))
+
     def run(self):
-        seconds = self.seconds
-        stream = getattr(self.inner, "rng_stream", None)
-        if self.jitter > 0 and stream is not None:
-            latency_rng = np.random.default_rng(spawn_streams(stream, 1)[0])
-            seconds *= float(latency_rng.uniform(1 - self.jitter, 1 + self.jitter))
-        time.sleep(seconds)
+        time.sleep(sum(self.latency(member) for member in self.inner.tasks))
         return self.inner.run()
 
 
@@ -104,6 +109,11 @@ class DeviceLatencyExecutor(Executor):
         self.is_interprocess = inner.is_interprocess
         self.seconds = seconds
         self.jitter = jitter
+
+    @property
+    def effective_workers(self) -> int:
+        """The wrapped executor's: the round splits its stacks for that pool."""
+        return self.inner.effective_workers
 
     def map(self, tasks):
         return self.inner.map([EmulatedDeviceTask(task, self.seconds, self.jitter) for task in tasks])

@@ -635,12 +635,14 @@ def _iter_jsonl_events(handle, raw: bool) -> "Iterator[str]":
 
 
 def _cmd_tail(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit cannot be negative (got {args.limit})")
     if not args.path.exists():
         raise OSError(f"no such event log: {args.path}")
     with args.path.open("r", encoding="utf-8") as handle:
         lines = list(_iter_jsonl_events(handle, args.raw))
         if args.limit is not None:
-            lines = lines[-args.limit :]
+            lines = lines[len(lines) - min(args.limit, len(lines)) :]
         for line in lines:
             print(line, flush=True)
         if not args.follow:

@@ -54,7 +54,7 @@ from repro.engine.codecs import (
 )
 from repro.engine.factory import create_executor
 from repro.engine.rng import client_stream
-from repro.engine.tasks import ClientTask, TrainSubmodelTask
+from repro.engine.tasks import ClientTask, TrainSubmodelTask, map_stacked
 from repro.engine.transport import StateHandle, StateStore, state_nbytes
 from repro.obs.events import get_event_bus
 from repro.obs.metrics import registry as obs_registry
@@ -406,8 +406,8 @@ class FederatedAlgorithm(ABC):
         self._dataset_handles.clear()
 
     def execute_client_tasks(self, tasks: Sequence[ClientTask]) -> list:
-        """Fan per-client tasks out through the executor (order-preserving)."""
-        return self.executor.map(tasks)
+        """Fan per-client tasks out through the executor as stack pieces (order-preserving)."""
+        return map_stacked(self.executor, tasks)
 
     # -- weight transport (repro.engine.transport) ---------------------------------------
     def publish_state(self, state: Mapping[str, np.ndarray], stream: str = "global") -> StateHandle:

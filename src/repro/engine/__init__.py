@@ -2,9 +2,10 @@
 
 Federated rounds are embarrassingly parallel on the client side: once the
 server has planned *who* trains *what*, every local round is an
-independent task.  This package fans those tasks out through one dispatch
-path, :mod:`repro.engine.executors`, which trains the tasks of one
-``stack_key()`` as stacked passes.  The executors differ only in their pool:
+independent task.  The round trains the tasks of one ``stack_key()`` as
+stacked passes (:func:`repro.engine.tasks.map_stacked`), handing every
+executor, remote included, one ``StackTask`` per piece.  The executors
+differ only in their pool:
 
 * :class:`~repro.engine.executors.SerialExecutor` — no pool: each stack
   trains as one pass in the calling thread (default, the reference),

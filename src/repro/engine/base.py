@@ -21,20 +21,15 @@ from typing import Any, Callable, Iterable, Sequence
 __all__ = ["Executor", "default_max_workers", "map_longest_first"]
 
 
-def map_longest_first(
-    ordered_map: Callable[[list[Any]], Iterable[Any]],
-    tasks: Sequence[Any],
-    cost: Callable[[Any], float] = lambda task: getattr(task, "cost", 0),
-) -> list[Any]:
+def map_longest_first(ordered_map: Callable[[list[Any]], Iterable[Any]], tasks: Sequence[Any]) -> list[Any]:
     """``ordered_map(tasks)``, costliest first, results in submission order.
 
     A round's tasks differ severalfold in size (S/M/L submodels): started
     in submission order, the last big one leaves the other workers idle.
     ``ordered_map`` (order-preserving, hands items out first to last) gets
-    them by decreasing ``cost`` (default: ``task.cost``) — ties and
-    cost-less tasks as submitted.
+    them by decreasing ``task.cost`` — ties and cost-less tasks as submitted.
     """
-    order = sorted(range(len(tasks)), key=lambda index: -cost(tasks[index]))
+    order = sorted(range(len(tasks)), key=lambda index: -getattr(tasks[index], "cost", 0))
     results: list[Any] = [None] * len(tasks)
     for index, result in zip(order, ordered_map([tasks[index] for index in order])):
         results[index] = result

@@ -21,12 +21,17 @@ Tasks with equal :meth:`ClientTask.stack_key` train one submodel from one
 published state on datasets of one length; their ``run_stack`` resolves
 the slice once, trains them as one stacked pass and encodes each upload on
 its own, every result bit-identical to the task's own ``run``.
+
+Stacks are work, not executor policy: :func:`map_stacked` hands every
+executor — serial, pool or remote — one :class:`StackTask` per piece of a
+stack, one pickle to a process worker and one frame on the wire.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace as dataclass_replace
+from itertools import chain
 from typing import Any, Hashable, Mapping, Sequence
 
 import numpy as np
@@ -35,13 +40,14 @@ from repro.core.config import LocalTrainingConfig
 from repro.core.local_training import LocalTrainingResult, train_local_model, train_local_models
 from repro.core.pruning import slice_state_dict
 from repro.data.datasets import Dataset
+from repro.engine.base import Executor
 from repro.engine.codecs import UpdateCodec, encode_client_update
 from repro.engine.transport import StateHandle
 from repro.nn.dtype import resolve_dtype
 from repro.nn.models.spec import SlimmableArchitecture
 from repro.obs.trace import TraceContext
 
-__all__ = ["ClientTask", "TrainSubmodelTask"]
+__all__ = ["ClientTask", "StackTask", "TrainSubmodelTask", "map_stacked"]
 
 
 # benchmarks/e2e/tracing.py (frozen between benchmark PRs) times the exact upload
@@ -67,10 +73,9 @@ class ClientTask(ABC):
     def stack_key(self) -> Hashable | None:
         """The key under which tasks run as one stacked pass; None runs alone.
 
-        Tasks with equal keys form a stack; each piece of it an executor
-        hands out (:func:`repro.engine.executors.stack_pieces`) goes to one
-        ``run_stack(tasks)`` call of their class, which returns their
-        results in order.
+        Tasks with equal keys form a stack; each piece of it
+        (:func:`map_stacked`) goes to one ``run_stack(tasks)`` call of their
+        class, which returns their results in order.
         """
         return None
 
@@ -168,3 +173,45 @@ class TrainSubmodelTask(ClientTask):
 # benchmarks/e2e/tracing.py (frozen between benchmark PRs) wraps ``run`` under
 # this name too; delete together with its hook row
 LocalRoundTask = TrainSubmodelTask
+
+
+@dataclass
+class StackTask(ClientTask):
+    """One piece of a stack: member tasks of one ``stack_key()``, run as one unit.
+
+    Members share a round, so the piece's ``rng_stream`` (a worker reads the
+    round from it) and ``trace`` (a wire dispatch carries it) are the first
+    member's; members train one submodel, so it costs K times the first.
+    """
+
+    tasks: list[ClientTask]
+
+    rng_stream = property(lambda self: self.tasks[0].rng_stream)
+    trace = property(lambda self: getattr(self.tasks[0], "trace", None))
+    cost = property(lambda self: len(self.tasks) * self.tasks[0].cost)
+
+    def run(self) -> list[Any]:
+        """The members' results in order: one member through its own ``run``,
+        more through one ``run_stack`` call of their class."""
+        return type(self.tasks[0]).run_stack(self.tasks) if len(self.tasks) > 1 else [self.tasks[0].run()]
+
+
+def map_stacked(executor: Executor, tasks: Sequence[ClientTask]) -> list[Any]:
+    """Every task's result in submission order, each task run in a piece of its stack.
+
+    Tasks with an equal ``stack_key()`` that is not None form a stack; with
+    W = ``executor.effective_workers`` a stack of K splits into ``min(K, W)``
+    contiguous pieces whose sizes differ by at most one, and ``executor.map``
+    runs one :class:`StackTask` per piece.
+    """
+    stacks: dict[Hashable, list[int]] = {}
+    for index, task in enumerate(tasks):
+        key = task.stack_key()
+        stacks.setdefault(object() if key is None else key, []).append(index)
+    workers, pieces = executor.effective_workers, []
+    for members in stacks.values():
+        count = min(len(members), workers)
+        pieces += [members[len(members) * part // count : len(members) * (part + 1) // count] for part in range(count)]
+    outcomes = executor.map([StackTask([tasks[index] for index in piece]) for piece in pieces])
+    by_index = dict(zip(chain.from_iterable(pieces), chain.from_iterable(outcomes)))
+    return [by_index[index] for index in range(len(tasks))]

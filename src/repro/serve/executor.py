@@ -5,7 +5,8 @@ asyncio event loop running in a daemon thread, so the synchronous
 training loop in :mod:`repro.core.fl_base` stays unchanged: ``map``
 pickles the round's :class:`~repro.engine.tasks.ClientTask` batch,
 submits it to the coordinator and blocks until every connected client
-has returned a result.  ``is_interprocess`` is True, so the transport
+has returned a result; a round's task is a stack piece, one frame each.
+``is_interprocess`` is True, so the transport
 layer spills published state to disk exactly as it does for the process
 pool — clients then pull those versions over the wire through
 ``state_request`` frames instead of reading the coordinator's
@@ -116,8 +117,9 @@ class RemoteExecutor(Executor):
 
     @property
     def effective_workers(self) -> int:
-        """The client quorum a batch waits for before dispatching."""
-        return self.options.min_clients
+        """The slots a batch can fill: connected clients (at least the quorum) × ``max_inflight``."""
+        connected = len(self._coordinator.actors) if self._coordinator is not None else 0
+        return max(connected, self.options.min_clients) * self.options.max_inflight
 
     @property
     def address(self) -> tuple[str, int] | None:

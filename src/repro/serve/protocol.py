@@ -11,10 +11,10 @@ message                   direction  meaning
 ``hello``                 c → s      identity + protocol version
 ``hello_ack``             s → c      accept; advertises the heartbeat cadence
 ``round_plan``            s → c      a task batch (one federated round) is starting
-``task_dispatch``         s → c      one pickled client task to execute
+``task_dispatch``         s → c      one pickled stack piece of client tasks to execute
 ``state_request``         c → s      fetch a published ``StateStore`` version
 ``weight_slice``          s → c      the requested state payload (pickled dict)
-``state_delta``           c → s      a task's result — trained slice or codec encoding
+``state_delta``           c → s      a piece's results — trained slices or codec encodings
 ``heartbeat``             both       liveness probe / echo
 ``bye``                   both       orderly shutdown of one side
 ``error``                 both       protocol violation or remote failure report
@@ -54,8 +54,8 @@ __all__ = [
 ]
 
 #: framing + vocabulary + payload version (must match exactly in the handshake);
-#: 3 since an exact upload is the trained state dict, no longer an XOR delta
-PROTOCOL_VERSION = 3
+#: 4 since a dispatch carries a stack piece and its result is the piece's result list
+PROTOCOL_VERSION = 4
 
 #: wire name -> message class; populated by :func:`register_message`
 MESSAGE_TYPES: dict[str, type["Message"]] = {}
@@ -116,7 +116,7 @@ class RoundPlan(Message):
 @register_message
 @dataclass(frozen=True)
 class TaskDispatch(Message):
-    """One pickled :class:`~repro.engine.tasks.ClientTask` to execute."""
+    """One pickled :class:`~repro.engine.tasks.StackTask` (a stack piece; its first member's trace)."""
 
     type: ClassVar[str] = "task_dispatch"
     batch_id: int
@@ -151,11 +151,11 @@ class WeightSlice(Message):
 @register_message
 @dataclass(frozen=True)
 class TaskResult(Message):
-    """A task's result upload (wire name ``state_delta``).
+    """A piece's result upload (wire name ``state_delta``).
 
-    The payload is the pickled task result; its state is the trained
-    slice itself (a dict of arrays, bit-exact) or, under a lossy codec,
-    an :class:`~repro.engine.codecs.EncodedUpdate`.
+    The payload is the pickled list of the piece's task results; a state is
+    the trained slice itself (a dict of arrays, bit-exact) or, under a lossy
+    codec, an :class:`~repro.engine.codecs.EncodedUpdate`.
     ``error`` carries the client-side traceback when the task raised
     instead of completing (``payload`` is empty then).
     """

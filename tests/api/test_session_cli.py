@@ -295,3 +295,26 @@ class TestCli:
             assert _setting_from_args(args).transport_codec == "cli-probe"
         finally:
             unregister_codec("cli-probe")
+
+
+class TestTail:
+    """``repro tail --limit N`` prints the last N existing events; a negative N is refused."""
+
+    @pytest.fixture
+    def log(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text("".join(json.dumps({"name": f"event-{index}"}) + "\n" for index in range(3)))
+        return path
+
+    @pytest.mark.parametrize("limit, shown", [(None, 3), (5, 3), (2, 2), (1, 1), (0, 0)])
+    def test_limit_keeps_the_last_events(self, log, capsys, limit, shown):
+        flags = [] if limit is None else ["--limit", str(limit)]
+        assert main(["tail", str(log), "--raw", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line)["name"] for line in lines] == [f"event-{index}" for index in range(3 - shown, 3)]
+
+    def test_a_negative_limit_is_a_clean_error(self, log, capsys):
+        assert main(["tail", str(log), "--raw", "--limit", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--limit cannot be negative" in captured.err

@@ -126,20 +126,20 @@ class EncodedByteAuditExecutor(Executor):
     is_interprocess = True
 
     def __init__(self):
+        super().__init__()
         self.rounds: list[int] = []
 
     def map(self, tasks):
         results = []
         observed = 0
-        for task in tasks:
-            clone = pickle.loads(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
-            result = pickle.loads(
-                pickle.dumps(clone.run(), protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            state = getattr(result, "state", None)
-            assert isinstance(state, EncodedUpdate), "codec run must upload EncodedUpdate"
-            observed += state.nbytes
-            results.append(result)
+        for piece in tasks:
+            clone = pickle.loads(pickle.dumps(piece, protocol=pickle.HIGHEST_PROTOCOL))
+            outcomes = pickle.loads(pickle.dumps(clone.run(), protocol=pickle.HIGHEST_PROTOCOL))
+            for result in outcomes:
+                state = getattr(result, "state", None)
+                assert isinstance(state, EncodedUpdate), "codec run must upload EncodedUpdate"
+                observed += state.nbytes
+            results.append(outcomes)
         self.rounds.append(observed)
         return results
 

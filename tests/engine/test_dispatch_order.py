@@ -1,8 +1,8 @@
 """Longest-first dispatch: costliest task started first, results in submission order.
 
 The thread, process and remote executors share ``map_longest_first``
-(thread and process hand out stack pieces; these tasks have no
-``stack_key``, so every piece is one task).  With one
+over whatever they are handed (a round hands them stack pieces; these
+plain tasks go to the executor directly).  With one
 worker the order tasks *start* in is the order they were handed out, so
 each task stamps its start and the test reads the dispatch order back
 from the stamps; the results themselves must come back in submission

@@ -24,9 +24,9 @@ LOCAL = LocalTrainingConfig(local_epochs=1, batch_size=25, max_batches_per_epoch
 
 
 class PickleRoundTripExecutor(Executor):
-    """Serial executor that pickles tasks and results, as a process pool
-    would, and advertises itself as inter-process so the transport layer
-    takes the spill-file path."""
+    """Serial executor that pickles tasks (a round's stack pieces) and their
+    results, as a process pool would, and advertises itself as inter-process
+    so the transport layer takes the spill-file path."""
 
     name = "pickle-roundtrip"
     is_interprocess = True
@@ -40,8 +40,8 @@ class PickleRoundTripExecutor(Executor):
 
 
 class RecordingExecutor(Executor):
-    """Serial executor that keeps every task it ran, its pickled size before
-    it ran, and every result it returned."""
+    """Serial executor that keeps every client task of the stack pieces it
+    ran, the task's pickled size before it ran, and the task's result."""
 
     name = "recording"
 
@@ -50,11 +50,11 @@ class RecordingExecutor(Executor):
         self.tasks, self.wire_sizes, self.results = [], [], []
 
     def map(self, tasks):
-        tasks = list(tasks)
-        self.wire_sizes.extend(len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)) for task in tasks)
-        results = [task.run() for task in tasks]
-        self.tasks.extend(tasks)
-        self.results.extend(results)
+        members = [member for piece in tasks for member in piece.tasks]
+        self.wire_sizes.extend(len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)) for task in members)
+        results = [piece.run() for piece in tasks]
+        self.tasks.extend(members)
+        self.results.extend(result for outcomes in results for result in outcomes)
         return results
 
 

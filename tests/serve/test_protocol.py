@@ -57,13 +57,12 @@ def test_versions_are_positive_integers():
 
 def test_one_wire_version():
     """The handshake checks one version number and no separate payload schema."""
-    assert PROTOCOL_VERSION == 3
+    assert PROTOCOL_VERSION == 4
     assert not hasattr(protocol, "SCHEMA_VERSION")
 
 
-def test_a_version_2_peer_is_refused_at_hello():
-    """Version 2 uploads were XOR deltas: such a peer is refused by name at
-    hello, before any task result could reach ``pickle.loads``."""
+def refused_at_hello(version: int) -> None:
+    """A peer speaking ``version`` is refused by name at hello and never counted as connected."""
     executor = RemoteExecutor(
         options=ServeOptions(port=0, min_clients=1, connect_timeout=5.0, heartbeat_interval=0.5, liveness_timeout=5.0)
     )
@@ -71,13 +70,25 @@ def test_a_version_2_peer_is_refused_at_hello():
     try:
         with socket.create_connection((host, port), timeout=5) as sock:
             sock.settimeout(5)
-            send_message(sock, Hello(client_name="v2-peer", protocol_version=2))
+            send_message(sock, Hello(client_name=f"v{version}-peer", protocol_version=version))
             reply = recv_message(sock)
         assert isinstance(reply, ProtocolError)
-        assert "server speaks protocol 3, client 'v2-peer' speaks protocol 2" in reply.message
+        assert f"server speaks protocol 4, client 'v{version}-peer' speaks protocol {version}" in reply.message
         assert executor.stats()["connects"] == 0
     finally:
         executor.shutdown()
+
+
+def test_a_version_2_peer_is_refused_at_hello():
+    """Version 2 uploads were XOR deltas: such a peer is refused by name at
+    hello, before any task result could reach ``pickle.loads``."""
+    refused_at_hello(2)
+
+
+def test_a_version_3_peer_is_refused_at_hello():
+    """A version 3 dispatch carried one task and its result was that task's,
+    not a stack piece's result list: such a peer is refused at hello too."""
+    refused_at_hello(3)
 
 
 def test_handshake_frames_carry_only_the_protocol_version():
