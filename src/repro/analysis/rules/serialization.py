@@ -2,7 +2,11 @@
 
 Round histories, checkpoints and sweep manifests all persist through
 ``to_dict``/``from_dict`` pairs, and resume parity depends on the read
-side rejecting payloads it does not fully understand.  A dataclass that
+side rejecting payloads it does not fully understand.  Spec, config and
+record dataclasses inherit both from
+:class:`repro.core.serialization.Serializable`, whose ``from_dict`` goes
+through ``checked_payload``; the rule checks the classes that write their
+own ``to_dict``.  A dataclass that
 grows a ``to_dict`` without a ``from_dict`` becomes write-only on-disk
 state the next session cannot reload; a ``from_dict`` that does not go
 through :func:`repro.core.serialization.checked_payload` silently drops
@@ -77,7 +81,8 @@ class OneWaySerializationRule(Rule):
                     ctx,
                     to_dict,
                     f"dataclass {node.name} defines to_dict but no from_dict; persisted "
-                    "payloads become write-only — add a strict from_dict via "
+                    "payloads become write-only — inherit both from "
+                    "repro.core.serialization.Serializable, add a strict from_dict via "
                     "checked_payload, or mark one-way output with an inline disable",
                 )
             elif not _calls_checked_payload(from_dict):

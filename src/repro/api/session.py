@@ -192,19 +192,22 @@ class ExperimentSession:
         *,
         num_rounds: int | None = None,
     ) -> dict[str, AlgorithmResult]:
-        """Run several algorithms on the identical snapshot (paired comparison)."""
-        names = validate_algorithm_names(self._resolve_algorithms(algorithms))
-        return {name: self.run(name, num_rounds=num_rounds) for name in names}
+        """Run several algorithms on the identical snapshot (paired comparison).
 
-    def run_spec(self) -> dict[str, AlgorithmResult]:
-        """Execute the attached spec: its algorithms, rounds and strategy."""
-        if self.spec is None:
-            raise ValueError("session has no spec; construct it with ExperimentSession.from_spec")
-        names = validate_algorithm_names(self._resolve_algorithms(self.spec.algorithms or None))
+        ``algorithms`` defaults to the spec's list (or every registered
+        algorithm); each one that takes a selection strategy runs the spec's.
+        """
+        names = validate_algorithm_names(self._resolve_algorithms(algorithms))
         return {
-            name: self.run(name, selection_strategy=self.strategy_for(name))
+            name: self.run(name, selection_strategy=self.strategy_for(name), num_rounds=num_rounds)
             for name in names
         }
+
+    def run_spec(self) -> dict[str, AlgorithmResult]:
+        """Execute the attached spec: its algorithms, rounds and strategy (``compare()``)."""
+        if self.spec is None:
+            raise ValueError("session has no spec; construct it with ExperimentSession.from_spec")
+        return self.compare()
 
     # -- persistence ------------------------------------------------------------------
     def save_results(self, directory: str | Path) -> list[Path]:

@@ -12,16 +12,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
 
-from repro.core.serialization import checked_payload
+from repro.core.serialization import Serializable
 from repro.experiments.settings import ExperimentSetting
 
 __all__ = ["ExperimentSpec"]
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Serializable):
     """Setting + run options; round-trips through ``to_dict``/``from_dict``."""
 
     setting: ExperimentSetting = field(default_factory=ExperimentSetting)
@@ -40,24 +39,6 @@ class ExperimentSpec:
             raise ValueError("algorithms must be non-empty strings")
         if self.num_rounds is not None and self.num_rounds <= 0:
             raise ValueError("num_rounds must be positive when set")
-
-    def to_dict(self) -> dict:
-        """JSON-friendly representation; round-trips through :meth:`from_dict`."""
-        return {
-            "setting": self.setting.to_dict(),
-            "algorithms": list(self.algorithms),
-            "selection_strategy": self.selection_strategy,
-            "num_rounds": self.num_rounds,
-            "output_dir": self.output_dir,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentSpec":
-        """Strict reconstruction of :meth:`to_dict` output (unknown keys raise)."""
-        data = checked_payload(cls, payload)
-        if "setting" in data:
-            data["setting"] = ExperimentSetting.from_dict(data["setting"])
-        return cls(**data)
 
     def save(self, path: str | Path) -> Path:
         """Write the spec as pretty-printed JSON; returns the path."""

@@ -1,19 +1,18 @@
 """Configuration dataclasses shared by AdaptiveFL and the baselines.
 
-Every config serialises with ``to_dict()`` and reconstructs with
-``from_dict()`` so experiment specs can round-trip through JSON
-(``from_dict(to_dict(x)) == x``); unknown payload keys raise
-:class:`ValueError` and bad values hit the regular ``__post_init__``
-validation.
+Every config is :class:`~repro.core.serialization.Serializable`: it
+serialises with ``to_dict()`` and reconstructs with ``from_dict()`` so
+experiment specs can round-trip through JSON (``from_dict(to_dict(x)) ==
+x``); unknown payload keys raise :class:`ValueError` and bad values hit the
+regular ``__post_init__`` validation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass, field
 
-from repro.core.serialization import checked_payload, coerce_int_tuple
+from repro.core.serialization import Serializable
 from repro.engine.factory import validate_executor_choice
 
 __all__ = [
@@ -32,7 +31,7 @@ SELECTION_STRATEGIES = ("rl-cs", "rl-c", "rl-s", "random", "greedy")
 
 
 @dataclass(frozen=True)
-class LocalTrainingConfig:
+class LocalTrainingConfig(Serializable):
     """Hyper-parameters of one client's local training pass.
 
     Defaults follow the paper's §4: SGD with learning rate 0.01 and
@@ -61,16 +60,10 @@ class LocalTrainingConfig:
         if self.max_batches_per_epoch is not None and self.max_batches_per_epoch <= 0:
             raise ValueError("max_batches_per_epoch must be positive when set")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "LocalTrainingConfig":
-        return cls(**checked_payload(cls, payload))
 
 
 @dataclass(frozen=True)
-class FederatedConfig:
+class FederatedConfig(Serializable):
     """Global federated-learning loop configuration."""
 
     num_rounds: int = 100
@@ -126,16 +119,9 @@ class FederatedConfig:
 
             validate_scenario_choice(self.scenario)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FederatedConfig":
-        return cls(**checked_payload(cls, payload))
-
 
 @dataclass(frozen=True)
-class ModelPoolConfig:
+class ModelPoolConfig(Serializable):
     """How the global model is split into the heterogeneous model pool.
 
     ``models_per_level`` is the paper's ``p``; the pool then contains
@@ -169,26 +155,9 @@ class ModelPoolConfig:
         if min(self.start_layers) < self.min_start_layer:
             raise ValueError("start_layers must respect the min_start_layer threshold τ")
 
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["start_layers"] = list(self.start_layers)
-        return data
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ModelPoolConfig":
-        data = checked_payload(cls, payload)
-        if "start_layers" in data:
-            data["start_layers"] = coerce_int_tuple(data["start_layers"], field_name="start_layers")
-        if "level_width_ratios" in data:
-            ratios = data["level_width_ratios"]
-            if not isinstance(ratios, Mapping):
-                raise ValueError("level_width_ratios must be a mapping")
-            data["level_width_ratios"] = {str(level): float(ratio) for level, ratio in ratios.items()}
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class AdaptiveFLConfig:
+class AdaptiveFLConfig(Serializable):
     """Full AdaptiveFL algorithm configuration."""
 
     federated: FederatedConfig = field(default_factory=FederatedConfig)
@@ -204,23 +173,3 @@ class AdaptiveFLConfig:
             raise ValueError(f"selection_strategy must be one of {sorted(SELECTION_STRATEGIES)}")
         if not 0.0 < self.resource_reward_cap <= 1.0:
             raise ValueError("resource_reward_cap must be in (0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "federated": self.federated.to_dict(),
-            "local": self.local.to_dict(),
-            "pool": self.pool.to_dict(),
-            "selection_strategy": self.selection_strategy,
-            "resource_reward_cap": self.resource_reward_cap,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "AdaptiveFLConfig":
-        data = checked_payload(cls, payload)
-        if "federated" in data:
-            data["federated"] = FederatedConfig.from_dict(data["federated"])
-        if "local" in data:
-            data["local"] = LocalTrainingConfig.from_dict(data["local"])
-        if "pool" in data:
-            data["pool"] = ModelPoolConfig.from_dict(data["pool"])
-        return cls(**data)

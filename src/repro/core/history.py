@@ -11,28 +11,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.serialization import checked_payload
+from repro.core.serialization import Serializable
 
 __all__ = ["RoundRecord", "TrainingHistory"]
 
 
 @dataclass
-class RoundRecord:
-    """Everything recorded about one federated round."""
+class RoundRecord(Serializable):
+    """Everything recorded about one federated round (its JSON key for the index is ``round``)."""
 
-    round_index: int
+    round_index: int = field(metadata={"key": "round"})
     #: accuracy of the full global model (the paper's "full")
     full_accuracy: float | None = None
-    #: per-level-head accuracy {"S": ..., "M": ..., "L": ...}
-    level_accuracies: dict[str, float] = field(default_factory=dict)
     #: mean of the level-head accuracies (the paper's "avg")
     avg_accuracy: float | None = None
+    #: per-level-head accuracy {"S": ..., "M": ..., "L": ...}
+    level_accuracies: dict[str, float] = field(default_factory=dict)
     train_loss: float | None = None
     communication_waste: float | None = None
+    wall_clock_seconds: float | None = None
     dispatched: list[str] = field(default_factory=list)
     returned: list[str] = field(default_factory=list)
     selected_clients: list[int] = field(default_factory=list)
-    wall_clock_seconds: float | None = None
     # -- fleet-simulation fields (populated when a scenario is active) ----------------
     #: per-selected-client upload-complete seconds; None = never returned
     arrival_seconds: list[float | None] = field(default_factory=list)
@@ -44,48 +44,6 @@ class RoundRecord:
     #: total bytes the server sent to / received from the fleet this round
     bytes_down: int | None = None
     bytes_up: int | None = None
-
-    def to_dict(self) -> dict:
-        """JSON-friendly representation; round-trips through :meth:`from_dict`."""
-        return {
-            "round": self.round_index,
-            "full_accuracy": self.full_accuracy,
-            "avg_accuracy": self.avg_accuracy,
-            "level_accuracies": self.level_accuracies,
-            "train_loss": self.train_loss,
-            "communication_waste": self.communication_waste,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "dispatched": self.dispatched,
-            "returned": self.returned,
-            "selected_clients": self.selected_clients,
-            "arrival_seconds": self.arrival_seconds,
-            "dropped_clients": self.dropped_clients,
-            "deadline_seconds": self.deadline_seconds,
-            "bytes_down": self.bytes_down,
-            "bytes_up": self.bytes_up,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RoundRecord":
-        """Strict reconstruction (the ``round`` key maps to ``round_index``)."""
-        if not isinstance(payload, Mapping):
-            raise ValueError(f"RoundRecord payload must be a mapping, got {type(payload).__name__}")
-        data = dict(payload)
-        if "round" in data:
-            if "round_index" in data:
-                raise ValueError("RoundRecord payload sets both 'round' and 'round_index'")
-            data["round_index"] = data.pop("round")
-        data = checked_payload(cls, data)
-        for name, caster in (("selected_clients", int), ("dropped_clients", int), ("dispatched", str), ("returned", str)):
-            if name in data:
-                if not isinstance(data[name], (list, tuple)):
-                    raise ValueError(f"{name} must be a list")
-                data[name] = [caster(item) for item in data[name]]
-        if "arrival_seconds" in data:
-            if not isinstance(data["arrival_seconds"], (list, tuple)):
-                raise ValueError("arrival_seconds must be a list")
-            data["arrival_seconds"] = [None if item is None else float(item) for item in data["arrival_seconds"]]
-        return cls(**data)
 
     @property
     def aggregated_clients(self) -> list[int]:

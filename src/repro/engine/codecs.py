@@ -50,12 +50,12 @@ import threading
 import zlib
 from abc import ABC, abstractmethod
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.serialization import checked_payload
+from repro.core.serialization import Serializable
 from repro.perf.workspace import Workspace
 
 __all__ = [
@@ -205,7 +205,7 @@ def _finite_peak(work: np.ndarray) -> float:
     return peak
 
 
-class UpdateCodec(ABC):
+class UpdateCodec(Serializable, ABC):
     """One registered compression scheme for client updates."""
 
     #: registry name (wire tag of the payloads this codec produces)
@@ -226,12 +226,7 @@ class UpdateCodec(ABC):
 
     def to_dict(self) -> dict:
         """Strict JSON payload (registry name + knobs); see :func:`codec_from_dict`."""
-        return {"name": self.name, **asdict(self)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "UpdateCodec":
-        """Rebuild from :meth:`to_dict` output (unknown keys raise)."""
-        return cls(**checked_payload(cls, payload))
+        return {"name": self.name, **super().to_dict()}
 
 
 @register_codec("none")

@@ -8,15 +8,14 @@ It also exposes the paper's Table 1 split settings for VGG16.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.config import (
     RUNTIME_FIELDS, SELECTION_STRATEGIES, AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig, ModelPoolConfig,
 )
-from repro.core.serialization import checked_payload
+from repro.core.serialization import Serializable
 from repro.data.datasets import Dataset, make_cifar10_like, make_cifar100_like, make_femnist_like, make_widar_like
 from repro.data.partition import ClientPartition, partition_dataset
 from repro.devices.profiles import DeviceProfile, build_device_profiles
@@ -52,7 +51,7 @@ _DATASET_CHANNELS = {"cifar10": 3, "cifar100": 3, "femnist": 1, "widar": 1}
 
 
 @dataclass(frozen=True)
-class ExperimentSetting:
+class ExperimentSetting(Serializable):
     """One cell of the paper's evaluation grid."""
 
     dataset: str = "cifar10"
@@ -87,20 +86,6 @@ class ExperimentSetting:
     def runtime_options(self) -> dict:
         """The runtime knobs as :class:`~repro.core.config.FederatedConfig` keyword arguments."""
         return {name: getattr(self, name) for name in RUNTIME_FIELDS}
-
-    def to_dict(self) -> dict:
-        """JSON-friendly representation; round-trips through :meth:`from_dict`."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentSetting":
-        data = checked_payload(cls, payload)
-        if "overrides" in data:
-            overrides = data["overrides"]
-            if not isinstance(overrides, Mapping):
-                raise ValueError("overrides must be a mapping of scale fields")
-            data["overrides"] = dict(overrides)
-        return cls(**data)
 
 
 @dataclass

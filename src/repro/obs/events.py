@@ -46,6 +46,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro.core.serialization import Serializable
 from repro.obs.clock import wall_time
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,7 +90,7 @@ EVENT_TYPES = frozenset(
 
 
 @dataclass(frozen=True)
-class Event:
+class Event(Serializable):
     """One telemetry fact: a type, a wall-clock timestamp, and context.
 
     ``data`` holds type-specific payload (round index, client name,
@@ -105,27 +106,6 @@ class Event:
     span_id: str = ""
     data: dict[str, Any] = field(default_factory=dict)
     schema_version: int = EVENT_SCHEMA_VERSION
-
-    def to_dict(self) -> dict[str, Any]:
-        """The JSONL wire form (flat dict, schema version included)."""
-        return {
-            "type": self.type,
-            "timestamp": self.timestamp,
-            "source": self.source,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "data": dict(self.data),
-            "schema_version": self.schema_version,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "Event":
-        """Reconstruct an event from its :meth:`to_dict` form, strictly."""
-        # imported here: repro.core pulls in the executor stack, which
-        # imports this module — a top-level import would be circular
-        from repro.core.serialization import checked_payload
-
-        return cls(**checked_payload(cls, payload))
 
 
 class EventBus:

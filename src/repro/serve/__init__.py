@@ -6,7 +6,7 @@ bit-exact results — untouched:
 
 * :mod:`repro.serve.protocol` / :mod:`repro.serve.codec` — the
   length-prefixed wire protocol with one exact-match version
-  (``hello`` handshake, ``round_plan``/``task_dispatch`` fan-out,
+  (``hello`` handshake, ``task_dispatch`` fan-out,
   ``weight_slice`` downloads, ``state_delta`` uploads, heartbeats,
   ``bye``);
 * :mod:`repro.serve.coordinator` — asyncio server running one supervised

@@ -54,7 +54,6 @@ from repro.serve.protocol import (
     HelloAck,
     Message,
     ProtocolError,
-    RoundPlan,
     StateRequest,
     TaskDispatch,
     TaskResult,
@@ -207,8 +206,8 @@ class ClientRunner:
                     return "dropped"
             elif isinstance(message, Heartbeat):
                 send_message(self._sock, Heartbeat(seq=message.seq))
-            elif isinstance(message, (RoundPlan, WeightSlice)):
-                pass  # round plans are informational; late slices are stale
+            elif isinstance(message, WeightSlice):
+                pass  # a late slice is stale
             elif isinstance(message, Bye):
                 self._log(f"server said goodbye: {message.reason or 'bye'}")
                 return "bye"

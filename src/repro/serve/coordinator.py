@@ -44,7 +44,7 @@ from repro.obs.status import StatusServer
 from repro.serve.actors import ClientActor
 from repro.serve.codec import CodecError, read_message, write_message
 from repro.serve.options import ServeOptions
-from repro.serve.protocol import PROTOCOL_VERSION, Hello, HelloAck, ProtocolError, RoundPlan, TaskResult
+from repro.serve.protocol import PROTOCOL_VERSION, Hello, HelloAck, ProtocolError, TaskResult
 
 __all__ = ["Coordinator", "TaskBatch", "TaskEnvelope", "STAT_KEYS"]
 
@@ -268,9 +268,9 @@ class Coordinator:
     ) -> list[bytes]:
         """Execute one batch of opaque task payloads, preserving order.
 
-        Waits for the client quorum, sends every client a ``round_plan``, queues
-        every payload for the actors' work loops and resolves when all
-        results are in.  ``traces`` optionally aligns one
+        Waits for the client quorum, queues every payload for the actors'
+        work loops and resolves when all results are in.  ``traces``
+        optionally aligns one
         ``(trace_id, span_id)`` pair with each payload so dispatches and
         results carry telemetry identity over the wire.  Raises
         ``RuntimeError`` when the batch fails (quorum never met, a task
@@ -288,9 +288,6 @@ class Coordinator:
         batch = TaskBatch(next(self._batch_ids), payloads, traces)
         self._batch = batch
         try:
-            plan = RoundPlan(batch_id=batch.batch_id, num_tasks=len(payloads))
-            for actor in list(self.actors.values()):
-                await actor.enqueue(plan)
             for envelope in batch.envelopes:
                 self._pending.put_nowait(envelope)
             await batch.finished.wait()

@@ -10,7 +10,6 @@ message                   direction  meaning
 ========================  =========  ==================================================
 ``hello``                 c → s      identity + protocol version
 ``hello_ack``             s → c      accept; advertises the heartbeat cadence
-``round_plan``            s → c      a task batch (one federated round) is starting
 ``task_dispatch``         s → c      one pickled stack piece of client tasks to execute
 ``state_request``         c → s      fetch a published ``StateStore`` version
 ``weight_slice``          s → c      the requested state payload (pickled dict)
@@ -43,7 +42,6 @@ __all__ = [
     "Message",
     "Hello",
     "HelloAck",
-    "RoundPlan",
     "TaskDispatch",
     "StateRequest",
     "WeightSlice",
@@ -54,8 +52,8 @@ __all__ = [
 ]
 
 #: framing + vocabulary + payload version (must match exactly in the handshake);
-#: 4 since a dispatch carries a stack piece and its result is the piece's result list
-PROTOCOL_VERSION = 4
+#: 5 since the server no longer announces each batch with a ``round_plan`` frame
+PROTOCOL_VERSION = 5
 
 #: wire name -> message class; populated by :func:`register_message`
 MESSAGE_TYPES: dict[str, type["Message"]] = {}
@@ -101,16 +99,6 @@ class HelloAck(Message):
     protocol_version: int
     heartbeat_interval: float
     resumed: bool = False
-
-
-@register_message
-@dataclass(frozen=True)
-class RoundPlan(Message):
-    """Announces a task batch (one federated round's fan-out)."""
-
-    type: ClassVar[str] = "round_plan"
-    batch_id: int
-    num_tasks: int
 
 
 @register_message

@@ -19,9 +19,9 @@ lives in :mod:`repro.sim.library` and is imported lazily by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Callable
 
-from repro.core.serialization import checked_payload
+from repro.core.serialization import Serializable
 
 __all__ = [
     "DeviceTemplate",
@@ -42,7 +42,7 @@ DEVICE_CLASSES = ("weak", "medium", "strong")
 
 
 @dataclass(frozen=True)
-class DeviceTemplate:
+class DeviceTemplate(Serializable):
     """One device type of a scenario's fleet.
 
     ``count`` fixes an absolute number of devices (the paper's test-bed is
@@ -83,27 +83,9 @@ class DeviceTemplate:
         """True when this device adds no timing randomness of its own."""
         return self.compute_jitter == 0.0 and self.link_latency_s == 0.0 and self.link_jitter_s == 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "device_class": self.device_class,
-            "flops_per_second": self.flops_per_second,
-            "bandwidth_mbps": self.bandwidth_mbps,
-            "memory_gb": self.memory_gb,
-            "count": self.count,
-            "fraction": self.fraction,
-            "compute_jitter": self.compute_jitter,
-            "link_latency_s": self.link_latency_s,
-            "link_jitter_s": self.link_jitter_s,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DeviceTemplate":
-        return cls(**checked_payload(cls, payload))
-
 
 @dataclass(frozen=True)
-class AvailabilitySpec:
+class AvailabilitySpec(Serializable):
     """The on/off process governing which clients are reachable per round.
 
     * ``always`` — every client is reachable every round.
@@ -136,22 +118,9 @@ class AvailabilitySpec:
     def is_static(self) -> bool:
         return self.kind == "always"
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p_drop": self.p_drop,
-            "p_join": self.p_join,
-            "period_rounds": self.period_rounds,
-            "on_fraction": self.on_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "AvailabilitySpec":
-        return cls(**checked_payload(cls, payload))
-
 
 @dataclass(frozen=True)
-class BatterySpec:
+class BatterySpec(Serializable):
     """Per-client energy budget (battery-powered fleets).
 
     Training drains ``compute_watts`` for the compute phase and
@@ -177,23 +146,9 @@ class BatterySpec:
         if not 0.0 <= self.min_charge_fraction <= self.resume_charge_fraction <= 1.0:
             raise ValueError("need 0 <= min_charge_fraction <= resume_charge_fraction <= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "capacity_joules": self.capacity_joules,
-            "compute_watts": self.compute_watts,
-            "transfer_joules_per_mb": self.transfer_joules_per_mb,
-            "recharge_watts": self.recharge_watts,
-            "min_charge_fraction": self.min_charge_fraction,
-            "resume_charge_fraction": self.resume_charge_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "BatterySpec":
-        return cls(**checked_payload(cls, payload))
-
 
 @dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(Serializable):
     """Server-side network model.
 
     ``server_concurrency`` bounds how many uploads/downloads the server
@@ -212,16 +167,9 @@ class NetworkSpec:
     def is_static(self) -> bool:
         return self.server_concurrency is None
 
-    def to_dict(self) -> dict:
-        return {"server_concurrency": self.server_concurrency}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "NetworkSpec":
-        return cls(**checked_payload(cls, payload))
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Serializable):
     """A complete, serialisable AIoT deployment scenario."""
 
     name: str
@@ -289,40 +237,6 @@ class ScenarioSpec:
             and self.over_selection == 0
             and self.round_byte_budget is None
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "devices": [device.to_dict() for device in self.devices],
-            "network": self.network.to_dict(),
-            "availability": self.availability.to_dict(),
-            "battery": self.battery.to_dict() if self.battery is not None else None,
-            "dropout_rate": self.dropout_rate,
-            "deadline_seconds": self.deadline_seconds,
-            "deadline_factor": self.deadline_factor,
-            "over_selection": self.over_selection,
-            "round_byte_budget": self.round_byte_budget,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
-        data = checked_payload(cls, payload)
-        if "devices" in data:
-            devices = data["devices"]
-            if not isinstance(devices, (list, tuple)):
-                raise ValueError("devices must be a list of device templates")
-            data["devices"] = tuple(
-                device if isinstance(device, DeviceTemplate) else DeviceTemplate.from_dict(device)
-                for device in devices
-            )
-        if isinstance(data.get("network"), Mapping):
-            data["network"] = NetworkSpec.from_dict(data["network"])
-        if isinstance(data.get("availability"), Mapping):
-            data["availability"] = AvailabilitySpec.from_dict(data["availability"])
-        if isinstance(data.get("battery"), Mapping):
-            data["battery"] = BatterySpec.from_dict(data["battery"])
-        return cls(**data)
 
 
 # -- registry ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro.api.registry import available_algorithms, validate_algorithm_names
 from repro.api.spec import ExperimentSpec
-from repro.core.serialization import checked_payload, coerce_int_tuple
+from repro.core.serialization import Serializable, coerce_int_tuple
 from repro.experiments.runner import AlgorithmResult, run_algorithm
 from repro.experiments.settings import prepare_experiment
 from repro.sim.scenario import validate_scenario_choice
@@ -34,7 +34,7 @@ __all__ = ["SweepSpec", "SweepCell", "CellResult", "SweepResult", "run_sweep"]
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Serializable):
     """A grid of runs: base experiment × algorithms × scenarios × seeds."""
 
     #: the shared experiment description (its setting's seed/scenario are
@@ -84,26 +84,6 @@ class SweepSpec:
         return cells
 
     # -- serialisation ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-friendly representation; round-trips through :meth:`from_dict`."""
-        return {
-            "base": self.base.to_dict(),
-            "seeds": list(self.seeds),
-            "scenarios": list(self.scenarios),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SweepSpec":
-        """Strict reconstruction of :meth:`to_dict` output (unknown keys raise)."""
-        data = checked_payload(cls, payload)
-        if "base" in data:
-            data["base"] = ExperimentSpec.from_dict(data["base"])
-        if "seeds" in data:
-            data["seeds"] = tuple(data["seeds"])
-        if "scenarios" in data:
-            data["scenarios"] = tuple(data["scenarios"])
-        return cls(**data)
-
     def save(self, path: str | Path) -> Path:
         """Write the sweep as pretty-printed JSON (atomically); returns the path."""
         path = Path(path)

@@ -78,6 +78,18 @@ class TestSession:
         assert set(results) == {"heterofl"}
         assert len(results["heterofl"].history) == 1
 
+    def test_compare_applies_the_spec_strategy_like_run_spec(self, ci_setting):
+        spec = ExperimentSpec(
+            setting=ci_setting, algorithms=("heterofl", "adaptivefl"), selection_strategy="random", num_rounds=1
+        )
+        session = ExperimentSession.from_spec(spec)
+        compared = session.compare()
+        assert [result.algorithm for result in compared.values()] == ["heterofl", "adaptivefl+random"]
+        assert session.compare(["adaptivefl"])["adaptivefl"].algorithm == "adaptivefl+random"
+        assert {name: result.algorithm for name, result in session.run_spec().items()} == {
+            name: result.algorithm for name, result in compared.items()
+        }
+
     def test_save_results(self, tmp_path, ci_setting):
         session = ExperimentSession(ci_setting)
         session.run("heterofl")

@@ -25,7 +25,6 @@ from repro.serve.protocol import (
 EXPECTED_WIRE_NAMES = {
     "hello",
     "hello_ack",
-    "round_plan",
     "task_dispatch",
     "state_request",
     "weight_slice",
@@ -57,7 +56,7 @@ def test_versions_are_positive_integers():
 
 def test_one_wire_version():
     """The handshake checks one version number and no separate payload schema."""
-    assert PROTOCOL_VERSION == 4
+    assert PROTOCOL_VERSION == 5
     assert not hasattr(protocol, "SCHEMA_VERSION")
 
 
@@ -73,7 +72,7 @@ def refused_at_hello(version: int) -> None:
             send_message(sock, Hello(client_name=f"v{version}-peer", protocol_version=version))
             reply = recv_message(sock)
         assert isinstance(reply, ProtocolError)
-        assert f"server speaks protocol 4, client 'v{version}-peer' speaks protocol {version}" in reply.message
+        assert f"server speaks protocol {PROTOCOL_VERSION}, client 'v{version}-peer' speaks protocol {version}" in reply.message
         assert executor.stats()["connects"] == 0
     finally:
         executor.shutdown()
@@ -89,6 +88,12 @@ def test_a_version_3_peer_is_refused_at_hello():
     """A version 3 dispatch carried one task and its result was that task's,
     not a stack piece's result list: such a peer is refused at hello too."""
     refused_at_hello(3)
+
+
+def test_a_version_4_peer_is_refused_at_hello():
+    """A version 4 server announced every batch with a ``round_plan`` frame,
+    which version 5 no longer has: such a peer is refused at hello too."""
+    refused_at_hello(4)
 
 
 def test_handshake_frames_carry_only_the_protocol_version():
