@@ -974,10 +974,11 @@ class FederatedAlgorithm(ABC):
         workspace counters, reset at the start of the run and readable
         afterwards via ``profiler.summary()`` / ``profiler.render()``.
 
-        Caveat: the ``workspace.buffer_*`` counters are collected from
-        *this* process only — under the process executor the training
-        kernels run in workers whose counters do not propagate back, so
-        those two counters then reflect evaluation-side reuse only.
+        Caveat: the ``workspace.*`` counters are collected from *this*
+        process only — under the process executor the training kernels run
+        in workers whose counters do not propagate back, so the
+        ``buffer_*`` counters then reflect evaluation-side reuse only and
+        ``workspace.arena_bytes`` (the largest training arena) reads 0.
         """
         self.profiler.enabled = profile
         if profile:
@@ -1059,5 +1060,6 @@ class FederatedAlgorithm(ABC):
             stats = workspace_stats()
             self.profiler.set_counter("workspace.buffer_hits", stats["hits"])
             self.profiler.set_counter("workspace.buffer_misses", stats["misses"])
+            self.profiler.set_counter("workspace.arena_bytes", stats["arena_bytes"])
         callback_list.on_fit_end(self, self.history)
         return self.history

@@ -111,6 +111,23 @@ def train_local_models(
     if skeleton is None:
         skeleton = Skeleton(architecture.build(group_sizes, rng=np.random.default_rng(init_seeds[0])))
     skeleton.check_out(init_seeds)
+    try:
+        results = _train_checked_out(skeleton, initial_state, datasets, config, rngs)
+    finally:
+        # a task that raises checks in too: its arena closes, its tree goes
+        skeleton.check_in()
+    _SKELETONS.by_spec[spec] = skeleton
+    return results
+
+
+def _train_checked_out(
+    skeleton: Skeleton,
+    initial_state: Mapping[str, np.ndarray],
+    datasets: Sequence[Dataset],
+    config: LocalTrainingConfig,
+    rngs: Sequence[np.random.Generator],
+) -> list[LocalTrainingResult]:
+    """The body of :func:`train_local_models`, on a checked-out skeleton."""
     skeleton.load(initial_state)
     model = skeleton.train()
 
@@ -142,7 +159,7 @@ def train_local_models(
             steps += 1
     # the stacks leave with the results: a checked-in skeleton holds none
     stack = UploadStack(skeleton.tensors(), [len(dataset) for dataset in datasets])
-    results = [
+    return [
         LocalTrainingResult(
             state=row,
             num_samples=len(dataset),
@@ -151,6 +168,3 @@ def train_local_models(
         )
         for client, (row, dataset) in enumerate(zip(stack.rows(), datasets))
     ]
-    skeleton.check_in()
-    _SKELETONS.by_spec[spec] = skeleton
-    return results

@@ -19,7 +19,12 @@ Hot-path design (see ``repro.perf``):
 * 1×1 stride-1 unpadded convolutions skip the im2col lowering entirely
   and run as batched GEMMs on reshaped views — no column copy at all
   (the "contiguity-aware" fast path: the strides of an NCHW tensor
-  already permit BLAS-friendly GEMM for pointwise kernels).
+  already permit BLAS-friendly GEMM for pointwise kernels);
+* inference (:func:`conv2d_inference`) streams the batch: each sample is
+  unfolded into one sample's column buffer and multiplied while it is
+  still in cache, so an evaluation network keeps one sample's columns per
+  convolution instead of a batch's.  Training keeps the batch's columns,
+  which the backward pass reads.
 
 The convolutions also take a stack of K clients' weights ``(K, *shape)``
 and their ``K·N`` samples client-major (:meth:`repro.nn.module.Skeleton.check_out`):
@@ -46,6 +51,7 @@ __all__ = [
     "col2im",
     "col2im_reference",
     "conv2d_forward",
+    "conv2d_inference",
     "conv2d_backward",
     "depthwise_conv2d_forward",
     "depthwise_conv2d_backward",
@@ -277,6 +283,52 @@ def conv2d_forward(
     out = out.reshape(x.shape[0], c_out, out_h, out_w)
     cache = (x.shape, cols, weight, stride, padding)
     return out, cache
+
+
+def conv2d_inference(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray | None,
+    stride: int,
+    padding: int,
+    ws: Workspace | None = None,
+) -> np.ndarray:
+    """:func:`conv2d_forward`'s output, bit for bit, with no backward cache
+    and no batch of columns: each sample is unfolded into one sample's
+    column buffer and multiplied while it is still in cache.
+
+    The batched ``matmul`` of :func:`conv2d_forward` runs one GEMM per
+    sample too, on the same operands, so no bit moves.
+    """
+    c_out, c_in, kh, kw = weight.shape[-4:]
+    if _is_pointwise(kh, kw, stride, padding):
+        return conv2d_forward(x, weight, bias, stride, padding)[0]
+    n, c, h, w = x.shape
+    if c != c_in:
+        raise ValueError(f"input has {c} channels, weight expects {c_in}")
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
+    w_mat = weight.reshape(-1, c_out, c_in * kh * kw)
+    per_client = n // w_mat.shape[0]
+    out = np.empty((n, c_out, out_h * out_w), np.result_type(w_mat, x))
+    ws = _owned_or_fresh(ws)
+    cols = ws.get(("sample_im2col", x.shape[1:], kh, kw, stride, padding), (c_in * kh * kw, out_h * out_w), x.dtype)
+    gather = cols.reshape(c_in, kh, kw, out_h, out_w)
+    if padding:
+        # one sample's padded frame: its border is zeroed once per call
+        frame = ws.zeros(("sample_pad2d", x.shape[1:], padding), (1, c, h + 2 * padding, w + 2 * padding), x.dtype)
+        interior = frame[0, :, padding:-padding, padding:-padding]
+        patches = _patch_view(frame, kh, kw, stride).transpose(0, 1, 4, 5, 2, 3)
+    else:
+        patches = _patch_view(x, kh, kw, stride).transpose(0, 1, 4, 5, 2, 3)
+    for sample, image in enumerate(x):
+        if padding:
+            np.copyto(interior, image)
+        np.copyto(gather, patches[0] if padding else patches[sample])
+        np.matmul(w_mat[sample // per_client], cols, out=out[sample])
+    if bias is not None:
+        out.reshape(-1, per_client, c_out, out_h * out_w)[...] += bias.reshape(-1, 1, c_out, 1)
+    return out.reshape(n, c_out, out_h, out_w)
 
 
 def conv2d_backward(

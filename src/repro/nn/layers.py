@@ -67,6 +67,10 @@ class Conv2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         bias = self.bias.data if self.has_bias else None
+        if not self.training:
+            # inference never runs backward: stream the samples, keep no cache
+            self._cache = None
+            return F.conv2d_inference(x, self.weight.data, bias, self.stride, self.padding, self._ws)
         out, self._cache = F.conv2d_forward(x, self.weight.data, bias, self.stride, self.padding, self._ws)
         return out
 
@@ -114,9 +118,9 @@ class DepthwiseConv2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         bias = self.bias.data if self.has_bias else None
-        out, self._cache = F.depthwise_conv2d_forward(
-            x, self.weight.data, bias, self.stride, self.padding, self._ws
-        )
+        out, cache = F.depthwise_conv2d_forward(x, self.weight.data, bias, self.stride, self.padding, self._ws)
+        # not streamed like Conv2d: a one-sample einsum sums in another order
+        self._cache = cache if self.training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -155,7 +159,7 @@ class Linear(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         weight = self.weight.data.reshape(-1, self.out_features, self.in_features)
         x = x.reshape(weight.shape[0], -1, self.in_features)
-        self._cache = x
+        self._cache = x if self.training else None
         out = np.matmul(x, weight.swapaxes(1, 2))
         if self.has_bias:
             out += self.bias.data.reshape(-1, 1, self.out_features)
@@ -226,10 +230,7 @@ class BatchNorm2d(Module):
         # a sum rounds in its operand's memory order: square into a buffer
         # laid out like ``x``, as ``x.var`` did (a depthwise convolution
         # hands over a channel-major array)
-        layout = ("squared", batch.shape, batch.strides)
-        squared = self._ws.lookup(layout)
-        if squared is None:
-            squared = self._ws.put(layout, np.empty_like(batch))
+        squared = self._ws.get_like(("squared", batch.shape, batch.strides), batch)
         np.multiply(x_hat, x_hat, out=squared)
         var = np.add.reduce(squared, (1, 3, 4), keepdims=True) / m
         running_mean *= 1 - self.momentum
@@ -392,7 +393,8 @@ class AvgPool2d(Module):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, self._cache = F.avgpool2d_forward(x, self.kernel_size, self.stride)
+        out, cache = F.avgpool2d_forward(x, self.kernel_size, self.stride)
+        self._cache = cache if self.training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.nn.dtype import resolve_dtype
-from repro.perf.workspace import Workspace
+from repro.perf.workspace import Workspace, thread_arena
 
 __all__ = ["Parameter", "Module", "Sequential", "Skeleton"]
 
@@ -243,6 +243,11 @@ class Skeleton:
     and workspace array.  The tree is the expensive part to build and the
     arrays are the heavy part to keep, so a skeleton is cheap to hold per
     worker and width spec where a model is not.
+
+    While checked out, the model's workspaces carve their buffers from the
+    thread's :class:`~repro.perf.workspace.Arena`: :meth:`check_out` opens
+    it and :meth:`check_in` closes it, so one task's scratch reuses the
+    memory, already faulted in, of the tasks before it on the thread.
     """
 
     def __init__(self, model: Module):
@@ -260,6 +265,8 @@ class Skeleton:
         self._workspaces = [
             value for module in self._modules for value in vars(module).values() if isinstance(value, Workspace)
         ]
+        #: the arena the checked-out model's workspaces carve from
+        self._arena = None
         #: layers that draw random numbers, with their place in the tree
         self._stochastic = [
             (index, module) for index, module in enumerate(self._modules) if hasattr(module, "reseed")
@@ -274,7 +281,9 @@ class Skeleton:
         ``default_rng([seeds[k], place in the tree])``.
 
         Gradients are zero; parameters and buffers are *uninitialised* —
-        :meth:`load` a state before anything reads them.
+        :meth:`load` a state before anything reads them.  The thread's arena
+        is open until :meth:`check_in`, which the caller owes even when the
+        task raises.
         """
         stack = (len(seeds),)
         for _, param, shape, dtype in self._parameters:
@@ -284,6 +293,10 @@ class Skeleton:
             module.register_buffer(local, np.empty(stack + shape, dtype))
         for index, module in self._stochastic:
             module.reseed([np.random.default_rng([seed, index]) for seed in seeds])
+        self._arena = thread_arena()
+        self._arena.open()
+        for workspace in self._workspaces:
+            workspace.arena = self._arena
         return self.model
 
     def load(self, state: Mapping[str, np.ndarray]) -> None:
@@ -323,11 +336,12 @@ class Skeleton:
         return tensors
 
     def check_in(self) -> None:
-        """Drop every tensor and workspace buffer.
+        """Drop every tensor and workspace buffer and close the arena.
 
         For a model whose last forward pass was followed by its backward
         pass (layers clear what they cached per batch there); a model
-        abandoned half-way is not worth keeping — let it go instead.
+        abandoned half-way is not worth keeping — check it in, so the arena
+        closes, and let it go instead.
         """
         for _, param, _, _ in self._parameters:
             param.data = param.grad = None
@@ -336,3 +350,7 @@ class Skeleton:
             object.__setattr__(module, local, None)
         for workspace in self._workspaces:
             workspace.clear()
+            workspace.arena = None
+        if self._arena is not None:
+            self._arena.close()
+            self._arena = None

@@ -18,6 +18,20 @@ from repro.devices.profiles import build_device_profiles
 from repro.devices.resources import ResourceModel
 from repro.experiments.settings import ExperimentSetting, prepare_experiment
 from repro.nn.models import SlimmableResNet18, SlimmableSimpleCNN, SlimmableVGG
+from repro.perf.workspace import thread_arena
+
+
+@pytest.fixture(autouse=True)
+def arena_closed_after_each_test():
+    """Every test checks in what it checked out: a skeleton left checked out
+    keeps this thread's arena open, and every later task on the thread then
+    allocates its scratch afresh.  A leak is closed here, then reported."""
+    yield
+    arena = thread_arena()
+    leaked = arena.is_open
+    while arena.is_open:
+        arena.close()
+    assert not leaked, "a skeleton was checked out and never checked in"
 
 
 @pytest.fixture(scope="session")

@@ -204,6 +204,7 @@ class TestResultsDoNotDependOnHistory:
         assert draws[0] != draws[1]
         places = [index for index, module in enumerate(model.modules()) if hasattr(module, "reseed")]
         assert draws == [np.random.default_rng([11, place]).random(4).tolist() for place in places]
+        skeleton.check_in()
 
 
 class TestFailuresLeaveNothingBehind:

@@ -31,9 +31,12 @@ def slice_of(dtype) -> dict[str, np.ndarray]:
 
 def broadcast_load(state) -> dict[str, np.ndarray]:
     """The stacks ``load_state_dict`` of K-fold broadcast views leaves."""
-    model = Skeleton(architecture().build()).check_out(list(range(CLIENTS)))
+    skeleton = Skeleton(architecture().build())
+    model = skeleton.check_out(list(range(CLIENTS)))
     model.load_state_dict({name: np.broadcast_to(value, (CLIENTS, *value.shape)) for name, value in state.items()})
-    return model.state_dict()
+    loaded = model.state_dict()
+    skeleton.check_in()
+    return loaded
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64-into-float32"])
@@ -49,6 +52,7 @@ def test_the_rows_are_what_broadcast_views_load(dtype):
     for name, value in expected.items():
         assert loaded[name].shape == (CLIENTS, *state[name].shape) and loaded[name].dtype == np.float32
         assert loaded[name].tobytes() == value.tobytes(), name
+    skeleton.check_in()
 
 
 def test_the_lists_are_the_tree_walks():
@@ -62,6 +66,7 @@ def test_the_lists_are_the_tree_walks():
     walked = [(name, param.data) for name, param in model.named_parameters()] + list(model.named_buffers())
     assert list(tensors) == [name for name, _ in walked]
     assert all(tensors[name] is value for name, value in walked)
+    skeleton.check_in()
 
 
 @pytest.mark.parametrize("defect", ["missing", "extra", "misshapen-parameter", "misshapen-buffer"])
@@ -83,3 +88,4 @@ def test_a_state_that_does_not_fit_is_refused_by_name(defect):
         error, match = ValueError, rf"shape mismatch for '{name}'"
     with pytest.raises(error, match=match):
         skeleton.load(state)
+    skeleton.check_in()

@@ -67,7 +67,8 @@ def stacked(row: str, batch: int, clients: int) -> list[dict]:
     """The same three steps of clients ``0..clients-1`` as one stacked pass."""
     arch = architecture(row)
     starts = [arch.build(rng=np.random.default_rng([0, client])).state_dict() for client in range(clients)]
-    model = Skeleton(arch.build()).check_out(list(range(clients)))
+    skeleton = Skeleton(arch.build())
+    model = skeleton.check_out(list(range(clients)))
     model.load_state_dict({name: np.stack([start[name] for start in starts]) for name in starts[0]})
     model.train()
     data = [client_data(row, batch, client) for client in range(clients)]
@@ -84,6 +85,7 @@ def stacked(row: str, batch: int, clients: int) -> list[dict]:
         optimizer.step()
     state = model.state_dict()
     grads = {name: param.grad for name, param in model.named_parameters()}
+    skeleton.check_in()
     return [
         {
             "state": {name: value[client] for name, value in state.items()},

@@ -101,6 +101,8 @@ class TestRunProfiling:
         # modeled downlink is counted under delta transport too
         assert counters.get("transport.bytes_down", 0) > 0
         assert counters.get("workspace.buffer_hits", 0) > 0
+        # the largest training arena of the run: this thread trained every task
+        assert counters.get("workspace.arena_bytes", 0) > 0
 
     def test_early_stop_evaluation_is_inside_the_evaluate_scope(self, easy_setup):
         """A stop on a round off the eval cadence triggers a late evaluation;
