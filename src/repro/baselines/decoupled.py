@@ -22,6 +22,24 @@ from repro.engine.codecs import NonFiniteUpdateError
 __all__ = ["DecoupledFL"]
 
 
+class _LevelWeights:
+    """One level's model as a checkpoint state part."""
+
+    def __init__(self, level_states: dict[str, dict[str, np.ndarray]], level: str):
+        self.level_states = level_states
+        self.level = level
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        return {key: value.copy() for key, value in self.level_states[self.level].items()}
+
+    def load_state_dict(self, state) -> None:
+        weights = self.level_states[self.level]
+        if set(state) != set(weights):
+            mismatched = sorted(set(state) ^ set(weights))[:3]
+            raise ValueError(f"checkpoint weights of level {self.level} differ from the model in {mismatched}")
+        self.level_states[self.level] = {key: np.array(value) for key, value in state.items()}
+
+
 @register_algorithm(
     "decoupled",
     description="Decoupled: independent FedAvg per size level, no cross-level sharing",
@@ -42,25 +60,10 @@ class DecoupledFL(RandomSelectionMixin, FederatedAlgorithm):
         }
         self.client_level = capacity_level_assignment(self, self.level_heads)
 
-    # -- checkpointing ---------------------------------------------------------------------
-    def _collect_extra_state(self, arrays, state) -> None:
-        """Checkpoint the per-level models: ``global_state`` is only the L one."""
-        for level, weights in self.level_states.items():
-            for key, value in weights.items():
-                arrays[f"stream/{level}/{key}"] = value.copy()
-
-    def _apply_extra_state(self, arrays, state) -> None:
-        """Restore the per-level models; a checkpoint without them is refused by name
-        instead of silently resuming every level from its initial slice."""
-        names = {
-            level: {key: f"stream/{level}/{key}" for key in weights} for level, weights in self.level_states.items()
-        }
-        missing = [name for keys in names.values() for name in keys.values() if name not in arrays]
-        if missing:
-            raise ValueError(f"checkpoint is missing Decoupled per-level weights: {', '.join(missing)}")
-        self.level_states = {
-            level: {key: np.array(arrays[name]) for key, name in keys.items()} for level, keys in names.items()
-        }
+    def state_parts(self):
+        """Each level's weights, ahead of the base parts: ``global_state`` is only the L one."""
+        levels = {f"stream/{level}": _LevelWeights(self.level_states, level) for level in self.level_states}
+        return {**levels, **super().state_parts()}
 
     def assigned(self, client_id: int):
         config = self.level_heads[self.client_level[client_id]]

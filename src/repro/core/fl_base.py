@@ -42,11 +42,11 @@ from repro.core.config import FederatedConfig, LocalTrainingConfig, ModelPoolCon
 from repro.core.client import LazyClients, SimulatedClient
 from repro.core.history import RoundRecord, TrainingHistory
 from repro.core.metrics import communication_waste_rate, evaluate_heads
-from repro.core.pruning import slice_state_dict
 from repro.engine.base import Executor
 from repro.engine.codecs import (
     EncodedUpdate,
     NonFiniteUpdateError,
+    ResidualBank,
     UpdateCodec,
     apply_encoded_update,
     get_codec,
@@ -79,7 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     # `import repro.sim` (before repro.core is initialised) circular
     from repro.sim.fleet import FleetSimulator, RoundOutcome
     from repro.sim.scenario import ScenarioSpec
-    from repro.store.checkpoint import Checkpoint
+    from repro.store.checkpoint import Checkpoint, StatePart
 
 __all__ = ["FederatedAlgorithm", "RoundPlan"]
 
@@ -222,10 +222,8 @@ class FederatedAlgorithm(ABC):
             if federated_config.transport_codec != "none"
             else None
         )
-        #: server-banked per-client error-feedback residuals at full-model
-        #: shapes (device-local state in a real fleet; keeping it here keyed
-        #: by client id is what makes lossy runs executor-independent)
-        self._codec_residuals: dict[int, dict[str, np.ndarray]] = {}
+        #: per-client error-feedback residuals of the lossy codec (None = exact transport)
+        self._residuals = ResidualBank(self._codec, self.global_state) if self._codec is not None else None
         #: true wire-byte accounting of the round in flight (reset by
         #: :meth:`finalize_round`); encoded sizes, never nominal ones
         self._round_bytes_up = 0
@@ -273,6 +271,8 @@ class FederatedAlgorithm(ABC):
         """
         client_id, group_sizes = plan.clients[slot], plan.group_sizes[slot]
         self.count_downlink(plan.back_params[slot] * np.dtype(resolve_dtype()).itemsize)
+        residuals = self._residuals
+        carry = None if residuals is None else residuals.carry_for(client_id, self._slice_shapes(group_sizes))
         return TrainSubmodelTask(
             architecture=self.architecture,
             group_sizes=group_sizes,
@@ -282,7 +282,7 @@ class FederatedAlgorithm(ABC):
             client_id=client_id,
             rng_stream=self.client_stream(round_index, client_id),
             codec=self._codec,
-            codec_residual=self.codec_residual_for(client_id, group_sizes),
+            codec_residual=carry,
             trace=self.task_trace(),
         )
 
@@ -412,9 +412,7 @@ class FederatedAlgorithm(ABC):
     # -- weight transport (repro.engine.transport) ---------------------------------------
     def publish_state(self, state: Mapping[str, np.ndarray], stream: str = "global") -> StateHandle:
         """Publish this round's weights of one stream for the client tasks."""
-        store = self._state_stores.get(stream)
-        if store is None:
-            store = self._state_stores[stream] = StateStore(label=f"{self.name}-{stream}")
+        store = self._state_store(stream)
         handle = store.publish(state, spill=self.executor.is_interprocess, keep_bytes=True)
         # rounds are synchronous (map() returns only when every task did),
         # so once a new version is out nothing can reference versions more
@@ -426,6 +424,13 @@ class FederatedAlgorithm(ABC):
             if handle.path is not None:
                 self.profiler.count("transport.spilled_bytes", state_nbytes(state))
         return handle
+
+    def _state_store(self, stream: str) -> StateStore:
+        """The publisher of one stream, built on first use."""
+        store = self._state_stores.get(stream)
+        if store is None:
+            store = self._state_stores[stream] = StateStore(label=f"{self.name}-{stream}")
+        return store
 
     def count_downlink(self, num_bytes: int) -> None:
         """Account one client's downlink: the submodel slice it receives.
@@ -498,8 +503,8 @@ class FederatedAlgorithm(ABC):
             value = np.asarray(state[name])
             if value.dtype.kind == "f" and not np.isfinite(value).all():
                 raise NonFiniteUpdateError(f"decoded upload holds NaN or ±inf in tensor {name!r}", tensor=name)
-        if isinstance(uploaded, EncodedUpdate):
-            self._bank_codec_residual(uploaded)
+        if isinstance(uploaded, EncodedUpdate) and self._residuals is not None:
+            self._residuals.bank(uploaded)
         return state
 
     def _slice_shapes(self, group_sizes: Mapping[str, int]) -> dict[str, tuple[int, ...]]:
@@ -512,51 +517,6 @@ class FederatedAlgorithm(ABC):
                 for spec in self.architecture.param_specs()
             }
         return shapes
-
-    # -- lossy transport codec (repro.engine.codecs) -------------------------------------
-    @property
-    def transport_codec(self) -> UpdateCodec | None:
-        """The active lossy codec (None = exact transport)."""
-        return self._codec
-
-    def codec_residual_for(
-        self, client_id: int, group_sizes: Mapping[str, int]
-    ) -> dict[str, np.ndarray] | None:
-        """The error-feedback carry a dispatched task should receive.
-
-        The full-shape bank is prefix-sliced to the dispatched submodel —
-        the same cut :func:`slice_state_dict` applies to the weights — so
-        only the coordinates the client actually trains see their carry.
-        Returns None when the codec keeps no residual or none has
-        accumulated for this client yet.
-        """
-        if self._codec is None or not self._codec.uses_error_feedback:
-            return None
-        bank = self._codec_residuals.get(client_id)
-        if bank is None:
-            return None
-        return slice_state_dict(bank, self.architecture, dict(group_sizes))
-
-    def _bank_codec_residual(self, encoded: EncodedUpdate) -> None:
-        """Scatter an upload's new residual back into the client's bank.
-
-        The bank holds full-model shapes; the upload's residual covers the
-        prefix region the client trained, which replaces exactly that
-        region (coordinates outside the dispatched slice keep their old
-        carry — they were neither trained nor encoded this round).
-        """
-        if encoded.residual is None:
-            return
-        bank = self._codec_residuals.get(encoded.client_id)
-        if bank is None:
-            bank = self._codec_residuals[encoded.client_id] = {
-                name: np.zeros_like(np.asarray(value))
-                for name, value in self.global_state.items()
-            }
-        for name, carry in encoded.residual.items():
-            target = bank[name]
-            region = tuple(slice(0, size) for size in carry.shape)
-            target[region] = carry.astype(target.dtype, copy=False)
 
     def aggregate(self, updates: "Iterable[ClientUpdate]") -> dict[str, np.ndarray]:
         """Heterogeneous aggregation into reused accumulation buffers.
@@ -605,11 +565,7 @@ class FederatedAlgorithm(ABC):
         spill = self.executor.is_interprocess
         handle = self._dataset_handles.get(client_id)
         if handle is None or (spill and handle.path is None):
-            stream = f"dataset-{client_id}"
-            store = self._state_stores.get(stream)
-            if store is None:
-                store = self._state_stores[stream] = StateStore(label=f"{self.name}-{stream}")
-            handle = store.publish(self.clients[client_id].dataset, spill=spill)
+            handle = self._state_store(f"dataset-{client_id}").publish(self.clients[client_id].dataset, spill=spill)
             self._dataset_handles[client_id] = handle
             if self.profiler.enabled and spill:
                 self.profiler.count("transport.dataset_spills")
@@ -811,40 +767,29 @@ class FederatedAlgorithm(ABC):
         )
 
     # -- checkpoint / resume (repro.store) ------------------------------------------------
+    def state_parts(self) -> "dict[str, StatePart]":
+        """The run's stateful pieces beyond weights, history and RNG, by checkpoint name.
+
+        Each saves and restores itself (:class:`repro.store.checkpoint.StatePart`):
+        the attached fleet's battery and availability watermarks, and the
+        lossy codec's residual bank.  A subclass puts its own parts first.
+        """
+        parts = {"fleet": self.fleet, "codec": self._residuals}
+        return {name: part for name, part in parts.items() if part is not None}
+
     def checkpoint_state(self) -> "Checkpoint":
         """Capture the run's complete restorable state at the current round.
 
         The returned :class:`repro.store.checkpoint.Checkpoint` holds the global
-        weights, the history, the base RNG state and — via the
-        ``_collect_extra_state`` subclass hook — algorithm-specific arrays
-        such as AdaptiveFL's RL tables, plus the attached fleet's battery
-        and availability watermarks.  Everything that is *not* captured is
-        a pure function of ``(seed, round, client)`` and reconstructs
-        identically, which is what makes :meth:`restore_checkpoint` +
-        :meth:`run` bit-identical to an uninterrupted run.
+        weights, the history, the base RNG state and every :meth:`state_parts`
+        part.  Everything that is *not* captured is a pure function of
+        ``(seed, round, client)`` and reconstructs identically, which is what
+        makes :meth:`restore_checkpoint` + :meth:`run` bit-identical to an
+        uninterrupted run.
         """
-        from repro.store.checkpoint import Checkpoint
+        from repro.store.checkpoint import Checkpoint, save_parts
 
-        extra_arrays: dict[str, np.ndarray] = {}
-        extra_state: dict = {}
-        self._collect_extra_state(extra_arrays, extra_state)
-        if self.fleet is not None:
-            fleet_state = self.fleet.state_dict()
-            charge = fleet_state.pop("charge")
-            if charge is not None:
-                extra_arrays["fleet/charge"] = charge
-            extra_state["fleet"] = fleet_state
-        if self._codec is not None:
-            # error-feedback residuals are run state: a resumed lossy run
-            # only matches an uninterrupted one if every client's carry
-            # survives bit-exact
-            extra_state["codec"] = {
-                "name": self._codec.name,
-                "clients": sorted(self._codec_residuals),
-            }
-            for client_id in sorted(self._codec_residuals):
-                for key, value in self._codec_residuals[client_id].items():
-                    extra_arrays[f"codec/{client_id}/{key}"] = value.copy()
+        extra_arrays, extra_state = save_parts(self.state_parts())
         return Checkpoint(
             algorithm=self.name,
             round_index=self.history.records[-1].round_index if self.history.records else 0,
@@ -860,78 +805,26 @@ class FederatedAlgorithm(ABC):
         """Restore :meth:`checkpoint_state` output onto a freshly built algorithm.
 
         The algorithm must have been constructed from the same experiment
-        setting (architecture, pool, partition, seed, scenario); the
-        checkpoint is validated against the fresh global state before
-        anything is mutated.  A subsequent :meth:`run` continues from the
-        round after the checkpoint — ``run(num_rounds=total - completed)``
-        reproduces the uninterrupted run bit-for-bit.
+        setting (architecture, pool, partition, seed, scenario, codec).  A
+        checkpoint whose weights or state parts do not match this run is
+        refused with ``ValueError`` and leaves the algorithm as built.  A
+        subsequent :meth:`run` continues from the round after the checkpoint
+        — ``run(num_rounds=total - completed)`` reproduces the uninterrupted
+        run bit-for-bit.
         """
+        from repro.store.checkpoint import load_parts
+
         checkpoint.validate_for(self.name, self.global_state)
         if self.history.records:
             raise RuntimeError(
                 "restore_checkpoint must be called on a freshly built algorithm "
                 f"(this one already has {len(self.history)} rounds of history)"
             )
-        self.global_state = {key: np.array(value) for key, value in checkpoint.global_state.items()}
-        self.history = TrainingHistory.from_dict(checkpoint.history)
+        history = TrainingHistory.from_dict(checkpoint.history)
+        load_parts(self.state_parts(), checkpoint.extra_arrays, checkpoint.extra_state)
         self.rng.bit_generator.state = checkpoint.rng_state
-        extra_arrays = dict(checkpoint.extra_arrays)
-        extra_state = dict(checkpoint.extra_state)
-        if self.fleet is not None:
-            if "fleet" not in extra_state:
-                raise ValueError(
-                    "checkpoint has no fleet state but this run is scenario-conditioned; "
-                    "it was written without a scenario and cannot resume one"
-                )
-            fleet_state = dict(extra_state.pop("fleet"))
-            fleet_state["charge"] = extra_arrays.pop("fleet/charge", None)
-            self.fleet.load_state_dict(fleet_state)
-        elif "fleet" in extra_state:
-            raise ValueError(
-                "checkpoint carries fleet state but this run has no scenario attached"
-            )
-        codec_meta = extra_state.pop("codec", None)
-        if self._codec is not None:
-            if codec_meta is None:
-                raise ValueError(
-                    "checkpoint has no codec state but this run uses transport codec "
-                    f"{self._codec.name!r}; it was written without one and cannot resume it"
-                )
-            if codec_meta.get("name") != self._codec.name:
-                raise ValueError(
-                    f"checkpoint was written with transport codec {codec_meta.get('name')!r}, "
-                    f"this run uses {self._codec.name!r}"
-                )
-            self._codec_residuals = {}
-            for client_id in codec_meta.get("clients", []):
-                prefix = f"codec/{client_id}/"
-                bank = {
-                    key[len(prefix) :]: np.array(value)
-                    for key, value in list(extra_arrays.items())
-                    if key.startswith(prefix)
-                }
-                for key in list(extra_arrays):
-                    if key.startswith(prefix):
-                        extra_arrays.pop(key)
-                self._codec_residuals[int(client_id)] = bank
-        elif codec_meta is not None:
-            raise ValueError(
-                f"checkpoint carries transport-codec state ({codec_meta.get('name')!r}) "
-                "but this run uses the exact transport"
-            )
-        self._apply_extra_state(extra_arrays, extra_state)
-
-    def _collect_extra_state(self, arrays: dict[str, np.ndarray], state: dict) -> None:
-        """Subclass hook: add algorithm-specific checkpoint state.
-
-        ``arrays`` receives numpy payloads (stored content-addressed,
-        bit-exact); ``state`` receives strict-JSON metadata.  The base
-        algorithm has nothing beyond what :meth:`checkpoint_state` already
-        captures.
-        """
-
-    def _apply_extra_state(self, arrays: Mapping[str, np.ndarray], state: Mapping) -> None:
-        """Subclass hook: restore what ``_collect_extra_state`` captured."""
+        self.global_state = {key: np.array(value) for key, value in checkpoint.global_state.items()}
+        self.history = history
 
     # -- early stopping -------------------------------------------------------------------
     @property

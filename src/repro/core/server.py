@@ -58,30 +58,10 @@ class AdaptiveFL(FederatedAlgorithm):
             resource_reward_cap=self.algorithm_config.resource_reward_cap,
         )
 
-    # -- checkpointing ---------------------------------------------------------------------
-    def _collect_extra_state(self, arrays, state) -> None:
-        """Checkpoint the RL selection tables alongside the weights.
-
-        The curiosity and resource tables are the only AdaptiveFL state
-        beyond the shared base; persisting them is what lets a resumed run
-        select clients exactly as the uninterrupted run would have.
-        """
-        for key, table in self.selector.state_dict().items():
-            arrays[f"rl/{key}"] = table
-
-    def _apply_extra_state(self, arrays, state) -> None:
-        """Restore the RL tables captured by ``_collect_extra_state``.
-
-        A checkpoint without the touched-rows arrays is refused by name
-        instead of silently resetting the tables to all-ones.
-        """
-        required = ("rl/client_ids", "rl/curiosity_columns", "rl/resource_columns")
-        missing = [key for key in required if key not in arrays]
-        if missing:
-            raise ValueError(f"checkpoint is missing AdaptiveFL RL state: {', '.join(missing)}")
-        self.selector.load_state_dict(
-            {key.removeprefix("rl/"): arrays[key] for key in required}
-        )
+    def state_parts(self):
+        """The RL curiosity and resource tables, ahead of the base parts: a resumed
+        run selects clients exactly as the uninterrupted one would have."""
+        return {"rl": self.selector, **super().state_parts()}
 
     # -- Algorithm 1 -----------------------------------------------------------------------
     def _random_sel(self, rng: np.random.Generator) -> SubmodelConfig:

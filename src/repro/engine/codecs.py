@@ -39,8 +39,8 @@ Error feedback (``topk``): the coordinates a sparse upload drops are
 not lost — they accumulate in a per-client residual that is added to
 the *next* round's update before encoding (EF-SGD).  The residual is
 device-local state in a real deployment; the simulation keeps it on the
-server keyed by client id (see ``FederatedAlgorithm``), which is what
-makes lossy runs executor-independent and checkpointable.
+server keyed by client id (:class:`ResidualBank`), which is what makes
+lossy runs executor-independent and checkpointable.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ __all__ = [
     "encode_update",
     "decode_update",
     "encode_client_update",
+    "ResidualBank",
     "apply_encoded_update",
     "inflate_codes",
     "inflate_ahead",
@@ -522,6 +523,64 @@ def encode_client_update(
             if update[name].dtype.kind == "f"
         }
     return encoded
+
+
+class ResidualBank:
+    """Each client's error-feedback carry at the full-model shapes of ``reference``; a checkpoint state part."""
+
+    def __init__(self, codec: UpdateCodec, reference: Mapping[str, np.ndarray]):
+        self.codec = codec
+        self._layout = {name: (np.shape(value), np.asarray(value).dtype) for name, value in reference.items()}
+        self._banks: dict[int, dict[str, np.ndarray]] = {}
+
+    def carry_for(self, client_id: int, shapes: Mapping[str, tuple[int, ...]]) -> dict[str, np.ndarray] | None:
+        """The carry of a task sent to ``client_id`` to train a slice of ``shapes`` (None before its first upload).
+
+        The bank is cut to the slice's prefix region, as the weights are, so
+        only the coordinates the client trains see their carry.
+        """
+        bank = self._banks.get(client_id)
+        if bank is None:
+            return None
+        return {name: np.ascontiguousarray(_prefix_slice(bank[name], shape)) for name, shape in shapes.items()}
+
+    def bank(self, encoded: EncodedUpdate) -> None:
+        """Scatter an upload's new residual over the prefix region its client trained.
+
+        Coordinates outside the dispatched slice keep their old carry: they
+        were neither trained nor encoded this round.
+        """
+        if encoded.residual is None:
+            return
+        bank = self._banks.get(encoded.client_id)
+        if bank is None:
+            bank = self._banks[encoded.client_id] = {
+                name: np.zeros(shape, dtype=dtype) for name, (shape, dtype) in self._layout.items()
+            }
+        for name, carry in encoded.residual.items():
+            _prefix_slice(bank[name], carry.shape)[...] = carry.astype(bank[name].dtype, copy=False)
+
+    def state_dict(self) -> dict:
+        """The codec's name, the banked clients in ascending order, and ``{client}/{tensor}`` carries."""
+        state: dict = {"name": self.codec.name, "clients": sorted(self._banks)}
+        for client_id in state["clients"]:
+            state.update({f"{client_id}/{key}": value.copy() for key, value in self._banks[client_id].items()})
+        return state
+
+    def load_state_dict(self, state: Mapping) -> None:
+        """Restore :meth:`state_dict` output; a bank written by another codec is refused."""
+        if state.get("name") != self.codec.name:
+            raise ValueError(
+                f"checkpoint was written with transport codec {state.get('name')!r}, this run uses {self.codec.name!r}"
+            )
+        self._banks = {
+            int(client_id): {
+                key.removeprefix(f"{client_id}/"): np.array(value)
+                for key, value in state.items()
+                if key.startswith(f"{client_id}/")
+            }
+            for client_id in state.get("clients", [])
+        }
 
 
 def apply_encoded_update(

@@ -9,10 +9,9 @@ A :class:`Checkpoint` captures the full mutable state of a
 * the algorithm's base RNG state (the stream-keyed RNGs of
   :mod:`repro.engine.rng` are pure functions of ``(seed, round, client)``
   and need no state),
-* algorithm-specific arrays and JSON state via the
-  ``_collect_extra_state`` / ``_apply_extra_state`` subclass hooks — the
-  RL curiosity/resource tables for AdaptiveFL, the battery/availability
-  state of an attached :class:`~repro.sim.fleet.FleetSimulator`.
+* every further stateful piece of the run as a named :class:`StatePart`
+  (:meth:`~repro.core.fl_base.FederatedAlgorithm.state_parts`): its arrays
+  under ``extra_arrays["{part}/{key}"]``, the rest under ``extra_state["{part}"]``.
 
 Everything numeric lives in numpy arrays serialised losslessly by the
 content-addressed :class:`~repro.store.objects.ObjectStore`; everything
@@ -24,14 +23,74 @@ written by a future incompatible layout refuses to resume
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Protocol
 
 import numpy as np
 
-__all__ = ["Checkpoint", "CheckpointSchemaError", "CHECKPOINT_SCHEMA_VERSION"]
+__all__ = ["Checkpoint", "CheckpointSchemaError", "CHECKPOINT_SCHEMA_VERSION", "StatePart", "load_parts", "save_parts"]
 
 #: current on-disk checkpoint layout; bump on incompatible changes
 CHECKPOINT_SCHEMA_VERSION = 1
+
+
+class StatePart(Protocol):
+    """A stateful piece of a run that saves and restores itself.
+
+    ``state_dict`` returns numpy arrays and strict-JSON values (a ``None`` is not saved and comes back
+    as a missing key); ``load_state_dict`` checks its input before it assigns and raises ``ValueError``.
+    """
+
+    def state_dict(self) -> Mapping:
+        """The part's state now, as copies the part will not change."""
+
+    def load_state_dict(self, state: Mapping) -> None:
+        """Replace the part's state with ``state`` (checked first)."""
+
+
+def save_parts(parts: Mapping[str, StatePart]) -> tuple[dict[str, np.ndarray], dict]:
+    """The ``(extra_arrays, extra_state)`` of a checkpoint holding ``parts``, in their order."""
+    arrays: dict[str, np.ndarray] = {}
+    state: dict = {}
+    for name, part in parts.items():
+        meta = {}
+        for key, value in part.state_dict().items():
+            if isinstance(value, np.ndarray):
+                arrays[f"{name}/{key}"] = value
+            elif value is not None:
+                meta[key] = value
+        if meta:
+            state[name] = meta
+    return arrays, state
+
+
+def load_parts(parts: Mapping[str, StatePart], arrays: Mapping[str, np.ndarray], state: Mapping) -> None:
+    """Load every part of ``parts`` from :func:`save_parts` output, or none of them.
+
+    ``arrays`` and ``state`` must hold exactly these parts: a part missing or
+    unexpected is refused with ``ValueError`` before any part changes.  When a
+    part refuses its own state, every part gets its earlier state back.
+    """
+    states: dict[str, dict] = {name: dict(state.get(name, {})) for name in parts}
+    held = set(state)
+    for key, value in arrays.items():
+        name = next((part for part in parts if key.startswith(f"{part}/")), key.split("/")[0])
+        held.add(name)
+        if name in states:
+            states[name][key[len(name) + 1 :]] = value
+    missing, unexpected = sorted(set(parts) - held), sorted(held - set(parts))
+    if missing or unexpected:
+        raise ValueError(
+            f"checkpoint state parts do not match this run: missing {missing}, unexpected {unexpected} "
+            "(was it written with another scenario or transport codec?)"
+        )
+    before = {name: part.state_dict() for name, part in parts.items()}
+    try:
+        for name, part in parts.items():
+            part.load_state_dict(states[name])
+    except BaseException:
+        for name, part in parts.items():
+            part.load_state_dict(before[name])
+        raise
 
 
 class CheckpointSchemaError(RuntimeError):
@@ -56,9 +115,9 @@ class Checkpoint:
     history: dict
     #: ``numpy.random.Generator.bit_generator.state`` of the base RNG
     rng_state: dict
-    #: algorithm-specific arrays (RL tables, battery charge, ...)
+    #: the state parts' arrays, by ``{part}/{key}`` (RL tables, battery charge, ...)
     extra_arrays: dict[str, np.ndarray] = field(default_factory=dict)
-    #: algorithm-specific JSON state (fleet watermarks, ...)
+    #: the state parts' JSON state, by part name (fleet watermarks, ...)
     extra_state: dict = field(default_factory=dict)
     #: why the run stopped early, if a callback requested a stop by the
     #: time this checkpoint was captured (None = still running / ran out)

@@ -7,6 +7,7 @@ from repro.core.config import AdaptiveFLConfig, FederatedConfig
 from repro.core.pruning import resource_aware_prune
 from repro.core.server import AdaptiveFL
 from repro.engine.tasks import TrainSubmodelTask
+from repro.store.checkpoint import load_parts, save_parts
 
 
 def make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs, strategy="rl-cs", seed=0, scenario=None):
@@ -219,8 +220,7 @@ class TestRoundPlan:
 
 class TestCheckpointState:
     def collect(self, algorithm):
-        arrays: dict[str, np.ndarray] = {}
-        algorithm._collect_extra_state(arrays, {})
+        arrays, _ = save_parts(algorithm.state_parts())
         return arrays
 
     def test_rl_state_round_trips(self, tiny_cnn, tiny_federated_setup, fast_configs):
@@ -230,7 +230,7 @@ class TestCheckpointState:
         assert set(arrays) == {"rl/client_ids", "rl/curiosity_columns", "rl/resource_columns"}
 
         target = make_adaptivefl(tiny_cnn, tiny_federated_setup, fast_configs)
-        target._apply_extra_state(arrays, {})
+        load_parts(target.state_parts(), arrays, {})
         for name, table in source.selector.snapshot().items():
             assert np.array_equal(table, target.selector.snapshot()[name]), name
 
@@ -245,8 +245,8 @@ class TestCheckpointState:
             "rl/curiosity_table": np.full((3, num_clients), 5.0),
             "rl/resource_table": np.full((len(algorithm.pool), num_clients), 5.0),
         }
-        with pytest.raises(ValueError, match="rl/client_ids, rl/curiosity_columns, rl/resource_columns"):
-            algorithm._apply_extra_state(dense, {})
+        with pytest.raises(ValueError, match="selector state is missing 'client_ids'"):
+            load_parts(algorithm.state_parts(), dense, {})
         after = algorithm.selector.state_dict()
         assert before["client_ids"].size > 0
         for name, table in before.items():

@@ -307,7 +307,7 @@ def test_decode_refuses_before_banking_an_error_feedback_residual(easy_setup):
         algorithm.decode_result_state(result.state, plan.group_sizes[0], broken)
     assert refusal.value.tensor == name
     assert algorithm._round_bytes_up == result.state.nbytes
-    assert plan.clients[0] not in algorithm._codec_residuals
+    assert plan.clients[0] not in algorithm.state_parts()["codec"].state_dict()["clients"]
 
 
 # -- the encoders alone ------------------------------------------------------------------
