@@ -4,9 +4,9 @@ Every artifact under ``repro/store`` is contractually crash-safe: a
 reader either sees the previous complete file or the new complete file,
 never a torn half-write.  That guarantee lives in one place —
 :func:`repro.store.objects.write_atomic` (temp file + ``os.replace``)
-— so any direct ``open(..., "w")``, ``Path.write_text`` or
-``json.dump`` inside the store layer is a durability hole: a crash
-mid-write corrupts the manifest the next resume will try to load.
+— so any direct ``open(..., "w")``, ``Path.write_text``, ``json.dump`` or
+``os.open``/``os.write`` inside the store layer is a durability hole: a
+crash mid-write corrupts the manifest the next resume will try to load.
 
 Only ``repro/store/objects.py`` itself may perform raw writes; it is
 where the atomic primitive is implemented.
@@ -32,6 +32,9 @@ _WRITE_CALLS = {
     "numpy.save": "writes the array file directly",
     "numpy.savez": "writes the archive directly",
     "numpy.savez_compressed": "writes the archive directly",
+    "os.open": "opens a raw descriptor",
+    "os.write": "writes a raw descriptor in place",
+    "os.writev": "writes a raw descriptor in place",
 }
 
 _WRITE_MODES = set("wax")
@@ -66,7 +69,7 @@ class NonAtomicStoreWriteRule(Rule):
     """Flag raw file writes in the store layer."""
 
     def check_file(self, ctx: "FileContext") -> Iterator["Finding"]:
-        """Scan calls for writable open(), write_text/bytes and dump-style writers."""
+        """Scan calls for writable open()/os.open(), write_text/bytes and raw or dump-style writers."""
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue

@@ -16,15 +16,18 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import os
-import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 __all__ = ["ObjectStore", "StoreCorruptionError", "canonical_json", "sha256_hex", "write_atomic"]
+
+#: suffixes of this process's temp files; a name left by a killed writer is skipped
+_temp_names = itertools.count()
 
 
 class StoreCorruptionError(RuntimeError):
@@ -52,40 +55,49 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def write_atomic(path: Path, payload: bytes | str) -> None:
+def write_atomic(path: Path, payload: bytes | str | Sequence[bytes | memoryview]) -> None:
     """Write a file atomically: temp file + ``os.replace``, cleaned up on error.
 
     Every file the store writes (blobs, manifests, run entries,
     histories) goes through here, so a crash mid-write leaves either the
     complete file or nothing — and a failed write (e.g. a full disk)
-    never leaks ``.tmp-*`` litter.
+    never leaks ``.tmp-*`` litter.  ``payload`` is bytes, a str (UTF-8)
+    or a sequence of byte buffers, written back to back without a join.
     """
     if isinstance(payload, str):
         payload = payload.encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    pending = [memoryview(b).cast("B") for b in ([payload] if isinstance(payload, (bytes, memoryview)) else payload)]
+    while True:
+        tmp_name = os.path.join(path.parent, f".tmp-{os.getpid()}-{next(_temp_names)}")
+        try:
+            fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+            break
+        except FileExistsError:  # a killed writer's leftover: take the next name
+            pass
+        except FileNotFoundError:
+            os.makedirs(path.parent, exist_ok=True)
     try:
-        with os.fdopen(fd, "wb") as stream:
-            stream.write(payload)
+        try:
+            while pending:
+                written = os.writev(fd, pending)
+                while pending and written >= len(pending[0]):
+                    written -= len(pending.pop(0))
+                if pending:
+                    pending[0] = pending[0][written:]
+        finally:
+            os.close(fd)
         os.replace(tmp_name, path)
     except BaseException:
-        if os.path.exists(tmp_name):  # pragma: no cover - crash path
+        if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
-
-
-def _array_bytes(array: np.ndarray) -> bytes:
-    """Canonical ``.npy`` serialisation (dtype, shape and bytes preserved exactly)."""
-    buffer = io.BytesIO()
-    np.save(buffer, np.ascontiguousarray(array), allow_pickle=False)
-    return buffer.getvalue()
 
 
 class ObjectStore:
     """Write-once, hash-named blob storage under one directory.
 
-    The unit of storage is a numpy array: :meth:`put_array` serialises it
-    to canonical ``.npy`` bytes, names the file after their SHA-256 and
+    The unit of storage is a numpy array: :meth:`put_array` stores it as
+    canonical ``.npy`` bytes, names the file after their SHA-256 and
     returns that digest; :meth:`get_array` loads it back bit-identically,
     verifying the hash on the way.
     """
@@ -100,14 +112,21 @@ class ObjectStore:
     def put_array(self, array: np.ndarray) -> str:
         """Store one array; returns its content address (hex SHA-256).
 
+        Canonical ``np.save`` bytes, taken from the array's own memory.
         Writing the same content twice is free: the blob already exists
         under its digest and is left untouched.
         """
-        payload = _array_bytes(array)
-        digest = sha256_hex(payload)
+        array = np.ascontiguousarray(array)
+        stream = io.BytesIO()
+        np.lib.format.write_array_header_1_0(stream, np.lib.format.header_data_from_array_1_0(array))
+        header = stream.getvalue()
+        body = memoryview(array.reshape(-1).view(np.uint8))  # object arrays raise here
+        hasher = hashlib.sha256(header)
+        hasher.update(body)
+        digest = hasher.hexdigest()
         path = self._path_for(digest)
         if not path.exists():
-            write_atomic(path, payload)
+            write_atomic(path, [header, body])
         return digest
 
     def get_array(self, digest: str) -> np.ndarray:

@@ -287,7 +287,8 @@ class RunStore:
         its own canonical JSON.  ``keep`` prunes older manifests down to
         the newest ``keep`` (blobs stay — they may be shared across runs).
 
-        The checkpoint is durable when this returns.  With
+        When this returns the checkpoint is complete and renamed into
+        place, not fsynced: a power loss can still lose it.  With
         ``background=True`` (the hand-off :class:`RunRecorder` uses) it
         returns as soon as the write has *started* on a writer thread:
         the caller must not mutate ``checkpoint`` afterwards, and the

@@ -61,6 +61,14 @@ class TestScopesAndExemptions:
         result = lint_paths([root / "repro" / "store" / "objects.py"], rules=["RPL006"], relative_to=root)
         assert result.clean
 
+    def test_rpl006_flags_raw_descriptor_writes(self):
+        root = FIXTURES / "rpl006" / "repro" / "store"
+        bad = lint_paths([root / "bad_descriptor.py"], rules=["RPL006"], relative_to=root.parents[1])
+        # every os.open (write, dynamic and read-only flags alike), os.write, writev
+        assert sorted(f.line for f in bad.findings) == [7, 8, 13, 14, 19]
+        clean = lint_paths([root / "clean_descriptor.py"], rules=["RPL006"], relative_to=root.parents[1])
+        assert clean.clean, [f.location() for f in clean.findings]
+
     def test_rpl001_exempts_the_telemetry_clock_shim(self):
         root = FIXTURES / "rpl001"
         result = lint_paths([root / "repro" / "obs" / "clock.py"], rules=["RPL001"], relative_to=root)
