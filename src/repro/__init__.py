@@ -29,7 +29,7 @@ Package layout:
 * ``repro.sim`` — the discrete-event AIoT fleet simulator: scenario
   registry (``@register_scenario``), availability/dropout/battery/network
   dynamics and deadline-aware aggregation accounting.
-* ``repro.store`` — the durable experiment store: content-addressed
+* ``repro.store`` — the durable experiment store: self-checking
   per-round checkpoints, bit-identical resume, sweep orchestration over
   (algorithms × scenarios × seeds) grids and report regeneration from
   stored state only.

@@ -6,7 +6,7 @@ never a torn half-write.  That guarantee lives in one place —
 :func:`repro.store.objects.write_atomic` (temp file + ``os.replace``)
 — so any direct ``open(..., "w")``, ``Path.write_text``, ``json.dump`` or
 ``os.open``/``os.write`` inside the store layer is a durability hole: a
-crash mid-write corrupts the manifest the next resume will try to load.
+crash mid-write corrupts the checkpoint the next resume will try to load.
 
 Only ``repro/store/objects.py`` itself may perform raw writes; it is
 where the atomic primitive is implemented.
@@ -60,7 +60,7 @@ def _open_mode(call: ast.Call) -> str | None:
     summary="direct file write inside repro.store not routed through write_atomic",
     rationale=(
         "store artifacts are crash-safe by contract; a raw write torn by a "
-        "crash corrupts the manifest the next resume loads"
+        "crash corrupts the checkpoint the next resume loads"
     ),
     scopes=("repro/store",),
     exempt=("repro/store/objects.py",),

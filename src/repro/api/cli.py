@@ -736,10 +736,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point of ``python -m repro`` and the ``repro`` console script."""
     args = build_parser().parse_args(argv)
     handler: Callable[[argparse.Namespace], int] = args.handler
+    from repro.store.checkpoint import CheckpointSchemaError
+    from repro.store.objects import StoreCorruptionError
+
     try:
         return handler(args)
-    except (KeyError, ValueError, OSError) as error:
-        # registry/config validation errors and unreadable spec files
-        # (json.JSONDecodeError is a ValueError) become clean CLI errors
+    except (KeyError, ValueError, OSError, CheckpointSchemaError, StoreCorruptionError) as error:
+        # registry/config validation errors, unreadable spec files
+        # (json.JSONDecodeError is a ValueError) and refused stores become clean CLI errors
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -2,13 +2,13 @@
 
 Four layers, bottom up:
 
-* :mod:`repro.store.objects` — content-addressed array blobs
-  (``objects/<sha256>``), written once, integrity-checked on every read.
+* :mod:`repro.store.objects` — atomic writes and the checkpoint file
+  format: one self-checking file per checkpoint, verified on every read.
 * :mod:`repro.store.checkpoint` + :mod:`repro.store.runstore` —
   :class:`~repro.store.checkpoint.Checkpoint` (the complete restorable
   state of a run at the end of one round: weights, history, RNG state, RL
   tables, fleet state) and :class:`~repro.store.runstore.RunStore` (runs
-  keyed by canonical run-key hashes, per-round checkpoint manifests, final
+  keyed by canonical run-key hashes, per-round checkpoint files, final
   histories).  :class:`~repro.store.runstore.RunRecorder` feeds a store
   from a live run via the ``on_checkpoint`` callback hook.
 * :mod:`repro.store.sweep` — :class:`~repro.store.sweep.SweepSpec` grids

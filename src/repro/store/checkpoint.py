@@ -13,11 +13,11 @@ A :class:`Checkpoint` captures the full mutable state of a
   (:meth:`~repro.core.fl_base.FederatedAlgorithm.state_parts`): its arrays
   under ``extra_arrays["{part}/{key}"]``, the rest under ``extra_state["{part}"]``.
 
-Everything numeric lives in numpy arrays serialised losslessly by the
-content-addressed :class:`~repro.store.objects.ObjectStore`; everything
-else is strict JSON.  ``schema_version`` gates compatibility: a store
-written by a future incompatible layout refuses to resume
-(:class:`CheckpointSchemaError`) instead of mis-restoring.
+Everything numeric lives in numpy arrays, everything else is strict JSON;
+:func:`repro.store.objects.write_checkpoint` stores both losslessly in one
+self-checking file.  ``schema_version`` gates compatibility: a checkpoint
+written in another layout refuses to resume (:class:`CheckpointSchemaError`)
+instead of mis-restoring.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 __all__ = ["Checkpoint", "CheckpointSchemaError", "CHECKPOINT_SCHEMA_VERSION", "StatePart", "load_parts", "save_parts"]
 
 #: current on-disk checkpoint layout; bump on incompatible changes
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 class StatePart(Protocol):

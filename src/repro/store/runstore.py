@@ -4,32 +4,30 @@ One store is one directory::
 
     <root>/
       store.json                     # store-level schema marker
-      objects/<aa>/<sha256>          # content-addressed array blobs
       runs/<run_id>/run.json         # run key + status
       runs/<run_id>/history.json     # final TrainingHistory (on completion)
-      runs/<run_id>/checkpoints/round_000007.json   # per-round manifests
+      runs/<run_id>/checkpoints/round_000007.ckpt   # one file per checkpoint
 
 A **run** is identified by the SHA-256 of its canonical run key (the
 experiment setting plus algorithm, strategy, scenario and round budget),
 so re-submitting the same experiment maps onto the same run directory —
-the property sweep resumption builds on.  A **checkpoint** is a JSON
-manifest referencing array blobs in the object store plus the strict
-JSON state of :class:`~repro.store.checkpoint.Checkpoint`; the manifest
-carries its own checksum and every blob read re-verifies its content
-address, so truncation anywhere surfaces as
+the property sweep resumption builds on.  A **checkpoint** is one
+self-checking file (:mod:`repro.store.objects`) holding a
+:class:`~repro.store.checkpoint.Checkpoint`'s arrays and JSON state behind
+a SHA-256 trailer, so truncation anywhere surfaces as
 :class:`~repro.store.objects.StoreCorruptionError` instead of a silently
 wrong resume.
 
 :class:`RunRecorder` is the callback that feeds a store from a live run:
 it hands a checkpoint to the store on the ``on_checkpoint`` hook (every
 ``every`` rounds and always on the final/stopped round) and can prune
-older manifests to bound disk use (blobs are shared and therefore never
-pruned here).  The store writes a handed-off checkpoint on a background
-thread, one at a time per :class:`RunStore` handle, so the next round
-trains while the previous round's state goes to disk;
-:meth:`RunStore.flush` (called by every checkpoint read path, by the
-next hand-off and when the run ends) is where that write becomes
-visible and where its failure, if any, is raised.
+older checkpoints to bound disk use (``keep``; a pruned checkpoint's file
+is its only copy, so pruning frees all of it).  The store writes a
+handed-off checkpoint on a background thread, one at a time per
+:class:`RunStore` handle, so the next round trains while the previous
+round's state goes to disk; :meth:`RunStore.flush` (called by every
+checkpoint read path, by the next hand-off and when the run ends) is where
+that write becomes visible and where its failure, if any, is raised.
 """
 
 from __future__ import annotations
@@ -40,18 +38,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
-import numpy as np
-
 from repro.api.callbacks import Callback
 from repro.obs.clock import perf_counter
 from repro.obs.events import get_event_bus
-from repro.store.checkpoint import CHECKPOINT_SCHEMA_VERSION, Checkpoint, CheckpointSchemaError
+from repro.store.checkpoint import Checkpoint, CheckpointSchemaError
 from repro.store.objects import (
-    ObjectStore,
     StoreCorruptionError,
     canonical_json,
+    read_checkpoint,
     sha256_hex,
     write_atomic,
+    write_checkpoint,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,7 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["RunStore", "RunEntry", "RunRecorder", "STORE_SCHEMA_VERSION"]
 
 #: version of the store directory layout itself
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
+#: version of the ``run.json`` layout, which store schema 2 left as it was
+_RUN_ENTRY_SCHEMA_VERSION = 1
 
 _RUN_STATUSES = {"running", "completed"}
 
@@ -118,15 +117,15 @@ class _CheckpointWrite(threading.Thread):
 
 
 class RunStore:
-    """Content-addressed on-disk store of runs, checkpoints and histories.
+    """On-disk store of runs, checkpoints and histories.
 
     A handle belongs to one thread.  It keeps at most one checkpoint write
     in flight (:meth:`save_checkpoint` with ``background=True``); every
     method that reads or lists checkpoints, :meth:`finish_run` and the next
     save :meth:`flush` it first, so a handle always reads its own writes
     and a failed background write is raised before anything builds on it.
-    Other handles and processes see a checkpoint once its manifest has
-    been renamed into place.
+    Other handles and processes see a checkpoint once its file has been
+    renamed into place.
     """
 
     def __init__(self, root: str | Path, *, create: bool = True):
@@ -141,19 +140,19 @@ class RunStore:
                 "pass the directory a sweep or a --store run wrote into"
             )
         self.root.mkdir(parents=True, exist_ok=True)
-        self.objects = ObjectStore(self.root / "objects")
-        self._runs_dir = self.root / "runs"
-        self._runs_dir.mkdir(parents=True, exist_ok=True)
         if marker.exists():
             payload = self._read_json(marker, what="store marker")
             version = payload.get("schema_version")
             if version != STORE_SCHEMA_VERSION:
                 raise CheckpointSchemaError(
                     f"store at {self.root} uses schema version {version}, this build "
-                    f"supports {STORE_SCHEMA_VERSION}; refusing to open it"
+                    f"supports {STORE_SCHEMA_VERSION}; refusing to open it (run its "
+                    "experiments again into a new store, or read it with the build that wrote it)"
                 )
         else:
             write_atomic(marker, json.dumps({"schema_version": STORE_SCHEMA_VERSION}) + "\n")
+        self._runs_dir = self.root / "runs"
+        self._runs_dir.mkdir(parents=True, exist_ok=True)
 
     # -- run identity -------------------------------------------------------------------
     @staticmethod
@@ -181,7 +180,7 @@ class RunStore:
 
     def _write_run_entry(self, entry: RunEntry) -> None:
         payload = {
-            "schema_version": STORE_SCHEMA_VERSION,
+            "schema_version": _RUN_ENTRY_SCHEMA_VERSION,
             "run_id": entry.run_id,
             "key": entry.key,
             "status": entry.status,
@@ -250,8 +249,8 @@ class RunStore:
     def _checkpoint_dir(self, run_id: str) -> Path:
         return self._run_dir(run_id) / "checkpoints"
 
-    def _manifest_path(self, run_id: str, round_index: int) -> Path:
-        return self._checkpoint_dir(run_id) / f"round_{round_index:06d}.json"
+    def _checkpoint_path(self, run_id: str, round_index: int) -> Path:
+        return self._checkpoint_dir(run_id) / f"round_{round_index:06d}.ckpt"
 
     def checkpoint_rounds(self, run_id: str) -> list[int]:
         """Rounds with a stored checkpoint, ascending (empty = none yet)."""
@@ -264,7 +263,7 @@ class RunStore:
         if not directory.exists():
             return []
         rounds = []
-        for path in directory.glob("round_*.json"):
+        for path in directory.glob("round_*.ckpt"):
             try:
                 rounds.append(int(path.stem.split("_", 1)[1]))
             except ValueError:  # pragma: no cover - foreign file
@@ -280,19 +279,17 @@ class RunStore:
         background: bool = False,
         trace_id: str = "",
     ) -> Path:
-        """Persist one checkpoint; returns the manifest path.
+        """Persist one checkpoint as one file; returns its path.
 
-        Arrays go to the content-addressed object store (deduplicated);
-        the manifest references them by digest and carries a checksum over
-        its own canonical JSON.  ``keep`` prunes older manifests down to
-        the newest ``keep`` (blobs stay — they may be shared across runs).
+        ``keep`` prunes older checkpoints down to the newest ``keep``,
+        deleting their files.
 
         When this returns the checkpoint is complete and renamed into
         place, not fsynced: a power loss can still lose it.  With
         ``background=True`` (the hand-off :class:`RunRecorder` uses) it
         returns as soon as the write has *started* on a writer thread:
         the caller must not mutate ``checkpoint`` afterwards, and the
-        manifest exists — or the write's exception is raised — at the
+        file exists — or the write's exception is raised — at the
         next :meth:`flush`.  Either way the previous background write is
         flushed first and ``run_id``/``keep`` are checked before a byte is
         written.  ``trace_id`` tags the ``checkpoint_saved`` event.
@@ -306,13 +303,13 @@ class RunStore:
         self._in_flight.start()
         if not background:
             self.flush()
-        return self._manifest_path(run_id, checkpoint.round_index)
+        return self._checkpoint_path(run_id, checkpoint.round_index)
 
     def flush(self) -> None:
         """Wait for the checkpoint write in flight, if any; re-raise its error.
 
         On success emits ``checkpoint_saved`` — here, on the caller's
-        thread, because this is the first moment the manifest is known to
+        thread, because this is the first moment the file is known to
         exist — with ``write_ms`` (how long the write took) and
         ``blocked_ms`` (how much of that the caller spent waiting here).
         An error is raised once; the slot is empty afterwards.
@@ -335,49 +332,23 @@ class RunStore:
         )
 
     def _write_checkpoint(self, run_id: str, checkpoint: Checkpoint, keep: int | None) -> None:
-        """Blobs first, manifest last, prune after (runs on the writer thread).
+        """Write the file, then prune (runs on the writer thread).
 
         Must not call :meth:`flush` or anything that does: a thread cannot
         join itself.
         """
-        arrays: dict[str, dict] = {}
-        for prefix, group in (("global", checkpoint.global_state), ("extra", checkpoint.extra_arrays)):
-            for key, value in group.items():
-                array = np.asarray(value)
-                arrays[f"{prefix}/{key}"] = {
-                    "ref": self.objects.put_array(array),
-                    "dtype": str(array.dtype),
-                    "shape": list(array.shape),
-                }
-        body = {
-            "schema_version": checkpoint.schema_version,
-            "algorithm": checkpoint.algorithm,
-            "round_index": checkpoint.round_index,
-            "arrays": arrays,
-            "history": checkpoint.history,
-            "rng_state": checkpoint.rng_state,
-            "extra_state": checkpoint.extra_state,
-            "stop_reason": checkpoint.stop_reason,
-        }
-        # the checksum is over the canonical (sorted) form; the file keeps
-        # insertion order, so a resumed history serialises byte-for-byte
-        # like the uninterrupted one (level_accuracies is S, M, L — unsorted)
-        body["checksum"] = sha256_hex(canonical_json(body).encode("utf-8"))
-        write_atomic(
-            self._manifest_path(run_id, checkpoint.round_index),
-            json.dumps(body, separators=(",", ":")) + "\n",
-        )
+        write_checkpoint(self._checkpoint_path(run_id, checkpoint.round_index), checkpoint)
         if keep is not None:
             for stale in self._checkpoint_rounds(run_id)[:-keep]:
-                self._manifest_path(run_id, stale).unlink(missing_ok=True)
+                self._checkpoint_path(run_id, stale).unlink(missing_ok=True)
 
     def load_checkpoint(self, run_id: str, round_index: int | None = None) -> Checkpoint:
         """Load one checkpoint (default: the latest round), fully verified.
 
-        Verification order: the manifest must parse as JSON, its schema
-        version must be the supported one, its checksum must match its
-        canonical body, and every referenced blob must hash to its
-        content address.  Any failure raises with the offending path.
+        The file's SHA-256 trailer is checked before anything is parsed
+        (:class:`~repro.store.objects.StoreCorruptionError`), then its
+        schema version (:class:`~repro.store.checkpoint.CheckpointSchemaError`);
+        both errors name the file.
         """
         rounds = self.checkpoint_rounds(run_id)  # flushes the write in flight
         if not rounds:
@@ -386,47 +357,7 @@ class RunStore:
             round_index = rounds[-1]
         elif round_index not in rounds:
             raise ValueError(f"run {run_id} has no checkpoint for round {round_index} (has {rounds})")
-        path = self._manifest_path(run_id, round_index)
-        body = self._read_json(path, what="checkpoint manifest")
-
-        version = body.get("schema_version")
-        if version != CHECKPOINT_SCHEMA_VERSION:
-            raise CheckpointSchemaError(
-                f"checkpoint {path} uses schema version {version}; this build supports "
-                f"{CHECKPOINT_SCHEMA_VERSION} and refuses to resume from it"
-            )
-        expected = body.pop("checksum", None)
-        actual = sha256_hex(canonical_json(body).encode("utf-8"))
-        if expected != actual:
-            raise StoreCorruptionError(
-                f"checkpoint manifest {path} failed its checksum (stored "
-                f"{str(expected)[:12]}…, computed {actual[:12]}…): the file was truncated "
-                "or edited; delete it and resume from an earlier round"
-            )
-
-        global_state: dict[str, np.ndarray] = {}
-        extra_arrays: dict[str, np.ndarray] = {}
-        for name, meta in body["arrays"].items():
-            array = self.objects.get_array(meta["ref"])
-            if list(array.shape) != list(meta["shape"]) or str(array.dtype) != meta["dtype"]:
-                raise StoreCorruptionError(
-                    f"checkpoint {path}: array {name!r} loaded as "
-                    f"{array.dtype}{array.shape}, manifest says {meta['dtype']}{tuple(meta['shape'])}"
-                )
-            prefix, _, key = name.partition("/")
-            target = global_state if prefix == "global" else extra_arrays
-            target[key] = array
-        return Checkpoint(
-            algorithm=str(body["algorithm"]),
-            round_index=int(body["round_index"]),
-            global_state=global_state,
-            history=dict(body["history"]),
-            rng_state=dict(body["rng_state"]),
-            extra_arrays=extra_arrays,
-            extra_state=dict(body["extra_state"]),
-            stop_reason=body.get("stop_reason"),
-            schema_version=int(version),
-        )
+        return read_checkpoint(self._checkpoint_path(run_id, round_index))
 
     def latest_checkpoint(self, run_id: str) -> Checkpoint | None:
         """The newest checkpoint of a run, or None when it has none."""
@@ -462,7 +393,7 @@ class RunRecorder(Callback):
     checkpoint being written.  A failed write is raised at the next
     hand-off or flush.  ``every`` thins the cadence (the final and
     early-stopped rounds are always persisted); ``keep`` bounds how many
-    manifests stay on disk.
+    checkpoints stay on disk.
     """
 
     def __init__(self, store: RunStore, run_id: str, every: int = 1, keep: int | None = None):
@@ -499,7 +430,7 @@ class RunRecorder(Callback):
             trace_id=algorithm.current_trace_id,
         )
         # the driver re-fires on_checkpoint when a checkpoint callback stops
-        # the run (the record gains its late evaluation); the manifest write
+        # the run (the record gains its late evaluation); the checkpoint write
         # above overwrites by round index, so only the log needs deduping
         if not self.saved_rounds or self.saved_rounds[-1] != record.round_index:
             self.saved_rounds.append(record.round_index)

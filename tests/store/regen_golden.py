@@ -34,7 +34,7 @@ def main() -> None:
     golden.write_text(bundle.markdown, encoding="utf-8")
     print(f"wrote {golden} ({len(bundle.markdown.splitlines())} lines)")
     with tempfile.TemporaryDirectory() as tmp:
-        hashes = checkpoint_golden.manifest_hashes(Path(tmp))
+        hashes = checkpoint_golden.checkpoint_hashes(Path(tmp))
     checkpoint_golden.GOLDEN_PATH.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {checkpoint_golden.GOLDEN_PATH} ({len(hashes)} hashes)")
 

@@ -8,7 +8,7 @@ These tests pin what the rest of the stack relies on:
   ``finish_run`` and the next hand-off on the same handle wait for it;
 * what is stored is the state at hand-off, whatever the loop does next;
 * an exception leaving ``run_algorithm`` leaves the last hand-off on disk;
-* ``checkpoint_saved`` is never emitted before the manifest exists;
+* ``checkpoint_saved`` is never emitted before the checkpoint file exists;
 * a write that fails — at *any* ``write_atomic`` call of a checkpointed
   run — is raised out of ``run_algorithm`` as itself, leaves only
   complete checkpoints behind, and the resumed run is bit-identical.
@@ -48,7 +48,7 @@ CRASH_AT = 2
 
 
 def make_checkpoint(round_index: int) -> Checkpoint:
-    """A small checkpoint whose blobs differ from round to round."""
+    """A small checkpoint whose arrays differ from round to round."""
     history = TrainingHistory("adaptivefl")
     for index in range(round_index + 1):
         history.append(RoundRecord(round_index=index, train_loss=float(index)))
@@ -95,7 +95,7 @@ class WriteGate:
         self.open.clear()
         self.reached.clear()
 
-    def manifests_written(self) -> list[str]:
+    def checkpoints_written(self) -> list[str]:
         return [path.rsplit("/", 1)[1] for path in self.paths if "/checkpoints/round_" in path]
 
 
@@ -162,9 +162,9 @@ class TestHandOff:
         assert fresh.is_completed(run_id)
         assert fresh.checkpoint_rounds(run_id) == [0]
         # the completion marker was written after the checkpoint it vouches for
-        assert gate.paths.index(str(store._manifest_path(run_id, 0))) < len(gate.paths) - 2
+        assert gate.paths.index(str(store._checkpoint_path(run_id, 0))) < len(gate.paths) - 2
 
-    def test_second_handoff_waits_for_the_first_and_manifests_land_in_order(self, tmp_path, gate):
+    def test_second_handoff_waits_for_the_first_and_checkpoints_land_in_order(self, tmp_path, gate):
         store = RunStore(tmp_path)
         run_id = store.begin_run(KEY).run_id
         gate.close()
@@ -175,10 +175,9 @@ class TestHandOff:
         assert first.exists()  # the second hand-off returned only after the first write
         store.flush()
         assert second.exists()
-        assert gate.manifests_written() == ["round_000000.json", "round_000001.json"]
-        # one write at a time: nothing of round 1 was written before round 0's manifest
-        first_manifest = gate.paths.index(str(first))
-        assert all("/objects/" in path for path in gate.paths[first_manifest + 1 : -1])
+        # one write at a time, one file per checkpoint: round 0's file, then round 1's
+        assert gate.paths[-2:] == [str(first), str(second)]
+        assert gate.checkpoints_written() == ["round_000000.ckpt", "round_000001.ckpt"]
         assert store.checkpoint_rounds(run_id) == [0, 1]
 
     def test_direct_save_is_durable_on_return(self, tmp_path):
@@ -197,14 +196,6 @@ class TestHandOff:
         assert store._in_flight.daemon is False
         gate.open.set()
         store.flush()
-
-    def test_blobs_land_before_the_manifest_that_references_them(self, tmp_path, gate):
-        store = RunStore(tmp_path)
-        run_id = store.begin_run(KEY).run_id
-        store.save_checkpoint(run_id, make_checkpoint(0), background=True)
-        store.flush()
-        written = gate.paths[gate.paths.index(str(store._run_dir(run_id) / "run.json")) + 1 :]
-        assert ["/objects/" in path for path in written] == [True, True, False]
 
     def test_mutating_the_live_state_after_handoff_does_not_change_what_is_stored(
         self, tmp_path, gate, ci_prepared
@@ -248,7 +239,7 @@ class TestFailedWrite:
     def test_error_surfaces_once_at_the_next_touch_and_blocks_completion(self, tmp_path, gate):
         store = RunStore(tmp_path)
         run_id = store.begin_run(KEY).run_id
-        gate.fail_at = len(gate.paths) + 2  # the manifest, after two blobs
+        gate.fail_at = len(gate.paths)  # the checkpoint file
         store.save_checkpoint(run_id, make_checkpoint(0), background=True)
         with pytest.raises(OSError) as raised:
             store.finish_run(run_id, TrainingHistory("adaptivefl"))
@@ -279,7 +270,7 @@ class TestFailedWrite:
 
 
 class TestCheckpointSavedEvent:
-    def test_not_emitted_before_the_manifest_exists(self, tmp_path, gate, ring):
+    def test_not_emitted_before_the_checkpoint_file_exists(self, tmp_path, gate, ring):
         store = RunStore(tmp_path)
         run_id = store.begin_run(KEY).run_id
         gate.close()
@@ -361,7 +352,7 @@ def uninterrupted(tiny_prepared, tmp_path_factory):
 
 
 def assert_only_complete_checkpoints(store_dir) -> list[int]:
-    """Every manifest on disk loads (checksum + blob hashes) and no temp file is left."""
+    """Every checkpoint on disk loads (its SHA-256 trailer checked) and no temp file is left."""
     assert not list(store_dir.rglob(".tmp-*"))
     if not (store_dir / "store.json").exists():
         return []
@@ -430,8 +421,8 @@ class TestWriteFailsAtEveryCallIndex:
     def test_every_failure_is_raised_contained_and_resumable(
         self, tmp_path, gate, tiny_prepared, uninterrupted, write_calls
     ):
-        # marker + run entry, ROUNDS x (blobs + manifest), history + completion marker
-        assert write_calls > 4 + 2 * ROUNDS
+        # marker + run entry, one file per checkpointed round, history + completion marker
+        assert write_calls == 4 + ROUNDS
         for index in range(write_calls):
             store_dir = tmp_path / f"fail-{index:03d}"
             gate.paths.clear()
@@ -444,7 +435,7 @@ class TestWriteFailsAtEveryCallIndex:
 
             rounds = assert_only_complete_checkpoints(store_dir)
             assert rounds == list(range(len(rounds))), f"call {index}: gap in {rounds}"
-            if "/checkpoints/" in failed_path or "/objects/" in failed_path:
+            if "/checkpoints/" in failed_path:
                 # the checkpoint the failed call belonged to is absent, its predecessors intact
                 assert len(rounds) < ROUNDS, f"call {index} ({failed_path})"
 

@@ -1,4 +1,4 @@
-"""RunStore unit tests: blobs, manifests, integrity and lifecycle."""
+"""RunStore unit tests: checkpoint files, integrity, pruning and lifecycle."""
 
 from __future__ import annotations
 
@@ -7,10 +7,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.api.callbacks import Callback
+from repro.api.registry import get_algorithm
 from repro.core.history import RoundRecord, TrainingHistory
 from repro.store.checkpoint import CHECKPOINT_SCHEMA_VERSION, Checkpoint, CheckpointSchemaError
-from repro.store.objects import ObjectStore, StoreCorruptionError, canonical_json, sha256_hex
-from repro.store.runstore import RunStore
+from repro.store.objects import StoreCorruptionError
+from repro.store.runstore import RunRecorder, RunStore
 
 
 def make_checkpoint(round_index: int = 1, algorithm: str = "adaptivefl") -> Checkpoint:
@@ -32,38 +34,6 @@ def make_checkpoint(round_index: int = 1, algorithm: str = "adaptivefl") -> Chec
 
 
 KEY = {"algorithm": "adaptivefl", "setting": {"seed": 0}, "num_rounds": 4}
-
-
-class TestObjectStore:
-    def test_round_trip_bit_identical(self, tmp_path):
-        objects = ObjectStore(tmp_path)
-        array = np.random.default_rng(0).standard_normal((5, 7)).astype(np.float32)
-        digest = objects.put_array(array)
-        loaded = objects.get_array(digest)
-        assert loaded.dtype == array.dtype
-        assert np.array_equal(loaded, array)
-
-    def test_content_addressing_dedupes(self, tmp_path):
-        objects = ObjectStore(tmp_path)
-        array = np.ones((4, 4), dtype=np.float64)
-        first = objects.put_array(array)
-        second = objects.put_array(array.copy())
-        assert first == second
-        blobs = [path for path in tmp_path.rglob("*") if path.is_file()]
-        assert len(blobs) == 1
-
-    def test_truncated_blob_is_detected(self, tmp_path):
-        objects = ObjectStore(tmp_path)
-        digest = objects.put_array(np.arange(100, dtype=np.float32))
-        path = tmp_path / digest[:2] / digest
-        path.write_bytes(path.read_bytes()[:-7])  # simulate a torn write
-        with pytest.raises(StoreCorruptionError, match="truncated write or disk corruption"):
-            objects.get_array(digest)
-
-    def test_missing_blob_is_reported(self, tmp_path):
-        objects = ObjectStore(tmp_path)
-        with pytest.raises(StoreCorruptionError, match="missing"):
-            objects.get_array("ab" * 32)
 
 
 class TestRunStoreLifecycle:
@@ -135,43 +105,31 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="no checkpoint for round 0"):
             store.load_checkpoint(entry.run_id, round_index=0)
 
-    def test_truncated_manifest_is_detected(self, tmp_path):
+    def test_truncated_checkpoint_is_detected(self, tmp_path):
         store = RunStore(tmp_path)
         entry = store.begin_run(KEY)
         path = store.save_checkpoint(entry.run_id, make_checkpoint())
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2])
-        with pytest.raises(StoreCorruptionError, match="not valid JSON"):
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(StoreCorruptionError, match=f"{path.name}.*truncated write"):
             store.load_checkpoint(entry.run_id)
 
-    def test_edited_manifest_fails_checksum(self, tmp_path):
+    def test_edited_checkpoint_fails_its_trailer(self, tmp_path):
         store = RunStore(tmp_path)
         entry = store.begin_run(KEY)
         path = store.save_checkpoint(entry.run_id, make_checkpoint())
-        body = json.loads(path.read_text())
-        body["round_index"] = 7  # tamper without updating the checksum
-        (store._manifest_path(entry.run_id, 7)).write_text(json.dumps(body))
-        with pytest.raises(StoreCorruptionError, match="failed its checksum"):
+        edited = path.read_bytes().replace(b'"round_index":1', b'"round_index":7', 1)
+        store._checkpoint_path(entry.run_id, 7).write_bytes(edited)  # tampered, trailer not updated
+        with pytest.raises(StoreCorruptionError, match="round_000007.ckpt"):
             store.load_checkpoint(entry.run_id, round_index=7)
 
     def test_unknown_checkpoint_schema_refuses_resume(self, tmp_path):
         store = RunStore(tmp_path)
         entry = store.begin_run(KEY)
-        path = store.save_checkpoint(entry.run_id, make_checkpoint())
-        body = json.loads(path.read_text())
-        body["schema_version"] = CHECKPOINT_SCHEMA_VERSION + 1
-        path.write_text(json.dumps(body))
-        with pytest.raises(CheckpointSchemaError, match="refuses to resume"):
-            store.load_checkpoint(entry.run_id)
-
-    def test_truncated_blob_surfaces_on_checkpoint_load(self, tmp_path):
-        store = RunStore(tmp_path)
-        entry = store.begin_run(KEY)
-        path = store.save_checkpoint(entry.run_id, make_checkpoint())
-        ref = next(iter(json.loads(path.read_text())["arrays"].values()))["ref"]
-        blob = tmp_path / "objects" / ref[:2] / ref
-        blob.write_bytes(blob.read_bytes()[:-1])
-        with pytest.raises(StoreCorruptionError):
+        checkpoint = make_checkpoint()
+        checkpoint.schema_version = CHECKPOINT_SCHEMA_VERSION + 1  # a future build's file, trailer intact
+        path = store.save_checkpoint(entry.run_id, checkpoint)
+        with pytest.raises(CheckpointSchemaError, match=f"{path.name}.*refuses to resume"):
             store.load_checkpoint(entry.run_id)
 
     def test_save_requires_registered_run(self, tmp_path):
@@ -192,16 +150,6 @@ class TestCheckpoints:
         assert sorted(str(path) for path in tmp_path.rglob("*")) == before
         assert store.checkpoint_rounds(entry.run_id) == []
 
-    def test_manifest_is_one_compact_line_checksummed_over_its_canonical_form(self, tmp_path):
-        store = RunStore(tmp_path)
-        entry = store.begin_run(KEY)
-        path = store.save_checkpoint(entry.run_id, make_checkpoint())
-        text = path.read_text()
-        body = json.loads(text)
-        assert text == json.dumps(body, separators=(",", ":")) + "\n"
-        checksum = body.pop("checksum")
-        assert checksum == sha256_hex(canonical_json(body).encode("utf-8"))
-
     def test_loaded_history_keeps_its_key_order(self, tmp_path):
         """A resumed run re-serialises its history: sorted keys would change history.json's bytes."""
         store = RunStore(tmp_path)
@@ -213,11 +161,30 @@ class TestCheckpoints:
         assert json.dumps(loaded.history) == json.dumps(checkpoint.history)
         assert json.dumps(loaded.rng_state) == json.dumps(checkpoint.rng_state)
 
-    def test_indented_manifest_of_an_earlier_build_still_loads(self, tmp_path):
+
+class TestKeepFreesDisk:
+    def test_pruned_rounds_leave_no_bytes_behind(self, tmp_path, ci_prepared):
+        """``RunRecorder(keep=2)`` over 5 rounds: 2 files, and no pruned round's weights anywhere."""
+
+        class Weights(Callback):
+            def __init__(self):
+                self.by_round: list[bytes] = []
+
+            def on_checkpoint(self, algorithm, record):
+                self.by_round.append(max(algorithm.global_state.values(), key=np.size).tobytes())
+
         store = RunStore(tmp_path)
-        entry = store.begin_run(KEY)
-        path = store.save_checkpoint(entry.run_id, make_checkpoint())
-        path.write_text(json.dumps(json.loads(path.read_text()), indent=2) + "\n")
-        loaded = store.load_checkpoint(entry.run_id)
-        assert loaded.history == make_checkpoint().history
-        assert np.array_equal(loaded.global_state["conv.bias"], np.ones(3, dtype=np.float32))
+        run_id = store.begin_run(KEY).run_id
+        weights = Weights()
+        algorithm = get_algorithm("adaptivefl").build(ci_prepared)
+        algorithm.run(num_rounds=5, callbacks=[weights, RunRecorder(store, run_id, keep=2)])
+        store.flush()
+        files = sorted(path.relative_to(tmp_path) for path in tmp_path.rglob("*") if path.is_file())
+        checkpoints = [str(path) for path in files if path.suffix == ".ckpt"]
+        assert checkpoints == [f"runs/{run_id}/checkpoints/round_00000{r}.ckpt" for r in (3, 4)]
+        assert not (tmp_path / "objects").exists()
+        stored = [(tmp_path / path).read_bytes() for path in files]
+        assert all(weights.by_round[4] != pruned for pruned in weights.by_round[:3])  # every round moved them
+        assert any(weights.by_round[4] in payload for payload in stored)
+        for pruned in weights.by_round[:3]:
+            assert not any(pruned in payload for payload in stored)

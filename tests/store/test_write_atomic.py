@@ -93,3 +93,11 @@ def test_a_stale_temp_file_is_skipped_not_overwritten(tmp_path, monkeypatch):
     assert target.read_text() == '{"round": 3}\n'
     assert stale.read_bytes() == b"left by a killed writer"
     assert temp_files(tmp_path) == [stale.name]
+
+
+def test_more_buffers_than_one_writev_takes(tmp_path):
+    """A checkpoint of a ``topk`` run banks one array per client and tensor: thousands of buffers."""
+    buffers = [np.full(3, index, dtype=np.int16).view(np.uint8) for index in range(3000)]
+    target = tmp_path / "many"
+    write_atomic(target, buffers)
+    assert target.read_bytes() == expected_bytes(buffers)
