@@ -5,7 +5,7 @@ heterogeneous methods the figure plots (Decoupled, HeteroFL, ScaleFL,
 AdaptiveFL) and prints each method's (round, accuracy) series.
 """
 
-from repro.experiments.reporting import render_learning_curves
+from repro.store.report import render_learning_curves
 
 from common import bench_setting, once, run_algorithms
 

@@ -6,7 +6,7 @@ qualitative claim is that AdaptiveFL's accuracy *increases* with model
 size while the baselines' large models can fall below their small ones.
 """
 
-from repro.experiments.reporting import format_table
+from repro.store.report import format_table
 
 from common import bench_setting, once, run_algorithms
 

@@ -7,7 +7,7 @@ and compares AdaptiveFL with HeteroFL and ScaleFL at each population size.
 
 import pytest
 
-from repro.experiments.reporting import format_table
+from repro.store.report import format_table
 
 from common import bench_setting, once, run_algorithms
 

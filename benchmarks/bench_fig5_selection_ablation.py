@@ -7,9 +7,9 @@ waste far less communication than Greedy, and RL-CS reaches the best
 accuracy.
 """
 
-from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_algorithm
 from repro.experiments.settings import prepare_experiment
+from repro.store.report import format_table
 
 from common import bench_setting, once
 

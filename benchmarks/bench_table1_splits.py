@@ -5,10 +5,10 @@ computed on the real 33.65M-parameter VGG16 and should match the paper to
 within rounding.
 """
 
-from repro.experiments.reporting import format_table
 from repro.experiments.settings import vgg16_table1_settings
 from repro.nn.models import SlimmableVGG
 from repro.perf.flops import count_flops
+from repro.store.report import format_table
 
 from common import once
 

@@ -8,7 +8,8 @@ algorithms and prints measured next to published numbers.
 
 import pytest
 
-from repro.experiments.reporting import PAPER_TABLE2, format_table
+from repro.experiments.reporting import PAPER_TABLE2
+from repro.store.report import format_table
 
 from common import bench_setting, once, run_algorithms
 

@@ -7,7 +7,8 @@ as the share of strong devices grows.
 
 import pytest
 
-from repro.experiments.reporting import PAPER_TABLE3, format_table
+from repro.experiments.reporting import PAPER_TABLE3
+from repro.store.report import format_table
 
 from common import bench_setting, once, run_algorithms
 

@@ -8,8 +8,9 @@ better, improving the "full" accuracy.
 
 from repro.api.registry import get_algorithm
 from repro.core.config import ModelPoolConfig
-from repro.experiments.reporting import PAPER_TABLE4, format_table
+from repro.experiments.reporting import PAPER_TABLE4
 from repro.experiments.settings import prepare_experiment
+from repro.store.report import format_table
 
 from common import bench_setting, once
 

@@ -13,7 +13,7 @@ All benches are macro-benchmarks: they run once per pytest-benchmark round
 
 from __future__ import annotations
 
-from repro.experiments.runner import run_comparison
+from repro.api.session import ExperimentSession
 from repro.experiments.settings import ExperimentSetting
 
 #: rounds used by the CI-scale benchmark runs
@@ -31,9 +31,9 @@ def bench_setting(**kwargs) -> ExperimentSetting:
     return ExperimentSetting(overrides=overrides, **kwargs)
 
 
-def run_algorithms(setting: ExperimentSetting, algorithms, **kwargs):
+def run_algorithms(setting: ExperimentSetting, algorithms):
     """Run several algorithms on one shared prepared experiment (paired)."""
-    return run_comparison(setting, tuple(algorithms), **kwargs)
+    return ExperimentSession(setting).compare(algorithms)
 
 
 def once(benchmark, func):

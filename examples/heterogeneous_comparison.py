@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Compare AdaptiveFL against the paper's four baselines (Table 2 style).
 
-Runs the selected registered algorithms through ``run_comparison``, which
-prepares the federation **once** (same data partition, same heterogeneous
+Runs the selected registered algorithms through ``ExperimentSession.compare``,
+which prepares the federation **once** (same data partition, same heterogeneous
 devices) and trains every algorithm on the identical snapshot, then prints
 the avg/full accuracy table plus the communication-waste column of
 Figure 5a.
@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro import ExperimentSetting, ProgressCallback, available_algorithms, run_comparison
-from repro.experiments.reporting import render_accuracy_table, render_waste_table
+from repro import ExperimentSession, ExperimentSetting, ProgressCallback, available_algorithms
+from repro.store.report import render_accuracy_table, render_waste_table
 
 
 def main() -> None:
@@ -42,7 +42,7 @@ def main() -> None:
         seed=args.seed,
     )
 
-    results = run_comparison(setting, tuple(args.algorithms), callbacks=[ProgressCallback()])
+    results = ExperimentSession(setting).with_callback(ProgressCallback).compare(args.algorithms)
 
     title = (
         f"{args.dataset} / {args.model} / {distribution}"

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 
 from repro import ExperimentSetting, available_scenarios, prepare_experiment, run_algorithm
-from repro.experiments.reporting import format_table
+from repro.store.report import format_table
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 
 from repro import ExperimentSession, ExperimentSetting
-from repro.experiments.reporting import format_table
+from repro.store.report import format_table
 
 STRATEGIES = ("greedy", "random", "rl-c", "rl-s", "rl-cs")
 

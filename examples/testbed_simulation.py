@@ -31,7 +31,7 @@ from repro.data.datasets import make_widar_like
 from repro.data.partition import natural_partition
 from repro.devices.resources import ResourceModel
 from repro.devices.testbed import TESTBED_DEVICE_SPECS
-from repro.experiments.reporting import format_table
+from repro.store.report import format_table
 from repro.nn.models import SlimmableMobileNetV2
 
 

@@ -104,7 +104,6 @@ _EXPORTS: dict[str, str] = {
     "prepare_experiment": "repro.experiments.settings",
     "AlgorithmResult": "repro.experiments.runner",
     "run_algorithm": "repro.experiments.runner",
-    "run_comparison": "repro.experiments.runner",
 }
 
 __all__ = ["__version__", *sorted(_EXPORTS)]

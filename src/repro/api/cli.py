@@ -84,8 +84,8 @@ from repro.core.config import SELECTION_STRATEGIES
 from repro.engine.codecs import available_codecs
 from repro.engine.factory import EXECUTOR_NAMES
 from repro.experiments.settings import DATASET_BUILDERS, DISTRIBUTIONS, ExperimentSetting
-from repro.experiments.reporting import format_table, render_accuracy_table
 from repro.perf.profiler import render_summary
+from repro.store.report import format_table, render_accuracy_table
 
 __all__ = ["main", "build_parser"]
 
@@ -422,7 +422,7 @@ class _StreamerPerRun(Callback):
 
 
 def _output_dir(session: ExperimentSession, args: argparse.Namespace) -> Path:
-    if session.spec is not None and session.spec.output_dir:
+    if session.spec.output_dir:
         return Path(session.spec.output_dir)
     return args.output_dir
 
@@ -458,25 +458,33 @@ def _telemetry(args: argparse.Namespace, source: str) -> Iterator[None]:
         shutdown_telemetry()
 
 
+def _run_each(
+    session: ExperimentSession, spec: ExperimentSpec, args: argparse.Namespace, executor: object | None = None
+) -> None:
+    """Run the spec's algorithms (default: adaptivefl) one after another on the session.
+
+    An explicit ``--selection-strategy`` flag is passed through unfiltered
+    (requesting one for an algorithm that cannot honour it is an error, not
+    a no-op); a spec file's strategy applies only to algorithms that accept
+    one, matching ``compare --spec`` on the same file.
+    """
+    for name in spec.algorithms or ("adaptivefl",):
+        strategy = spec.strategy_for(name) if args.spec is not None else spec.selection_strategy
+        session.run(name, selection_strategy=strategy, executor=executor)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     session, spec = _session_from_args(args)
-    names = spec.algorithms or ("adaptivefl",)
-    validate_algorithm_names(names)
+    validate_algorithm_names(spec.algorithms or ("adaptivefl",))
     with _telemetry(args, source="run"):
-        for name in names:
-            # an explicit --selection-strategy flag is passed through unfiltered
-            # (requesting one for an algorithm that cannot honour it is an error,
-            # not a no-op); a spec file's strategy applies only to algorithms that
-            # accept one, matching `compare --spec` on the same file
-            strategy = session.strategy_for(name) if args.spec is not None else spec.selection_strategy
-            session.run(name, selection_strategy=strategy)
+        _run_each(session, spec, args)
     return _finish(session, spec, args)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     session, spec = _session_from_args(args)
     with _telemetry(args, source="compare"):
-        session.run_spec()
+        session.compare()
     return _finish(session, spec, args)
 
 
@@ -554,8 +562,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         status_port=args.status_port,
     )
     session, spec = _session_from_args(args)
-    names = spec.algorithms or ("adaptivefl",)
-    validate_algorithm_names(names)
+    validate_algorithm_names(spec.algorithms or ("adaptivefl",))
     with _telemetry(args, source="server"):
         # one executor for every algorithm: clients stay connected across runs
         executor = RemoteExecutor(options=options)
@@ -565,9 +572,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if status is not None:
             print(f"repro-serve: status endpoint on http://{status[0]}:{status[1]}/metrics", flush=True)
         try:
-            for name in names:
-                strategy = session.strategy_for(name) if args.spec is not None else spec.selection_strategy
-                session.run(name, selection_strategy=strategy, executor=executor)
+            _run_each(session, spec, args, executor)
             return _finish(session, spec, args)
         finally:
             executor.shutdown()

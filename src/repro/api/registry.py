@@ -119,6 +119,9 @@ def register_algorithm(
     **extra_kwargs: Any,
 ) -> Callable[[Callable[..., "FederatedAlgorithm"]], Callable[..., "FederatedAlgorithm"]]:
     """Class decorator that registers a federated algorithm by name."""
+    if not isinstance(name, str):
+        # a bare ``@register_algorithm`` passes the decorated object here and registers nothing
+        raise TypeError(f"register_algorithm needs the algorithm's name as a str, got {name!r}")
 
     def decorator(factory: Callable[..., "FederatedAlgorithm"]) -> Callable[..., "FederatedAlgorithm"]:
         existing = _REGISTRY.get(name)

@@ -34,8 +34,7 @@ class ExperimentSession:
     """One prepared experiment, any number of algorithm runs on it."""
 
     def __init__(self, setting: ExperimentSetting | None = None):
-        self.setting = setting if setting is not None else ExperimentSetting()
-        self.spec: ExperimentSpec | None = None
+        self.spec = ExperimentSpec(setting=setting if setting is not None else ExperimentSetting())
         self.results: dict[str, AlgorithmResult] = {}
         self._callbacks: list[Callback | Callable[[], Callback]] = []
         self._prepared: PreparedExperiment | None = None
@@ -52,6 +51,11 @@ class ExperimentSession:
         session = cls(spec.setting)
         session.spec = spec
         return session
+
+    @property
+    def setting(self) -> ExperimentSetting:
+        """The setting every run of this session is prepared from (the spec's)."""
+        return self.spec.setting
 
     # -- preparation ------------------------------------------------------------------
     @property
@@ -73,9 +77,7 @@ class ExperimentSession:
         """
         if self._prepared is not None:
             raise RuntimeError("with_executor must be called before the experiment is prepared")
-        self.setting = replace(self.setting, executor=executor, max_workers=max_workers)
-        if self.spec is not None:
-            self.spec = replace(self.spec, setting=self.setting)
+        self.spec = replace(self.spec, setting=replace(self.setting, executor=executor, max_workers=max_workers))
         return self
 
     # -- fleet scenario ---------------------------------------------------------------
@@ -92,9 +94,7 @@ class ExperimentSession:
         """
         if self._prepared is not None:
             raise RuntimeError("with_scenario must be called before the experiment is prepared")
-        self.setting = replace(self.setting, scenario=scenario)
-        if self.spec is not None:
-            self.spec = replace(self.spec, setting=self.setting)
+        self.spec = replace(self.spec, setting=replace(self.setting, scenario=scenario))
         return self
 
     # -- experiment store -------------------------------------------------------------
@@ -110,9 +110,9 @@ class ExperimentSession:
         checkpoint every ``checkpoint_every`` rounds plus its final
         history, keyed by the run's canonical key.  With ``resume=True``
         a run whose key the store has already completed returns the
-        stored result without training, and a partially checkpointed run
-        restores its latest checkpoint and trains only the remaining
-        rounds — bit-identical to the uninterrupted run.
+        stored result without preparing or training, and a partially
+        checkpointed run restores its latest checkpoint and trains only
+        the remaining rounds — bit-identical to the uninterrupted run.
         """
         from repro.store.runstore import RunStore
 
@@ -171,18 +171,24 @@ class ExperimentSession:
         validate_algorithm_names([algorithm])
         if resume is None:
             resume = self._resume
-        result = run_algorithm(
-            algorithm,
-            self.prepared,
-            selection_strategy=selection_strategy,
-            num_rounds=num_rounds if num_rounds is not None else self._spec_rounds(),
-            callbacks=self._callbacks + list(callbacks or []),
-            profile=self._profile,
-            store=self._store,
-            resume=resume,
-            checkpoint_every=self._checkpoint_every,
-            executor=executor,
-        )
+        if num_rounds is None:
+            num_rounds = self.spec.num_rounds
+        result = None
+        if resume and self._store is not None:
+            result = self._stored_result(algorithm, selection_strategy, num_rounds)
+        if result is None:
+            result = run_algorithm(
+                algorithm,
+                self.prepared,
+                selection_strategy=selection_strategy,
+                num_rounds=num_rounds,
+                callbacks=self._callbacks + list(callbacks or []),
+                profile=self._profile,
+                store=self._store,
+                resume=resume,
+                checkpoint_every=self._checkpoint_every,
+                executor=executor,
+            )
         self.results[result.algorithm] = result
         return result
 
@@ -196,18 +202,14 @@ class ExperimentSession:
 
         ``algorithms`` defaults to the spec's list (or every registered
         algorithm); each one that takes a selection strategy runs the spec's.
+        Every name is checked against the registry before anything is prepared.
         """
-        names = validate_algorithm_names(self._resolve_algorithms(algorithms))
+        if algorithms is None:
+            algorithms = self.spec.algorithms or available_algorithms()
         return {
-            name: self.run(name, selection_strategy=self.strategy_for(name), num_rounds=num_rounds)
-            for name in names
+            name: self.run(name, selection_strategy=self.spec.strategy_for(name), num_rounds=num_rounds)
+            for name in validate_algorithm_names(algorithms)
         }
-
-    def run_spec(self) -> dict[str, AlgorithmResult]:
-        """Execute the attached spec: its algorithms, rounds and strategy (``compare()``)."""
-        if self.spec is None:
-            raise ValueError("session has no spec; construct it with ExperimentSession.from_spec")
-        return self.compare()
 
     # -- persistence ------------------------------------------------------------------
     def save_results(self, directory: str | Path) -> list[Path]:
@@ -241,18 +243,15 @@ class ExperimentSession:
         return written
 
     # -- helpers ----------------------------------------------------------------------
-    def _resolve_algorithms(self, algorithms: Iterable[str] | None) -> tuple[str, ...]:
-        if algorithms is not None:
-            return tuple(algorithms)
-        if self.spec is not None and self.spec.algorithms:
-            return self.spec.algorithms
-        return available_algorithms()
+    def _stored_result(
+        self, algorithm: str, selection_strategy: str | None, num_rounds: int | None
+    ) -> AlgorithmResult | None:
+        """The store's result for a run it has completed, read without preparing anything."""
+        from repro.store.keys import run_key
 
-    def _spec_rounds(self) -> int | None:
-        return self.spec.num_rounds if self.spec is not None else None
-
-    def strategy_for(self, name: str) -> str | None:
-        """The spec's selection strategy, but only for algorithms that accept one."""
-        if self.spec is None or self.spec.selection_strategy is None:
+        key = run_key(self.setting, algorithm, selection_strategy=selection_strategy, num_rounds=num_rounds)
+        run_id = self._store.run_id_for(key)
+        if not self._store.is_completed(run_id):
             return None
-        return self.spec.selection_strategy if get_algorithm(name).uses_selection_strategy else None
+        label = get_algorithm(algorithm).run_label(selection_strategy)
+        return AlgorithmResult.from_history(label, self._store.load_history(run_id))

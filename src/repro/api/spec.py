@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.api.registry import get_algorithm
 from repro.core.serialization import Serializable
 from repro.experiments.settings import ExperimentSetting
 
@@ -39,6 +40,12 @@ class ExperimentSpec(Serializable):
             raise ValueError("algorithms must be non-empty strings")
         if self.num_rounds is not None and self.num_rounds <= 0:
             raise ValueError("num_rounds must be positive when set")
+
+    def strategy_for(self, algorithm: str) -> str | None:
+        """The spec's selection strategy, but only for algorithms that accept one."""
+        if self.selection_strategy is None or not get_algorithm(algorithm).uses_selection_strategy:
+            return None
+        return self.selection_strategy
 
     def save(self, path: str | Path) -> Path:
         """Write the spec as pretty-printed JSON; returns the path."""

@@ -133,6 +133,9 @@ _CODECS: dict[str, type["UpdateCodec"]] = {}
 
 def register_codec(name: str):
     """Class decorator adding an :class:`UpdateCodec` to the registry."""
+    if not isinstance(name, str):
+        # a bare ``@register_codec`` passes the decorated object here and registers nothing
+        raise TypeError(f"register_codec needs the codec's name as a str, got {name!r}")
 
     def decorator(cls: type["UpdateCodec"]) -> type["UpdateCodec"]:
         existing = _CODECS.get(name)

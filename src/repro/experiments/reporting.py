@@ -1,75 +1,12 @@
-"""Text rendering of the paper's tables and figures plus paper-reported numbers.
+"""The paper's published numbers, for comparing benchmark output with the publication.
 
-Each ``render_*`` helper produces the rows/series the corresponding table
-or figure of the paper reports, so benchmark output can be compared line
-by line with the publication.  ``PAPER_TABLE2`` etc. hold the published
-numbers used in EXPERIMENTS.md.
+``PAPER_TABLE2``/``3``/``4`` hold Tables 2–4 as reported; the text tables
+that print measured results next to them live in :mod:`repro.store.report`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
-__all__ = [
-    "format_table",
-    "render_accuracy_table",
-    "render_learning_curves",
-    "render_waste_table",
-    "PAPER_TABLE2",
-    "PAPER_TABLE3",
-    "PAPER_TABLE4",
-]
-
-
-def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Render a fixed-width text table."""
-    columns = [list(map(str, column)) for column in zip(headers, *rows)] if rows else [[h] for h in headers]
-    widths = [max(len(value) for value in column) for column in columns]
-    lines = []
-    header_line = " | ".join(str(h).ljust(w) for h, w in zip(headers, widths))
-    lines.append(header_line)
-    lines.append("-+-".join("-" * w for w in widths))
-    for row in rows:
-        lines.append(" | ".join(str(value).ljust(w) for value, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def render_accuracy_table(results: Mapping[str, object], title: str = "") -> str:
-    """Table-2-style rows: algorithm, avg accuracy, full accuracy."""
-    rows = []
-    for name, result in results.items():
-        rows.append(
-            [
-                name,
-                f"{getattr(result, 'avg_accuracy', float('nan')) * 100:.2f}",
-                f"{getattr(result, 'full_accuracy', float('nan')) * 100:.2f}",
-            ]
-        )
-    table = format_table(["algorithm", "avg (%)", "full (%)"], rows)
-    return f"{title}\n{table}" if title else table
-
-
-def render_learning_curves(results: Mapping[str, object], kind: str = "avg") -> str:
-    """Figure-2-style series: per-algorithm (round, accuracy) points."""
-    lines = []
-    for name, result in results.items():
-        history = getattr(result, "history", result)
-        rounds, values = history.accuracy_curve(kind)
-        series = ", ".join(f"({r}, {v * 100:.1f})" for r, v in zip(rounds, values))
-        lines.append(f"{name}: {series}")
-    return "\n".join(lines)
-
-
-def render_waste_table(results: Mapping[str, object]) -> str:
-    """Figure-5a-style rows: algorithm and mean communication-waste rate."""
-    rows = []
-    for name, result in results.items():
-        waste = getattr(result, "communication_waste", None)
-        if waste is None:
-            history = getattr(result, "history", result)
-            waste = history.mean_communication_waste()
-        rows.append([name, f"{waste * 100:.2f}"])
-    return format_table(["algorithm", "communication waste (%)"], rows)
+__all__ = ["PAPER_TABLE2", "PAPER_TABLE3", "PAPER_TABLE4"]
 
 
 #: Paper Table 2 (test accuracy %, avg/full) — VGG16 and ResNet18 rows.

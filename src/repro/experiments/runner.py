@@ -2,27 +2,26 @@
 
 ``run_algorithm`` looks the algorithm up in :mod:`repro.api.registry` and
 instantiates it from its declared :class:`~repro.api.registry.AlgorithmSpec`
-— no per-algorithm branches live here.  ``run_comparison`` validates every
-name against the registry *before* preparing any data, then prepares the
-experiment **once** and runs every algorithm on the identical snapshot
-(same dataset, partition and device profiles), so comparisons are paired
-as in the paper's tables and N× faster than re-preparing per algorithm.
-All shared prepared objects are read-only by construction: each algorithm
-builds its own clients, pool and global state, and the resource model
-draws are keyed on (seed, client, round), independent of run order.
+— no per-algorithm branches live here.  Paired comparisons (several
+algorithms on one prepared snapshot) go through
+:class:`~repro.api.session.ExperimentSession`, which calls this function
+once per algorithm.  All shared prepared objects are read-only by
+construction: each algorithm builds its own clients, pool and global
+state, and the resource model draws are keyed on (seed, client, round),
+independent of run order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.api.callbacks import Callback
-from repro.api.registry import available_algorithms, get_algorithm, validate_algorithm_names
+from repro.api.registry import get_algorithm
 from repro.core.history import TrainingHistory
-from repro.experiments.settings import ExperimentSetting, PreparedExperiment, prepare_experiment
+from repro.experiments.settings import PreparedExperiment
 
-__all__ = ["AlgorithmResult", "run_algorithm", "run_comparison"]
+__all__ = ["AlgorithmResult", "run_algorithm"]
 
 
 #: Callbacks argument accepted by the runners: ready instances, or zero-arg
@@ -60,19 +59,6 @@ class AlgorithmResult:
             communication_waste=history.mean_communication_waste(),
             profile=profile,
         )
-
-    def to_dict(self) -> dict:  # reprolint: disable=RPL004  (one-way result output)
-        """JSON-friendly summary plus the full round-by-round history."""
-        payload = {
-            "algorithm": self.algorithm,
-            "full_accuracy": self.full_accuracy,
-            "avg_accuracy": self.avg_accuracy,
-            "communication_waste": self.communication_waste,
-            "history": self.history.to_dict(),
-        }
-        if self.profile is not None:
-            payload["profile"] = self.profile
-        return payload
 
 
 def run_algorithm(
@@ -182,19 +168,3 @@ def run_algorithm(
     store.finish_run(entry.run_id, history, stop_reason=algorithm.stop_reason)
     summary = algorithm.profiler.summary() if profile else None
     return AlgorithmResult.from_history(label, history, profile=summary)
-
-
-def run_comparison(
-    setting: ExperimentSetting,
-    algorithms: Iterable[str] | None = None,
-    num_rounds: int | None = None,
-    scenario: str | None = None,
-    callbacks: Sequence[CallbackArg] | None = None,
-) -> dict[str, AlgorithmResult]:
-    """Run several algorithms on the *same* prepared experiment (paired)."""
-    names = validate_algorithm_names(algorithms if algorithms is not None else available_algorithms())
-    prepared = prepare_experiment(setting)
-    return {
-        name: run_algorithm(name, prepared, num_rounds=num_rounds, scenario=scenario, callbacks=callbacks)
-        for name in names
-    }

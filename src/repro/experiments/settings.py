@@ -18,10 +18,10 @@ from repro.core.config import (
 from repro.core.serialization import Serializable
 from repro.data.datasets import Dataset, make_cifar10_like, make_cifar100_like, make_femnist_like, make_widar_like
 from repro.data.partition import ClientPartition, partition_dataset
-from repro.devices.profiles import DeviceProfile, build_device_profiles
+from repro.devices.profiles import DeviceProfile, build_device_profiles, parse_proportion
 from repro.devices.resources import ResourceModel
 from repro.experiments.scaling import ExperimentScale, get_scale
-from repro.nn.models import create_architecture
+from repro.nn.models import available_architectures, create_architecture
 from repro.nn.models.spec import SlimmableArchitecture
 from repro.sim.fleet import FleetSimulator
 from repro.sim.scenario import get_scenario
@@ -77,10 +77,20 @@ class ExperimentSetting(Serializable):
     def __post_init__(self) -> None:
         if self.dataset not in DATASET_BUILDERS:
             raise ValueError(f"unknown dataset {self.dataset!r}")
+        if self.model not in available_architectures():
+            raise ValueError(f"unknown model {self.model!r}; available: {', '.join(available_architectures())}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.distribution == "dirichlet" and self.alpha is None:
             raise ValueError("dirichlet distribution requires alpha")
+        try:
+            parse_proportion(self.proportion)
+        except ValueError as error:
+            raise ValueError(f"invalid proportion {self.proportion!r}: {error}") from None
+        try:
+            get_scale(self.scale, **self.overrides)
+        except (KeyError, TypeError) as error:
+            raise ValueError(f"invalid scale {self.scale!r} or overrides {self.overrides!r}: {error.args[0]}") from None
         FederatedConfig(**self.runtime_options())
 
     def runtime_options(self) -> dict:

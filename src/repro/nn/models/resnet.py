@@ -21,7 +21,6 @@ from repro.nn.layers import BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, ReLU
 from repro.nn.module import Module
 from repro.nn.models.spec import ChannelGroup, SlimmableArchitecture, StagedModel, annotate
 from repro.perf.flops import FlopReport, count_flops
-from repro.nn import functional as F
 
 __all__ = ["BasicBlock", "ResNetModel", "SlimmableResNet18"]
 

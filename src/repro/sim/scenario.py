@@ -246,6 +246,9 @@ _SCENARIOS: dict[str, Callable[[], ScenarioSpec]] = {}
 
 def register_scenario(name: str) -> Callable[[Callable[[], ScenarioSpec]], Callable[[], ScenarioSpec]]:
     """Decorator registering a zero-arg factory producing a :class:`ScenarioSpec`."""
+    if not isinstance(name, str):
+        # a bare ``@register_scenario`` passes the decorated object here and registers nothing
+        raise TypeError(f"register_scenario needs the scenario's name as a str, got {name!r}")
 
     def decorator(factory: Callable[[], ScenarioSpec]) -> Callable[[], ScenarioSpec]:
         existing = _SCENARIOS.get(name)

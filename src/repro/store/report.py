@@ -8,6 +8,10 @@ plus a per-cell appendix covering every ``(algorithm, scenario, seed)``
 triple.  The output is a markdown document and a JSON mirror, written by
 :func:`write_report` as ``report.md`` / ``report.json`` — regenerable at
 any time, on any machine holding the store directory.
+
+The fixed-width text tables the CLI, examples and benchmarks print for
+in-memory results (:func:`format_table` and the ``render_*`` helpers,
+each shaped like one of the paper's tables or figures) live here too.
 """
 
 from __future__ import annotations
@@ -16,11 +20,21 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping, Sequence
 
+from repro.experiments.runner import AlgorithmResult
 from repro.store.objects import write_atomic
 from repro.store.runstore import RunEntry, RunStore
 
-__all__ = ["ReportBundle", "generate_report", "write_report"]
+__all__ = [
+    "ReportBundle",
+    "format_table",
+    "generate_report",
+    "render_accuracy_table",
+    "render_learning_curves",
+    "render_waste_table",
+    "write_report",
+]
 
 
 @dataclass
@@ -175,3 +189,41 @@ def write_report(
         store = RunStore(store, create=False)
     bundle = generate_report(store, title=title)
     return bundle.save(directory if directory is not None else store.root)
+
+
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """Render a fixed-width text table."""
+    columns = [list(map(str, column)) for column in zip(headers, *rows)] if rows else [[h] for h in headers]
+    widths = [max(len(value) for value in column) for column in columns]
+    lines = []
+    header_line = " | ".join(str(h).ljust(w) for h, w in zip(headers, widths))
+    lines.append(header_line)
+    lines.append("-+-".join("-" * w for w in widths))
+    for row in rows:
+        lines.append(" | ".join(str(value).ljust(w) for value, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def render_accuracy_table(results: Mapping[str, AlgorithmResult], title: str = "") -> str:
+    """Table-2-style rows: algorithm, avg accuracy, full accuracy."""
+    rows = [
+        [name, f"{result.avg_accuracy * 100:.2f}", f"{result.full_accuracy * 100:.2f}"]
+        for name, result in results.items()
+    ]
+    table = format_table(["algorithm", "avg (%)", "full (%)"], rows)
+    return f"{title}\n{table}" if title else table
+
+
+def render_learning_curves(results: Mapping[str, AlgorithmResult], kind: str = "avg") -> str:
+    """Figure-2-style series: per-algorithm (round, accuracy) points."""
+    lines = []
+    for name, result in results.items():
+        rounds, values = result.history.accuracy_curve(kind)
+        lines.append(f"{name}: " + ", ".join(f"({r}, {v * 100:.1f})" for r, v in zip(rounds, values)))
+    return "\n".join(lines)
+
+
+def render_waste_table(results: Mapping[str, AlgorithmResult]) -> str:
+    """Figure-5a-style rows: algorithm and mean communication-waste rate."""
+    rows = [[name, f"{result.communication_waste * 100:.2f}"] for name, result in results.items()]
+    return format_table(["algorithm", "communication waste (%)"], rows)

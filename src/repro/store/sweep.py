@@ -3,13 +3,14 @@
 A :class:`SweepSpec` takes a base :class:`~repro.api.spec.ExperimentSpec`
 and crosses it with seeds and scenarios: every **cell** is one
 ``(algorithm, scenario, seed)`` run keyed by its canonical run key.
-:func:`run_sweep` walks the grid grouped by ``(scenario, seed)`` so each
-group prepares its experiment exactly once (the session layer's paired-
-comparison property), skips cells the store has already completed,
-resumes partially checkpointed cells from their latest round, and runs
-the remainder through the normal executor layer.  Because cell identity
-is the run-key hash, re-invoking the same sweep after a crash (or on
-another day) does only the missing work — the acceptance path of
+:func:`run_sweep` walks the grid grouped by ``(scenario, seed)`` and runs
+each group through one :class:`~repro.api.session.ExperimentSession`, so
+the group prepares its experiment at most once (the session's paired-
+comparison property), skips cells the store has already completed
+without preparing anything, resumes partially checkpointed cells from
+their latest round, and runs the remainder from scratch.  Because cell
+identity is the run-key hash, re-invoking the same sweep after a crash
+(or on another day) does only the missing work — the acceptance path of
 ``repro sweep`` on the CLI.
 """
 
@@ -21,10 +22,10 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.api.registry import available_algorithms, validate_algorithm_names
+from repro.api.session import ExperimentSession
 from repro.api.spec import ExperimentSpec
 from repro.core.serialization import Serializable, coerce_int_tuple
-from repro.experiments.runner import AlgorithmResult, run_algorithm
-from repro.experiments.settings import prepare_experiment
+from repro.experiments.runner import AlgorithmResult
 from repro.sim.scenario import validate_scenario_choice
 from repro.store.keys import run_key
 from repro.store.objects import write_atomic
@@ -71,8 +72,8 @@ class SweepSpec(Serializable):
         """Expand the full grid, grouped by (scenario, seed) then algorithm.
 
         The grouping order is load-bearing: consecutive cells of one
-        ``(scenario, seed)`` pair share a prepared experiment, so
-        :func:`run_sweep` prepares each pair exactly once.
+        ``(scenario, seed)`` pair share a session, so :func:`run_sweep`
+        prepares each pair at most once.
         """
         cells = []
         for scenario in self.scenario_values():
@@ -107,27 +108,17 @@ class SweepCell:
     spec: ExperimentSpec
 
     def key(self) -> dict:
-        """The cell's canonical run key (shared with :func:`run_algorithm`)."""
+        """The cell's canonical run key (the one its run is stored under)."""
         return run_key(
             self.spec.setting,
             self.algorithm,
-            selection_strategy=(
-                self.spec.selection_strategy
-                if _uses_strategy(self.algorithm)
-                else None
-            ),
+            selection_strategy=self.spec.strategy_for(self.algorithm),
             num_rounds=self.spec.num_rounds,
         )
 
     def run_id(self) -> str:
         """The cell's run ID inside a store."""
         return RunStore.run_id_for(self.key())
-
-
-def _uses_strategy(algorithm: str) -> bool:
-    from repro.api.registry import get_algorithm
-
-    return get_algorithm(algorithm).uses_selection_strategy
 
 
 @dataclass(frozen=True)
@@ -139,19 +130,6 @@ class CellResult:
     #: ``"skipped"`` (already complete), ``"resumed"`` or ``"ran"``
     status: str
     result: AlgorithmResult
-
-    def to_dict(self) -> dict:  # reprolint: disable=RPL004  (one-way result output)
-        """JSON-friendly summary (history lives in the store, not here)."""
-        return {
-            "algorithm": self.cell.algorithm,
-            "scenario": self.cell.scenario,
-            "seed": self.cell.seed,
-            "run_id": self.run_id,
-            "status": self.status,
-            "full_accuracy": self.result.full_accuracy,
-            "avg_accuracy": self.result.avg_accuracy,
-            "rounds": len(self.result.history),
-        }
 
 
 @dataclass
@@ -168,14 +146,6 @@ class SweepResult:
             counts[cell.status] = counts.get(cell.status, 0) + 1
         return counts
 
-    def to_dict(self) -> dict:  # reprolint: disable=RPL004  (one-way result output)
-        """JSON-friendly summary of the whole invocation."""
-        return {
-            "sweep": self.sweep.to_dict(),
-            "counts": self.counts(),
-            "cells": [cell.to_dict() for cell in self.cells],
-        }
-
 
 def run_sweep(
     sweep: SweepSpec,
@@ -190,10 +160,10 @@ def run_sweep(
     Cells whose run the store has already completed are **skipped**
     (their stored history becomes the cell result); cells with partial
     checkpoints are **resumed** from their latest round; fresh cells are
-    **ran** end-to-end.  Each ``(scenario, seed)`` group prepares its
-    experiment once and runs all its algorithms on the identical
-    snapshot, preserving the paired-comparison property of
-    :func:`~repro.experiments.runner.run_comparison`.
+    **ran** end-to-end.  Each ``(scenario, seed)`` group runs through one
+    :class:`~repro.api.session.ExperimentSession`: it prepares its
+    experiment only when a cell has training to do, and runs all its
+    algorithms on that identical snapshot.
 
     ``on_cell(cell, status)`` is invoked before each cell executes —
     the CLI uses it for progress lines.  The sweep spec itself is saved
@@ -208,40 +178,23 @@ def run_sweep(
     sweep.save(store.root / "sweep.json")
 
     results: list[CellResult] = []
-    prepared = None
-    prepared_group: tuple[str | None, int] | None = None
+    session: ExperimentSession | None = None
     for cell in sweep.cells():
-        entry = store.begin_run(cell.key())
-        if resume and entry.completed:
+        if session is None or session.spec != cell.spec:
+            session = ExperimentSession.from_spec(cell.spec).with_store(
+                store, resume=resume, checkpoint_every=checkpoint_every
+            )
+        run_id = cell.run_id()
+        if resume and store.is_completed(run_id):
             status = "skipped"
-        elif resume and store.checkpoint_rounds(entry.run_id):
+        elif resume and store.checkpoint_rounds(run_id):
             status = "resumed"
         else:
             status = "ran"
         if on_cell is not None:
             on_cell(cell, status)
-        if status == "skipped":
-            from repro.api.registry import get_algorithm
-
-            strategy = cell.spec.selection_strategy if _uses_strategy(cell.algorithm) else None
-            label = get_algorithm(cell.algorithm).run_label(strategy)
-            result = AlgorithmResult.from_history(label, store.load_history(entry.run_id))
-        else:
-            group = (cell.scenario, cell.seed)
-            if prepared is None or prepared_group != group:
-                prepared = prepare_experiment(cell.spec.setting)
-                prepared_group = group
-            result = run_algorithm(
-                cell.algorithm,
-                prepared,
-                selection_strategy=(
-                    cell.spec.selection_strategy if _uses_strategy(cell.algorithm) else None
-                ),
-                num_rounds=cell.spec.num_rounds,
-                callbacks=callbacks,
-                store=store,
-                resume=resume,
-                checkpoint_every=checkpoint_every,
-            )
-        results.append(CellResult(cell=cell, run_id=entry.run_id, status=status, result=result))
+        result = session.run(
+            cell.algorithm, selection_strategy=cell.spec.strategy_for(cell.algorithm), callbacks=callbacks
+        )
+        results.append(CellResult(cell=cell, run_id=run_id, status=status, result=result))
     return SweepResult(sweep=sweep, cells=results)

@@ -197,7 +197,7 @@ class TestWallClockBudget:
     def test_reused_instance_grants_each_run_its_own_budget(
         self, tiny_cnn, tiny_federated_setup, tiny_pool_config
     ):
-        # passing the same instance to several runs (as run_comparison allows)
+        # passing the same instance to several runs (as ExperimentSession.compare allows)
         # must not leak the first run's start time into the second
         fake_time = iter(range(100))
         budget = WallClockBudget(budget_seconds=1.5, clock=lambda: float(next(fake_time)))

@@ -11,7 +11,7 @@ from repro.api.registry import (
 )
 from repro.baselines.heterofl import HETEROFL_POOL_CONFIG
 from repro.core.server import AdaptiveFL
-from repro.experiments.runner import run_comparison
+from repro.api.session import ExperimentSession
 from repro.experiments.settings import ExperimentSetting
 
 
@@ -73,9 +73,11 @@ class TestFailFast:
         def explode(*args, **kwargs):
             raise AssertionError("prepare_experiment must not run for unknown algorithms")
 
-        monkeypatch.setattr("repro.experiments.runner.prepare_experiment", explode)
+        monkeypatch.setattr("repro.api.session.prepare_experiment", explode)
+        session = ExperimentSession(ExperimentSetting(model="simple_cnn", scale="ci"))
         with pytest.raises(KeyError, match="fedprox"):
-            run_comparison(ExperimentSetting(model="simple_cnn", scale="ci"), ("heterofl", "fedprox"))
+            session.compare(("heterofl", "fedprox"))
+        assert session.results == {}  # not even the valid name ran
 
     def test_validate_returns_names(self):
         assert validate_algorithm_names(["heterofl"]) == ("heterofl",)
@@ -100,6 +102,18 @@ class TestCustomRegistration:
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             register_algorithm("adaptivefl")(object)
+
+    def test_bare_decorator_is_refused(self):
+        from repro.baselines.fedavg import AllLargeFedAvg
+
+        before = available_algorithms()
+        with pytest.raises(TypeError, match="algorithm's name"):
+
+            @register_algorithm
+            class Bare(AllLargeFedAvg):
+                name = "bare"
+
+        assert available_algorithms() == before
 
     def test_with_kwargs_binds_constructor_arguments(self, prepared):
         spec = get_algorithm("scalefl").with_kwargs(

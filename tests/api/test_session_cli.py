@@ -10,7 +10,7 @@ from repro.api.cli import _setting_from_args, build_parser, main
 from repro.api.session import ExperimentSession
 from repro.api.spec import ExperimentSpec
 from repro.engine.codecs import PassthroughCodec, register_codec, unregister_codec
-from repro.experiments.runner import run_algorithm, run_comparison
+from repro.experiments.runner import run_algorithm
 from repro.experiments.settings import prepare_experiment
 from repro.store.sweep import SweepSpec
 
@@ -41,8 +41,8 @@ class TestSession:
         fresh = run_algorithm("adaptivefl", ci_prepared)
         assert session.results["adaptivefl"].full_accuracy == pytest.approx(fresh.full_accuracy)
 
-    def test_run_comparison_matches_individual_runs(self, ci_setting, ci_prepared):
-        results = run_comparison(ci_setting, ("heterofl", "adaptivefl"))
+    def test_compare_matches_individual_runs(self, ci_setting, ci_prepared):
+        results = ExperimentSession(ci_setting).compare(("heterofl", "adaptivefl"))
         single = run_algorithm("heterofl", ci_prepared)
         assert results["heterofl"].full_accuracy == pytest.approx(single.full_accuracy)
 
@@ -70,15 +70,15 @@ class TestSession:
             session.run("fedprox")
         assert session._prepared is None  # nothing was materialised
 
-    def test_from_spec_and_run_spec(self, tmp_path, ci_setting):
+    def test_from_spec_and_compare(self, tmp_path, ci_setting):
         spec = ExperimentSpec(setting=ci_setting, algorithms=("heterofl",), num_rounds=1)
         path = spec.save(tmp_path / "spec.json")
         session = ExperimentSession.from_spec(path)
-        results = session.run_spec()
+        results = session.compare()
         assert set(results) == {"heterofl"}
         assert len(results["heterofl"].history) == 1
 
-    def test_compare_applies_the_spec_strategy_like_run_spec(self, ci_setting):
+    def test_compare_applies_the_spec_strategy(self, ci_setting):
         spec = ExperimentSpec(
             setting=ci_setting, algorithms=("heterofl", "adaptivefl"), selection_strategy="random", num_rounds=1
         )
@@ -86,9 +86,12 @@ class TestSession:
         compared = session.compare()
         assert [result.algorithm for result in compared.values()] == ["heterofl", "adaptivefl+random"]
         assert session.compare(["adaptivefl"])["adaptivefl"].algorithm == "adaptivefl+random"
-        assert {name: result.algorithm for name, result in session.run_spec().items()} == {
-            name: result.algorithm for name, result in compared.items()
-        }
+
+    def test_strategy_for_applies_only_to_algorithms_that_accept_one(self, ci_setting):
+        spec = ExperimentSpec(setting=ci_setting, selection_strategy="random")
+        assert spec.strategy_for("adaptivefl") == "random"
+        assert spec.strategy_for("heterofl") is None
+        assert ExperimentSpec(setting=ci_setting).strategy_for("adaptivefl") is None
 
     def test_save_results(self, tmp_path, ci_setting):
         session = ExperimentSession(ci_setting)

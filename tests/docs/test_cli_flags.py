@@ -104,3 +104,14 @@ def test_every_listed_value_is_a_choice_of_its_flag(options):
             if flag in choices and not set(listed.split("|")) <= choices[flag]:
                 illegal.append(f"{page.relative_to(REPO)}: {flag} {listed} (choices {sorted(choices[flag])})")
     assert not illegal, "\n".join(illegal)
+
+
+def test_the_subcommand_table_lists_exactly_the_parsers_subcommands(options):
+    text = CLI_GUIDE.read_text(encoding="utf-8")
+    table = text.split("## Subcommands at a glance", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `repro ([a-z-]+)` \|", table, re.MULTILINE)
+    assert len(listed) == len(set(listed)), f"the table lists a subcommand twice: {listed}"
+    assert set(listed) == set(options), (
+        f"missing from the table: {sorted(set(options) - set(listed))}; "
+        f"not a subcommand: {sorted(set(listed) - set(options))}"
+    )

@@ -32,7 +32,6 @@ from repro.engine.codecs import (
     Int8Codec,
     PassthroughCodec,
     TopKCodec,
-    UpdateCodec,
     apply_encoded_update,
     available_codecs,
     codec_from_dict,
@@ -94,6 +93,16 @@ class TestRegistry:
 
         with pytest.raises(ValueError, match="declares name"):
             register_codec("misnamed")(Misnamed)
+
+    def test_bare_decorator_is_refused(self):
+        with pytest.raises(TypeError, match="codec's name"):
+
+            @register_codec
+            @dataclasses.dataclass(frozen=True)
+            class Bare(PassthroughCodec):
+                name = "bare"
+
+        assert "bare" not in available_codecs()
 
     def test_register_rejects_duplicate_name(self):
         @dataclasses.dataclass(frozen=True)

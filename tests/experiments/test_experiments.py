@@ -1,19 +1,10 @@
 """Experiment-harness tests: settings, scales, runner and reporting."""
 
-import numpy as np
 import pytest
 
 from repro.api.registry import available_algorithms
 from repro.core.history import RoundRecord, TrainingHistory
-from repro.experiments.reporting import (
-    PAPER_TABLE2,
-    PAPER_TABLE3,
-    PAPER_TABLE4,
-    format_table,
-    render_accuracy_table,
-    render_learning_curves,
-    render_waste_table,
-)
+from repro.experiments.reporting import PAPER_TABLE2, PAPER_TABLE3, PAPER_TABLE4
 from repro.experiments.runner import AlgorithmResult, run_algorithm
 from repro.experiments.scaling import get_scale
 from repro.experiments.settings import (
@@ -22,6 +13,7 @@ from repro.experiments.settings import (
     prepare_experiment,
     vgg16_table1_settings,
 )
+from repro.store.report import format_table, render_accuracy_table, render_learning_curves, render_waste_table
 
 
 class TestScales:
@@ -55,6 +47,21 @@ class TestSettings:
             ExperimentSetting(distribution="dirichlet")  # missing alpha
         with pytest.raises(ValueError):
             ExperimentSetting(distribution="zipf")
+
+    @pytest.mark.parametrize(
+        "options, field",
+        [
+            ({"model": "alexnet"}, "model"),
+            ({"scale": "huge"}, "scale"),
+            ({"overrides": {"num_round": 2}}, "overrides"),
+            ({"proportion": "1:1"}, "proportion"),
+            ({"proportion": "a:b:c"}, "proportion"),
+        ],
+    )
+    def test_refuses_what_it_cannot_prepare(self, options, field):
+        """Every name is checked at construction, before any spec or store is written."""
+        with pytest.raises(ValueError, match=field):
+            ExperimentSetting(**options)
 
     @pytest.mark.parametrize("scale", ["ci", "small"])
     def test_default_setting_prepares(self, scale):

@@ -128,6 +128,16 @@ class TestRegistry:
             unregister_scenario("test_only_scenario")
         assert "test_only_scenario" not in available_scenarios()
 
+    def test_bare_decorator_is_refused(self):
+        before = available_scenarios()
+        with pytest.raises(TypeError, match="scenario's name"):
+
+            @register_scenario
+            def my_campus():
+                return ScenarioSpec(name="my_campus", devices=minimal_devices())
+
+        assert available_scenarios() == before
+
     def test_factory_name_mismatch_rejected(self):
         @register_scenario("test_mismatch")
         def build():

@@ -76,6 +76,22 @@ class TestRefusedStoreOptions:
         assert not (store_dir / "sweep.json").exists()
         assert not (store_dir / "runs").exists()
 
+    def test_sweep_of_an_unknown_model_leaves_no_run(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        argv = ["sweep", "--algorithms", "heterofl", "--model", "alexnet", *CLI_SETTING, "--store", str(store_dir)]
+        assert main(argv) == 2
+        assert "error: unknown model 'alexnet'" in capsys.readouterr().err
+        assert not (store_dir / "sweep.json").exists()
+        assert not (store_dir / "runs").exists()
+
+    def test_spec_with_an_unknown_override_is_a_cli_error(self, ci_setting, tmp_path, capsys):
+        payload = ExperimentSpec(setting=ci_setting, algorithms=("heterofl",)).to_dict()
+        payload["setting"]["overrides"] = {"num_round": 2}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["compare", "--spec", str(spec_path), "--quiet", "--output-dir", str(tmp_path / "out")]) == 2
+        assert "error: invalid scale 'ci' or overrides {'num_round': 2}" in capsys.readouterr().err
+
 
 class TestEarlyStopResume:
     def test_crash_after_early_stop_does_not_train_past_the_stop(self, ci_overridden, tmp_path):

@@ -68,6 +68,14 @@ class TestRunSweep:
         # skipped cells still surface their stored results
         assert all(cell.result.full_accuracy is not None for cell in again.cells)
 
+    def test_all_skipped_reinvocation_prepares_nothing(self, sweep_spec, swept_store, monkeypatch):
+        def explode(setting):
+            raise AssertionError("a sweep with nothing left to run must not prepare an experiment")
+
+        monkeypatch.setattr("repro.api.session.prepare_experiment", explode)
+        store, _ = swept_store
+        assert run_sweep(sweep_spec, store).counts() == {"skipped": 4, "resumed": 0, "ran": 0}
+
     def test_skipped_results_match_original(self, sweep_spec, swept_store):
         store, first = swept_store
         again = run_sweep(sweep_spec, store)
