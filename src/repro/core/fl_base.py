@@ -222,8 +222,13 @@ class FederatedAlgorithm(ABC):
             if federated_config.transport_codec != "none"
             else None
         )
-        #: per-client error-feedback residuals of the lossy codec (None = exact transport)
-        self._residuals = ResidualBank(self._codec, self.global_state) if self._codec is not None else None
+        #: per-client error-feedback residuals of the lossy codec (None = exact
+        #: transport); the model's running statistics carry none
+        self._residuals = None
+        if self._codec is not None:
+            buffers = architecture.buffer_names()
+            carried = {name: value for name, value in self.global_state.items() if name not in buffers}
+            self._residuals = ResidualBank(self._codec, carried)
         #: true wire-byte accounting of the round in flight (reset by
         #: :meth:`finalize_round`); encoded sizes, never nominal ones
         self._round_bytes_up = 0

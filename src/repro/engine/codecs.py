@@ -51,7 +51,7 @@ import zlib
 from abc import ABC, abstractmethod
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Iterator, Mapping, Sequence
+from typing import Any, Callable, ClassVar, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -430,8 +430,9 @@ def encode_update(
     update: Mapping[str, np.ndarray],
     rng: np.random.Generator,
     client_id: int = -1,
+    exact: Collection[str] = (),
 ) -> EncodedUpdate:
-    """Encode a full update dict (float tensors via the codec, rest raw)."""
+    """Encode a full update dict (float tensors via the codec, rest — and ``exact`` — raw)."""
     blobs: dict[str, bytes] = {}
     encodings: dict[str, str] = {}
     shapes: dict[str, tuple[int, ...]] = {}
@@ -442,7 +443,7 @@ def encode_update(
         shapes[name] = tuple(array.shape)
         dtypes[name] = array.dtype.str
         raw_nbytes += array.nbytes
-        if array.dtype.kind == "f":
+        if array.dtype.kind == "f" and name not in exact:
             try:
                 encodings[name], blobs[name] = codec.encode_array(array, rng)
             except NonFiniteUpdateError as error:
@@ -488,6 +489,7 @@ def encode_client_update(
     rng_stream: np.random.SeedSequence,
     residual: Mapping[str, np.ndarray] | None = None,
     client_id: int = -1,
+    buffers: Collection[str] = (),
 ) -> EncodedUpdate:
     """The client-side encode pass: delta → (+ residual) → codec → new residual.
 
@@ -496,8 +498,14 @@ def encode_client_update(
     identical base).  When the codec uses error feedback the returned
     payload carries the new residual ``v − decode(encode(v))`` for the
     server to bank; residuals larger than the trained slice are
-    prefix-sliced, mirroring how the submodel itself was cut.
+    prefix-sliced, mirroring how the submodel itself was cut.  The
+    model's ``buffers`` (running statistics) then travel raw and carry no
+    residual: a carry banked rounds ago is no correction of a statistic
+    recomputed since, and added to a running variance it can drive the
+    variance negative.  Codecs without error feedback encode them as any
+    other tensor.
     """
+    exact = frozenset(buffers) if codec.uses_error_feedback else frozenset()
     rng = codec_generator(rng_stream)
     update: dict[str, np.ndarray] = {}
     for name, value in trained.items():
@@ -512,24 +520,28 @@ def encode_client_update(
     if codec.uses_error_feedback and residual is not None:
         for name, value in update.items():
             carry = residual.get(name)
-            if carry is None or value.dtype.kind != "f":
+            if carry is None or value.dtype.kind != "f" or name in exact:
                 continue
             update[name] = value + _prefix_slice(np.asarray(carry), value.shape).astype(
                 value.dtype, copy=False
             )
-    encoded = encode_update(codec, update, rng, client_id=client_id)
+    encoded = encode_update(codec, update, rng, client_id=client_id, exact=exact)
     if codec.uses_error_feedback:
         decoded = decode_update(encoded)
         encoded.residual = {
             name: (update[name] - decoded[name]).astype(np.float32)
             for name in update
-            if update[name].dtype.kind == "f"
+            if update[name].dtype.kind == "f" and name not in exact
         }
     return encoded
 
 
 class ResidualBank:
-    """Each client's error-feedback carry at the full-model shapes of ``reference``; a checkpoint state part."""
+    """Each client's error-feedback carry at the full-model shapes of ``reference``; a checkpoint state part.
+
+    ``reference`` names the tensors that carry a residual: the model's
+    running statistics are left out of it (they never carry one).
+    """
 
     def __init__(self, codec: UpdateCodec, reference: Mapping[str, np.ndarray]):
         self.codec = codec
@@ -545,7 +557,7 @@ class ResidualBank:
         bank = self._banks.get(client_id)
         if bank is None:
             return None
-        return {name: np.ascontiguousarray(_prefix_slice(bank[name], shape)) for name, shape in shapes.items()}
+        return {name: np.ascontiguousarray(_prefix_slice(carry, shapes[name])) for name, carry in bank.items()}
 
     def bank(self, encoded: EncodedUpdate) -> None:
         """Scatter an upload's new residual over the prefix region its client trained.

@@ -132,6 +132,7 @@ class TrainSubmodelTask(ClientTask):
                 rng_stream=self.rng_stream,
                 residual=self.codec_residual,
                 client_id=self.client_id,
+                buffers=self.architecture.buffer_names(),
             )
         return encode_state_delta(trained)
 

@@ -48,6 +48,8 @@ DISTRIBUTIONS = ("iid", "dirichlet", "natural")
 
 _DATASET_CLASSES = {"cifar10": 10, "cifar100": 100, "femnist": 62, "widar": 22}
 _DATASET_CHANNELS = {"cifar10": 3, "cifar100": 3, "femnist": 1, "widar": 1}
+#: datasets whose samples carry writer/user groups (what "natural" partitions by)
+_GROUPED_DATASETS = ("femnist", "widar")
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,15 @@ class ExperimentSetting(Serializable):
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.distribution == "dirichlet" and self.alpha is None:
             raise ValueError("dirichlet distribution requires alpha")
+        if self.alpha is not None and not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if self.distribution == "natural" and self.dataset not in _GROUPED_DATASETS:
+            raise ValueError(
+                f"distribution 'natural' partitions by writer/user groups, which dataset {self.dataset!r} "
+                f"does not have (it needs one of {', '.join(_GROUPED_DATASETS)})"
+            )
+        if not self.resource_uncertainty >= 0:
+            raise ValueError(f"resource_uncertainty must be non-negative, got {self.resource_uncertainty}")
         try:
             parse_proportion(self.proportion)
         except ValueError as error:

@@ -79,13 +79,16 @@ class ParamSpec:
     tensor has a second axis tied to a group).  ``in_repeat`` multiplies the
     input-group size, used when a conv feature map of shape (C, H, W) is
     flattened channel-major before a linear layer (each kept channel then
-    owns ``H*W`` consecutive columns).
+    owns ``H*W`` consecutive columns).  ``buffer`` marks a tensor the model
+    declares as a buffer, not a parameter: a running statistic that forward
+    passes update and no gradient step touches.
     """
 
     name: str
     out_group: str | None
     in_group: str | None = None
     in_repeat: int = 1
+    buffer: bool = False
 
 
 def annotate(layer: Module, out_group: str | None, in_group: str | None = None, in_repeat: int = 1) -> Module:
@@ -119,13 +122,12 @@ def derive_param_specs(model: Module) -> list[ParamSpec]:
         in_repeat = getattr(module, "_slim_in_repeat", 1)
         for local in own_names:
             full = f"{prefix}.{local}" if prefix else local
-            tensor = (
-                module._parameters[local].data if local in module._parameters else module._buffers[local]
-            )
+            buffer = local not in module._parameters
+            tensor = module._buffers[local] if buffer else module._parameters[local].data
             if tensor.ndim >= 2:
-                specs.append(ParamSpec(full, out_group, in_group, in_repeat))
+                specs.append(ParamSpec(full, out_group, in_group, in_repeat, buffer))
             else:
-                specs.append(ParamSpec(full, out_group, None, 1))
+                specs.append(ParamSpec(full, out_group, None, 1, buffer))
     return specs
 
 
@@ -275,6 +277,10 @@ class SlimmableArchitecture(ABC):
             self._full_shapes = {name: np.asarray(v).shape for name, v in model.state_dict().items()}
         return self._param_specs
 
+    def buffer_names(self) -> frozenset[str]:
+        """State-dict names of the model's buffers (its running statistics)."""
+        return frozenset(spec.name for spec in self.param_specs() if spec.buffer)
+
     def full_param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Shapes of every state-dict tensor of the full model (cached)."""
         if self._full_shapes is None:
@@ -305,7 +311,7 @@ class SlimmableArchitecture(ABC):
         sizes = group_sizes if group_sizes is not None else self.full_group_sizes()
         total = 0
         for spec in self.param_specs():
-            if spec.name.endswith(("running_mean", "running_var")):
+            if spec.buffer:
                 continue
             total += int(np.prod(self.param_shape_for(spec, sizes)))
         return total

@@ -33,10 +33,10 @@ that write becomes visible and where its failure, if any, is raised.
 from __future__ import annotations
 
 import json
-import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from repro.api.callbacks import Callback
 from repro.obs.clock import perf_counter
@@ -83,37 +83,22 @@ class RunEntry:
         return self.status == "completed"
 
 
-class _CheckpointWrite(threading.Thread):
-    """One checkpoint write in flight; keeps the write's error and duration.
+class _CheckpointJob:
+    """One checkpoint handed to the writer: what it is, and how its write went.
 
-    Non-daemon, so the interpreter never exits on a half-written
-    checkpoint; whoever joins it (:meth:`RunStore.flush`) re-raises
-    ``error`` on the thread that owns the handle.
+    Holds the snapshot only until the write starts (:meth:`RunStore._write`
+    takes it), so the snapshot is released as soon as its write ends, not
+    when someone next looks at the job.
     """
 
-    def __init__(
-        self, write: Callable[..., object], run_id: str, checkpoint: Checkpoint, keep: int | None, trace_id: str
-    ):
-        super().__init__(
-            target=write,
-            args=(run_id, checkpoint, keep),
-            name=f"repro-checkpoint-{run_id}-{checkpoint.round_index}",
-            daemon=False,
-        )
+    def __init__(self, run_id: str, checkpoint: Checkpoint, keep: int | None, trace_id: str):
         self.run_id = run_id
         self.round_index = checkpoint.round_index
+        self.keep = keep
         self.trace_id = trace_id
-        self.error: BaseException | None = None
+        self.checkpoint: Checkpoint | None = checkpoint
         self.seconds = 0.0
-
-    def run(self) -> None:
-        started = perf_counter()
-        try:
-            super().run()  # drops its reference to the snapshot when the write ends
-        except BaseException as error:  # noqa: BLE001 - re-raised by RunStore.flush
-            self.error = error
-        finally:
-            self.seconds = perf_counter() - started
+        self.future: Future | None = None
 
 
 class RunStore:
@@ -126,10 +111,17 @@ class RunStore:
     and a failed background write is raised before anything builds on it.
     Other handles and processes see a checkpoint once its file has been
     renamed into place.
+
+    Background writes run on one writer thread per handle, started by the
+    first hand-off and ended when the handle is garbage-collected.  It is
+    a :class:`~concurrent.futures.ThreadPoolExecutor` worker, which the
+    interpreter joins at exit after the writes queued on it, so the
+    interpreter never exits on a half-written checkpoint.
     """
 
     def __init__(self, root: str | Path, *, create: bool = True):
-        self._in_flight: _CheckpointWrite | None = None
+        self._in_flight: _CheckpointJob | None = None
+        self._writer: ThreadPoolExecutor | None = None
         self.root = Path(root)
         marker = self.root / "store.json"
         if not create and not marker.exists():
@@ -287,7 +279,7 @@ class RunStore:
         When this returns the checkpoint is complete and renamed into
         place, not fsynced: a power loss can still lose it.  With
         ``background=True`` (the hand-off :class:`RunRecorder` uses) it
-        returns as soon as the write has *started* on a writer thread:
+        returns as soon as the write is queued on the handle's writer thread:
         the caller must not mutate ``checkpoint`` afterwards, and the
         file exists — or the write's exception is raised — at the
         next :meth:`flush`.  Either way the previous background write is
@@ -299,11 +291,27 @@ class RunStore:
             raise ValueError("keep must be at least 1")
         if self.get_run(run_id) is None:
             raise ValueError(f"run {run_id} was never registered with begin_run")
-        self._in_flight = _CheckpointWrite(self._write_checkpoint, run_id, checkpoint, keep, trace_id)
-        self._in_flight.start()
-        if not background:
-            self.flush()
-        return self._checkpoint_path(run_id, checkpoint.round_index)
+        job = _CheckpointJob(run_id, checkpoint, keep, trace_id)
+        if background and self._hand_off(job):
+            self._in_flight = job
+        else:
+            self._write(job)
+            self._report(job, blocked_seconds=job.seconds)
+        return self._checkpoint_path(run_id, job.round_index)
+
+    def _hand_off(self, job: _CheckpointJob) -> bool:
+        """Queue ``job`` on the handle's writer; False once the interpreter is shutting down.
+
+        A ``ThreadPoolExecutor`` takes no work after that, so a run on a
+        thread the main module left behind writes its checkpoints inline.
+        """
+        if self._writer is None:
+            self._writer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-checkpoint")
+        try:
+            job.future = self._writer.submit(self._write, job)
+        except RuntimeError:
+            return False
+        return True
 
     def flush(self) -> None:
         """Wait for the checkpoint write in flight, if any; re-raise its error.
@@ -314,33 +322,40 @@ class RunStore:
         ``blocked_ms`` (how much of that the caller spent waiting here).
         An error is raised once; the slot is empty afterwards.
         """
-        write = self._in_flight
-        if write is None:
+        job = self._in_flight
+        if job is None:
             return
         started = perf_counter()
-        write.join()
+        error = job.future.exception()  # waits for the write; never raises its error
         self._in_flight = None
-        if write.error is not None:
-            raise write.error
+        if error is not None:
+            raise error
+        self._report(job, blocked_seconds=perf_counter() - started)
+
+    @staticmethod
+    def _report(job: _CheckpointJob, blocked_seconds: float) -> None:
         get_event_bus().emit(
             "checkpoint_saved",
-            trace_id=write.trace_id,
-            run_id=write.run_id,
-            round=write.round_index,
-            write_ms=round(write.seconds * 1000.0, 3),
-            blocked_ms=round((perf_counter() - started) * 1000.0, 3),
+            trace_id=job.trace_id,
+            run_id=job.run_id,
+            round=job.round_index,
+            write_ms=round(job.seconds * 1000.0, 3),
+            blocked_ms=round(blocked_seconds * 1000.0, 3),
         )
 
-    def _write_checkpoint(self, run_id: str, checkpoint: Checkpoint, keep: int | None) -> None:
-        """Write the file, then prune (runs on the writer thread).
+    def _write(self, job: _CheckpointJob) -> None:
+        """Write the job's file, then prune (on the writer thread, or inline for a direct save).
 
-        Must not call :meth:`flush` or anything that does: a thread cannot
-        join itself.
+        Must not call :meth:`flush` or anything that does: the writer
+        cannot wait for itself.
         """
-        write_checkpoint(self._checkpoint_path(run_id, checkpoint.round_index), checkpoint)
-        if keep is not None:
-            for stale in self._checkpoint_rounds(run_id)[:-keep]:
-                self._checkpoint_path(run_id, stale).unlink(missing_ok=True)
+        checkpoint, job.checkpoint = job.checkpoint, None
+        started = perf_counter()
+        write_checkpoint(self._checkpoint_path(job.run_id, job.round_index), checkpoint)
+        if job.keep is not None:
+            for stale in self._checkpoint_rounds(job.run_id)[: -job.keep]:
+                self._checkpoint_path(job.run_id, stale).unlink(missing_ok=True)
+        job.seconds = perf_counter() - started
 
     def load_checkpoint(self, run_id: str, round_index: int | None = None) -> Checkpoint:
         """Load one checkpoint (default: the latest round), fully verified.
@@ -388,8 +403,8 @@ class RunRecorder(Callback):
     hook of every round, after any late evaluation — and lets the store
     write it while the next round trains; ``on_fit_end`` flushes the last
     one.  An exception or a normal exit therefore loses nothing (the
-    writer thread is non-daemon and ``run_algorithm`` flushes on the way
-    out); a ``kill -9`` loses at most the round in flight and the one
+    interpreter joins the store's writer at exit and ``run_algorithm``
+    flushes on the way out); a ``kill -9`` loses at most the round in flight and the one
     checkpoint being written.  A failed write is raised at the next
     hand-off or flush.  ``every`` thins the cadence (the final and
     early-stopped rounds are always persisted); ``keep`` bounds how many

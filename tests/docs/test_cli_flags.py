@@ -8,6 +8,10 @@ under ``benchmarks/`` and ``scripts/`` take options of their own
 (``--seconds``, ``--quick``, ``--check``), so other lines stay out of scope.
 A ``--flag a|b|c`` list anywhere in the docs must be a subset of that
 flag's ``choices`` when ``--flag`` is a ``repro`` flag.
+
+The guide's setting-flags table is generated from
+:func:`repro.api.cli._setting_flags`; rewrite it after changing a setting
+flag with ``PYTHONPATH=src python tests/docs/test_cli_flags.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.cli import build_parser
+from repro.api.cli import _setting_flags, build_parser
+from repro.experiments.settings import ExperimentSetting
 
 REPO = Path(__file__).resolve().parents[2]
 PAGES = [*sorted((REPO / "docs").rglob("*.md")), REPO / "README.md"]
@@ -27,6 +32,29 @@ CLI_GUIDE = REPO / "docs" / "guides" / "cli.md"
 FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 VALUE_LIST = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)[ =]([\w.-]+(?:\|[\w.-]+)+)")
 COMMAND = re.compile(r"^(?:\$ )?(?:python -m )?repro (\S+)(.*)$")
+#: the lines around the generated setting-flags table in the CLI guide
+TABLE_START = "<!-- setting flags: generated from repro.api.cli._setting_flags -->"
+TABLE_END = "<!-- end of setting flags -->"
+
+
+def setting_flags_table() -> str:
+    """The setting-flags table of the CLI guide, from the parser's own flag definitions."""
+    defaults = ExperimentSetting()
+    rows = ["| flag | `setting` field | default | values | help |", "|---|---|---|---|---|"]
+    for name, options in _setting_flags().items():
+        default = options.get("default", getattr(defaults, name))
+        shown = "none" if default is None else f"`{default}`"
+        values = ", ".join(f"`{choice}`" for choice in options.get("choices", ()))
+        if not values:
+            values = "a number" if options.get("type") in (int, float) else "text"
+        flag = f"--{name.replace('_', '-')}"
+        rows.append(f"| `{flag}` | `{name}` | {shown} | {values} | {options.get('help', '')} |")
+    return "\n".join(rows)
+
+
+def guide_setting_flags_table(text: str) -> str:
+    """The table between the markers of the CLI guide."""
+    return text.split(TABLE_START + "\n", 1)[1].split("\n" + TABLE_END, 1)[0]
 
 
 def subcommand_options() -> dict[str, dict[str, set | None]]:
@@ -115,3 +143,16 @@ def test_the_subcommand_table_lists_exactly_the_parsers_subcommands(options):
         f"missing from the table: {sorted(set(options) - set(listed))}; "
         f"not a subcommand: {sorted(set(listed) - set(options))}"
     )
+
+
+def test_the_setting_flags_table_is_generated_from_the_parser():
+    assert guide_setting_flags_table(CLI_GUIDE.read_text(encoding="utf-8")) == setting_flags_table(), (
+        "docs/guides/cli.md's setting-flags table is stale: PYTHONPATH=src python tests/docs/test_cli_flags.py"
+    )
+
+
+if __name__ == "__main__":
+    text = CLI_GUIDE.read_text(encoding="utf-8")
+    stale = f"{TABLE_START}\n{guide_setting_flags_table(text)}\n"
+    CLI_GUIDE.write_text(text.replace(stale, f"{TABLE_START}\n{setting_flags_table()}\n"), encoding="utf-8")
+    print(f"wrote the setting-flags table of {CLI_GUIDE}")

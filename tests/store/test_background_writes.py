@@ -1,12 +1,14 @@
 """Background checkpoint writes: the hand-off contract, its events, and injected faults.
 
 ``RunRecorder`` hands each round's snapshot to ``RunStore``, which writes
-it on one background thread per handle while the next round trains.
+it on one long-lived writer thread per handle while the next round trains.
 These tests pin what the rest of the stack relies on:
 
 * the hand-off returns before the write; every checkpoint read path,
   ``finish_run`` and the next hand-off on the same handle wait for it;
 * what is stored is the state at hand-off, whatever the loop does next;
+* one writer thread serves every hand-off of a handle, and the
+  interpreter exits only after a handed-off write is on disk;
 * an exception leaving ``run_algorithm`` leaves the last hand-off on disk;
 * ``checkpoint_saved`` is never emitted before the checkpoint file exists;
 * a write that fails — at *any* ``write_atomic`` call of a checkpointed
@@ -19,12 +21,16 @@ so "before the write" is a state the test holds, not a race it wins.
 
 from __future__ import annotations
 
+import subprocess
 import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 import repro.store.objects as objects_module
 import repro.store.runstore as runstore_module
 from repro.api.callbacks import Callback
@@ -41,6 +47,8 @@ TIMEOUT = 20.0
 BLOCKED_FOR = 0.1
 
 KEY = {"suite": "background-writes"}
+#: the ``src`` directory the subprocess test imports ``repro`` from
+SRC = Path(repro.__file__).resolve().parent.parent
 
 #: the whole-run tests: a 4-round run, crashed before round 2
 ROUNDS = 4
@@ -132,6 +140,21 @@ def blocked_until_open(gate: WriteGate, call):
     return outcome[0]
 
 
+def run_in_child(body: str) -> subprocess.CompletedProcess:
+    """Run ``body`` in a fresh interpreter with ``RunStore``, ``KEY`` and ``make_checkpoint``
+    imported; it must exit 0."""
+    header = (
+        f"import sys\nsys.path[:0] = [{str(SRC)!r}, {str(Path(__file__).parent)!r}]\n"
+        "from repro.store.runstore import RunStore\n"
+        "from test_background_writes import KEY, make_checkpoint\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", header + textwrap.dedent(body)], capture_output=True, text=True, timeout=TIMEOUT
+    )
+    assert child.returncode == 0, child.stderr
+    return child
+
+
 READERS = {
     "load_checkpoint": lambda store, run_id: store.load_checkpoint(run_id).round_index,
     "checkpoint_rounds": lambda store, run_id: store.checkpoint_rounds(run_id)[-1],
@@ -188,14 +211,72 @@ class TestHandOff:
         assert store._in_flight is None
         assert RunStore(tmp_path).load_checkpoint(run_id).round_index == 0
 
-    def test_writer_thread_is_not_a_daemon(self, tmp_path, gate):
+    def test_one_writer_thread_serves_every_handoff_of_a_handle(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path)
         run_id = store.begin_run(KEY).run_id
-        gate.close()
-        store.save_checkpoint(run_id, make_checkpoint(0), background=True)
-        assert store._in_flight.daemon is False
-        gate.open.set()
+        started: list[str] = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        for round_index in range(20):
+            store.save_checkpoint(run_id, make_checkpoint(round_index), background=True)
         store.flush()
+        assert len(started) <= 1, started
+        assert store.checkpoint_rounds(run_id) == list(range(20))
+
+    def test_interpreter_exits_only_after_the_handed_off_write_is_on_disk(self, tmp_path):
+        # the child's write sleeps before it touches the disk, and its main
+        # module returns right after the hand-off without flushing
+        child = run_in_child(
+            f"""
+            import time
+            import repro.store.objects as objects
+
+            real = objects.write_atomic
+
+            def slow_write_atomic(path, payload):
+                time.sleep(0.5)
+                real(path, payload)
+
+            objects.write_atomic = slow_write_atomic
+            store = RunStore({str(tmp_path)!r})
+            run_id = store.begin_run(KEY).run_id
+            path = store.save_checkpoint(run_id, make_checkpoint(7), background=True)
+            assert not path.exists()
+            print(run_id)
+            """
+        )
+        loaded = RunStore(tmp_path, create=False).load_checkpoint(child.stdout.strip())  # trailer checked
+        assert loaded.round_index == 7
+        assert float(loaded.global_state["weight"][0, 0]) == 7.0
+        assert not list(tmp_path.rglob(".tmp-*"))
+
+    def test_a_run_that_outlives_the_main_module_still_saves_every_checkpoint(self, tmp_path):
+        # the interpreter's shutdown starts while a non-daemon thread hands off
+        child = run_in_child(
+            f"""
+            import threading, time
+
+            store = RunStore({str(tmp_path)!r})
+            run_id = store.begin_run(KEY).run_id
+
+            def loop():
+                for round_index in range(4):
+                    store.save_checkpoint(run_id, make_checkpoint(round_index), background=True)
+                    time.sleep(0.1)
+                store.flush()
+
+            threading.Thread(target=loop).start()
+            print(run_id)
+            """
+        )
+        assert child.stderr == ""
+        store = RunStore(tmp_path, create=False)
+        assert store.checkpoint_rounds(child.stdout.strip()) == [0, 1, 2, 3]
 
     def test_mutating_the_live_state_after_handoff_does_not_change_what_is_stored(
         self, tmp_path, gate, ci_prepared

@@ -84,6 +84,31 @@ class TestRefusedStoreOptions:
         assert not (store_dir / "sweep.json").exists()
         assert not (store_dir / "runs").exists()
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--distribution", "dirichlet", "--alpha", "0"], "alpha"),
+            (["--distribution", "dirichlet", "--alpha", "-1.5"], "alpha"),
+            (["--dataset", "cifar10", "--distribution", "natural"], "distribution 'natural'"),
+        ],
+    )
+    def test_sweep_of_an_impossible_setting_leaves_no_file(self, flags, field, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        argv = ["sweep", "--algorithms", "heterofl", *flags, *CLI_SETTING, "--store", str(store_dir)]
+        assert main(argv) == 2
+        assert f"error: {field}" in capsys.readouterr().err
+        assert not store_dir.exists()
+
+    def test_sweep_spec_with_a_negative_resource_uncertainty_leaves_no_file(self, tmp_path, capsys):
+        payload = SweepSpec(base=ExperimentSpec(algorithms=("heterofl",), num_rounds=2)).to_dict()
+        payload["base"]["setting"]["resource_uncertainty"] = -0.5
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(payload), encoding="utf-8")
+        store_dir = tmp_path / "store"
+        assert main(["sweep", "--spec", str(spec_path), "--store", str(store_dir), "--quiet"]) == 2
+        assert "error: resource_uncertainty must be non-negative" in capsys.readouterr().err
+        assert not store_dir.exists()
+
     def test_spec_with_an_unknown_override_is_a_cli_error(self, ci_setting, tmp_path, capsys):
         payload = ExperimentSpec(setting=ci_setting, algorithms=("heterofl",)).to_dict()
         payload["setting"]["overrides"] = {"num_round": 2}
