@@ -4,9 +4,9 @@ A dataclass that inherits :class:`Serializable` serialises from its field
 list: ``to_dict`` walks :func:`dataclasses.fields` and ``from_dict`` is
 :func:`checked_payload` plus one loader per field, chosen once per class
 from the field's annotation.  Unknown keys raise :class:`ValueError`
-(catching typos in spec files early), malformed containers raise it naming
-their field, and value validation stays with the dataclass's own
-``__post_init__``.
+(catching typos in spec files early), malformed containers and wrongly
+typed scalars raise it naming their field, and range validation stays
+with the dataclass's own ``__post_init__``.
 
 The loaders, by annotation:
 
@@ -17,7 +17,10 @@ The loaders, by annotation:
   out as JSON lists;
 * a ``dict`` requires a mapping;
 * ``X | None`` accepts ``None``;
-* a top-level scalar passes through untouched to ``__post_init__``.
+* a top-level ``int`` takes a whole number (a JSON ``2.0`` loads as ``2``),
+  a ``float`` any real number, a ``str`` or ``bool`` only itself — never a
+  ``bool`` for a number;
+* any other annotation passes through untouched to ``__post_init__``.
 
 A field whose JSON key differs from its name declares it as
 ``field(metadata={"key": ...})``; ``from_dict`` accepts either spelling,
@@ -29,6 +32,7 @@ so a serialisable field must not name a type imported only under
 from __future__ import annotations
 
 import functools
+import numbers
 import types
 import typing
 from dataclasses import fields, is_dataclass
@@ -60,8 +64,18 @@ def checked_payload(cls: type, payload: Any) -> dict:
     return dict(payload)
 
 
+def _is_whole(value: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
+def _is_real(value: Any) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _whole(item: Any, field_name: str) -> int:
-    if isinstance(item, bool) or not isinstance(item, (int, float)) or float(item) != int(item):
+    if not _is_whole(item):
         raise ValueError(f"{field_name} entries must be whole numbers, got {item!r}")
     return int(item)
 
@@ -78,9 +92,29 @@ def coerce_int_tuple(value: Any, *, field_name: str) -> tuple[int, ...]:
 
 
 def _real(item: Any, field_name: str) -> float:
-    if isinstance(item, bool) or not isinstance(item, (int, float)):
+    if not _is_real(item):
         raise ValueError(f"{field_name} entries must be numbers, got {item!r}")
     return float(item)
+
+
+#: a top-level scalar annotation -> (accepts the value, what it must be)
+_SCALARS: dict[type, tuple[Callable[[Any], bool], str]] = {
+    int: (_is_whole, "a whole number"),
+    float: (_is_real, "a number"),
+    str: (lambda value: isinstance(value, str), "a string"),
+    bool: (lambda value: isinstance(value, bool), "true or false"),
+}
+
+
+def _scalar(kind: type) -> Loader:
+    accepts, expected = _SCALARS[kind]
+
+    def load_scalar(value: Any, field_name: str) -> Any:
+        if not accepts(value):
+            raise ValueError(f"{field_name} must be {expected}, got {value!r}")
+        return int(value) if kind is int else value
+
+    return load_scalar
 
 
 def _optional(hint: Any) -> Any:
@@ -103,6 +137,8 @@ def _loader(hint: Any, element: bool = False) -> Loader | None:
     """Loader for a field (or a container ``element``) annotated ``hint``; None = pass through."""
     if element and hint in (int, float):
         return _whole if hint is int else _real
+    if hint in _SCALARS:
+        return _scalar(hint)
     inner = _optional(hint)
     if inner is not None:
         load = _loader(inner, element)
@@ -166,7 +202,7 @@ class _Plan:
         declared = fields(cls)
         #: (attribute, JSON key, dumper) in field order
         self.dump = [(f.name, f.metadata.get("key", f.name), _dumper(hints[f.name])) for f in declared]
-        #: attribute -> loader, for the fields that are not plain scalars
+        #: attribute -> loader, for the fields whose annotation has one
         self.load = {f.name: loader for f in declared if (loader := _loader(hints[f.name])) is not None}
         #: JSON key -> attribute, for the fields whose key differs from their name
         self.renamed = {key: name for name, key, _ in self.dump if key != name}

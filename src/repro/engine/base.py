@@ -14,9 +14,10 @@ executor vocabulary without import cycles.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Iterable, Sequence
+
+from repro.perf.lanes import usable_cpus
 
 __all__ = ["Executor", "default_max_workers", "map_longest_first"]
 
@@ -38,10 +39,7 @@ def map_longest_first(ordered_map: Callable[[list[Any]], Iterable[Any]], tasks: 
 
 def default_max_workers() -> int:
     """Worker count when the user does not pin one: the usable CPU count."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
+    return usable_cpus()
 
 
 class Executor(ABC):

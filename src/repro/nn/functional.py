@@ -38,11 +38,13 @@ kept for equivalence tests and microbenchmarks.
 
 from __future__ import annotations
 
-from typing import Iterable
+import math
+from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.nn.dtype import resolve_dtype
+from repro.perf import lanes
 from repro.perf.workspace import Workspace
 
 __all__ = [
@@ -291,14 +293,15 @@ def conv2d_inference(
     bias: np.ndarray | None,
     stride: int,
     padding: int,
-    ws: Workspace | None = None,
 ) -> np.ndarray:
     """:func:`conv2d_forward`'s output, bit for bit, with no backward cache
-    and no batch of columns: each sample is unfolded into one sample's
-    column buffer and multiplied while it is still in cache.
+    and no batch of columns: the batch is cut into chunks that each fit a
+    lane's scratch (:mod:`repro.perf.lanes`), and each chunk is unfolded
+    and multiplied while it is still in cache, in one of two lanes.
 
     The batched ``matmul`` of :func:`conv2d_forward` runs one GEMM per
-    sample too, on the same operands, so no bit moves.
+    sample, and so does a chunk's: the same GEMM on the same operands
+    whatever the chunk or the lane, so no bit moves.
     """
     c_out, c_in, kh, kw = weight.shape[-4:]
     if _is_pointwise(kh, kw, stride, padding):
@@ -309,25 +312,52 @@ def conv2d_inference(
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
     w_mat = weight.reshape(-1, c_out, c_in * kh * kw)
-    per_client = n // w_mat.shape[0]
+    per_client, rest = divmod(n, w_mat.shape[0])
+    if rest:
+        raise ValueError(f"{n} samples do not split over a stack of {w_mat.shape[0]} clients")
     out = np.empty((n, c_out, out_h * out_w), np.result_type(w_mat, x))
-    ws = _owned_or_fresh(ws)
-    cols = ws.get(("sample_im2col", x.shape[1:], kh, kw, stride, padding), (c_in * kh * kw, out_h * out_w), x.dtype)
-    gather = cols.reshape(c_in, kh, kw, out_h, out_w)
-    if padding:
-        # one sample's padded frame: its border is zeroed once per call
-        frame = ws.zeros(("sample_pad2d", x.shape[1:], padding), (1, c, h + 2 * padding, w + 2 * padding), x.dtype)
-        interior = frame[0, :, padding:-padding, padding:-padding]
-        patches = _patch_view(frame, kh, kw, stride).transpose(0, 1, 4, 5, 2, 3)
-    else:
+    cols_size = c_in * kh * kw * out_h * out_w
+    frame_shape = (c, h + 2 * padding, w + 2 * padding) if padding else (0, 0, 0)
+    sample_size = cols_size + math.prod(frame_shape)
+    chunk = lanes.chunk_samples(sample_size * x.itemsize, per_client)
+    # a chunk never straddles two clients of a stack: it has one weight
+    spans = [
+        (start, min(start + chunk, end))
+        for end in range(per_client, n + 1, per_client or 1)
+        for start in range(end - per_client, end, chunk)
+    ]
+    if not padding:
         patches = _patch_view(x, kh, kw, stride).transpose(0, 1, 4, 5, 2, 3)
-    for sample, image in enumerate(x):
+
+    def open_lane() -> Callable[[int], None]:
+        nbytes = chunk * sample_size * x.itemsize
+        scratch = lanes.lane_scratch(nbytes)[:nbytes].view(x.dtype)
+        cols = scratch[: chunk * cols_size].reshape(chunk, c_in * kh * kw, out_h * out_w)
+        gather = cols.reshape(chunk, c_in, kh, kw, out_h, out_w)
         if padding:
-            np.copyto(interior, image)
-        np.copyto(gather, patches[0] if padding else patches[sample])
-        np.matmul(w_mat[sample // per_client], cols, out=out[sample])
+            # the chunk's padded frames: the border is zeroed once per lane
+            frame = scratch[chunk * cols_size :].reshape(chunk, *frame_shape)
+            frame.fill(0)
+            interior = frame[:, :, padding:-padding, padding:-padding]
+            framed = _patch_view(frame, kh, kw, stride).transpose(0, 1, 4, 5, 2, 3)
+
+        def run(index: int) -> None:
+            start, stop = spans[index]
+            m = stop - start
+            if padding:
+                np.copyto(interior[:m], x[start:stop])
+                np.copyto(gather[:m], framed[:m])
+            else:
+                np.copyto(gather[:m], patches[start:stop])
+            np.matmul(w_mat[start // per_client], cols[:m], out=out[start:stop])
+            if bias is not None:
+                out[start:stop] += biases[start // per_client]
+
+        return run
+
     if bias is not None:
-        out.reshape(-1, per_client, c_out, out_h * out_w)[...] += bias.reshape(-1, 1, c_out, 1)
+        biases = bias.reshape(-1, c_out, 1)
+    lanes.run_in_lanes(open_lane, len(spans))
     return out.reshape(n, c_out, out_h, out_w)
 
 

@@ -68,9 +68,9 @@ class Conv2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         bias = self.bias.data if self.has_bias else None
         if not self.training:
-            # inference never runs backward: stream the samples, keep no cache
+            # inference never runs backward: stream the batch in chunks, keep no cache
             self._cache = None
-            return F.conv2d_inference(x, self.weight.data, bias, self.stride, self.padding, self._ws)
+            return F.conv2d_inference(x, self.weight.data, bias, self.stride, self.padding)
         out, self._cache = F.conv2d_forward(x, self.weight.data, bias, self.stride, self.padding, self._ws)
         return out
 

@@ -34,7 +34,7 @@ from typing import Hashable
 
 import numpy as np
 
-__all__ = ["Arena", "Workspace", "thread_arena", "workspace_stats", "reset_workspace_stats"]
+__all__ = ["Arena", "Workspace", "aligned_block", "thread_arena", "workspace_stats", "reset_workspace_stats"]
 
 #: process-wide counters: {"hits": buffers reused, "misses": buffers (re)allocated,
 #: "arena_bytes": the largest arena closed since the last reset}
@@ -58,7 +58,7 @@ def reset_workspace_stats() -> None:
         _STATS[name] = 0
 
 
-def _aligned_block(nbytes: int) -> np.ndarray:
+def aligned_block(nbytes: int) -> np.ndarray:
     """``nbytes`` uninitialised bytes starting on an ``_ALIGN`` boundary."""
     raw = np.empty(nbytes + _ALIGN, np.uint8)
     skip = -raw.ctypes.data % _ALIGN
@@ -84,7 +84,7 @@ class Arena:
     __slots__ = ("_block", "_used", "_depth")
 
     def __init__(self) -> None:
-        self._block = _aligned_block(0)
+        self._block = aligned_block(0)
         #: bytes carved since the outermost open session began
         self._used = 0
         self._depth = 0
@@ -109,7 +109,7 @@ class Arena:
         if self._depth:
             return
         if self._used > self.capacity:
-            self._block = _aligned_block(self._used)
+            self._block = aligned_block(self._used)
         self._used = 0
         with _ARENA_STATS_LOCK:
             _STATS["arena_bytes"] = max(_STATS["arena_bytes"], self.capacity)

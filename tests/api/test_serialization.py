@@ -89,6 +89,30 @@ class TestValidationStillApplies:
         config = ModelPoolConfig.from_dict({"models_per_level": 2, "start_layers": [5.0, 3.0], "min_start_layer": 2})
         assert config.start_layers == (5, 3)
 
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (FederatedConfig, "num_rounds", 2.5),
+            (FederatedConfig, "num_rounds", True),
+            (FederatedConfig, "seed", "x"),
+            (LocalTrainingConfig, "batch_size", 1.5),
+            (ExperimentSetting, "seed", "x"),
+        ],
+    )
+    def test_a_wrongly_typed_scalar_is_refused_by_its_field(self, cls, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            cls.from_dict({field: value})
+
+    def test_scalars_load_by_their_annotation(self):
+        assert FederatedConfig.from_dict({"num_rounds": 2.0}).num_rounds == 2
+        assert type(FederatedConfig.from_dict({"num_rounds": 2.0}).num_rounds) is int
+        for value in (True, "0.1"):
+            with pytest.raises(ValueError, match="^learning_rate must be a number"):
+                LocalTrainingConfig.from_dict({"learning_rate": value})
+        for field, value in (("scenario", 3), ("transport", None)):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                FederatedConfig.from_dict({field: value})
+
 
 class TestExperimentSpec:
     def spec(self):

@@ -22,6 +22,7 @@ from repro.data.datasets import Dataset
 from repro.nn.models import SlimmableMobileNetV2, SlimmableSimpleCNN
 from repro.nn.module import Skeleton
 from repro.perf import workspace
+from repro.perf.lanes import lane_scratch
 from repro.perf.workspace import Arena, thread_arena
 
 #: 12 samples in batches of 4: no partial batch, so no workspace key is re-carved
@@ -164,7 +165,8 @@ class TestOneThread:
             evaluate_state(bench.arch, bench.arch.full_group_sizes(), bench.full_state, bench.dataset, model_cache=cache)
             (network,) = cache.values()
             arrays = [array for module in network.modules() if hasattr(module, "_ws") for array in module._ws._buffers.values()]
-            assert arrays and not any(np.shares_memory(array, block) for array in arrays)
+            arrays.append(lane_scratch(0))  # the thread's inference-convolution scratch
+            assert arrays[-1].nbytes and not any(np.shares_memory(array, block) for array in arrays)
             return warm, bench.train("L")
 
         warm, after = on_new_thread(work)

@@ -15,6 +15,7 @@ import pytest
 from repro.baselines import HeteroFL
 from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig
 from repro.core.server import AdaptiveFL
+from repro.perf import lanes
 
 EXECUTORS = ["serial", "thread", "process"]
 ALGORITHMS = ["adaptivefl", "heterofl"]
@@ -109,3 +110,18 @@ def test_worker_count_does_not_change_history(easy_setup, serial_reference, exec
         )
         algorithm.run()
         assert history_fingerprint(algorithm) == expected_history, f"{executor} x{workers} diverged"
+
+
+@pytest.mark.parametrize("executor", ["process"])
+def test_a_lane_helper_started_by_an_evaluation_does_not_change_history(easy_setup, serial_reference, executor, monkeypatch):
+    """The forked workers inherit the helper object but not its thread; the run still ends."""
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
+    evaluated = build_algorithm("adaptivefl", easy_setup, "serial")
+    evaluated.evaluate()
+    assert lanes._helper is not None
+    algorithm = build_algorithm("adaptivefl", easy_setup, executor)
+    algorithm.run()
+    expected_history, expected_state = serial_reference["adaptivefl"]
+    assert history_fingerprint(algorithm) == expected_history
+    for key, value in algorithm.global_state.items():
+        assert np.array_equal(value, expected_state[key]), f"weights differ in {key!r}"

@@ -1,13 +1,14 @@
-"""Streamed inference: an eval-mode convolution runs sample by sample.
+"""Streamed inference: an eval-mode convolution runs chunk by chunk.
 
-In eval mode ``Conv2d`` unfolds each sample into one sample's column
-buffer and multiplies it while it is still in cache, instead of unfolding
-the whole batch first.  The output must be ``conv2d_forward``'s bit for
-bit, no workspace may keep a batch of columns, and no eval-mode layer may
-keep a backward cache.
+In eval mode ``Conv2d`` unfolds each chunk of samples into a lane's
+scratch and multiplies it while it is still in cache, in one lane or two,
+instead of unfolding the whole batch first.  The output must be
+``conv2d_forward``'s bit for bit, no workspace may keep a batch of
+columns, and no eval-mode layer may keep a backward cache.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.experiments.settings import ExperimentSetting, paper_pool_config, pre
 from repro.nn import functional as F
 from repro.nn.layers import Conv2d
 from repro.nn.models import SlimmableMobileNetV2, SlimmableResNet18, SlimmableSimpleCNN, SlimmableVGG
+from repro.perf import lanes
 
 ARCHITECTURES = {
     "simple_cnn": lambda: SlimmableSimpleCNN(num_classes=4, input_shape=(3, 16, 16), width_multiplier=0.5, hidden_features=16),
@@ -53,18 +55,22 @@ def eval_conv(weight, bias, stride, padding) -> Conv2d:
     clients=st.sampled_from([1, 3]),
     dtype=st.sampled_from([np.float32, np.float64]),
     samples=st.sampled_from([1, 7, BATCH]),
+    budget=st.sampled_from([0, 50_000, lanes.LANE_SCRATCH_BYTES]),
     seed=st.integers(0, 2**16),
 )
-def test_the_streamed_output_is_the_batched_output_bit_for_bit(kernel, stride, padding, clients, dtype, samples, seed):
+def test_the_streamed_output_is_the_batched_output_bit_for_bit(kernel, stride, padding, clients, dtype, samples, budget, seed):
+    """In one lane and in two, and in chunks of one sample, of a few, or of the budget's."""
     rng = np.random.default_rng(seed)
     stack = (clients,) if clients > 1 else ()
     x = rng.normal(size=(clients * samples, 3, 9, 9)).astype(dtype)
     weight = rng.normal(size=(*stack, 5, 3, kernel, kernel)).astype(dtype)
     bias = rng.normal(size=(*stack, 5)).astype(dtype)
     expected, _ = F.conv2d_forward(x, weight, bias, stride, padding)
-    streamed = eval_conv(weight, bias, stride, padding)(x)
-    assert streamed.shape == expected.shape and streamed.dtype == expected.dtype
-    assert streamed.tobytes() == expected.tobytes()
+    for cpus in (1, 2):
+        with mock.patch.object(lanes, "usable_cpus", lambda: cpus), mock.patch.object(lanes, "LANE_SCRATCH_BYTES", budget):
+            streamed = eval_conv(weight, bias, stride, padding)(x)
+        assert streamed.shape == expected.shape and streamed.dtype == expected.dtype
+        assert streamed.tobytes() == expected.tobytes(), cpus
 
 
 def one_sample_elements(conv: Conv2d, x_shape) -> int:
