@@ -24,8 +24,9 @@ Package layout:
 * ``repro.engine`` — the parallel client-execution engine: serial, thread
   and process executors with bit-identical, seed-stable results, plus the
   sliced-download, exact-upload weight transport with per-worker state caching.
-* ``repro.perf`` — the profiling + optimization layer: scoped timers and
-  counters (CLI ``--profile``), reusable kernel workspaces, FLOP counting.
+* ``repro.perf`` — the profiling + optimization layer: the round's timing
+  seam (stages and counters, CLI ``--profile``), reusable kernel
+  workspaces, FLOP counting.
 * ``repro.sim`` — the discrete-event AIoT fleet simulator: scenario
   registry (``@register_scenario``), availability/dropout/battery/network
   dynamics and deadline-aware aggregation accounting.

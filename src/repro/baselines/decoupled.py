@@ -17,7 +17,7 @@ from repro.core.aggregation import ClientUpdate, fedavg_aggregate
 from repro.core.fl_base import FederatedAlgorithm, RoundPlan
 from repro.core.metrics import evaluate_state
 from repro.core.pruning import extract_submodel_state
-from repro.engine.codecs import NonFiniteUpdateError
+from repro.engine.codecs import UpdateRejectedError
 
 __all__ = ["DecoupledFL"]
 
@@ -86,7 +86,7 @@ class DecoupledFL(RandomSelectionMixin, FederatedAlgorithm):
             level = plan.streams[slot]
             try:
                 state = self.decode_result_state(result.state, plan.group_sizes[slot], self.level_states[level])
-            except NonFiniteUpdateError as error:
+            except UpdateRejectedError as error:
                 refused[slot] = error
             else:
                 per_level_updates[level].append(ClientUpdate(state, result.num_samples))

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -63,10 +63,11 @@ class UploadStack:
     ``weights[k]`` is row ``k``'s sample count.  The rows are read-only, so
     what depends only on the tensors is worked out once per stack and kept:
     the row layout, the row size, the float tensors some row of which is
-    not finite, and the last slice the layout was checked against.
+    not finite or breaks its sign rule, and the last slice the layout was
+    checked against.
     """
 
-    __slots__ = ("tensors", "weights", "layout", "row_nbytes", "checked_against", "_nonfinite")
+    __slots__ = ("tensors", "weights", "layout", "row_nbytes", "checked_against", "_suspects")
 
     def __init__(self, tensors: Mapping[str, np.ndarray], weights: Sequence[float]) -> None:
         self.tensors = dict(tensors)
@@ -78,7 +79,7 @@ class UploadStack:
         self.row_nbytes = sum(stack.nbytes for stack in self.tensors.values()) // max(len(self.weights), 1)
         #: opaque token of the last layout check that passed (see ``FederatedAlgorithm``)
         self.checked_against: tuple | None = None
-        self._nonfinite: tuple[str, ...] | None = None
+        self._suspects: tuple[str, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -87,15 +88,17 @@ class UploadStack:
         """Every client's upload, in row order."""
         return [StackRow(self, row) for row in range(len(self))]
 
-    def nonfinite(self) -> tuple[str, ...]:
-        """The float tensors holding NaN or ±inf in some row: one ``isfinite`` pass each, once."""
-        if self._nonfinite is None:
-            self._nonfinite = tuple(
+    def suspects(self, nonnegative: Collection[str]) -> tuple[str, ...]:
+        """The float tensors holding NaN or ±inf in some row, or a negative value where
+        ``nonnegative`` names them: one pass each, once (``nonnegative`` is the model's)."""
+        if self._suspects is None:
+            self._suspects = tuple(
                 name
                 for name, stack in self.tensors.items()
-                if stack.dtype.kind == "f" and not np.isfinite(stack).all()
+                if stack.dtype.kind == "f"
+                and (not np.isfinite(stack).all() or name in nonnegative and (stack < 0).any())
             )
-        return self._nonfinite
+        return self._suspects
 
 
 class StackRow(Mapping):

@@ -45,8 +45,10 @@ from repro.core.metrics import communication_waste_rate, evaluate_heads
 from repro.engine.base import Executor
 from repro.engine.codecs import (
     EncodedUpdate,
+    NegativeStatisticError,
     NonFiniteUpdateError,
     ResidualBank,
+    UpdateRejectedError,
     UpdateCodec,
     apply_encoded_update,
     get_codec,
@@ -59,8 +61,7 @@ from repro.engine.transport import StateHandle, StateStore, state_nbytes
 from repro.obs.events import get_event_bus
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.trace import TraceContext, new_span_id, new_trace_id
-from repro.obs.clock import monotonic
-from repro.perf.profiler import Profiler
+from repro.perf.profiler import Profiler, Stage, attach, count, stage
 from repro.perf.workspace import reset_workspace_stats, workspace_stats
 from repro.core.model_pool import ModelPool
 from repro.data.datasets import Dataset
@@ -208,11 +209,12 @@ class FederatedAlgorithm(ABC):
         self._executor: Executor | None = None
         self._owns_executor = False
         self._flops_cache: dict[str, int] = {}
+        #: tensors the model declares non-negative (batch-norm variances): an upload breaking that is refused
+        self._nonnegative = frozenset(spec.name for spec in architecture.param_specs() if spec.nonnegative)
         #: tensor shapes of each submodel slice uploads arrive as, by sorted group sizes
         self._slice_shape_cache: dict[tuple, dict[str, tuple[int, ...]]] = {}
-        #: phase-grained scoped timers + transport/workspace counters
-        #: (disabled unless run(profile=True) / CLI --profile enables it)
-        self.profiler = Profiler(enabled=False)
+        #: the stage and counter listener a run(profile=True) / CLI --profile attaches
+        self.profiler = Profiler()
         #: reused accumulation buffers for heterogeneous aggregation
         self._aggregator = HeterogeneousAggregator()
         #: lossy update codec layered on the transport ("none" resolves to
@@ -293,7 +295,7 @@ class FederatedAlgorithm(ABC):
 
     def fold_round(
         self, plan: RoundPlan, keep: Sequence[int], results: Sequence
-    ) -> dict[int, NonFiniteUpdateError]:
+    ) -> dict[int, UpdateRejectedError]:
         """Fold ``results`` (of slots ``keep``, in order) into the weights; returns the refused slots."""
         refused = self.fold_results(results, [plan.group_sizes[slot] for slot in keep])
         return {keep[position]: error for position, error in refused.items()}
@@ -311,36 +313,41 @@ class FederatedAlgorithm(ABC):
         no weight in the aggregate or the loss, listed in
         ``dropped_clients``, one ``update_rejected`` event.
         """
-        plan = self.plan_round(round_index, self.round_rng(round_index))
-        outcome = self.plan_round_outcome(round_index, plan.clients, plan.dispatched, plan.returned)
-        keep = list(outcome.aggregated_positions()) if outcome is not None else list(range(len(plan.clients)))
-        sources = {stream: self.publish_state(state, stream=stream) for stream, state in self.round_streams().items()}
-        tasks = [self.make_task(round_index, plan, slot, sources[plan.streams[slot]]) for slot in keep]
-        with self.profiler.scope("round.training"):
+        with stage("round.plan"):
+            plan = self.plan_round(round_index, self.round_rng(round_index))
+        with stage("round.fleet"):
+            outcome = self.plan_round_outcome(round_index, plan.clients, plan.dispatched, plan.returned)
+            keep = list(outcome.aggregated_positions()) if outcome is not None else list(range(len(plan.clients)))
+        with stage("round.publish"):
+            streams = self.round_streams().items()
+            sources = {stream: self.publish_state(state, stream=stream) for stream, state in streams}
+            tasks = [self.make_task(round_index, plan, slot, sources[plan.streams[slot]]) for slot in keep]
+        with stage("round.execute"):
             results = self.execute_client_tasks(tasks)
-        refused = self.fold_round(plan, keep, results)
-
-        losses = [result.mean_loss for slot, result in zip(keep, results) if slot not in refused]
-        aggregated = set(keep).difference(refused)
-        back = [size if slot in aggregated else 0 for slot, size in enumerate(plan.back_params)]
-        record = RoundRecord(
-            round_index=round_index,
-            train_loss=float(np.mean(losses)) if losses else None,
-            communication_waste=communication_waste_rate(plan.sent_params, back) if plan.clients else None,
-            dispatched=plan.dispatched,
-            returned=plan.returned,
-            selected_clients=plan.clients,
-        )
-        self.finalize_round(record, outcome)
-        for slot, error in refused.items():
-            record.dropped_clients.append(plan.clients[slot])
-            get_event_bus().emit(
-                "update_rejected",
-                trace_id=self.current_trace_id,
-                round=round_index,
-                client=plan.clients[slot],
-                tensor=error.tensor,
+        with stage("round.fold"):
+            refused = self.fold_round(plan, keep, results)
+        with stage("round.record"):
+            losses = [result.mean_loss for slot, result in zip(keep, results) if slot not in refused]
+            aggregated = set(keep).difference(refused)
+            back = [size if slot in aggregated else 0 for slot, size in enumerate(plan.back_params)]
+            record = RoundRecord(
+                round_index=round_index,
+                train_loss=float(np.mean(losses)) if losses else None,
+                communication_waste=communication_waste_rate(plan.sent_params, back) if plan.clients else None,
+                dispatched=plan.dispatched,
+                returned=plan.returned,
+                selected_clients=plan.clients,
             )
+            self.finalize_round(record, outcome)
+            for slot, error in refused.items():
+                record.dropped_clients.append(plan.clients[slot])
+                get_event_bus().emit(
+                    "update_rejected",
+                    trace_id=self.current_trace_id,
+                    round=round_index,
+                    client=plan.clients[slot],
+                    tensor=error.tensor,
+                )
         return record
 
     # -- helpers ------------------------------------------------------------------------
@@ -424,10 +431,9 @@ class FederatedAlgorithm(ABC):
         # than one behind; keep that one-version straggler window and
         # release the rest instead of unlinking at publish time
         store.release_below(store.version - 1)
-        if self.profiler.enabled:
-            self.profiler.count("transport.publishes")
-            if handle.path is not None:
-                self.profiler.count("transport.spilled_bytes", state_nbytes(state))
+        count("transport.publishes")
+        if handle.path is not None:
+            count("transport.spilled_bytes", state_nbytes(state))
         return handle
 
     def _state_store(self, stream: str) -> StateStore:
@@ -445,8 +451,7 @@ class FederatedAlgorithm(ABC):
         — is what a real deployment would send.
         """
         self._round_bytes_down += num_bytes
-        if self.profiler.enabled:
-            self.profiler.count("transport.bytes_down", num_bytes)
+        count("transport.bytes_down", num_bytes)
 
     def decode_result_state(
         self,
@@ -474,9 +479,13 @@ class FederatedAlgorithm(ABC):
         tensor — after the bytes are counted (they crossed the wire),
         before the client's error-feedback residual is banked.  One
         ``isfinite`` pass per tensor: ≈ 22 µs per 120k-parameter upload,
-        ≈ 0.17 ms per 584k-parameter one.  A row of an
+        ≈ 0.17 ms per 584k-parameter one.  A tensor the model declares
+        non-negative (:attr:`~repro.nn.models.spec.ParamSpec.nonnegative`, a
+        batch-norm ``running_var``) holding a negative value raises
+        :class:`~repro.engine.codecs.NegativeStatisticError` the same way:
+        evaluation would take its square root.  A row of an
         :class:`~repro.core.aggregation.UploadStack` shares its stack's
-        layout check and ``isfinite`` passes, made by its first row; only
+        layout check and value passes, made by its first row; only
         a tensor whose stack fails is checked row by row, so the refusal
         still names this client's tensor and its stack mates still fold.
         """
@@ -500,14 +509,15 @@ class FederatedAlgorithm(ABC):
             nbytes = uploaded.stack.row_nbytes if isinstance(uploaded, StackRow) else state_nbytes(uploaded)
             state = uploaded
         self._round_bytes_up += nbytes
-        if self.profiler.enabled:
-            self.profiler.count("transport.bytes_up", nbytes)
+        count("transport.bytes_up", nbytes)
         # a row of a stack is only looked at where its stack is not finite
-        suspects = uploaded.stack.nonfinite() if isinstance(uploaded, StackRow) else state
+        suspects = uploaded.stack.suspects(self._nonnegative) if isinstance(uploaded, StackRow) else state
         for name in suspects:
             value = np.asarray(state[name])
             if value.dtype.kind == "f" and not np.isfinite(value).all():
                 raise NonFiniteUpdateError(f"decoded upload holds NaN or ±inf in tensor {name!r}", tensor=name)
+            if name in self._nonnegative and (value < 0).any():
+                raise NegativeStatisticError(f"decoded upload holds a negative value in tensor {name!r}", tensor=name)
         if isinstance(uploaded, EncodedUpdate) and self._residuals is not None:
             self._residuals.bank(uploaded)
         return state
@@ -530,12 +540,11 @@ class FederatedAlgorithm(ABC):
         into the reused partial-sum buffers and released one at a time,
         so peak memory never holds every client delta at once.
         """
-        with self.profiler.scope("round.aggregate"):
-            return self._aggregator.aggregate(self.global_state, updates)
+        return self._aggregator.aggregate(self.global_state, updates)
 
     def fold_results(
         self, results: Sequence, group_sizes: Sequence[Mapping[str, int]]
-    ) -> dict[int, NonFiniteUpdateError]:
+    ) -> dict[int, UpdateRejectedError]:
         """Decode each result's upload (``group_sizes[i]`` is what ``results[i]`` trained) and aggregate.
 
         A generator feeds :meth:`aggregate`, so a decoded upload exists only
@@ -544,7 +553,7 @@ class FederatedAlgorithm(ABC):
         An upload :meth:`decode_result_state` refuses is left out; the
         refusals come back keyed by position in ``results``.
         """
-        refused: dict[int, NonFiniteUpdateError] = {}
+        refused: dict[int, UpdateRejectedError] = {}
         if not results:
             return refused
 
@@ -552,7 +561,7 @@ class FederatedAlgorithm(ABC):
             for position, (result, sizes, codes) in enumerate(zip(results, group_sizes, inflated)):
                 try:
                     state = self.decode_result_state(result.state, sizes, self.global_state, codes)
-                except NonFiniteUpdateError as error:
+                except UpdateRejectedError as error:
                     refused[position] = error
                 else:
                     yield ClientUpdate(state, result.num_samples)
@@ -572,8 +581,8 @@ class FederatedAlgorithm(ABC):
         if handle is None or (spill and handle.path is None):
             handle = self._state_store(f"dataset-{client_id}").publish(self.clients[client_id].dataset, spill=spill)
             self._dataset_handles[client_id] = handle
-            if self.profiler.enabled and spill:
-                self.profiler.count("transport.dataset_spills")
+            if spill:
+                count("transport.dataset_spills")
         return handle
 
     def client_capacity(self, client_id: int, round_index: int) -> float:
@@ -759,7 +768,7 @@ class FederatedAlgorithm(ABC):
         return full_accuracy, {level: accuracy for level, (accuracy, _) in heads.items()}
 
     def _record_evaluation(self, record: RoundRecord) -> None:
-        with self.profiler.scope("evaluate"):
+        with stage("round.evaluate"):
             full_accuracy, level_accuracies = self.evaluate()
         record.full_accuracy = full_accuracy
         record.level_accuracies = level_accuracies
@@ -866,11 +875,13 @@ class FederatedAlgorithm(ABC):
         record.  ``progress=True`` is shorthand for appending a
         :class:`~repro.api.callbacks.ProgressCallback`.
 
-        ``profile=True`` turns on the :class:`repro.perf.profiler.Profiler`
-        attached as :attr:`profiler` — phase-grained scoped timers (round,
-        training fan-out, aggregation, evaluation) plus transport and
-        workspace counters, reset at the start of the run and readable
-        afterwards via ``profiler.summary()`` / ``profiler.render()``.
+        ``profile=True`` attaches :attr:`profiler` (reset first) as the
+        :mod:`repro.perf.profiler` listener until the run returns or raises:
+        the round's stages, the ``task.*`` stages of tasks trained in this
+        process and the transport and workspace counters, read afterwards
+        via ``profiler.summary()``.  One stage times every round, profiled or
+        not: the profile's ``round``, ``round_duration_seconds`` and
+        ``round_end``'s ``duration_seconds``.
 
         Caveat: the ``workspace.*`` counters are collected from *this*
         process only — under the process executor the training kernels run
@@ -878,7 +889,6 @@ class FederatedAlgorithm(ABC):
         ``buffer_*`` counters then reflect evaluation-side reuse only and
         ``workspace.arena_bytes`` (the largest training arena) reads 0.
         """
-        self.profiler.enabled = profile
         if profile:
             self.profiler.reset()
             reset_workspace_stats()
@@ -895,39 +905,42 @@ class FederatedAlgorithm(ABC):
             "round_duration_seconds", "wall-clock duration of one federated round"
         )
         bus.emit("run_start", algorithm=self.name, rounds=rounds, start_round=start)
+        outer = attach(self.profiler) if profile else None
         try:
             for round_index in range(start, start + rounds):
                 self.current_trace_id = new_trace_id(f"{self.name}-r{round_index}")
                 bus.emit("round_start", trace_id=self.current_trace_id, round=round_index)
-                round_started_at = monotonic()
-                callback_list.on_round_start(self, round_index)
-                with self.profiler.scope("round"):
+                with Stage("round") as whole:
+                    with stage("round.record"):
+                        callback_list.on_round_start(self, round_index)
                     record = self.run_round(round_index)
-                should_eval = ((round_index + 1) % self.federated_config.eval_every == 0) or (
-                    round_index == start + rounds - 1
-                )
-                if should_eval:
-                    self._record_evaluation(record)
-                self.history.append(record)
-                if should_eval:
-                    callback_list.on_evaluate(self, record)
-                callback_list.on_round_end(self, record)
-                if self._stop_reason is not None and record.full_accuracy is None:
-                    # an early stop makes this the last round: evaluate it so the
-                    # history always ends with an evaluated record
-                    self._record_evaluation(record)
-                    callback_list.on_evaluate(self, record)
-                # the record is final from here on: durable-state callbacks
-                # (e.g. repro.store.runstore.RunRecorder) persist checkpoints now
-                callback_list.on_checkpoint(self, record)
-                round_seconds = monotonic() - round_started_at
+                    should_eval = ((round_index + 1) % self.federated_config.eval_every == 0) or (
+                        round_index == start + rounds - 1
+                    )
+                    if should_eval:
+                        self._record_evaluation(record)
+                    with stage("round.record"):
+                        self.history.append(record)
+                        if should_eval:
+                            callback_list.on_evaluate(self, record)
+                        callback_list.on_round_end(self, record)
+                    if self._stop_reason is not None and record.full_accuracy is None:
+                        # an early stop makes this the last round: evaluate it so the
+                        # history always ends with an evaluated record
+                        self._record_evaluation(record)
+                        with stage("round.record"):
+                            callback_list.on_evaluate(self, record)
+                    # the record is final from here on: durable-state callbacks
+                    # (e.g. repro.store.runstore.RunRecorder) persist checkpoints now
+                    with stage("round.checkpoint"):
+                        callback_list.on_checkpoint(self, record)
                 rounds_total.inc()
-                round_duration.observe(round_seconds)
+                round_duration.observe(whole.seconds)
                 bus.emit(
                     "round_end",
                     trace_id=self.current_trace_id,
                     round=round_index,
-                    duration_seconds=round(round_seconds, 6),
+                    duration_seconds=round(whole.seconds, 6),
                     participants=len(record.selected_clients),
                 )
                 # re-check the stop flag: a checkpoint callback may itself
@@ -944,6 +957,12 @@ class FederatedAlgorithm(ABC):
                         callback_list.on_checkpoint(self, record)
                     break
         finally:
+            if profile:
+                stats = workspace_stats()
+                count("workspace.buffer_hits", stats["hits"])
+                count("workspace.buffer_misses", stats["misses"])
+                count("workspace.arena_bytes", stats["arena_bytes"])
+                attach(outer)
             # release worker pools between runs; a later run() or run_round()
             # lazily rebuilds the executor from the same config
             self.close()
@@ -954,10 +973,5 @@ class FederatedAlgorithm(ABC):
                 rounds_completed=len(self.history) - start,
                 stop_reason=self._stop_reason or "",
             )
-        if self.profiler.enabled:
-            stats = workspace_stats()
-            self.profiler.set_counter("workspace.buffer_hits", stats["hits"])
-            self.profiler.set_counter("workspace.buffer_misses", stats["misses"])
-            self.profiler.set_counter("workspace.arena_bytes", stats["arena_bytes"])
         callback_list.on_fit_end(self, self.history)
         return self.history

@@ -65,7 +65,9 @@ __all__ = [
     "Fp16Codec",
     "Int8Codec",
     "TopKCodec",
+    "UpdateRejectedError",
     "NonFiniteUpdateError",
+    "NegativeStatisticError",
     "register_codec",
     "unregister_codec",
     "get_codec",
@@ -188,13 +190,21 @@ def codec_from_dict(payload: Mapping[str, Any]) -> "UpdateCodec":
 # -- codec classes ----------------------------------------------------------------------
 
 
-class NonFiniteUpdateError(ValueError):
-    """A client's update holds NaN or ±inf: it diverged and must not be shipped or aggregated."""
+class UpdateRejectedError(ValueError):
+    """An update that must not be shipped or aggregated; the fold leaves it out."""
 
     def __init__(self, message: str, tensor: str | None = None):
         super().__init__(message)
         #: the offending tensor's name, where the raiser knows it
         self.tensor = tensor
+
+
+class NonFiniteUpdateError(UpdateRejectedError):
+    """A client's update holds NaN or ±inf: it diverged."""
+
+
+class NegativeStatisticError(UpdateRejectedError):
+    """A decoded upload holds a negative value in a tensor its model declares non-negative (a variance)."""
 
 
 def _finite_peak(work: np.ndarray) -> float:

@@ -46,6 +46,7 @@ from repro.engine.transport import StateHandle
 from repro.nn.dtype import resolve_dtype
 from repro.nn.models.spec import SlimmableArchitecture
 from repro.obs.trace import TraceContext
+from repro.perf.profiler import stage
 
 __all__ = ["ClientTask", "StackTask", "TrainSubmodelTask", "map_stacked"]
 
@@ -138,16 +139,18 @@ class TrainSubmodelTask(ClientTask):
 
     def run(self) -> LocalTrainingResult:
         """Train the assigned submodel on the client's data (worker-side)."""
-        initial_state = self._initial_slice()
-        result = train_local_model(
-            architecture=self.architecture,
-            group_sizes=self.group_sizes,
-            initial_state=initial_state,
-            dataset=self.local_dataset(),
-            config=self.local_config,
-            rng=self.rng(),
-        )
-        return dataclass_replace(result, state=self._upload(result.state, initial_state))
+        with stage("task.train"):
+            initial_state = self._initial_slice()
+            result = train_local_model(
+                architecture=self.architecture,
+                group_sizes=self.group_sizes,
+                initial_state=initial_state,
+                dataset=self.local_dataset(),
+                config=self.local_config,
+                rng=self.rng(),
+            )
+        with stage("task.encode"):
+            return dataclass_replace(result, state=self._upload(result.state, initial_state))
 
     def stack_key(self) -> Hashable:
         """Equal for clients of one submodel, published state, config and data length."""
@@ -160,15 +163,17 @@ class TrainSubmodelTask(ClientTask):
     def run_stack(tasks: Sequence["TrainSubmodelTask"]) -> list[LocalTrainingResult]:
         """Clients of one stack key as one pass."""
         first = tasks[0]
-        initial_state = first._initial_slice()
-        trained = train_local_models(
-            first.architecture, first.group_sizes, initial_state, [task.local_dataset() for task in tasks],
-            first.local_config, [task.rng() for task in tasks],
-        )
-        return [
-            dataclass_replace(result, state=task._upload(result.state, initial_state))
-            for task, result in zip(tasks, trained)
-        ]
+        with stage("task.train"):
+            initial_state = first._initial_slice()
+            trained = train_local_models(
+                first.architecture, first.group_sizes, initial_state, [task.local_dataset() for task in tasks],
+                first.local_config, [task.rng() for task in tasks],
+            )
+        with stage("task.encode"):
+            return [
+                dataclass_replace(result, state=task._upload(result.state, initial_state))
+                for task, result in zip(tasks, trained)
+            ]
 
 
 # benchmarks/e2e/tracing.py (frozen between benchmark PRs) wraps ``run`` under

@@ -189,6 +189,8 @@ class BatchNorm2d(Module):
     element-wise product.  The layer never mutates its input.
     """
 
+    nonnegative_buffers = frozenset({"running_var"})
+
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__()
         if num_features <= 0:

@@ -81,7 +81,8 @@ class ParamSpec:
     flattened channel-major before a linear layer (each kept channel then
     owns ``H*W`` consecutive columns).  ``buffer`` marks a tensor the model
     declares as a buffer, not a parameter: a running statistic that forward
-    passes update and no gradient step touches.
+    passes update and no gradient step touches.  ``nonnegative`` marks a
+    buffer its layer declares can hold no negative value (a variance).
     """
 
     name: str
@@ -89,6 +90,7 @@ class ParamSpec:
     in_group: str | None = None
     in_repeat: int = 1
     buffer: bool = False
+    nonnegative: bool = False
 
 
 def annotate(layer: Module, out_group: str | None, in_group: str | None = None, in_repeat: int = 1) -> Module:
@@ -124,10 +126,11 @@ def derive_param_specs(model: Module) -> list[ParamSpec]:
             full = f"{prefix}.{local}" if prefix else local
             buffer = local not in module._parameters
             tensor = module._buffers[local] if buffer else module._parameters[local].data
+            nonnegative = local in module.nonnegative_buffers
             if tensor.ndim >= 2:
-                specs.append(ParamSpec(full, out_group, in_group, in_repeat, buffer))
+                specs.append(ParamSpec(full, out_group, in_group, in_repeat, buffer, nonnegative))
             else:
-                specs.append(ParamSpec(full, out_group, None, 1, buffer))
+                specs.append(ParamSpec(full, out_group, None, 1, buffer, nonnegative))
     return specs
 
 

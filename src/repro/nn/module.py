@@ -61,6 +61,10 @@ class Module:
     the layer input while accumulating parameter gradients in place.
     """
 
+    #: buffers that can hold no negative value (a variance): the server's fold
+    #: refuses an upload where one does
+    nonnegative_buffers: frozenset[str] = frozenset()
+
     def __init__(self) -> None:
         self._parameters: OrderedDict[str, Parameter] = OrderedDict()
         self._buffers: OrderedDict[str, np.ndarray] = OrderedDict()

@@ -14,9 +14,9 @@ greppable to one function — and code review only has to check that
 :func:`wall_time` output flows into *event records and metrics*, never
 into anything content-addressed or checkpointed.
 
-Measurement clocks (:func:`monotonic`, :func:`perf_counter`) are
-re-exported for symmetry; they were always allowed (they time work, they
-never feed results).
+The measurement clock (:func:`perf_counter`, the one
+:mod:`repro.perf.profiler`'s stages read) is re-exported for symmetry; it
+was always allowed (it times work, it never feeds results).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from datetime import datetime, timezone
 
-__all__ = ["wall_time", "monotonic", "perf_counter", "iso_format"]
+__all__ = ["wall_time", "perf_counter", "iso_format"]
 
 
 def wall_time() -> float:
@@ -35,11 +35,6 @@ def wall_time() -> float:
     randomness.
     """
     return time.time()
-
-
-def monotonic() -> float:
-    """Monotonic seconds for measuring durations (never goes backwards)."""
-    return time.monotonic()
 
 
 def perf_counter() -> float:

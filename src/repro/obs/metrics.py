@@ -1,11 +1,12 @@
 """Counters, gauges and histograms with Prometheus text exposition.
 
 One :class:`MetricsRegistry` is the process-wide source of truth for
-operational numbers (:func:`registry`); subsystems that need an
-isolated, resettable namespace — the per-run
-:class:`~repro.perf.profiler.Profiler`, the per-fleet
-:class:`~repro.serve.coordinator.Coordinator` — construct their own and
-hand it to :func:`render_prometheus` alongside the global one.
+operational numbers (:func:`registry`); a subsystem that needs an
+isolated namespace — the per-fleet
+:class:`~repro.serve.coordinator.Coordinator` — constructs its own and
+hands it to :func:`render_prometheus` alongside the global one.  Phase
+timings are not metrics: they are :mod:`repro.perf.profiler` stages, heard
+only by a run's profiler (``--profile``), and no registry holds them.
 
 All primitives are thread-safe (one lock per metric): they are updated
 from the training thread, the serve coordinator's asyncio loop thread
@@ -130,8 +131,7 @@ class Histogram(Metric):
 
     ``observe`` is O(#buckets); buckets are fixed at construction.  The
     exposition follows Prometheus conventions (``_bucket{le=...}``,
-    ``_sum``, ``_count``), and ``calls``/``total`` properties give the
-    profiler its (calls, seconds) view without re-deriving from samples.
+    ``_sum``, ``_count``).
     """
 
     kind = "histogram"
@@ -155,18 +155,6 @@ class Histogram(Metric):
                 if value <= bound:
                     self._bucket_counts[index] += 1
                     break
-
-    @property
-    def calls(self) -> int:
-        """Number of observations."""
-        with self._lock:
-            return self._count
-
-    @property
-    def total(self) -> float:
-        """Sum of all observed values."""
-        with self._lock:
-            return self._sum
 
     def snapshot(self) -> tuple[list[int], float, int]:
         """A consistent ``(bucket_counts, sum, count)`` triple."""
@@ -243,7 +231,7 @@ class MetricsRegistry:
             return [self._metrics[name] for name in sorted(self._metrics)]
 
     def reset(self) -> None:
-        """Drop every metric (isolated namespaces only — tests, profiler runs)."""
+        """Drop every metric (tests isolating a registry, the process-wide one included)."""
         with self._lock:
             self._metrics.clear()
 

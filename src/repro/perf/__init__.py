@@ -2,9 +2,10 @@
 
 Four concerns live here:
 
-* :mod:`repro.perf.profiler` — scoped wall-clock timers + counters
-  threaded through :meth:`repro.core.fl_base.FederatedAlgorithm.run`
-  and exposed on the CLI as ``--profile``.
+* :mod:`repro.perf.profiler` — the one timing seam: ``stage`` and
+  ``count`` mark the round's phases and counters, and a ``Profiler``
+  listener, attached by ``FederatedAlgorithm.run(profile=True)`` (CLI
+  ``--profile``), collects them; dormant, a stage is one global check.
 * :mod:`repro.perf.workspace` — reusable ndarray buffers that remove
   per-batch allocation from the conv/pool/optimizer hot paths.
 * :mod:`repro.perf.lanes` — the calling thread and one helper thread

@@ -1,51 +1,85 @@
-"""Scoped wall-clock timers and allocation counters for the training loop.
+"""One timing seam for the round: named stages, counters, and the listener that hears them.
 
-A :class:`Profiler` accumulates named scopes (`round.training`,
-`round.aggregate`, `evaluate`, ...) with call counts and total seconds,
-plus free-form counters (bytes shipped by the transport layer, workspace
-hits/misses).  It is deliberately phase-grained: per-op instrumentation
-in the NumPy kernels would cost more than the ops themselves, so kernels
-stay clean and the op-level story is told by
-``benchmarks/bench_hotpaths.py`` instead.
+Code marks a phase with ``with stage("round.fold"):`` and adds to a counter
+with ``count("transport.bytes_up", n)``.  Both report to the process's one
+listener, a :class:`Profiler`; while none is attached a stage costs one check
+of a module global.  ``FederatedAlgorithm.run(profile=True)`` (CLI
+``--profile``) attaches the algorithm's profiler for the run and detaches it
+in a ``finally``.  The round's stages — ``round`` and its direct children
+``round.plan`` … ``round.checkpoint`` — are listed in the perf guide
+(``docs/guides/perf.md``, "Profiling"); :meth:`Profiler.summary` adds
+``round.unattributed``, ``round`` less the sum of its direct children.
 
-Since the :mod:`repro.obs` telemetry subsystem landed, the profiler's
-storage *is* an :class:`repro.obs.metrics.MetricsRegistry` — each scope
-a histogram, each counter a gauge — so phase totals live in the same
-primitives as the rest of the stack's metrics and the registry can be
-layered into Prometheus exposition (:attr:`Profiler.registry`).  The
-public ``summary()``/``render()`` surface is unchanged.
-
-The active profiler is installed per algorithm
-(:attr:`repro.core.fl_base.FederatedAlgorithm.profiler`) and surfaces on
-the CLI as ``--profile``, which prints the summary table and writes
-``profile.json`` next to the run's results.
+The listener is process-wide: two runs profiled at the same time in one
+process would share it, a ``ThreadExecutor``'s pool threads report their
+``task.*`` stages to it at once, and a forked child starts with none.  A
+round stage is not a model stage (``StagedModel.stages()``, slices of a
+network's forward pass), and stages stay phase-grained: per-op timing would
+cost more than the NumPy ops, whose story ``benchmarks/bench_hotpaths.py``
+tells.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
+import os
+import threading
+from contextlib import nullcontext
 
 from repro.obs.clock import perf_counter
-from repro.obs.metrics import Gauge, Histogram, MetricsRegistry
 
-__all__ = ["Profiler", "ScopeStats", "render_summary"]
+__all__ = ["Profiler", "Stage", "attach", "count", "render_summary", "stage"]
 
-#: characters legal in a Prometheus metric name (scope names carry dots)
-_METRIC_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_:")
+_listener: "Profiler | None" = None
+_DORMANT = nullcontext()
 
 
-def _metric_name(prefix: str, name: str) -> str:
-    """Map a free-form scope/counter name onto a legal metric name."""
-    sanitized = "".join(ch if ch in _METRIC_OK else "_" for ch in name)
-    return f"{prefix}{sanitized}"
+def attach(listener: "Profiler | None") -> "Profiler | None":
+    """Make ``listener`` the process's listener (None detaches); returns the one it replaces."""
+    global _listener
+    previous, _listener = _listener, listener
+    return previous
+
+
+os.register_at_fork(after_in_child=lambda: attach(None))
+
+
+class Stage:
+    """Time a ``with`` block: ``seconds`` holds its duration afterwards, and a listener hears it."""
+
+    __slots__ = ("name", "seconds", "_start")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.seconds = 0.0
+
+    def __enter__(self) -> "Stage":
+        self._start = perf_counter()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.seconds = perf_counter() - self._start
+        listener = _listener
+        if listener is not None:
+            listener.observe(self.name, self.seconds)
+
+
+def stage(name: str):
+    """A timed :class:`Stage` while a listener is attached, else a shared no-op."""
+    return _DORMANT if _listener is None else Stage(name)
+
+
+def count(name: str, amount: float = 1.0) -> None:
+    """Add ``amount`` to the listener's counter ``name`` (nothing while none listens)."""
+    listener = _listener
+    if listener is not None:
+        listener.add(name, amount)
 
 
 def render_summary(summary: dict, title: str | None = None) -> str:
     """Human-readable table of a ``Profiler.summary()`` dict.
 
-    Shared by :meth:`Profiler.render` and the CLI's ``--profile`` output
-    (which renders summaries reloaded from ``<algorithm>_profile.json``).
+    The CLI's ``--profile`` output renders summaries reloaded from
+    ``<algorithm>_profile.json`` with it.
     """
     lines = []
     if title:
@@ -65,112 +99,49 @@ def render_summary(summary: dict, title: str | None = None) -> str:
     return "\n".join(lines)
 
 
-class ScopeStats:
-    """Read view of one named scope's accumulated totals.
-
-    Kept as the ``Profiler.scopes`` value type for back-compat; since
-    the registry migration it is a snapshot built from the underlying
-    histogram, not the storage itself.
-    """
-
-    __slots__ = ("name", "calls", "seconds")
-
-    def __init__(self, name: str, calls: int = 0, seconds: float = 0.0):
-        self.name = name
-        self.calls = calls
-        self.seconds = seconds
-
-    def add(self, seconds: float) -> None:
-        """Accumulate one call of ``seconds`` duration."""
-        self.calls += 1
-        self.seconds += seconds
-
-    def to_dict(self) -> dict:
-        """JSON form used by ``summary()`` and ``profile.json``."""
-        return {"name": self.name, "calls": self.calls, "seconds": round(self.seconds, 6)}
-
-
 class Profiler:
-    """Collects scoped timings and counters; cheap enough to leave enabled.
+    """A listener: calls and seconds per stage, a total per counter, heard from any thread."""
 
-    A disabled profiler (the default) reduces :meth:`scope` to a no-op
-    context manager and :meth:`count` to nothing, so the training loop
-    carries it unconditionally.  Storage is a private
-    :class:`MetricsRegistry` (scopes as histograms under
-    ``profile_scope_*``, counters as gauges under ``profile_counter_*``)
-    exposed as :attr:`registry` for Prometheus layering.
-    """
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._stages: dict[str, list] = {}
+        self._counters: dict[str, float] = {}
 
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
-        self.registry = MetricsRegistry()
-        self._scope_metrics: dict[str, Histogram] = {}
-        self._counter_metrics: dict[str, Gauge] = {}
+    def observe(self, name: str, seconds: float) -> None:
+        """One call of stage ``name`` that took ``seconds``."""
+        with self._lock:
+            totals = self._stages.setdefault(name, [0, 0.0])
+            totals[0] += 1
+            totals[1] += seconds
 
-    # -- timing -------------------------------------------------------------------
-    @contextmanager
-    def scope(self, name: str) -> Iterator[None]:
-        """Time a ``with`` block under ``name`` (no-op when disabled)."""
-        if not self.enabled:
-            yield
-            return
-        start = perf_counter()
-        try:
-            yield
-        finally:
-            histogram = self._scope_metrics.get(name)
-            if histogram is None:
-                histogram = self.registry.histogram(_metric_name("profile_scope_", name))
-                self._scope_metrics[name] = histogram
-            histogram.observe(perf_counter() - start)
-
-    # -- counters -----------------------------------------------------------------
-    def _counter(self, name: str) -> Gauge:
-        gauge = self._counter_metrics.get(name)
-        if gauge is None:
-            gauge = self.registry.gauge(_metric_name("profile_counter_", name))
-            self._counter_metrics[name] = gauge
-        return gauge
-
-    def count(self, name: str, amount: float = 1.0) -> None:
-        """Add ``amount`` to the counter ``name`` (no-op when disabled)."""
-        if self.enabled:
-            self._counter(name).inc(amount)
-
-    def set_counter(self, name: str, value: float) -> None:
-        """Overwrite the counter ``name`` (no-op when disabled)."""
-        if self.enabled:
-            self._counter(name).set(value)
-
-    # -- reporting ----------------------------------------------------------------
-    @property
-    def scopes(self) -> dict[str, ScopeStats]:
-        """Snapshot of every scope's (calls, seconds) totals, by name."""
-        return {
-            name: ScopeStats(name, histogram.calls, histogram.total)
-            for name, histogram in self._scope_metrics.items()
-        }
-
-    @property
-    def counters(self) -> dict[str, float]:
-        """Snapshot of every counter's current value, by name."""
-        return {name: gauge.value for name, gauge in self._counter_metrics.items()}
+    def add(self, name: str, amount: float) -> None:
+        """Add ``amount`` to the counter ``name``."""
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0.0) + amount
 
     def reset(self) -> None:
-        """Drop all accumulated scopes and counters."""
-        self.registry.reset()
-        self._scope_metrics.clear()
-        self._counter_metrics.clear()
+        """Drop all accumulated stages and counters."""
+        with self._lock:
+            self._stages.clear()
+            self._counters.clear()
 
     def summary(self) -> dict:
-        """JSON-friendly summary: scopes sorted by total time, then counters."""
-        ordered = sorted(self.scopes.values(), key=lambda s: s.seconds, reverse=True)
-        counters = self.counters
-        return {
-            "scopes": [stats.to_dict() for stats in ordered],
-            "counters": {name: counters[name] for name in sorted(counters)},
-        }
+        """JSON-friendly summary: stages (``round.unattributed`` among them) by total time, then counters.
 
-    def render(self) -> str:
-        """A human-readable table of the summary (used by ``--profile``)."""
-        return render_summary(self.summary())
+        Seconds are rounded to the µs, and ``round.unattributed`` is worked out
+        from the rounded rows, so ``round``'s direct children plus it add up to
+        ``round`` exactly.
+        """
+        with self._lock:
+            rows = [
+                {"name": name, "calls": calls, "seconds": round(seconds, 6)}
+                for name, (calls, seconds) in self._stages.items()
+            ]
+            counters = {name: self._counters[name] for name in sorted(self._counters)}
+        whole = next((row for row in rows if row["name"] == "round"), None)
+        if whole is not None:
+            children = [row for row in rows if row["name"].startswith("round.") and row["name"].count(".") == 1]
+            attributed = sum(row["seconds"] for row in children)
+            unattributed = round(whole["seconds"] - attributed, 6)
+            rows.append({"name": "round.unattributed", "calls": whole["calls"], "seconds": unattributed})
+        return {"scopes": sorted(rows, key=lambda row: row["seconds"], reverse=True), "counters": counters}

@@ -16,7 +16,9 @@ Which mistake each test is there to catch:
 * adding a stack's rows together instead of in submission order —
   ``test_a_round_of_stacks_folds_as_its_uploads_one_by_one`` (interleaved stacks);
 * skipping the ``isfinite`` check of a stack's first row —
-  ``test_a_row_that_is_not_a_number_is_refused_and_its_mates_fold``.
+  ``test_a_row_that_is_not_a_number_is_refused_and_its_mates_fold``;
+* folding a negative batch-norm variance, which evaluation would take the
+  square root of — ``test_a_row_with_a_negative_variance_is_refused_and_its_mates_fold``.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from repro.core.aggregation import ClientUpdate, HeterogeneousAggregator, StackR
 from repro.core.config import FederatedConfig, LocalTrainingConfig
 from repro.core.local_training import LocalTrainingResult
 from repro.core.pruning import slice_state_dict
-from repro.engine.codecs import NonFiniteUpdateError, encode_client_update, get_codec
+from repro.engine.codecs import NegativeStatisticError, NonFiniteUpdateError, encode_client_update, get_codec
 from repro.engine.rng import client_stream
 from repro.engine.tasks import encode_state_delta
+from repro.obs.events import configure_telemetry, shutdown_telemetry
 
 FULL_SHAPES = {"conv.weight": (12, 3, 3, 3), "conv.bias": (12,), "fc.weight": (30, 48), "bn.running_mean": (12,)}
 
@@ -273,3 +276,59 @@ def test_a_malformed_stack_is_refused_by_name_for_every_row(algorithm):
     with pytest.raises(ValueError, match="upload tensor"):
         algorithm.fold_results(broken, [small, small])
     assert_same(algorithm.global_state, before)
+
+
+def declared_variances(algorithm) -> set[str]:
+    """The tensors the model declares non-negative: its batch-norm layers' ``running_var``."""
+    declared = {spec.name for spec in algorithm.architecture.param_specs() if spec.nonnegative}
+    assert declared and all(name.endswith(".running_var") for name in declared)
+    return declared
+
+
+@pytest.mark.parametrize("bad_row", [0, 2])
+def test_a_row_with_a_negative_variance_is_refused_and_its_mates_fold(algorithm, bad_row):
+    (small, *_, large) = levels(algorithm)
+    name = next(name for name in algorithm._slice_shapes(small) if name in declared_variances(algorithm))
+    results = trained_stack(algorithm, small, 3, seed=3)
+    tensors = results[0].state.stack.tensors
+    tensors[name][bad_row, 0] = -0.5
+    # a mean may be negative: the rule is the layer's declaration, not a name match
+    tensors[name.replace("running_var", "running_mean")] -= 5.0
+    results.insert(1, trained_stack(algorithm, large, 1, seed=4)[0])
+    sizes = [small, large, small, small]
+    state = algorithm.global_state
+    bad_position = bad_row + (bad_row >= 1)
+    mates = [result for position, result in enumerate(results) if position != bad_position]
+    expected, _ = reference_fold(state, plain([ClientUpdate(result.state, result.num_samples) for result in mates]))
+    with pytest.raises(NegativeStatisticError, match=rf"negative value in tensor '{name}'"):
+        algorithm.decode_result_state(dict(results[bad_position].state), small, state)
+
+    refused = algorithm.fold_results(results, sizes)
+    assert list(refused) == [bad_position]
+    assert isinstance(refused[bad_position], NegativeStatisticError)
+    assert refused[bad_position].tensor == name
+    assert_same(algorithm.global_state, expected)
+
+
+def test_a_negative_variance_drops_its_client_by_name(algorithm):
+    name = sorted(declared_variances(algorithm))[0]
+    execute = algorithm.execute_client_tasks
+
+    def crafted(tasks):
+        results = execute(tasks)
+        upload = {key: np.array(value) for key, value in results[1].state.items()}
+        upload[name][-1] = -1e-3
+        results[1] = replace(results[1], state=upload)
+        return results
+
+    algorithm.execute_client_tasks = crafted
+    (ring,) = configure_telemetry(ring_size=64)
+    try:
+        record = algorithm.run_round(0)
+    finally:
+        shutdown_telemetry()
+    client = record.selected_clients[1]
+    assert record.dropped_clients == [client]
+    rejected = [event.data for event in ring.events() if event.type == "update_rejected"]
+    assert [(event["client"], event["tensor"]) for event in rejected] == [(client, name)]
+    assert all((value >= 0).all() for key, value in algorithm.global_state.items() if key.endswith("running_var"))

@@ -9,8 +9,7 @@ an operator can scrape must be in the metrics table of
 
 In scope: every ``.counter(…)`` / ``.gauge(…)`` / ``.histogram(…)`` call
 in ``src/repro`` whose name is a string literal, plus the coordinator's
-churn counters (``STAT_KEYS`` with a ``_total`` suffix).  The profiler's
-generated ``profile_*`` names are out of scope.
+churn counters (``STAT_KEYS`` with a ``_total`` suffix).
 """
 
 from __future__ import annotations

@@ -49,8 +49,9 @@ class TestHistogram:
         histogram = Histogram("latency_seconds", buckets=(0.1, 1.0, 10.0))
         for value in (0.05, 0.5, 5.0, 50.0):
             histogram.observe(value)
-        assert histogram.calls == 4
-        assert histogram.total == pytest.approx(55.55)
+        _, total, calls = histogram.snapshot()
+        assert calls == 4
+        assert total == pytest.approx(55.55)
 
     def test_exposition_buckets_are_cumulative(self):
         histogram = Histogram("latency_seconds", buckets=(0.1, 1.0, 10.0))

@@ -1,54 +1,134 @@
-"""Profiler unit tests and its threading through FederatedAlgorithm.run."""
+"""The timing seam (``stage`` / ``count`` / the ``Profiler`` listener) and its use by FederatedAlgorithm.run."""
 
-import numpy as np
+import os
+import threading
+
+import pytest
 
 from repro.api.callbacks import Callback
 from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig
 from repro.core.server import AdaptiveFL
-from repro.perf.profiler import Profiler, render_summary
+from repro.obs.events import configure_telemetry, shutdown_telemetry
+from repro.perf.profiler import Profiler, Stage, attach, count, render_summary, stage
+
+ROUND_CHILDREN = {
+    "round.plan", "round.fleet", "round.publish", "round.execute",
+    "round.fold", "round.evaluate", "round.record", "round.checkpoint",
+}
 
 
-class TestProfiler:
-    def test_disabled_is_a_noop(self):
-        profiler = Profiler(enabled=False)
-        with profiler.scope("x"):
+@pytest.fixture
+def listening():
+    """A fresh profiler attached for the test, detached afterwards."""
+    profiler = Profiler()
+    outer = attach(profiler)
+    yield profiler
+    attach(outer)
+
+
+def scopes(profiler: Profiler) -> dict[str, dict]:
+    return {row["name"]: row for row in profiler.summary()["scopes"]}
+
+
+def build(easy_setup, num_rounds=2, eval_every=2, **federated) -> AdaptiveFL:
+    return AdaptiveFL(
+        architecture=easy_setup["arch"],
+        train_dataset=easy_setup["train"],
+        partition=easy_setup["partition"],
+        test_dataset=easy_setup["test"],
+        profiles=easy_setup["profiles"],
+        resource_model=easy_setup["resource_model"],
+        algorithm_config=AdaptiveFLConfig(
+            federated=FederatedConfig(num_rounds=num_rounds, clients_per_round=3, eval_every=eval_every, **federated),
+            local=LocalTrainingConfig(local_epochs=1, batch_size=16, max_batches_per_epoch=2),
+            pool=easy_setup["pool"],
+        ),
+        seed=0,
+    )
+
+
+def is_dormant() -> bool:
+    """No listener is attached: every stage is the one shared no-op."""
+    return stage("a") is stage("b")
+
+
+class TestSeam:
+    def test_nothing_listens_by_default(self):
+        assert is_dormant()
+        profiler = Profiler()
+        with stage("x"):
             pass
-        profiler.count("c", 5)
+        count("c", 5)
         assert profiler.summary() == {"scopes": [], "counters": {}}
 
-    def test_scopes_accumulate(self):
-        profiler = Profiler(enabled=True)
+    def test_stages_and_counters_accumulate_while_attached(self, listening):
         for _ in range(3):
-            with profiler.scope("x"):
+            with stage("x"):
                 pass
-        profiler.count("c", 2)
-        profiler.count("c", 3)
-        summary = profiler.summary()
-        assert summary["scopes"][0]["name"] == "x"
-        assert summary["scopes"][0]["calls"] == 3
+        count("c", 2)
+        count("c", 3)
+        summary = listening.summary()
+        assert [(row["name"], row["calls"]) for row in summary["scopes"]] == [("x", 3)]
         assert summary["counters"] == {"c": 5.0}
-        assert "x" in profiler.render()
+        assert "x" in render_summary(summary)
 
-    def test_reset(self):
-        profiler = Profiler(enabled=True)
-        with profiler.scope("x"):
-            pass
-        profiler.reset()
-        assert profiler.summary() == {"scopes": [], "counters": {}}
+    def test_a_stage_measures_with_or_without_a_listener(self):
+        with Stage("alone") as timed:
+            sum(range(1000))
+        assert timed.seconds > 0.0
 
-    def test_backing_registry_exposes_scopes_and_counters(self):
-        profiler = Profiler(enabled=True)
-        with profiler.scope("round.training"):
+    def test_a_stage_raising_still_reports(self, listening):
+        with pytest.raises(RuntimeError), stage("x"):
+            raise RuntimeError("boom")
+        assert scopes(listening)["x"]["calls"] == 1
+
+    def test_reset(self, listening):
+        with stage("x"):
             pass
-        profiler.count("transport.bytes_up", 128)
-        exposition = profiler.registry.render()
-        assert "profile_scope_round_training_count 1" in exposition
-        assert "profile_counter_transport_bytes_up 128" in exposition
+        count("c")
+        listening.reset()
+        assert listening.summary() == {"scopes": [], "counters": {}}
+
+    def test_unattributed_is_round_less_its_direct_children(self):
+        profiler = Profiler()
+        for name, seconds in [
+            ("round", 1.0), ("round.a", 0.25), ("round.b", 0.5), ("round.a.inner", 0.2), ("task.train", 5.0),
+        ]:
+            profiler.observe(name, seconds)
+        rows = scopes(profiler)
+        assert rows["round.unattributed"] == {"name": "round.unattributed", "calls": 1, "seconds": 0.25}
+        assert Profiler().summary()["scopes"] == []  # no round, no unattributed row
+
+    def test_threads_report_at_the_same_time(self, listening):
+        barrier = threading.Barrier(4)
+
+        def work():
+            barrier.wait()
+            for _ in range(200):
+                with stage("task.train"):
+                    count("n")
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert scopes(listening)["task.train"]["calls"] == 800
+        assert listening.summary()["counters"] == {"n": 800.0}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_starts_without_a_listener(self, listening):
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            os._exit(0 if is_dormant() else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert not is_dormant()
 
 
 class TestRenderSummary:
     def test_empty_profiler_renders_header_only(self):
-        text = render_summary(Profiler(enabled=True).summary())
+        text = render_summary(Profiler().summary())
         lines = text.splitlines()
         assert len(lines) == 1
         assert lines[0].split() == ["scope", "calls", "seconds", "avg", "ms"]
@@ -74,27 +154,34 @@ class TestRenderSummary:
         assert "0.500" in text
 
 
+class RecordingProfiler(Profiler):
+    """Keeps every ``round`` measurement and the thread each ``task.*`` stage came from."""
+
+    def __init__(self):
+        super().__init__()
+        self.rounds: list[float] = []
+        self.task_threads: list[threading.Thread] = []
+
+    def observe(self, name, seconds):
+        super().observe(name, seconds)
+        if name == "round":
+            self.rounds.append(seconds)
+        elif name.startswith("task."):
+            self.task_threads.append(threading.current_thread())
+
+
 class TestRunProfiling:
-    def test_run_profile_collects_phases_and_counters(self, easy_setup):
-        federated = FederatedConfig(num_rounds=2, clients_per_round=3, eval_every=2)
-        local = LocalTrainingConfig(local_epochs=1, batch_size=16, max_batches_per_epoch=2)
-        algorithm = AdaptiveFL(
-            architecture=easy_setup["arch"],
-            train_dataset=easy_setup["train"],
-            partition=easy_setup["partition"],
-            test_dataset=easy_setup["test"],
-            profiles=easy_setup["profiles"],
-            resource_model=easy_setup["resource_model"],
-            algorithm_config=AdaptiveFLConfig(federated=federated, local=local, pool=easy_setup["pool"]),
-            seed=0,
-        )
+    def test_run_profile_collects_stages_and_counters(self, easy_setup):
+        algorithm = build(easy_setup)
         history = algorithm.run(profile=True)
         assert len(history) == 2
+        assert is_dormant()  # detached again
         summary = algorithm.profiler.summary()
-        names = {scope["name"] for scope in summary["scopes"]}
-        assert {"round", "round.training", "round.aggregate", "evaluate"} <= names
-        round_scope = next(s for s in summary["scopes"] if s["name"] == "round")
-        assert round_scope["calls"] == 2
+        rows = {row["name"]: row for row in summary["scopes"]}
+        assert ROUND_CHILDREN | {"round", "round.unattributed", "task.train", "task.encode"} <= set(rows)
+        assert rows["round"]["calls"] == 2
+        children = sum(rows[name]["seconds"] for name in ROUND_CHILDREN)
+        assert children + rows["round.unattributed"]["seconds"] == pytest.approx(rows["round"]["seconds"], abs=1e-9)
         counters = summary["counters"]
         assert counters.get("transport.publishes") == 2.0
         assert counters.get("transport.bytes_up", 0) > 0
@@ -104,73 +191,70 @@ class TestRunProfiling:
         # the largest training arena of the run: this thread trained every task
         assert counters.get("workspace.arena_bytes", 0) > 0
 
-    def test_early_stop_evaluation_is_inside_the_evaluate_scope(self, easy_setup):
+    def test_early_stop_evaluation_is_inside_round_evaluate(self, easy_setup):
         """A stop on a round off the eval cadence triggers a late evaluation;
-        the profiler must count it like a scheduled one."""
+        the profile must count it like a scheduled one."""
 
         class StopAfterSecondRound(Callback):
             def on_round_end(self, algorithm, record):
                 if record.round_index == 1:
                     algorithm.request_stop("test stop")
 
-        federated = FederatedConfig(num_rounds=6, clients_per_round=3, eval_every=3)
-        local = LocalTrainingConfig(local_epochs=1, batch_size=16, max_batches_per_epoch=1)
-        algorithm = AdaptiveFL(
-            architecture=easy_setup["arch"],
-            train_dataset=easy_setup["train"],
-            partition=easy_setup["partition"],
-            test_dataset=easy_setup["test"],
-            profiles=easy_setup["profiles"],
-            resource_model=easy_setup["resource_model"],
-            algorithm_config=AdaptiveFLConfig(federated=federated, local=local, pool=easy_setup["pool"]),
-            seed=0,
-        )
+        algorithm = build(easy_setup, num_rounds=6, eval_every=3)
         history = algorithm.run(callbacks=[StopAfterSecondRound()], profile=True)
         assert len(history) == 2  # truncated before the first scheduled evaluation
         evaluated = history.evaluated_records()
         assert [record.round_index for record in evaluated] == [1]
-        scopes = {scope["name"]: scope for scope in algorithm.profiler.summary()["scopes"]}
-        assert scopes["evaluate"]["calls"] == len(evaluated)
+        assert scopes(algorithm.profiler)["round.evaluate"]["calls"] == len(evaluated)
 
-    def test_unprofiled_run_disables_and_preserves_summary(self, easy_setup):
-        federated = FederatedConfig(num_rounds=1, clients_per_round=3, eval_every=1)
-        local = LocalTrainingConfig(local_epochs=1, batch_size=16, max_batches_per_epoch=2)
-        algorithm = AdaptiveFL(
-            architecture=easy_setup["arch"],
-            train_dataset=easy_setup["train"],
-            partition=easy_setup["partition"],
-            test_dataset=easy_setup["test"],
-            profiles=easy_setup["profiles"],
-            resource_model=easy_setup["resource_model"],
-            algorithm_config=AdaptiveFLConfig(federated=federated, local=local, pool=easy_setup["pool"]),
-            seed=0,
-        )
+    def test_unprofiled_run_attaches_nothing_and_preserves_summary(self, easy_setup):
+        algorithm = build(easy_setup, num_rounds=1, eval_every=1)
         algorithm.run(profile=True)
         first = algorithm.profiler.summary()
-        algorithm.run()  # unprofiled: must turn the profiler off ...
-        assert not algorithm.profiler.enabled
-        # ... and must not pollute the profiled run's data
+        listener = RecordingProfiler()
+        outer = attach(listener)
+        try:
+            algorithm.run()  # unprofiled: attaches nothing and replaces nothing ...
+            assert attach(outer) is listener
+        finally:
+            attach(outer)
+        # ... and does not pollute the profiled run's data
         assert algorithm.profiler.summary() == first
 
-    def test_profiling_does_not_change_results(self, easy_setup):
-        federated = FederatedConfig(num_rounds=1, clients_per_round=3, eval_every=1)
-        local = LocalTrainingConfig(local_epochs=1, batch_size=16, max_batches_per_epoch=2)
+    def test_listener_is_detached_when_a_callback_raises(self, easy_setup):
+        class Explode(Callback):
+            def on_round_end(self, algorithm, record):
+                raise RuntimeError("callback failed")
 
-        def build():
-            return AdaptiveFL(
-                architecture=easy_setup["arch"],
-                train_dataset=easy_setup["train"],
-                partition=easy_setup["partition"],
-                test_dataset=easy_setup["test"],
-                profiles=easy_setup["profiles"],
-                resource_model=easy_setup["resource_model"],
-                algorithm_config=AdaptiveFLConfig(federated=federated, local=local, pool=easy_setup["pool"]),
-                seed=0,
-            )
+        algorithm = build(easy_setup, num_rounds=3, eval_every=1)
+        with pytest.raises(RuntimeError, match="callback failed"):
+            algorithm.run(callbacks=[Explode()], profile=True)
+        assert is_dormant()
+        assert scopes(algorithm.profiler)["round.execute"]["calls"] == 1
 
-        plain = build()
+    def test_each_round_end_is_the_profiled_round(self, easy_setup):
+        algorithm = build(easy_setup, num_rounds=3, eval_every=2)
+        algorithm.profiler = RecordingProfiler()
+        (ring,) = configure_telemetry(ring_size=256)
+        try:
+            algorithm.run(profile=True)
+            ends = [event.data["duration_seconds"] for event in ring.events() if event.type == "round_end"]
+        finally:
+            shutdown_telemetry()
+        assert ends == [round(seconds, 6) for seconds in algorithm.profiler.rounds]
+        assert len(ends) == 3
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_profiling_changes_no_history_bit(self, easy_setup, executor):
+        plain = build(easy_setup, num_rounds=2, eval_every=1, executor=executor, max_workers=2)
+        profiled = build(easy_setup, num_rounds=2, eval_every=1, executor=executor, max_workers=2)
+        profiled.profiler = RecordingProfiler()
         plain.run()
-        profiled = build()
         profiled.run(profile=True)
+        assert plain.history.to_dict() == profiled.history.to_dict()
         for key, value in plain.global_state.items():
-            assert np.array_equal(value, profiled.global_state[key])
+            assert value.tobytes() == profiled.global_state[key].tobytes()
+        # the task stages were heard, from pool threads on the thread executor
+        assert profiled.profiler.task_threads
+        on_main = {thread is threading.main_thread() for thread in profiled.profiler.task_threads}
+        assert on_main == {executor == "serial"}

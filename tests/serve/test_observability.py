@@ -75,11 +75,12 @@ class TestHeartbeatRtt:
             coordinator = executor._coordinator
             assert coordinator is not None
             deadline = time.monotonic() + 10
-            while coordinator.heartbeat_rtt.calls == 0 and time.monotonic() < deadline:
+            while coordinator.heartbeat_rtt.snapshot()[2] == 0 and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert coordinator.heartbeat_rtt.calls >= 1
+            _, total, calls = coordinator.heartbeat_rtt.snapshot()
+            assert calls >= 1
             # loopback RTTs are real durations: positive, well under a second
-            assert 0 < coordinator.heartbeat_rtt.total < coordinator.heartbeat_rtt.calls * 1.0
+            assert 0 < total < calls * 1.0
         finally:
             executor.shutdown()
             client.join()
